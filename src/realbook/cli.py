@@ -134,7 +134,7 @@ def cmd_invariants(args) -> int:
     page = book.page
     _emit_json({
         "h1": _group_obj(h1_of_manifold(book)),
-        "heegaard_genus": 2 * page.genus + page.boundary_count - 1,
+        "heegaard_genus": book.heegaard_genus,
         "page_genus": page.genus,
         "binding": book.binding_count,
         "euler": book.page_euler,

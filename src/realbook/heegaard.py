@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intalg import IntMatrix
-from .mcg import TwistWord, word_matrix
+from .mcg import TwistWord
 from .openbook import OpenBook, Reality, check_reality
 from .surface import Involution, vec_dot
 
@@ -60,16 +60,13 @@ def heegaard_data(ob: OpenBook) -> HeegaardData:
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise ValueError("book is not real; no real Heegaard decomposition")
-    page = ob.page
-    genus = 2 * page.genus + page.boundary_count - 1
     c = ob.real_structure.matrix
-    f = word_matrix(page, ob.monodromy)
     return HeegaardData(
-        genus=genus,
+        genus=ob.heegaard_genus,
         gluing_involution=ob.real_structure,
         gluing_word=ob.monodromy,
         minus_matrix=c,
-        plus_matrix=f @ c,
+        plus_matrix=ob.monodromy_matrix @ c,
         binding_fixed_points=dict(ob.real_structure.fixed_points),
     )
 
@@ -87,7 +84,8 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
                     hd.minus_matrix.transpose() @ j @ hd.minus_matrix == -j))
         out.append(("plus_antisymplectic",
                     hd.plus_matrix.transpose() @ j @ hd.plus_matrix == -j))
-    out.append(("genus", hd.genus == 2 * page.genus + page.boundary_count - 1))
+    # the splitting surface of two pages glued has genus rank H1(page)
+    out.append(("genus", hd.genus == page.h1_rank))
     out.append(("minus_lefschetz",
                 ob.real_structure.fixed_set.arc_count == 1 - hd.minus_matrix.trace()))
     if ob.fix_plus is not None:
@@ -296,7 +294,7 @@ def real_part(ob: OpenBook) -> RealPartData:
             components.append(RealComponent(pieces=1, h1_class=tuple(cls)))
 
     rp = RealPartData(components=tuple(components))
-    genus = 2 * page.genus + page.boundary_count - 1
+    genus = ob.heegaard_genus
     if rp.count > genus + 1:
         raise RealPartUnavailable(
             f"assembled {rp.count} components on a genus-{genus} surface: "

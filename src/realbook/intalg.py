@@ -1,8 +1,11 @@
 """Exact integer linear algebra: matrices, Smith normal form, cokernels.
 
 Everything here works over Python ints, so entry blow-up during Smith
-reduction is harmless.  Intended scale is tiny (matrices well under
-100x100); nothing is asymptotically clever.
+reduction is harmless.  Intended scale is small (page ranks up to about
+32, relation matrices up to about 60x60).  The dense product is the
+plain O(n^3) one; twist words never go through it, because mcg applies
+each twist as an O(n^2) rank-one update.  The Smith form uses the
+smallest-entry pivot rule, with no modular or HNF shortcut.
 """
 
 from __future__ import annotations

@@ -110,6 +110,13 @@ def _ints(x: Any, path: str) -> tuple[int, ...]:
     return tuple(x)
 
 
+def _pair(x: Any, path: str) -> tuple[str, int]:
+    if not (isinstance(x, list) and len(x) == 2
+            and isinstance(x[0], str) and isinstance(x[1], int)):
+        raise SchemaError(f"{path} must be a [name, integer] pair")
+    return (x[0], x[1])
+
+
 def _parse_fixed_set(obj: Any, path: str) -> FixedSet:
     arcs = []
     for i, a in enumerate(_need(obj, "arcs", path)):
@@ -166,9 +173,7 @@ def from_obj(obj: dict) -> OpenBook:
         )
         img = c.get("c_image")
         if img is not None:
-            if len(img) != 2:
-                raise SchemaError(f"$.alphabet[{i}].c_image must be [name, sign]")
-            images[name] = (str(img[0]), int(img[1]))
+            images[name] = _pair(img, f"$.alphabet[{i}].c_image")
 
     ref_arcs = {}
     for i, a in enumerate(_need(obj, "ref_arcs", "$")):
@@ -217,14 +222,25 @@ def from_obj(obj: dict) -> OpenBook:
     fix_plus = _parse_fixed_set(fp, "$.fix_plus") if fp is not None else None
 
     provenance = []
-    for i, rec in enumerate(obj.get("provenance", [])):
+    records = obj.get("provenance", [])
+    if not isinstance(records, list):
+        raise SchemaError("$.provenance must be a list")
+    for i, rec in enumerate(records):
+        path = f"$.provenance[{i}]"
+        site = _need(rec, "site", path)
+        if not isinstance(site, list):
+            raise SchemaError(f"{path}.site must be a list")
+        sigma = _need(rec, "sigma", path)
+        if not isinstance(sigma, list):
+            raise SchemaError(f"{path}.sigma must be a list")
+        rec_images = _need(rec, "images", path)
+        if not isinstance(rec_images, dict):
+            raise SchemaError(f"{path}.images must be an object")
         provenance.append(StabRecord(
-            tag=str(_need(rec, "type", f"$.provenance[{i}]")),
-            site=tuple(_need(rec, "site", f"$.provenance[{i}]")),
-            sigma=tuple((str(n), int(e))
-                        for n, e in _need(rec, "sigma", f"$.provenance[{i}]")),
-            images={str(k): (str(v[0]), int(v[1]))
-                    for k, v in _need(rec, "images", f"$.provenance[{i}]").items()},
+            tag=str(_need(rec, "type", path)),
+            site=tuple(site),
+            sigma=tuple(_pair(l, f"{path}.sigma[{j}]") for j, l in enumerate(sigma)),
+            images={k: _pair(v, f"{path}.images.{k}") for k, v in rec_images.items()},
         ))
 
     return OpenBook(page=page, monodromy=word, real_structure=inv,

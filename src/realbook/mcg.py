@@ -4,6 +4,11 @@ Word convention: letters act leftmost first, so a word [l1, l2, ...]
 is the map  T_ln o ... o T_l1  and word matrices multiply accordingly.
 Word equality is free-reduced literal equality, extended only by
 commutation of letters whose curves the surface declares disjoint.
+
+A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
+so words act on matrices and arcs by rank-one updates, O(n^2) per
+letter, never by dense products.  twist_matrix builds one twist densely;
+it is kept as the test oracle for the updates.
 """
 
 from __future__ import annotations
@@ -61,10 +66,66 @@ def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
 
 
 def word_matrix(model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:
-    m = IntMatrix.identity(model.h1_rank)
-    for name, exp in w:
-        m = twist_matrix(model, name, exp) @ m
-    return m
+    """Matrix of the word on H1 of the page."""
+    return word_times(model, w, IntMatrix.identity(model.h1_rank))
+
+
+def word_times(model: SurfaceModel, w: Sequence[Letter], m: IntMatrix) -> IntMatrix:
+    """word_matrix(model, w) @ m, by rank-one updates of the rows of m."""
+    if m.nrows != model.h1_rank:
+        raise ValueError(f"dimension mismatch: word on rank {model.h1_rank} @ {m.shape}")
+    rows = [list(r) for r in m.rows]
+    _transvect(model, w, rows, transposed=False)
+    return IntMatrix(rows, ncols=m.ncols)
+
+
+def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:
+    """m @ word_matrix(model, w), as the transpose of W^T @ m^T."""
+    if m.ncols != model.h1_rank:
+        raise ValueError(f"dimension mismatch: {m.shape} @ word on rank {model.h1_rank}")
+    cols = [list(c) for c in m.transpose().rows]
+    _transvect(model, tuple(w)[::-1], cols, transposed=True)
+    return IntMatrix(cols, ncols=m.nrows).transpose()
+
+
+_Sparse = list[tuple[int, int]]
+
+
+def _sparse(v: Sequence[int]) -> _Sparse:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _curve_class(model: SurfaceModel, name: str) -> tuple[int, ...]:
+    a = model.curve(name).h1_class
+    if len(a) != model.h1_rank:
+        raise ValueError(f"class of curve {name!r} has length {len(a)}, not {model.h1_rank}")
+    return a
+
+
+def _transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
+               transposed: bool) -> None:
+    """rows <- (I + e u v^T) rows for each letter (a, e) of w in turn, in
+    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose.
+    J a is computed once per distinct curve."""
+    form = model.form.rows
+    vecs: dict[str, tuple[_Sparse, _Sparse]] = {}
+    for name, e in w:
+        if name not in vecs:
+            a = _sparse(_curve_class(model, name))
+            ja = _sparse([sum(row[k] * x for k, x in a) for row in form])
+            vecs[name] = (ja, a) if transposed else (a, ja)
+        u, v = vecs[name]
+        if not u or not v:
+            continue
+        r = None
+        for j, x in v:
+            rj = rows[j]
+            r = [x * y for y in rj] if r is None else [s + x * y for s, y in zip(r, rj)]
+        if not any(r):
+            continue
+        for i, x in u:
+            c = e * x
+            rows[i] = [s + c * y for s, y in zip(rows[i], r)]
 
 
 def conjugate_by_involution(
@@ -120,12 +181,20 @@ def transport_arc(model: SurfaceModel, w: Sequence[Letter], arc: RefArc) -> RefA
     Per letter (a, e): the class gains e <gamma, a> [a] and the pairing
     row updates by <tau_a^e(gamma), x> = <gamma, x> + e <gamma, a> <a, x>.
     """
+    form = model.form.rows
+    a_rows: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     cls = arc.current_class
     row = arc.pairings
     for name, exp in w:
-        a = model.curve(name).h1_class
+        if name not in a_rows:
+            a = _curve_class(model, name)
+            # <a, x> per basis class x: the row (J^T a), a sum of rows of J
+            a_row = [0] * model.h1_rank
+            for k, x in _sparse(a):
+                a_row = [s + x * y for s, y in zip(a_row, form[k])]
+            a_rows[name] = (a, tuple(a_row))
+        a, a_row = a_rows[name]
         cross = vec_dot(row, a)
         cls = vec_add(cls, vec_scale(exp * cross, a))
-        a_row = model.form.transpose().apply(a)  # <a, x> = (J^T a) . x per basis x
         row = vec_add(row, vec_scale(exp * cross, a_row))
     return RefArc(target_boundary=arc.target_boundary, current_class=cls, pairings=row)

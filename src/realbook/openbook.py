@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .intalg import IntMatrix, AbelianGroup, cokernel, solve_integer
@@ -24,9 +25,12 @@ from .mcg import (
     conjugate_by_involution,
     free_reduce,
     invert,
+    times_word,
     transport_arc,
     word,
     word_matrix,
+    word_times,
+    words_equal,
 )
 from .surface import (
     BoundaryCircle,
@@ -108,6 +112,11 @@ class StabilizationError(ValueError):
 
 @dataclass(frozen=True)
 class OpenBook:
+    """A real open book.  Frozen: the verdict of check_reality and the
+    monodromy matrix are memoized on the instance, outside the fields,
+    so they take no part in ==, repr or JSON, and a book made with
+    dataclasses.replace starts without them."""
+
     page: SurfaceModel
     monodromy: TwistWord
     real_structure: Involution
@@ -121,6 +130,20 @@ class OpenBook:
     @property
     def page_euler(self) -> int:
         return self.page.euler
+
+    @property
+    def heegaard_genus(self) -> int:
+        """Genus 2g + b - 1 of the splitting surface, two pages glued."""
+        return 2 * self.page.genus + self.page.boundary_count - 1
+
+    @cached_property
+    def _reality(self) -> RealityStatus:
+        return _reality_of(self)
+
+    @cached_property
+    def monodromy_matrix(self) -> IntMatrix:
+        """F, the action of the monodromy on H1 of the page."""
+        return word_matrix(self.page, self.monodromy)
 
 
 def binding_count(ob: OpenBook) -> int:
@@ -185,7 +208,7 @@ def _provenance_certificate(ob: OpenBook) -> bool:
         if free_reduce(tuple(conj)) != invert(rec.sigma):
             return False
         # the recorded images must agree with the extension matrix C~ = C Sigma^-1
-        m = m @ word_matrix(model, invert(rec.sigma))
+        m = times_word(m, model, invert(rec.sigma))
         for name, (img, s) in rec.images.items():
             want = vec_scale(s, m.apply(model.curve(name).h1_class))
             if model.curve(img).h1_class != want:
@@ -198,8 +221,6 @@ def _provenance_certificate(ob: OpenBook) -> bool:
         if img is None:
             return False
         conj.append((img[0], -exp))
-    from .mcg import words_equal
-
     return words_equal(model, free_reduce(tuple(conj)), invert(w))
 
 
@@ -209,19 +230,22 @@ def check_reality(ob: OpenBook) -> RealityStatus:
     Word level first (sound, incomplete); the homology level is
     necessary but not sufficient, so a clean pass there reports
     HomologicallyReal.  NotReal is definitive and carries a witness.
+    Computed once per book and memoized on it.
     """
+    return ob._reality
+
+
+def _reality_of(ob: OpenBook) -> RealityStatus:
     model, w = ob.page, ob.monodromy
     inv = ob.real_structure
     cw = conjugate_by_involution(model, inv, w)
     if cw is not None:
-        from .mcg import words_equal
-
         if words_equal(model, cw, invert(w)):
             return RealityStatus(Reality.CERTIFIED_REAL, witness=cw)
     if ob.provenance and _provenance_certificate(ob):
         return RealityStatus(Reality.CERTIFIED_REAL, witness="stabilization chain")
 
-    f = word_matrix(model, w)
+    f = ob.monodromy_matrix
     f_inv = word_matrix(model, invert(w))
     c = inv.matrix
     lhs = c @ f @ c
@@ -252,7 +276,7 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     """
     model, w = ob.page, ob.monodromy
     rank = model.h1_rank
-    f = word_matrix(model, w)
+    f = ob.monodromy_matrix
     cols: list[list[int]] = []
     for j in range(rank):
         e = model.basis_vector(j)
@@ -454,13 +478,12 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[
     sigma: TwistWord = word([(n, 1) for n in sigma_names])
     new_word = concat(sigma, ob.monodromy)
     c_tilde = _extend_matrix(ob.real_structure.matrix, c_ext_block)
-    sig_matrix = word_matrix(page, sigma)
-    c_new = c_tilde @ sig_matrix
+    c_new = times_word(c_tilde, page, sigma)
 
     new_idx = list(range(rank - len(sigma_names), rank))
     b.minus_arcs = _fix_strand_law(b, b.minus_arcs, c_new, new_idx)
     if ob.fix_plus is not None:
-        c_plus = word_matrix(page, new_word) @ c_new
+        c_plus = word_times(page, new_word, c_new)
         b.plus_arcs = _fix_strand_law(b, b.plus_arcs, c_plus, new_idx)
 
     # drop curve images that the twist invalidates (sigma moves the curve);

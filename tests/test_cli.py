@@ -107,6 +107,23 @@ def test_schema_violation_has_path(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("variant", ["images-list", "image-null", "image-string"])
+def test_malformed_provenance_images_is_exit_2(variant, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    good = json.loads(book_json)
+    images = good["provenance"][0]["images"]
+    first = sorted(images)[0]
+    bad_images = {
+        "images-list": [[k, v] for k, v in sorted(images.items())],
+        "image-null": dict(images, **{first: None}),
+        "image-string": dict(images, **{first: "x"}),
+    }[variant]
+    good["provenance"][0]["images"] = bad_images
+    code, _ = run_cli(["invariants"], json.dumps(good), monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: $.provenance[0].images")
+
+
 def test_wrong_schema_version_rejected():
     from realbook.jsonio import SchemaError, from_obj
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -141,6 +142,17 @@ def test_untracked_plus_side_reported():
                         real_structure=ob.real_structure, fix_plus=None)
     with pytest.raises(RealPartUnavailable):
         real_part(stripped)
+
+
+def test_genus_check_fails_on_wrong_page_genus():
+    from realbook.jsonio import dumps, loads
+
+    ob = catalog_fig4(2)
+    assert dict(validate_heegaard(heegaard_data(ob), ob))["genus"]
+    obj = json.loads(dumps(ob))
+    obj["page"]["genus"] += 1
+    bad = loads(json.dumps(obj))
+    assert not dict(validate_heegaard(heegaard_data(bad), bad))["genus"]
 
 
 def test_not_real_rejected():

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5, catalog_fig6
 from realbook.intalg import IntMatrix
 from realbook.mcg import (
     concat,
     conjugate_by_involution,
     invert,
+    times_word,
     transport_arc,
     twist_matrix,
     word,
     word_matrix,
+    word_times,
     words_equal,
 )
 from realbook.surface import RefArc, standard_involution, standard_surface
@@ -149,3 +152,78 @@ def test_words_equal_disjoint_commutation():
     assert words_equal(m, word([("d1", 1), ("d2", 1)]), word([("d2", 1), ("d1", 1)]))
     t = standard_surface(1, 1)
     assert not words_equal(t, word([("a1", 1), ("b1", 1)]), word([("b1", 1), ("a1", 1)]))
+
+
+# -- rank-one kernels against dense references ------------------------------
+
+
+def dense_word_matrix(model, w):
+    """The word as a product of dense twist matrices, one per letter."""
+    m = IntMatrix.identity(model.h1_rank)
+    for name, exp in w:
+        m = twist_matrix(model, name, exp) @ m
+    return m
+
+
+def reference_transport(model, w, arc):
+    """transport_arc with <a, x> taken from the dense J^T for every letter."""
+    cls, row = arc.current_class, arc.pairings
+    for name, exp in w:
+        a = model.curve(name).h1_class
+        cross = sum(x * y for x, y in zip(row, a))
+        a_row = model.form.transpose().apply(a)
+        cls = tuple(x + exp * cross * y for x, y in zip(cls, a))
+        row = tuple(x + exp * cross * y for x, y in zip(row, a_row))
+    return cls, row
+
+
+def assert_kernels_match(model, w, left, right):
+    """word_matrix, W @ left and right @ W against the dense product."""
+    dense = dense_word_matrix(model, w)
+    assert word_matrix(model, w) == dense
+    assert word_times(model, w, left) == dense @ left
+    assert times_word(right, model, w) == right @ dense
+
+
+@pytest.fixture(scope="module")
+def catalog_books():
+    books = [(e.name, e.build()) for e in ENTRIES]
+    for family, build in (("fig4", catalog_fig4), ("fig5", catalog_fig5),
+                          ("fig6", catalog_fig6)):
+        books += [(f"{family}-{k}", build(k)) for k in range(1, 9)]
+    return books
+
+
+def test_kernels_match_dense_oracle_on_catalog(catalog_books):
+    for name, ob in catalog_books:
+        page, c = ob.page, ob.real_structure.matrix
+        words = [ob.monodromy, invert(ob.monodromy)] + [invert(r.sigma) for r in ob.provenance]
+        for w in words:
+            assert_kernels_match(page, w, c, c)
+        for cid, arc in page.ref_arcs.items():
+            out = transport_arc(page, ob.monodromy, arc)
+            assert (out.current_class, out.pairings) == \
+                reference_transport(page, ob.monodromy, arc), (name, cid)
+
+
+def test_kernels_match_dense_oracle_on_random_words(catalog_books):
+    rng = random.Random(11)
+    models = [standard_surface(g, b) for g, b in [(0, 2), (1, 1), (1, 3), (2, 2)]]
+    models += [ob.page for name, ob in catalog_books if name in ("fig5-4", "fig6-3", "fig4-5")]
+    exponents = [-3, -2, -1, 1, 2, 3]
+    for model in models:
+        names = sorted(model.alphabet)
+        n = model.h1_rank
+        for _ in range(12):
+            w = tuple((rng.choice(names), rng.choice(exponents))
+                      for _ in range(rng.randint(1, 12)))
+            left = IntMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)],
+                             ncols=3)
+            right = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)],
+                              ncols=n)
+            assert_kernels_match(model, w, left, right)
+            arc = RefArc(target_boundary=2,
+                         current_class=tuple(rng.randint(-2, 2) for _ in range(n)),
+                         pairings=tuple(rng.randint(-2, 2) for _ in range(n)))
+            out = transport_arc(model, w, arc)
+            assert (out.current_class, out.pairings) == reference_transport(model, w, arc)

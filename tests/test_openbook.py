@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from realbook.catalog import (
     catalog_s3_disk,
 )
 from realbook.intalg import AbelianGroup, IntMatrix
+from realbook.jsonio import dumps, loads
 from realbook.mcg import word
 from realbook.openbook import (
     OpenBook,
@@ -67,6 +69,19 @@ def test_not_real_with_witness():
 def test_stabilize_refuses_not_real():
     with pytest.raises(StabilizationError):
         stabilize(not_real_example(), "III", {"boundary": 1})
+
+
+def test_reality_memo_stays_with_its_book():
+    ob = catalog_fig4(2)
+    text, rep = dumps(ob), repr(ob)
+    assert check_reality(ob).kind is Reality.CERTIFIED_REAL
+    h1_of_manifold(ob)
+    assert dumps(ob) == text and repr(ob) == rep and loads(text) == ob
+    tampered = replace(ob, monodromy=ob.monodromy[1:])
+    assert check_reality(tampered).kind is Reality.NOT_REAL
+    with pytest.raises(StabilizationError):
+        stabilize(tampered, "III", {"boundary": 1})
+    assert check_reality(ob).kind is Reality.CERTIFIED_REAL
 
 
 def test_disk_type_I_gives_annulus_book():
