@@ -2,17 +2,31 @@
 
 Everything here works over Python ints, so entry blow-up during Smith
 reduction is harmless.  Intended scale is small (page ranks up to about
-32, relation matrices up to about 60x60).  The dense product is the
-plain O(n^3) one; twist words never go through it, because mcg applies
-each twist as an O(n^2) rank-one update.  The Smith form uses the
-smallest-entry pivot rule, with no modular or HNF shortcut.
+32, relation matrices up to about 60x60).  The product builds each row
+of the result as a sum of rows of the right factor, skipping the zero
+entries of the left one, so the sparse involutions, forms and Smith
+transforms cost far less than n^3; twist words never go through it,
+because mcg applies each twist as an O(n^2) rank-one update.  The Smith
+form uses the smallest-entry pivot rule, with no modular or HNF
+shortcut; linear systems are solved by back-substitution through one
+factored Smith form, which a caller may reuse for many right-hand sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
+
+
+def _axpy(x: Sequence[int], q: int, y: Sequence[int]) -> list[int]:
+    """x + q y, entrywise."""
+    if q == 1:
+        return list(map(add, x, y))
+    if q == -1:
+        return list(map(sub, x, y))
+    return list(map(add, x, map(q.__mul__, y)))
 
 
 class IntMatrix:
@@ -21,7 +35,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(int, row)) for row in rows)
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -33,11 +47,22 @@ class IntMatrix:
         if ncols is not None and self.nrows and self.ncols != ncols:
             raise ValueError("ncols mismatch")
 
+    @staticmethod
+    def _trusted(rows: Iterable[Sequence[int]], ncols: int) -> "IntMatrix":
+        """Wrap rows computed here from the entries of IntMatrix values:
+        they are ints of width ncols already, so the normalisation and
+        the width checks of __init__, most of its cost, are skipped."""
+        m = object.__new__(IntMatrix)
+        m.rows = tuple(map(tuple, rows))
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMatrix":
@@ -78,41 +103,40 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch {self.shape} @ {other.shape}")
-        ot = other.transpose().rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows],
-            ncols=other.ncols,
-        )
+        n = other.ncols
+        out = []
+        for row in self.rows:
+            acc = [0] * n  # fresh per row: rows of the result never alias
+            for a, orow in zip(row, other.rows):
+                if a:
+                    acc = _axpy(acc, a, orow)
+            out.append(acc)
+        return IntMatrix._trusted(out, n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        pairs = zip(self.rows, other.rows)
+        return IntMatrix._trusted((map(add, r1, r2) for r1, r2 in pairs), self.ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        pairs = zip(self.rows, other.rows)
+        return IntMatrix._trusted((map(sub, r1, r2) for r1, r2 in pairs), self.ncols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.rows], ncols=self.ncols)
+        return IntMatrix._trusted((map(neg, row) for row in self.rows), self.ncols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        # zip(*rows) sees no columns in a 0 x k matrix; its transpose is k x 0
+        cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+        return IntMatrix._trusted(cols, self.nrows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple(sum(map(mul, row, vec)) for row in self.rows)
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
@@ -212,7 +236,9 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     Pivoting rule: smallest nonzero absolute value in the working
     submatrix, ties broken row-major.  Deterministic, and keeps entry
-    growth tolerable at this scale.
+    growth tolerable at this scale.  The scan stops at the first unit
+    entry, which is the pivot the full scan would pick, and a unit pivot
+    needs no divisibility sweep.
     """
     m, n = a.shape
     mat = [list(row) for row in a.rows]
@@ -231,14 +257,17 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     def add_row(dst, src, q):
         # row dst += q * row src
-        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        mat[dst] = _axpy(mat[dst], q, mat[src])
+        u[dst] = _axpy(u[dst], q, u[src])
 
     def add_col(dst, src, q):
+        # column dst += q * column src, touching only rows that change
         for row in mat:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
         for row in v:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
 
     def negate_row(i):
         mat[i] = [-x for x in mat[i]]
@@ -249,11 +278,18 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     while t < size:
         # pick pivot: smallest |entry| != 0, row-major tie-break
         pivot = None
+        best = 0
         for i in range(t, m):
+            row = mat[i]
             for j in range(t, n):
-                x = mat[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(mat[pivot[0]][pivot[1]])):
+                x = row[j]
+                if x and (pivot is None or abs(x) < best):
                     pivot = (i, j)
+                    best = abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -281,6 +317,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 swap_cols(t, j)
                 continue
             # divisibility sweep: pivot must divide the whole remaining block
+            if abs(mat[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -296,7 +334,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             negate_row(t)
         t += 1
 
-    return SmithForm(d=IntMatrix(mat, ncols=n), u=IntMatrix(u, ncols=m), v=IntMatrix(v, ncols=n))
+    return SmithForm(d=IntMatrix._trusted(mat, n), u=IntMatrix._trusted(u, m),
+                     v=IntMatrix._trusted(v, n))
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
@@ -308,23 +347,30 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=a.nrows - len(nonzero), torsion=torsion)
 
 
+def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One integer solution x of a @ x = b, given the Smith form of a, or
+    None if there is none.  Factor a once to solve for many b."""
+    if snf.u.ncols != len(b):
+        raise ValueError("rhs length mismatch")
+    c = snf.u.apply(b)
+    diag = snf.d.diag()
+    y = [0] * snf.v.nrows
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if d != 0:
+            if ci % d != 0:
+                return None
+            y[i] = ci // d
+        elif ci != 0:
+            return None
+    return snf.v.apply(y)
+
+
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a @ x = b, or None if there is none."""
     if a.nrows != len(b):
         raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(a)
-    c = snf.u.apply(b)
-    y = [0] * a.ncols
-    diag = snf.d.diag()
-    for i in range(a.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if i < a.ncols and d != 0:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    return snf.v.apply(y)
+    return snf_solve(smith_normal_form(a), b)
 
 
 def solve_integer_affine(
@@ -334,24 +380,16 @@ def solve_integer_affine(
     if a.nrows != len(b):
         raise ValueError("rhs length mismatch")
     snf = smith_normal_form(a)
-    c = snf.u.apply(b)
+    x = snf_solve(snf, b)
+    if x is None:
+        return None
     diag = snf.d.diag()
-    y = [0] * a.ncols
-    for i in range(a.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if i < a.ncols and d != 0:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    x = snf.v.apply(y)
     kernel = []
     for j in range(a.ncols):
         d = diag[j] if j < len(diag) else 0
         if d == 0:
             kernel.append(tuple(snf.v[i, j] for i in range(a.ncols)))
-    return tuple(x), kernel
+    return x, kernel
 
 
 def determinantal_divisors(a: IntMatrix) -> list[int]:

@@ -12,7 +12,7 @@ structurally.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .intalg import IntMatrix
 from .mcg import TwistWord
@@ -110,6 +110,33 @@ def _ints(x: Any, path: str) -> tuple[int, ...]:
     return tuple(x)
 
 
+def _list(x: Any, path: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{path} must be a list")
+    return x
+
+
+def _int_keyed(x: Any, path: str, value: Callable[[Any, str], Any]) -> dict[int, Any]:
+    """A JSON object whose keys are integers written as strings; each
+    value is checked and converted by value(v, its path)."""
+    if not isinstance(x, dict):
+        raise SchemaError(f"{path} must be an object")
+    out = {}
+    for k, v in x.items():
+        try:
+            key = int(k)
+        except ValueError:
+            raise SchemaError(f"{path} key {k!r} must be an integer") from None
+        out[key] = value(v, f"{path}.{k}")
+    return out
+
+
+def _int(x: Any, path: str) -> int:
+    if not isinstance(x, int):
+        raise SchemaError(f"{path} must be an integer")
+    return x
+
+
 def _pair(x: Any, path: str) -> tuple[str, int]:
     if not (isinstance(x, list) and len(x) == 2
             and isinstance(x[0], str) and isinstance(x[1], int)):
@@ -117,23 +144,30 @@ def _pair(x: Any, path: str) -> tuple[str, int]:
     return (x[0], x[1])
 
 
+def _end(x: Any, path: str) -> tuple[int, int]:
+    """An arc end: a [boundary id, point id] pair of integers."""
+    end = _ints(x, path)
+    if len(end) != 2:
+        raise SchemaError(f"{path} must be a [boundary, point] pair")
+    return end
+
+
 def _parse_fixed_set(obj: Any, path: str) -> FixedSet:
     arcs = []
-    for i, a in enumerate(_need(obj, "arcs", path)):
-        ends = _need(a, "ends", f"{path}.arcs[{i}]")
+    for i, a in enumerate(_list(_need(obj, "arcs", path), f"{path}.arcs")):
+        apath = f"{path}.arcs[{i}]"
+        ends = _list(_need(a, "ends", apath), f"{apath}.ends")
         if len(ends) != 2:
-            raise SchemaError(f"{path}.arcs[{i}].ends must have two entries")
+            raise SchemaError(f"{apath}.ends must have two entries")
         arcs.append(FixArc(
-            ends=tuple((int(e[0]), int(e[1])) for e in ends),
-            pair_curves=_ints(_need(a, "pair_curves", f"{path}.arcs[{i}]"),
-                              f"{path}.arcs[{i}].pair_curves"),
-            pair_arcs={int(k): int(v)
-                       for k, v in _need(a, "pair_arcs", f"{path}.arcs[{i}]").items()},
+            ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
+            pair_curves=_ints(_need(a, "pair_curves", apath), f"{apath}.pair_curves"),
+            pair_arcs=_int_keyed(_need(a, "pair_arcs", apath), f"{apath}.pair_arcs", _int),
         ))
     circles = [
         FixCircle(h1_class=_ints(_need(c, "h1_class", f"{path}.circles[{i}]"),
                                  f"{path}.circles[{i}].h1_class"))
-        for i, c in enumerate(_need(obj, "circles", path))
+        for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
     ]
     return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
 
@@ -206,9 +240,10 @@ def from_obj(obj: dict) -> OpenBook:
                         for r in _need(iv, "matrix", "$.involution")], ncols=rank)
     if matrix.shape != (rank, rank):
         raise SchemaError("$.involution.matrix must be square of basis size")
-    perm = {int(k): int(v) for k, v in _need(iv, "boundary_perm", "$.involution").items()}
-    fixed_points = {int(k): tuple(int(x) for x in v)
-                    for k, v in _need(iv, "fixed_points", "$.involution").items()}
+    perm = _int_keyed(_need(iv, "boundary_perm", "$.involution"),
+                      "$.involution.boundary_perm", _int)
+    fixed_points = _int_keyed(_need(iv, "fixed_points", "$.involution"),
+                              "$.involution.fixed_points", _ints)
     inv = Involution(
         matrix=matrix,
         boundary_perm=perm,

@@ -15,10 +15,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
-from .intalg import IntMatrix, AbelianGroup, cokernel, solve_integer
+from .intalg import (
+    IntMatrix,
+    AbelianGroup,
+    cokernel,
+    smith_normal_form,
+    snf_solve,
+    solve_integer,
+    solve_integer_affine,
+)
 from .mcg import (
     TwistWord,
     concat,
@@ -144,14 +154,6 @@ class OpenBook:
     def monodromy_matrix(self) -> IntMatrix:
         """F, the action of the monodromy on H1 of the page."""
         return word_matrix(self.page, self.monodromy)
-
-
-def binding_count(ob: OpenBook) -> int:
-    return ob.binding_count
-
-
-def page_euler(ob: OpenBook) -> int:
-    return ob.page_euler
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +395,17 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
     An arc from the basepoint to boundary l crosses the pushoff of l
     once (+1), the basepoint pushoff once (-1) and no other: this fixes
     the crossings with the fresh curves that the per-type bookkeeping
-    leaves free.
+    leaves free.  The crossing matrix is the same for every arc, so its
+    Smith form is factored once and each arc only back-substitutes.
     """
     bp = min(b.circles)
+    cids = sorted(b.circles)
+    snf = smith_normal_form(IntMatrix([[b.circles[cid][t] for t in new_idx] for cid in cids],
+                                      ncols=len(new_idx)))
     for l, row in sorted(b.arcs_rows.items()):
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for cid in sorted(b.circles):
-            pcls = b.circles[cid]
-            want = 1 if cid == l else (-1 if cid == bp else 0)
-            rows.append([pcls[t] for t in new_idx])
-            rhs.append(want - vec_dot(row, pcls))
-        sol = solve_integer(IntMatrix(rows, ncols=len(new_idx)), rhs)
+        rhs = [(1 if cid == l else (-1 if cid == bp else 0)) - vec_dot(row, b.circles[cid])
+               for cid in cids]
+        sol = snf_solve(snf, rhs)
         if sol is None:
             raise StabilizationError(
                 f"reference arc to boundary {l} has no consistent crossing data")
@@ -419,9 +420,12 @@ def _fix_strand_law(b: _Builder, arcs: list[FixArc], mat: IntMatrix,
 
     An invariant arc meets a curve and its involution image in opposite
     signed counts, which ties the crossings with the fresh curves to the
-    old ones; the per-type local rules leave exactly that freedom.
+    old ones; the per-type local rules leave exactly that freedom.  The
+    system matrix is the same for every arc, so its Smith form is
+    factored once, on the first arc that needs it.
     """
     mt = mat.transpose()
+    snf = None
     out = []
     for arc in arcs:
         pc = arc.pair_curves
@@ -429,11 +433,11 @@ def _fix_strand_law(b: _Builder, arcs: list[FixArc], mat: IntMatrix,
         if not any(residual):
             out.append(arc)
             continue
-        rows = []
-        for i in range(len(pc)):
-            rows.append([mt[i, t] + (1 if i == t else 0) for t in new_idx])
-        delta = solve_integer(IntMatrix(rows, ncols=len(new_idx)),
-                              [-r for r in residual])
+        if snf is None:
+            snf = smith_normal_form(IntMatrix(
+                [[mt[i, t] + (1 if i == t else 0) for t in new_idx] for i in range(mt.nrows)],
+                ncols=len(new_idx)))
+        delta = snf_solve(snf, [-r for r in residual])
         if delta is None:
             raise StabilizationError(
                 "fixed-arc crossing data cannot satisfy the invariance law here")
@@ -488,11 +492,11 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[
 
     # drop curve images that the twist invalidates (sigma moves the curve);
     # the recorded c~ images survive only for curves sigma fixes
+    sigma_pairings = [form.apply(b.classes[s]) for s in sigma_names]
+
     def moved(name: str) -> bool:
         cls = b.classes[name]
-        return any(
-            vec_dot(tuple(form.apply(b.classes[s])), cls) != 0 for s in sigma_names
-        )
+        return any(vec_dot(js, cls) != 0 for js in sigma_pairings)
 
     images_out: dict[str, tuple[str, int]] = {}
     for name, img in b.images.items():
@@ -589,55 +593,55 @@ def _solve_viii_data(
     chords may be forced to cross once, depending on the host).  Linear
     part: P_j . v = -1, P_k . v = +1, (1 - C) w = P_j + P_k and
     x (v - C^T v) + J w = 0; the radical conditions for the boundary
-    class, v . w = x m = (C^T v) . w, are bilinear, so small values of
-    (x, m) are tried and the solution lattice is searched.
+    class, v . w = x m = (C^T v) . w, are bilinear.  So (m, x) runs over
+    m in (0, 1, -1), x in (1, -1); the linear system depends on x only
+    and is solved at most once per x, and for each (m, x) the solution
+    lattice is walked lazily (the particular solution, then combinations
+    of up to four kernel generators with coefficients -2..2) up to the
+    first point that meets the radical conditions.
     """
-    from itertools import product
-
-    from .intalg import solve_integer_affine
-
     n = old_rank
     ct = c_old.transpose()
     one_minus_c = IntMatrix.identity(n) - c_old
+    rows: list[list[int]] = [list(pj) + [0] * n, list(pk) + [0] * n]
+    rhs: list[int] = [-1, 1]
+    for other in others:
+        rows.append(list(other[:n]) + [0] * n)
+        rhs.append(0)
+    for i in range(n):
+        rows.append([0] * n + list(one_minus_c.rows[i]))
+        rhs.append(pj[i] + pk[i])
+    rhs.extend([0] * n)
+
+    @cache
+    def solve(x_coef: int):
+        x_rows = [[x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
+                  + list(form.rows[i]) for i in range(n)]
+        return solve_integer_affine(IntMatrix(rows + x_rows, ncols=2 * n), rhs)
+
     for m, x_coef in product((0, 1, -1), (1, -1)):
-        rows: list[list[int]] = [list(pj) + [0] * n, list(pk) + [0] * n]
-        rhs: list[int] = [-1, 1]
-        for other in others:
-            rows.append(list(other[:n]) + [0] * n)
-            rhs.append(0)
-        for i in range(n):
-            rows.append([0] * n + list(one_minus_c.rows[i]))
-            rhs.append(pj[i] + pk[i])
-        for i in range(n):
-            row_v = [x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
-            rows.append(row_v + list(form.rows[i]))
-            rhs.append(0)
-        sol = solve_integer_affine(IntMatrix(rows, ncols=2 * n), rhs)
+        sol = solve(x_coef)
         if sol is None:
             continue
-        base, kernel = sol
-
-        def split(xx: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-            return tuple(xx[:n]), tuple(xx[n:])
-
-        def good(xx: Sequence[int]) -> bool:
-            v, w = split(xx)
-            return (vec_dot(v, w) == x_coef * m
-                    and vec_dot(ct.apply(v), w) == x_coef * m)
-
-        candidates = [list(base)]
-        gens = kernel[:4]
-        for combo in product(range(-2, 3), repeat=len(gens)):
-            xx = list(base)
-            for c, g in zip(combo, gens):
-                for i in range(2 * n):
-                    xx[i] += c * g[i]
-            candidates.append(xx)
-        for xx in candidates:
-            if good(xx):
-                v, w = split(xx)
+        target = x_coef * m
+        for xx in _lattice_points(*sol):
+            v, w = xx[:n], xx[n:]
+            if vec_dot(v, w) == target and vec_dot(ct.apply(v), w) == target:
                 return v, w, x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
+
+
+def _lattice_points(base: tuple[int, ...], kernel: Sequence[tuple[int, ...]]):
+    """base, then base + sum c_i g_i over the first four kernel generators
+    g_i, each c_i in -2..2, in lexicographic order of (c_1, c_2, ...)."""
+    yield base
+    gens = kernel[:4]
+    for combo in product(range(-2, 3), repeat=len(gens)):
+        xx = base
+        for c, g in zip(combo, gens):
+            if c:
+                xx = tuple(map(add, xx, map(c.__mul__, g)))
+        yield xx
 
 
 def _install_new_classes(b: _Builder, names: list[str],

@@ -18,6 +18,7 @@ Conventions fixed here once and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .intalg import IntMatrix
@@ -31,7 +32,7 @@ def _vec(x: Sequence[int]) -> Vec:
 
 
 def vec_add(x: Sequence[int], y: Sequence[int]) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vec_scale(c: int, x: Sequence[int]) -> Vec:
@@ -39,7 +40,7 @@ def vec_scale(c: int, x: Sequence[int]) -> Vec:
 
 
 def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,27 @@ def test_malformed_provenance_images_is_exit_2(variant, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: $.provenance[0].images")
 
 
+@pytest.mark.parametrize("field, value, path", [
+    (("involution", "fixed_set", "arcs"), 7, "$.involution.fixed_set.arcs"),
+    (("involution", "fixed_set", "circles"), 1.5, "$.involution.fixed_set.circles"),
+    (("involution", "fixed_points"), True, "$.involution.fixed_points"),
+    (("involution", "boundary_perm"), [1, 2], "$.involution.boundary_perm"),
+    (("fix_plus", "arcs"), "x", "$.fix_plus.arcs"),
+    (("fix_plus", "arcs", 0, "ends"), [[1, 1], 3], "$.fix_plus.arcs[0].ends[1]"),
+    (("fix_plus", "arcs", 1, "pair_arcs"), {"two": 0}, "$.fix_plus.arcs[1].pair_arcs"),
+])
+def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
+    bad = json.loads(book_json)
+    target = bad
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    code, _ = run_cli(["invariants"], json.dumps(bad), monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} ")
+
+
 def test_wrong_schema_version_rejected():
     from realbook.jsonio import SchemaError, from_obj
 

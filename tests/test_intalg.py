@@ -8,6 +8,7 @@ from realbook.intalg import (
     cokernel,
     determinantal_divisors,
     smith_normal_form,
+    snf_solve,
     solve_integer,
     solve_integer_affine,
 )
@@ -144,3 +145,180 @@ def test_determinant_bareiss():
                 total += (-1) ** j * rows[0][j] * cofactor(minor)
             return total
         assert a.det() == cofactor([list(r) for r in a.rows])
+
+
+# ---------------------------------------------------------------------------
+# oracles for the fast kernels: naive products and the full-scan pivot rule
+
+
+def naive_matmul(a, b):
+    return [[sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def shaped(m, n, rows):
+    return IntMatrix(rows, ncols=n) if m else IntMatrix([], ncols=n)
+
+
+def oracle_cases(rng):
+    """(m, k, n) shapes with the degenerate ones first, then random
+    sparse, dense, zero-row and big-int factors."""
+    for m, k, n in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (3, 0, 0), (0, 2, 0)]:
+        yield (shaped(m, k, [[0] * k for _ in range(m)]),
+               shaped(k, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]))
+    for trial in range(120):
+        m, k, n = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        big = 10 ** rng.choice((0, 0, 30))
+        density = rng.choice((0.15, 0.5, 1.0))
+
+        def entry():
+            return rng.randint(-3, 3) * big if rng.random() < density else 0
+
+        rows = [[entry() for _ in range(k)] for _ in range(m)]
+        for i in range(0, m, 2):   # all-zero rows between live ones
+            if trial % 3 == 0:
+                rows[i] = [0] * k
+        yield (IntMatrix(rows, ncols=k),
+               IntMatrix([[entry() for _ in range(n)] for _ in range(k)], ncols=n))
+
+
+def test_matmul_apply_transpose_match_naive_reference():
+    rng = random.Random(31)
+    for a, b in oracle_cases(rng):
+        p = a @ b
+        assert p.shape == (a.nrows, b.ncols)
+        assert [list(r) for r in p.rows] == naive_matmul(a, b)
+        for m in (a, b):
+            t = m.transpose()
+            assert t.shape == (m.ncols, m.nrows)
+            assert all(t.rows[j][i] == m.rows[i][j]
+                       for i in range(m.nrows) for j in range(m.ncols))
+            assert t.transpose() == m
+            vec = [rng.randint(-5, 5) * 10 ** rng.choice((0, 25)) for _ in range(m.ncols)]
+            assert m.apply(vec) == tuple(
+                sum(m.rows[i][j] * vec[j] for j in range(m.ncols)) for i in range(m.nrows))
+
+
+def test_matmul_rows_do_not_alias():
+    a = IntMatrix([[0, 0], [1, 0], [0, 0], [0, 2]])
+    b = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    assert a @ b == IntMatrix([[0, 0, 0], [1, 2, 3], [0, 0, 0], [8, 10, 12]])
+
+
+def test_constructor_normalizes_and_checks_widths():
+    m = IntMatrix([[True, 2], [3, False]])
+    assert m.rows == ((1, 2), (3, 0)) and all(type(x) is int for r in m.rows for x in r)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], ncols=3)
+    assert IntMatrix([], ncols=4).shape == (0, 4)
+    assert IntMatrix([[], []], ncols=0).shape == (2, 0)
+
+
+def full_scan_smith_normal_form(a):
+    """The Smith form as first written: the pivot scan always covers the
+    whole working block and the divisibility sweep always runs."""
+    m, n = a.shape
+    mat = [list(row) for row in a.rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        mat[i], mat[j] = mat[j], mat[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in mat + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in mat + v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = mat[i][j]
+                if x != 0 and (pivot is None or abs(x) < abs(mat[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, m):
+                if mat[i][t] != 0:
+                    add_row(i, t, -(mat[i][t] // mat[t][t]))
+            col_dirty = [i for i in range(t + 1, m) if mat[i][t] != 0]
+            if col_dirty:
+                swap_rows(t, min(col_dirty, key=lambda k: abs(mat[k][t])))
+                continue
+            for j in range(t + 1, n):
+                if mat[t][j] != 0:
+                    add_col(j, t, -(mat[t][j] // mat[t][t]))
+            row_dirty = [j for j in range(t + 1, n) if mat[t][j] != 0]
+            if row_dirty:
+                swap_cols(t, min(row_dirty, key=lambda k: abs(mat[t][k])))
+                continue
+            offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                             if mat[i][j] % mat[t][t] != 0), None)
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if mat[t][t] < 0:
+            mat[t] = [-x for x in mat[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return IntMatrix(mat, ncols=n), IntMatrix(u, ncols=m), IntMatrix(v, ncols=n)
+
+
+def snf_oracle_matrices(rng):
+    from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5
+
+    for trial in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 3 == 0:      # no unit entries: the divisibility sweep runs
+            rows = [[rng.choice((0, 2, -2, 3, -3, 6, 4)) for _ in range(n)] for _ in range(m)]
+        elif trial % 3 == 1:    # sparse with units, as the page systems are
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        yield IntMatrix(rows, ncols=n)
+    for ob in [e.build() for e in ENTRIES] + [catalog_fig4(6), catalog_fig5(4)]:
+        j, c = ob.page.form, ob.real_structure.matrix
+        yield j
+        yield IntMatrix.identity(j.nrows) - c
+        yield c.transpose() @ j + j
+
+
+def test_snf_matches_full_scan_pivot_rule():
+    rng = random.Random(41)
+    for a in snf_oracle_matrices(rng):
+        snf = smith_normal_form(a)
+        assert (snf.d, snf.u, snf.v) == full_scan_smith_normal_form(a), a
+
+
+def test_snf_solve_reuses_one_factorization():
+    rng = random.Random(43)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_matrix(rng, m, n, bound=3)
+        snf = smith_normal_form(a)
+        for _ in range(5):
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            b = list(a.apply(x))
+            sol = snf_solve(snf, b)
+            assert sol is not None and a.apply(sol) == tuple(b)
+            b[rng.randrange(m)] += rng.randint(1, 3)
+            assert snf_solve(snf, b) == solve_integer(a, b)
+    with pytest.raises(ValueError):
+        snf_solve(smith_normal_form(IntMatrix.identity(2)), [1])

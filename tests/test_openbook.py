@@ -231,3 +231,90 @@ def test_incompatible_sites_raise():
     hopf = catalog_hopf("swap")
     with pytest.raises(StabilizationError):
         stabilize(hopf, "III", {"boundary": 1})
+
+
+def eager_viii_search(n, pj, pk, c_old, form, others=()):
+    """The type-VIII search as first written: one linear system per
+    (m, x), all 626 lattice candidates built before any is scored."""
+    from itertools import product
+
+    from realbook.intalg import solve_integer_affine
+
+    ct = c_old.transpose()
+    one_minus_c = IntMatrix.identity(n) - c_old
+    for m, x_coef in product((0, 1, -1), (1, -1)):
+        rows = [list(pj) + [0] * n, list(pk) + [0] * n]
+        rhs = [-1, 1]
+        for other in others:
+            rows.append(list(other[:n]) + [0] * n)
+            rhs.append(0)
+        for i in range(n):
+            rows.append([0] * n + list(one_minus_c.rows[i]))
+            rhs.append(pj[i] + pk[i])
+        for i in range(n):
+            rows.append([x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
+                        + list(form.rows[i]))
+            rhs.append(0)
+        sol = solve_integer_affine(IntMatrix(rows, ncols=2 * n), rhs)
+        if sol is None:
+            continue
+        base, kernel = sol
+        candidates = [list(base)]
+        gens = kernel[:4]
+        for combo in product(range(-2, 3), repeat=len(gens)):
+            xx = list(base)
+            for c, g in zip(combo, gens):
+                for i in range(2 * n):
+                    xx[i] += c * g[i]
+            candidates.append(xx)
+        for xx in candidates:
+            v, w = tuple(xx[:n]), tuple(xx[n:])
+            if (sum(a * b for a, b in zip(v, w)) == x_coef * m
+                    and sum(a * b for a, b in zip(ct.apply(v), w)) == x_coef * m):
+                return v, w, x_coef, m
+    raise StabilizationError("type VIII: no consistent boundary class at this site")
+
+
+def viii_outcome(search, *args):
+    try:
+        return search(*args)
+    except StabilizationError as e:
+        return ("refused", str(e))
+
+
+def viii_oracle_inputs():
+    """Every type-VIII site of the catalog and of fig4 up to k = 8, then
+    seeded small systems, which also reach the refusals: no solution at
+    all, and a solved system whose lattice has no point meeting the
+    radical conditions."""
+    from realbook.openbook import _other_pushoffs
+
+    for ob in [e.build() for e in ENTRIES] + [catalog_fig4(k) for k in range(1, 9)]:
+        for tag, site in enumerate_sites(ob):
+            if tag == "VIII":
+                j, k = sorted(site["boundaries"])
+                yield (ob.page.h1_rank, ob.page.circle(j).pclass, ob.page.circle(k).pclass,
+                       ob.real_structure.matrix, ob.page.form, _other_pushoffs(ob, j, k))
+    rng = random.Random(3)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        form = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                form[i][j] = rng.randint(-2, 2)
+                form[j][i] = -form[i][j]
+        yield (n, [rng.randint(-2, 2) for _ in range(n)], [rng.randint(-2, 2) for _ in range(n)],
+               IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]),
+               IntMatrix(form, ncols=n), ())
+
+
+def test_viii_search_matches_eager_search():
+    from realbook.openbook import _solve_viii_data
+
+    seen = set()
+    for args in viii_oracle_inputs():
+        got = viii_outcome(_solve_viii_data, *args)
+        assert got == viii_outcome(eager_viii_search, *args), args
+        seen.add("refused" if got[0] == "refused" else (got[2], got[3]))
+    # the inputs reach refusals and both signs of x
+    assert {"refused", (1, 0), (-1, 0)} <= seen
