@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
 from operator import add
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .intalg import (
     IntMatrix,
@@ -91,27 +91,29 @@ class StabType:
     boundary_kind: str       # "reflection" | "swap"
     boundary_delta: int
     genus_delta: int
+    core_sign: int           # c~ maps each new curve to core_sign times its mirror
+    site_keys: tuple[str, ...]  # the keys of a site that the type reads
     description: str
 
 
 STAB_TYPES: dict[str, StabType] = {
-    "I": StabType("I", 1, "reflection", +1, 0,
+    "I": StabType("I", 1, "reflection", +1, 0, +1, ("boundary",),
                   "handle at the two real points of one boundary circle"),
-    "II": StabType("II", 1, "reflection", +1, 0,
+    "II": StabType("II", 1, "reflection", +1, 0, -1, ("boundary", "shadow"),
                    "handle at a swapped interval pair on one boundary circle"),
-    "III": StabType("III", 2, "reflection", +2, 0,
+    "III": StabType("III", 2, "reflection", +2, 0, +1, ("boundary",),
                     "mirror handle pair, both chords in one complementary arc"),
-    "IV": StabType("IV", 2, "reflection", 0, +1,
+    "IV": StabType("IV", 2, "reflection", 0, +1, +1, ("boundary", "shadow"),
                    "mirror handle pair with crossing chords on one circle"),
-    "V": StabType("V", 1, "reflection", -1, +1,
+    "V": StabType("V", 1, "reflection", -1, +1, +1, ("boundaries",),
                   "handle at real points on two circles joined by a fixed arc"),
-    "VI": StabType("VI", 2, "reflection", 0, +1,
+    "VI": StabType("VI", 2, "reflection", 0, +1, +1, ("boundaries",),
                    "mirror handle pair connecting two reflection circles"),
-    "VII": StabType("VII", 1, "swap", -1, +1,
+    "VII": StabType("VII", 1, "swap", -1, +1, -1, ("boundaries", "cross"),
                     "single handle connecting a swapped circle pair"),
-    "VIII": StabType("VIII", 2, "swap", 0, +1,
+    "VIII": StabType("VIII", 2, "swap", 0, +1, +1, ("boundaries",),
                      "handle pair, each connecting both circles of a swapped pair"),
-    "IX": StabType("IX", 2, "swap", +2, 0,
+    "IX": StabType("IX", 2, "swap", +2, 0, +1, ("boundaries",),
                    "handle pair, one handle on each circle of a swapped pair"),
 }
 
@@ -160,8 +162,9 @@ class OpenBook:
 # reality
 
 
-def _arc_identity_holds(ob: OpenBook) -> tuple[bool, object]:
-    """Boundary-transport part of f^-1 = c f c on declared data.
+def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
+    """Boundary-transport part of f^-1 = c f c on declared data, given
+    F^-1.
 
     For every reference arc gamma:  -F^-1 (f(gamma) - gamma)  must equal
     C applied to the transport defect of c(gamma), whose pairing row is
@@ -169,7 +172,6 @@ def _arc_identity_holds(ob: OpenBook) -> tuple[bool, object]:
     """
     model, w = ob.page, ob.monodromy
     c = ob.real_structure.matrix
-    f_inv = word_matrix(model, invert(w))
     ct = c.transpose()
     for cid, arc in sorted(ob.page.ref_arcs.items()):
         delta = transport_arc(model, w, arc).current_class
@@ -259,7 +261,7 @@ def _reality_of(ob: OpenBook) -> RealityStatus:
                     Reality.NOT_REAL,
                     witness={"vector": e, "cfc": lhs.apply(e), "f_inverse": f_inv.apply(e)},
                 )
-    ok, wit = _arc_identity_holds(ob)
+    ok, wit = _arc_identity_holds(ob, f_inv)
     if not ok:
         return RealityStatus(Reality.NOT_REAL, witness=wit)
     return RealityStatus(Reality.HOMOLOGICALLY_REAL)
@@ -326,20 +328,26 @@ def _extend_form(j: IntMatrix, new_cols: list[tuple[int, ...]], mutual: int) -> 
     return IntMatrix(rows, ncols=n + k)
 
 
-def _extend_matrix(c: IntMatrix, block: list[list[int]]) -> IntMatrix:
-    """C~ = C (+) block on the new classes (extension acts as C on old)."""
-    n = c.nrows
-    k = len(block)
+def _naive_extension(c: IntMatrix, st: StabType) -> IntMatrix:
+    """C~ = C (+) block: the extension acts as C on the old classes and
+    maps each new curve to core_sign times its mirror (a <-> ca for a
+    handle pair, a to itself for a single handle)."""
+    n, k = c.nrows, st.handle_count
     rows = [list(r) + [0] * k for r in c.rows]
     for t in range(k):
-        rows.append([0] * n + list(block[t]))
+        rows.append([0] * n + [st.core_sign if t + u == k - 1 else 0 for u in range(k)])
     return IntMatrix(rows, ncols=n + k)
 
 
 @dataclass
 class _Builder:
-    """Mutable scratch state while assembling the stabilized book."""
+    """Mutable scratch state while assembling the stabilized book.
 
+    The new curves are the last len(names) basis classes: the handle
+    core a and, for a handle pair, its mirror ca.
+    """
+
+    names: list[str]
     basis: list[str]
     form: IntMatrix
     classes: dict[str, tuple[int, ...]]
@@ -355,6 +363,17 @@ class _Builder:
     disjoint: set[frozenset[str]]
     next_pid: int
 
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    @property
+    def a_idx(self) -> int:
+        return self.rank - len(self.names)
+
+    def unit(self, idx: int) -> tuple[int, ...]:
+        return _unit(self.rank, idx)
+
     def fresh_pid(self) -> int:
         self.next_pid += 1
         return self.next_pid
@@ -362,15 +381,69 @@ class _Builder:
     def fresh_cid(self) -> int:
         return max(self.circles) + 1
 
+    def move_ends(self, to: Callable[[int, int], int]) -> None:
+        """Move every fixed-arc end (cid, pid) onto circle to(cid, pid)."""
+        def moved(a: FixArc) -> FixArc:
+            return replace(a, ends=tuple((to(c, p), p) for c, p in a.ends))
 
-def _start_builder(ob: OpenBook, extra_rank: int) -> _Builder:
+        self.minus_arcs = [moved(a) for a in self.minus_arcs]
+        self.plus_arcs = [moved(a) for a in self.plus_arcs]
+
+    def merge_boundaries(self, j: int, k: int) -> None:
+        """Circle k joins circle j through the handle into one reflection
+        circle j: k's reference arc and the crossings with it disappear,
+        and fixed-arc ends on k move to j."""
+        self.circles[j] = vec_add(self.circles[j], self.circles.pop(k))
+        del self.perm[k]
+        self.perm[j] = j
+        self.fixed_points.pop(k, None)
+        self.arcs_rows.pop(k, None)
+        for arc in self.minus_arcs + self.plus_arcs:
+            arc.pair_arcs.pop(k, None)
+        self.move_ends(lambda c, p: j if c == k else c)
+
+    def split_boundary(self, j: int, new: int) -> None:
+        """Circle new splits off circle j: its reference arc runs beside
+        j's, so it inherits j's row and every fixed piece's crossing with
+        j's arc."""
+        self.arcs_rows[new] = self.arcs_rows.get(j, (0,) * self.rank)
+        for arc in self.minus_arcs + self.plus_arcs:
+            if j in arc.pair_arcs:
+                arc.pair_arcs[new] = arc.pair_arcs[j]
+
+    def mark_disjoint(self, crossing: bool = False) -> None:
+        """Mark the new curves disjoint from every old curve, and from each
+        other unless their chords cross."""
+        for u in list(self.classes):
+            for n in self.names:
+                if u != n and not (crossing and u in self.names):
+                    self.disjoint.add(frozenset((u, n)))
+
+    def strand(self, ends: tuple[tuple[int, int], tuple[int, int]]) -> FixArc:
+        """A fixed arc across the handle: it crosses the core once and
+        nothing else."""
+        return FixArc(ends=ends, pair_curves=self.unit(self.a_idx), pair_arcs={})
+
+
+def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = None,
+                   mutual: int = 0) -> _Builder:
+    """Scratch copy of the book with the new curves of a type-tag handle
+    installed: every old vector widened by zero coordinates, the form
+    extended by the new curves' pairing columns cols (zero by default)
+    and mutual = <a, ca>."""
+    count = STAB_TYPES[tag].handle_count
     model = ob.page
     inv = ob.real_structure
-    ext = lambda v: _extend_vec(v, extra_rank)
-    b = _Builder(
-        basis=list(model.basis),
-        form=model.form,
-        classes={n: ext(c.h1_class) for n, c in model.alphabet.items()},
+    stem = f"s{len(ob.provenance) + 1}"
+    names = [stem, stem + "c"][:count]
+    rank = model.h1_rank + count
+    ext = lambda v: _extend_vec(v, count)
+    return _Builder(
+        names=names,
+        basis=list(model.basis) + names,
+        form=_extend_form(model.form, cols or [(0,) * model.h1_rank] * count, mutual),
+        classes={n: ext(c.h1_class) for n, c in model.alphabet.items()}
+        | {n: _unit(rank, rank - count + i) for i, n in enumerate(names)},
         circles={c.cid: ext(c.pclass) for c in model.circles},
         perm=dict(inv.boundary_perm),
         fixed_points=dict(inv.fixed_points),
@@ -386,7 +459,6 @@ def _start_builder(ob: OpenBook, extra_rank: int) -> _Builder:
         disjoint=set(model.disjoint),
         next_pid=_max_pid(inv),
     )
-    return b
 
 
 def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
@@ -447,12 +519,19 @@ def _fix_strand_law(b: _Builder, arcs: list[FixArc], mat: IntMatrix,
     return out
 
 
-def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[str],
-            images: dict[str, tuple[str, int]], c_ext_block: list[list[int]]) -> OpenBook:
+def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
+    """Twist along the new curves and revalidate.
+
+    sigma is the positive twist along each new curve (ca before a for a
+    handle pair), and the new real structure is C~ Sigma, with C~ the
+    naive extension of the type's core sign.
+    """
+    st = STAB_TYPES[tag]
     model = ob.page
-    rank = len(b.basis)
+    rank = b.rank
     form = b.form
-    _fix_ref_rows(b, list(range(rank - len(sigma_names), rank)))
+    new_idx = list(range(b.a_idx, rank))
+    _fix_ref_rows(b, new_idx)
 
     # rebuild alphabet with extended classes and recomputed pairing tables
     arc_order = sorted(b.arcs_rows)
@@ -470,7 +549,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[
         for cid, row in b.arcs_rows.items()
     }
     page = SurfaceModel(
-        genus=model.genus + STAB_TYPES[tag].genus_delta,
+        genus=model.genus + st.genus_delta,
         circles=circles,
         basis=tuple(b.basis),
         form=form,
@@ -479,12 +558,12 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[
         disjoint=frozenset(b.disjoint),
     )
 
+    sigma_names = b.names[::-1]
+    images = {n: (m, st.core_sign) for n, m in zip(b.names, sigma_names)}
     sigma: TwistWord = word([(n, 1) for n in sigma_names])
     new_word = concat(sigma, ob.monodromy)
-    c_tilde = _extend_matrix(ob.real_structure.matrix, c_ext_block)
-    c_new = times_word(c_tilde, page, sigma)
+    c_new = times_word(_naive_extension(ob.real_structure.matrix, st), page, sigma)
 
-    new_idx = list(range(rank - len(sigma_names), rank))
     b.minus_arcs = _fix_strand_law(b, b.minus_arcs, c_new, new_idx)
     if ob.fix_plus is not None:
         c_plus = word_times(page, new_word, c_new)
@@ -511,8 +590,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple, sigma_names: list[
         fixed_set=FixedSet(arcs=tuple(b.minus_arcs), circles=tuple(b.minus_circles)),
         curve_image=images_out,
     )
-    rec = StabRecord(tag=tag, site=site, sigma=sigma,
-                     images={k: v for k, v in images.items()})
+    rec = StabRecord(tag=tag, site=site, sigma=sigma, images=images)
     fix_plus = (None if ob.fix_plus is None
                 else FixedSet(arcs=tuple(b.plus_arcs), circles=tuple(b.plus_circles)))
     out = OpenBook(
@@ -540,16 +618,67 @@ def _swap_pair(ob: OpenBook, j: int, k: int) -> None:
         raise StabilizationError(f"boundaries ({j}, {k}) are not a swapped pair")
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_site(ob: OpenBook, st: StabType, site: object) -> tuple[int, ...]:
+    """The site as the tuple the stabilization records: (j,) or
+    (j, shadow) on one reflection circle, (j, k) or (j, k, cross) on a
+    sorted pair of circles, with the defaults filled in.
+
+    A malformed site raises ValueError: not an object, a key the type
+    does not read, a value that is not an integer, or "boundaries" that
+    is not a pair of integers.  A well-formed site on the wrong kind of
+    boundary raises StabilizationError.
+    """
+    if site is None:
+        site = {}
+    if not isinstance(site, Mapping):
+        raise ValueError(f"site must be an object, got {site!r}")
+    for key, value in site.items():
+        if key not in st.site_keys:
+            raise ValueError(f"type {st.tag} site has no key {key!r}; it reads "
+                             + ", ".join(repr(k) for k in st.site_keys))
+        if key == "boundaries":
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_is_int, value))):
+                raise ValueError(f"site 'boundaries' must be a pair of integers, got {value!r}")
+        elif not _is_int(value):
+            raise ValueError(f"site {key!r} must be an integer, got {value!r}")
+
+    if "boundary" in st.site_keys:
+        j = site.get("boundary", ob.page.basepoint)
+        _reflection_circle(ob, j)
+        if "shadow" not in st.site_keys:
+            return (j,)
+        pts = ob.real_structure.fixed_points[j]
+        shadow = site.get("shadow", max(pts))
+        if shadow not in pts:
+            raise StabilizationError(f"shadow point {shadow} is not a real point of boundary {j}")
+        return (j, shadow)
+
+    if "boundaries" not in site:
+        raise ValueError(f"type {st.tag} site needs 'boundaries'")
+    j, k = sorted(site["boundaries"])
+    if st.boundary_kind == "swap":
+        _swap_pair(ob, j, k)
+    else:
+        if st.tag == "VI" and j == k:
+            raise StabilizationError("type VI needs two distinct boundaries")
+        _reflection_circle(ob, j)
+        _reflection_circle(ob, k)
+    if "cross" in st.site_keys:
+        return (j, k, site.get("cross", 0))
+    return (j, k)
+
+
 def _minus_arc_between(ob: OpenBook, j: int, k: int) -> FixArc | None:
     for arc in ob.real_structure.fixed_set.arcs:
         cids = {arc.ends[0][0], arc.ends[1][0]}
         if cids == ({j} if j == k else {j, k}):
             return arc
     return None
-
-
-def _curve_name(ob: OpenBook, suffix: str = "") -> str:
-    return f"s{len(ob.provenance) + 1}{suffix}"
 
 
 def _solve_pushoff_column(
@@ -644,17 +773,6 @@ def _lattice_points(base: tuple[int, ...], kernel: Sequence[tuple[int, ...]]):
         yield xx
 
 
-def _install_new_classes(b: _Builder, names: list[str],
-                         cols: list[tuple[int, ...]], mutual: int) -> None:
-    """Extend the form by the new classes (the builder's vectors are
-    already widened by len(names) zero coordinates)."""
-    b.form = _extend_form(b.form, cols, mutual)
-    rank = b.form.nrows
-    for i, name in enumerate(names):
-        b.basis.append(name)
-        b.classes[name] = _unit(rank, rank - len(names) + i)
-
-
 def _unit(rank: int, idx: int) -> tuple[int, ...]:
     return tuple(1 if i == idx else 0 for i in range(rank))
 
@@ -665,8 +783,7 @@ def _set_coord(v: Sequence[int], idx: int, value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int],
-               a_idx: int, rank: int) -> None:
+def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> None:
     """Join the plus-side arcs ending at two retired fixed points through
     the handle core (the naive extension fixes the core pointwise)."""
     hits = [i for i, a in enumerate(b.plus_arcs) if j_end in a.ends or k_end in a.ends]
@@ -676,8 +793,8 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int],
         arc = b.plus_arcs.pop(hits[0])
         # closed up: core + arc; class is the new curve class corrected so
         # the crossing functional matches the arc data
-        target = _set_coord(arc.pair_curves, a_idx, 0)
-        base = _unit(rank, a_idx)
+        target = _set_coord(arc.pair_curves, b.a_idx, 0)
+        base = b.unit(b.a_idx)
         need = vec_add(target, vec_scale(-1, b.form.transpose().apply(base)))
         w = solve_integer(b.form.transpose(), need)
         if w is None:
@@ -699,44 +816,53 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int],
         )
 
 
-def _minus_arc_at(b: _Builder, end: tuple[int, int]) -> int:
-    for i, a in enumerate(b.minus_arcs):
-        if end in a.ends:
-            return i
-    raise StabilizationError(f"no fixed arc ends at {end}")
+def _consume_arc(b: _Builder, x: FixArc) -> None:
+    """The handle core closes the fixed arc x up into the twist curve
+    (types I and V).  The twist removes the resulting fixed circle, so x
+    leaves the minus side; the plus-side arcs at its ends join through
+    the core; every reference arc crosses the new curve as it crossed x,
+    with the opposite sign."""
+    b.minus_arcs = [a for a in b.minus_arcs if a.ends != x.ends]
+    _plus_join(b, *x.ends)
+    for cid in list(b.arcs_rows):
+        b.arcs_rows[cid] = _set_coord(b.arcs_rows[cid], b.a_idx, -x.pair_arcs.get(cid, 0))
 
 
-def _plus_arc_at(b: _Builder, end: tuple[int, int]) -> int:
-    for i, a in enumerate(b.plus_arcs):
+def _arc_at(arcs: list[FixArc], end: tuple[int, int], what: str) -> int:
+    for i, a in enumerate(arcs):
         if end in a.ends:
             return i
-    raise StabilizationError(f"no plus-side fixed arc ends at {end}")
+    raise StabilizationError(f"no {what} ends at {end}")
 
 
 def stabilize(ob: OpenBook, tag: str, site: Mapping | None = None) -> OpenBook:
     """Positive real stabilization of the given type at the given site.
 
-    Site keys: "boundary" (types I-IV), "boundaries" (V-IX),
-    "shadow" (II, IV: which real point the closing chord passes),
-    "cross" (VII: index of the fixed piece the closing chord crosses).
-    Raises StabilizationError on incompatible sites or NotReal input.
+    A site is an object whose values are integers.  Each type reads only
+    the keys in STAB_TYPES[tag].site_keys:
+      "boundary" (I-IV; default the basepoint boundary),
+      "shadow" (II, IV; the real point of that boundary the closing chord
+      passes; default the larger point id),
+      "boundaries" (V-IX; a pair of boundaries, required),
+      "cross" (VII; index of the fixed piece the closing chord crosses;
+      default 0).
+    A malformed site (not an object, a key the type does not read, a
+    value that is not an integer, "boundaries" not a pair) raises
+    ValueError, so the CLI exits 2.  Incompatible sites and NotReal input
+    raise StabilizationError (CLI exit 1).
     """
-    if tag not in STAB_TYPES:
+    st = STAB_TYPES.get(tag)
+    if st is None:
         raise StabilizationError(f"unknown stabilization type {tag!r}")
     if check_reality(ob).kind is Reality.NOT_REAL:
         raise StabilizationError("refusing to stabilize a NotReal book")
-    site = dict(site or {})
-    handler = {
-        "I": _stab_I, "II": _stab_II, "III": _stab_III, "IV": _stab_IV,
-        "V": _stab_V, "VI": _stab_VI, "VII": _stab_VII, "VIII": _stab_VIII,
-        "IX": _stab_IX,
-    }[tag]
-    return handler(ob, site)
+    # looked up by name on every call, so a wrapper set on the module
+    # attribute (as the benchmark's tracer does) sees the call
+    return globals()[f"_stab_{tag}"](ob, _parse_site(ob, st, site))
 
 
-def _stab_I(ob: OpenBook, site: dict) -> OpenBook:
-    j = int(site.get("boundary", ob.page.basepoint))
-    _reflection_circle(ob, j)
+def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
+    (j,) = site
     x = _minus_arc_between(ob, j, j)
     if x is None:
         raise StabilizationError(
@@ -762,203 +888,105 @@ def _stab_I(ob: OpenBook, site: dict) -> OpenBook:
     z = solve_integer(IntMatrix(z_rows, ncols=old_rank), z_rhs)
     if z is None:
         raise StabilizationError("type I: closing arc has no consistent closed class")
-    v_a = tuple(jm.apply(z))
 
-    b = _start_builder(ob, 1)
-    a_name = _curve_name(ob)
-    _install_new_classes(b, [a_name], [v_a], 0)
-    rank = len(b.basis)
-    a_idx = rank - 1
-    z_ext = _extend_vec(z, 1)
-
+    b = _start_builder(ob, "I", [tuple(jm.apply(z))])
     pj = b.circles[j]
     j2 = b.fresh_cid()
-    b.circles[j] = vec_add(_unit(rank, a_idx), vec_scale(-1, z_ext))
+    b.circles[j] = vec_add(b.unit(b.a_idx), vec_scale(-1, _extend_vec(z, 1)))
     b.circles[j2] = vec_add(pj, vec_scale(-1, b.circles[j]))
     b.perm[j] = j2
     b.perm[j2] = j
-    p_pt, q_pt = ob.real_structure.fixed_points[j]
     del b.fixed_points[j]
-
-    # minus side: the closing arc becomes part of the twist curve, and the
-    # twist removes the resulting fixed circle; other minus pieces are
-    # disjoint from it, so their new-curve crossings stay zero
-    b.minus_arcs = [a for a in b.minus_arcs if a.ends != x.ends]
-
-    # plus side: arcs at the retired points join through the core
-    _plus_join(b, (j, p_pt), (j, q_pt), a_idx, rank)
-
-    # reference arcs: old rows pick up the crossing with core + closing arc
-    for cid in list(b.arcs_rows):
-        b.arcs_rows[cid] = _set_coord(b.arcs_rows[cid], a_idx,
-                                      -x.pair_arcs.get(cid, 0))
-    b.arcs_rows[j2] = b.arcs_rows.get(j, (0,) * rank)
-    # crossings with the new reference arc are inherited from the old one;
-    # the joined plus circle picks its crossing up through its class
-    for arc in b.minus_arcs + b.plus_arcs:
-        if j in arc.pair_arcs:
-            arc.pair_arcs[j2] = arc.pair_arcs[j]
-
-    images = {a_name: (a_name, 1)}
-    return _finish(ob, b, "I", (j,), [a_name], images, [[1]])
+    # other minus pieces are disjoint from the twist curve, so their
+    # new-curve crossings stay zero; the joined plus circle picks its
+    # crossing with the new reference arc up through its class
+    _consume_arc(b, x)
+    b.split_boundary(j, j2)
+    return _finish(ob, b, "I", site)
 
 
-def _stab_II(ob: OpenBook, site: dict) -> OpenBook:
-    j = int(site.get("boundary", ob.page.basepoint))
-    _reflection_circle(ob, j)
+def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
+    j, shadow = site
     pts = ob.real_structure.fixed_points[j]
-    shadow = int(site.get("shadow", max(pts)))
-    if shadow not in pts:
-        raise StabilizationError(f"shadow point {shadow} is not a real point of boundary {j}")
     keep = pts[0] if pts[1] == shadow else pts[1]
 
-    b = _start_builder(ob, 1)
-    a_name = _curve_name(ob)
-    _install_new_classes(b, [a_name], [(0,) * ob.page.h1_rank], 0)
-    rank = len(b.basis)
-    a_idx = rank - 1
-
+    b = _start_builder(ob, "II")
+    a = b.unit(b.a_idx)
     pj = b.circles[j]
     j2 = b.fresh_cid()
     n1 = b.fresh_pid()
     n2 = b.fresh_pid()
-    b.circles[j] = _unit(rank, a_idx)
-    b.circles[j2] = vec_add(pj, vec_scale(-1, _unit(rank, a_idx)))
+    b.circles[j] = a
+    b.circles[j2] = vec_add(pj, vec_scale(-1, a))
     b.perm[j2] = j2
     b.fixed_points[j] = (keep, n1)
     b.fixed_points[j2] = (shadow, n2)
 
     # strand switch on the minus side at the shadowed point
-    yi = _minus_arc_at(b, (j, shadow))
-    y = b.minus_arcs.pop(yi)
+    y = b.minus_arcs.pop(_arc_at(b.minus_arcs, (j, shadow), "fixed arc"))
     far = y.ends[0] if y.ends[1] == (j, shadow) else y.ends[1]
     arc1 = FixArc(ends=(far, (j2, n2)),
-                  pair_curves=_set_coord(y.pair_curves, a_idx, 1),
+                  pair_curves=_set_coord(y.pair_curves, b.a_idx, 1),
                   pair_arcs=dict(y.pair_arcs))
-    arc2 = FixArc(ends=(((j2, shadow)), (j, n1)),
-                  pair_curves=_set_coord((0,) * rank, a_idx, 1),
-                  pair_arcs={})
-    b.minus_arcs.extend([arc1, arc2])
+    b.minus_arcs.extend([arc1, b.strand(((j2, shadow), (j, n1)))])
 
-    # plus side: the chord crosses the strand at the shadowed point; a new
-    # transversal strand crosses the core
-    zi = _plus_arc_at(b, (j, shadow))
+    # plus side: the chord crosses the strand at the shadowed point, which
+    # now lives on the new circle; a new transversal strand crosses the core
+    zi = _arc_at(b.plus_arcs, (j, shadow), "plus-side fixed arc")
     z = b.plus_arcs[zi]
     ends = tuple((j2, p) if (c == j and p == shadow) else (c, p) for c, p in z.ends)
-    b.plus_arcs[zi] = FixArc(ends=ends,  # shadowed point now lives on the new circle
-                             pair_curves=_set_coord(z.pair_curves, a_idx, 1),
+    b.plus_arcs[zi] = FixArc(ends=ends,
+                             pair_curves=_set_coord(z.pair_curves, b.a_idx, 1),
                              pair_arcs=dict(z.pair_arcs))
-    t_plus = FixArc(ends=((j, n1), (j2, n2)),
-                    pair_curves=_set_coord((0,) * rank, a_idx, 1),
-                    pair_arcs={})
-    b.plus_arcs.append(t_plus)
+    b.plus_arcs.append(b.strand(((j, n1), (j2, n2))))
 
-    # reference arcs
-    b.arcs_rows[j2] = b.arcs_rows.get(j, (0,) * rank)
-    for arc in b.minus_arcs + b.plus_arcs:
-        if j in arc.pair_arcs:
-            arc.pair_arcs[j2] = arc.pair_arcs[j]
+    b.split_boundary(j, j2)
     # the far strand is the one the new reference arc crosses
     arc1.pair_arcs[j2] = arc1.pair_arcs.get(j2, 0) + 1
-
-    for u in list(b.classes):
-        if u != a_name:
-            b.disjoint.add(frozenset((u, a_name)))
-    images = {a_name: (a_name, -1)}
-    return _finish(ob, b, "II", (j, shadow), [a_name], images, [[-1]])
+    b.mark_disjoint()
+    return _finish(ob, b, "II", site)
 
 
-def _stab_III(ob: OpenBook, site: dict) -> OpenBook:
-    j = int(site.get("boundary", ob.page.basepoint))
-    _reflection_circle(ob, j)
-    b = _start_builder(ob, 2)
-    a_name = _curve_name(ob)
-    ca_name = _curve_name(ob, "c")
-    zero = (0,) * ob.page.h1_rank
-    _install_new_classes(b, [a_name, ca_name], [zero, zero], 0)
-    rank = len(b.basis)
-    a_idx, ca_idx = rank - 2, rank - 1
-
+def _stab_III(ob: OpenBook, site: tuple) -> OpenBook:
+    (j,) = site
+    b = _start_builder(ob, "III")
     x_cid = b.fresh_cid()
     y_cid = x_cid + 1
-    b.circles[x_cid] = _unit(rank, a_idx)
-    b.circles[y_cid] = vec_scale(-1, _unit(rank, ca_idx))
+    b.circles[x_cid] = b.unit(b.a_idx)
+    b.circles[y_cid] = vec_scale(-1, b.unit(b.a_idx + 1))
     pj = b.circles[j]
     b.circles[j] = vec_add(pj, vec_add(vec_scale(-1, b.circles[x_cid]),
                                        vec_scale(-1, b.circles[y_cid])))
     b.perm[x_cid] = y_cid
     b.perm[y_cid] = x_cid
-
-    base_row = b.arcs_rows.get(j, (0,) * rank)
-    b.arcs_rows[x_cid] = base_row
-    b.arcs_rows[y_cid] = base_row
-    for arc in b.minus_arcs + b.plus_arcs:
-        if j in arc.pair_arcs:
-            arc.pair_arcs[x_cid] = arc.pair_arcs[j]
-            arc.pair_arcs[y_cid] = arc.pair_arcs[j]
-
-    for u in list(b.classes):
-        for n in (a_name, ca_name):
-            if u != n:
-                b.disjoint.add(frozenset((u, n)))
-
-    images = {a_name: (ca_name, 1), ca_name: (a_name, 1)}
-    return _finish(ob, b, "III", (j,), [ca_name, a_name], images,
-                   [[0, 1], [1, 0]])
+    b.split_boundary(j, x_cid)
+    b.split_boundary(j, y_cid)
+    b.mark_disjoint()
+    return _finish(ob, b, "III", site)
 
 
-def _stab_IV(ob: OpenBook, site: dict) -> OpenBook:
-    j = int(site.get("boundary", ob.page.basepoint))
-    _reflection_circle(ob, j)
-    pts = ob.real_structure.fixed_points[j]
-    shadow = int(site.get("shadow", max(pts)))
-    if shadow not in pts:
-        raise StabilizationError(f"shadow point {shadow} is not a real point of boundary {j}")
-
-    b = _start_builder(ob, 2)
-    a_name = _curve_name(ob)
-    ca_name = _curve_name(ob, "c")
-    zero = (0,) * ob.page.h1_rank
-    _install_new_classes(b, [a_name, ca_name], [zero, zero], 1)
-    rank = len(b.basis)
-    a_idx, ca_idx = rank - 2, rank - 1
-
+def _stab_IV(ob: OpenBook, site: tuple) -> OpenBook:
+    j, shadow = site
+    b = _start_builder(ob, "IV", mutual=1)
     # both chords shadow the same real point: its strands pick up one
     # crossing with each new curve as a seed; the invariance-law pass in
     # _finish settles the exact values
-    yi = _minus_arc_at(b, (j, shadow))
-    y = b.minus_arcs[yi]
-    pc = _set_coord(_set_coord(y.pair_curves, a_idx, y.pair_curves[a_idx] + 1),
-                    ca_idx, y.pair_curves[ca_idx] + 1)
-    b.minus_arcs[yi] = replace(y, pair_curves=pc)
-    zi = _plus_arc_at(b, (j, shadow))
-    z = b.plus_arcs[zi]
-    pc = _set_coord(_set_coord(z.pair_curves, a_idx, z.pair_curves[a_idx] + 1),
-                    ca_idx, z.pair_curves[ca_idx] + 1)
-    b.plus_arcs[zi] = replace(z, pair_curves=pc)
-
+    seed = vec_add(b.unit(b.a_idx), b.unit(b.a_idx + 1))
+    for arcs, what in ((b.minus_arcs, "fixed arc"), (b.plus_arcs, "plus-side fixed arc")):
+        i = _arc_at(arcs, (j, shadow), what)
+        arcs[i] = replace(arcs[i], pair_curves=vec_add(arcs[i].pair_curves, seed))
     # the two chords cross each other, so the new pair is not disjoint
-    for u in list(b.classes):
-        for n in (a_name, ca_name):
-            if u != n and {u, n} != {a_name, ca_name}:
-                b.disjoint.add(frozenset((u, n)))
-
-    images = {a_name: (ca_name, 1), ca_name: (a_name, 1)}
-    return _finish(ob, b, "IV", (j, shadow), [ca_name, a_name], images,
-                   [[0, 1], [1, 0]])
+    b.mark_disjoint(crossing=True)
+    return _finish(ob, b, "IV", site)
 
 
-def _stab_V(ob: OpenBook, site: dict) -> OpenBook:
-    j, k = (int(v) for v in site["boundaries"])
-    j, k = min(j, k), max(j, k)
-    _reflection_circle(ob, j)
-    _reflection_circle(ob, k)
+def _stab_V(ob: OpenBook, site: tuple) -> OpenBook:
+    j, k = site
     x = _minus_arc_between(ob, j, k)
     if x is None:
         raise StabilizationError(
             f"type V needs a fixed arc joining boundaries {j} and {k}")
     old_rank = ob.page.h1_rank
-    c_old = ob.real_structure.matrix
     pj = ob.page.circle(j).pclass
     pk = ob.page.circle(k).pclass
     # the twist curve is core + consumed arc, so its pairing column is
@@ -975,56 +1003,19 @@ def _stab_V(ob: OpenBook, site: dict) -> OpenBook:
         raise StabilizationError(
             "type V: consumed arc crossing data violates the boundary pattern")
 
-    b = _start_builder(ob, 1)
-    a_name = _curve_name(ob)
-    _install_new_classes(b, [a_name], [v_a], 0)
-    rank = len(b.basis)
-    a_idx = rank - 1
-
-    # merge circles
+    b = _start_builder(ob, "V", [v_a])
     x_j = next(p for c, p in x.ends if c == j)
     x_k = next(p for c, p in x.ends if c == k)
     keep_j = next(p for p in ob.real_structure.fixed_points[j] if p != x_j)
     keep_k = next(p for p in ob.real_structure.fixed_points[k] if p != x_k)
-    merged = vec_add(b.circles[j], b.circles[k])
-    del b.circles[k]
-    b.circles[j] = merged
-    del b.perm[k]
-    b.perm[j] = j
-    del b.fixed_points[k]
+    _consume_arc(b, x)
+    b.merge_boundaries(j, k)
     b.fixed_points[j] = (keep_j, keep_k)
-
-    b.minus_arcs = [a for a in b.minus_arcs if a.ends != x.ends]
-    _plus_join(b, (j, x_j), (k, x_k), a_idx, rank)
-
-    # reference arcs: circle k's arc disappears; survivors cross core + X
-    if k in b.arcs_rows:
-        del b.arcs_rows[k]
-    for cid in list(b.arcs_rows):
-        b.arcs_rows[cid] = _set_coord(b.arcs_rows[cid], a_idx,
-                                      -x.pair_arcs.get(cid, 0))
-    for arc in b.minus_arcs + b.plus_arcs:
-        arc.pair_arcs.pop(k, None)
-
-    # retarget endpoints of fixed pieces that referenced circle k
-    def retarget(a: FixArc) -> FixArc:
-        ends = tuple((j, p) if c == k else (c, p) for c, p in a.ends)
-        return replace(a, ends=ends)
-
-    b.minus_arcs = [retarget(a) for a in b.minus_arcs]
-    b.plus_arcs = [retarget(a) for a in b.plus_arcs]
-
-    images = {a_name: (a_name, 1)}
-    return _finish(ob, b, "V", (j, k), [a_name], images, [[1]])
+    return _finish(ob, b, "V", site)
 
 
-def _stab_VI(ob: OpenBook, site: dict) -> OpenBook:
-    j, k = (int(v) for v in site["boundaries"])
-    j, k = min(j, k), max(j, k)
-    if j == k:
-        raise StabilizationError("type VI needs two distinct boundaries")
-    _reflection_circle(ob, j)
-    _reflection_circle(ob, k)
+def _stab_VI(ob: OpenBook, site: tuple) -> OpenBook:
+    j, k = site
     old_rank = ob.page.h1_rank
     c_old = ob.real_structure.matrix
     pj = ob.page.circle(j).pclass
@@ -1033,78 +1024,38 @@ def _stab_VI(ob: OpenBook, site: dict) -> OpenBook:
     v_a = _solve_pushoff_column(old_rank, pj, pk, c_old, -1, _other_pushoffs(ob, j, k))
     v_ca = tuple(vec_scale(-1, c_old.transpose().apply(v_a)))
 
-    b = _start_builder(ob, 2)
-    a_name = _curve_name(ob)
-    ca_name = _curve_name(ob, "c")
-    _install_new_classes(b, [a_name, ca_name], [v_a, v_ca], 0)
-    rank = len(b.basis)
-    a_idx, ca_idx = rank - 2, rank - 1
-
+    b = _start_builder(ob, "VI", [v_a, v_ca])
     # circles re-form: first points gather on j, second points on k
     pj_pts = ob.real_structure.fixed_points[j]
     pk_pts = ob.real_structure.fixed_points[k]
-    diag = vec_add(_unit(rank, a_idx), vec_scale(-1, _unit(rank, ca_idx)))
+    diag = vec_add(b.unit(b.a_idx), vec_scale(-1, b.unit(b.a_idx + 1)))
     b.circles[j] = vec_add(vec_add(b.circles[j], b.circles[k]), diag)
     b.circles[k] = vec_scale(-1, diag)
     b.fixed_points[j] = (pj_pts[0], pk_pts[0])
     b.fixed_points[k] = (pj_pts[1], pk_pts[1])
-
-    def retarget(a: FixArc) -> FixArc:
-        ends = []
-        for c, p in a.ends:
-            if c == j:
-                ends.append((j if p == pj_pts[0] else k, p))
-            elif c == k:
-                ends.append((j if p == pk_pts[0] else k, p))
-            else:
-                ends.append((c, p))
-        return replace(a, ends=tuple(ends))
-
-    b.minus_arcs = [retarget(a) for a in b.minus_arcs]
-    b.plus_arcs = [retarget(a) for a in b.plus_arcs]
-
-    images = {a_name: (ca_name, 1), ca_name: (a_name, 1)}
-    return _finish(ob, b, "VI", (j, k), [ca_name, a_name], images,
-                   [[0, 1], [1, 0]])
+    first = {j: pj_pts[0], k: pk_pts[0]}
+    b.move_ends(lambda c, p: c if c not in first else (j if p == first[c] else k))
+    return _finish(ob, b, "VI", site)
 
 
-def _stab_VII(ob: OpenBook, site: dict) -> OpenBook:
-    j, k = (int(v) for v in site["boundaries"])
-    j, k = min(j, k), max(j, k)
-    _swap_pair(ob, j, k)
+def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
+    j, k, cross = site
     pieces = list(ob.real_structure.fixed_set.arcs) + list(ob.real_structure.fixed_set.circles)
     if not pieces:
         raise StabilizationError("type VII needs a fixed piece for the closing chord to cross")
-    cross = int(site.get("cross", 0))
     if not 0 <= cross < len(pieces):
         raise StabilizationError(f"no fixed piece with index {cross}")
     old_rank = ob.page.h1_rank
-    c_old = ob.real_structure.matrix
     pj = ob.page.circle(j).pclass
     pk = ob.page.circle(k).pclass
-    v_a = _solve_pushoff_column(old_rank, pj, pk, c_old, +1, _other_pushoffs(ob, j, k))
+    v_a = _solve_pushoff_column(old_rank, pj, pk, ob.real_structure.matrix, +1,
+                                _other_pushoffs(ob, j, k))
 
-    b = _start_builder(ob, 1)
-    a_name = _curve_name(ob)
-    _install_new_classes(b, [a_name], [v_a], 0)
-    rank = len(b.basis)
-    a_idx = rank - 1
-
-    merged = vec_add(b.circles[j], b.circles[k])
-    del b.circles[k]
-    b.circles[j] = merged
-    del b.perm[k]
-    b.perm[j] = j
+    b = _start_builder(ob, "VII", [v_a])
+    b.merge_boundaries(j, k)
     n1 = b.fresh_pid()
     n2 = b.fresh_pid()
     b.fixed_points[j] = (n1, n2)
-
-    def retarget(a: FixArc) -> FixArc:
-        ends = tuple((j, p) if c == k else (c, p) for c, p in a.ends)
-        return replace(a, ends=ends)
-
-    b.minus_arcs = [retarget(a) for a in b.minus_arcs]
-    b.plus_arcs = [retarget(a) for a in b.plus_arcs]
 
     # strand switch with the crossed piece on the minus side
     target = pieces[cross]
@@ -1114,105 +1065,57 @@ def _stab_VII(ob: OpenBook, site: dict) -> OpenBook:
         t = b.minus_arcs.pop(ti)
         e1, e2 = t.ends
         b.minus_arcs.append(FixArc(ends=(e1, (j, n1)),
-                                   pair_curves=_set_coord(t.pair_curves, a_idx, 1),
+                                   pair_curves=_set_coord(t.pair_curves, b.a_idx, 1),
                                    pair_arcs=dict(t.pair_arcs)))
-        b.minus_arcs.append(FixArc(ends=(e2, (j, n2)),
-                                   pair_curves=_set_coord((0,) * rank, a_idx, 1),
-                                   pair_arcs={}))
+        b.minus_arcs.append(b.strand((e2, (j, n2))))
     else:
         ci = next(i for i, c in enumerate(b.minus_circles)
                   if c.h1_class[:old_rank] == target.h1_class)
         circ = b.minus_circles.pop(ci)
         row = tuple(b.form.transpose().apply(circ.h1_class))
         b.minus_arcs.append(FixArc(ends=((j, n1), (j, n2)),
-                                   pair_curves=_set_coord(row, a_idx, row[a_idx] + 1),
+                                   pair_curves=_set_coord(row, b.a_idx, row[b.a_idx] + 1),
                                    pair_arcs={}))
 
     # plus side gains the transversal handle strand
-    b.plus_arcs.append(FixArc(ends=((j, n1), (j, n2)),
-                              pair_curves=_set_coord((0,) * rank, a_idx, 1),
-                              pair_arcs={}))
-
-    if k in b.arcs_rows:
-        del b.arcs_rows[k]
-    for arc in b.minus_arcs + b.plus_arcs:
-        arc.pair_arcs.pop(k, None)
-
-    images = {a_name: (a_name, -1)}
-    return _finish(ob, b, "VII", (j, k, cross), [a_name], images, [[-1]])
+    b.plus_arcs.append(b.strand(((j, n1), (j, n2))))
+    return _finish(ob, b, "VII", site)
 
 
-def _stab_VIII(ob: OpenBook, site: dict) -> OpenBook:
-    j, k = (int(v) for v in site["boundaries"])
-    j, k = min(j, k), max(j, k)
-    _swap_pair(ob, j, k)
+def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
+    j, k = site
     old_rank = ob.page.h1_rank
     c_old = ob.real_structure.matrix
     pj = ob.page.circle(j).pclass
     pk = ob.page.circle(k).pclass
-    v_a, w, x_coef, mutual = _solve_viii_data(old_rank, pj, pk, c_old, ob.page.form, _other_pushoffs(ob, j, k))
+    v_a, w, x_coef, mutual = _solve_viii_data(old_rank, pj, pk, c_old, ob.page.form,
+                                              _other_pushoffs(ob, j, k))
     v_ca = tuple(vec_scale(-1, c_old.transpose().apply(v_a)))
 
-    b = _start_builder(ob, 2)
-    a_name = _curve_name(ob)
-    ca_name = _curve_name(ob, "c")
-    _install_new_classes(b, [a_name, ca_name], [v_a, v_ca], mutual)
-    rank = len(b.basis)
-    a_idx, ca_idx = rank - 2, rank - 1
-
-    w_ext = _extend_vec(w, 2)
+    b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
     new_j = vec_add(
-        vec_scale(x_coef, vec_add(_unit(rank, a_idx), _unit(rank, ca_idx))), w_ext)
-    c_tilde = _extend_matrix(c_old, [[0, 1], [1, 0]])
-    new_k = vec_scale(-1, c_tilde.apply(new_j))
+        vec_scale(x_coef, vec_add(b.unit(b.a_idx), b.unit(b.a_idx + 1))), _extend_vec(w, 2))
     b.circles[j] = new_j
-    b.circles[k] = new_k
-
-    images = {a_name: (ca_name, 1), ca_name: (a_name, 1)}
-    return _finish(ob, b, "VIII", (j, k), [ca_name, a_name], images,
-                   [[0, 1], [1, 0]])
+    b.circles[k] = vec_scale(-1, _naive_extension(c_old, STAB_TYPES["VIII"]).apply(new_j))
+    return _finish(ob, b, "VIII", site)
 
 
-def _stab_IX(ob: OpenBook, site: dict) -> OpenBook:
-    j, k = (int(v) for v in site["boundaries"])
-    j, k = min(j, k), max(j, k)
-    _swap_pair(ob, j, k)
-    b = _start_builder(ob, 2)
-    a_name = _curve_name(ob)
-    ca_name = _curve_name(ob, "c")
-    zero = (0,) * ob.page.h1_rank
-    _install_new_classes(b, [a_name, ca_name], [zero, zero], 0)
-    rank = len(b.basis)
-    a_idx, ca_idx = rank - 2, rank - 1
-
+def _stab_IX(ob: OpenBook, site: tuple) -> OpenBook:
+    j, k = site
+    b = _start_builder(ob, "IX")
+    a, ca = b.unit(b.a_idx), b.unit(b.a_idx + 1)
     pj, pk = b.circles[j], b.circles[k]
     j2 = b.fresh_cid()
     k2 = j2 + 1
-    b.circles[j] = _unit(rank, a_idx)
-    b.circles[j2] = vec_add(pj, vec_scale(-1, _unit(rank, a_idx)))
-    b.circles[k] = vec_scale(-1, _unit(rank, ca_idx))
-    b.circles[k2] = vec_add(pk, _unit(rank, ca_idx))
-    b.perm[j] = k
-    b.perm[k] = j
-    b.perm[j2] = k2
-    b.perm[k2] = j2
-
-    b.arcs_rows[j2] = b.arcs_rows.get(j, (0,) * rank)
-    b.arcs_rows[k2] = b.arcs_rows.get(k, (0,) * rank)
-    for arc in b.minus_arcs + b.plus_arcs:
-        if j in arc.pair_arcs:
-            arc.pair_arcs[j2] = arc.pair_arcs[j]
-        if k in arc.pair_arcs:
-            arc.pair_arcs[k2] = arc.pair_arcs[k]
-
-    for u in list(b.classes):
-        for n in (a_name, ca_name):
-            if u != n:
-                b.disjoint.add(frozenset((u, n)))
-
-    images = {a_name: (ca_name, 1), ca_name: (a_name, 1)}
-    return _finish(ob, b, "IX", (j, k), [ca_name, a_name], images,
-                   [[0, 1], [1, 0]])
+    b.circles[j] = a
+    b.circles[j2] = vec_add(pj, vec_scale(-1, a))
+    b.circles[k] = vec_scale(-1, ca)
+    b.circles[k2] = vec_add(pk, ca)
+    b.perm.update({j: k, k: j, j2: k2, k2: j2})
+    b.split_boundary(j, j2)
+    b.split_boundary(k, k2)
+    b.mark_disjoint()
+    return _finish(ob, b, "IX", site)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,27 @@ def test_incompatible_stabilization_is_exit_1(monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("book, tag, site", [
+    (["disk"], "I", "[1]"),
+    (["disk"], "I", "5"),
+    (["disk"], "V", '{"boundaries": 5}'),
+    (["disk"], "I", '{"boundary": null}'),
+    (["fig5", "2"], "II", '{"boundary": 1, "shadow": [1]}'),
+    (["disk"], "I", '{"boundary": true}'),
+    (["disk"], "I", '{"boundary": 1.7}'),
+    (["fig4", "2"], "VIII", '{"boundaries": {"1": 0, "2": 0}}'),
+    (["disk"], "I", '{"boundry": 2}'),
+], ids=["list", "number", "boundaries-number", "boundary-null", "shadow-list",
+        "boundary-bool", "boundary-float", "boundaries-object", "unread-key"])
+def test_malformed_site_is_exit_2(book, tag, site, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", *book])
+    capsys.readouterr()
+    code, out = run_cli(["stabilize", "--type", tag, "--site", site], book_json, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "book.json"
     code, out = run_cli(["catalog", "disk", "--out", str(target)])

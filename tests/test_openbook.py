@@ -220,17 +220,52 @@ def test_certified_implies_homologically_real():
             assert status is Reality.CERTIFIED_REAL, e.name  # empty word certifies
 
 
-def test_incompatible_sites_raise():
-    disk = catalog_s3_disk()
-    with pytest.raises(StabilizationError):
-        stabilize(disk, "V", {"boundaries": (1, 2)})
-    with pytest.raises(StabilizationError):
-        stabilize(disk, "VIII", {"boundaries": (1, 1)})
-    with pytest.raises(StabilizationError):
-        stabilize(disk, "X", {})
-    hopf = catalog_hopf("swap")
-    with pytest.raises(StabilizationError):
-        stabilize(hopf, "III", {"boundary": 1})
+REFUSALS = [
+    # (book, type, site, exact message): one row per refusal of a well-formed site
+    pytest.param(catalog_s3_disk, "V", {"boundaries": (1, 2)},
+                 "boundary 2 is not reflection-tagged", id="V-not-reflection"),
+    pytest.param(lambda: catalog_hopf("swap"), "III", {"boundary": 1},
+                 "boundary 1 is not reflection-tagged", id="III-not-reflection"),
+    pytest.param(lambda: catalog_hopf("swap"), "II", {"boundary": 2, "shadow": 1},
+                 "boundary 2 is not reflection-tagged", id="II-not-reflection"),
+    pytest.param(catalog_s3_disk, "VIII", {"boundaries": (1, 1)},
+                 "boundaries (1, 1) are not a swapped pair", id="VIII-not-swapped"),
+    pytest.param(catalog_s3_disk, "IX", {"boundaries": (2, 1)},
+                 "boundaries (1, 2) are not a swapped pair", id="IX-not-swapped"),
+    pytest.param(lambda: catalog_hopf("conjugation"), "VII", {"boundaries": (1, 2)},
+                 "boundaries (1, 2) are not a swapped pair", id="VII-not-swapped"),
+    pytest.param(catalog_s3_disk, "II", {"boundary": 1, "shadow": 9},
+                 "shadow point 9 is not a real point of boundary 1", id="II-shadow"),
+    pytest.param(catalog_s3_disk, "IV", {"boundary": 1, "shadow": 9},
+                 "shadow point 9 is not a real point of boundary 1", id="IV-shadow"),
+    pytest.param(catalog_s3_disk, "VI", {"boundaries": (1, 1)},
+                 "type VI needs two distinct boundaries", id="VI-not-distinct"),
+    pytest.param(lambda: catalog_hopf("swap"), "VII", {"boundaries": (1, 2)},
+                 "type VII needs a fixed piece for the closing chord to cross",
+                 id="VII-no-fixed-piece"),
+    pytest.param(lambda: stabilize(catalog_hopf("conjugation"), "III", {"boundary": 1}),
+                 "VII", {"boundaries": (3, 4), "cross": 5},
+                 "no fixed piece with index 5", id="VII-cross-too-large"),
+    pytest.param(lambda: stabilize(catalog_hopf("conjugation"), "III", {"boundary": 1}),
+                 "VII", {"boundaries": (3, 4), "cross": -1},
+                 "no fixed piece with index -1", id="VII-cross-negative"),
+    pytest.param(lambda: catalog_hopf("conjugation"), "I", {"boundary": 1},
+                 "type I needs the two real points of boundary 1 joined by a fixed arc",
+                 id="I-no-fixed-arc"),
+    pytest.param(lambda: stabilize(catalog_hopf("conjugation"), "VI", {"boundaries": (1, 2)}),
+                 "V", {"boundaries": (1, 2)},
+                 "type V needs a fixed arc joining boundaries 1 and 2", id="V-no-joining-arc"),
+    pytest.param(catalog_s3_disk, "X", {}, "unknown stabilization type 'X'", id="unknown-type"),
+    pytest.param(not_real_example, "III", {"boundary": 1},
+                 "refusing to stabilize a NotReal book", id="not-real"),
+]
+
+
+@pytest.mark.parametrize("make, tag, site, message", REFUSALS)
+def test_incompatible_sites_raise(make, tag, site, message):
+    with pytest.raises(StabilizationError) as err:
+        stabilize(make(), tag, site)
+    assert str(err.value) == message
 
 
 def eager_viii_search(n, pj, pk, c_old, form, others=()):
