@@ -164,7 +164,9 @@ def cmd_heegaard(args) -> int:
 
 def cmd_contact(args) -> int:
     family = _parse_family(args.family)
-    grid = args.grid or _default_grid()
+    grid = _default_grid() if args.grid is None else args.grid
+    if grid < 2:
+        raise SchemaError(f"--grid must be at least 2, got {grid}")
     if args.find_threshold:
         kstar = k_threshold(family, resolution=grid)
         fs = FormSampler(family=family, k=kstar, resolution=grid)

@@ -20,15 +20,24 @@ conventions the binding profiles pin to h1 = 2 e^{1-r-eps}, h2 = 2K at
 the gluing region and the Wronskian condition h1 h2' - h1' h2 > 0 is
 verifiable on (0, 1]; see the repository notes for why one sign in the
 source construction cannot be taken literally.
+
+In components alpha_K = P ds + Q dtheta + R dt with P = 2 pi n t e^s
+phi'(s), Q = -2 e^s and R = 2K.  No component depends on theta, since
+the twist is a rotation in theta and beta = e^s dtheta is invariant
+under rotations, and t enters only P, linearly.  So the coefficient
+Q dP/dt + R dQ/ds of alpha ^ d(alpha) is a function of s alone, and
+negating alpha on the opposite piece leaves it unchanged.  The defect,
+the threshold search and the large-K split are therefore evaluated on
+the s axis of the grid only; the t axis is kept where an integrand has
+it (P), and theta nowhere.  The grids are numpy.linspace's points,
+a + i*step with the last point exactly the end value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 TAU = 2.0 * math.pi
 
@@ -36,26 +45,44 @@ RAMP_LO = -0.85
 RAMP_HI = -0.15
 
 
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """n evenly spaced points from a to b, bit-equal to numpy.linspace."""
+    if n < 2:
+        return [a] * n
+    step = (b - a) / (n - 1)
+    points = [a + i * step for i in range(n)]
+    points[-1] = b
+    return points
+
+
+def _smoothstep(u: float) -> float:
+    u = min(max(u, 0.0), 1.0)
     return 3.0 * u * u - 2.0 * u * u * u
 
 
-def _smoothstep_d(u: np.ndarray) -> np.ndarray:
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 6.0 * u * (1.0 - u), 0.0)
+def _smoothstep_d(u: float) -> float:
+    return 6.0 * u * (1.0 - u) if 0.0 < u < 1.0 else 0.0
 
 
-def ramp(s: np.ndarray) -> np.ndarray:
+def ramp(s: float) -> float:
     """Twist profile: 1 at s = -1, 0 at s = 0, constant near both ends."""
-    u = (np.asarray(s, dtype=float) - RAMP_LO) / (RAMP_HI - RAMP_LO)
-    return 1.0 - _smoothstep(u)
+    return 1.0 - _smoothstep((s - RAMP_LO) / (RAMP_HI - RAMP_LO))
 
 
-def ramp_d(s: np.ndarray) -> np.ndarray:
-    u = (np.asarray(s, dtype=float) - RAMP_LO) / (RAMP_HI - RAMP_LO)
-    return -_smoothstep_d(u) / (RAMP_HI - RAMP_LO)
+def ramp_d(s: float) -> float:
+    return -_smoothstep_d((s - RAMP_LO) / (RAMP_HI - RAMP_LO)) / (RAMP_HI - RAMP_LO)
+
+
+def _first_min(values: list[float]) -> int:
+    """Index of the first minimum; a NaN counts as the minimum, as in
+    numpy.argmin, so a NaN anywhere can never pass a positivity test."""
+    best = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v < values[best]:
+            best = i
+    return best
 
 
 class ContactModelError(ValueError):
@@ -82,69 +109,66 @@ class FormSampler:
         if self.resolution < 2:
             raise ContactModelError("resolution must be at least 2")
 
-    def grid(self):
+    def grid(self) -> tuple[list[float], list[float], list[float]]:
         n = self.resolution
-        s = np.linspace(-1.0, 0.0, n)
-        theta = np.linspace(-math.pi, math.pi, n)
-        t = np.linspace(0.0, 1.0, n)
-        return s, theta, t
+        return linspace(-1.0, 0.0, n), linspace(-math.pi, math.pi, n), linspace(0.0, 1.0, n)
 
-    def alpha_components(self, piece: int):
+    def alpha_components(self, piece: int) -> tuple[list[float], list[float], list[float]]:
         """(P, Q, R) with alpha = P ds + Q dtheta + R dt on one piece.
 
-        piece +1 is t in I_+, piece -1 the opposite piece, where the
-        form is the negative of the I_+ expression in matching chart
-        labels (that is exactly anti-invariance).
+        P is sampled on the s x t grid in row-major order, Q and R on
+        the s grid (neither depends on t).  piece +1 is t in I_+, piece
+        -1 the opposite piece, where the form is the negative of the
+        I_+ expression in matching chart labels (that is exactly
+        anti-invariance).
         """
-        s, theta, t = self.grid()
-        ss, _th, tt = np.meshgrid(s, theta, t, indexing="ij")
-        es = np.exp(ss)
-        p = TAU * self.family * tt * es * ramp_d(ss)
-        q = -2.0 * es
-        r = 2.0 * self.k * np.ones_like(ss)
+        s, _theta, t = self.grid()
+        twist = TAU * self.family
+        p = [twist * tj * e * d for e, d in [(math.exp(si), ramp_d(si)) for si in s]
+             for tj in t]
+        q = [-2.0 * math.exp(si) for si in s]
+        r = [2.0 * self.k] * len(s)
         if piece < 0:
-            return -p, np.broadcast_to(-q, ss.shape), -r
-        return p, np.broadcast_to(q, ss.shape), r
+            return [-x for x in p], [-x for x in q], [-x for x in r]
+        return p, q, r
 
-    def defect_grid(self, piece: int) -> np.ndarray:
-        """Coefficient of alpha ^ d(alpha) against -(e^s ds dtheta dt).
+    def defect_grid(self, piece: int) -> list[float]:
+        """Coefficient of alpha ^ d(alpha) against -(e^s ds dtheta dt),
+        one value per s.
 
         With alpha = P ds + Q dtheta + R dt the coefficient on
         ds^dtheta^dt is Q dP/dt + R dQ/ds; one factor e^s cancels
         against the volume normalization and is cancelled symbolically
-        so the disk family evaluates to 4K exactly.
+        so the disk family evaluates to 4K exactly.  Both pieces give
+        the same values (alpha -> -alpha leaves alpha ^ d(alpha) fixed).
         """
-        s, theta, t = self.grid()
-        ss, _th, tt = np.meshgrid(s, theta, t, indexing="ij")
-        es = np.exp(ss)
-        dp_dt_over = TAU * self.family * es * ramp_d(ss)   # (dP/dt) / 1
-        q_over_es = -2.0                                   # Q / e^s
-        dq_ds_over_es = -2.0                               # (dQ/ds) / e^s
-        r = 2.0 * self.k
-        return -(q_over_es * dp_dt_over + r * dq_ds_over_es * np.ones_like(es))
+        s, _theta, _t = self.grid()
+        twist = TAU * self.family
+        q_over_es = -2.0                                     # Q / e^s
+        k_part = 2.0 * self.k * -2.0                         # R (dQ/ds) / e^s
+        # (dP/dt) / 1 = 2 pi n e^s phi'(s)
+        return [-(q_over_es * (twist * math.exp(si) * ramp_d(si)) + k_part) for si in s]
 
-    def k_term_grid(self) -> np.ndarray:
-        """Large-K part of the defect (the term linear in K)."""
-        s, theta, t = self.grid()
-        ss, _th, _tt = np.meshgrid(s, theta, t, indexing="ij")
-        return 4.0 * self.k * np.ones_like(ss)
+    def k_term_grid(self) -> list[float]:
+        """Large-K part of the defect (the term linear in K), per s."""
+        return [4.0 * self.k] * self.resolution
 
     def page_area_min(self) -> float:
         """min of the page part of d(alpha) against the page orientation;
         positivity is the page half of the supporting conditions."""
         s, _theta, _t = self.grid()
-        return float(np.min(2.0 * np.exp(s) / np.exp(s)))
+        return min(2.0 * math.exp(si) / math.exp(si) for si in s)
 
 
 def contact_defect(fs: FormSampler) -> tuple[float, tuple]:
-    """Minimum defect over both pieces with its lexicographic argmin."""
-    grids = [fs.defect_grid(+1), fs.defect_grid(-1)]
-    stack = np.stack(grids)
-    idx = np.unravel_index(np.argmin(stack), stack.shape)
+    """Minimum defect over both pieces with its lexicographic argmin
+    (piece, s, theta, t).  The defect is the same on both pieces and
+    constant in theta and t, so the first grid point in that order is
+    on piece +1 at theta = -pi, t = 0."""
+    defect = fs.defect_grid(+1)
+    i = _first_min(defect)
     s, theta, t = fs.grid()
-    piece = +1 if idx[0] == 0 else -1
-    argmin = (piece, float(s[idx[1]]), float(theta[idx[2]]), float(t[idx[3]]))
-    return float(stack[idx]), argmin
+    return defect[i], (1, s[i], theta[0], t[0])
 
 
 def reality_defect(fs: FormSampler, symmetrized: bool = True) -> float:
@@ -159,27 +183,21 @@ def reality_defect(fs: FormSampler, symmetrized: bool = True) -> float:
     if symmetrized:
         plus = fs.alpha_components(+1)
         minus = fs.alpha_components(-1)
-        return float(max(np.max(np.abs(a + b)) for a, b in zip(plus, minus)))
-    s, theta, t = fs.grid()
-    ss, _th, tt = np.meshgrid(s, theta, t, indexing="ij")
-    es = np.exp(ss)
-    # beta-hat on I_+ and its pullback (the I_- expression beta - K dt)
-    p_plus = TAU * fs.family * tt * es * ramp_d(ss)
-    q_plus = -es
-    r_plus = fs.k * np.ones_like(ss)
-    p_min, q_min, r_min = np.zeros_like(ss), es, -fs.k * np.ones_like(ss)
-    return float(max(
-        np.max(np.abs(p_plus + p_min)),
-        np.max(np.abs(q_plus + q_min)),
-        np.max(np.abs(r_plus + r_min)),
-    ))
+        return max(max(abs(a + b) for a, b in zip(xs, ys)) for xs, ys in zip(plus, minus))
+    s, _theta, _t = fs.grid()
+    # beta-hat on I_+ and its pullback (the I_- expression beta - K dt):
+    # P_+ = P of alpha, P_- = 0, Q_+ = -e^s = -Q_-, R_+ = K = -R_-
+    return max(
+        max(abs(p) for p in fs.alpha_components(+1)[0]),
+        max(abs(-math.exp(si) + math.exp(si)) for si in s),
+        abs(fs.k + -fs.k),
+    )
 
 
 def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
     """Smallest grid-certified K with positive defect, to 1% relative."""
     def min_defect(k: float) -> float:
-        fs = FormSampler(family=family, k=k, resolution=resolution)
-        return min(float(np.min(fs.defect_grid(+1))), float(np.min(fs.defect_grid(-1))))
+        return min(FormSampler(family=family, k=k, resolution=resolution).defect_grid(+1))
 
     floor = 1e-9
     if min_defect(floor) > 0.0:
@@ -204,13 +222,19 @@ def k_term_dominates(family: int, k: float, resolution: int = 50) -> bool:
     """Whether the K-proportional term exceeds the twist remainder
     everywhere on the grid (the large-K structure of the construction)."""
     fs = FormSampler(family=family, k=k, resolution=resolution)
-    k_term = fs.k_term_grid()
-    rest = fs.defect_grid(+1) - k_term
-    return bool(np.min(k_term - np.abs(rest)) > 0.0)
+    return all(kt - abs(d - kt) > 0.0
+               for d, kt in zip(fs.defect_grid(+1), fs.k_term_grid()))
 
 
 # ---------------------------------------------------------------------------
 # binding profiles
+
+
+def _hermite_cubic(h: float, va: float, sa: float, vb: float, sb: float):
+    """Coefficients (c0, c1, c2, c3) in u = (r - a)/h of the cubic with
+    value va and r-slope sa at u = 0 and value vb, r-slope sb at u = 1."""
+    return (va, h * sa, 3.0 * (vb - va) - h * (2.0 * sa + sb),
+            2.0 * (va - vb) + h * (sa + sb))
 
 
 @dataclass(frozen=True)
@@ -219,56 +243,49 @@ class ProfileFunctions:
 
     Near r = 0: h1 = 1 and h2 = r^2 exactly.  Near r = 1: h1 =
     2 e^{1-r-eps} and h2 = 2K exactly, matching the page form through
-    the gluing.  In between both interpolate by slope-matched cubics.
+    the gluing.  In between both interpolate by slope-matched cubics,
+    stored as coefficients in u = (r - r0)/(r1 - r0).
     """
 
     k: float
     eps: float
     r0: float
     r1: float
-    grid_min_w: float
-    h1: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    h2: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dh1: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dh2: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    mid1: tuple[float, float, float, float]
+    mid2: tuple[float, float, float, float]
+    grid_min_w: float = math.nan
 
-    def wronskian(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self.h1(r) * self.dh2(r) - self.dh1(r) * self.h2(r)
+    def samples(self, rr: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
+        """(h1, h1', h2, h2') at each radius of rr, in one pass."""
+        r0, r1, eps, h = self.r0, self.r1, self.eps, self.r1 - self.r0
+        a0, a1, a2, a3 = self.mid1
+        b0, b1, b2, b3 = self.mid2
+        h2_tail = 2.0 * self.k
+        exp = math.exp
+        for r in rr:
+            if r <= r0:
+                yield 1.0, 0.0, r * r, 2.0 * r
+            elif r < r1:
+                u = (r - r0) / h
+                yield (a0 + u * (a1 + u * (a2 + u * a3)),
+                       (a1 + u * (2.0 * a2 + u * 3.0 * a3)) / h,
+                       b0 + u * (b1 + u * (b2 + u * b3)),
+                       (b1 + u * (2.0 * b2 + u * 3.0 * b3)) / h)
+            else:
+                e = 2.0 * exp(1.0 - r - eps)
+                yield e, -e, h2_tail, 0.0
 
+    def wronskians(self, rr: Iterable[float]) -> list[float]:
+        return [h1 * dh2 - dh1 * h2 for h1, dh1, h2, dh2 in self.samples(rr)]
 
-def _hermite(a: float, b: float, va: float, sa: float, vb: float, sb: float):
-    h = b - a
+    def wronskian(self, r: float) -> float:
+        return self.wronskians((r,))[0]
 
-    def value(r):
-        u = (np.asarray(r, dtype=float) - a) / h
-        h00 = 2 * u**3 - 3 * u**2 + 1
-        h10 = u**3 - 2 * u**2 + u
-        h01 = -2 * u**3 + 3 * u**2
-        h11 = u**3 - u**2
-        return h00 * va + h * h10 * sa + h01 * vb + h * h11 * sb
+    def h1(self, r: float) -> float:
+        return next(self.samples((r,)))[0]
 
-    def deriv(r):
-        u = (np.asarray(r, dtype=float) - a) / h
-        d00 = (6 * u**2 - 6 * u) / h
-        d10 = (3 * u**2 - 4 * u + 1)
-        d01 = (-6 * u**2 + 6 * u) / h
-        d11 = (3 * u**2 - 2 * u)
-        return d00 * va + d10 * sa + d01 * vb + d11 * sb
-
-    return value, deriv
-
-
-def _piecewise(break1, break2, head, head_d, mid, mid_d, tail, tail_d):
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= break1, head(r), np.where(r < break2, mid(r), tail(r)))
-
-    def deriv(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= break1, head_d(r), np.where(r < break2, mid_d(r), tail_d(r)))
-
-    return value, deriv
+    def h2(self, r: float) -> float:
+        return next(self.samples((r,)))[2]
 
 
 def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
@@ -283,44 +300,19 @@ def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
         raise ContactModelError("need K >= 1")
     if not 0 < eps < 0.25:
         raise ContactModelError("need eps in (0, 0.25)")
-
-    def tail1(r):
-        return 2.0 * np.exp(1.0 - np.asarray(r, dtype=float) - eps)
-
-    def tail1_d(r):
-        return -2.0 * np.exp(1.0 - np.asarray(r, dtype=float) - eps)
-
-    def head1(r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    def head1_d(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def head2(r):
-        return np.asarray(r, dtype=float) ** 2
-
-    def head2_d(r):
-        return 2.0 * np.asarray(r, dtype=float)
-
-    # candidate interior slopes for h2 at r1 (the tail is flat, but a
-    # slightly positive matching slope can rescue marginal Wronskians)
+    tail1 = 2.0 * math.exp(1.0 - r1 - eps)
+    mid1 = _hermite_cubic(r1 - r0, 1.0, 0.0, tail1, -tail1)
+    rr = linspace(r0 / 10.0, 1.0, grid_points)
+    # candidate interior slopes for h2 at r0 (the tail is flat, but a
+    # slightly steeper start can rescue marginal Wronskians)
     for s_end in (0.0, k, 4.0 * k):
-        mid1, mid1_d = _hermite(r0, r1, 1.0, 0.0, float(tail1(r1)), float(tail1_d(r1)))
-        mid2, mid2_d = _hermite(r0, r1, r0 * r0, 2 * r0, 2.0 * k, 0.0)
-        if s_end:
-            mid2, mid2_d = _hermite(r0, r1, r0 * r0, 2 * r0 + s_end / k, 2.0 * k, 0.0)
-        h1, dh1 = _piecewise(r0, r1, head1, head1_d, mid1, mid1_d, tail1, tail1_d)
-        h2, dh2 = _piecewise(r0, r1, head2, head2_d, mid2, mid2_d,
-                             lambda r: 2.0 * k * np.ones_like(np.asarray(r, dtype=float)),
-                             lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        rr = np.linspace(r0 / 10.0, 1.0, grid_points)
-        w = h1(rr) * dh2(rr) - dh1(rr) * h2(rr)
-        if np.min(w) > 0.0:
-            return ProfileFunctions(k=k, eps=eps, r0=r0, r1=r1,
-                                    grid_min_w=float(np.min(w)),
-                                    h1=h1, h2=h2, dh1=dh1, dh2=dh2)
-    bad = rr[int(np.argmin(w))]
-    raise ContactModelError(f"Wronskian not positive near r = {bad:.4f} (min {np.min(w):.3e})")
+        mid2 = _hermite_cubic(r1 - r0, r0 * r0, 2 * r0 + s_end / k, 2.0 * k, 0.0)
+        pf = ProfileFunctions(k=k, eps=eps, r0=r0, r1=r1, mid1=mid1, mid2=mid2)
+        w = pf.wronskians(rr)
+        if all(x > 0.0 for x in w):
+            return replace(pf, grid_min_w=min(w))
+    i = _first_min(w)
+    raise ContactModelError(f"Wronskian not positive near r = {rr[i]:.4f} (min {w[i]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -342,32 +334,28 @@ def solid_torus_extension_check(pf: ProfileFunctions, case: str,
     if case not in ("reflection", "swapped-pair"):
         raise ContactModelError(f"unknown case {case!r}")
     eps = pf.eps
-    lo = max(pf.r1, 1.0 - eps)
-    rr = np.linspace(lo, 1.0, resolution)
+    rr = linspace(max(pf.r1, 1.0 - eps), 1.0, resolution)
     # page-side coefficients at s = 1 - r - eps where the ramp is flat
-    s = 1.0 - rr - eps
-    page_h1 = 2.0 * np.exp(s)
-    page_h2 = 2.0 * pf.k * np.ones_like(rr)
-    m1 = np.max(np.abs(page_h1 - pf.h1(rr)))
-    m2 = np.max(np.abs(page_h2 - pf.h2(rr)))
-    checks = [("h1 match", float(m1)), ("h2 match", float(m2))]
+    page_h1 = [2.0 * math.exp(1.0 - r - eps) for r in rr]
+    page_h2 = 2.0 * pf.k
+    h1, _dh1, h2, _dh2 = zip(*pf.samples(rr))
+    checks = [("h1 match", max(abs(a - b) for a, b in zip(page_h1, h1))),
+              ("h2 match", max(abs(page_h2 - b) for b in h2))]
     if case == "reflection":
         # opposite half of the book: the form is the exact negative
-        m3 = np.max(np.abs((-page_h1) - (-pf.h1(rr))))
-        checks.append(("opposite half negation", float(m3)))
+        checks.append(("opposite half negation",
+                       max(abs((-a) - (-b)) for a, b in zip(page_h1, h1))))
     else:
         # second torus: c-pullback of h1 dvartheta + h2 dphi
-        m3 = np.max(np.abs((-pf.h1(rr)) + pf.h1(rr)))
-        m4 = np.max(np.abs((-pf.h2(rr)) + pf.h2(rr)))
-        checks.append(("negated h1 on partner torus", float(m3)))
-        checks.append(("negated h2 on partner torus", float(m4)))
+        checks.append(("negated h1 on partner torus", max(abs(-b + b) for b in h1)))
+        checks.append(("negated h2 on partner torus", max(abs(-b + b) for b in h2)))
     # the binding contact condition near the core, restated
-    rr_head = np.linspace(1e-6, pf.r0, resolution)
-    w_head = pf.wronskian(rr_head)
-    checks.append(("head W/r limit", float(np.max(np.abs(w_head / rr_head - 2.0)))
-                   if np.min(rr_head) < pf.r0 / 10 else 0.0))
+    rr_head = linspace(1e-6, pf.r0, resolution)
+    checks.append(("head W/r limit",
+                   max(abs(w / r - 2.0) for w, r in zip(pf.wronskians(rr_head), rr_head))
+                   if min(rr_head) < pf.r0 / 10 else 0.0))
     mism = max(v for _name, v in checks[:2])
-    return ExtensionReport(case=case, max_mismatch=float(mism), checks=tuple(checks))
+    return ExtensionReport(case=case, max_mismatch=mism, checks=tuple(checks))
 
 
 def contact_report(family: int, k: float, resolution: int = 50) -> dict:

@@ -141,9 +141,6 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.nrows) and self.nrows == self.ncols
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.nrows != self.ncols:

@@ -144,6 +144,13 @@ def _pair(x: Any, path: str) -> tuple[str, int]:
     return (x[0], x[1])
 
 
+def _names(x: Any, path: str) -> tuple[str, str]:
+    """A pair of curve names."""
+    if not (isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)):
+        raise SchemaError(f"{path} must be a pair of curve names")
+    return (x[0], x[1])
+
+
 def _end(x: Any, path: str) -> tuple[int, int]:
     """An arc end: a [boundary id, point id] pair of integers."""
     end = _ints(x, path)
@@ -178,23 +185,24 @@ def from_obj(obj: dict) -> OpenBook:
     if obj.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"schema must be {SCHEMA_VERSION}, got {obj.get('schema')!r}")
     pg = _need(obj, "page", "$")
-    genus = int(_need(pg, "genus", "$.page"))
+    genus = _int(_need(pg, "genus", "$.page"), "$.page.genus")
     circles = tuple(
-        BoundaryCircle(cid=int(_need(c, "id", f"$.page.boundary[{i}]")),
+        BoundaryCircle(cid=_int(_need(c, "id", f"$.page.boundary[{i}]"),
+                                f"$.page.boundary[{i}].id"),
                        pclass=_ints(_need(c, "pclass", f"$.page.boundary[{i}]"),
                                     f"$.page.boundary[{i}].pclass"))
-        for i, c in enumerate(_need(pg, "boundary", "$.page"))
+        for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary"))
     )
-    basis = tuple(str(x) for x in _need(pg, "basis", "$.page"))
+    basis = tuple(str(x) for x in _list(_need(pg, "basis", "$.page"), "$.page.basis"))
     rank = len(basis)
-    form_rows = _need(pg, "form", "$.page")
+    form_rows = _list(_need(pg, "form", "$.page"), "$.page.form")
     form = IntMatrix([_ints(r, "$.page.form") for r in form_rows], ncols=rank)
     if form.shape != (rank, rank):
         raise SchemaError("$.page.form must be square of basis size")
 
     alphabet = {}
     images = {}
-    for i, c in enumerate(_need(obj, "alphabet", "$")):
+    for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
         name = str(_need(c, "name", f"$.alphabet[{i}]"))
         alphabet[name] = NamedCurve(
             name=name,
@@ -210,8 +218,8 @@ def from_obj(obj: dict) -> OpenBook:
             images[name] = _pair(img, f"$.alphabet[{i}].c_image")
 
     ref_arcs = {}
-    for i, a in enumerate(_need(obj, "ref_arcs", "$")):
-        cid = int(_need(a, "boundary", f"$.ref_arcs[{i}]"))
+    for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
+        cid = _int(_need(a, "boundary", f"$.ref_arcs[{i}]"), f"$.ref_arcs[{i}].boundary")
         ref_arcs[cid] = RefArc(
             target_boundary=cid,
             current_class=_ints(a.get("current_class", [0] * rank),
@@ -221,15 +229,16 @@ def from_obj(obj: dict) -> OpenBook:
         )
 
     disjoint = frozenset(
-        frozenset((str(a), str(b))) for a, b in _need(obj, "disjoint", "$")
+        frozenset(_names(pair, f"$.disjoint[{i}]"))
+        for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))
     )
     page = SurfaceModel(genus=genus, circles=circles, basis=basis, form=form,
                         alphabet=alphabet, ref_arcs=ref_arcs, disjoint=disjoint)
 
-    word_obj = _need(obj, "word", "$")
     word: TwistWord = tuple(
-        (str(_need(l, "curve", f"$.word[{i}]")), int(_need(l, "exp", f"$.word[{i}]")))
-        for i, l in enumerate(word_obj)
+        (str(_need(l, "curve", f"$.word[{i}]")),
+         _int(_need(l, "exp", f"$.word[{i}]"), f"$.word[{i}].exp"))
+        for i, l in enumerate(_list(_need(obj, "word", "$"), "$.word"))
     )
     for name, _ in word:
         if name not in alphabet:
@@ -237,7 +246,8 @@ def from_obj(obj: dict) -> OpenBook:
 
     iv = _need(obj, "involution", "$")
     matrix = IntMatrix([_ints(r, "$.involution.matrix")
-                        for r in _need(iv, "matrix", "$.involution")], ncols=rank)
+                        for r in _list(_need(iv, "matrix", "$.involution"),
+                                       "$.involution.matrix")], ncols=rank)
     if matrix.shape != (rank, rank):
         raise SchemaError("$.involution.matrix must be square of basis size")
     perm = _int_keyed(_need(iv, "boundary_perm", "$.involution"),

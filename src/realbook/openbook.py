@@ -1153,15 +1153,3 @@ def enumerate_sites(ob: OpenBook) -> list[tuple[str, dict]]:
         out.append(("VIII", {"boundaries": (j, k)}))
         out.append(("IX", {"boundaries": (j, k)}))
     return out
-
-
-def enumerate_valid_sites(ob: OpenBook) -> list[tuple[str, dict]]:
-    """Sites that actually produce a consistent stabilized book."""
-    good = []
-    for tag, site in enumerate_sites(ob):
-        try:
-            stabilize(ob, tag, site)
-        except StabilizationError:
-            continue
-        good.append((tag, site))
-    return good

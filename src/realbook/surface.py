@@ -92,9 +92,6 @@ class FixArc:
     pair_curves: Vec
     pair_arcs: Mapping[int, int] = field(default_factory=dict)
 
-    def boundary_pair(self) -> tuple[int, int]:
-        return (self.ends[0][0], self.ends[1][0])
-
 
 @dataclass(frozen=True)
 class FixCircle:
@@ -115,9 +112,6 @@ class FixedSet:
     @property
     def circle_count(self) -> int:
         return len(self.circles)
-
-    def arc_boundary_pairs(self) -> list[tuple[int, int]]:
-        return [a.boundary_pair() for a in self.arcs]
 
 
 @dataclass(frozen=True)
@@ -175,9 +169,6 @@ class SurfaceModel:
 
     def curves_disjoint(self, a: str, b: str) -> bool:
         return a != b and frozenset((a, b)) in self.disjoint
-
-    def ref_arc_order(self) -> list[int]:
-        return sorted(cid for cid in self.ref_arcs)
 
     def zero_class(self) -> Vec:
         return (0,) * self.h1_rank
@@ -270,10 +261,6 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
         ref_arcs=ref_arcs,
         disjoint=frozenset(disjoint),
     )
-
-
-def _fresh_pids(start: int, n: int) -> list[int]:
-    return list(range(start, start + n))
 
 
 def standard_involution(model: SurfaceModel, kind: str) -> Involution:

@@ -134,6 +134,12 @@ def test_malformed_provenance_images_is_exit_2(variant, monkeypatch, capsys):
     (("fix_plus", "arcs", 1, "pair_arcs"), {"two": 0}, "$.fix_plus.arcs[1].pair_arcs"),
 ])
 def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
+    assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
+
+
+def assert_mutation_exits_2(field, value, path, monkeypatch, capsys):
+    """Set one field of a valid book to value: invariants must exit 2
+    with an error line that starts with the field's path."""
     _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
     bad = json.loads(book_json)
     target = bad
@@ -143,6 +149,19 @@ def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
     code, _ = run_cli(["invariants"], json.dumps(bad), monkeypatch)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {path} ")
+
+
+@pytest.mark.parametrize("field, value, path", [
+    (("page", "genus"), [], "$.page.genus"),
+    (("page", "boundary", 0, "id"), {}, "$.page.boundary[0].id"),
+    (("ref_arcs", 0, "boundary"), None, "$.ref_arcs[0].boundary"),
+    (("disjoint", 0), 5, "$.disjoint[0]"),
+    (("word", 0, "exp"), [1], "$.word[0].exp"),
+    (("word",), 3, "$.word"),
+], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
+        "word-exp-list", "word-number"])
+def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
+    assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
 
 def test_wrong_schema_version_rejected():
@@ -235,3 +254,27 @@ def test_grid_env_override(monkeypatch):
     code, report = run_cli(["contact", "--family", "disk", "--K", "5"])
     assert code == 0
     assert json.loads(report)["grid"] == 12
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_contact_grid_below_two_is_exit_2(grid, capsys):
+    code, out = run_cli(["contact", "--family", "disk", "--grid", grid])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --grid must be at least 2")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import realbook
+
+    src = os.path.dirname(os.path.dirname(realbook.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, realbook.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from realbook.contact import (
@@ -11,23 +10,24 @@ from realbook.contact import (
     contact_report,
     k_term_dominates,
     k_threshold,
+    linspace,
     ramp,
     ramp_d,
     reality_defect,
     solid_torus_extension_check,
 )
 
-GRID = 30  # full 50^3 runs live in the acceptance suite
+GRID = 30  # full 50-point runs live in the acceptance suite
 
 
 def test_ramp_shape():
-    s = np.linspace(-1, 0, 200)
-    r = ramp(s)
+    s = linspace(-1, 0, 200)
+    r = [ramp(x) for x in s]
     assert r[0] == 1.0 and r[-1] == 0.0
-    assert np.all(np.diff(r) <= 1e-12)
-    assert np.all(ramp_d(s) <= 0)
+    assert all(b - a <= 1e-12 for a, b in zip(r, r[1:]))
+    assert all(ramp_d(x) <= 0 for x in s)
     # flat near both chart ends, so the monodromy is the identity there
-    assert np.all(ramp_d(np.array([-1.0, -0.9, -0.1, 0.0])) == 0)
+    assert all(ramp_d(x) == 0 for x in (-1.0, -0.9, -0.1, 0.0))
 
 
 def test_disk_defect_positive():
@@ -99,24 +99,33 @@ def test_unsupported_family():
 def test_profiles_wronskian_positive(k):
     pf = build_profiles(k, 0.1)
     assert pf.grid_min_w > 0
-    rr = np.linspace(0.02, 1.0, 2000)
-    assert np.min(pf.wronskian(rr)) > 0
+    rr = linspace(0.02, 1.0, 2000)
+    assert min(pf.wronskian(r) for r in rr) > 0
 
 
 def test_profile_head_and_tail_pinned():
     pf = build_profiles(10.0, 0.1)
-    r_head = np.array([0.0, 0.05, 0.1, 0.2])
-    assert np.allclose(pf.h1(r_head), 1.0)
-    assert np.allclose(pf.h2(r_head), r_head ** 2)
-    r_tail = np.array([0.8, 0.9, 1.0])
-    assert np.allclose(pf.h1(r_tail), 2 * np.exp(1 - r_tail - 0.1))
-    assert np.allclose(pf.h2(r_tail), 20.0)
+    for r in (0.0, 0.05, 0.1, 0.2):
+        assert pf.h1(r) == pytest.approx(1.0, rel=1e-5, abs=1e-8)
+        assert pf.h2(r) == pytest.approx(r ** 2, rel=1e-5, abs=1e-8)
+    for r in (0.8, 0.9, 1.0):
+        assert pf.h1(r) == pytest.approx(2 * math.exp(1 - r - 0.1), rel=1e-5, abs=1e-8)
+        assert pf.h2(r) == pytest.approx(20.0, rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0, 100.0])
+def test_profile_cubics_join_pinned_ends_smoothly(k):
+    pf = build_profiles(k, 0.1)
+    for r in (pf.r0, pf.r1):
+        below = next(pf.samples((math.nextafter(r, 0.0),)))
+        above = next(pf.samples((math.nextafter(r, 1.0),)))
+        assert below == pytest.approx(above, rel=1e-9, abs=1e-9), r
 
 
 def test_profile_limit_at_origin():
     pf = build_profiles(1.0, 0.1)
     r = 1e-4
-    assert abs(float(pf.wronskian(np.array([r]))[0]) / r - 2.0) <= 1e-6
+    assert abs(pf.wronskian(r) / r - 2.0) <= 1e-6
 
 
 def test_profile_bad_parameters():
@@ -152,3 +161,76 @@ def test_argmin_lexicographic_deterministic():
     # first grid point in (piece, s, theta, t) order
     _val, argmin = contact_defect(fs)
     assert argmin == (1, -1.0, -math.pi, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the 3-D numpy evaluation the 1-D model replaced
+
+
+def _numpy_model(np):
+    """The former numpy model: the defect on the full s x theta x t grid
+    of both pieces, its stacked argmin and the bisection over it."""
+
+    def ramp_d_np(s):
+        u = (s - -0.85) / (-0.15 - -0.85)
+        inside = (u > 0.0) & (u < 1.0)
+        u = np.clip(u, 0.0, 1.0)
+        return -np.where(inside, 6.0 * u * (1.0 - u), 0.0) / (-0.15 - -0.85)
+
+    def grid(n):
+        return (np.linspace(-1.0, 0.0, n), np.linspace(-math.pi, math.pi, n),
+                np.linspace(0.0, 1.0, n))
+
+    def defect_grid(family, k, n):
+        ss, _th, _tt = np.meshgrid(*grid(n), indexing="ij")
+        es = np.exp(ss)
+        dp_dt_over = 2.0 * math.pi * family * es * ramp_d_np(ss)
+        return -(-2.0 * dp_dt_over + 2.0 * k * -2.0 * np.ones_like(es))
+
+    def contact_defect(family, k, n):
+        stack = np.stack([defect_grid(family, k, n), defect_grid(family, k, n)])
+        idx = np.unravel_index(np.argmin(stack), stack.shape)
+        s, theta, t = grid(n)
+        argmin = (1 if idx[0] == 0 else -1, float(s[idx[1]]), float(theta[idx[2]]),
+                  float(t[idx[3]]))
+        return float(stack[idx]), argmin
+
+    def k_threshold(family, n):
+        def min_defect(k):
+            return min(float(np.min(defect_grid(family, k, n))),
+                       float(np.min(defect_grid(family, k, n))))
+
+        if min_defect(1e-9) > 0.0:
+            return 1e-9
+        lo, hi = 1e-9, 1.0
+        while min_defect(hi) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 0.01 * hi:
+            mid = 0.5 * (lo + hi)
+            if min_defect(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    return contact_defect, k_threshold
+
+
+def test_linspace_matches_numpy():
+    np = pytest.importorskip("numpy")
+    for a, b, n in [(-1.0, 0.0, 50), (-math.pi, math.pi, 50), (1e-6, 0.2, 40),
+                    (0.02, 1.0, 10_000), (0.9, 1.0, 2), (0.5, 0.5, 7),
+                    (0.3, 1.0, 1), (0.3, 1.0, 0)]:
+        assert linspace(a, b, n) == np.linspace(a, b, n).tolist(), (a, b, n)
+
+
+@pytest.mark.parametrize("grid", [2, 12, 20, 30, 40, 50])
+def test_one_dimensional_model_matches_numpy_grid(grid):
+    np = pytest.importorskip("numpy")
+    np_defect, np_threshold = _numpy_model(np)
+    for family in range(11):
+        kstar = k_threshold(family, resolution=grid)
+        assert kstar == np_threshold(family, grid), family
+        for k in (kstar, 0.5, 10.0, 100.0):
+            got = contact_defect(FormSampler(family=family, k=k, resolution=grid))
+            assert got == np_defect(family, k, grid), (family, k)
