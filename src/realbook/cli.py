@@ -75,12 +75,15 @@ def _group_obj(g: AbelianGroup) -> dict:
 
 def _default_grid() -> int:
     env = os.environ.get("REALBOOK_GRID")
-    if env:
-        try:
-            return max(2, int(env))
-        except ValueError:
-            raise SchemaError(f"REALBOOK_GRID must be an integer, got {env!r}")
-    return 50
+    if not env:
+        return 50
+    try:
+        grid = int(env)
+    except ValueError:
+        raise SchemaError(f"REALBOOK_GRID must be an integer, got {env!r}")
+    if grid < 2:
+        raise SchemaError(f"REALBOOK_GRID must be at least 2, got {grid}")
+    return grid
 
 
 def _parse_family(tag: str) -> int:

@@ -359,7 +359,11 @@ def solid_torus_extension_check(pf: ProfileFunctions, case: str,
 
 
 def contact_report(family: int, k: float, resolution: int = 50) -> dict:
-    """JSON-ready summary for one family at one K."""
+    """JSON-ready summary for one family at one K.  A non-finite K is
+    malformed input (ValueError): its defects would be NaN or infinite,
+    and a NaN drops out of the max of the reality defect."""
+    if not math.isfinite(k):
+        raise ValueError(f"K must be finite, got {k}")
     fs = FormSampler(family=family, k=k, resolution=resolution)
     mindef, argmin = contact_defect(fs)
     return {

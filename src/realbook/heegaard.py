@@ -98,33 +98,37 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
 # real-part assembly
 
 
+def _bits(entries) -> int:
+    """The GF(2) vector with entries 0/1, as a bitset: bit i is entry i."""
+    return sum(1 << i for i, x in enumerate(entries) if x)
+
+
 def _interior_basis_indices(ob: OpenBook) -> list[int]:
     """Basis indices independent of the boundary-class span mod 2.
 
     A binding circle is isotopic to its boundary-parallel pushoff on
     either page, so page classes in the boundary span are already
     represented by the binding block; keeping them twice would make the
-    closed-surface basis redundant.
+    closed-surface basis redundant.  Vectors mod 2 are bitsets (bit i is
+    entry i).
     """
     page = ob.page
-    rank = page.h1_rank
-    span: list[list[int]] = []
+    span: list[int] = []
 
-    def reduce(vec: list[int]) -> list[int]:
+    def reduce(vec: int) -> int:
         for row in span:
-            lead = next(i for i, x in enumerate(row) if x)
-            if vec[lead]:
-                vec = [a ^ b for a, b in zip(vec, row)]
+            if vec & row & -row:        # the lowest set bit of row leads it
+                vec ^= row
         return vec
 
     for circle in page.circles:
-        v = reduce([x % 2 for x in circle.pclass])
-        if any(v):
+        v = reduce(_bits(x % 2 for x in circle.pclass))
+        if v:
             span.append(v)
     chosen = []
-    for idx in range(rank):
-        v = reduce([1 if i == idx else 0 for i in range(rank)])
-        if any(v):
+    for idx in range(page.h1_rank):
+        v = reduce(1 << idx)
+        if v:
             span.append(v)
             chosen.append(idx)
     return chosen
@@ -136,7 +140,8 @@ def _closed_surface_basis(ob: OpenBook):
     Blocks: interior page classes seen on each invariant page, the
     binding circles (all but the largest id), and the doubled reference
     arcs.  Binding circles pair with nothing in the page interior, so
-    their rows carry only the reference-arc incidences.
+    their rows carry only the reference-arc incidences.  Row r of the
+    pairing matrix q is a bitset: bit c is entry (r, c).
     """
     page = ob.page
     interior = _interior_basis_indices(ob)
@@ -153,51 +158,74 @@ def _closed_surface_basis(ob: OpenBook):
     def m_pos(cid):
         return 2 * n_int + len(d_ids) + m_ids.index(cid)
 
-    q = [[0] * dim for _ in range(dim)]
-    jm = page.form
-    for side in (0, 1):
-        off = side * n_int
-        for a, ia in enumerate(interior):
-            for b, ib in enumerate(interior):
-                q[off + a][off + b] = jm[ia, ib] % 2
+    q = [0] * dim
+    jm = page.form.rows
+    for a, ia in enumerate(interior):
+        row = _bits(jm[ia][ib] % 2 for ib in interior)
+        q[a] = row
+        q[n_int + a] = row << n_int
     for l in m_ids:
+        ml = m_pos(l)
         row = page.ref_arcs[l].pairings
         for a, ia in enumerate(interior):
-            v = row[ia] % 2
-            q[a][m_pos(l)] ^= v
-            q[m_pos(l)][a] ^= v
-            q[n_int + a][m_pos(l)] ^= v
-            q[m_pos(l)][n_int + a] ^= v
+            if row[ia] % 2:
+                q[a] ^= 1 << ml
+                q[n_int + a] ^= 1 << ml
+                q[ml] ^= (1 << a) | (1 << (n_int + a))
     for d in d_ids:
         for l in m_ids:
-            v = (1 if d == l else 0) ^ (1 if d == bp else 0)
-            q[d_pos(d)][m_pos(l)] ^= v
-            q[m_pos(l)][d_pos(d)] ^= v
+            if (d == l) != (d == bp):
+                q[d_pos(d)] ^= 1 << m_pos(l)
+                q[m_pos(l)] ^= 1 << d_pos(d)
     return dim, interior, d_pos, m_pos, q
 
 
-def _gf2_solve(q: list[list[int]], rhs: list[int]) -> list[int] | None:
-    n = len(q)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(q)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        for i in range(n):
-            if i != r and a[i][c]:
-                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if a[i][n]:
+class _GF2Solver:
+    """Solves q x = b over GF(2) for many right-hand sides b.
+
+    q is n x n, row r a bitset of its columns.  It is row-reduced once,
+    Gauss-Jordan with the first nonzero row at or below the pivot row
+    as pivot, and the swaps and row additions are recorded; solve
+    replays them on b (a bitset over the rows of q).  Free variables
+    are 0.
+    """
+
+    def __init__(self, q: list[int], n: int):
+        a = list(q)
+        self.n = n
+        self.ops: list[tuple[int, int, int]] = []     # (pivot row, swapped row, rows added to)
+        self.pivot_cols: list[int] = []
+        r = 0
+        for c in range(n):
+            bit = 1 << c
+            p = next((i for i in range(r, n) if a[i] & bit), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            pivot = a[r]
+            added = 0
+            for i in range(n):
+                if i != r and a[i] & bit:
+                    a[i] ^= pivot
+                    added |= 1 << i
+            self.ops.append((r, p, added))
+            self.pivot_cols.append(c)
+            r += 1
+
+    def solve(self, b: int) -> tuple[int, ...] | None:
+        """x with q x = b, or None when the system is inconsistent."""
+        for r, p, added in self.ops:
+            if (b >> r ^ b >> p) & 1:
+                b ^= (1 << r) | (1 << p)
+            if b >> r & 1:
+                b ^= added
+        rank = len(self.pivot_cols)
+        if b >> rank:
             return None
-    x = [0] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][n]
-    return x
+        x = [0] * self.n
+        for i, c in enumerate(self.pivot_cols):
+            x[c] = b >> i & 1
+        return tuple(x)
 
 
 def real_part(ob: OpenBook) -> RealPartData:
@@ -206,7 +234,10 @@ def real_part(ob: OpenBook) -> RealPartData:
     Arcs of the two pages share their boundary fixed points, so the
     union is a disjoint set of circles; fixed circles of either page
     pass through unchanged.  Per component the mod-2 class on the
-    splitting surface is recovered from its declared crossing data.
+    splitting surface is recovered from its declared crossing data:
+    the pairing matrix of the closed surface is row-reduced once per
+    book, on bitsets, and every component's crossing vector is solved
+    against that one elimination.
     """
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
@@ -237,21 +268,26 @@ def real_part(ob: OpenBook) -> RealPartData:
             raise RealPartUnavailable(
                 f"fixed point {pt} has {len(inc)} incident arcs; data incomplete")
 
+    solver = _GF2Solver(q, dim)
     seen = [False] * len(edges)
     components: list[RealComponent] = []
 
-    def piece_vector(side: int, arc) -> list[int]:
-        vec = [0] * dim
-        for a, ia in enumerate(interior):
-            vec[side * n_int + a] ^= arc.pair_curves[ia] % 2
-        for l in m_ids:
-            vec[m_pos(l)] ^= arc.pair_arcs.get(l, 0) % 2
+    def solve(vec: int) -> tuple[int, ...]:
+        cls = solver.solve(vec)
+        if cls is None:
+            raise RealPartUnavailable("crossing data is not consistent on the closed surface")
+        return cls
+
+    def crossing_vector(side: int, interior_row, arc_crossings) -> int:
+        vec = _bits(interior_row[ia] % 2 for ia in interior) << (side * n_int)
+        for l, cross in zip(m_ids, arc_crossings):
+            vec ^= (cross % 2) << m_pos(l)
         return vec
 
     for start in range(len(edges)):
         if seen[start]:
             continue
-        vec = [0] * dim
+        vec = 0
         count = 0
         stack = [start]
         pts: set[tuple[int, int]] = set()
@@ -263,8 +299,8 @@ def real_part(ob: OpenBook) -> RealPartData:
             count += 1
             e1, e2, side, arc = edges[idx]
             pts.update((e1, e2))
-            pv = piece_vector(side, arc)
-            vec = [a ^ b for a, b in zip(vec, pv)]
+            vec ^= crossing_vector(side, arc.pair_curves,
+                                   [arc.pair_arcs.get(l, 0) for l in m_ids])
             for pt in (e1, e2):
                 for nxt in adj[pt]:
                     if not seen[nxt]:
@@ -273,25 +309,16 @@ def real_part(ob: OpenBook) -> RealPartData:
         # crossing of that binding circle
         for cid, _pid in pts:
             if cid in d_ids:
-                vec[d_pos(cid)] ^= 1
-        cls = _gf2_solve(q, vec)
-        if cls is None:
-            raise RealPartUnavailable("crossing data is not consistent on the closed surface")
-        components.append(RealComponent(pieces=count, h1_class=tuple(cls)))
+                vec ^= 1 << d_pos(cid)
+        components.append(RealComponent(pieces=count, h1_class=solve(vec)))
 
+    jt = page.form.transpose()
     for side, fset in ((0, minus), (1, plus)):
         for circ in fset.circles:
-            vec = [0] * dim
-            row = page.form.transpose().apply(circ.h1_class)
-            for a, ia in enumerate(interior):
-                vec[side * n_int + a] ^= row[ia] % 2
-            for l in m_ids:
-                cross = -vec_dot(page.ref_arcs[l].pairings, circ.h1_class)
-                vec[m_pos(l)] ^= cross % 2
-            cls = _gf2_solve(q, vec)
-            if cls is None:
-                raise RealPartUnavailable("crossing data is not consistent on the closed surface")
-            components.append(RealComponent(pieces=1, h1_class=tuple(cls)))
+            vec = crossing_vector(
+                side, jt.apply(circ.h1_class),
+                [-vec_dot(page.ref_arcs[l].pairings, circ.h1_class) for l in m_ids])
+            components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 
     rp = RealPartData(components=tuple(components))
     genus = ob.heegaard_genus

@@ -6,9 +6,14 @@ Word equality is free-reduced literal equality, extended only by
 commutation of letters whose curves the surface declares disjoint.
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
-so words act on matrices and arcs by rank-one updates, O(n^2) per
-letter, never by dense products.  twist_matrix builds one twist densely;
-it is kept as the test oracle for the updates.
+so words act on matrices by rank-one updates, O(n^2) per letter, never
+by dense products.  Reference arcs go through a word together, in one
+pass (transport_arcs): per letter, each arc's crossing with the curve
+is a sparse dot, and an arc that misses the curve costs nothing more.
+The sparse a, J a and J^T a of each curve come from the page's cache
+(SurfaceModel.curve_vectors), so a page computes them once however many
+words act on it.  twist_matrix builds one twist densely; it is kept as
+the test oracle for the updates.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .intalg import IntMatrix
-from .surface import Involution, RefArc, SurfaceModel, vec_add, vec_dot, vec_scale
+from .surface import Involution, RefArc, SurfaceModel, entries
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -88,42 +93,22 @@ def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMat
     return IntMatrix(cols, ncols=m.nrows).transpose()
 
 
-_Sparse = list[tuple[int, int]]
-
-
-def _sparse(v: Sequence[int]) -> _Sparse:
-    return [(i, x) for i, x in enumerate(v) if x]
-
-
-def _curve_class(model: SurfaceModel, name: str) -> tuple[int, ...]:
-    a = model.curve(name).h1_class
-    if len(a) != model.h1_rank:
-        raise ValueError(f"class of curve {name!r} has length {len(a)}, not {model.h1_rank}")
-    return a
-
-
 def _transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
                transposed: bool) -> None:
     """rows <- (I + e u v^T) rows for each letter (a, e) of w in turn, in
-    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose.
-    J a is computed once per distinct curve."""
-    form = model.form.rows
-    vecs: dict[str, tuple[_Sparse, _Sparse]] = {}
+    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose."""
     for name, e in w:
-        if name not in vecs:
-            a = _sparse(_curve_class(model, name))
-            ja = _sparse([sum(row[k] * x for k, x in a) for row in form])
-            vecs[name] = (ja, a) if transposed else (a, ja)
-        u, v = vecs[name]
+        vecs = model.curve_vectors(name)
+        u, v = (vecs.ja, vecs.a) if transposed else (vecs.a, vecs.ja)
         if not u or not v:
             continue
         r = None
-        for j, x in v:
+        for j, x in entries(v):
             rj = rows[j]
             r = [x * y for y in rj] if r is None else [s + x * y for s, y in zip(r, rj)]
         if not any(r):
             continue
-        for i, x in u:
+        for i, x in entries(u):
             c = e * x
             rows[i] = [s + c * y for s, y in zip(rows[i], r)]
 
@@ -175,26 +160,39 @@ def _normal_form(model: SurfaceModel, w: Sequence[Letter]) -> TwistWord:
     return tuple(cur)
 
 
-def transport_arc(model: SurfaceModel, w: Sequence[Letter], arc: RefArc) -> RefArc:
-    """Push a reference arc through a twist word, letter by letter.
+def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
+                   arcs: Sequence[RefArc]) -> list[RefArc]:
+    """Push reference arcs through a twist word, all in one pass.
 
-    Per letter (a, e): the class gains e <gamma, a> [a] and the pairing
-    row updates by <tau_a^e(gamma), x> = <gamma, x> + e <gamma, a> <a, x>.
+    Per letter (a, e) and arc gamma with crossing k = <gamma, a>: the
+    class gains e k [a] and the pairing row updates by
+    <tau_a^e(gamma), x> = <gamma, x> + e k <a, x>.  The crossing is a
+    sparse dot with a, and an arc that misses the curve (k = 0) is
+    left as it is.
     """
-    form = model.form.rows
-    a_rows: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    cls = arc.current_class
-    row = arc.pairings
-    for name, exp in w:
-        if name not in a_rows:
-            a = _curve_class(model, name)
-            # <a, x> per basis class x: the row (J^T a), a sum of rows of J
-            a_row = [0] * model.h1_rank
-            for k, x in _sparse(a):
-                a_row = [s + x * y for s, y in zip(a_row, form[k])]
-            a_rows[name] = (a, tuple(a_row))
-        a, a_row = a_rows[name]
-        cross = vec_dot(row, a)
-        cls = vec_add(cls, vec_scale(exp * cross, a))
-        row = vec_add(row, vec_scale(exp * cross, a_row))
-    return RefArc(target_boundary=arc.target_boundary, current_class=cls, pairings=row)
+    rank = model.h1_rank
+    for arc in arcs:
+        if len(arc.current_class) != rank or len(arc.pairings) != rank:
+            raise ValueError(f"reference arc to boundary {arc.target_boundary} has "
+                             f"class or pairing row of the wrong length for rank {rank}")
+    classes = [list(arc.current_class) for arc in arcs]
+    rows = [list(arc.pairings) for arc in arcs]
+    for name, e in w:
+        vecs = model.curve_vectors(name)
+        a = list(entries(vecs.a))
+        for cls, row in zip(classes, rows):
+            cross = sum([row[i] * x for i, x in a])
+            if cross:
+                k = e * cross
+                for i, x in a:
+                    cls[i] += k * x
+                for i, x in entries(vecs.jta):
+                    row[i] += k * x
+    return [RefArc(target_boundary=arc.target_boundary, current_class=tuple(cls),
+                   pairings=tuple(row))
+            for arc, cls, row in zip(arcs, classes, rows)]
+
+
+def transport_arc(model: SurfaceModel, w: Sequence[Letter], arc: RefArc) -> RefArc:
+    """Push one reference arc through a twist word (see transport_arcs)."""
+    return transport_arcs(model, w, [arc])[0]

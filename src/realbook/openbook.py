@@ -36,7 +36,7 @@ from .mcg import (
     free_reduce,
     invert,
     times_word,
-    transport_arc,
+    transport_arcs,
     word,
     word_matrix,
     word_times,
@@ -168,20 +168,25 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
 
     For every reference arc gamma:  -F^-1 (f(gamma) - gamma)  must equal
     C applied to the transport defect of c(gamma), whose pairing row is
-    -C^T (row of gamma).
+    -C^T (row of gamma).  The arcs and their mirrors go through the
+    word in one pass.
     """
     model, w = ob.page, ob.monodromy
     c = ob.real_structure.matrix
     ct = c.transpose()
-    for cid, arc in sorted(ob.page.ref_arcs.items()):
-        delta = transport_arc(model, w, arc).current_class
-        lhs = vec_scale(-1, f_inv.apply(delta))
-        mirrored = RefArc(
+    arcs = sorted(model.ref_arcs.items())
+    mirrored = [
+        RefArc(
             target_boundary=arc.target_boundary,
             current_class=model.zero_class(),
             pairings=vec_scale(-1, ct.apply(arc.pairings)),
         )
-        rhs = c.apply(transport_arc(model, w, mirrored).current_class)
+        for _cid, arc in arcs
+    ]
+    moved = transport_arcs(model, w, [arc for _cid, arc in arcs] + mirrored)
+    for (cid, _arc), out, out_mirrored in zip(arcs, moved, moved[len(arcs):]):
+        lhs = vec_scale(-1, f_inv.apply(out.current_class))
+        rhs = c.apply(out_mirrored.current_class)
         if tuple(lhs) != tuple(rhs):
             return False, {"boundary": cid, "lhs": tuple(lhs), "rhs": tuple(rhs)}
     return True, None
@@ -276,24 +281,22 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
 
     Generators H1(page) + Z<t>; relations im(F - I) together with
     t + delta_i = 0 per boundary, delta at the basepoint boundary being
-    zero and the others the transported reference-arc classes.
+    zero and the others the transported reference-arc classes.  The
+    columns of F are the rows of its transpose, and every reference arc
+    is transported in one pass of the word.
     """
-    model, w = ob.page, ob.monodromy
+    model = ob.page
     rank = model.h1_rank
-    f = ob.monodromy_matrix
     cols: list[list[int]] = []
-    for j in range(rank):
-        e = model.basis_vector(j)
-        col = list(f.apply(e))
+    for j, row in enumerate(ob.monodromy_matrix.transpose().rows):
+        col = list(row)
         col[j] -= 1
         cols.append(col + [0])
     bp = model.basepoint
-    for circle in sorted(model.circles, key=lambda c: c.cid):
-        if circle.cid == bp:
-            cols.append([0] * rank + [1])
-        else:
-            delta = transport_arc(model, w, model.ref_arcs[circle.cid]).current_class
-            cols.append(list(delta) + [1])
+    others = sorted(c.cid for c in model.circles if c.cid != bp)
+    moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
+    cols.append([0] * rank + [1])
+    cols.extend(list(arc.current_class) + [1] for arc in moved)
     rel = IntMatrix.from_columns(cols, rank + 1)
     return cokernel(rel)
 

@@ -18,13 +18,18 @@ Conventions fixed here once and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
 
 
 Vec = tuple[int, ...]
+# the nonzero entries of a vector, flat: (i, x_i, j, x_j, ...); one tuple per
+# vector, not one per entry, keeps the per-page curve cache small
+Sparse = tuple[int, ...]
 
 
 def _vec(x: Sequence[int]) -> Vec:
@@ -41,6 +46,16 @@ def vec_scale(c: int, x: Sequence[int]) -> Vec:
 
 def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
+
+
+def _sparse(v: Sequence[int]) -> Sparse:
+    return tuple(chain.from_iterable((i, x) for i, x in enumerate(v) if x))
+
+
+def entries(v: Sparse) -> Iterator[tuple[int, int]]:
+    """The pairs (i, x_i) of a flat sparse vector."""
+    it = iter(v)
+    return zip(it, it)
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,11 @@ class Involution:
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A page.  Frozen: the per-curve vectors of curve_vectors are cached
+    on the instance, outside the fields, so they take no part in ==,
+    repr or JSON, and a page made with dataclasses.replace starts
+    without them."""
+
     genus: int
     circles: tuple[BoundaryCircle, ...]
     basis: tuple[str, ...]
@@ -175,6 +195,52 @@ class SurfaceModel:
 
     def basis_vector(self, idx: int) -> Vec:
         return tuple(1 if j == idx else 0 for j in range(self.h1_rank))
+
+    @cached_property
+    def _curve_vectors(self) -> dict[str, CurveVectors]:
+        return {}
+
+    def curve_vectors(self, name: str) -> CurveVectors:
+        """The sparse vectors of a curve's class, computed on first use and
+        kept for the life of the page."""
+        vecs = self._curve_vectors.get(name)
+        if vecs is None:
+            a = self.curve(name).h1_class
+            if len(a) != self.h1_rank:
+                raise ValueError(f"class of curve {name!r} has length {len(a)}, not {self.h1_rank}")
+            vecs = self._curve_vectors[name] = CurveVectors(a, self.form.rows)
+        return vecs
+
+
+class CurveVectors:
+    """Sparse a, J a and J^T a for the class a of one curve on a page.
+
+    A twist along the curve acts by x -> x + e <x, a> a with
+    <x, a> = x . (J a), and moves a pairing row by multiples of
+    <a, x> = (J^T a) . x.  Only arc transport reads J^T a, so it is
+    computed on first use: a page that only multiplies words keeps two
+    vectors per curve, not three.
+    """
+
+    __slots__ = ("a", "ja", "_jta", "_form")
+
+    def __init__(self, a: Vec, form: Sequence[Sequence[int]]):
+        self.a = _sparse(a)
+        ja = [0] * len(form)
+        for k, x in entries(self.a):
+            ja = [s + x * row[k] for s, row in zip(ja, form)]
+        self.ja = _sparse(ja)
+        self._jta: Sparse | None = None
+        self._form = form
+
+    @property
+    def jta(self) -> Sparse:
+        if self._jta is None:
+            row = [0] * len(self._form)
+            for k, x in entries(self.a):
+                row = [s + x * y for s, y in zip(row, self._form[k])]
+            self._jta = _sparse(row)
+        return self._jta
 
 
 def _symplectic_block(g: int, extra: int) -> IntMatrix:

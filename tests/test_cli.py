@@ -264,6 +264,33 @@ def test_contact_grid_below_two_is_exit_2(grid, capsys):
     assert capsys.readouterr().err.startswith("error: --grid must be at least 2")
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_grid_env_below_two_is_exit_2(grid, monkeypatch, capsys):
+    monkeypatch.setenv("REALBOOK_GRID", grid)
+    code, out = run_cli(["contact", "--family", "disk", "--K", "5"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: REALBOOK_GRID must be at least 2")
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_contact_non_finite_k_is_exit_2(k, capsys):
+    code, out = run_cli(["contact", "--family", "annulus:2", f"--K={k}"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: K must be finite")
+
+
+def test_ref_arc_row_of_wrong_length_is_exit_2(monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
+    bad = json.loads(book_json)
+    bad["ref_arcs"][0]["pairings"] = []
+    code, out = run_cli(["invariants"], json.dumps(bad), monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: reference arc to boundary 2")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     import os
     import subprocess

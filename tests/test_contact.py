@@ -155,6 +155,13 @@ def test_contact_report_shape():
     assert rep["page_area_min"] > 0
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_contact_report_rejects_non_finite_k(k):
+    with pytest.raises(ValueError, match="K must be finite") as err:
+        contact_report(2, k, resolution=12)
+    assert not isinstance(err.value, ContactModelError)
+
+
 def test_argmin_lexicographic_deterministic():
     fs = FormSampler(family=0, k=3.0, resolution=12)
     # disk defect is constant over the grid: the tie-break must pick the

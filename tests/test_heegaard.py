@@ -14,6 +14,7 @@ from realbook.catalog import (
 )
 from realbook.heegaard import (
     RealPartUnavailable,
+    _GF2Solver,
     heegaard_data,
     is_maximal,
     real_part,
@@ -171,3 +172,62 @@ def test_maximality_arithmetic():
     hd1 = heegaard_data(catalog_lens_annulus(1))
     rp1 = real_part(catalog_lens_annulus(1))
     assert not is_maximal(hd1, rp1)
+
+
+def list_gf2_solve(q, rhs):
+    """The list-of-lists GF(2) solver the bitset one replaced: Gauss-Jordan
+    on [q | rhs], pivot the first nonzero row at or below the pivot row,
+    free variables 0; None when inconsistent."""
+    n = len(q)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(q)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, n) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(n):
+            if i != r and a[i][c]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, n):
+        if a[i][n]:
+            return None
+    x = [0] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = a[i][n]
+    return x
+
+
+def _to_bits(entries):
+    return sum(1 << i for i, x in enumerate(entries) if x)
+
+
+def test_bitset_gf2_solver_matches_list_solver():
+    rng = random.Random(17)
+    seen = {"full rank": 0, "rank deficient": 0, "inconsistent": 0}
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        if trial % 2:
+            # rank at most r < n: a product of n x r and r x n factors
+            r = rng.randint(0, n - 1)
+            left = [[rng.randint(0, 1) for _ in range(r)] for _ in range(n)]
+            right = [[rng.randint(0, 1) for _ in range(n)] for _ in range(r)]
+            q = [[sum(left[i][k] * right[k][j] for k in range(r)) % 2 for j in range(n)]
+                 for i in range(n)]
+        else:
+            q = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        solver = _GF2Solver([_to_bits(row) for row in q], n)
+        for _ in range(8):
+            rhs = [rng.randint(0, 1) for _ in range(n)]
+            want = list_gf2_solve(q, rhs)
+            got = solver.solve(_to_bits(rhs))
+            assert got == (None if want is None else tuple(want))
+            if got is None:
+                seen["inconsistent"] += 1
+                continue
+            assert [sum(a * x for a, x in zip(row, got)) % 2 for row in q] == rhs
+            seen["full rank" if len(solver.pivot_cols) == n else "rank deficient"] += 1
+    assert min(seen.values()) > 100, seen

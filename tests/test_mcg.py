@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,13 +11,15 @@ from realbook.mcg import (
     invert,
     times_word,
     transport_arc,
+    transport_arcs,
     twist_matrix,
     word,
     word_matrix,
     word_times,
     words_equal,
 )
-from realbook.surface import RefArc, standard_involution, standard_surface
+from realbook.openbook import StabilizationError, enumerate_sites, stabilize
+from realbook.surface import RefArc, entries, standard_involution, standard_surface
 
 
 @pytest.fixture
@@ -222,8 +225,91 @@ def test_kernels_match_dense_oracle_on_random_words(catalog_books):
             right = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)],
                               ncols=n)
             assert_kernels_match(model, w, left, right)
-            arc = RefArc(target_boundary=2,
-                         current_class=tuple(rng.randint(-2, 2) for _ in range(n)),
-                         pairings=tuple(rng.randint(-2, 2) for _ in range(n)))
-            out = transport_arc(model, w, arc)
-            assert (out.current_class, out.pairings) == reference_transport(model, w, arc)
+            arcs = [random_arc(rng, n) for _ in range(4)]
+            out = transport_arc(model, w, arcs[0])
+            assert (out.current_class, out.pairings) == reference_transport(model, w, arcs[0])
+            assert_transport_matches(model, w, arcs)
+
+
+def random_arc(rng, n):
+    """An arc with random pairings and a nonzero starting class."""
+    cls = (0,) * n
+    while not any(cls):
+        cls = tuple(rng.randint(-2, 2) for _ in range(n))
+    return RefArc(target_boundary=rng.randint(2, 5), current_class=cls,
+                  pairings=tuple(rng.randint(-2, 2) for _ in range(n)))
+
+
+def assert_transport_matches(model, w, arcs):
+    """transport_arcs on a batch against the per-arc, per-letter oracle."""
+    out = transport_arcs(model, w, arcs)
+    assert [arc.target_boundary for arc in out] == [arc.target_boundary for arc in arcs]
+    assert [(arc.current_class, arc.pairings) for arc in out] == \
+        [reference_transport(model, w, arc) for arc in arcs]
+
+
+def walk_books(seed, count, steps):
+    """Books reached by seeded walks of stabilizations from catalog entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ob = ENTRIES[rng.randrange(len(ENTRIES))].build()
+        for _step in range(steps):
+            sites = enumerate_sites(ob)
+            rng.shuffle(sites)
+            for tag, site in sites:
+                try:
+                    ob = stabilize(ob, tag, site)
+                except StabilizationError:
+                    continue
+                yield ob
+                break
+
+
+def test_transport_arcs_matches_oracle_on_catalog_ladders_and_walks():
+    books = [e.build() for e in ENTRIES]
+    for build in (catalog_fig4, catalog_fig5, catalog_fig6):
+        books += [build(k) for k in range(1, 11)]
+    books += list(walk_books(seed=5, count=12, steps=4))
+    rng = random.Random(3)
+    for ob in books:
+        page = ob.page
+        arcs = [arc for _cid, arc in sorted(page.ref_arcs.items())]
+        words = [ob.monodromy, invert(ob.monodromy)] + [r.sigma for r in ob.provenance]
+        for w in words:
+            assert_transport_matches(page, w, arcs)
+        if page.h1_rank:
+            assert_transport_matches(page, ob.monodromy,
+                                     arcs + [random_arc(rng, page.h1_rank) for _ in range(3)])
+
+
+def test_transport_arcs_rejects_arcs_of_the_wrong_length():
+    m = standard_surface(1, 2)
+    good = m.ref_arcs[2]
+    w = word([("a1", 1), ("d1", 2)])
+    for bad in (replace(good, pairings=good.pairings[:-1]),
+                replace(good, current_class=good.current_class + (0,))):
+        with pytest.raises(ValueError, match="reference arc to boundary 2"):
+            transport_arcs(m, w, [good, bad])
+
+
+def test_curve_vectors_cached_per_page_outside_the_fields():
+    m = standard_surface(2, 3)
+    text = repr(m)
+
+    def dense(v):
+        pairs = dict(entries(v))
+        assert len(pairs) == len(v) // 2 and all(pairs.values())
+        return tuple(pairs.get(i, 0) for i in range(m.h1_rank))
+
+    for name in m.alphabet:
+        a = m.curve(name).h1_class
+        vecs = m.curve_vectors(name)
+        assert vecs.a and dense(vecs.a) == a
+        assert dense(vecs.ja) == m.form.apply(a)
+        assert dense(vecs.jta) == m.form.transpose().apply(a)
+        assert m.curve_vectors(name) is vecs
+    assert repr(m) == text and m == standard_surface(2, 3)
+    copy = replace(m, disjoint=frozenset())
+    assert "_curve_vectors" in vars(m) and "_curve_vectors" not in vars(copy)
+    assert dense(copy.curve_vectors("a1").ja) == dense(m.curve_vectors("a1").ja)
+    assert copy._curve_vectors.keys() == {"a1"}
