@@ -18,6 +18,7 @@ from .surface import (
     FixArc,
     FixCircle,
     FixedSet,
+    entries,
     standard_involution,
     standard_surface,
 )
@@ -100,11 +101,11 @@ def catalog_lens_3punctured(p: int, q: int, r: int) -> OpenBook:
         pa = dict(arc.pair_arcs)
         for cid, _pid in arc.ends:
             w = exps[cid]
-            cls = page.curve(f"d{cid}").h1_class
-            row = page.form.transpose().apply(cls)
-            pc = [a + w * b for a, b in zip(pc, row)]
-            for tgt, refarc in page.ref_arcs.items():
-                pa[tgt] = pa.get(tgt, 0) - w * refarc.pairing_with_class(cls)
+            name = f"d{cid}"
+            for i, x in entries(page.curve_vectors(name).jta):
+                pc[i] += w * x
+            for tgt, cross in zip(sorted(page.ref_arcs), page.curve_tables(name)[1]):
+                pa[tgt] = pa.get(tgt, 0) - w * cross
         plus_arcs.append(FixArc(ends=arc.ends, pair_curves=tuple(pc), pair_arcs=pa))
     plus = FixedSet(arcs=tuple(plus_arcs))
     return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)

@@ -1,9 +1,9 @@
 """Real Heegaard data derived from a real open book.
 
 The two invariant pages glue to the splitting surface; the involution on
-it is carried as block data (the page actions of c and f o c plus the
-binding identifications).  The real part of the ambient manifold is the
-union of the two fixed sets, assembled into circles across the shared
+it is carried as block data: c acts on one page and f o c on the other,
+on first homology C and F C.  The real part of the ambient manifold is
+the union of the two fixed sets, assembled into circles across the shared
 binding fixed points; a component separates the splitting surface
 exactly when its mod-2 class vanishes, which the declared crossing data
 detects against an explicit basis.
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intalg import IntMatrix
-from .mcg import TwistWord
 from .openbook import OpenBook, Reality, check_reality
-from .surface import Involution, vec_dot
+from .surface import vec_dot
 
 
 class RealPartUnavailable(RuntimeError):
@@ -26,11 +25,7 @@ class RealPartUnavailable(RuntimeError):
 @dataclass(frozen=True)
 class HeegaardData:
     genus: int
-    gluing_involution: Involution          # c on the S- page
-    gluing_word: TwistWord                 # f, so the gluing map is f o c
-    minus_matrix: IntMatrix                # c on H1 of the page
-    plus_matrix: IntMatrix                 # f o c on H1 of the page
-    binding_fixed_points: dict
+    plus_matrix: IntMatrix                 # f o c on H1 of the page, F C
 
 
 @dataclass(frozen=True)
@@ -56,38 +51,33 @@ class RealPartData:
 
 
 def heegaard_data(ob: OpenBook) -> HeegaardData:
-    """The derived real splitting: genus and gluing block data."""
+    """The derived real splitting: its genus and the gluing block data
+    F C, the action of f o c on first homology of the page (the other
+    block, C, is the book's own real_structure.matrix)."""
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise ValueError("book is not real; no real Heegaard decomposition")
-    c = ob.real_structure.matrix
-    return HeegaardData(
-        genus=ob.heegaard_genus,
-        gluing_involution=ob.real_structure,
-        gluing_word=ob.monodromy,
-        minus_matrix=c,
-        plus_matrix=ob.monodromy_matrix @ c,
-        binding_fixed_points=dict(ob.real_structure.fixed_points),
-    )
+    return HeegaardData(genus=ob.heegaard_genus,
+                        plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
 
 
 def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
     """Closed-surface checks on the block data."""
     page = ob.page
     j = page.form
+    c = ob.real_structure.matrix
     out = []
     ident = IntMatrix.identity(page.h1_rank)
-    out.append(("minus_involution", hd.minus_matrix @ hd.minus_matrix == ident))
+    out.append(("minus_involution", c @ c == ident))
     out.append(("plus_involution", hd.plus_matrix @ hd.plus_matrix == ident))
     if page.h1_rank:
-        out.append(("minus_antisymplectic",
-                    hd.minus_matrix.transpose() @ j @ hd.minus_matrix == -j))
+        out.append(("minus_antisymplectic", c.transpose() @ j @ c == -j))
         out.append(("plus_antisymplectic",
                     hd.plus_matrix.transpose() @ j @ hd.plus_matrix == -j))
     # the splitting surface of two pages glued has genus rank H1(page)
     out.append(("genus", hd.genus == page.h1_rank))
     out.append(("minus_lefschetz",
-                ob.real_structure.fixed_set.arc_count == 1 - hd.minus_matrix.trace()))
+                ob.real_structure.fixed_set.arc_count == 1 - c.trace()))
     if ob.fix_plus is not None:
         out.append(("plus_lefschetz",
                     ob.fix_plus.arc_count == 1 - hd.plus_matrix.trace()))

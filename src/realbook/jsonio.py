@@ -7,6 +7,11 @@ the involution (matrix, boundary permutation, fixed points, fixed set),
 the tracked opposite-page fixed set, declared disjointness, and the
 stabilization provenance.  parse(dump(book)) reproduces the book
 structurally.
+
+A curve's pairing tables are derived data: the writer takes them from
+SurfaceModel.curve_tables, and the reader rejects stored tables that
+differ from that derivation, as it rejects a class or reference-arc row
+of the wrong length and a form that is not antisymmetric.
 """
 
 from __future__ import annotations
@@ -66,11 +71,12 @@ def to_obj(ob: OpenBook) -> dict:
             {
                 "name": c.name,
                 "h1_class": list(c.h1_class),
-                "pairings": list(c.pairings),
-                "arc_pairings": list(c.arc_pairings),
+                "pairings": list(pairings),
+                "arc_pairings": list(arc_pairings),
                 "c_image": list(inv.curve_image[c.name]) if c.name in inv.curve_image else None,
             }
             for c in sorted(page.alphabet.values(), key=lambda x: x.name)
+            for pairings, arc_pairings in [page.curve_tables(c.name)]
         ],
         "ref_arcs": [
             {"boundary": cid, "pairings": list(arc.pairings),
@@ -199,34 +205,38 @@ def from_obj(obj: dict) -> OpenBook:
     form = IntMatrix([_ints(r, "$.page.form") for r in form_rows], ncols=rank)
     if form.shape != (rank, rank):
         raise SchemaError("$.page.form must be square of basis size")
+    if form.transpose() != -form:
+        raise SchemaError("$.page.form must be antisymmetric")
 
     alphabet = {}
     images = {}
+    tables = []
     for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
-        name = str(_need(c, "name", f"$.alphabet[{i}]"))
-        alphabet[name] = NamedCurve(
-            name=name,
-            h1_class=_ints(_need(c, "h1_class", f"$.alphabet[{i}]"),
-                           f"$.alphabet[{i}].h1_class"),
-            pairings=_ints(_need(c, "pairings", f"$.alphabet[{i}]"),
-                           f"$.alphabet[{i}].pairings"),
-            arc_pairings=_ints(_need(c, "arc_pairings", f"$.alphabet[{i}]"),
-                               f"$.alphabet[{i}].arc_pairings"),
-        )
+        path = f"$.alphabet[{i}]"
+        name = str(_need(c, "name", path))
+        cls = _ints(_need(c, "h1_class", path), f"{path}.h1_class")
+        if len(cls) != rank:
+            raise SchemaError(f"{path}.h1_class has {len(cls)} entries, not the basis size {rank}")
+        alphabet[name] = NamedCurve(name=name, h1_class=cls)
+        tables.append((path, name, _ints(_need(c, "pairings", path), f"{path}.pairings"),
+                       _ints(_need(c, "arc_pairings", path), f"{path}.arc_pairings")))
         img = c.get("c_image")
         if img is not None:
-            images[name] = _pair(img, f"$.alphabet[{i}].c_image")
+            images[name] = _pair(img, f"{path}.c_image")
 
     ref_arcs = {}
     for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
-        cid = _int(_need(a, "boundary", f"$.ref_arcs[{i}]"), f"$.ref_arcs[{i}].boundary")
-        ref_arcs[cid] = RefArc(
+        path = f"$.ref_arcs[{i}]"
+        cid = _int(_need(a, "boundary", path), f"{path}.boundary")
+        arc = RefArc(
             target_boundary=cid,
-            current_class=_ints(a.get("current_class", [0] * rank),
-                                f"$.ref_arcs[{i}].current_class"),
-            pairings=_ints(_need(a, "pairings", f"$.ref_arcs[{i}]"),
-                           f"$.ref_arcs[{i}].pairings"),
+            current_class=_ints(a.get("current_class", [0] * rank), f"{path}.current_class"),
+            pairings=_ints(_need(a, "pairings", path), f"{path}.pairings"),
         )
+        if len(arc.current_class) != rank or len(arc.pairings) != rank:
+            raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
+                              f"pairing row of the wrong length for rank {rank}")
+        ref_arcs[cid] = arc
 
     disjoint = frozenset(
         frozenset(_names(pair, f"$.disjoint[{i}]"))
@@ -234,6 +244,10 @@ def from_obj(obj: dict) -> OpenBook:
     )
     page = SurfaceModel(genus=genus, circles=circles, basis=basis, form=form,
                         alphabet=alphabet, ref_arcs=ref_arcs, disjoint=disjoint)
+    for path, name, *stored in tables:
+        for key, got, want in zip(("pairings", "arc_pairings"), stored, page.curve_tables(name)):
+            if got != want:
+                raise SchemaError(f"{path}.{key} is {list(got)}, but the class gives {list(want)}")
 
     word: TwistWord = tuple(
         (str(_need(l, "curve", f"$.word[{i}]")),

@@ -536,14 +536,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     new_idx = list(range(b.a_idx, rank))
     _fix_ref_rows(b, new_idx)
 
-    # rebuild alphabet with extended classes and recomputed pairing tables
-    arc_order = sorted(b.arcs_rows)
-    alphabet: dict[str, NamedCurve] = {}
-    for name, cls in b.classes.items():
-        pair = tuple(form.apply(cls))
-        arcp = tuple(vec_dot(b.arcs_rows[cid], cls) for cid in arc_order)
-        alphabet[name] = NamedCurve(name=name, h1_class=cls, pairings=pair, arc_pairings=arcp)
-
+    alphabet = {name: NamedCurve(name=name, h1_class=cls) for name, cls in b.classes.items()}
     circles = tuple(
         BoundaryCircle(cid=cid, pclass=b.circles[cid]) for cid in sorted(b.circles)
     )
@@ -574,7 +567,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
 
     # drop curve images that the twist invalidates (sigma moves the curve);
     # the recorded c~ images survive only for curves sigma fixes
-    sigma_pairings = [form.apply(b.classes[s]) for s in sigma_names]
+    sigma_pairings = [page.curve_tables(s)[0] for s in sigma_names]
 
     def moved(name: str) -> bool:
         cls = b.classes[name]
@@ -725,12 +718,15 @@ def _solve_viii_data(
     chords may be forced to cross once, depending on the host).  Linear
     part: P_j . v = -1, P_k . v = +1, (1 - C) w = P_j + P_k and
     x (v - C^T v) + J w = 0; the radical conditions for the boundary
-    class, v . w = x m = (C^T v) . w, are bilinear.  So (m, x) runs over
-    m in (0, 1, -1), x in (1, -1); the linear system depends on x only
-    and is solved at most once per x, and for each (m, x) the solution
-    lattice is walked lazily (the particular solution, then combinations
-    of up to four kernel generators with coefficients -2..2) up to the
-    first point that meets the radical conditions.
+    class, v . w = x m = (C^T v) . w, are bilinear.  The second equality
+    holds on the whole solution lattice: x (v - C^T v) = -J w gives
+    (v - C^T v) . w = -w^T J w / x = 0, as J is antisymmetric (x = +-1).
+    So only v . w = x m is tested.  (m, x) runs over m in (0, 1, -1),
+    x in (1, -1); the linear system depends on x only and is solved at
+    most once per x, and for each (m, x) the solution lattice is walked
+    lazily (the particular solution, then combinations of up to four
+    kernel generators with coefficients -2..2) up to the first point
+    with v . w = x m.
     """
     n = old_rank
     ct = c_old.transpose()
@@ -758,7 +754,7 @@ def _solve_viii_data(
         target = x_coef * m
         for xx in _lattice_points(*sol):
             v, w = xx[:n], xx[n:]
-            if vec_dot(v, w) == target and vec_dot(ct.apply(v), w) == target:
+            if vec_dot(v, w) == target:
                 return v, w, x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 

@@ -1,10 +1,13 @@
 """Combinatorial model of a compact oriented page with boundary.
 
 A page is described by declared data: an integral basis of its first
-homology with the intersection form, a named curve alphabet with pairing
-tables, reference arcs from a basepoint boundary to every other
-boundary, and (for a real page) an orientation-reversing involution with
-its fixed-point set.
+homology with the intersection form, a named curve alphabet (each curve
+a name and a class), reference arcs from a basepoint boundary to every
+other boundary, and (for a real page) an orientation-reversing
+involution with its fixed-point set.  A curve's crossings with the
+basis and with the reference arcs follow from its class, the form and
+the arc rows; SurfaceModel.curve_vectors and curve_tables derive them,
+and nothing stores them.
 
 Conventions fixed here once and used everywhere else:
 
@@ -60,12 +63,11 @@ def entries(v: Sparse) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class NamedCurve:
-    """A named simple closed curve with declared homological data."""
+    """A named simple closed curve and its class; its crossing tables are
+    derived from the class by SurfaceModel.curve_tables."""
 
     name: str
     h1_class: Vec
-    pairings: Vec        # <x_j, curve> for each basis class x_j, equals J @ h1_class
-    arc_pairings: Vec    # <gamma_i, curve> for reference arcs in ref-arc order
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,6 @@ class RefArc:
     target_boundary: int
     current_class: Vec
     pairings: Vec
-
-    def pairing_with_class(self, cls: Sequence[int]) -> int:
-        return vec_dot(self.pairings, cls)
 
 
 @dataclass(frozen=True)
@@ -211,6 +210,19 @@ class SurfaceModel:
             vecs = self._curve_vectors[name] = CurveVectors(a, self.form.rows)
         return vecs
 
+    def curve_tables(self, name: str) -> tuple[Vec, Vec]:
+        """A curve's crossing tables: J a (<x_j, a> for each basis class)
+        and its crossing with each reference arc, in sorted boundary order."""
+        vecs = self.curve_vectors(name)
+        pairings = [0] * self.h1_rank
+        for i, x in entries(vecs.ja):
+            pairings[i] = x
+        rows = [arc.pairings for _cid, arc in sorted(self.ref_arcs.items())]
+        arc_pairings = [0] * len(rows)
+        for i, x in entries(vecs.a):
+            arc_pairings = [s + row[i] * x for s, row in zip(arc_pairings, rows)]
+        return tuple(pairings), tuple(arc_pairings)
+
 
 class CurveVectors:
     """Sparse a, J a and J^T a for the class a of one curve on a page.
@@ -293,12 +305,7 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
             # vector; linearity over the basis already encodes it
         arc_rows[i] = _vec(row)
 
-    arc_order = list(range(2, b + 1))
-    alphabet: dict[str, NamedCurve] = {}
-    for name, cls in classes.items():
-        pair = _vec(IntMatrix(form.rows, ncols=rank).apply(cls)) if rank else ()
-        arcp = tuple(vec_dot(arc_rows[i], cls) for i in arc_order)
-        alphabet[name] = NamedCurve(name=name, h1_class=cls, pairings=pair, arc_pairings=arcp)
+    alphabet = {name: NamedCurve(name=name, h1_class=cls) for name, cls in classes.items()}
 
     circles = tuple(BoundaryCircle(cid=i, pclass=classes[f"d{i}"]) for i in range(1, b + 1))
 

@@ -57,6 +57,25 @@ def test_round_trip_identity_on_catalog():
         assert loads(dumps(ob)) == ob, e.name
 
 
+def test_written_tables_equal_dense_derivation():
+    """The pairing tables that dumps writes are J @ h1_class and the dot
+    of the class with each reference-arc row, in sorted boundary order."""
+    from realbook.catalog import catalog_fig4, catalog_fig5, catalog_fig6
+
+    books = [e.build() for e in ENTRIES]
+    books += [ladder(k) for ladder in (catalog_fig4, catalog_fig5, catalog_fig6)
+              for k in range(1, 9)]
+    for ob in books:
+        obj = json.loads(dumps(ob))
+        form = obj["page"]["form"]
+        rows = [arc["pairings"] for arc in sorted(obj["ref_arcs"], key=lambda a: a["boundary"])]
+        for curve in obj["alphabet"]:
+            cls = curve["h1_class"]
+            assert curve["pairings"] == [sum(r * x for r, x in zip(row, cls)) for row in form]
+            assert curve["arc_pairings"] == [sum(r * x for r, x in zip(row, cls))
+                                             for row in rows]
+
+
 def test_new_canonicalizes(monkeypatch):
     _code, book_json = run_cli(["catalog", "hopf", "swap"])
     code, out = run_cli(["new"], book_json, monkeypatch)
@@ -137,18 +156,29 @@ def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
 
+# every subcommand that reads a book, each with arguments it accepts on
+# the valid lens-annulus 3 book
+BOOK_COMMANDS = [
+    ["new"], ["invariants"], ["heegaard"], ["validate"], ["reality"],
+    ["stabilize", "--type", "III", "--site", '{"boundary": 1}'],
+]
+
+
 def assert_mutation_exits_2(field, value, path, monkeypatch, capsys):
-    """Set one field of a valid book to value: invariants must exit 2
-    with an error line that starts with the field's path."""
+    """Set one field of a valid book to value: every subcommand that
+    reads a book must exit 2 with an error line that starts with the
+    field's path."""
     _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
     bad = json.loads(book_json)
     target = bad
     for key in field[:-1]:
         target = target[key]
     target[field[-1]] = value
-    code, _ = run_cli(["invariants"], json.dumps(bad), monkeypatch)
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {path} ")
+    capsys.readouterr()
+    for argv in BOOK_COMMANDS:
+        code, out = run_cli(argv, json.dumps(bad), monkeypatch)
+        assert (code, out) == (2, ""), argv
+        assert capsys.readouterr().err.startswith(f"error: {path} "), argv
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -158,8 +188,13 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys):
     (("disjoint", 0), 5, "$.disjoint[0]"),
     (("word", 0, "exp"), [1], "$.word[0].exp"),
     (("word",), 3, "$.word"),
+    (("alphabet", 0, "pairings"), [1], "$.alphabet[0].pairings"),
+    (("alphabet", 0, "arc_pairings"), [0], "$.alphabet[0].arc_pairings"),
+    (("alphabet", 0, "h1_class"), [1, 0], "$.alphabet[0].h1_class"),
+    (("page", "form"), [[1]], "$.page.form"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
-        "word-exp-list", "word-number"])
+        "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
+        "class-wrong-length", "form-not-antisymmetric"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
@@ -281,11 +316,12 @@ def test_contact_non_finite_k_is_exit_2(k, capsys):
     assert capsys.readouterr().err.startswith("error: K must be finite")
 
 
-def test_ref_arc_row_of_wrong_length_is_exit_2(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", BOOK_COMMANDS[1:], ids=lambda argv: argv[0])
+def test_ref_arc_row_of_wrong_length_is_exit_2(argv, monkeypatch, capsys):
     _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
     bad = json.loads(book_json)
     bad["ref_arcs"][0]["pairings"] = []
-    code, out = run_cli(["invariants"], json.dumps(bad), monkeypatch)
+    code, out = run_cli(argv, json.dumps(bad), monkeypatch)
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: reference arc to boundary 2")

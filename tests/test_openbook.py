@@ -353,3 +353,21 @@ def test_viii_search_matches_eager_search():
         seen.add("refused" if got[0] == "refused" else (got[2], got[3]))
     # the inputs reach refusals and both signs of x
     assert {"refused", (1, 0), (-1, 0)} <= seen
+
+
+def test_viii_search_solutions_meet_both_radical_conditions():
+    """The search tests only v . w = x m; (C^T v) . w = v . w holds on
+    every point of its solution lattice, as its docstring proves."""
+    from realbook.openbook import _solve_viii_data
+
+    solved = 0
+    for args in viii_oracle_inputs():
+        got = viii_outcome(_solve_viii_data, *args)
+        if got[0] == "refused":
+            continue
+        v, w, x, m = got
+        c = args[3].rows
+        ctv = [sum(c[i][u] * v[i] for i in range(len(v))) for u in range(len(v))]
+        assert sum(a * b for a, b in zip(ctv, w)) == sum(a * b for a, b in zip(v, w)) == x * m
+        solved += 1
+    assert solved
