@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Books travel as JSON (schema 1, see jsonio) on stdin/stdout or files,
+Books travel as JSON (schema 2, see jsonio) on stdin/stdout or files,
 so subcommands compose in pipelines:
 
     realbook catalog fig4 3 | realbook invariants
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog as _catalog
@@ -71,19 +70,6 @@ def _emit_json(obj, out: str | None) -> None:
 
 def _group_obj(g: AbelianGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "pretty": str(g)}
-
-
-def _default_grid() -> int:
-    env = os.environ.get("REALBOOK_GRID")
-    if not env:
-        return 50
-    try:
-        grid = int(env)
-    except ValueError:
-        raise SchemaError(f"REALBOOK_GRID must be an integer, got {env!r}")
-    if grid < 2:
-        raise SchemaError(f"REALBOOK_GRID must be at least 2, got {grid}")
-    return grid
 
 
 def _parse_family(tag: str) -> int:
@@ -167,7 +153,7 @@ def cmd_heegaard(args) -> int:
 
 def cmd_contact(args) -> int:
     family = _parse_family(args.family)
-    grid = _default_grid() if args.grid is None else args.grid
+    grid = args.grid
     if grid < 2:
         raise SchemaError(f"--grid must be at least 2, got {grid}")
     if args.find_threshold:
@@ -253,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="disk or annulus:N")
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--find-threshold", action="store_true")
-    p.add_argument("--grid", type=int, default=None,
-                   help="grid resolution (default 50, or REALBOOK_GRID)")
+    p.add_argument("--grid", type=int, default=50, help="grid resolution (default 50)")
     p.add_argument("--eps", type=float, default=0.1)
     add_io(p, needs_in=False)
     p.set_defaults(fn=cmd_contact)

@@ -1,17 +1,21 @@
-"""Versioned JSON schema for open books (schema: 1).
+"""Versioned JSON schema for open books (written as schema 2).
 
 Books are shareable fixtures: the schema covers the page (genus,
 boundary circles with their pushoff classes), the curve alphabet with
-pairing tables and involution images, reference arcs, the twist word,
-the involution (matrix, boundary permutation, fixed points, fixed set),
-the tracked opposite-page fixed set, declared disjointness, and the
+classes and involution images, reference arcs, the twist word, the
+involution (matrix, boundary permutation, fixed points, fixed set), the
+tracked opposite-page fixed set, declared disjointness, and the
 stabilization provenance.  parse(dump(book)) reproduces the book
 structurally.
 
-A curve's pairing tables are derived data: the writer takes them from
-SurfaceModel.curve_tables, and the reader rejects stored tables that
-differ from that derivation, as it rejects a class or reference-arc row
-of the wrong length and a form that is not antisymmetric.
+A curve's pairing tables (`pairings`, J times its class, and
+`arc_pairings`, its crossing with each reference arc) are derived data,
+so schema 2 does not store them.  Schema 1 is schema 2 plus these two
+tables on every curve.  One parser reads both: each table is optional,
+and one that is present must equal SurfaceModel.curve_tables.  The
+reader also rejects a form that is not antisymmetric and any class,
+pushoff class, crossing vector or reference-arc row whose length is not
+the basis size.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .surface import (
     SurfaceModel,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+READABLE_SCHEMAS = (1, 2)
+CURVE_TABLES = ("pairings", "arc_pairings")
 
 
 class SchemaError(ValueError):
@@ -71,12 +77,9 @@ def to_obj(ob: OpenBook) -> dict:
             {
                 "name": c.name,
                 "h1_class": list(c.h1_class),
-                "pairings": list(pairings),
-                "arc_pairings": list(arc_pairings),
                 "c_image": list(inv.curve_image[c.name]) if c.name in inv.curve_image else None,
             }
             for c in sorted(page.alphabet.values(), key=lambda x: x.name)
-            for pairings, arc_pairings in [page.curve_tables(c.name)]
         ],
         "ref_arcs": [
             {"boundary": cid, "pairings": list(arc.pairings),
@@ -114,6 +117,14 @@ def _ints(x: Any, path: str) -> tuple[int, ...]:
     if not isinstance(x, list) or not all(isinstance(v, int) for v in x):
         raise SchemaError(f"{path} must be a list of integers")
     return tuple(x)
+
+
+def _vec(x: Any, path: str, rank: int) -> tuple[int, ...]:
+    """A list of integers of the basis size."""
+    v = _ints(x, path)
+    if len(v) != rank:
+        raise SchemaError(f"{path} has {len(v)} entries, not the basis size {rank}")
+    return v
 
 
 def _list(x: Any, path: str) -> list:
@@ -165,7 +176,7 @@ def _end(x: Any, path: str) -> tuple[int, int]:
     return end
 
 
-def _parse_fixed_set(obj: Any, path: str) -> FixedSet:
+def _parse_fixed_set(obj: Any, path: str, rank: int) -> FixedSet:
     arcs = []
     for i, a in enumerate(_list(_need(obj, "arcs", path), f"{path}.arcs")):
         apath = f"{path}.arcs[{i}]"
@@ -174,12 +185,12 @@ def _parse_fixed_set(obj: Any, path: str) -> FixedSet:
             raise SchemaError(f"{apath}.ends must have two entries")
         arcs.append(FixArc(
             ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
-            pair_curves=_ints(_need(a, "pair_curves", apath), f"{apath}.pair_curves"),
+            pair_curves=_vec(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank),
             pair_arcs=_int_keyed(_need(a, "pair_arcs", apath), f"{apath}.pair_arcs", _int),
         ))
     circles = [
-        FixCircle(h1_class=_ints(_need(c, "h1_class", f"{path}.circles[{i}]"),
-                                 f"{path}.circles[{i}].h1_class"))
+        FixCircle(h1_class=_vec(_need(c, "h1_class", f"{path}.circles[{i}]"),
+                                f"{path}.circles[{i}].h1_class", rank))
         for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
     ]
     return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
@@ -188,19 +199,19 @@ def _parse_fixed_set(obj: Any, path: str) -> FixedSet:
 def from_obj(obj: dict) -> OpenBook:
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f"schema must be {SCHEMA_VERSION}, got {obj.get('schema')!r}")
+    if obj.get("schema") not in READABLE_SCHEMAS:
+        raise SchemaError(f"schema must be one of {READABLE_SCHEMAS}, got {obj.get('schema')!r}")
     pg = _need(obj, "page", "$")
     genus = _int(_need(pg, "genus", "$.page"), "$.page.genus")
+    basis = tuple(str(x) for x in _list(_need(pg, "basis", "$.page"), "$.page.basis"))
+    rank = len(basis)
     circles = tuple(
         BoundaryCircle(cid=_int(_need(c, "id", f"$.page.boundary[{i}]"),
                                 f"$.page.boundary[{i}].id"),
-                       pclass=_ints(_need(c, "pclass", f"$.page.boundary[{i}]"),
-                                    f"$.page.boundary[{i}].pclass"))
+                       pclass=_vec(_need(c, "pclass", f"$.page.boundary[{i}]"),
+                                   f"$.page.boundary[{i}].pclass", rank))
         for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary"))
     )
-    basis = tuple(str(x) for x in _list(_need(pg, "basis", "$.page"), "$.page.basis"))
-    rank = len(basis)
     form_rows = _list(_need(pg, "form", "$.page"), "$.page.form")
     form = IntMatrix([_ints(r, "$.page.form") for r in form_rows], ncols=rank)
     if form.shape != (rank, rank):
@@ -214,12 +225,11 @@ def from_obj(obj: dict) -> OpenBook:
     for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
         path = f"$.alphabet[{i}]"
         name = str(_need(c, "name", path))
-        cls = _ints(_need(c, "h1_class", path), f"{path}.h1_class")
-        if len(cls) != rank:
-            raise SchemaError(f"{path}.h1_class has {len(cls)} entries, not the basis size {rank}")
+        cls = _vec(_need(c, "h1_class", path), f"{path}.h1_class", rank)
         alphabet[name] = NamedCurve(name=name, h1_class=cls)
-        tables.append((path, name, _ints(_need(c, "pairings", path), f"{path}.pairings"),
-                       _ints(_need(c, "arc_pairings", path), f"{path}.arc_pairings")))
+        stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
+        if stored:
+            tables.append((path, name, stored))
         img = c.get("c_image")
         if img is not None:
             images[name] = _pair(img, f"{path}.c_image")
@@ -244,10 +254,11 @@ def from_obj(obj: dict) -> OpenBook:
     )
     page = SurfaceModel(genus=genus, circles=circles, basis=basis, form=form,
                         alphabet=alphabet, ref_arcs=ref_arcs, disjoint=disjoint)
-    for path, name, *stored in tables:
-        for key, got, want in zip(("pairings", "arc_pairings"), stored, page.curve_tables(name)):
-            if got != want:
-                raise SchemaError(f"{path}.{key} is {list(got)}, but the class gives {list(want)}")
+    for path, name, stored in tables:
+        for key, want in zip(CURVE_TABLES, page.curve_tables(name)):
+            if stored.get(key, want) != want:
+                raise SchemaError(f"{path}.{key} is {list(stored[key])}, "
+                                  f"but the class gives {list(want)}")
 
     word: TwistWord = tuple(
         (str(_need(l, "curve", f"$.word[{i}]")),
@@ -273,12 +284,12 @@ def from_obj(obj: dict) -> OpenBook:
         boundary_perm=perm,
         fixed_points=fixed_points,
         fixed_set=_parse_fixed_set(_need(iv, "fixed_set", "$.involution"),
-                                   "$.involution.fixed_set"),
+                                   "$.involution.fixed_set", rank),
         curve_image=images,
     )
 
     fp = obj.get("fix_plus")
-    fix_plus = _parse_fixed_set(fp, "$.fix_plus") if fp is not None else None
+    fix_plus = _parse_fixed_set(fp, "$.fix_plus", rank) if fp is not None else None
 
     provenance = []
     records = obj.get("provenance", [])

@@ -8,6 +8,7 @@ import pytest
 from realbook.catalog import ENTRIES
 from realbook.cli import main
 from realbook.jsonio import SCHEMA_VERSION, dumps, loads
+from schema1 import as_schema1
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -58,22 +59,22 @@ def test_round_trip_identity_on_catalog():
 
 
 def test_written_tables_equal_dense_derivation():
-    """The pairing tables that dumps writes are J @ h1_class and the dot
-    of the class with each reference-arc row, in sorted boundary order."""
+    """dumps writes schema 2, without pairing tables; the tables that a
+    schema-1 text carries (J @ h1_class and the dot of the class with each
+    reference-arc row, in sorted boundary order) equal curve_tables."""
     from realbook.catalog import catalog_fig4, catalog_fig5, catalog_fig6
 
     books = [e.build() for e in ENTRIES]
     books += [ladder(k) for ladder in (catalog_fig4, catalog_fig5, catalog_fig6)
               for k in range(1, 9)]
     for ob in books:
-        obj = json.loads(dumps(ob))
-        form = obj["page"]["form"]
-        rows = [arc["pairings"] for arc in sorted(obj["ref_arcs"], key=lambda a: a["boundary"])]
-        for curve in obj["alphabet"]:
-            cls = curve["h1_class"]
-            assert curve["pairings"] == [sum(r * x for r, x in zip(row, cls)) for row in form]
-            assert curve["arc_pairings"] == [sum(r * x for r, x in zip(row, cls))
-                                             for row in rows]
+        text = dumps(ob)
+        obj = json.loads(text)
+        assert obj["schema"] == 2
+        assert all(set(c) == {"name", "h1_class", "c_image"} for c in obj["alphabet"])
+        for curve in json.loads(as_schema1(text))["alphabet"]:
+            tables = (tuple(curve["pairings"]), tuple(curve["arc_pairings"]))
+            assert ob.page.curve_tables(curve["name"]) == tables
 
 
 def test_new_canonicalizes(monkeypatch):
@@ -164,21 +165,23 @@ BOOK_COMMANDS = [
 ]
 
 
-def assert_mutation_exits_2(field, value, path, monkeypatch, capsys):
-    """Set one field of a valid book to value: every subcommand that
-    reads a book must exit 2 with an error line that starts with the
-    field's path."""
-    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
-    bad = json.loads(book_json)
-    target = bad
-    for key in field[:-1]:
-        target = target[key]
-    target[field[-1]] = value
-    capsys.readouterr()
-    for argv in BOOK_COMMANDS:
-        code, out = run_cli(argv, json.dumps(bad), monkeypatch)
-        assert (code, out) == (2, ""), argv
-        assert capsys.readouterr().err.startswith(f"error: {path} "), argv
+def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
+                            book=("lens-annulus", "3")):
+    """Set one field of a valid book, written as schema 2 and as schema 1,
+    to value: every subcommand that reads a book must exit 2 with an
+    error line that starts with the field's path."""
+    _code, book_json = run_cli(["catalog", *book])
+    for text in (book_json, as_schema1(book_json)):
+        bad = json.loads(text)
+        target = bad
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        capsys.readouterr()
+        for argv in BOOK_COMMANDS:
+            code, out = run_cli(argv, json.dumps(bad), monkeypatch)
+            assert (code, out) == (2, ""), (bad["schema"], argv)
+            assert capsys.readouterr().err.startswith(f"error: {path} "), (bad["schema"], argv)
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -192,18 +195,34 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys):
     (("alphabet", 0, "arc_pairings"), [0], "$.alphabet[0].arc_pairings"),
     (("alphabet", 0, "h1_class"), [1, 0], "$.alphabet[0].h1_class"),
     (("page", "form"), [[1]], "$.page.form"),
+    (("page", "boundary", 0, "pclass"), [], "$.page.boundary[0].pclass"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
-        "class-wrong-length", "form-not-antisymmetric"])
+        "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("book, field, value, path", [
+    (("lens-annulus", "3"), ("involution", "fixed_set", "arcs", 0, "pair_curves"), [],
+     "$.involution.fixed_set.arcs[0].pair_curves"),
+    (("lens-annulus", "3"), ("fix_plus", "arcs", 0, "pair_curves"), [1, 2, 3],
+     "$.fix_plus.arcs[0].pair_curves"),
+    (("hopf", "swap"), ("involution", "fixed_set", "circles"), [{"h1_class": [1, 0]}],
+     "$.involution.fixed_set.circles[0].h1_class"),
+    (("hopf", "swap"), ("fix_plus", "circles", 0, "h1_class"), [1, 2],
+     "$.fix_plus.circles[0].h1_class"),
+], ids=["arc-pair-curves", "plus-arc-pair-curves", "circle-class", "plus-circle-class"])
+def test_fixed_set_vector_of_wrong_length_is_exit_2(book, field, value, path,
+                                                     monkeypatch, capsys):
+    assert_mutation_exits_2(field, value, path, monkeypatch, capsys, book)
 
 
 def test_wrong_schema_version_rejected():
     from realbook.jsonio import SchemaError, from_obj
 
-    with pytest.raises(SchemaError):
-        from_obj({"schema": 2})
+    with pytest.raises(SchemaError, match="schema must be one of"):
+        from_obj({"schema": 3})
 
 
 def test_serialization_deterministic():
@@ -284,28 +303,12 @@ def test_out_flag_writes_file(tmp_path):
     assert json.loads(target.read_text())["schema"] == SCHEMA_VERSION
 
 
-def test_grid_env_override(monkeypatch):
-    monkeypatch.setenv("REALBOOK_GRID", "12")
-    code, report = run_cli(["contact", "--family", "disk", "--K", "5"])
-    assert code == 0
-    assert json.loads(report)["grid"] == 12
-
-
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_contact_grid_below_two_is_exit_2(grid, capsys):
     code, out = run_cli(["contact", "--family", "disk", "--grid", grid])
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --grid must be at least 2")
-
-
-@pytest.mark.parametrize("grid", ["1", "0", "-3"])
-def test_grid_env_below_two_is_exit_2(grid, monkeypatch, capsys):
-    monkeypatch.setenv("REALBOOK_GRID", grid)
-    code, out = run_cli(["contact", "--family", "disk", "--K", "5"])
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err.startswith("error: REALBOOK_GRID must be at least 2")
 
 
 @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])

@@ -3,11 +3,15 @@
 GOLDEN is one SHA-256 over the JSON, H1 and reality verdict of every
 catalog entry, of the fig4/5/6 ladders up to k = 10 and of seeded
 stabilization walks, including the message of every refused site the
-walks try.  GOLDEN_REAL is a second SHA-256 over the same books: their
-H1, the Heegaard checks and the real part (pieces and mod-2 class of
-every component, or the refusal).  A refactor or speed-up of the exact
-algebra must leave both unchanged; a deliberate change of output must
-update them together with a note of why the outputs moved.
+walks try.  GOLDEN_SCHEMA1 is the same digest with each book's JSON
+rendered as schema 1 by tests/schema1.py; it is the GOLDEN of the
+schema-1 writer, so it pins that the schema-2 text loses nothing.  Every
+book must also load back from both texts.  GOLDEN_REAL is a third
+SHA-256 over the same books: their H1, the Heegaard checks and the real
+part (pieces and mod-2 class of every component, or the refusal).  A
+refactor or speed-up of the exact algebra must leave all three
+unchanged; a deliberate change of output must update them together with
+a note of why the outputs moved.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import pytest
 
 from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5, catalog_fig6
 from realbook.heegaard import RealPartUnavailable, heegaard_data, real_part, validate_heegaard
-from realbook.jsonio import dumps
+from realbook.jsonio import dumps, loads
 from realbook.openbook import (
     StabilizationError,
     check_reality,
@@ -25,22 +29,43 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
+from schema1 import as_schema1
 
-GOLDEN = "b13d294277f54bb7c68b88410f9c99cb54551fb96718edc3fc568a5a8901cdcf"
+GOLDEN = "7d279dddbf13d7145c7d3f5af3fcf1130ec579414a745a7f625cd68190c22388"
+GOLDEN_SCHEMA1 = "b13d294277f54bb7c68b88410f9c99cb54551fb96718edc3fc568a5a8901cdcf"
 GOLDEN_REAL = "1e98707ef1960f4f366cb0e1f89c26ce4d91446c2c992e78032f5583182b3c9f"
 
 LADDER_TOP = 10
 
 
-def _record(hashes, label, ob):
-    h, hr = hashes
+class _Digests:
+    """The running digests, and the labels of books that do not load back
+    from both their schema-2 and schema-1 texts."""
+
+    def __init__(self):
+        self.json2, self.json1, self.real = (hashlib.sha256() for _ in range(3))
+        self.unequal = []
+
+    def update(self, line):
+        """Add a line that the two JSON digests share."""
+        self.json2.update(line.encode())
+        self.json1.update(line.encode())
+
+
+def _record(d, label, ob):
     status = check_reality(ob)
     h1 = h1_of_manifold(ob)
-    h.update(f"{label}\n".encode())
-    h.update(dumps(ob).encode())
-    h.update(f"\nH1 {h1!r}\n".encode())
-    h.update(f"reality {status.kind.value} {status.witness!r}\n".encode())
+    text = dumps(ob)
+    old = as_schema1(text)
+    if not loads(old) == loads(text) == ob:
+        d.unequal.append(label)
+    d.update(f"{label}\n")
+    d.json2.update(text.encode())
+    d.json1.update(old.encode())
+    d.update(f"\nH1 {h1!r}\n")
+    d.update(f"reality {status.kind.value} {status.witness!r}\n")
 
+    hr = d.real
     hr.update(f"{label}\nH1 {h1!r}\n".encode())
     try:
         checks = validate_heegaard(heegaard_data(ob), ob)
@@ -77,7 +102,7 @@ def _ladders():
         yield f"fig6-{k}", ob
 
 
-def _walks(hashes, seed, count, steps):
+def _walks(d, seed, count, steps):
     rng = random.Random(seed)
     for n in range(count):
         ob = ENTRIES[rng.randrange(len(ENTRIES))].build()
@@ -88,24 +113,24 @@ def _walks(hashes, seed, count, steps):
                 try:
                     nxt = stabilize(ob, tag, site)
                 except StabilizationError as e:
-                    hashes[0].update(f"refused {tag} {sorted(site.items())!r}: {e}\n".encode())
+                    d.update(f"refused {tag} {sorted(site.items())!r}: {e}\n")
                     continue
                 ob = nxt
-                _record(hashes, f"walk {seed}/{n}/{step} {tag} {sorted(site.items())!r}", ob)
+                _record(d, f"walk {seed}/{n}/{step} {tag} {sorted(site.items())!r}", ob)
                 break
             else:
                 break
 
 
 def golden_digests():
-    """(GOLDEN, GOLDEN_REAL) of the current code, from one pass over the books."""
-    hashes = (hashlib.sha256(), hashlib.sha256())
+    """The digests of the current code, from one pass over the books."""
+    d = _Digests()
     for e in ENTRIES:
-        _record(hashes, e.name, e.build())
+        _record(d, e.name, e.build())
     for label, ob in _ladders():
-        _record(hashes, label, ob)
-    _walks(hashes, seed=2024, count=40, steps=6)
-    return tuple(h.hexdigest() for h in hashes)
+        _record(d, label, ob)
+    _walks(d, seed=2024, count=40, steps=6)
+    return d
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +139,22 @@ def digests():
 
 
 def test_golden_digest(digests):
-    assert digests[0] == GOLDEN
+    assert digests.json2.hexdigest() == GOLDEN
+
+
+def test_golden_schema1_digest(digests):
+    assert digests.json1.hexdigest() == GOLDEN_SCHEMA1
+
+
+def test_golden_books_load_from_both_schemas(digests):
+    assert digests.unequal == []
 
 
 def test_golden_real_part_digest(digests):
-    assert digests[1] == GOLDEN_REAL
+    assert digests.real.hexdigest() == GOLDEN_REAL
 
 
 if __name__ == "__main__":
-    print(*golden_digests(), sep="\n")
+    d = golden_digests()
+    print(f"GOLDEN {d.json2.hexdigest()}\nGOLDEN_SCHEMA1 {d.json1.hexdigest()}\n"
+          f"GOLDEN_REAL {d.real.hexdigest()}\nnot loaded back: {d.unequal}")
