@@ -49,9 +49,10 @@ class IntMatrix:
 
     @staticmethod
     def _trusted(rows: Iterable[Sequence[int]], ncols: int) -> "IntMatrix":
-        """Wrap rows computed here from the entries of IntMatrix values:
-        they are ints of width ncols already, so the normalisation and
-        the width checks of __init__, most of its cost, are skipped."""
+        """Wrap rows known to be ints of width ncols already: computed
+        here from the entries of IntMatrix values, or checked so by the
+        book reader.  The normalisation and the width checks of
+        __init__, most of its cost, are skipped."""
         m = object.__new__(IntMatrix)
         m.rows = tuple(map(tuple, rows))
         m.nrows = len(m.rows)

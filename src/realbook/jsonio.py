@@ -16,6 +16,13 @@ and one that is present must equal SurfaceModel.curve_tables.  The
 reader also rejects a form that is not antisymmetric and any class,
 pushoff class, crossing vector or reference-arc row whose length is not
 the basis size.
+
+On disk `dumps` writes one top-level field per line, in sorted key
+order, each value compact with sorted keys (the stdlib C encoder; an
+`indent` would force its pure-Python one).  The reader takes any JSON
+whitespace.  Where the schema has an integer it takes only a JSON
+integer: `true` and `2.0` are SchemaErrors, though Python's bool is an
+int and `2.0 == 2`.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .surface import (
 SCHEMA_VERSION = 2
 READABLE_SCHEMAS = (1, 2)
 CURVE_TABLES = ("pairings", "arc_pairings")
+_INT_TYPE = frozenset((int,))
 
 
 class SchemaError(ValueError):
@@ -114,7 +122,9 @@ def _need(obj: dict, key: str, path: str) -> Any:
 
 
 def _ints(x: Any, path: str) -> tuple[int, ...]:
-    if not isinstance(x, list) or not all(isinstance(v, int) for v in x):
+    """A list of integers; a JSON boolean or float is not one, though
+    Python's bool is an int subclass."""
+    if not isinstance(x, list) or not _INT_TYPE.issuperset(map(type, x)):
         raise SchemaError(f"{path} must be a list of integers")
     return tuple(x)
 
@@ -125,6 +135,14 @@ def _vec(x: Any, path: str, rank: int) -> tuple[int, ...]:
     if len(v) != rank:
         raise SchemaError(f"{path} has {len(v)} entries, not the basis size {rank}")
     return v
+
+
+def _square(x: Any, path: str, rank: int) -> IntMatrix:
+    """A square integer matrix of the basis size, one list per row."""
+    rows = [_vec(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path))]
+    if len(rows) != rank:
+        raise SchemaError(f"{path} must be square of basis size")
+    return IntMatrix._trusted(rows, rank)
 
 
 def _list(x: Any, path: str) -> list:
@@ -149,21 +167,22 @@ def _int_keyed(x: Any, path: str, value: Callable[[Any, str], Any]) -> dict[int,
 
 
 def _int(x: Any, path: str) -> int:
-    if not isinstance(x, int):
+    if type(x) is not int:
         raise SchemaError(f"{path} must be an integer")
     return x
 
 
 def _pair(x: Any, path: str) -> tuple[str, int]:
     if not (isinstance(x, list) and len(x) == 2
-            and isinstance(x[0], str) and isinstance(x[1], int)):
+            and isinstance(x[0], str) and type(x[1]) is int):
         raise SchemaError(f"{path} must be a [name, integer] pair")
     return (x[0], x[1])
 
 
 def _names(x: Any, path: str) -> tuple[str, str]:
     """A pair of curve names."""
-    if not (isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)):
+    if not (isinstance(x, list) and len(x) == 2
+            and isinstance(x[0], str) and isinstance(x[1], str)):
         raise SchemaError(f"{path} must be a pair of curve names")
     return (x[0], x[1])
 
@@ -199,8 +218,9 @@ def _parse_fixed_set(obj: Any, path: str, rank: int) -> FixedSet:
 def from_obj(obj: dict) -> OpenBook:
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
-    if obj.get("schema") not in READABLE_SCHEMAS:
-        raise SchemaError(f"schema must be one of {READABLE_SCHEMAS}, got {obj.get('schema')!r}")
+    version = obj.get("schema")
+    if type(version) is not int or version not in READABLE_SCHEMAS:
+        raise SchemaError(f"$.schema must be one of {READABLE_SCHEMAS}, got {version!r}")
     pg = _need(obj, "page", "$")
     genus = _int(_need(pg, "genus", "$.page"), "$.page.genus")
     basis = tuple(str(x) for x in _list(_need(pg, "basis", "$.page"), "$.page.basis"))
@@ -212,10 +232,7 @@ def from_obj(obj: dict) -> OpenBook:
                                    f"$.page.boundary[{i}].pclass", rank))
         for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary"))
     )
-    form_rows = _list(_need(pg, "form", "$.page"), "$.page.form")
-    form = IntMatrix([_ints(r, "$.page.form") for r in form_rows], ncols=rank)
-    if form.shape != (rank, rank):
-        raise SchemaError("$.page.form must be square of basis size")
+    form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
     if form.transpose() != -form:
         raise SchemaError("$.page.form must be antisymmetric")
 
@@ -270,11 +287,7 @@ def from_obj(obj: dict) -> OpenBook:
             raise SchemaError(f"$.word uses unknown curve {name!r}")
 
     iv = _need(obj, "involution", "$")
-    matrix = IntMatrix([_ints(r, "$.involution.matrix")
-                        for r in _list(_need(iv, "matrix", "$.involution"),
-                                       "$.involution.matrix")], ncols=rank)
-    if matrix.shape != (rank, rank):
-        raise SchemaError("$.involution.matrix must be square of basis size")
+    matrix = _square(_need(iv, "matrix", "$.involution"), "$.involution.matrix", rank)
     perm = _int_keyed(_need(iv, "boundary_perm", "$.involution"),
                       "$.involution.boundary_perm", _int)
     fixed_points = _int_keyed(_need(iv, "fixed_points", "$.involution"),
@@ -317,8 +330,14 @@ def from_obj(obj: dict) -> OpenBook:
                     fix_plus=fix_plus, provenance=tuple(provenance))
 
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(ob: OpenBook) -> str:
-    return json.dumps(to_obj(ob), indent=2, sort_keys=True)
+    """The book as JSON in the on-disk layout of the module docstring;
+    the line breaks keep book diffs readable."""
+    obj = to_obj(ob)
+    return "{\n" + ",\n".join(f"{_compact(k)}:{_compact(obj[k])}" for k in sorted(obj)) + "\n}"
 
 
 def loads(text: str) -> OpenBook:

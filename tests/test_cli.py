@@ -7,7 +7,7 @@ import pytest
 
 from realbook.catalog import ENTRIES
 from realbook.cli import main
-from realbook.jsonio import SCHEMA_VERSION, dumps, loads
+from realbook.jsonio import SCHEMA_VERSION, dumps, loads, to_obj
 from schema1 import as_schema1
 
 
@@ -58,16 +58,20 @@ def test_round_trip_identity_on_catalog():
         assert loads(dumps(ob)) == ob, e.name
 
 
+def catalog_and_ladders():
+    """Every catalog entry and the fig4/5/6 ladders up to k = 8."""
+    from realbook.catalog import catalog_fig4, catalog_fig5, catalog_fig6
+
+    books = [e.build() for e in ENTRIES]
+    return books + [ladder(k) for ladder in (catalog_fig4, catalog_fig5, catalog_fig6)
+                    for k in range(1, 9)]
+
+
 def test_written_tables_equal_dense_derivation():
     """dumps writes schema 2, without pairing tables; the tables that a
     schema-1 text carries (J @ h1_class and the dot of the class with each
     reference-arc row, in sorted boundary order) equal curve_tables."""
-    from realbook.catalog import catalog_fig4, catalog_fig5, catalog_fig6
-
-    books = [e.build() for e in ENTRIES]
-    books += [ladder(k) for ladder in (catalog_fig4, catalog_fig5, catalog_fig6)
-              for k in range(1, 9)]
-    for ob in books:
+    for ob in catalog_and_ladders():
         text = dumps(ob)
         obj = json.loads(text)
         assert obj["schema"] == 2
@@ -75,6 +79,33 @@ def test_written_tables_equal_dense_derivation():
         for curve in json.loads(as_schema1(text))["alphabet"]:
             tables = (tuple(curve["pairings"]), tuple(curve["arc_pairings"]))
             assert ob.page.curve_tables(curve["name"]) == tables
+
+
+def sorted_object(pairs):
+    """A json object_pairs_hook that requires sorted keys."""
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+def test_dumps_writes_one_compact_field_per_line():
+    """dumps writes the JSON of to_obj with one top-level field per line,
+    in sorted key order, every object's keys sorted and no whitespace
+    inside a line; the text reads back to itself, and its schema-1
+    rendering loads to the same book."""
+    for ob in catalog_and_ladders():
+        text = dumps(ob)
+        obj = to_obj(ob)
+        assert json.loads(text, object_pairs_hook=sorted_object) == obj
+        lines = text.split("\n")
+        assert (lines[0], lines[-1]) == ("{", "}")
+        fields = lines[1:-1]
+        assert [line.endswith(",") for line in fields] == [True] * (len(obj) - 1) + [False]
+        keys = [next(iter(json.loads("{" + line.rstrip(",") + "}"))) for line in fields]
+        assert keys == sorted(obj)
+        assert not any(c.isspace() for c in "".join(fields))
+        assert dumps(loads(text)) == text
+        assert loads(as_schema1(text)) == ob
 
 
 def test_new_canonicalizes(monkeypatch):
@@ -196,9 +227,21 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     (("alphabet", 0, "h1_class"), [1, 0], "$.alphabet[0].h1_class"),
     (("page", "form"), [[1]], "$.page.form"),
     (("page", "boundary", 0, "pclass"), [], "$.page.boundary[0].pclass"),
+    (("page", "form", 0), [0, 0], "$.page.form[0]"),
+    (("involution", "matrix", 0), [-1, 0], "$.involution.matrix[0]"),
+    (("schema",), True, "$.schema"),
+    (("schema",), 2.0, "$.schema"),
+    (("page", "genus"), True, "$.page.genus"),
+    (("word", 0, "exp"), True, "$.word[0].exp"),
+    (("alphabet", 0, "h1_class", 0), True, "$.alphabet[0].h1_class"),
+    (("alphabet", 1, "h1_class", 0), False, "$.alphabet[1].h1_class"),
+    (("involution", "boundary_perm", "2"), True, "$.involution.boundary_perm.2"),
+    (("alphabet", 0, "c_image", 1), True, "$.alphabet[0].c_image"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
-        "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length"])
+        "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length",
+        "form-row-wrong-length", "matrix-row-wrong-length", "schema-true", "schema-float", "genus-true", "word-exp-true", "class-entry-true",
+        "class-entry-false", "boundary-perm-true", "c-image-exp-true"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 

@@ -1,11 +1,15 @@
 """Golden digests of the exact outputs.
 
-GOLDEN is one SHA-256 over the JSON, H1 and reality verdict of every
+GOLDEN is one SHA-256 over the JSON text that `dumps` writes (one
+compact top-level field per line), H1 and reality verdict of every
 catalog entry, of the fig4/5/6 ladders up to k = 10 and of seeded
 stabilization walks, including the message of every refused site the
-walks try.  GOLDEN_SCHEMA1 is the same digest with each book's JSON
-rendered as schema 1 by tests/schema1.py; it is the GOLDEN of the
-schema-1 writer, so it pins that the schema-2 text loses nothing.  Every
+walks try.  It hashes bytes, so it moves with the layout of the text
+as well as with its JSON value.  GOLDEN_SCHEMA1 is the same digest with
+each book's JSON re-rendered from its value as schema 1 by
+tests/schema1.py (indent 2); it is the GOLDEN of the schema-1 writer, so
+it pins the JSON value itself: a layout-only change of `dumps` leaves it
+alone, and it also pins that the schema-2 text loses nothing.  Every
 book must also load back from both texts.  GOLDEN_REAL is a third
 SHA-256 over the same books: their H1, the Heegaard checks and the real
 part (pieces and mod-2 class of every component, or the refusal).  A
@@ -31,7 +35,7 @@ from realbook.openbook import (
 )
 from schema1 import as_schema1
 
-GOLDEN = "7d279dddbf13d7145c7d3f5af3fcf1130ec579414a745a7f625cd68190c22388"
+GOLDEN = "bcf96ce5e656d2dd0cb5800199e252706b5d7105bca9cb5e18a3d0b97a70e1b8"
 GOLDEN_SCHEMA1 = "b13d294277f54bb7c68b88410f9c99cb54551fb96718edc3fc568a5a8901cdcf"
 GOLDEN_REAL = "1e98707ef1960f4f366cb0e1f89c26ce4d91446c2c992e78032f5583182b3c9f"
 
