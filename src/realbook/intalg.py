@@ -2,14 +2,19 @@
 
 Everything here works over Python ints, so entry blow-up during Smith
 reduction is harmless.  Intended scale is small (page ranks up to about
-32, relation matrices up to about 60x60).  The product builds each row
-of the result as a sum of rows of the right factor, skipping the zero
-entries of the left one, so the sparse involutions, forms and Smith
+32, relation matrices up to about 60x60).  The product scatters over the
+nonzeros of both factors: the rows of the right factor are listed once
+as (j, x) pairs, and each row of the result gathers a * x into entry j
+for every nonzero a of the left row.  So it costs one multiply per pair
+of nonzeros that meet, and the sparse involutions, forms and Smith
 transforms cost far less than n^3; twist words never go through it,
 because mcg applies each twist as an O(n^2) rank-one update.  The Smith
 form uses the smallest-entry pivot rule, with no modular or HNF
-shortcut; linear systems are solved by back-substitution through one
-factored Smith form, which a caller may reuse for many right-hand sides.
+shortcut.  One elimination loop serves every caller: linear systems are
+solved by back-substitution through a form factored with its
+transforms, which a caller may reuse for many right-hand sides, and
+cokernel runs the same loop without transforms, since it reads only
+the diagonal.
 """
 
 from __future__ import annotations
@@ -105,12 +110,15 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch {self.shape} @ {other.shape}")
         n = other.ncols
+        # the nonzeros (j, x) of each row of the right factor, built once
+        right = [[(j, x) for j, x in enumerate(row) if x] for row in other.rows]
         out = []
         for row in self.rows:
-            acc = [0] * n  # fresh per row: rows of the result never alias
-            for a, orow in zip(row, other.rows):
+            acc = [0] * n
+            for a, orow in zip(row, right):
                 if a:
-                    acc = _axpy(acc, a, orow)
+                    for j, x in orow:
+                        acc[j] += a * x
             out.append(acc)
         return IntMatrix._trusted(out, n)
 
@@ -174,11 +182,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
+    """U @ A @ V = D with U, V unimodular and D in Smith normal form;
+    u and v are None when the form was computed without transforms."""
 
     d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    u: IntMatrix | None
+    v: IntMatrix | None
 
     def check(self, a: IntMatrix) -> bool:
         if self.u @ a @ self.v != self.d:
@@ -229,7 +238,7 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(a: IntMatrix) -> SmithForm:
+def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
     """Smith normal form with unimodular transforms.
 
     Pivoting rule: smallest nonzero absolute value in the working
@@ -237,11 +246,20 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     growth tolerable at this scale.  The scan stops at the first unit
     entry, which is the pivot the full scan would pick, and a unit pivot
     needs no divisibility sweep.
+
+    With transforms=False the same eliminations run on the working
+    matrix alone: d is the same, and u and v are None.
     """
     m, n = a.shape
     mat = [list(row) for row in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if transforms:
+        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        # u with empty rows and v with no rows: every update of them below
+        # is a no-op, so the loop is the same and only d is computed
+        u = [[] for _ in range(m)]
+        v = []
 
     def swap_rows(i, j):
         mat[i], mat[j] = mat[j], mat[i]
@@ -332,14 +350,16 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             negate_row(t)
         t += 1
 
+    if not transforms:
+        return SmithForm(d=IntMatrix._trusted(mat, n), u=None, v=None)
     return SmithForm(d=IntMatrix._trusted(mat, n), u=IntMatrix._trusted(u, m),
                      v=IntMatrix._trusted(v, n))
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
-    """Z^rows(a) modulo the column span of a, in canonical form."""
-    snf = smith_normal_form(a)
-    diag = snf.d.diag()
+    """Z^rows(a) modulo the column span of a, in canonical form.  Only
+    the Smith diagonal is needed, so no transform is built."""
+    diag = smith_normal_form(a, transforms=False).d.diag()
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianGroup(free_rank=a.nrows - len(nonzero), torsion=torsion)

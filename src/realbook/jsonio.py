@@ -22,7 +22,10 @@ order, each value compact with sorted keys (the stdlib C encoder; an
 `indent` would force its pure-Python one).  The reader takes any JSON
 whitespace.  Where the schema has an integer it takes only a JSON
 integer: `true` and `2.0` are SchemaErrors, though Python's bool is an
-int and `2.0 == 2`.
+int and `2.0 == 2`.  Where it has a string (basis and curve names,
+provenance types) it takes only a JSON string, and an object keyed by
+integers takes only keys written as `str` writes them, so `"02"` and
+`"+2"` are SchemaErrors, not second names for boundary 2.
 """
 
 from __future__ import annotations
@@ -153,7 +156,9 @@ def _list(x: Any, path: str) -> list:
 
 def _int_keyed(x: Any, path: str, value: Callable[[Any, str], Any]) -> dict[int, Any]:
     """A JSON object whose keys are integers written as strings; each
-    value is checked and converted by value(v, its path)."""
+    value is checked and converted by value(v, its path).  A key must be
+    the integer's own decimal text (str(int(k)) == k): int() also takes
+    " 02", "+2" and "0_2", and two such keys would name one integer."""
     if not isinstance(x, dict):
         raise SchemaError(f"{path} must be an object")
     out = {}
@@ -161,9 +166,17 @@ def _int_keyed(x: Any, path: str, value: Callable[[Any, str], Any]) -> dict[int,
         try:
             key = int(k)
         except ValueError:
-            raise SchemaError(f"{path} key {k!r} must be an integer") from None
+            key = None
+        if key is None or str(key) != k:
+            raise SchemaError(f"{path} key {k!r} must be an integer")
         out[key] = value(v, f"{path}.{k}")
     return out
+
+
+def _str(x: Any, path: str) -> str:
+    if type(x) is not str:
+        raise SchemaError(f"{path} must be a string")
+    return x
 
 
 def _int(x: Any, path: str) -> int:
@@ -223,7 +236,8 @@ def from_obj(obj: dict) -> OpenBook:
         raise SchemaError(f"$.schema must be one of {READABLE_SCHEMAS}, got {version!r}")
     pg = _need(obj, "page", "$")
     genus = _int(_need(pg, "genus", "$.page"), "$.page.genus")
-    basis = tuple(str(x) for x in _list(_need(pg, "basis", "$.page"), "$.page.basis"))
+    basis = tuple(_str(x, f"$.page.basis[{i}]")
+                  for i, x in enumerate(_list(_need(pg, "basis", "$.page"), "$.page.basis")))
     rank = len(basis)
     circles = tuple(
         BoundaryCircle(cid=_int(_need(c, "id", f"$.page.boundary[{i}]"),
@@ -241,7 +255,7 @@ def from_obj(obj: dict) -> OpenBook:
     tables = []
     for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
         path = f"$.alphabet[{i}]"
-        name = str(_need(c, "name", path))
+        name = _str(_need(c, "name", path), f"{path}.name")
         cls = _vec(_need(c, "h1_class", path), f"{path}.h1_class", rank)
         alphabet[name] = NamedCurve(name=name, h1_class=cls)
         stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
@@ -278,7 +292,7 @@ def from_obj(obj: dict) -> OpenBook:
                                   f"but the class gives {list(want)}")
 
     word: TwistWord = tuple(
-        (str(_need(l, "curve", f"$.word[{i}]")),
+        (_str(_need(l, "curve", f"$.word[{i}]"), f"$.word[{i}].curve"),
          _int(_need(l, "exp", f"$.word[{i}]"), f"$.word[{i}].exp"))
         for i, l in enumerate(_list(_need(obj, "word", "$"), "$.word"))
     )
@@ -310,9 +324,6 @@ def from_obj(obj: dict) -> OpenBook:
         raise SchemaError("$.provenance must be a list")
     for i, rec in enumerate(records):
         path = f"$.provenance[{i}]"
-        site = _need(rec, "site", path)
-        if not isinstance(site, list):
-            raise SchemaError(f"{path}.site must be a list")
         sigma = _need(rec, "sigma", path)
         if not isinstance(sigma, list):
             raise SchemaError(f"{path}.sigma must be a list")
@@ -320,8 +331,8 @@ def from_obj(obj: dict) -> OpenBook:
         if not isinstance(rec_images, dict):
             raise SchemaError(f"{path}.images must be an object")
         provenance.append(StabRecord(
-            tag=str(_need(rec, "type", path)),
-            site=tuple(site),
+            tag=_str(_need(rec, "type", path), f"{path}.type"),
+            site=_ints(_need(rec, "site", path), f"{path}.site"),
             sigma=tuple(_pair(l, f"{path}.sigma[{j}]") for j, l in enumerate(sigma)),
             images={k: _pair(v, f"{path}.images.{k}") for k, v in rec_images.items()},
         ))

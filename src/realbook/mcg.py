@@ -80,7 +80,7 @@ def word_times(model: SurfaceModel, w: Sequence[Letter], m: IntMatrix) -> IntMat
     if m.nrows != model.h1_rank:
         raise ValueError(f"dimension mismatch: word on rank {model.h1_rank} @ {m.shape}")
     rows = [list(r) for r in m.rows]
-    _transvect(model, w, rows, transposed=False)
+    transvect(model, w, rows, transposed=False)
     return IntMatrix(rows, ncols=m.ncols)
 
 
@@ -89,14 +89,16 @@ def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMat
     if m.ncols != model.h1_rank:
         raise ValueError(f"dimension mismatch: {m.shape} @ word on rank {model.h1_rank}")
     cols = [list(c) for c in m.transpose().rows]
-    _transvect(model, tuple(w)[::-1], cols, transposed=True)
+    transvect(model, tuple(w)[::-1], cols, transposed=True)
     return IntMatrix(cols, ncols=m.nrows).transpose()
 
 
-def _transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
-               transposed: bool) -> None:
+def transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
+              transposed: bool) -> None:
     """rows <- (I + e u v^T) rows for each letter (a, e) of w in turn, in
-    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose."""
+    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose.
+    With transposed=True and w reversed, rows that are the columns of m
+    become the columns of m @ word_matrix(model, w)."""
     for name, e in w:
         vecs = model.curve_vectors(name)
         u, v = (vecs.ja, vecs.a) if transposed else (vecs.a, vecs.ja)

@@ -37,6 +37,7 @@ from .mcg import (
     invert,
     times_word,
     transport_arcs,
+    transvect,
     word,
     word_matrix,
     word_times,
@@ -51,6 +52,7 @@ from .surface import (
     NamedCurve,
     RefArc,
     SurfaceModel,
+    entries,
     validate_involution,
     vec_add,
     vec_dot,
@@ -199,11 +201,20 @@ def _provenance_certificate(ob: OpenBook) -> bool:
     block conjugates letterwise to its own inverse under the recorded
     c~ images.  Peeling blocks reduces to the base book, which must
     certify letterwise with the inherited curve images.
+
+    The recorded images of a block must also agree with its extension
+    matrix C~ = C Sigma^-1.  C~ is kept as its list of columns, updated
+    in place per peeled block by the transposed transvections of
+    Sigma^-1, so no block pays a dense product.  An image
+    name -> (img, s) is checked as s * sum_i x_i col_i over the nonzeros
+    x_i of the cached sparse class of name: O(nnz n) per image, not a
+    dense n x n apply.
     """
     model = ob.page
     inv = ob.real_structure
     w = ob.monodromy
-    m = inv.matrix
+    rank = model.h1_rank
+    cols = [list(col) for col in inv.matrix.transpose().rows]
     for rec in reversed(ob.provenance):
         k = len(rec.sigma)
         if w[:k] != rec.sigma:
@@ -216,11 +227,12 @@ def _provenance_certificate(ob: OpenBook) -> bool:
             conj.append((img[0], -exp))
         if free_reduce(tuple(conj)) != invert(rec.sigma):
             return False
-        # the recorded images must agree with the extension matrix C~ = C Sigma^-1
-        m = times_word(m, model, invert(rec.sigma))
+        transvect(model, invert(rec.sigma)[::-1], cols, transposed=True)
         for name, (img, s) in rec.images.items():
-            want = vec_scale(s, m.apply(model.curve(name).h1_class))
-            if model.curve(img).h1_class != want:
+            acc = [0] * rank
+            for i, x in entries(model.curve_vectors(name).a):
+                acc = [t + x * y for t, y in zip(acc, cols[i])]
+            if model.curve(img).h1_class != tuple(s * t for t in acc):
                 return False
         w = w[k:]
     # base word: direct letterwise conjugation against the inherited images

@@ -237,13 +237,37 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     (("alphabet", 1, "h1_class", 0), False, "$.alphabet[1].h1_class"),
     (("involution", "boundary_perm", "2"), True, "$.involution.boundary_perm.2"),
     (("alphabet", 0, "c_image", 1), True, "$.alphabet[0].c_image"),
+    # a second spelling of boundary 2 would silently overwrite the first
+    (("involution", "boundary_perm"), {"1": 1, "2": 2, " 02": 1},
+     "$.involution.boundary_perm"),
+    *[(field, value, path) for key in (" 02", "+2", "0_2", "02") for field, value, path in [
+        (("involution", "boundary_perm"), {"1": 1, key: 2}, "$.involution.boundary_perm"),
+        (("involution", "fixed_points"), {"1": [1, 2], key: [3, 4]},
+         "$.involution.fixed_points"),
+        (("involution", "fixed_set", "arcs", 0, "pair_arcs"), {key: 0},
+         "$.involution.fixed_set.arcs[0].pair_arcs"),
+    ]],
+    (("page", "basis"), [True], "$.page.basis[0]"),
+    (("alphabet", 0, "name"), 5, "$.alphabet[0].name"),
+    (("word", 0, "curve"), 1, "$.word[0].curve"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
         "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length",
         "form-row-wrong-length", "matrix-row-wrong-length", "schema-true", "schema-float", "genus-true", "word-exp-true", "class-entry-true",
-        "class-entry-false", "boundary-perm-true", "c-image-exp-true"])
+        "class-entry-false", "boundary-perm-true", "c-image-exp-true", "perm-key-repeats-2",
+        *[f"{field}-key-{key}" for key in ("space-02", "plus-2", "underscore-0-2", "02")
+          for field in ("perm", "fixed-points", "pair-arcs")],
+        "basis-entry-true", "curve-name-number", "word-curve-number"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("field, value, path", [
+    (("provenance", 0, "type"), 3, "$.provenance[0].type"),
+    (("provenance", 0, "site"), [True, 1.5, None], "$.provenance[0].site"),
+], ids=["type-number", "site-not-integers"])
+def test_malformed_provenance_field_is_exit_2(field, value, path, monkeypatch, capsys):
+    assert_mutation_exits_2(field, value, path, monkeypatch, capsys, ("fig4", "2"))
 
 
 @pytest.mark.parametrize("book, field, value, path", [

@@ -88,7 +88,8 @@ def _swap_pair(ob):
     return next((c, perm[c]) for c in sorted(perm) if perm[c] != c)
 
 
-def _ladders():
+def ladders():
+    """The fig4/5/6 ladders from k = 1 to LADDER_TOP, as (label, book)."""
     ob = catalog_fig4(1)
     yield "fig4-1", ob
     for k in range(2, LADDER_TOP + 1):
@@ -106,7 +107,7 @@ def _ladders():
         yield f"fig6-{k}", ob
 
 
-def _walks(d, seed, count, steps):
+def _walks(refused, seed, count, steps):
     rng = random.Random(seed)
     for n in range(count):
         ob = ENTRIES[rng.randrange(len(ENTRIES))].build()
@@ -117,23 +118,30 @@ def _walks(d, seed, count, steps):
                 try:
                     nxt = stabilize(ob, tag, site)
                 except StabilizationError as e:
-                    d.update(f"refused {tag} {sorted(site.items())!r}: {e}\n")
+                    refused(f"refused {tag} {sorted(site.items())!r}: {e}\n")
                     continue
                 ob = nxt
-                _record(d, f"walk {seed}/{n}/{step} {tag} {sorted(site.items())!r}", ob)
+                yield f"walk {seed}/{n}/{step} {tag} {sorted(site.items())!r}", ob
                 break
             else:
                 break
 
 
+def golden_books(refused=lambda line: None):
+    """Every golden book as (label, book), in digest order: the catalog,
+    the ladders and the seeded walks.  refused(line) is called with the
+    line of each site a walk tries and is refused, before the next book."""
+    for e in ENTRIES:
+        yield e.name, e.build()
+    yield from ladders()
+    yield from _walks(refused, seed=2024, count=40, steps=6)
+
+
 def golden_digests():
     """The digests of the current code, from one pass over the books."""
     d = _Digests()
-    for e in ENTRIES:
-        _record(d, e.name, e.build())
-    for label, ob in _ladders():
+    for label, ob in golden_books(d.update):
         _record(d, label, ob)
-    _walks(d, seed=2024, count=40, steps=6)
     return d
 
 

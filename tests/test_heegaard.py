@@ -13,6 +13,7 @@ from realbook.catalog import (
     catalog_s3_disk,
 )
 from realbook.heegaard import (
+    HeegaardData,
     RealPartUnavailable,
     _GF2Solver,
     heegaard_data,
@@ -20,6 +21,8 @@ from realbook.heegaard import (
     real_part,
     validate_heegaard,
 )
+from realbook.intalg import IntMatrix
+from realbook.mcg import twist_matrix
 from realbook.openbook import (
     OpenBook,
     StabilizationError,
@@ -135,6 +138,60 @@ def test_plus_side_lefschetz_under_stabilization():
         hd = heegaard_data(ob)
         report = dict(validate_heegaard(hd, ob))
         assert report["minus_lefschetz"] and report["plus_lefschetz"]
+
+
+def dense_antisymplectic(ob, c):
+    """(F C)^T J (F C) == -J and C^T J C == -J by dense products, with F
+    the product of one dense twist matrix per letter."""
+    f = IntMatrix.identity(ob.page.h1_rank)
+    for name, exp in ob.monodromy:
+        f = twist_matrix(ob.page, name, exp) @ f
+    fc = f @ c
+    j = ob.page.form
+    return fc.transpose() @ j @ fc == -j, c.transpose() @ j @ c == -j
+
+
+def plus_block_report(ob):
+    """validate_heegaard on the block data F C of the book, which
+    heegaard_data would refuse for a book that is not real."""
+    hd = HeegaardData(genus=ob.heegaard_genus,
+                      plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
+    return dict(validate_heegaard(hd, ob))
+
+
+def test_derived_plus_antisymplectic_matches_dense_oracle_on_golden_books():
+    from test_golden import golden_books
+
+    checked = 0
+    for label, ob in golden_books():
+        if not ob.page.h1_rank:
+            continue
+        report = plus_block_report(ob)
+        plus, minus = dense_antisymplectic(ob, ob.real_structure.matrix)
+        assert (report["plus_antisymplectic"], report["minus_antisymplectic"]) == (plus, minus), label
+        checked += 1
+    assert checked > 200
+
+
+def test_tampered_involution_fails_both_antisymplectic_checks():
+    from dataclasses import replace
+    from itertools import islice
+
+    from test_golden import golden_books
+
+    # the form is zero on genus-0 pages, where every C is antisymplectic
+    walked = (ob for label, ob in golden_books() if label.startswith("walk") and ob.page.genus)
+    for ob in [catalog_fig4(2), catalog_fig4(3), *islice(walked, 3)]:
+        # doubling row i of C gives (DC)^T J (DC) = C^T (DJD) C, D = diag(.., 2, ..),
+        # and DJD != J for a basis class i that pairs with something
+        i = next(i for i, row in enumerate(ob.page.form.rows) if any(row))
+        rows = [list(r) for r in ob.real_structure.matrix.rows]
+        rows[i] = [2 * x for x in rows[i]]
+        c = IntMatrix(rows)
+        bad = replace(ob, real_structure=replace(ob.real_structure, matrix=c))
+        report = plus_block_report(bad)
+        assert not report["minus_antisymplectic"] and not report["plus_antisymplectic"]
+        assert dense_antisymplectic(bad, c) == (False, False)
 
 
 def test_untracked_plus_side_reported():

@@ -322,3 +322,68 @@ def test_snf_solve_reuses_one_factorization():
             assert snf_solve(snf, b) == solve_integer(a, b)
     with pytest.raises(ValueError):
         snf_solve(smith_normal_form(IntMatrix.identity(2)), [1])
+
+
+# ---------------------------------------------------------------------------
+# the diagonal-only Smith form behind cokernel
+
+
+def cokernel_from_divisors(a):
+    """The cokernel read off the determinantal divisors: d_k = D_k / D_{k-1}."""
+    diag, prev = [], 1
+    for dk in determinantal_divisors(a):
+        if dk == 0:
+            break
+        diag.append(dk // prev)
+        prev = dk
+    return AbelianGroup(a.nrows - len(diag), tuple(d for d in diag if d >= 2))
+
+
+def cokernel_from_transforms(a):
+    """The cokernel read off the Smith form computed with its transforms."""
+    nonzero = [d for d in smith_normal_form(a).d.diag() if d]
+    return AbelianGroup(a.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
+
+
+def assert_diagonal_only_agrees(a):
+    bare = smith_normal_form(a, transforms=False)
+    assert bare.u is None and bare.v is None
+    assert bare.d == smith_normal_form(a).d, a
+    assert cokernel(a) == cokernel_from_transforms(a), a
+
+
+def test_cokernel_diagonal_matches_smith_form_and_minor_oracle():
+    rng = random.Random(47)
+    small = [IntMatrix([], ncols=k) for k in range(4)]                  # 0 x k
+    small += [IntMatrix([[]] * k, ncols=0) for k in range(1, 4)]        # k x 0
+    for trial in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        if trial % 3 == 0:      # unit-free: every pivot runs the divisibility sweep
+            rows = [[rng.choice((0, 2, -2, 3, -3, 6, 4)) for _ in range(n)] for _ in range(m)]
+        elif trial % 3 == 1:    # sparse
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        small.append(IntMatrix(rows, ncols=n))
+    for a in small:
+        assert_diagonal_only_agrees(a)
+        assert cokernel(a) == cokernel_from_divisors(a), a
+    assert cokernel(IntMatrix([], ncols=3)) == AbelianGroup(0)
+    assert cokernel(IntMatrix([[]] * 3, ncols=0)) == AbelianGroup(3)
+    for a in snf_oracle_matrices(rng):
+        assert_diagonal_only_agrees(a)
+
+
+def test_cokernel_diagonal_on_every_h1_relation_matrix(monkeypatch):
+    from realbook import openbook
+    from realbook.catalog import ENTRIES
+    from test_golden import ladders
+
+    relations = []
+    monkeypatch.setattr(openbook, "cokernel", lambda a: relations.append(a) or cokernel(a))
+    books = [e.build() for e in ENTRIES] + [ob for _label, ob in ladders()]
+    for ob in books:
+        openbook.h1_of_manifold(ob)
+    assert len(relations) == len(books)
+    for a in relations:
+        assert_diagonal_only_agrees(a)

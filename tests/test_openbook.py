@@ -195,6 +195,39 @@ def test_rotation_annulus_only_homologically_real():
     assert check_reality(ob).kind is Reality.HOMOLOGICALLY_REAL
 
 
+def provenance_mutants(ob):
+    """(what, book) for each single change of one recorded image in the
+    book's JSON: its sign flipped, or its curve replaced by another."""
+    import json
+
+    good = json.loads(dumps(ob))
+    names = sorted(ob.page.alphabet)
+    for i, rec in enumerate(good["provenance"]):
+        for name, (img, sign) in sorted(rec["images"].items()):
+            other = next(n for n in names if n != img)
+            for what, image in (("sign", [img, -sign]), ("curve", [other, sign])):
+                bad = json.loads(json.dumps(good))
+                bad["provenance"][i]["images"][name] = image
+                yield f"block {i} {name} {what}", loads(json.dumps(bad))
+
+
+@pytest.mark.parametrize("make, by_chain", [(lambda: catalog_fig4(5), True),
+                                            (lambda: catalog_fig6(4), False)],
+                         ids=["fig4-5", "fig6-4"])
+def test_provenance_certificate_rejects_a_changed_image(make, by_chain):
+    from realbook.openbook import _provenance_certificate
+
+    ob = make()
+    assert _provenance_certificate(ob)
+    # fig6 4 certifies letterwise before the chain is tried
+    assert (check_reality(ob).witness == "stabilization chain") == by_chain
+    mutants = list(provenance_mutants(ob))
+    assert len(mutants) >= 16
+    for what, bad in mutants:
+        assert not _provenance_certificate(bad), what
+        assert check_reality(bad).witness != "stabilization chain", what
+
+
 def test_certified_implies_homologically_real():
     # stripping the word-level data from a certified book must never
     # produce NotReal: the homology identities are consequences
