@@ -44,7 +44,7 @@ from .openbook import (
     h1_of_manifold,
     stabilize,
 )
-from .surface import validate_involution
+from .surface import validate_involution, validate_page
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -186,13 +186,15 @@ def cmd_contact(args) -> int:
 def cmd_validate(args) -> int:
     book = _read_book(args.infile)
     report = validate_involution(book.page, book.real_structure)
+    page = validate_page(book.page)
     status = check_reality(book)
     out = {
         "involution": {r.name: (r.ok if r.ok else r.detail) for r in report},
+        "page": {r.name: (r.ok if r.ok else r.detail) for r in page},
         "reality": status.kind.value,
     }
     _emit_json(out, args.out)
-    ok = all(r.ok for r in report) and status.kind is not Reality.NOT_REAL
+    ok = all(r.ok for r in report + page) and status.kind is not Reality.NOT_REAL
     return EXIT_OK if ok else EXIT_CONTRACT
 
 

@@ -20,6 +20,7 @@ the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -183,18 +184,24 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithForm:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form;
-    u and v are None when the form was computed without transforms."""
+    u and v are None when the form was computed without transforms.
+    The diagonal of D is read once and kept, so a form reused for many
+    right-hand sides does not rebuild it per solve."""
 
     d: IntMatrix
     u: IntMatrix | None
     v: IntMatrix | None
+
+    @cached_property
+    def diag(self) -> tuple[int, ...]:
+        return self.d.diag()
 
     def check(self, a: IntMatrix) -> bool:
         if self.u @ a @ self.v != self.d:
             return False
         if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
             return False
-        diag = self.d.diag()
+        diag = self.diag
         if any(d < 0 for d in diag):
             return False
         for prev, nxt in zip(diag, diag[1:]):
@@ -359,7 +366,7 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Z^rows(a) modulo the column span of a, in canonical form.  Only
     the Smith diagonal is needed, so no transform is built."""
-    diag = smith_normal_form(a, transforms=False).d.diag()
+    diag = smith_normal_form(a, transforms=False).diag
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianGroup(free_rank=a.nrows - len(nonzero), torsion=torsion)
@@ -371,7 +378,7 @@ def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
     if snf.u.ncols != len(b):
         raise ValueError("rhs length mismatch")
     c = snf.u.apply(b)
-    diag = snf.d.diag()
+    diag = snf.diag
     y = [0] * snf.v.nrows
     for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
@@ -401,7 +408,7 @@ def solve_integer_affine(
     x = snf_solve(snf, b)
     if x is None:
         return None
-    diag = snf.d.diag()
+    diag = snf.diag
     kernel = []
     for j in range(a.ncols):
         d = diag[j] if j < len(diag) else 0

@@ -330,12 +330,18 @@ def from_obj(obj: dict) -> OpenBook:
         rec_images = _need(rec, "images", path)
         if not isinstance(rec_images, dict):
             raise SchemaError(f"{path}.images must be an object")
-        provenance.append(StabRecord(
+        record = StabRecord(
             tag=_str(_need(rec, "type", path), f"{path}.type"),
             site=_ints(_need(rec, "site", path), f"{path}.site"),
             sigma=tuple(_pair(l, f"{path}.sigma[{j}]") for j, l in enumerate(sigma)),
             images={k: _pair(v, f"{path}.images.{k}") for k, v in rec_images.items()},
-        ))
+        )
+        named = ([name for name, _ in record.sigma] + list(record.images)
+                 + [img for img, _ in record.images.values()])
+        for name in named:
+            if name not in alphabet:
+                raise SchemaError(f"{path} uses unknown curve {name!r}")
+        provenance.append(record)
 
     return OpenBook(page=page, monodromy=word, real_structure=inv,
                     fix_plus=fix_plus, provenance=tuple(provenance))

@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .intalg import (
@@ -40,7 +39,6 @@ from .mcg import (
     transvect,
     word,
     word_matrix,
-    word_times,
     words_equal,
 )
 from .surface import (
@@ -155,6 +153,13 @@ class OpenBook:
         return _reality_of(self)
 
     @cached_property
+    def _chain_blocks(self) -> tuple[bool, TwistWord]:
+        """Whether every recorded provenance block certifies, and the base
+        word left when they are peeled; (False, ()) when one fails.  A book
+        made by stabilize has it seeded from its parent (_seed_chain_blocks)."""
+        return _chain_blocks_of(self)
+
+    @cached_property
     def monodromy_matrix(self) -> IntMatrix:
         """F, the action of the monodromy on H1 of the page."""
         return word_matrix(self.page, self.monodromy)
@@ -194,55 +199,112 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     return True, None
 
 
+def _peel_block(model: SurfaceModel, rec: StabRecord, w: TwistWord,
+                cols: list[list[int]]) -> bool:
+    """Check one provenance block at the front of w, and peel it.
+
+    The block's sigma must open w and conjugate letterwise to its own
+    inverse under the recorded c~ images.  cols are the columns of the
+    real structure as it stands with the block applied, C~ Sigma; they
+    are updated in place by the transposed transvections of Sigma^-1,
+    so they become the columns of C~ and no block pays a dense product.
+    The recorded images must agree with C~: an image name -> (img, s) is
+    checked as s * sum_i x_i col_i over the nonzeros x_i of the cached
+    sparse class of name, O(nnz n) per image, not a dense n x n apply.
+    """
+    k = len(rec.sigma)
+    if w[:k] != rec.sigma:
+        return False
+    conj = []
+    for name, exp in rec.sigma:
+        img = rec.images.get(name)
+        if img is None:
+            return False
+        conj.append((img[0], -exp))
+    if free_reduce(tuple(conj)) != invert(rec.sigma):
+        return False
+    transvect(model, invert(rec.sigma)[::-1], cols, transposed=True)
+    rank = model.h1_rank
+    for name, (img, s) in rec.images.items():
+        acc = [0] * rank
+        for i, x in entries(model.curve_vectors(name).a):
+            acc = [t + x * y for t, y in zip(acc, cols[i])]
+        if model.curve(img).h1_class != tuple(s * t for t in acc):
+            return False
+    return True
+
+
+def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
+    """Peel every provenance block, newest first (see _peel_block): whether
+    all certify, and the base word left; (False, ()) at the first that
+    fails."""
+    cols = [list(col) for col in ob.real_structure.matrix.transpose().rows]
+    w = ob.monodromy
+    for rec in reversed(ob.provenance):
+        if not _peel_block(ob.page, rec, w, cols):
+            return False, ()
+        w = w[len(rec.sigma):]
+    return True, w
+
+
+def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
+    """Set the chain memo of a book made from parent by one stabilization:
+    the parent's memo and a check of the new block alone.
+
+    Lemma: peeling the child's blocks below the new one repeats the
+    parent's peel.  After the new block is peeled, the columns are those
+    of the naive extension C~, and the word is the parent's.  Then:
+      * C~ acts as C on the old classes, so its old columns are C's
+        widened by zeros;
+      * old curve classes are extended by zeros, and so is J a for an
+        old curve a on the old coordinates;
+      * earlier blocks read only old coordinates: a transvection by an
+        old curve reads the columns at the nonzeros of a, and the image
+        checks read those at the nonzeros of old classes, so what it
+        writes into the new columns is never read, and the old columns
+        keep zero new coordinates;
+      * curve_image and disjoint gain only new names, and the block
+        checks read neither (only the base-word check does, and it stays
+        fresh in _provenance_certificate).
+    So each earlier block certifies on the child exactly when it does on
+    the parent.  The new block is checked by _peel_block on the columns
+    of the child's C~ Sigma, transvected by Sigma^-1 and compared with
+    its images.  When the premises cannot be read off (the new names
+    are not fresh, or the word does not continue as the parent's, as
+    with an unreduced word read from JSON), nothing is seeded and the
+    memo is peeled fresh when asked for.
+    """
+    rec = child.provenance[-1]
+    if (child.monodromy[len(rec.sigma):] != parent.monodromy
+            or any(name in parent.page.alphabet for name, _ in rec.sigma)):
+        return
+    ok, base = parent._chain_blocks
+    if ok:
+        cols = [list(col) for col in child.real_structure.matrix.transpose().rows]
+        ok = _peel_block(child.page, rec, child.monodromy, cols)
+    vars(child)["_chain_blocks"] = (True, base) if ok else (False, ())
+
+
 def _provenance_certificate(ob: OpenBook) -> bool:
     """Word-level certificate threaded through the stabilization records.
 
     Each stabilization contributes the displayed identity: its sigma
     block conjugates letterwise to its own inverse under the recorded
-    c~ images.  Peeling blocks reduces to the base book, which must
-    certify letterwise with the inherited curve images.
-
-    The recorded images of a block must also agree with its extension
-    matrix C~ = C Sigma^-1.  C~ is kept as its list of columns, updated
-    in place per peeled block by the transposed transvections of
-    Sigma^-1, so no block pays a dense product.  An image
-    name -> (img, s) is checked as s * sum_i x_i col_i over the nonzeros
-    x_i of the cached sparse class of name: O(nnz n) per image, not a
-    dense n x n apply.
+    c~ images (the memo _chain_blocks, seeded from the parent for a
+    stabilized book).  Peeling blocks reduces to the base book, which
+    must certify letterwise with the inherited curve images; that check
+    is made fresh.
     """
-    model = ob.page
-    inv = ob.real_structure
-    w = ob.monodromy
-    rank = model.h1_rank
-    cols = [list(col) for col in inv.matrix.transpose().rows]
-    for rec in reversed(ob.provenance):
-        k = len(rec.sigma)
-        if w[:k] != rec.sigma:
-            return False
-        conj = []
-        for name, exp in rec.sigma:
-            img = rec.images.get(name)
-            if img is None:
-                return False
-            conj.append((img[0], -exp))
-        if free_reduce(tuple(conj)) != invert(rec.sigma):
-            return False
-        transvect(model, invert(rec.sigma)[::-1], cols, transposed=True)
-        for name, (img, s) in rec.images.items():
-            acc = [0] * rank
-            for i, x in entries(model.curve_vectors(name).a):
-                acc = [t + x * y for t, y in zip(acc, cols[i])]
-            if model.curve(img).h1_class != tuple(s * t for t in acc):
-                return False
-        w = w[k:]
-    # base word: direct letterwise conjugation against the inherited images
+    ok, w = ob._chain_blocks
+    if not ok:
+        return False
     conj = []
     for name, exp in w:
-        img = inv.curve_image.get(name)
+        img = ob.real_structure.curve_image.get(name)
         if img is None:
             return False
         conj.append((img[0], -exp))
-    return words_equal(model, free_reduce(tuple(conj)), invert(w))
+    return words_equal(ob.page, free_reduce(tuple(conj)), invert(w))
 
 
 def check_reality(ob: OpenBook) -> RealityStatus:
@@ -501,28 +563,42 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
         b.arcs_rows[l] = row
 
 
-def _fix_strand_law(b: _Builder, arcs: list[FixArc], mat: IntMatrix,
-                    new_idx: list[int]) -> list[FixArc]:
-    """Pin fixed-arc crossing data to the invariance law C^T pc = -pc.
+def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
+                    new_idx: list[int], w: TwistWord = ()) -> list[FixArc]:
+    """Pin fixed-arc crossing data to the invariance law M^T pc = -pc,
+    for M = W c_new with W the matrix of the word w (none: M = c_new).
 
     An invariant arc meets a curve and its involution image in opposite
     signed counts, which ties the crossings with the fresh curves to the
     old ones; the per-type local rules leave exactly that freedom.  The
-    system matrix is the same for every arc, so its Smith form is
-    factored once, on the first arc that needs it.
+    law reads M only through pc^T M for each arc and the rows new_idx of
+    M, so just those probe rows, the arcs' pc and the unit rows of
+    new_idx, are pushed through W (times_word) and then c_new (the
+    scatter product); M itself is never formed.  The system matrix is
+    the same for every arc, so its Smith form is factored once, on the
+    first arc that needs it.
     """
-    mt = mat.transpose()
+    if not arcs:
+        return arcs
+    rank = page.h1_rank
+    probes = IntMatrix([arc.pair_curves for arc in arcs] + [_unit(rank, t) for t in new_idx],
+                       ncols=rank)
+    if w:
+        probes = times_word(probes, page, w)
+    pushed = (probes @ c_new).rows
+    new_rows = pushed[len(arcs):]
     snf = None
     out = []
-    for arc in arcs:
+    for arc, pc_m in zip(arcs, pushed):
         pc = arc.pair_curves
-        residual = vec_add(mt.apply(pc), pc)
+        residual = vec_add(pc_m, pc)
         if not any(residual):
             out.append(arc)
             continue
         if snf is None:
             snf = smith_normal_form(IntMatrix(
-                [[mt[i, t] + (1 if i == t else 0) for t in new_idx] for i in range(mt.nrows)],
+                [[row[i] + (1 if i == t else 0) for row, t in zip(new_rows, new_idx)]
+                 for i in range(rank)],
                 ncols=len(new_idx)))
         delta = snf_solve(snf, [-r for r in residual])
         if delta is None:
@@ -539,7 +615,13 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
 
     sigma is the positive twist along each new curve (ca before a for a
     handle pair), and the new real structure is C~ Sigma, with C~ the
-    naive extension of the type's core sign.
+    naive extension of the type's core sign.  The strand law of each
+    side pushes only its probe rows through the new structure (the plus
+    side first through the new word), so F C is never formed.  The
+    output is revalidated in full (validate_involution, over nonzeros),
+    and its chain memo is seeded from the parent's plus a check of the
+    new block alone (_seed_chain_blocks), so a chain of k moves does not
+    re-peel k blocks per move.
     """
     st = STAB_TYPES[tag]
     model = ob.page
@@ -572,10 +654,9 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     new_word = concat(sigma, ob.monodromy)
     c_new = times_word(_naive_extension(ob.real_structure.matrix, st), page, sigma)
 
-    b.minus_arcs = _fix_strand_law(b, b.minus_arcs, c_new, new_idx)
+    b.minus_arcs = _fix_strand_law(b.minus_arcs, page, c_new, new_idx)
     if ob.fix_plus is not None:
-        c_plus = word_times(page, new_word, c_new)
-        b.plus_arcs = _fix_strand_law(b, b.plus_arcs, c_plus, new_idx)
+        b.plus_arcs = _fix_strand_law(b.plus_arcs, page, c_new, new_idx, new_word)
 
     # drop curve images that the twist invalidates (sigma moves the curve);
     # the recorded c~ images survive only for curves sigma fixes
@@ -613,6 +694,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     if bad:
         raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
                                  + "; ".join(f"{r.name}: {r.detail}" for r in bad))
+    _seed_chain_blocks(ob, out)
     return out
 
 
@@ -735,10 +817,18 @@ def _solve_viii_data(
     (v - C^T v) . w = -w^T J w / x = 0, as J is antisymmetric (x = +-1).
     So only v . w = x m is tested.  (m, x) runs over m in (0, 1, -1),
     x in (1, -1); the linear system depends on x only and is solved at
-    most once per x, and for each (m, x) the solution lattice is walked
-    lazily (the particular solution, then combinations of up to four
-    kernel generators with coefficients -2..2) up to the first point
+    most once per x.  For each (m, x) the lattice candidates are walked
+    in a fixed order (the particular solution, then combinations of up
+    to four kernel generators with coefficients -2..2) up to the first
     with v . w = x m.
+
+    Candidates are scored through their coefficients, not built.  With
+    q(z) = v . w for z = (v, w) and its polar form
+    B(y, z) = y_v . z_w + z_v . y_w,
+      q(base + sum c_i g_i) = q(base) + sum c_i B(base, g_i)
+                              + sum c_i^2 q(g_i) + sum_{i<j} c_i c_j B(g_i, g_j),
+    so the scores of a lattice need at most 15 values of q and B, once
+    per x (_lattice_scores), and only the first hit is built as a point.
     """
     n = old_rank
     ct = c_old.transpose()
@@ -753,35 +843,76 @@ def _solve_viii_data(
         rhs.append(pj[i] + pk[i])
     rhs.extend([0] * n)
 
+    def polar(y: Sequence[int], z: Sequence[int]) -> int:
+        return vec_dot(y[:n], z[n:]) + vec_dot(z[:n], y[n:])
+
     @cache
-    def solve(x_coef: int):
+    def lattice(x_coef: int):
         x_rows = [[x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
                   + list(form.rows[i]) for i in range(n)]
-        return solve_integer_affine(IntMatrix(rows + x_rows, ncols=2 * n), rhs)
+        sol = solve_integer_affine(IntMatrix(rows + x_rows, ncols=2 * n), rhs)
+        if sol is None:
+            return None
+        base, kernel = sol
+        gens = kernel[:4]
+        scores = _lattice_scores(
+            vec_dot(base[:n], base[n:]),
+            [polar(base, g) for g in gens],
+            [vec_dot(g[:n], g[n:]) for g in gens],
+            [[polar(g, h) if l > i else 0 for l, h in enumerate(gens)]
+             for i, g in enumerate(gens)])
+        return base, gens, scores
 
     for m, x_coef in product((0, 1, -1), (1, -1)):
-        sol = solve(x_coef)
-        if sol is None:
+        found = lattice(x_coef)
+        if found is None:
             continue
+        base, gens, scores = found
         target = x_coef * m
-        for xx in _lattice_points(*sol):
-            v, w = xx[:n], xx[n:]
-            if vec_dot(v, w) == target:
-                return v, w, x_coef, m
+        if target in scores:
+            xx = _lattice_point(base, gens, scores.index(target))
+            return xx[:n], xx[n:], x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 
 
-def _lattice_points(base: tuple[int, ...], kernel: Sequence[tuple[int, ...]]):
-    """base, then base + sum c_i g_i over the first four kernel generators
-    g_i, each c_i in -2..2, in lexicographic order of (c_1, c_2, ...)."""
-    yield base
-    gens = kernel[:4]
-    for combo in product(range(-2, 3), repeat=len(gens)):
-        xx = base
-        for c, g in zip(combo, gens):
-            if c:
-                xx = tuple(map(add, xx, map(c.__mul__, g)))
-        yield xx
+_COEFS = range(-2, 3)
+
+
+def _lattice_scores(q0: int, lin: Sequence[int], quad: Sequence[int],
+                    cross: Sequence[Sequence[int]]) -> list[int]:
+    """The scores of the candidates in walk order: q(base), then
+    q(base + sum c_i g_i) for every (c_1, c_2, ...) in product(-2..2),
+    lexicographic.  lin, quad and cross hold B(base, g_i), q(g_i) and
+    B(g_i, g_j).  The list grows one coefficient at a time; pend[l]
+    holds, per prefix, the coefficient of c_l that the prefix leaves:
+    B(base, g_l) + sum of c_i B(g_i, g_l) over the prefix."""
+    k = len(lin)
+    scores = [q0]
+    pend: list[list[int] | None] = [[x] for x in lin]
+    for i in range(k):
+        scores = [s + c * (a + c * quad[i]) for s, a in zip(scores, pend[i]) for c in _COEFS]
+        pend = [[x + c * cross[i][l] for x in pend[l] for c in _COEFS] if l > i else None
+                for l in range(k)]
+    return [q0] + scores
+
+
+def _lattice_point(base: tuple[int, ...], gens: Sequence[tuple[int, ...]],
+                   index: int) -> tuple[int, ...]:
+    """The candidate at position index of the walk: base at 0, then
+    base + sum c_i g_i with (c_1, c_2, ...) read as base-5 digits of
+    index - 1, most significant first, each digit d giving c = d - 2."""
+    if index == 0:
+        return base
+    digits = []
+    index -= 1
+    for _ in gens:
+        index, d = divmod(index, len(_COEFS))
+        digits.append(_COEFS[d])
+    xx = list(base)
+    for c, g in zip(reversed(digits), gens):
+        if c:
+            xx = [a + c * b for a, b in zip(xx, g)]
+    return tuple(xx)
 
 
 def _unit(rank: int, idx: int) -> tuple[int, ...]:

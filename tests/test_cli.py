@@ -142,6 +142,52 @@ def test_validate_subcommand(monkeypatch):
     assert all(v is True for v in data["involution"].values())
 
 
+def test_validate_reports_the_page_checks(monkeypatch):
+    _code, book_json = run_cli(["catalog", "fig4", "3"])
+    code, out = run_cli(["validate"], book_json, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["page"] == {"disjoint": True, "genus": True}
+    obj = json.loads(book_json)
+    obj["page"]["genus"] += 1
+    code, out = run_cli(["validate"], json.dumps(obj), monkeypatch)
+    assert code == 1
+    assert json.loads(out)["page"]["genus"] == \
+        "2g + b - 1 = 7 with g = 3, b = 2, but H1 has rank 5"
+
+
+def meeting_pair_book() -> str:
+    """A book on the once-punctured torus, word a1 b1, C = diag(1, -1),
+    that declares a1 and b1 disjoint although <a1, b1> = 1."""
+    from realbook.intalg import IntMatrix
+    from realbook.mcg import word
+    from realbook.openbook import OpenBook
+    from realbook.surface import FixArc, FixedSet, Involution, standard_surface
+
+    page = standard_surface(1, 1)
+    inv = Involution(
+        matrix=IntMatrix([[1, 0], [0, -1]]),
+        boundary_perm={1: 1},
+        fixed_points={1: (1, 2)},
+        fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=(0, 0)),)),
+        curve_image={"a1": ("a1", 1), "b1": ("b1", -1)},
+    )
+    obj = json.loads(dumps(OpenBook(page=page, monodromy=word([("a1", 1), ("b1", 1)]),
+                                    real_structure=inv)))
+    obj["disjoint"].append(["a1", "b1"])
+    return json.dumps(obj)
+
+
+def test_validate_refuses_a_declared_disjoint_pair_that_meets(monkeypatch):
+    # the declaration lets word equality commute the twists of a1 and b1,
+    # so the word certificate passes on a book whose C F C is not F^-1
+    code, out = run_cli(["validate"], meeting_pair_book(), monkeypatch)
+    assert code == 1
+    data = json.loads(out)
+    assert data["page"] == {"disjoint": "disjoint pair (a1, b1) has <a1, b1> = 1",
+                            "genus": True}
+    assert all(v is True for v in data["involution"].values())
+
+
 def test_malformed_json_is_exit_2(monkeypatch):
     code, _ = run_cli(["reality"], "{not json", monkeypatch)
     assert code == 2
@@ -156,6 +202,29 @@ def test_schema_violation_has_path(monkeypatch):
     assert "$.page" in str(err.value)
     code, _ = run_cli(["invariants"], json.dumps(bad), monkeypatch)
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["key", "image", "sigma"])
+def test_provenance_naming_an_unknown_curve_is_exit_2(where, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "fig6", "2"])
+    obj = json.loads(book_json)
+    rec = obj["provenance"][-1]
+    first = sorted(rec["images"])[0]
+    if where == "key":
+        rec["images"]["zzz"] = rec["images"][first]
+    elif where == "image":
+        rec["images"][first] = ["zzz", 1]
+    else:
+        rec["sigma"][0][0] = "zzz"
+    argv_list = [["invariants"], ["reality"], ["validate"],
+                 ["stabilize", "--type", "III", "--site", '{"boundary": 1}']]
+    for argv in argv_list:
+        capsys.readouterr()
+        code, _ = run_cli(argv, json.dumps(obj), monkeypatch)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: $.provenance[{len(obj['provenance']) - 1}] uses "
+                              "unknown curve 'zzz'"), (argv, err)
 
 
 @pytest.mark.parametrize("variant", ["images-list", "image-null", "image-string"])

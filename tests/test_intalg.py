@@ -324,6 +324,19 @@ def test_snf_solve_reuses_one_factorization():
         snf_solve(smith_normal_form(IntMatrix.identity(2)), [1])
 
 
+def test_smith_form_reads_its_diagonal_once(monkeypatch):
+    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    snf = smith_normal_form(a)
+    reads = []
+    diag = IntMatrix.diag
+    monkeypatch.setattr(IntMatrix, "diag", lambda m: reads.append(m) or diag(m))
+    for b in ([2, -6, 10], [1, 0, 0], [4, 0, -4]):
+        assert snf_solve(snf, b) == solve_integer(a, b)
+    assert snf.diag == (2, 6, 12)
+    # one read for the reused form, one for each form solve_integer factors
+    assert [m is snf.d for m in reads] == [True, False, False, False]
+
+
 # ---------------------------------------------------------------------------
 # the diagonal-only Smith form behind cokernel
 

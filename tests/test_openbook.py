@@ -404,3 +404,109 @@ def test_viii_search_solutions_meet_both_radical_conditions():
         assert sum(a * b for a, b in zip(ctv, w)) == sum(a * b for a, b in zip(v, w)) == x * m
         solved += 1
     assert solved
+
+
+def test_seeded_chain_memo_equals_a_fresh_peel():
+    """stabilize seeds each book's chain memo from its parent's and a
+    check of the new block; a fresh peel of every block must agree, on
+    the golden books and on walks from books read back from JSON (whose
+    memo the first step peels fresh)."""
+    from test_golden import golden_books
+
+    from realbook.openbook import _chain_blocks_of
+
+    def books():
+        yield from golden_books()
+        rng = random.Random(11)
+        for e in ENTRIES:
+            ob = loads(dumps(e.build()))
+            for step in range(5):
+                sites = enumerate_sites(ob)
+                rng.shuffle(sites)
+                for tag, site in sites:
+                    try:
+                        ob = stabilize(ob, tag, site)
+                    except StabilizationError:
+                        continue
+                    yield f"{e.name}/{step}", ob
+                    break
+
+    seeded = certified = 0
+    for label, ob in books():
+        if "_chain_blocks" in vars(ob):
+            seeded += 1
+            assert vars(ob)["_chain_blocks"] == _chain_blocks_of(ob), label
+            certified += vars(ob)["_chain_blocks"][0]
+        else:
+            assert ob._chain_blocks == _chain_blocks_of(ob), label
+    assert seeded >= 300 and certified == seeded
+
+
+def newest_block_mutants(ob):
+    last = f"block {len(ob.provenance) - 1} "
+    return [(what, bad) for what, bad in provenance_mutants(ob) if what.startswith(last)]
+
+
+def test_child_of_a_changed_newest_block_seeds_false():
+    from realbook.openbook import _chain_blocks_of
+
+    mutants = newest_block_mutants(catalog_fig4(4))
+    assert len(mutants) >= 4
+    for what, bad in mutants:
+        assert bad._chain_blocks == (False, ()), what
+        child = stabilize(bad, "VIII", {"boundaries": (1, 2)})
+        assert vars(child)["_chain_blocks"] == (False, ()) == _chain_blocks_of(child), what
+
+
+def test_new_block_check_can_fail():
+    """The seed checks the child's own block: a child whose new record
+    has one image changed seeds (False, ()) from a certified parent, as a
+    fresh peel finds."""
+    from realbook.openbook import _chain_blocks_of, _seed_chain_blocks
+
+    parent = catalog_fig4(3)
+    assert parent._chain_blocks[0]
+    for tag, site in [("VIII", {"boundaries": (1, 2)}), ("IX", {"boundaries": (1, 2)})]:
+        child = stabilize(parent, tag, site)
+        assert vars(child)["_chain_blocks"][0]
+        rec = child.provenance[-1]
+        names = sorted(child.page.alphabet)
+        for name, (img, sign) in sorted(rec.images.items()):
+            other = next(n for n in names if n != img)
+            for image in ((img, -sign), (other, sign)):
+                bad = replace(child, provenance=child.provenance[:-1]
+                              + (replace(rec, images={**rec.images, name: image}),))
+                _seed_chain_blocks(parent, bad)
+                assert vars(bad)["_chain_blocks"] == (False, ()), (tag, name, image)
+                assert _chain_blocks_of(bad) == (False, ()), (tag, name, image)
+
+
+def test_lattice_scores_match_the_built_candidates():
+    """The quadratic-form scores of the type-VIII walk equal v . w of each
+    candidate built as the walk first did (base, then base + sum c_i g_i
+    over product(-2..2)), and _lattice_point builds the same point."""
+    from itertools import product
+
+    from realbook.openbook import _lattice_point, _lattice_scores
+
+    def q(z, n):
+        return sum(a * b for a, b in zip(z[:n], z[n:]))
+
+    def polar(y, z, n):
+        return q([a + b for a, b in zip(y, z)], n) - q(y, n) - q(z, n)
+
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, 4)
+        base = tuple(rng.randint(-3, 3) for _ in range(2 * n))
+        gens = [tuple(rng.randint(-2, 2) for _ in range(2 * n)) for _ in range(k)]
+        points = [base] + [tuple(b + sum(c * g[i] for c, g in zip(combo, gens))
+                                 for i, b in enumerate(base))
+                           for combo in product(range(-2, 3), repeat=k)]
+        scores = _lattice_scores(q(base, n), [polar(base, g, n) for g in gens],
+                                 [q(g, n) for g in gens],
+                                 [[polar(g, h, n) for h in gens] for g in gens])
+        assert scores == [q(p, n) for p in points]
+        for index in rng.sample(range(len(points)), min(5, len(points))):
+            assert _lattice_point(base, gens, index) == points[index]

@@ -2,13 +2,16 @@ import pytest
 
 from realbook.intalg import IntMatrix
 from realbook.surface import (
+    BoundaryCircle,
     FixArc,
     FixedSet,
     Involution,
+    NamedCurve,
     involution_is_valid,
     standard_involution,
     standard_surface,
     validate_involution,
+    validate_page,
 )
 
 
@@ -147,3 +150,114 @@ def test_involution_invariants_exact():
         assert c.transpose() @ m.form @ c == -m.form
         assert inv.fixed_set.arc_count == 1 - c.trace()
         assert involution_is_valid(m, inv)
+
+
+def dense_checks(model, inv):
+    """The involution, anti_symplectic, curve_image and boundary_classes
+    checks as first written, with dense products: the oracle of the
+    sparse validate_involution, as (name, ok, detail)."""
+    c, j, rank = inv.matrix, model.form, model.h1_rank
+    ident = IntMatrix.identity(rank)
+    sq = c @ c if rank else ident
+    out = [("involution", sq == ident, "" if sq == ident else f"C^2 = {sq.rows}")]
+    anti = c.transpose() @ j @ c if rank else j
+    ok = anti == -j
+    out.append(("anti_symplectic", ok, "" if ok else f"C^T J C = {anti.rows}"))
+    ok, detail = True, ""
+    for name, (img, s) in inv.curve_image.items():
+        if name not in model.alphabet or img not in model.alphabet:
+            ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
+            break
+        want = tuple(s * x for x in c.apply(model.curve(name).h1_class)) if rank else ()
+        if model.curve(img).h1_class != want:
+            ok, detail = False, f"curve_image({name}) class mismatch"
+            break
+    out.append(("curve_image", ok, detail))
+    ok, detail = True, ""
+    total = (0,) * rank
+    for circle in model.circles:
+        total = tuple(a + b for a, b in zip(total, circle.pclass))
+        if rank and any(j.apply(circle.pclass)):
+            ok, detail = False, f"boundary class of circle {circle.cid} is not radical"
+    if rank and any(total):
+        ok, detail = False, "boundary classes do not sum to zero"
+    out.append(("boundary_classes", ok, detail))
+    return out
+
+
+def sparse_checks(model, inv):
+    names = {name for name, _ok, _detail in dense_checks(model, inv)}
+    return [(r.name, r.ok, r.detail) for r in validate_involution(model, inv) if r.name in names]
+
+
+def one_entry_changes(ob):
+    """(what, page, involution) for each +-1 change of one entry of C, of
+    J, of a curve class that curve_image maps, or of a boundary class."""
+    from dataclasses import replace
+
+    def bumped(rows, i, k, d):
+        out = [list(r) for r in rows]
+        out[i][k] += d
+        return IntMatrix(out, ncols=len(rows[0]))
+
+    page, inv = ob.page, ob.real_structure
+    n = page.h1_rank
+    for i in range(n):
+        for k in range(n):
+            for d in (1, -1):
+                yield f"C[{i},{k}]{d:+d}", page, replace(inv, matrix=bumped(inv.matrix.rows, i, k, d))
+                yield f"J[{i},{k}]{d:+d}", replace(page, form=bumped(page.form.rows, i, k, d)), inv
+    for name in sorted(inv.curve_image):
+        cls = page.curve(name).h1_class
+        for i in range(n):
+            moved = NamedCurve(name=name, h1_class=cls[:i] + (cls[i] + 1,) + cls[i + 1:])
+            yield f"class {name}[{i}]", replace(page, alphabet={**page.alphabet, name: moved}), inv
+    for c in page.circles:
+        for i in range(n):
+            p = c.pclass[:i] + (c.pclass[i] + 1,) + c.pclass[i + 1:]
+            circles = tuple(BoundaryCircle(x.cid, p if x is c else x.pclass) for x in page.circles)
+            yield f"circle {c.cid}[{i}]", replace(page, circles=circles), inv
+
+
+def test_sparse_validation_matches_the_dense_checks():
+    """Every golden book passes, and on one-entry changes of small golden
+    books each of the four checks fails somewhere, with the name and
+    detail of the dense code."""
+    from test_golden import golden_books
+
+    from realbook.catalog import catalog_fig4, catalog_fig6, catalog_lens_3punctured
+
+    for label, ob in golden_books():
+        got = sparse_checks(ob.page, ob.real_structure)
+        assert got == dense_checks(ob.page, ob.real_structure), label
+        assert all(ok for _name, ok, _detail in got), label
+    failed = set()
+    for ob in (catalog_fig4(3), catalog_fig6(2), catalog_lens_3punctured(2, 2, 1)):
+        for what, page, inv in one_entry_changes(ob):
+            got = sparse_checks(page, inv)
+            assert got == dense_checks(page, inv), what
+            failed |= {name for name, ok, _detail in got if not ok}
+    assert failed == {"involution", "anti_symplectic", "curve_image", "boundary_classes"}
+
+
+def test_golden_books_pass_the_page_checks():
+    from test_golden import golden_books
+
+    count = 0
+    for label, ob in golden_books():
+        assert [(r.name, r.ok, r.detail) for r in validate_page(ob.page)] == \
+            [("disjoint", True, ""), ("genus", True, "")], label
+        count += 1
+    assert count == 283
+
+
+def test_page_checks_fail_on_a_meeting_pair_and_a_wrong_genus():
+    from dataclasses import replace
+
+    t = standard_surface(1, 2)
+    report = {r.name: r for r in validate_page(
+        replace(t, genus=2, disjoint=t.disjoint | {frozenset(("a1", "b1"))}))}
+    assert report["disjoint"].detail == "disjoint pair (a1, b1) has <a1, b1> = 1"
+    assert report["genus"].detail == "2g + b - 1 = 5 with g = 2, b = 2, but H1 has rank 3"
+    unknown = replace(t, disjoint=frozenset({frozenset(("a1", "z"))}))
+    assert validate_page(unknown)[0].detail == "disjoint pair (a1, z) names an unknown curve"
