@@ -28,6 +28,7 @@ from .contact import (
     solid_torus_extension_check,
 )
 from .heegaard import (
+    BookNotReal,
     RealPartUnavailable,
     heegaard_data,
     is_maximal,
@@ -258,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (StabilizationError, RealPartUnavailable, ContactModelError) as e:
+    except (StabilizationError, BookNotReal, RealPartUnavailable, ContactModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
     except (SchemaError, KeyError, ValueError, OSError) as e:

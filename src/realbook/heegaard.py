@@ -22,6 +22,12 @@ class RealPartUnavailable(RuntimeError):
     """The opposite page's fixed set is not tracked for this book."""
 
 
+class BookNotReal(ValueError):
+    """The book is NotReal, so it has no real splitting: the input
+    breaks the contract of heegaard_data and real_part, as a NotReal
+    verdict does for the reality check (CLI exit 1)."""
+
+
 @dataclass(frozen=True)
 class HeegaardData:
     genus: int
@@ -56,7 +62,7 @@ def heegaard_data(ob: OpenBook) -> HeegaardData:
     block, C, is the book's own real_structure.matrix)."""
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
-        raise ValueError("book is not real; no real Heegaard decomposition")
+        raise BookNotReal("book is not real; no real Heegaard decomposition")
     return HeegaardData(genus=ob.heegaard_genus,
                         plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
 
@@ -244,7 +250,7 @@ def real_part(ob: OpenBook) -> RealPartData:
     """
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
-        raise ValueError("book is not real; no real part data")
+        raise BookNotReal("book is not real; no real part data")
     if ob.fix_plus is None:
         raise RealPartUnavailable(
             "opposite-page fixed set is not tracked for this book")

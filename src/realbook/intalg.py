@@ -3,18 +3,20 @@
 Everything here works over Python ints, so entry blow-up during Smith
 reduction is harmless.  Intended scale is small (page ranks up to about
 32, relation matrices up to about 60x60).  The product scatters over the
-nonzeros of both factors: the rows of the right factor are listed once
-as (j, x) pairs, and each row of the result gathers a * x into entry j
-for every nonzero a of the left row.  So it costs one multiply per pair
-of nonzeros that meet, and the sparse involutions, forms and Smith
-transforms cost far less than n^3; twist words never go through it,
-because mcg applies each twist as an O(n^2) rank-one update.  The Smith
-form uses the smallest-entry pivot rule, with no modular or HNF
-shortcut.  One elimination loop serves every caller: linear systems are
-solved by back-substitution through a form factored with its
-transforms, which a caller may reuse for many right-hand sides, and
-cokernel runs the same loop without transforms, since it reads only
-the diagonal.
+nonzeros of both factors: a row of the right factor is listed once as
+(j, x) pairs, when a nonzero of the left factor first reaches it, and
+each row of the result gathers a * x into entry j for every nonzero a
+of the left row.  So it costs one multiply per pair of nonzeros that
+meet, and a row of the right factor that no nonzero reaches is never
+read: the sparse involutions, forms and Smith transforms cost far less
+than n^3, and a product of a few probe rows reads a few rows of the
+right factor.  Twist words never go through it, because mcg applies
+each twist as an O(n^2) rank-one update.  The Smith form uses the
+smallest-entry pivot rule, with no modular or HNF shortcut.  One
+elimination loop serves every caller: linear systems are solved by
+back-substitution through a form factored with its transforms, which a
+caller may reuse for many right-hand sides, and cokernel runs the same
+loop without transforms, since it reads only the diagonal.
 """
 
 from __future__ import annotations
@@ -111,13 +113,18 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch {self.shape} @ {other.shape}")
         n = other.ncols
-        # the nonzeros (j, x) of each row of the right factor, built once
-        right = [[(j, x) for j, x in enumerate(row) if x] for row in other.rows]
+        # the nonzeros (j, x) of a row of the right factor, listed when a
+        # nonzero of the left factor first reaches the row
+        orows = other.rows
+        right: list[list[tuple[int, int]] | None] = [None] * other.nrows
         out = []
         for row in self.rows:
             acc = [0] * n
-            for a, orow in zip(row, right):
+            for i, a in enumerate(row):
                 if a:
+                    orow = right[i]
+                    if orow is None:
+                        orow = right[i] = [(j, x) for j, x in enumerate(orows[i]) if x]
                     for j, x in orow:
                         acc[j] += a * x
             out.append(acc)

@@ -81,7 +81,7 @@ def word_times(model: SurfaceModel, w: Sequence[Letter], m: IntMatrix) -> IntMat
         raise ValueError(f"dimension mismatch: word on rank {model.h1_rank} @ {m.shape}")
     rows = [list(r) for r in m.rows]
     transvect(model, w, rows, transposed=False)
-    return IntMatrix(rows, ncols=m.ncols)
+    return IntMatrix._trusted(rows, m.ncols)
 
 
 def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:
@@ -90,7 +90,7 @@ def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMat
         raise ValueError(f"dimension mismatch: {m.shape} @ word on rank {model.h1_rank}")
     cols = [list(c) for c in m.transpose().rows]
     transvect(model, tuple(w)[::-1], cols, transposed=True)
-    return IntMatrix(cols, ncols=m.nrows).transpose()
+    return IntMatrix._trusted(cols, m.nrows).transpose()
 
 
 def transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],

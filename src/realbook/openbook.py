@@ -7,8 +7,9 @@ Stabilization bookkeeping follows local handle models.  The new real
 structure is (extension of c) composed with the stabilizing twist(s);
 its matrix is C~ @ Sigma, its fixed set is the old one pushed through a
 strand-switch analysis near the twisting annuli.  Every output is
-revalidated (involution axioms, Lefschetz arc count); incompatible sites
-raise instead of producing inconsistent data.
+validated (involution axioms, Lefschetz arc count), from the checks of
+the new block when the parent is valid; incompatible sites raise
+instead of producing inconsistent data.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from .surface import (
     FixArc,
     FixCircle,
     FixedSet,
+    HandleExtension,
     Involution,
     NamedCurve,
     RefArc,
     SurfaceModel,
     entries,
+    involution_is_valid,
     validate_involution,
     vec_add,
     vec_dot,
@@ -158,6 +161,12 @@ class OpenBook:
         word left when they are peeled; (False, ()) when one fails.  A book
         made by stabilize has it seeded from its parent (_seed_chain_blocks)."""
         return _chain_blocks_of(self)
+
+    @cached_property
+    def _involution_valid(self) -> bool:
+        """Whether every check of validate_involution passes.  A book made
+        by stabilize has it seeded True, as stabilize refuses any other."""
+        return involution_is_valid(self.page, self.real_structure)
 
     @cached_property
     def monodromy_matrix(self) -> IntMatrix:
@@ -402,18 +411,25 @@ def _extend_form(j: IntMatrix, new_cols: list[tuple[int, ...]], mutual: int) -> 
     if k == 2:
         rows[n][n + 1] = mutual
         rows[n + 1][n] = -mutual
-    return IntMatrix(rows, ncols=n + k)
+    return IntMatrix._trusted(rows, n + k)
+
+
+def _core_block(st: StabType) -> tuple[tuple[int, ...], ...]:
+    """The block of C~ on the new classes: each new curve goes to
+    core_sign times its mirror (a <-> ca for a handle pair, a to itself
+    for a single handle)."""
+    k = st.handle_count
+    return tuple(tuple(st.core_sign if t + u == k - 1 else 0 for u in range(k))
+                 for t in range(k))
 
 
 def _naive_extension(c: IntMatrix, st: StabType) -> IntMatrix:
-    """C~ = C (+) block: the extension acts as C on the old classes and
-    maps each new curve to core_sign times its mirror (a <-> ca for a
-    handle pair, a to itself for a single handle)."""
+    """C~ = C (+) _core_block(st): the extension acts as C on the old
+    classes and as the core block on the new ones."""
     n, k = c.nrows, st.handle_count
-    rows = [list(r) + [0] * k for r in c.rows]
-    for t in range(k):
-        rows.append([0] * n + [st.core_sign if t + u == k - 1 else 0 for u in range(k)])
-    return IntMatrix(rows, ncols=n + k)
+    rows = [r + (0,) * k for r in c.rows]
+    rows.extend((0,) * n + r for r in _core_block(st))
+    return IntMatrix._trusted(rows, n + k)
 
 
 @dataclass
@@ -544,16 +560,24 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
     An arc from the basepoint to boundary l crosses the pushoff of l
     once (+1), the basepoint pushoff once (-1) and no other: this fixes
     the crossings with the fresh curves that the per-type bookkeeping
-    leaves free.  The crossing matrix is the same for every arc, so its
-    Smith form is factored once and each arc only back-substitutes.
+    leaves free.  Each residual is summed over the nonzeros of the
+    boundary classes.  A zero residual needs a zero correction, which
+    snf_solve would return, so only arcs with a nonzero residual
+    back-substitute.  The crossing matrix is the same for every arc, so
+    its Smith form is factored once, for the first such arc.
     """
     bp = min(b.circles)
     cids = sorted(b.circles)
-    snf = smith_normal_form(IntMatrix([[b.circles[cid][t] for t in new_idx] for cid in cids],
-                                      ncols=len(new_idx)))
+    classes = [[(i, x) for i, x in enumerate(b.circles[cid]) if x] for cid in cids]
+    snf = None
     for l, row in sorted(b.arcs_rows.items()):
-        rhs = [(1 if cid == l else (-1 if cid == bp else 0)) - vec_dot(row, b.circles[cid])
-               for cid in cids]
+        rhs = [(1 if cid == l else (-1 if cid == bp else 0)) - sum([row[i] * x for i, x in nz])
+               for cid, nz in zip(cids, classes)]
+        if not any(rhs):
+            continue
+        if snf is None:
+            snf = smith_normal_form(IntMatrix._trusted(
+                [[b.circles[cid][t] for t in new_idx] for cid in cids], len(new_idx)))
         sol = snf_solve(snf, rhs)
         if sol is None:
             raise StabilizationError(
@@ -611,17 +635,25 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
 
 
 def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
-    """Twist along the new curves and revalidate.
+    """Twist along the new curves and validate what the handle changed.
 
     sigma is the positive twist along each new curve (ca before a for a
     handle pair), and the new real structure is C~ Sigma, with C~ the
     naive extension of the type's core sign.  The strand law of each
     side pushes only its probe rows through the new structure (the plus
-    side first through the new word), so F C is never formed.  The
-    output is revalidated in full (validate_involution, over nonzeros),
-    and its chain memo is seeded from the parent's plus a check of the
-    new block alone (_seed_chain_blocks), so a chain of k moves does not
-    re-peel k blocks per move.
+    side first through the new word), so F C is never formed.
+
+    The output goes through validate_involution as a handle extension
+    of the parent (HandleExtension) when the parent's validity memo
+    holds and the new names are fresh: the block's checks stand for the
+    algebraic ones, by the lemma of surface._handle_block_holds, and the
+    structural checks run in full.  A failing block check, or a parent
+    whose memo is false, gets the full report, so a refusal names the
+    same checks and details as a full validation.  An accepted book is
+    valid, so its memo is seeded True.  Its chain memo is seeded from
+    the parent's plus a check of the new block alone
+    (_seed_chain_blocks), so a chain of k moves does not re-peel k
+    blocks per move.
     """
     st = STAB_TYPES[tag]
     model = ob.page
@@ -689,11 +721,15 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         fix_plus=fix_plus,
         provenance=ob.provenance + (rec,),
     )
-    report = validate_involution(page, inv)
+    fresh = not any(name in model.alphabet for name in b.names)
+    extends = (HandleExtension(model, ob.real_structure, _core_block(st))
+               if fresh and ob._involution_valid else None)
+    report = validate_involution(page, inv, extends)
     bad = [r for r in report if not r.ok]
     if bad:
         raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
                                  + "; ".join(f"{r.name}: {r.detail}" for r in bad))
+    vars(out)["_involution_valid"] = True
     _seed_chain_blocks(ob, out)
     return out
 

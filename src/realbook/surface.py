@@ -448,7 +448,32 @@ class CheckResult:
     detail: str = ""
 
 
-def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
+@dataclass(frozen=True)
+class HandleExtension:
+    """The valid pair (page, inv) that a page and involution extend by a
+    block of k new classes, as stabilization builds them, and the block
+    core = L of the naive extension C~ = C (+) L on the new classes.
+    validate_involution reads it to check the block only.
+
+    With n the old rank, the builder guarantees, and nothing here checks:
+      * the new basis is the old one followed by the classes
+        e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
+        lacks, and every old curve keeps its class widened by zeros;
+      * the first n rows of the new form start with the old form J;
+      * the new matrix is C~ Sigma, Sigma the positive twist along each
+        new curve, the mirror e_{n+1} before e_n for a pair;
+      * a curve image equal to the old one names a curve Sigma fixes.
+    Everything else the lemma of _handle_block_holds needs is read off
+    the data and checked there.
+    """
+
+    page: SurfaceModel
+    inv: Involution
+    core: tuple[tuple[int, ...], ...]
+
+
+def validate_involution(model: SurfaceModel, inv: Involution,
+                        extends: HandleExtension | None = None) -> list[CheckResult]:
     """Check every declared invariant; reports failures, never raises.
 
     The checks run over nonzeros.  The products are the scatter
@@ -461,7 +486,18 @@ def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResul
     cached sparse class of name, and a boundary class p is radical when
     J p = sum_i p_i col_i(J), summed over the nonzeros of p, vanishes.
     A failing check rebuilds its product only to report it.
+
+    With extends, the pair extends a valid pair by a handle block (see
+    HandleExtension).  When the checks of the block hold
+    (_handle_block_holds), the involution, anti_symplectic, curve_image
+    and boundary_classes checks pass by the lemma there and are
+    reported so; the structural checks run in full.  When a block check
+    fails, every check runs in full, so the report is the full one.
     """
+    if extends is not None and _handle_block_holds(model, inv, extends):
+        return ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
+                + _structural_checks(model, inv)
+                + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)])
     out: list[CheckResult] = []
     c = inv.matrix
     j = model.form
@@ -482,33 +518,7 @@ def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResul
         ok = dense_anti() == -j
     out.append(CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {dense_anti().rows}"))
 
-    perm = dict(inv.boundary_perm)
-    ok = all(perm.get(perm.get(i, None), None) == i for i in perm)
-    ids = {cc.cid for cc in model.circles}
-    ok = ok and set(perm) == ids
-    out.append(CheckResult("boundary_perm", ok, "" if ok else f"perm = {perm}"))
-
-    ok = True
-    detail = ""
-    for cid in ids:
-        if perm.get(cid) == cid:
-            if len(inv.fixed_points.get(cid, ())) != 2:
-                ok, detail = False, f"reflection circle {cid} lacks two fixed points"
-        else:
-            if cid in inv.fixed_points:
-                ok, detail = False, f"swapped circle {cid} carries fixed points"
-    out.append(CheckResult("boundary_tags", ok, detail))
-
-    arcs = inv.fixed_set.arcs
-    lef = 1 - (c.trace() if rank else 0)
-    ok = len(arcs) == lef
-    out.append(CheckResult("lefschetz", ok, "" if ok else f"{len(arcs)} arcs vs 1 - tr = {lef}"))
-
-    # each declared fixed point is used by exactly one arc end
-    declared = {(cid, p) for cid, pts in inv.fixed_points.items() for p in pts}
-    used: list[tuple[int, int]] = [e for a in arcs for e in a.ends]
-    ok = sorted(used) == sorted(declared)
-    out.append(CheckResult("arc_endpoints", ok, "" if ok else f"used {sorted(used)} vs declared {sorted(declared)}"))
+    out += _structural_checks(model, inv)
 
     ok, detail = True, ""
     for name, (img, s) in inv.curve_image.items():
@@ -538,6 +548,144 @@ def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResul
     out.append(CheckResult("boundary_classes", ok, detail))
 
     return out
+
+
+def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
+    """boundary_perm, boundary_tags, lefschetz and arc_endpoints: the
+    checks that read the boundary and fixed-set data, not the algebra."""
+    out: list[CheckResult] = []
+    c = inv.matrix
+    perm = dict(inv.boundary_perm)
+    ok = all(perm.get(perm.get(i, None), None) == i for i in perm)
+    ids = {cc.cid for cc in model.circles}
+    ok = ok and set(perm) == ids
+    out.append(CheckResult("boundary_perm", ok, "" if ok else f"perm = {perm}"))
+
+    ok = True
+    detail = ""
+    for cid in ids:
+        if perm.get(cid) == cid:
+            if len(inv.fixed_points.get(cid, ())) != 2:
+                ok, detail = False, f"reflection circle {cid} lacks two fixed points"
+        else:
+            if cid in inv.fixed_points:
+                ok, detail = False, f"swapped circle {cid} carries fixed points"
+    out.append(CheckResult("boundary_tags", ok, detail))
+
+    arcs = inv.fixed_set.arcs
+    lef = 1 - (c.trace() if model.h1_rank else 0)
+    ok = len(arcs) == lef
+    out.append(CheckResult("lefschetz", ok, "" if ok else f"{len(arcs)} arcs vs 1 - tr = {lef}"))
+
+    # each declared fixed point is used by exactly one arc end
+    declared = {(cid, p) for cid, pts in inv.fixed_points.items() for p in pts}
+    used: list[tuple[int, int]] = [e for a in arcs for e in a.ends]
+    ok = sorted(used) == sorted(declared)
+    out.append(CheckResult("arc_endpoints", ok, "" if ok else f"used {sorted(used)} vs declared {sorted(declared)}"))
+    return out
+
+
+def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtension) -> bool:
+    """Whether the involution, anti_symplectic, curve_image and
+    boundary_classes checks hold on a handle extension of a valid pair,
+    from checks of the block alone (premises in HandleExtension).
+
+    Write the new form as J' = [[J, X], [Y, M]] and the new matrix as
+    C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T, M is
+    antisymmetric, L is antidiagonal with L^2 = I (so C~ maps each new
+    curve to +-its mirror, the pair reversed), L^T M L = -M, and the
+    cross block C^T X L = -X: k sparse products.
+
+    Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~ is
+    an involution with C~^T J' C~ = -J' (the off-diagonal blocks are the
+    cross block and its transpose).  For such a C~ and a curve a,
+    C~ T_a C~ = T_{C~ a}^-1: C~ T_a C~ x = x + <C~ x, a> C~ a and
+    <C~ x, a> = -<x, C~ a> (Farb & Margalit, A Primer on Mapping Class
+    Groups, ch. 3).  As C~ reverses the new curves up to sign and
+    T_{-b} = T_b, C~ Sigma C~ = Sigma^-1, so (C~ Sigma)^2 = I.  A twist
+    along a new curve e preserves J', because row and column e of J'
+    are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
+    Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.
+    An image equal to the old one names a curve Sigma fixes, whose class
+    and image's class are the old ones widened by zeros, so C~ Sigma
+    maps it as C did; only new or changed images are checked.  A circle
+    whose class is its old class q widened by zeros has
+    J' (q, 0) = (J q, Y q) with J q = 0 by the old radical check, so it
+    needs X^T q = 0 only; a new or changed circle is checked fresh, and
+    the sum of all classes is the old sum, zero, moved by the new and
+    changed classes less the old classes of changed and removed
+    circles.
+    """
+    old, core = ext.page, ext.core
+    n, rank = old.h1_rank, model.h1_rank
+    k = rank - n
+    rows = model.form.rows
+    if len(core) != k or any(len(r) != k for r in core) or any(len(r) != rank for r in rows[n:]):
+        return False
+    # column t of L is l[t] e_{k-1-t}, the mirror of new class t
+    l = [core[k - 1 - t][t] for t in range(k)]
+    m = [r[n:] for r in rows[n:]]
+    if (any(core[t][u] and t + u != k - 1
+            or m[t][u] != -m[u][t]
+            or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
+            for t in range(k) for u in range(k))
+            or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
+        return False
+    xs = [[r[n + t] for r in rows[:n]] for t in range(k)]
+    xnz = [[(i, x) for i, x in enumerate(col) if x] for col in xs]
+    c_old = ext.inv.matrix.rows
+    for t in range(k):
+        minus_x = [-x for x in xs[t]]
+        if list(rows[n + t][:n]) != minus_x:
+            return False
+        # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
+        acc = [0] * n
+        for i, x in xnz[k - 1 - t]:
+            acc = [a + x * y for a, y in zip(acc, c_old[i])]
+        if [l[t] * a for a in acc] != minus_x:
+            return False
+
+    old_images = ext.inv.curve_image
+    c = inv.matrix.rows
+    for name, (img, s) in inv.curve_image.items():
+        if old_images.get(name) == (img, s):
+            continue
+        if name not in model.alphabet or img not in model.alphabet:
+            return False
+        acc = [0] * rank
+        for i, x in entries(model.curve_vectors(name).a):
+            acc = [a + x * r[i] for a, r in zip(acc, c)]
+        if model.curve(img).h1_class != tuple(s * a for a in acc):
+            return False
+
+    # per circle, d is its class less its old class q widened by zeros
+    # (all of it for a new circle), and J' p = (J q, Y q) + J' d, where
+    # J q = 0 and Y q = -X^T q; the sum of the d, less the old classes
+    # of removed circles, is the sum of all classes
+    old_circles = {circle.cid: circle.pclass for circle in old.circles}
+    total = [0] * rank
+    for circle in model.circles:
+        p = circle.pclass
+        q = old_circles.pop(circle.cid, None)
+        if q is None:
+            d, jp = p, [0] * rank
+        else:
+            yq = [-sum([x * q[i] for i, x in nz]) for nz in xnz]
+            if p[:n] == q and not any(p[n:]):
+                if any(yq):
+                    return False
+                continue
+            d = [a - b for a, b in zip(p, q)] + list(p[n:])
+            jp = [0] * n + yq
+        for i, x in enumerate(d):
+            if x:
+                jp = [a + x * r[i] for a, r in zip(jp, rows)]
+                total[i] += x
+        if any(jp):
+            return False
+    for q in old_circles.values():
+        total = [t - x for t, x in zip(total, q)] + total[n:]
+    return not any(total)
 
 
 def validate_page(model: SurfaceModel) -> list[CheckResult]:

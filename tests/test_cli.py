@@ -133,6 +133,22 @@ def test_heegaard_subcommand(monkeypatch):
     assert data["real_part"]["separating"] == [True]
 
 
+def test_heegaard_refuses_a_not_real_book_as_a_contract_violation(monkeypatch, capsys):
+    # one entry of C changed makes fig4(2) NotReal: reality and validate
+    # exit 1 on it, and heegaard, whose NotReal refusal names no $. path,
+    # must too
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    obj = json.loads(book_json)
+    obj["involution"]["matrix"][1][1] += 1
+    text = json.dumps(obj)
+    for argv in (["reality"], ["validate"], ["heegaard"]):
+        capsys.readouterr()
+        code, _ = run_cli(argv, text, monkeypatch)
+        assert code == 1, argv
+    assert capsys.readouterr().err == (
+        "error: book is not real; no real Heegaard decomposition\n")
+
+
 def test_validate_subcommand(monkeypatch):
     _code, book_json = run_cli(["catalog", "lens-3punctured", "2", "2", "1"])
     code, out = run_cli(["validate"], book_json, monkeypatch)

@@ -89,7 +89,7 @@ def run(argv, text):
             code = main(argv)
     finally:
         sys.stdin = stdin
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @seed(13)
@@ -98,7 +98,28 @@ def run(argv, text):
 @given(mutated_books())
 def test_mutated_book_ends_in_an_exit_code(text):
     for argv in COMMANDS:
-        code, err = run(argv, text)
+        code, _out, err = run(argv, text)
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.startswith("error: "), argv
+
+
+STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]
+
+
+@seed(17)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutated_books())
+def test_block_validation_keeps_stabilize_outcomes(text):
+    """stabilize validates a new book from the checks of its block when
+    the parent's validity memo holds.  With the memo forced false, every
+    book is validated in full, and each stabilize run on a mutated book
+    must end alike: the same exit code, output and error line."""
+    from realbook.openbook import OpenBook
+
+    by_block = [run(argv, text) for argv in STABILIZE]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OpenBook, "_involution_valid", property(lambda self: False))
+        in_full = [run(argv, text) for argv in STABILIZE]
+    assert by_block == in_full

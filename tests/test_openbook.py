@@ -510,3 +510,243 @@ def test_lattice_scores_match_the_built_candidates():
         assert scores == [q(p, n) for p in points]
         for index in rng.sample(range(len(points)), min(5, len(points))):
             assert _lattice_point(base, gens, index) == points[index]
+
+
+def typed_walks(seed, steps):
+    """Walks from every catalog book, one per type, each step trying the
+    sites of that type first: (label, book) after each step."""
+    rng = random.Random(seed)
+    for prefer in STAB_TYPES:
+        for e in ENTRIES:
+            ob = e.build()
+            for step in range(steps):
+                sites = enumerate_sites(ob)
+                rng.shuffle(sites)
+                sites.sort(key=lambda ts: ts[0] != prefer)
+                for tag, site in sites:
+                    try:
+                        ob = stabilize(ob, tag, site)
+                    except StabilizationError:
+                        continue
+                    yield f"{prefer}/{e.name}/{step}", ob
+                    break
+
+
+def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
+    """stabilize validates a child of a valid parent from the checks of
+    its block (HandleExtension) and seeds the child's validity memo.  On
+    every golden book and on walks through all nine types, the report
+    of each block check equals the full report, and each seeded memo
+    equals a fresh validation."""
+    from test_golden import golden_books
+
+    import realbook.openbook as openbook_module
+    from realbook.surface import _handle_block_holds
+
+    seen = []
+    full_validation = openbook_module.validate_involution
+
+    def recording(page, inv, extends=None):
+        if extends is not None:
+            seen.append((page, inv, extends))
+        return full_validation(page, inv, extends)
+
+    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    seeded, tags = 0, set()
+    for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
+        fresh = all(r.ok for r in validate_involution(ob.page, ob.real_structure))
+        if "_involution_valid" in vars(ob):
+            seeded += 1
+            tags.add(ob.provenance[-1].tag)
+            assert vars(ob)["_involution_valid"] == fresh, label
+        else:
+            assert ob._involution_valid == fresh, label
+    assert seeded >= 500 and tags == set(STAB_TYPES)
+    for page, inv, extends in seen:
+        assert _handle_block_holds(page, inv, extends)
+        assert validate_involution(page, inv, extends) == validate_involution(page, inv)
+    assert len(seen) >= seeded
+
+
+def _with_entries(form, changes):
+    """form with each entry (i, j) moved by changes[i, j]."""
+    rows = [list(r) for r in form.rows]
+    for (i, j), d in changes.items():
+        rows[i][j] += d
+    return IntMatrix(rows)
+
+
+def _circle_coordinate(page, used):
+    """The first coordinate that some boundary class of page uses (or
+    that none uses)."""
+    return next(i for i in range(page.h1_rank) if any(c.pclass[i] for c in page.circles) == used)
+
+
+def _cross_entry(form, parent):
+    """Move the cross-block entry X[i, 0] and its mirror by one, at a
+    coordinate no boundary class uses, so only C^T X L = -X breaks."""
+    n = parent.page.h1_rank
+    i = _circle_coordinate(parent.page, used=False)
+    return _with_entries(form, {(i, n): 1, (n, i): -1})
+
+
+def _mirror_entry(form, parent):
+    """Move the entry of the new rows mirroring X[i, 0] alone."""
+    n = parent.page.h1_rank
+    i = _circle_coordinate(parent.page, used=False)
+    return _with_entries(form, {(n, i): -1})
+
+
+def _cross_pair_against_a_circle(form, parent):
+    """x_0 += e_i and x_1 -= C^T e_i, with mirrors, at a coordinate a
+    boundary class uses: C^T X L = -X still holds for L the swap, and
+    only X^T q = 0 breaks for an unchanged circle q."""
+    n = parent.page.h1_rank
+    i = _circle_coordinate(parent.page, used=True)
+    changes = {(i, n): 1, (n, i): -1}
+    for j, c in enumerate(parent.real_structure.matrix.rows[i]):
+        changes[j, n + 1] = changes.get((j, n + 1), 0) - c
+        changes[n + 1, j] = changes.get((n + 1, j), 0) + c
+    return _with_entries(form, changes)
+
+
+def _new_image(page, inv, parent):
+    """Flip the sign of the first image the parent lacks."""
+    name = next(n for n in sorted(inv.curve_image) if n not in parent.real_structure.curve_image)
+    img, sign = inv.curve_image[name]
+    return page, replace(inv, curve_image={**inv.curve_image, name: (img, -sign)})
+
+
+def _with_circles(page, changes):
+    """page with the class of circle cid moved by changes[cid]."""
+    circles = tuple(replace(c, pclass=tuple(x + d for x, d in zip(c.pclass, changes[c.cid])))
+                    if c.cid in changes else c for c in page.circles)
+    return replace(page, circles=circles)
+
+
+def _is_changed(circle, page, parent):
+    """Whether the class of circle differs from its class on the parent
+    widened by zeros (a new circle has none)."""
+    widen = (0,) * (page.h1_rank - parent.page.h1_rank)
+    old = {c.cid: c.pclass + widen for c in parent.page.circles}
+    return old.get(circle.cid) != circle.pclass
+
+
+def _changed_circle(page, inv, parent):
+    """Move the first coordinate of the first changed circle class."""
+    cid = next(c.cid for c in page.circles if _is_changed(c, page, parent))
+    return _with_circles(page, {cid: [1] + [0] * (page.h1_rank - 1)}), inv
+
+
+def _changed_circle_pair(page, inv, parent):
+    """Move two changed classes by +-e_i for a non-radical e_i, so the
+    classes still sum to zero and only the radical test breaks."""
+    j, k = [c.cid for c in page.circles if _is_changed(c, page, parent)][:2]
+    i = next(i for i in range(page.h1_rank) if any(r[i] for r in page.form.rows))
+    e = [int(t == i) for t in range(page.h1_rank)]
+    return _with_circles(page, {j: e, k: [-x for x in e]}), inv
+
+
+def _unchanged_circle(page, inv, parent):
+    """Set the first new coordinate of the first unchanged class."""
+    n = parent.page.h1_rank
+    cid = next(c.cid for c in page.circles if not _is_changed(c, page, parent))
+    return _with_circles(page, {cid: [int(t == n) for t in range(page.h1_rank)]}), inv
+
+
+def _fig5_after_iv():
+    """fig5(2) after one type IV move, whose new coordinates no
+    boundary class uses."""
+    return stabilize(catalog_fig5(2), "IV", {"boundary": 1, "shadow": 1})
+
+
+IV_SITE = {"boundary": 1, "shadow": 1}
+
+
+@pytest.mark.parametrize("make, tag, site, corrupt, failing", [
+    (_fig5_after_iv, "IV", IV_SITE, _cross_entry, {"anti_symplectic"}),
+    (_fig5_after_iv, "IV", IV_SITE, _mirror_entry, {"anti_symplectic"}),
+    (_fig5_after_iv, "IV", IV_SITE, _cross_pair_against_a_circle, {"boundary_classes"}),
+    (lambda: catalog_fig5(2), "III", {"boundary": 1}, _new_image, {"curve_image"}),
+    (lambda: catalog_fig4(3), "IX", {"boundaries": (1, 2)}, _new_image, {"curve_image"}),
+    (lambda: catalog_fig5(2), "III", {"boundary": 1}, _changed_circle, {"boundary_classes"}),
+    (lambda: catalog_fig4(3), "VIII", {"boundaries": (1, 2)}, _changed_circle_pair,
+     {"boundary_classes"}),
+    (lambda: catalog_fig5(2), "III", {"boundary": 1}, _unchanged_circle, {"boundary_classes"}),
+    (lambda: catalog_fig6(2), "VI", {"boundaries": (1, 2)}, _unchanged_circle,
+     {"boundary_classes"}),
+], ids=["cross-entry-IV", "mirror-entry-IV", "cross-pair-IV", "new-image-III",
+        "new-image-IX", "changed-circle-III", "changed-circle-pair-VIII",
+        "unchanged-circle-III", "unchanged-circle-VI"])
+def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, corrupt,
+                                                             failing, monkeypatch):
+    """One item of the block corrupted as the new book is validated: the
+    block check fails, and stabilize refuses with the message of a full
+    validation, the one it gives when the parent's memo is false.  Each
+    corruption breaks the full check that one block check stands for
+    and, where it can, no other block check, so each block check is
+    shown to fail.  The new structure is rebuilt on a corrupted form,
+    C~ Sigma with Sigma's twists read from it, as the lemma assumes."""
+    import realbook.openbook as openbook_module
+    import realbook.surface as surface_module
+    from realbook.mcg import times_word
+
+    verdicts, reports = [], []
+    block_holds = surface_module._handle_block_holds
+    full_validation = openbook_module.validate_involution
+
+    def spying(*args):
+        verdicts.append(block_holds(*args))
+        return verdicts[-1]
+
+    def corrupting(page, inv, extends=None):
+        if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
+            page = replace(page, form=corrupt(page.form, parent))
+            sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
+            c_naive = openbook_module._naive_extension(parent.real_structure.matrix,
+                                                       STAB_TYPES[tag])
+            inv = replace(inv, matrix=times_word(c_naive, page, sigma))
+        else:
+            page, inv = corrupt(page, inv, parent)
+        reports.append(full_validation(page, inv))
+        return full_validation(page, inv, extends)
+
+    parent = make()
+    assert parent._involution_valid
+    monkeypatch.setattr(surface_module, "_handle_block_holds", spying)
+    monkeypatch.setattr(openbook_module, "validate_involution", corrupting)
+    with pytest.raises(StabilizationError) as seeded:
+        stabilize(parent, tag, site)
+    assert verdicts == [False]
+    assert failing <= {r.name for r in reports[0] if not r.ok}
+
+    unseeded = replace(parent)
+    vars(unseeded)["_involution_valid"] = False
+    with pytest.raises(StabilizationError) as full:
+        stabilize(unseeded, tag, site)
+    assert verdicts == [False]
+    assert str(seeded.value) == str(full.value)
+
+
+def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
+    """The lemma needs C~ to map each new curve to +-its mirror with
+    C~^2 = I: on a valid handle pair, any other core block fails the
+    block check, while the core the type declares passes."""
+    import realbook.openbook as openbook_module
+    from realbook.surface import _handle_block_holds
+
+    seen = []
+    full_validation = openbook_module.validate_involution
+
+    def recording(page, inv, extends=None):
+        seen.append((page, inv, extends))
+        return full_validation(page, inv, extends)
+
+    parent = catalog_fig4(3)
+    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    stabilize(parent, "IX", {"boundaries": (1, 2)})
+    (page, inv, ext), = seen
+    assert ext.core == ((0, 1), (1, 0)) and _handle_block_holds(page, inv, ext)
+    for core in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
+                 ((0, 1),), ((1,),), ((0, 2), (2, 0))]:
+        assert not _handle_block_holds(page, inv, replace(ext, core=core)), core
