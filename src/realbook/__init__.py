@@ -1,43 +1,40 @@
-"""Combinatorial and numerical calculus for real open books on 3-manifolds."""
+"""Combinatorial and numerical calculus for real open books on 3-manifolds.
 
-from .intalg import AbelianGroup, IntMatrix, SmithForm, cokernel, smith_normal_form
-from .openbook import (
-    OpenBook,
-    Reality,
-    RealityStatus,
-    StabilizationError,
-    check_reality,
-    enumerate_sites,
-    h1_of_manifold,
-    stabilize,
-)
-from .surface import (
-    Involution,
-    SurfaceModel,
-    standard_involution,
-    standard_surface,
-    validate_involution,
-)
+The names below load their module on first use (PEP 562), so importing
+the package, or one of its modules, loads nothing else.
+"""
 
-__all__ = [
-    "AbelianGroup",
-    "IntMatrix",
-    "Involution",
-    "OpenBook",
-    "Reality",
-    "RealityStatus",
-    "SmithForm",
-    "StabilizationError",
-    "SurfaceModel",
-    "check_reality",
-    "cokernel",
-    "enumerate_sites",
-    "h1_of_manifold",
-    "smith_normal_form",
-    "stabilize",
-    "standard_involution",
-    "standard_surface",
-    "validate_involution",
-]
+# exported name -> the module that defines it
+_HOME = {
+    "AbelianGroup": "intalg",
+    "IntMatrix": "intalg",
+    "Involution": "surface",
+    "OpenBook": "openbook",
+    "Reality": "openbook",
+    "RealityStatus": "openbook",
+    "SmithForm": "intalg",
+    "StabilizationError": "errors",
+    "SurfaceModel": "surface",
+    "check_reality": "openbook",
+    "cokernel": "intalg",
+    "enumerate_sites": "openbook",
+    "h1_of_manifold": "openbook",
+    "smith_normal_form": "intalg",
+    "stabilize": "openbook",
+    "standard_involution": "surface",
+    "standard_surface": "surface",
+    "validate_involution": "surface",
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

@@ -8,12 +8,12 @@ ENTRIES for the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .intalg import AbelianGroup
 from .mcg import word
 from .openbook import OpenBook, stabilize
+from .records import record
 from .surface import (
     FixArc,
     FixCircle,
@@ -153,7 +153,7 @@ def _swap_pair_ids(ob: OpenBook) -> tuple[int, int]:
     raise ValueError("book has no swapped boundary pair")
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     build: Callable[[], OpenBook]

@@ -9,6 +9,9 @@ so subcommands compose in pipelines:
 
 Exit codes: 0 success, 1 contract violation (a check failed or an
 operation refused its input), 2 malformed input.
+
+Each process runs one subcommand, so each cmd_* imports what it calls
+and the module itself imports only the exceptions of realbook.errors.
 """
 
 from __future__ import annotations
@@ -17,44 +20,26 @@ import argparse
 import json
 import sys
 
-from . import catalog as _catalog
-from .contact import (
-    ContactModelError,
-    FormSampler,
-    build_profiles,
-    contact_defect,
-    contact_report,
-    k_threshold,
-    solid_torus_extension_check,
-)
-from .heegaard import (
+from .errors import (
     BookNotReal,
+    ContactModelError,
     RealPartUnavailable,
-    heegaard_data,
-    is_maximal,
-    real_part,
-    validate_heegaard,
-)
-from .intalg import AbelianGroup
-from .jsonio import SchemaError, dumps, loads
-from .openbook import (
-    OpenBook,
-    Reality,
+    SchemaError,
     StabilizationError,
-    check_reality,
-    h1_of_manifold,
-    stabilize,
 )
-from .surface import validate_involution, validate_page
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_BAD_INPUT = 2
 
 
-def _read_book(path: str | None) -> OpenBook:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return loads(text)
+def _read_book(path: str | None):
+    from .jsonio import loads
+
+    if path in (None, "-"):
+        return loads(sys.stdin.read())
+    with open(path) as fh:
+        return loads(fh.read())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,7 +54,7 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True), out)
 
 
-def _group_obj(g: AbelianGroup) -> dict:
+def _group_obj(g) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "pretty": str(g)}
 
 
@@ -82,18 +67,26 @@ def _parse_family(tag: str) -> int:
 
 
 def cmd_catalog(args) -> int:
-    book = _catalog.build(args.name, *args.params)
+    from .catalog import build
+    from .jsonio import dumps
+
+    book = build(args.name, *args.params)
     _emit(dumps(book), args.out)
     return EXIT_OK
 
 
 def cmd_new(args) -> int:
+    from .jsonio import dumps
+
     book = _read_book(args.infile)
     _emit(dumps(book), args.out)
     return EXIT_OK
 
 
 def cmd_stabilize(args) -> int:
+    from .jsonio import dumps
+    from .openbook import stabilize
+
     book = _read_book(args.infile)
     site = json.loads(args.site) if args.site else {}
     out = stabilize(book, args.type, site)
@@ -102,6 +95,8 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_reality(args) -> int:
+    from .openbook import Reality, check_reality
+
     book = _read_book(args.infile)
     status = check_reality(book)
     _emit_json({"status": status.kind.value,
@@ -120,6 +115,8 @@ def _jsonable(x):
 
 
 def cmd_invariants(args) -> int:
+    from .openbook import check_reality, h1_of_manifold
+
     book = _read_book(args.infile)
     page = book.page
     _emit_json({
@@ -134,6 +131,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_heegaard(args) -> int:
+    from .heegaard import heegaard_data, is_maximal, real_part, validate_heegaard
+
     book = _read_book(args.infile)
     hd = heegaard_data(book)
     report = {"genus": hd.genus}
@@ -153,6 +152,15 @@ def cmd_heegaard(args) -> int:
 
 
 def cmd_contact(args) -> int:
+    from .contact import (
+        FormSampler,
+        build_profiles,
+        contact_defect,
+        contact_report,
+        k_threshold,
+        solid_torus_extension_check,
+    )
+
     family = _parse_family(args.family)
     grid = args.grid
     if grid < 2:
@@ -185,6 +193,9 @@ def cmd_contact(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .openbook import Reality, check_reality
+    from .surface import validate_involution, validate_page
+
     book = _read_book(args.infile)
     report = validate_involution(book.page, book.real_structure)
     page = validate_page(book.page)

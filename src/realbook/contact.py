@@ -36,8 +36,10 @@ a + i*step with the last point exactly the end value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
+
+from .errors import ContactModelError
+from .records import record, replace
 
 TAU = 2.0 * math.pi
 
@@ -85,11 +87,7 @@ def _first_min(values: list[float]) -> int:
     return best
 
 
-class ContactModelError(ValueError):
-    """The numerical model could not be built or verified."""
-
-
-@dataclass(frozen=True)
+@record
 class FormSampler:
     """Grid sampler for alpha_K on both mapping-torus pieces.
 
@@ -237,7 +235,7 @@ def _hermite_cubic(h: float, va: float, sa: float, vb: float, sb: float):
             2.0 * (va - vb) + h * (sa + sb))
 
 
-@dataclass(frozen=True)
+@record
 class ProfileFunctions:
     """Binding profiles h1, h2 on [0, 1] with exactly pinned ends.
 
@@ -315,7 +313,7 @@ def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
     raise ContactModelError(f"Wronskian not positive near r = {rr[i]:.4f} (min {w[i]:.3e})")
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionReport:
     case: str
     max_mismatch: float

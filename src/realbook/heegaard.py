@@ -11,30 +11,20 @@ detects against an explicit basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import BookNotReal, RealPartUnavailable
 from .intalg import IntMatrix
 from .openbook import OpenBook, Reality, check_reality
+from .records import record
 from .surface import vec_dot
 
 
-class RealPartUnavailable(RuntimeError):
-    """The opposite page's fixed set is not tracked for this book."""
-
-
-class BookNotReal(ValueError):
-    """The book is NotReal, so it has no real splitting: the input
-    breaks the contract of heegaard_data and real_part, as a NotReal
-    verdict does for the reality check (CLI exit 1)."""
-
-
-@dataclass(frozen=True)
+@record
 class HeegaardData:
     genus: int
     plus_matrix: IntMatrix                 # f o c on H1 of the page, F C
 
 
-@dataclass(frozen=True)
+@record
 class RealComponent:
     pieces: int
     h1_class: tuple[int, ...]              # mod-2 class in the closed-surface basis
@@ -44,7 +34,7 @@ class RealComponent:
         return all(v == 0 for v in self.h1_class)
 
 
-@dataclass(frozen=True)
+@record
 class RealPartData:
     components: tuple[RealComponent, ...]
 

@@ -21,11 +21,12 @@ loop without transforms, since it reads only the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
+
+from .records import record
 
 
 def _axpy(x: Sequence[int], q: int, y: Sequence[int]) -> list[int]:
@@ -188,7 +189,7 @@ class IntMatrix:
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form;
     u and v are None when the form was computed without transforms.
@@ -225,7 +226,7 @@ class SmithForm:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
+from .errors import SchemaError
 from .intalg import IntMatrix
 from .mcg import TwistWord
 from .openbook import OpenBook, StabRecord
@@ -51,10 +52,6 @@ SCHEMA_VERSION = 2
 READABLE_SCHEMAS = (1, 2)
 CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
-
-
-class SchemaError(ValueError):
-    """Malformed book JSON; the message carries the offending path."""
 
 
 def _fixed_set_obj(fs: FixedSet) -> dict:

@@ -15,11 +15,12 @@ instead of producing inconsistent data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
+from .errors import StabilizationError
 from .intalg import (
     IntMatrix,
     AbelianGroup,
@@ -42,6 +43,7 @@ from .mcg import (
     word_matrix,
     words_equal,
 )
+from .records import record, replace
 from .surface import (
     BoundaryCircle,
     FixArc,
@@ -67,7 +69,7 @@ class Reality(enum.Enum):
     NOT_REAL = "NotReal"
 
 
-@dataclass(frozen=True)
+@record
 class RealityStatus:
     kind: Reality
     witness: object = None
@@ -76,7 +78,7 @@ class RealityStatus:
         return self.kind is not Reality.NOT_REAL
 
 
-@dataclass(frozen=True)
+@record
 class StabRecord:
     """Provenance of one stabilization, enough to re-verify the word
     certificate (f~ o sigma)^-1 = (c~ o sigma)(f~ o sigma)(c~ o sigma)."""
@@ -87,7 +89,7 @@ class StabRecord:
     images: Mapping[str, tuple[str, int]]  # curve images under the naive extension c~
 
 
-@dataclass(frozen=True)
+@record
 class StabType:
     tag: str
     handle_count: int
@@ -121,16 +123,12 @@ STAB_TYPES: dict[str, StabType] = {
 }
 
 
-class StabilizationError(ValueError):
-    """Site incompatible with the type or with the real structure."""
-
-
-@dataclass(frozen=True)
+@record
 class OpenBook:
     """A real open book.  Frozen: the verdict of check_reality and the
     monodromy matrix are memoized on the instance, outside the fields,
     so they take no part in ==, repr or JSON, and a book made with
-    dataclasses.replace starts without them."""
+    records.replace starts without them."""
 
     page: SurfaceModel
     monodromy: TwistWord
@@ -432,9 +430,9 @@ def _naive_extension(c: IntMatrix, st: StabType) -> IntMatrix:
     return IntMatrix._trusted(rows, n + k)
 
 
-@dataclass
-class _Builder:
-    """Mutable scratch state while assembling the stabilized book.
+class _Builder(SimpleNamespace):
+    """Mutable scratch state while assembling the stabilized book,
+    made with every field below given by keyword.
 
     The new curves are the last len(names) basis classes: the handle
     core a and, for a handle pair, its mirror ca.
@@ -523,12 +521,15 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
     """Scratch copy of the book with the new curves of a type-tag handle
     installed: every old vector widened by zero coordinates, the form
     extended by the new curves' pairing columns cols (zero by default)
-    and mutual = <a, ca>."""
+    and mutual = <a, ca>.  The new curves are named s{n} and s{n}c for
+    the least n > len(provenance) for which the page has neither name."""
     count = STAB_TYPES[tag].handle_count
     model = ob.page
     inv = ob.real_structure
-    stem = f"s{len(ob.provenance) + 1}"
-    names = [stem, stem + "c"][:count]
+    n = len(ob.provenance) + 1
+    while f"s{n}" in model.alphabet or f"s{n}c" in model.alphabet:
+        n += 1
+    names = [f"s{n}", f"s{n}c"][:count]
     rank = model.h1_rank + count
     ext = lambda v: _extend_vec(v, count)
     return _Builder(

@@ -20,13 +20,13 @@ Conventions fixed here once and used everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
+from .records import factory, record
 
 
 Vec = tuple[int, ...]
@@ -61,7 +61,7 @@ def entries(v: Sparse) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
-@dataclass(frozen=True)
+@record
 class NamedCurve:
     """A named simple closed curve and its class; its crossing tables are
     derived from the class by SurfaceModel.curve_tables."""
@@ -70,7 +70,7 @@ class NamedCurve:
     h1_class: Vec
 
 
-@dataclass(frozen=True)
+@record
 class RefArc:
     """Reference arc from the basepoint boundary to ``target_boundary``.
 
@@ -84,7 +84,7 @@ class RefArc:
     pairings: Vec
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryCircle:
     """Boundary circle with a stable id and its parallel pushoff class."""
 
@@ -92,7 +92,7 @@ class BoundaryCircle:
     pclass: Vec
 
 
-@dataclass(frozen=True)
+@record
 class FixArc:
     """Fixed arc of an involution, with declared crossing data.
 
@@ -104,17 +104,17 @@ class FixArc:
 
     ends: tuple[tuple[int, int], tuple[int, int]]
     pair_curves: Vec
-    pair_arcs: Mapping[int, int] = field(default_factory=dict)
+    pair_arcs: Mapping[int, int] = factory(dict)
 
 
-@dataclass(frozen=True)
+@record
 class FixCircle:
     """Fixed circle of an involution; crossing data follows from its class."""
 
     h1_class: Vec
 
 
-@dataclass(frozen=True)
+@record
 class FixedSet:
     arcs: tuple[FixArc, ...] = ()
     circles: tuple[FixCircle, ...] = ()
@@ -128,7 +128,7 @@ class FixedSet:
         return len(self.circles)
 
 
-@dataclass(frozen=True)
+@record
 class Involution:
     """Orientation-reversing involution of a page, as declared data."""
 
@@ -139,11 +139,11 @@ class Involution:
     curve_image: Mapping[str, tuple[str, int]]    # partial: name -> (name, sign)
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceModel:
     """A page.  Frozen: the per-curve vectors of curve_vectors are cached
     on the instance, outside the fields, so they take no part in ==,
-    repr or JSON, and a page made with dataclasses.replace starts
+    repr or JSON, and a page made with records.replace starts
     without them."""
 
     genus: int
@@ -441,14 +441,14 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
     raise ValueError(f"unknown involution descriptor {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class HandleExtension:
     """The valid pair (page, inv) that a page and involution extend by a
     block of k new classes, as stabilization builds them, and the block

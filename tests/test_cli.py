@@ -482,7 +482,8 @@ def test_ref_arc_row_of_wrong_length_is_exit_2(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: reference arc to boundary 2")
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _python(args, stdin=None):
+    """A fresh interpreter that imports realbook from the tree under test."""
     import os
     import subprocess
     import sys
@@ -492,7 +493,75 @@ def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(realbook.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, realbook.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True)
+
+
+# imports realbook.cli, or runs main on the arguments given, then prints
+# the names of the loaded modules
+_MODULES_AFTER = """
+import io, json, sys
+from contextlib import redirect_stdout
+if len(sys.argv) > 1:
+    from realbook.cli import main
+    with redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+else:
+    import realbook.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _loaded_modules(argv=(), stdin=None) -> set:
+    proc = _python(["-c", _MODULES_AFTER, *argv], stdin)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def _realbook(*names):
+    return {f"realbook.{name}" for name in names}
+
+
+def test_cli_import_loads_only_cli_and_errors():
+    loaded = _loaded_modules()
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    assert {m for m in loaded if m.startswith("realbook")} == {"realbook"} | _realbook("cli", "errors")
+
+
+def test_contact_loads_no_algebra():
+    loaded = _loaded_modules(["contact", "--family", "disk", "--K", "10", "--grid", "20"])
+    assert "realbook.contact" in loaded
+    assert not loaded & _realbook("intalg", "surface", "mcg", "openbook", "jsonio",
+                                  "heegaard", "catalog")
+
+
+def test_invariants_loads_neither_contact_nor_catalog():
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    loaded = _loaded_modules(["invariants"], book_json)
+    assert "realbook.openbook" in loaded
+    assert not loaded & _realbook("contact", "catalog")
+
+
+def test_package_names_resolve_and_errors_keep_their_old_paths():
+    import realbook
+    from realbook import contact, errors, heegaard, jsonio, openbook
+
+    for name in realbook.__all__:
+        assert getattr(realbook, name).__name__ == name
+    with pytest.raises(AttributeError):
+        realbook.no_such_name
+    assert jsonio.SchemaError is errors.SchemaError
+    assert openbook.StabilizationError is errors.StabilizationError
+    assert realbook.StabilizationError is errors.StabilizationError
+    assert heegaard.BookNotReal is errors.BookNotReal
+    assert heegaard.RealPartUnavailable is errors.RealPartUnavailable
+    assert contact.ContactModelError is errors.ContactModelError
+
+
+def test_reading_a_book_file_closes_it(tmp_path):
+    book = tmp_path / "book.json"
+    book.write_text(run_cli(["catalog", "fig4", "2"])[1])
+    proc = _python(["-X", "dev", "-W", "error::ResourceWarning",
+                    "-m", "realbook.cli", "invariants", "--in", str(book)])
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -174,7 +174,7 @@ def test_derived_plus_antisymplectic_matches_dense_oracle_on_golden_books():
 
 
 def test_tampered_involution_fails_both_antisymplectic_checks():
-    from dataclasses import replace
+    from realbook.records import replace
     from itertools import islice
 
     from test_golden import golden_books

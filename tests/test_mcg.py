@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from realbook.records import replace
 
 import pytest
 

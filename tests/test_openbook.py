@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from realbook.records import replace
 
 import pytest
 
@@ -100,6 +100,19 @@ def test_type_VIII_genus_up_h1_fixed():
     assert after.page.genus == ob.page.genus + 1
     assert after.binding_count == ob.binding_count
     assert h1_of_manifold(after) == before
+
+
+def test_new_curves_take_names_the_page_lacks():
+    # without provenance, s1 is the first name past it, but the page has s1
+    ob = replace(catalog_fig4(2), provenance=())
+    assert {"s1", "s2", "s2c"} <= set(ob.page.alphabet)
+    after = stabilize(ob, "VIII", {"boundaries": [1, 2]})
+    assert h1_of_manifold(after) == h1_of_manifold(ob)
+    assert check_reality(after).kind is check_reality(ob).kind
+    zeros = (0, 0)
+    for name, curve in ob.page.alphabet.items():
+        assert after.page.alphabet[name].h1_class == curve.h1_class + zeros
+    assert set(after.page.alphabet) - set(ob.page.alphabet) == {"s3", "s3c"}
 
 
 def test_h1_disk_annulus_oracles():

@@ -193,7 +193,7 @@ def sparse_checks(model, inv):
 def one_entry_changes(ob):
     """(what, page, involution) for each +-1 change of one entry of C, of
     J, of a curve class that curve_image maps, or of a boundary class."""
-    from dataclasses import replace
+    from realbook.records import replace
 
     def bumped(rows, i, k, d):
         out = [list(r) for r in rows]
@@ -252,7 +252,7 @@ def test_golden_books_pass_the_page_checks():
 
 
 def test_page_checks_fail_on_a_meeting_pair_and_a_wrong_genus():
-    from dataclasses import replace
+    from realbook.records import replace
 
     t = standard_surface(1, 2)
     report = {r.name: r for r in validate_page(
