@@ -15,7 +15,7 @@ from .errors import BookNotReal, RealPartUnavailable
 from .intalg import IntMatrix
 from .openbook import OpenBook, Reality, check_reality
 from .records import record
-from .surface import vec_dot
+from .surface import anti_symplectic_check, involution_check, lefschetz_check, vec_dot
 
 
 @record
@@ -60,7 +60,12 @@ def heegaard_data(ob: OpenBook) -> HeegaardData:
 def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
     """Closed-surface checks on the block data.
 
-    hd is heegaard_data(ob), so its plus block is F C.
+    hd is heegaard_data(ob), so its plus block is F C.  The involution,
+    antisymplectic and Lefschetz checks share their code with
+    validate_involution: minus_involution, minus_antisymplectic and
+    minus_lefschetz are its involution_check, anti_symplectic_check and
+    lefschetz_check on C, and plus_involution and plus_lefschetz are the
+    same checks on F C with the tracked plus-side fixed set.
 
     Lemma: plus_antisymplectic equals minus_antisymplectic, so it is
     reported from it, not recomputed.  F is a product of twists, and a
@@ -73,23 +78,20 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
     homology level whatever the reality certificate said.
     """
     page = ob.page
-    j = page.form
+    rank = page.h1_rank
     c = ob.real_structure.matrix
-    out = []
-    ident = IntMatrix.identity(page.h1_rank)
-    out.append(("minus_involution", c @ c == ident))
-    out.append(("plus_involution", hd.plus_matrix @ hd.plus_matrix == ident))
-    if page.h1_rank:
-        anti = c.transpose() @ j @ c == -j
-        out.append(("minus_antisymplectic", anti))
-        out.append(("plus_antisymplectic", anti))
+    fc = hd.plus_matrix
+    minus = involution_check(c, rank).ok
+    out = [("minus_involution", minus), ("plus_involution", involution_check(fc, rank).ok)]
+    if rank:
+        anti = anti_symplectic_check(c, page.form, rank, minus).ok
+        out += [("minus_antisymplectic", anti), ("plus_antisymplectic", anti)]
     # the splitting surface of two pages glued has genus rank H1(page)
-    out.append(("genus", hd.genus == page.h1_rank))
+    out.append(("genus", hd.genus == rank))
     out.append(("minus_lefschetz",
-                ob.real_structure.fixed_set.arc_count == 1 - c.trace()))
+                lefschetz_check(ob.real_structure.fixed_set.arc_count, c, rank).ok))
     if ob.fix_plus is not None:
-        out.append(("plus_lefschetz",
-                    ob.fix_plus.arc_count == 1 - hd.plus_matrix.trace()))
+        out.append(("plus_lefschetz", lefschetz_check(ob.fix_plus.arc_count, fc, rank).ok))
     return out
 
 

@@ -15,7 +15,9 @@ tables on every curve.  One parser reads both: each table is optional,
 and one that is present must equal SurfaceModel.curve_tables.  The
 reader also rejects a form that is not antisymmetric and any class,
 pushoff class, crossing vector or reference-arc row whose length is not
-the basis size.
+the basis size, a page without boundary circles, a repeated circle id,
+and reference arcs that are not one arc to each circle but the
+basepoint (the least id).
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
@@ -243,6 +245,14 @@ def from_obj(obj: dict) -> OpenBook:
                                    f"$.page.boundary[{i}].pclass", rank))
         for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary"))
     )
+    if not circles:
+        raise SchemaError("$.page.boundary must list at least one circle, the binding")
+    cids = [c.cid for c in circles]
+    for i, cid in enumerate(cids):
+        if cid in cids[:i]:
+            raise SchemaError(f"$.page.boundary[{i}].id repeats boundary {cid}")
+    # one reference arc runs from the basepoint, the least id, to each other circle
+    targets = set(cids) - {min(cids)}
     form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
     if form.transpose() != -form:
         raise SchemaError("$.page.form must be antisymmetric")
@@ -274,7 +284,14 @@ def from_obj(obj: dict) -> OpenBook:
         if len(arc.current_class) != rank or len(arc.pairings) != rank:
             raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
                               f"pairing row of the wrong length for rank {rank}")
+        if cid not in targets:
+            raise SchemaError(f"{path}.boundary {cid} is not a boundary circle other "
+                              f"than the basepoint {min(cids)}")
+        if cid in ref_arcs:
+            raise SchemaError(f"{path}.boundary repeats boundary {cid}")
         ref_arcs[cid] = arc
+    if targets - set(ref_arcs):
+        raise SchemaError(f"$.ref_arcs has no arc to boundary {min(targets - set(ref_arcs))}")
 
     disjoint = frozenset(
         frozenset(_names(pair, f"$.disjoint[{i}]"))

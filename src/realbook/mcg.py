@@ -14,14 +14,19 @@ The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  twist_matrix builds one twist densely; it is kept as
 the test oracle for the updates.
+
+conjugate writes c o w o c letterwise from a map of curve images,
+c o tau_a o c = tau_{c(a)}^-1; the reality check reads it with the
+involution's images and the provenance certificate with each
+stabilization's recorded ones.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .intalg import IntMatrix
-from .surface import Involution, RefArc, SurfaceModel, entries
+from .surface import RefArc, SurfaceModel, combine, entries
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -104,10 +109,7 @@ def transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
         u, v = (vecs.ja, vecs.a) if transposed else (vecs.a, vecs.ja)
         if not u or not v:
             continue
-        r = None
-        for j, x in entries(v):
-            rj = rows[j]
-            r = [x * y for y in rj] if r is None else [s + x * y for s, y in zip(r, rj)]
+        r = combine(entries(v), rows, len(rows[0]))
         if not any(r):
             continue
         for i, x in entries(u):
@@ -115,18 +117,19 @@ def transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
             rows[i] = [s + c * y for s, y in zip(rows[i], r)]
 
 
-def conjugate_by_involution(
-    model: SurfaceModel, inv: Involution, w: Sequence[Letter]
-) -> TwistWord | None:
-    """The word for c o w o c, or None when some letter has no c-image.
+def conjugate(images: Mapping[str, tuple[str, int]], w: Sequence[Letter]) -> TwistWord | None:
+    """The word for c o w o c, with images the curve map name -> (image,
+    sign) of c, or None when some letter has no image.
 
-    Uses c o tau_a o c = tau_{c(a)}^{-1} letterwise: images keep their
-    position, exponents negate.  A letter whose curve is moved by the
-    involution only up to unknown isotopy is honestly unavailable.
+    Uses c o tau_a o c = tau_{c(a)}^{-1} letterwise (Farb & Margalit, A
+    Primer on Mapping Class Groups, ch. 3): images keep their position,
+    exponents negate, and the sign is dropped, as tau_{-a} = tau_a.  A
+    letter whose curve is moved by c only up to unknown isotopy is
+    honestly unavailable.
     """
     letters: list[Letter] = []
     for name, exp in w:
-        img = inv.curve_image.get(name)
+        img = images.get(name)
         if img is None:
             return None
         letters.append((img[0], -exp))

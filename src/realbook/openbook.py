@@ -33,8 +33,7 @@ from .intalg import (
 from .mcg import (
     TwistWord,
     concat,
-    conjugate_by_involution,
-    free_reduce,
+    conjugate,
     invert,
     times_word,
     transport_arcs,
@@ -54,8 +53,10 @@ from .surface import (
     NamedCurve,
     RefArc,
     SurfaceModel,
-    entries,
+    combine,
+    image_holds,
     involution_is_valid,
+    unit,
     validate_involution,
     vec_add,
     vec_dot,
@@ -176,6 +177,13 @@ class OpenBook:
 # reality
 
 
+def _mirror_functional(c: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v: the pairing
+    row of the mirror c(gamma) of an arc or curve whose row is v (the
+    reference arcs here, the new curve of types VI and VIII)."""
+    return tuple(-x for x in combine(((i, x) for i, x in enumerate(v) if x), c.rows, c.ncols))
+
+
 def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     """Boundary-transport part of f^-1 = c f c on declared data, given
     F^-1.
@@ -187,13 +195,12 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     """
     model, w = ob.page, ob.monodromy
     c = ob.real_structure.matrix
-    ct = c.transpose()
     arcs = sorted(model.ref_arcs.items())
     mirrored = [
         RefArc(
             target_boundary=arc.target_boundary,
             current_class=model.zero_class(),
-            pairings=vec_scale(-1, ct.apply(arc.pairings)),
+            pairings=_mirror_functional(c, arc.pairings),
         )
         for _cid, arc in arcs
     ]
@@ -215,30 +222,13 @@ def _peel_block(model: SurfaceModel, rec: StabRecord, w: TwistWord,
     real structure as it stands with the block applied, C~ Sigma; they
     are updated in place by the transposed transvections of Sigma^-1,
     so they become the columns of C~ and no block pays a dense product.
-    The recorded images must agree with C~: an image name -> (img, s) is
-    checked as s * sum_i x_i col_i over the nonzeros x_i of the cached
-    sparse class of name, O(nnz n) per image, not a dense n x n apply.
+    The recorded images must agree with C~ (surface.image_holds, sparse
+    per image).
     """
-    k = len(rec.sigma)
-    if w[:k] != rec.sigma:
-        return False
-    conj = []
-    for name, exp in rec.sigma:
-        img = rec.images.get(name)
-        if img is None:
-            return False
-        conj.append((img[0], -exp))
-    if free_reduce(tuple(conj)) != invert(rec.sigma):
+    if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
         return False
     transvect(model, invert(rec.sigma)[::-1], cols, transposed=True)
-    rank = model.h1_rank
-    for name, (img, s) in rec.images.items():
-        acc = [0] * rank
-        for i, x in entries(model.curve_vectors(name).a):
-            acc = [t + x * y for t, y in zip(acc, cols[i])]
-        if model.curve(img).h1_class != tuple(s * t for t in acc):
-            return False
-    return True
+    return all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items())
 
 
 def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
@@ -305,13 +295,8 @@ def _provenance_certificate(ob: OpenBook) -> bool:
     ok, w = ob._chain_blocks
     if not ok:
         return False
-    conj = []
-    for name, exp in w:
-        img = ob.real_structure.curve_image.get(name)
-        if img is None:
-            return False
-        conj.append((img[0], -exp))
-    return words_equal(ob.page, free_reduce(tuple(conj)), invert(w))
+    cw = conjugate(ob.real_structure.curve_image, w)
+    return cw is not None and words_equal(ob.page, cw, invert(w))
 
 
 def check_reality(ob: OpenBook) -> RealityStatus:
@@ -328,7 +313,7 @@ def check_reality(ob: OpenBook) -> RealityStatus:
 def _reality_of(ob: OpenBook) -> RealityStatus:
     model, w = ob.page, ob.monodromy
     inv = ob.real_structure
-    cw = conjugate_by_involution(model, inv, w)
+    cw = conjugate(inv.curve_image, w)
     if cw is not None:
         if words_equal(model, cw, invert(w)):
             return RealityStatus(Reality.CERTIFIED_REAL, witness=cw)
@@ -340,12 +325,12 @@ def _reality_of(ob: OpenBook) -> RealityStatus:
     c = inv.matrix
     lhs = c @ f @ c
     if lhs != f_inv:
-        for j in range(model.h1_rank):
-            e = model.basis_vector(j)
-            if lhs.apply(e) != f_inv.apply(e):
+        # the first basis vector e_j they move apart: column j of each
+        for j, (cfc, f_inverse) in enumerate(zip(lhs.transpose().rows, f_inv.transpose().rows)):
+            if cfc != f_inverse:
                 return RealityStatus(
                     Reality.NOT_REAL,
-                    witness={"vector": e, "cfc": lhs.apply(e), "f_inverse": f_inv.apply(e)},
+                    witness={"vector": unit(model.h1_rank, j), "cfc": cfc, "f_inverse": f_inverse},
                 )
     ok, wit = _arc_identity_holds(ob, f_inv)
     if not ok:
@@ -462,9 +447,6 @@ class _Builder(SimpleNamespace):
     def a_idx(self) -> int:
         return self.rank - len(self.names)
 
-    def unit(self, idx: int) -> tuple[int, ...]:
-        return _unit(self.rank, idx)
-
     def fresh_pid(self) -> int:
         self.next_pid += 1
         return self.next_pid
@@ -513,7 +495,7 @@ class _Builder(SimpleNamespace):
     def strand(self, ends: tuple[tuple[int, int], tuple[int, int]]) -> FixArc:
         """A fixed arc across the handle: it crosses the core once and
         nothing else."""
-        return FixArc(ends=ends, pair_curves=self.unit(self.a_idx), pair_arcs={})
+        return FixArc(ends=ends, pair_curves=unit(self.rank, self.a_idx), pair_arcs={})
 
 
 def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = None,
@@ -537,7 +519,7 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
         basis=list(model.basis) + names,
         form=_extend_form(model.form, cols or [(0,) * model.h1_rank] * count, mutual),
         classes={n: ext(c.h1_class) for n, c in model.alphabet.items()}
-        | {n: _unit(rank, rank - count + i) for i, n in enumerate(names)},
+        | {n: unit(rank, rank - count + i) for i, n in enumerate(names)},
         circles={c.cid: ext(c.pclass) for c in model.circles},
         perm=dict(inv.boundary_perm),
         fixed_points=dict(inv.fixed_points),
@@ -606,7 +588,7 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
     if not arcs:
         return arcs
     rank = page.h1_rank
-    probes = IntMatrix([arc.pair_curves for arc in arcs] + [_unit(rank, t) for t in new_idx],
+    probes = IntMatrix([arc.pair_curves for arc in arcs] + [unit(rank, t) for t in new_idx],
                        ncols=rank)
     if w:
         probes = times_word(probes, page, w)
@@ -808,46 +790,48 @@ def _minus_arc_between(ob: OpenBook, j: int, k: int) -> FixArc | None:
     return None
 
 
-def _solve_pushoff_column(
-    old_rank: int, pj: Sequence[int], pk: Sequence[int],
-    c_old: IntMatrix, symmetry: int | None,
-    others: Sequence[Sequence[int]] = (),
-) -> tuple[int, ...]:
-    """Pairing functional v of the new curve: P_j . v = -1, P_k . v = +1,
-    zero against every other boundary class, optionally C^T v =
-    symmetry * v.  Everything over the old basis."""
-    rows: list[list[int]] = [list(pj[:old_rank]), list(pk[:old_rank])]
-    rhs = [-1, 1]
-    for other in others:
-        rows.append(list(other[:old_rank]))
-        rhs.append(0)
+Pattern = list[tuple[Sequence[int], int]]
+
+
+def _attachment_pattern(ob: OpenBook, j: int, k: int) -> Pattern:
+    """The boundary pattern of a handle joining circles j and k, as
+    (P, P . v) pairs over the old basis, P a pushoff class and v the
+    pairing functional of the new curve: P_j . v = -1, P_k . v = +1 and
+    P_o . v = 0 for every other circle o, in circle order."""
+    page = ob.page
+    return ([(page.circle(j).pclass, -1), (page.circle(k).pclass, 1)]
+            + [(c.pclass, 0) for c in page.circles if c.cid not in (j, k)])
+
+
+def _solve_pushoff_column(pattern: Pattern, c_old: IntMatrix,
+                          symmetry: int | None) -> tuple[int, ...]:
+    """Pairing functional v of the new curve: the attachment pattern,
+    and optionally C^T v = symmetry * v.  Everything over the old
+    basis."""
+    n = c_old.nrows
+    rows: list[list[int]] = [list(p) for p, _ in pattern]
+    rhs = [want for _, want in pattern]
     if symmetry is not None:
         ct = c_old.transpose()
-        for i in range(old_rank):
-            row = [ct[i, u] - (symmetry if i == u else 0) for u in range(old_rank)]
+        for i in range(n):
+            row = [ct[i, u] - (symmetry if i == u else 0) for u in range(n)]
             rows.append(row)
             rhs.append(0)
-    sol = solve_integer(IntMatrix(rows, ncols=old_rank), rhs)
+    sol = solve_integer(IntMatrix(rows, ncols=n), rhs)
     if sol is None:
         raise StabilizationError("no consistent pairing data for the attachment site")
     return tuple(sol)
 
 
-def _other_pushoffs(ob: OpenBook, j: int, k: int) -> list[tuple[int, ...]]:
-    return [c.pclass for c in ob.page.circles if c.cid not in (j, k)]
-
-
 def _solve_viii_data(
-    old_rank: int, pj: Sequence[int], pk: Sequence[int],
-    c_old: IntMatrix, form: IntMatrix,
-    others: Sequence[Sequence[int]] = (),
+    pattern: Pattern, c_old: IntMatrix, form: IntMatrix,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """Attachment data (v, w, x, m) for type VIII.
 
     v is the pairing functional of the new curve, the re-formed boundary
     classes are x (e_a + e_ca) + w, and m = <a, c~(a)> (the handle
     chords may be forced to cross once, depending on the host).  Linear
-    part: P_j . v = -1, P_k . v = +1, (1 - C) w = P_j + P_k and
+    part: the attachment pattern on v, (1 - C) w = P_j + P_k and
     x (v - C^T v) + J w = 0; the radical conditions for the boundary
     class, v . w = x m = (C^T v) . w, are bilinear.  The second equality
     holds on the whole solution lattice: x (v - C^T v) = -J w gives
@@ -867,14 +851,12 @@ def _solve_viii_data(
     so the scores of a lattice need at most 15 values of q and B, once
     per x (_lattice_scores), and only the first hit is built as a point.
     """
-    n = old_rank
+    n = c_old.nrows
     ct = c_old.transpose()
     one_minus_c = IntMatrix.identity(n) - c_old
-    rows: list[list[int]] = [list(pj) + [0] * n, list(pk) + [0] * n]
-    rhs: list[int] = [-1, 1]
-    for other in others:
-        rows.append(list(other[:n]) + [0] * n)
-        rhs.append(0)
+    rows: list[list[int]] = [list(p) + [0] * n for p, _ in pattern]
+    rhs: list[int] = [want for _, want in pattern]
+    (pj, _), (pk, _) = pattern[:2]
     for i in range(n):
         rows.append([0] * n + list(one_minus_c.rows[i]))
         rhs.append(pj[i] + pk[i])
@@ -952,10 +934,6 @@ def _lattice_point(base: tuple[int, ...], gens: Sequence[tuple[int, ...]],
     return tuple(xx)
 
 
-def _unit(rank: int, idx: int) -> tuple[int, ...]:
-    return tuple(1 if i == idx else 0 for i in range(rank))
-
-
 def _set_coord(v: Sequence[int], idx: int, value: int) -> tuple[int, ...]:
     out = list(v)
     out[idx] = value
@@ -973,7 +951,7 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
         # closed up: core + arc; class is the new curve class corrected so
         # the crossing functional matches the arc data
         target = _set_coord(arc.pair_curves, b.a_idx, 0)
-        base = b.unit(b.a_idx)
+        base = unit(b.rank, b.a_idx)
         need = vec_add(target, vec_scale(-1, b.form.transpose().apply(base)))
         w = solve_integer(b.form.transpose(), need)
         if w is None:
@@ -1071,7 +1049,7 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "I", [tuple(jm.apply(z))])
     pj = b.circles[j]
     j2 = b.fresh_cid()
-    b.circles[j] = vec_add(b.unit(b.a_idx), vec_scale(-1, _extend_vec(z, 1)))
+    b.circles[j] = vec_add(unit(b.rank, b.a_idx), vec_scale(-1, _extend_vec(z, 1)))
     b.circles[j2] = vec_add(pj, vec_scale(-1, b.circles[j]))
     b.perm[j] = j2
     b.perm[j2] = j
@@ -1090,7 +1068,7 @@ def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
     keep = pts[0] if pts[1] == shadow else pts[1]
 
     b = _start_builder(ob, "II")
-    a = b.unit(b.a_idx)
+    a = unit(b.rank, b.a_idx)
     pj = b.circles[j]
     j2 = b.fresh_cid()
     n1 = b.fresh_pid()
@@ -1131,8 +1109,8 @@ def _stab_III(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "III")
     x_cid = b.fresh_cid()
     y_cid = x_cid + 1
-    b.circles[x_cid] = b.unit(b.a_idx)
-    b.circles[y_cid] = vec_scale(-1, b.unit(b.a_idx + 1))
+    b.circles[x_cid] = unit(b.rank, b.a_idx)
+    b.circles[y_cid] = vec_scale(-1, unit(b.rank, b.a_idx + 1))
     pj = b.circles[j]
     b.circles[j] = vec_add(pj, vec_add(vec_scale(-1, b.circles[x_cid]),
                                        vec_scale(-1, b.circles[y_cid])))
@@ -1150,7 +1128,7 @@ def _stab_IV(ob: OpenBook, site: tuple) -> OpenBook:
     # both chords shadow the same real point: its strands pick up one
     # crossing with each new curve as a seed; the invariance-law pass in
     # _finish settles the exact values
-    seed = vec_add(b.unit(b.a_idx), b.unit(b.a_idx + 1))
+    seed = vec_add(unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1))
     for arcs, what in ((b.minus_arcs, "fixed arc"), (b.plus_arcs, "plus-side fixed arc")):
         i = _arc_at(arcs, (j, shadow), what)
         arcs[i] = replace(arcs[i], pair_curves=vec_add(arcs[i].pair_curves, seed))
@@ -1165,17 +1143,14 @@ def _stab_V(ob: OpenBook, site: tuple) -> OpenBook:
     if x is None:
         raise StabilizationError(
             f"type V needs a fixed arc joining boundaries {j} and {k}")
-    old_rank = ob.page.h1_rank
-    pj = ob.page.circle(j).pclass
-    pk = ob.page.circle(k).pclass
     # the twist curve is core + consumed arc, so its pairing column is
     # forced by the arc's declared crossings up to orientation; the
     # attachment is valid only if one orientation has the
     # boundary-crossing pattern
-    v_a = tuple(-pc for pc in x.pair_curves[:old_rank])
-    pattern = [(pj, -1), (pk, 1)] + [(o, 0) for o in _other_pushoffs(ob, j, k)]
+    v_a = tuple(-pc for pc in x.pair_curves[:ob.page.h1_rank])
+    pattern = _attachment_pattern(ob, j, k)
     for candidate in (v_a, tuple(-v for v in v_a)):
-        if all(vec_dot(pcls[:old_rank], candidate) == want for pcls, want in pattern):
+        if all(vec_dot(p, candidate) == want for p, want in pattern):
             v_a = candidate
             break
     else:
@@ -1195,19 +1170,16 @@ def _stab_V(ob: OpenBook, site: tuple) -> OpenBook:
 
 def _stab_VI(ob: OpenBook, site: tuple) -> OpenBook:
     j, k = site
-    old_rank = ob.page.h1_rank
     c_old = ob.real_structure.matrix
-    pj = ob.page.circle(j).pclass
-    pk = ob.page.circle(k).pclass
     # anti-invariant functional keeps the re-formed boundary classes radical
-    v_a = _solve_pushoff_column(old_rank, pj, pk, c_old, -1, _other_pushoffs(ob, j, k))
-    v_ca = tuple(vec_scale(-1, c_old.transpose().apply(v_a)))
+    v_a = _solve_pushoff_column(_attachment_pattern(ob, j, k), c_old, -1)
+    v_ca = _mirror_functional(c_old, v_a)
 
     b = _start_builder(ob, "VI", [v_a, v_ca])
     # circles re-form: first points gather on j, second points on k
     pj_pts = ob.real_structure.fixed_points[j]
     pk_pts = ob.real_structure.fixed_points[k]
-    diag = vec_add(b.unit(b.a_idx), vec_scale(-1, b.unit(b.a_idx + 1)))
+    diag = vec_add(unit(b.rank, b.a_idx), vec_scale(-1, unit(b.rank, b.a_idx + 1)))
     b.circles[j] = vec_add(vec_add(b.circles[j], b.circles[k]), diag)
     b.circles[k] = vec_scale(-1, diag)
     b.fixed_points[j] = (pj_pts[0], pk_pts[0])
@@ -1225,10 +1197,7 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
     if not 0 <= cross < len(pieces):
         raise StabilizationError(f"no fixed piece with index {cross}")
     old_rank = ob.page.h1_rank
-    pj = ob.page.circle(j).pclass
-    pk = ob.page.circle(k).pclass
-    v_a = _solve_pushoff_column(old_rank, pj, pk, ob.real_structure.matrix, +1,
-                                _other_pushoffs(ob, j, k))
+    v_a = _solve_pushoff_column(_attachment_pattern(ob, j, k), ob.real_structure.matrix, +1)
 
     b = _start_builder(ob, "VII", [v_a])
     b.merge_boundaries(j, k)
@@ -1263,17 +1232,14 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
 
 def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     j, k = site
-    old_rank = ob.page.h1_rank
     c_old = ob.real_structure.matrix
-    pj = ob.page.circle(j).pclass
-    pk = ob.page.circle(k).pclass
-    v_a, w, x_coef, mutual = _solve_viii_data(old_rank, pj, pk, c_old, ob.page.form,
-                                              _other_pushoffs(ob, j, k))
-    v_ca = tuple(vec_scale(-1, c_old.transpose().apply(v_a)))
+    v_a, w, x_coef, mutual = _solve_viii_data(_attachment_pattern(ob, j, k), c_old,
+                                              ob.page.form)
+    v_ca = _mirror_functional(c_old, v_a)
 
     b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
     new_j = vec_add(
-        vec_scale(x_coef, vec_add(b.unit(b.a_idx), b.unit(b.a_idx + 1))), _extend_vec(w, 2))
+        vec_scale(x_coef, vec_add(unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1))), _extend_vec(w, 2))
     b.circles[j] = new_j
     b.circles[k] = vec_scale(-1, _naive_extension(c_old, STAB_TYPES["VIII"]).apply(new_j))
     return _finish(ob, b, "VIII", site)
@@ -1282,7 +1248,7 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
 def _stab_IX(ob: OpenBook, site: tuple) -> OpenBook:
     j, k = site
     b = _start_builder(ob, "IX")
-    a, ca = b.unit(b.a_idx), b.unit(b.a_idx + 1)
+    a, ca = unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1)
     pj, pk = b.circles[j], b.circles[k]
     j2 = b.fresh_cid()
     k2 = j2 + 1

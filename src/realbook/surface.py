@@ -16,6 +16,18 @@ Conventions fixed here once and used everywhere else:
   they sum to zero and db = -(d1 + ... + d_{b-1});
 * the reference arc to boundary i crosses the d_i curve once (+1) and
   the basepoint-parallel curve d_1 once (-1), and misses everything else.
+
+Shared kernels and checks, each written once here and called by every
+site that needs it: unit (a basis vector), combine (a sparse
+combination of rows), image_holds (a curve image under a matrix given
+by its columns), and involution_check, anti_symplectic_check and
+lefschetz_check, which validate_involution reports and
+heegaard.validate_heegaard reads for both invariant pages.
+
+Premise: the form J is antisymmetric.  The book reader refuses any
+other ($.page.form must be antisymmetric), and the forms built here
+(_symplectic_block) and by stabilization (openbook._extend_form) are
+antisymmetric by construction, so CurveVectors derives J a as -J^T a.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from operator import add, mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
 from .records import factory, record
@@ -59,6 +71,22 @@ def entries(v: Sparse) -> Iterator[tuple[int, int]]:
     """The pairs (i, x_i) of a flat sparse vector."""
     it = iter(v)
     return zip(it, it)
+
+
+def unit(rank: int, idx: int) -> Vec:
+    """The basis vector e_idx of length rank."""
+    return tuple(1 if i == idx else 0 for i in range(rank))
+
+
+def combine(pairs: Iterable[tuple[int, int]], rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The sum of x * rows[i] over the pairs (i, x), a list of length n.
+    The sum starts from its first term, so only an empty sum builds a
+    list of zeros."""
+    acc = None
+    for i, x in pairs:
+        row = rows[i]
+        acc = [x * y for y in row] if acc is None else [s + x * y for s, y in zip(acc, row)]
+    return [0] * n if acc is None else acc
 
 
 @record
@@ -192,9 +220,6 @@ class SurfaceModel:
     def zero_class(self) -> Vec:
         return (0,) * self.h1_rank
 
-    def basis_vector(self, idx: int) -> Vec:
-        return tuple(1 if j == idx else 0 for j in range(self.h1_rank))
-
     @cached_property
     def _curve_vectors(self) -> dict[str, CurveVectors]:
         return {}
@@ -229,30 +254,18 @@ class CurveVectors:
 
     A twist along the curve acts by x -> x + e <x, a> a with
     <x, a> = x . (J a), and moves a pairing row by multiples of
-    <a, x> = (J^T a) . x.  Only arc transport reads J^T a, so it is
-    computed on first use: a page that only multiplies words keeps two
-    vectors per curve, not three.
+    <a, x> = (J^T a) . x.  J^T a combines the rows of J at the nonzeros
+    of a, and J a = -J^T a, as J is antisymmetric (the premise in the
+    module docstring).
     """
 
-    __slots__ = ("a", "ja", "_jta", "_form")
+    __slots__ = ("a", "ja", "jta")
 
     def __init__(self, a: Vec, form: Sequence[Sequence[int]]):
         self.a = _sparse(a)
-        ja = [0] * len(form)
-        for k, x in entries(self.a):
-            ja = [s + x * row[k] for s, row in zip(ja, form)]
-        self.ja = _sparse(ja)
-        self._jta: Sparse | None = None
-        self._form = form
-
-    @property
-    def jta(self) -> Sparse:
-        if self._jta is None:
-            row = [0] * len(self._form)
-            for k, x in entries(self.a):
-                row = [s + x * y for s, y in zip(row, self._form[k])]
-            self._jta = _sparse(row)
-        return self._jta
+        jta = combine(entries(self.a), form, len(form))
+        self.jta = _sparse(jta)
+        self.ja = _sparse([-x for x in jta])
 
 
 def _symplectic_block(g: int, extra: int) -> IntMatrix:
@@ -283,14 +296,12 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
     basis.extend(f"d{j}" for j in range(1, b))
     form = _symplectic_block(g, b - 1)
 
-    def unit(idx: int) -> Vec:
-        return tuple(1 if j == idx else 0 for j in range(rank))
-
     classes: dict[str, Vec] = {}
     for idx, name in enumerate(basis):
-        classes[name] = unit(idx)
+        classes[name] = unit(rank, idx)
     # the last boundary curve is determined by the others
-    classes[f"d{b}"] = tuple(-sum(unit(2 * g + j)[k] for j in range(b - 1)) for k in range(rank))
+    classes[f"d{b}"] = tuple(-sum(unit(rank, 2 * g + j)[k] for j in range(b - 1))
+                             for k in range(rank))
 
     # reference arc pairing rows, one per boundary 2..b, indexed by basis
     arc_rows: dict[int, Vec] = {}
@@ -472,18 +483,55 @@ class HandleExtension:
     core: tuple[tuple[int, ...], ...]
 
 
+def involution_check(c: IntMatrix, rank: int) -> CheckResult:
+    """C^2 = I, compared with I row by row without building it."""
+    ok = not rank or (c.shape == (rank, rank) and all(
+        r[i] == 1 and r.count(0) == rank - 1 for i, r in enumerate((c @ c).rows)))
+    return CheckResult("involution", ok, "" if ok else f"C^2 = {(c @ c).rows}")
+
+
+def anti_symplectic_check(c: IntMatrix, j: IntMatrix, rank: int, involution: bool) -> CheckResult:
+    """C^T J C = -J.  Given C^2 = I (involution), it holds exactly when
+    C^T J = -J C (multiply either side by C on the right), which takes
+    two products with C as one factor instead of a chain of two; without
+    C^2 = I the full product is compared."""
+    def dense() -> IntMatrix:
+        return c.transpose() @ j @ c if rank else j
+
+    if rank and involution and j.shape == (rank, rank):
+        ok = c.transpose() @ j == -(j @ c)
+    else:
+        ok = dense() == -j
+    return CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {dense().rows}")
+
+
+def lefschetz_check(arc_count: int, c: IntMatrix, rank: int) -> CheckResult:
+    """The Lefschetz count of an involution of a page: arc_count fixed
+    arcs, and 1 - tr C of them."""
+    lef = 1 - (c.trace() if rank else 0)
+    ok = arc_count == lef
+    return CheckResult("lefschetz", ok, "" if ok else f"{arc_count} arcs vs 1 - tr = {lef}")
+
+
+def image_holds(model: SurfaceModel, cols: Sequence[Sequence[int]], name: str,
+                img: str, s: int) -> bool:
+    """Whether the matrix with columns cols maps the class of curve name
+    to s times the class of curve img: s * sum_i x_i cols[i] over the
+    nonzeros x_i of the cached sparse class of name, O(nnz n), not a
+    dense apply.  A curve the page lacks fails."""
+    if name not in model.alphabet or img not in model.alphabet:
+        return False
+    acc = combine(entries(model.curve_vectors(name).a), cols, model.h1_rank)
+    return model.curve(img).h1_class == tuple(s * t for t in acc)
+
+
 def validate_involution(model: SurfaceModel, inv: Involution,
                         extends: HandleExtension | None = None) -> list[CheckResult]:
     """Check every declared invariant; reports failures, never raises.
 
-    The checks run over nonzeros.  The products are the scatter
-    product of IntMatrix, and C^2 is compared with I row by row without
-    building I.  Given C^2 = I, C^T J C = -J holds exactly when
-    C^T J = -J C (multiply either side by C on the right), which takes
-    two products with C as one factor instead of a chain of two; without
-    C^2 = I the full product is compared.  A curve image name -> (img, s)
-    is checked as s * sum_i x_i col_i(C) over the nonzeros x_i of the
-    cached sparse class of name, and a boundary class p is radical when
+    The checks run over nonzeros: involution_check, anti_symplectic_check
+    and lefschetz_check on the scatter product of IntMatrix, image_holds
+    per curve image, and a boundary class p is radical when
     J p = sum_i p_i col_i(J), summed over the nonzeros of p, vanishes.
     A failing check rebuilds its product only to report it.
 
@@ -498,37 +546,20 @@ def validate_involution(model: SurfaceModel, inv: Involution,
         return ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
                 + _structural_checks(model, inv)
                 + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)])
-    out: list[CheckResult] = []
     c = inv.matrix
     j = model.form
     rank = model.h1_rank
-    c_cols = c.transpose().rows
-
-    involution = not rank or (c.shape == (rank, rank) and all(
-        r[i] == 1 and r.count(0) == rank - 1 for i, r in enumerate((c @ c).rows)))
-    out.append(CheckResult("involution", involution,
-                           "" if involution else f"C^2 = {(c @ c).rows}"))
-
-    def dense_anti() -> IntMatrix:
-        return c.transpose() @ j @ c if rank else j
-
-    if rank and involution and j.shape == (rank, rank):
-        ok = c.transpose() @ j == -(j @ c)
-    else:
-        ok = dense_anti() == -j
-    out.append(CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {dense_anti().rows}"))
-
+    involution = involution_check(c, rank)
+    out = [involution, anti_symplectic_check(c, j, rank, involution.ok)]
     out += _structural_checks(model, inv)
 
     ok, detail = True, ""
+    c_cols = c.transpose().rows
     for name, (img, s) in inv.curve_image.items():
         if name not in model.alphabet or img not in model.alphabet:
             ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
             break
-        acc = [0] * rank
-        for i, x in entries(model.curve_vectors(name).a):
-            acc = [t + x * y for t, y in zip(acc, c_cols[i])]
-        if model.curve(img).h1_class != tuple(s * t for t in acc):
+        if not image_holds(model, c_cols, name, img, s):
             ok, detail = False, f"curve_image({name}) class mismatch"
             break
     out.append(CheckResult("curve_image", ok, detail))
@@ -538,10 +569,7 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     j_cols = j.transpose().rows
     for circle in model.circles:
         total = vec_add(total, circle.pclass)
-        jp = [0] * rank
-        for i, x in entries(_sparse(circle.pclass)):
-            jp = [t + x * y for t, y in zip(jp, j_cols[i])]
-        if any(jp):
+        if any(combine(entries(_sparse(circle.pclass)), j_cols, rank)):
             ok, detail = False, f"boundary class of circle {circle.cid} is not radical"
     if rank and any(total):
         ok, detail = False, "boundary classes do not sum to zero"
@@ -554,7 +582,6 @@ def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult
     """boundary_perm, boundary_tags, lefschetz and arc_endpoints: the
     checks that read the boundary and fixed-set data, not the algebra."""
     out: list[CheckResult] = []
-    c = inv.matrix
     perm = dict(inv.boundary_perm)
     ok = all(perm.get(perm.get(i, None), None) == i for i in perm)
     ids = {cc.cid for cc in model.circles}
@@ -573,9 +600,7 @@ def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult
     out.append(CheckResult("boundary_tags", ok, detail))
 
     arcs = inv.fixed_set.arcs
-    lef = 1 - (c.trace() if model.h1_rank else 0)
-    ok = len(arcs) == lef
-    out.append(CheckResult("lefschetz", ok, "" if ok else f"{len(arcs)} arcs vs 1 - tr = {lef}"))
+    out.append(lefschetz_check(len(arcs), inv.matrix, model.h1_rank))
 
     # each declared fixed point is used by exactly one arc end
     declared = {(cid, p) for cid, pts in inv.fixed_points.items() for p in pts}
@@ -611,7 +636,9 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
     maps it as C did; only new or changed images are checked.  A circle
     whose class is its old class q widened by zeros has
     J' (q, 0) = (J q, Y q) with J q = 0 by the old radical check, so it
-    needs X^T q = 0 only; a new or changed circle is checked fresh, and
+    needs X^T q = 0 only; a new or changed circle is checked fresh, with
+    J' d = -sum_i d_i row_i(J') as J' is antisymmetric (J by the premise
+    of the module docstring, Y = -X^T and M by the checks above), and
     the sum of all classes is the old sum, zero, moved by the new and
     changed classes less the old classes of changed and removed
     circles.
@@ -639,36 +666,27 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
         if list(rows[n + t][:n]) != minus_x:
             return False
         # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-        acc = [0] * n
-        for i, x in xnz[k - 1 - t]:
-            acc = [a + x * y for a, y in zip(acc, c_old[i])]
-        if [l[t] * a for a in acc] != minus_x:
+        if [l[t] * a for a in combine(xnz[k - 1 - t], c_old, n)] != minus_x:
             return False
 
     old_images = ext.inv.curve_image
-    c = inv.matrix.rows
+    c_cols = inv.matrix.transpose().rows
     for name, (img, s) in inv.curve_image.items():
-        if old_images.get(name) == (img, s):
-            continue
-        if name not in model.alphabet or img not in model.alphabet:
-            return False
-        acc = [0] * rank
-        for i, x in entries(model.curve_vectors(name).a):
-            acc = [a + x * r[i] for a, r in zip(acc, c)]
-        if model.curve(img).h1_class != tuple(s * a for a in acc):
+        if old_images.get(name) != (img, s) and not image_holds(model, c_cols, name, img, s):
             return False
 
     # per circle, d is its class less its old class q widened by zeros
     # (all of it for a new circle), and J' p = (J q, Y q) + J' d, where
-    # J q = 0 and Y q = -X^T q; the sum of the d, less the old classes
-    # of removed circles, is the sum of all classes
+    # J q = 0, Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of
+    # the d, less the old classes of removed circles, is the sum of all
+    # classes
     old_circles = {circle.cid: circle.pclass for circle in old.circles}
     total = [0] * rank
     for circle in model.circles:
         p = circle.pclass
         q = old_circles.pop(circle.cid, None)
         if q is None:
-            d, jp = p, [0] * rank
+            d, jq = p, [0] * rank
         else:
             yq = [-sum([x * q[i] for i, x in nz]) for nz in xnz]
             if p[:n] == q and not any(p[n:]):
@@ -676,12 +694,11 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
                     return False
                 continue
             d = [a - b for a, b in zip(p, q)] + list(p[n:])
-            jp = [0] * n + yq
-        for i, x in enumerate(d):
-            if x:
-                jp = [a + x * r[i] for a, r in zip(jp, rows)]
-                total[i] += x
-        if any(jp):
+            jq = [0] * n + yq
+        dnz = [(i, x) for i, x in enumerate(d) if x]
+        for i, x in dnz:
+            total[i] += x
+        if combine(dnz, rows, rank) != jq:
             return False
     for q in old_circles.values():
         total = [t - x for t, x in zip(total, q)] + total[n:]

@@ -284,15 +284,16 @@ BOOK_COMMANDS = [
 def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
                             book=("lens-annulus", "3")):
     """Set one field of a valid book, written as schema 2 and as schema 1,
-    to value: every subcommand that reads a book must exit 2 with an
-    error line that starts with the field's path."""
+    to value, or to value(old value) for a callable: every subcommand
+    that reads a book must exit 2 with an error line that starts with
+    the path."""
     _code, book_json = run_cli(["catalog", *book])
     for text in (book_json, as_schema1(book_json)):
         bad = json.loads(text)
         target = bad
         for key in field[:-1]:
             target = target[key]
-        target[field[-1]] = value
+        target[field[-1]] = value(target[field[-1]]) if callable(value) else value
         capsys.readouterr()
         for argv in BOOK_COMMANDS:
             code, out = run_cli(argv, json.dumps(bad), monkeypatch)
@@ -368,6 +369,21 @@ def test_malformed_provenance_field_is_exit_2(field, value, path, monkeypatch, c
 def test_fixed_set_vector_of_wrong_length_is_exit_2(book, field, value, path,
                                                      monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys, book)
+
+
+@pytest.mark.parametrize("field, value, path", [
+    (("ref_arcs", 0, "boundary"), lambda cid: cid + 1, "$.ref_arcs[0].boundary"),
+    (("ref_arcs", 0, "boundary"), lambda cid: cid - 1, "$.ref_arcs[0].boundary"),
+    (("page", "boundary", 1, "id"), lambda cid: cid + 1, "$.ref_arcs[0].boundary"),
+    (("page", "boundary", 1, "id"), lambda cid: cid - 1, "$.page.boundary[1].id"),
+    (("ref_arcs",), lambda arcs: arcs + arcs[:1], "$.ref_arcs[1].boundary"),
+    (("ref_arcs",), lambda arcs: [], "$.ref_arcs"),
+    (("page", "boundary"), lambda circles: [], "$.page.boundary"),
+], ids=["ref-arc-to-a-missing-circle", "ref-arc-to-the-basepoint", "circle-id-without-its-arc",
+        "circle-id-repeats", "second-ref-arc-to-one-circle", "no-ref-arcs", "no-circles"])
+def test_reference_arcs_are_one_per_non_basepoint_circle(field, value, path,
+                                                         monkeypatch, capsys):
+    assert_mutation_exits_2(field, value, path, monkeypatch, capsys, ("fig4", "2"))
 
 
 def test_wrong_schema_version_rejected():

@@ -288,3 +288,98 @@ def test_bitset_gf2_solver_matches_list_solver():
             assert [sum(a * x for a, x in zip(row, got)) % 2 for row in q] == rhs
             seen["full rank" if len(solver.pivot_cols) == n else "rank deficient"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_minus_checks_are_the_involution_checks_on_golden_books():
+    """minus_involution, minus_antisymplectic and minus_lefschetz give the
+    verdicts of the involution, anti_symplectic and lefschetz checks of
+    validate_involution, whose code they share."""
+    from test_golden import golden_books
+
+    from realbook.surface import validate_involution
+
+    count = 0
+    for label, ob in golden_books():
+        full = {r.name: r.ok for r in validate_involution(ob.page, ob.real_structure)}
+        report = plus_block_report(ob)
+        pairs = [("minus_involution", "involution"), ("minus_lefschetz", "lefschetz")]
+        if ob.page.h1_rank:
+            pairs.append(("minus_antisymplectic", "anti_symplectic"))
+        for minus, name in pairs:
+            assert report[minus] == full[name], (label, minus)
+        count += 1
+    assert count == 283
+
+
+def _with_matrix_row_doubled(ob):
+    from realbook.records import replace
+
+    i = next(i for i, row in enumerate(ob.page.form.rows) if any(row))
+    rows = [list(r) for r in ob.real_structure.matrix.rows]
+    rows[i] = [2 * x for x in rows[i]]
+    return replace(ob, real_structure=replace(ob.real_structure, matrix=IntMatrix(rows)))
+
+
+def _with_minus_arc_dropped(ob):
+    from realbook.records import replace
+
+    inv = ob.real_structure
+    fixed_set = replace(inv.fixed_set, arcs=inv.fixed_set.arcs[1:])
+    return replace(ob, real_structure=replace(inv, fixed_set=fixed_set))
+
+
+def _with_plus_arc_dropped(ob):
+    from realbook.records import replace
+
+    return replace(ob, fix_plus=replace(ob.fix_plus, arcs=ob.fix_plus.arcs[1:]))
+
+
+# books of positive genus, for a doubled row of C that meets the form,
+# and books with fixed arcs on both pages
+GENUS_BOOKS = (lambda: catalog_fig4(2), lambda: catalog_fig4(3), lambda: catalog_fig4(4))
+ARC_BOOKS = (lambda: catalog_fig5(3), lambda: catalog_fig6(2), lambda: catalog_lens_annulus(3))
+
+
+@pytest.mark.parametrize("books, corrupt, involution_fails, heegaard_fails", [
+    (GENUS_BOOKS, _with_matrix_row_doubled, {"involution", "anti_symplectic"},
+     {"minus_involution", "plus_involution", "minus_antisymplectic", "plus_antisymplectic"}),
+    (ARC_BOOKS, _with_minus_arc_dropped, {"lefschetz"}, {"minus_lefschetz"}),
+    (ARC_BOOKS, _with_plus_arc_dropped, set(), {"plus_lefschetz"}),
+], ids=["doubled-row-of-C", "dropped-minus-arc", "dropped-plus-arc"])
+def test_shared_checks_fail_through_each_caller(books, corrupt, involution_fails,
+                                                heegaard_fails):
+    """Each shared check fails through validate_involution and through
+    validate_heegaard, and the minus side agrees with validate_involution
+    on the corrupted book too."""
+    from realbook.surface import validate_involution
+
+    for make in books:
+        bad = corrupt(make())
+        report = plus_block_report(bad)
+        full = {r.name: r.ok for r in validate_involution(bad.page, bad.real_structure)}
+        assert involution_fails <= {name for name, ok in full.items() if not ok}
+        assert heegaard_fails <= {name for name, ok in report.items() if not ok}
+        for name in ("involution", "anti_symplectic", "lefschetz"):
+            assert report[f"minus_{name.replace('_', '')}"] == full[name], name
+
+
+def test_plus_checks_read_the_plus_block():
+    """On a real book (F C)^2 = I and tr(F C) = tr C, since F fixes the
+    radical and both are anti-symplectic involutions on the quotient, so
+    only a book that is not real tells the blocks apart; there
+    plus_involution and plus_lefschetz are checked on F C."""
+    from test_openbook import not_real_example
+
+    from realbook.records import replace
+    from realbook.surface import FixedSet
+
+    ob = not_real_example()
+    fc = ob.monodromy_matrix @ ob.real_structure.matrix
+    plus, minus = 1 - fc.trace(), 1 - ob.real_structure.matrix.trace()
+    assert plus != minus and plus > 0
+    report = plus_block_report(ob)
+    assert report["minus_involution"] and not report["plus_involution"]
+    arc = ob.real_structure.fixed_set.arcs[0]
+    for count in (plus, minus):
+        report = plus_block_report(replace(ob, fix_plus=FixedSet(arcs=(arc,) * count)))
+        assert report["plus_lefschetz"] == (count == plus)

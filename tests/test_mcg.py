@@ -7,7 +7,7 @@ from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5, catalog_fig6
 from realbook.intalg import IntMatrix
 from realbook.mcg import (
     concat,
-    conjugate_by_involution,
+    conjugate,
     invert,
     times_word,
     transport_arc,
@@ -87,14 +87,14 @@ def test_conjugation_annulus(annulus):
     for n in range(-4, 5):
         if n == 0:
             continue
-        assert conjugate_by_involution(annulus, inv, word([("d1", n)])) == (("d1", -n),)
-    assert conjugate_by_involution(annulus, inv, ()) == ()
+        assert conjugate(inv.curve_image, word([("d1", n)])) == (("d1", -n),)
+    assert conjugate(inv.curve_image, ()) == ()
 
 
 def test_conjugation_unavailable_is_none(torus):
     inv_data = standard_involution(standard_surface(0, 2), "annulus-reflection")
     # no image declared for the torus curves under this partial map
-    assert conjugate_by_involution(torus, inv_data, word([("a1", 1)])) is None
+    assert conjugate(inv_data.curve_image, word([("a1", 1)])) is None
 
 
 def test_conjugation_matrix_identity():
@@ -105,7 +105,7 @@ def test_conjugation_matrix_identity():
     c = inv.matrix
     for _ in range(30):
         w = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(4)])
-        cw = conjugate_by_involution(m, inv, w)
+        cw = conjugate(inv.curve_image, w)
         assert cw is not None
         assert word_matrix(m, cw) == c @ word_matrix(m, w) @ c
 
@@ -313,3 +313,24 @@ def test_curve_vectors_cached_per_page_outside_the_fields():
     assert "_curve_vectors" in vars(m) and "_curve_vectors" not in vars(copy)
     assert dense(copy.curve_vectors("a1").ja) == dense(m.curve_vectors("a1").ja)
     assert copy._curve_vectors.keys() == {"a1"}
+
+
+def test_curve_vectors_equal_dense_products_on_golden_pages():
+    """J a is derived as -J^T a, which needs an antisymmetric form: on
+    every golden page, ja and jta of every curve equal the dense J a and
+    J^T a, with no stored zeros."""
+    from test_golden import golden_books
+
+    pages = 0
+    for label, ob in golden_books():
+        page = ob.page
+        jt = page.form.transpose()
+        for name, curve in page.alphabet.items():
+            vecs = page.curve_vectors(name)
+            for sparse, want in ((vecs.ja, page.form.apply(curve.h1_class)),
+                                 (vecs.jta, jt.apply(curve.h1_class))):
+                pairs = dict(entries(sparse))
+                assert len(pairs) == len(sparse) // 2 and all(pairs.values()), (label, name)
+                assert tuple(pairs.get(i, 0) for i in range(page.h1_rank)) == want, (label, name)
+        pages += 1
+    assert pages == 283

@@ -66,6 +66,12 @@ def test_not_real_with_witness():
     assert wit["cfc"] != wit["f_inverse"]
 
 
+def test_not_real_witness_is_the_first_column_that_differs():
+    # C F C e_1 = (1, -1) while F^-1 e_1 = e_1
+    assert check_reality(not_real_example()).witness == {
+        "vector": (1, 0), "cfc": (1, -1), "f_inverse": (1, 0)}
+
+
 def test_stabilize_refuses_not_real():
     with pytest.raises(StabilizationError):
         stabilize(not_real_example(), "III", {"boundary": 1})
@@ -314,13 +320,16 @@ def test_incompatible_sites_raise(make, tag, site, message):
     assert str(err.value) == message
 
 
-def eager_viii_search(n, pj, pk, c_old, form, others=()):
+def eager_viii_search(pattern, c_old, form):
     """The type-VIII search as first written: one linear system per
     (m, x), all 626 lattice candidates built before any is scored."""
     from itertools import product
 
     from realbook.intalg import solve_integer_affine
 
+    n = c_old.nrows
+    (pj, _), (pk, _), *rest = pattern
+    others = [p for p, _ in rest]
     ct = c_old.transpose()
     one_minus_c = IntMatrix.identity(n) - c_old
     for m, x_coef in product((0, 1, -1), (1, -1)):
@@ -368,14 +377,13 @@ def viii_oracle_inputs():
     seeded small systems, which also reach the refusals: no solution at
     all, and a solved system whose lattice has no point meeting the
     radical conditions."""
-    from realbook.openbook import _other_pushoffs
+    from realbook.openbook import _attachment_pattern
 
     for ob in [e.build() for e in ENTRIES] + [catalog_fig4(k) for k in range(1, 9)]:
         for tag, site in enumerate_sites(ob):
             if tag == "VIII":
                 j, k = sorted(site["boundaries"])
-                yield (ob.page.h1_rank, ob.page.circle(j).pclass, ob.page.circle(k).pclass,
-                       ob.real_structure.matrix, ob.page.form, _other_pushoffs(ob, j, k))
+                yield (_attachment_pattern(ob, j, k), ob.real_structure.matrix, ob.page.form)
     rng = random.Random(3)
     for _ in range(600):
         n = rng.randint(1, 4)
@@ -384,9 +392,10 @@ def viii_oracle_inputs():
             for j in range(i + 1, n):
                 form[i][j] = rng.randint(-2, 2)
                 form[j][i] = -form[i][j]
-        yield (n, [rng.randint(-2, 2) for _ in range(n)], [rng.randint(-2, 2) for _ in range(n)],
-               IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]),
-               IntMatrix(form, ncols=n), ())
+        pj = [rng.randint(-2, 2) for _ in range(n)]
+        pk = [rng.randint(-2, 2) for _ in range(n)]
+        yield ([(pj, -1), (pk, 1)], IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]),
+               IntMatrix(form, ncols=n))
 
 
 def test_viii_search_matches_eager_search():
@@ -412,7 +421,7 @@ def test_viii_search_solutions_meet_both_radical_conditions():
         if got[0] == "refused":
             continue
         v, w, x, m = got
-        c = args[3].rows
+        c = args[1].rows
         ctv = [sum(c[i][u] * v[i] for i in range(len(v))) for u in range(len(v))]
         assert sum(a * b for a, b in zip(ctv, w)) == sum(a * b for a, b in zip(v, w)) == x * m
         solved += 1
@@ -763,3 +772,75 @@ def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
     for core in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
                  ((0, 1),), ((1,),), ((0, 2), (2, 0))]:
         assert not _handle_block_holds(page, inv, replace(ext, core=core)), core
+
+
+def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
+    """An image name -> (img, s) with s negated fails the curve_image
+    check of a full validation, the block check of a stabilization and
+    the peel of a provenance block: the three callers of image_holds."""
+    import realbook.openbook as openbook_module
+    from realbook.openbook import _chain_blocks_of
+    from realbook.surface import _handle_block_holds
+
+    def flipped(images, name):
+        img, sign = images[name]
+        return {**images, name: (img, -sign)}
+
+    ob = catalog_fig5(2)
+    inv = ob.real_structure
+    name = next(n for n in sorted(inv.curve_image) if any(ob.page.curve(n).h1_class))
+    report = {r.name: r.ok for r in validate_involution(ob.page, inv)}
+    assert report["curve_image"]
+    bad = replace(inv, curve_image=flipped(inv.curve_image, name))
+    report = {r.name: r.ok for r in validate_involution(ob.page, bad)}
+    assert not report["curve_image"] and all(ok for n, ok in report.items() if n != "curve_image")
+
+    seen = []
+    full_validation = openbook_module.validate_involution
+
+    def recording(page, inv, extends=None):
+        seen.append((page, inv, extends))
+        return full_validation(page, inv, extends)
+
+    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    child = stabilize(ob, "III", {"boundary": 1})
+    (page, new_inv, ext), = seen
+    new = sorted(set(new_inv.curve_image) - set(inv.curve_image))
+    assert new and _handle_block_holds(page, new_inv, ext)
+    for name in new:
+        assert not _handle_block_holds(
+            page, replace(new_inv, curve_image=flipped(new_inv.curve_image, name)), ext), name
+
+    rec = child.provenance[-1]
+    assert _chain_blocks_of(child)[0]
+    for name in rec.images:
+        tampered = replace(rec, images=flipped(rec.images, name))
+        assert _chain_blocks_of(replace(child, provenance=child.provenance[:-1] + (tampered,))) \
+            == (False, ()), name
+
+
+def test_a_sign_flipped_pattern_row_refuses_type_v(monkeypatch):
+    """Type V accepts the consumed arc only in an orientation that meets
+    the attachment pattern; with the sign of P_j . v flipped, neither
+    orientation does."""
+    import realbook.openbook as openbook_module
+
+    sites = [(e.build(), site) for e in ENTRIES
+             for tag, site in enumerate_sites(e.build()) if tag == "V"]
+    accepted = []
+    for ob, site in sites:
+        try:
+            accepted.append((ob, site, stabilize(ob, "V", site)))
+        except StabilizationError:
+            pass
+    assert accepted
+    pattern = openbook_module._attachment_pattern
+
+    def flipped(ob, j, k):
+        (pj, want), *rest = pattern(ob, j, k)
+        return [(pj, -want), *rest]
+
+    monkeypatch.setattr(openbook_module, "_attachment_pattern", flipped)
+    for ob, site, _out in accepted:
+        with pytest.raises(StabilizationError, match="violates the boundary pattern"):
+            stabilize(ob, "V", site)
