@@ -194,19 +194,24 @@ def cmd_contact(args) -> int:
 
 def cmd_validate(args) -> int:
     from .openbook import Reality, check_reality
-    from .surface import validate_involution, validate_page
+    from .surface import arc_endpoints_check, validate_involution, validate_page
 
     book = _read_book(args.infile)
     report = validate_involution(book.page, book.real_structure)
     page = validate_page(book.page)
+    # the opposite page's fixed arcs, when tracked, end on the same
+    # binding fixed points as the page's own
+    plus = [] if book.fix_plus is None else [
+        arc_endpoints_check(book.real_structure.fixed_points, book.fix_plus.arcs)]
     status = check_reality(book)
     out = {
         "involution": {r.name: (r.ok if r.ok else r.detail) for r in report},
         "page": {r.name: (r.ok if r.ok else r.detail) for r in page},
+        "plus": {r.name: (r.ok if r.ok else r.detail) for r in plus},
         "reality": status.kind.value,
     }
     _emit_json(out, args.out)
-    ok = all(r.ok for r in report + page) and status.kind is not Reality.NOT_REAL
+    ok = all(r.ok for r in report + page + plus) and status.kind is not Reality.NOT_REAL
     return EXIT_OK if ok else EXIT_CONTRACT
 
 

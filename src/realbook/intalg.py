@@ -12,7 +12,13 @@ read: the sparse involutions, forms and Smith transforms cost far less
 than n^3, and a product of a few probe rows reads a few rows of the
 right factor.  Twist words never go through it, because mcg applies
 each twist as an O(n^2) rank-one update.  The Smith form uses the
-smallest-entry pivot rule, with no modular or HNF shortcut.  One
+smallest-entry pivot rule, with no modular or HNF shortcut, and its
+updates touch only nonzeros: a row operation adds the nonzeros of the
+pivot row, listed once per clearing pass, a column operation changes
+one entry of the working matrix and is a sparse axpy on the columns of
+v.  The pivots and the row and column operations are the full-scan
+rule's, in its order, so the form and its transforms are the same
+entry for entry; only the zero updates are skipped.  One
 elimination loop serves every caller: linear systems are solved by
 back-substitution through a form factored with its transforms, which a
 caller may reuse for many right-hand sides, and cokernel runs the same
@@ -27,15 +33,6 @@ from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .records import record
-
-
-def _axpy(x: Sequence[int], q: int, y: Sequence[int]) -> list[int]:
-    """x + q y, entrywise."""
-    if q == 1:
-        return list(map(add, x, y))
-    if q == -1:
-        return list(map(sub, x, y))
-    return list(map(add, x, map(q.__mul__, y)))
 
 
 class IntMatrix:
@@ -262,47 +259,48 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
     entry, which is the pivot the full scan would pick, and a unit pivot
     needs no divisibility sweep.
 
+    Every update touches only nonzeros, and the pivots and the row and
+    column operations are those of the full-scan rule, in its order, so
+    d, u and v equal its transforms entry for entry.  Each pass that
+    clears column t lists the nonzeros of the pivot row from column t
+    on, and of u's pivot row, once, and adds multiples of them to the
+    rows with an entry in column t.  Once column t is clear below the
+    pivot, and every row above t is zero from column t on (each earlier
+    step ends with its row and column clear but for the pivot), a column
+    operation that clears row t changes only the pivot row of the
+    working matrix: its entry becomes a remainder by the pivot.  v is
+    kept as its list of columns, so that operation is one sparse axpy
+    on v, and a column swap swaps two lists.
+
     With transforms=False the same eliminations run on the working
-    matrix alone: d is the same, and u and v are None.
+    matrix alone, u and v having empty rows and columns: d is the same,
+    and u and v are None.
     """
     m, n = a.shape
-    mat = [list(row) for row in a.rows]
+    mat = list(map(list, a.rows))
     if transforms:
-        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        u = [[0] * m for _ in range(m)]
+        for i, row in enumerate(u):
+            row[i] = 1
+        vcols = [[0] * n for _ in range(n)]
+        for i, col in enumerate(vcols):
+            col[i] = 1
     else:
-        # u with empty rows and v with no rows: every update of them below
-        # is a no-op, so the loop is the same and only d is computed
+        # every update of an empty row or column is a no-op, so the loop
+        # is the same and only d is computed
         u = [[] for _ in range(m)]
-        v = []
+        vcols = [[] for _ in range(n)]
 
     def swap_rows(i, j):
         mat[i], mat[j] = mat[j], mat[i]
         u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        mat[dst] = _axpy(mat[dst], q, mat[src])
-        u[dst] = _axpy(u[dst], q, u[src])
-
-    def add_col(dst, src, q):
-        # column dst += q * column src, touching only rows that change
-        for row in mat:
-            if row[src]:
-                row[dst] += q * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        mat[i] = [-x for x in mat[i]]
-        u[i] = [-x for x in u[i]]
+    def swap_cols(t, j):
+        # rows above t are zero in both columns
+        for r in range(t, m):
+            row = mat[r]
+            row[t], row[j] = row[j], row[t]
+        vcols[t], vcols[j] = vcols[j], vcols[t]
 
     t = 0
     size = min(m, n)
@@ -323,52 +321,71 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
                 break
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        prow, pcol = pivot
+        if prow != t:
+            swap_rows(t, prow)
+        if pcol != t:
+            swap_cols(t, pcol)
 
         while True:
+            top = mat[t]        # the pivot row
+            p = top[t]
             # clear column t by division; leftover remainders become new,
             # strictly smaller pivots, so this terminates
-            for i in range(t + 1, m):
-                if mat[i][t] != 0:
-                    add_row(i, t, -(mat[i][t] // mat[t][t]))
-            col_dirty = [i for i in range(t + 1, m) if mat[i][t] != 0]
-            if col_dirty:
-                i = min(col_dirty, key=lambda k: abs(mat[k][t]))
-                swap_rows(t, i)
-                continue
-            for j in range(t + 1, n):
-                if mat[t][j] != 0:
-                    add_col(j, t, -(mat[t][j] // mat[t][t]))
-            row_dirty = [j for j in range(t + 1, n) if mat[t][j] != 0]
-            if row_dirty:
-                j = min(row_dirty, key=lambda k: abs(mat[t][k]))
-                swap_cols(t, j)
-                continue
+            below = [i for i in range(t + 1, m) if mat[i][t]]
+            if below:
+                pnz = [(j, x) for j, x in enumerate(top[t:], t) if x]
+                unz = [(j, x) for j, x in enumerate(u[t]) if x]
+                for i in below:
+                    q = -(mat[i][t] // p)
+                    row = mat[i]
+                    for j, x in pnz:
+                        row[j] += q * x
+                    row = u[i]
+                    for j, x in unz:
+                        row[j] += q * x
+                dirty = [i for i in below if mat[i][t]]
+                if dirty:
+                    swap_rows(t, min(dirty, key=lambda k: abs(mat[k][t])))
+                    continue
+            right = [j for j in range(t + 1, n) if top[j]]
+            if right:
+                vnz = [(i, y) for i, y in enumerate(vcols[t]) if y]
+                for j in right:
+                    q = -(top[j] // p)
+                    top[j] += q * p
+                    col = vcols[j]
+                    for i, y in vnz:
+                        col[i] += q * y
+                dirty = [j for j in right if top[j]]
+                if dirty:
+                    swap_cols(t, min(dirty, key=lambda k: abs(top[k])))
+                    continue
             # divisibility sweep: pivot must divide the whole remaining block
-            if abs(mat[t][t]) == 1:
+            if abs(p) == 1:
                 break
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if mat[i][j] % mat[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in mat[i][t + 1:])), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            # row t += the offender, which is zero up to column t
+            for j, x in enumerate(mat[offender][t + 1:], t + 1):
+                if x:
+                    top[j] += x
+            row = u[t]
+            for j, x in enumerate(u[offender]):
+                if x:
+                    row[j] += x
         if mat[t][t] < 0:
-            negate_row(t)
+            # row t is zero but for the pivot
+            mat[t][t] = -mat[t][t]
+            u[t] = [-x for x in u[t]]
         t += 1
 
+    d = IntMatrix._trusted(mat, n)
     if not transforms:
-        return SmithForm(d=IntMatrix._trusted(mat, n), u=None, v=None)
-    return SmithForm(d=IntMatrix._trusted(mat, n), u=IntMatrix._trusted(u, m),
-                     v=IntMatrix._trusted(v, n))
+        return SmithForm(d=d, u=None, v=None)
+    return SmithForm(d=d, u=IntMatrix._trusted(u, m), v=IntMatrix._trusted(zip(*vcols), n))
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
@@ -416,13 +433,10 @@ def solve_integer_affine(
     x = snf_solve(snf, b)
     if x is None:
         return None
+    # the kernel is spanned by the columns of v past the nonzero diagonal
     diag = snf.diag
-    kernel = []
-    for j in range(a.ncols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            kernel.append(tuple(snf.v[i, j] for i in range(a.ncols)))
-    return x, kernel
+    cols = snf.v.transpose().rows
+    return x, [col for j, col in enumerate(cols) if j >= len(diag) or diag[j] == 0]
 
 
 def determinantal_divisors(a: IntMatrix) -> list[int]:

@@ -16,8 +16,9 @@ and one that is present must equal SurfaceModel.curve_tables.  The
 reader also rejects a form that is not antisymmetric and any class,
 pushoff class, crossing vector or reference-arc row whose length is not
 the basis size, a page without boundary circles, a repeated circle id,
-and reference arcs that are not one arc to each circle but the
-basepoint (the least id).
+reference arcs that are not one arc to each circle but the basepoint
+(the least id), and a fixed arc's pair_arcs key that names no
+reference-arc target.
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
@@ -207,17 +208,24 @@ def _end(x: Any, path: str) -> tuple[int, int]:
     return end
 
 
-def _parse_fixed_set(obj: Any, path: str, rank: int) -> FixedSet:
+def _parse_fixed_set(obj: Any, path: str, rank: int, ref_arcs: dict) -> FixedSet:
+    """A fixed set; each arc's pair_arcs keys must name reference-arc
+    targets, as a crossing with any other boundary would be dropped."""
     arcs = []
     for i, a in enumerate(_list(_need(obj, "arcs", path), f"{path}.arcs")):
         apath = f"{path}.arcs[{i}]"
         ends = _list(_need(a, "ends", apath), f"{apath}.ends")
         if len(ends) != 2:
             raise SchemaError(f"{apath}.ends must have two entries")
+        pair_arcs = _int_keyed(_need(a, "pair_arcs", apath), f"{apath}.pair_arcs", _int)
+        for l in pair_arcs:
+            if l not in ref_arcs:
+                raise SchemaError(f"{apath}.pair_arcs names boundary {l}, "
+                                  f"which has no reference arc")
         arcs.append(FixArc(
             ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
             pair_curves=_vec(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank),
-            pair_arcs=_int_keyed(_need(a, "pair_arcs", apath), f"{apath}.pair_arcs", _int),
+            pair_arcs=pair_arcs,
         ))
     circles = [
         FixCircle(h1_class=_vec(_need(c, "h1_class", f"{path}.circles[{i}]"),
@@ -325,12 +333,12 @@ def from_obj(obj: dict) -> OpenBook:
         boundary_perm=perm,
         fixed_points=fixed_points,
         fixed_set=_parse_fixed_set(_need(iv, "fixed_set", "$.involution"),
-                                   "$.involution.fixed_set", rank),
+                                   "$.involution.fixed_set", rank, ref_arcs),
         curve_image=images,
     )
 
     fp = obj.get("fix_plus")
-    fix_plus = _parse_fixed_set(fp, "$.fix_plus", rank) if fp is not None else None
+    fix_plus = _parse_fixed_set(fp, "$.fix_plus", rank, ref_arcs) if fp is not None else None
 
     provenance = []
     records = obj.get("provenance", [])

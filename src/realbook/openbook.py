@@ -543,19 +543,28 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
     An arc from the basepoint to boundary l crosses the pushoff of l
     once (+1), the basepoint pushoff once (-1) and no other: this fixes
     the crossings with the fresh curves that the per-type bookkeeping
-    leaves free.  Each residual is summed over the nonzeros of the
-    boundary classes.  A zero residual needs a zero correction, which
+    leaves free.  An index from each coordinate to the circles whose
+    class is nonzero there, with that entry, is built once, so each
+    arc's residuals are summed over the nonzeros of its row, not dotted
+    with every circle.  A zero residual needs a zero correction, which
     snf_solve would return, so only arcs with a nonzero residual
     back-substitute.  The crossing matrix is the same for every arc, so
     its Smith form is factored once, for the first such arc.
     """
     bp = min(b.circles)
     cids = sorted(b.circles)
-    classes = [[(i, x) for i, x in enumerate(b.circles[cid]) if x] for cid in cids]
+    by_coord: list[list[tuple[int, int]]] = [[] for _ in range(b.rank)]
+    for k, cid in enumerate(cids):
+        for i, x in enumerate(b.circles[cid]):
+            if x:
+                by_coord[i].append((k, x))
     snf = None
     for l, row in sorted(b.arcs_rows.items()):
-        rhs = [(1 if cid == l else (-1 if cid == bp else 0)) - sum([row[i] * x for i, x in nz])
-               for cid, nz in zip(cids, classes)]
+        rhs = [1 if cid == l else (-1 if cid == bp else 0) for cid in cids]
+        for i, a in enumerate(row):
+            if a:
+                for k, x in by_coord[i]:
+                    rhs[k] -= a * x
         if not any(rhs):
             continue
         if snf is None:
@@ -867,9 +876,13 @@ def _solve_viii_data(
 
     @cache
     def lattice(x_coef: int):
-        x_rows = [[x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
-                  + list(form.rows[i]) for i in range(n)]
-        sol = solve_integer_affine(IntMatrix(rows + x_rows, ncols=2 * n), rhs)
+        # row i is x (e_i - C^T e_i) followed by row i of J
+        x_rows = []
+        for i, cti in enumerate(ct.rows):
+            row = [-x_coef * c for c in cti]
+            row[i] += x_coef
+            x_rows.append(row + list(form.rows[i]))
+        sol = solve_integer_affine(IntMatrix._trusted(rows + x_rows, 2 * n), rhs)
         if sol is None:
             return None
         base, kernel = sol

@@ -601,13 +601,18 @@ def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult
 
     arcs = inv.fixed_set.arcs
     out.append(lefschetz_check(len(arcs), inv.matrix, model.h1_rank))
-
-    # each declared fixed point is used by exactly one arc end
-    declared = {(cid, p) for cid, pts in inv.fixed_points.items() for p in pts}
-    used: list[tuple[int, int]] = [e for a in arcs for e in a.ends]
-    ok = sorted(used) == sorted(declared)
-    out.append(CheckResult("arc_endpoints", ok, "" if ok else f"used {sorted(used)} vs declared {sorted(declared)}"))
+    out.append(arc_endpoints_check(inv.fixed_points, arcs))
     return out
+
+
+def arc_endpoints_check(fixed_points: Mapping[int, tuple[int, int]],
+                        arcs: Sequence[FixArc]) -> CheckResult:
+    """Each declared fixed point is used by exactly one end of the arcs:
+    the fixed arcs of either page end on the binding's fixed points."""
+    declared = sorted({(cid, p) for cid, pts in fixed_points.items() for p in pts})
+    used = sorted(e for a in arcs for e in a.ends)
+    ok = used == declared
+    return CheckResult("arc_endpoints", ok, "" if ok else f"used {used} vs declared {declared}")
 
 
 def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtension) -> bool:

@@ -171,6 +171,24 @@ def test_validate_reports_the_page_checks(monkeypatch):
         "2g + b - 1 = 7 with g = 3, b = 2, but H1 has rank 5"
 
 
+def test_validate_checks_the_opposite_page_arc_ends(monkeypatch):
+    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
+    code, out = run_cli(["validate"], book_json, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["plus"] == {"arc_endpoints": True}
+    obj = json.loads(book_json)
+    obj["fix_plus"]["arcs"][0]["ends"][0] = [99, 1]
+    code, out = run_cli(["validate"], json.dumps(obj), monkeypatch)
+    assert code == 1
+    data = json.loads(out)
+    assert data["plus"] == {"arc_endpoints": "used [(1, 2), (2, 3), (2, 4), (99, 1)] "
+                                             "vs declared [(1, 1), (1, 2), (2, 3), (2, 4)]"}
+    assert all(v is True for v in data["involution"].values())
+    del obj["fix_plus"]
+    code, out = run_cli(["validate"], json.dumps(obj), monkeypatch)
+    assert code == 0 and json.loads(out)["plus"] == {}
+
+
 def meeting_pair_book() -> str:
     """A book on the once-punctured torus, word a1 b1, C = diag(1, -1),
     that declares a1 and b1 disjoint although <a1, b1> = 1."""
@@ -268,6 +286,11 @@ def test_malformed_provenance_images_is_exit_2(variant, monkeypatch, capsys):
     (("fix_plus", "arcs"), "x", "$.fix_plus.arcs"),
     (("fix_plus", "arcs", 0, "ends"), [[1, 1], 3], "$.fix_plus.arcs[0].ends[1]"),
     (("fix_plus", "arcs", 1, "pair_arcs"), {"two": 0}, "$.fix_plus.arcs[1].pair_arcs"),
+    # a crossing with a boundary that has no reference arc would be dropped
+    (("involution", "fixed_set", "arcs", 0, "pair_arcs"), {"99": 1},
+     "$.involution.fixed_set.arcs[0].pair_arcs"),
+    (("fix_plus", "arcs", 0, "pair_arcs"), {"1": 1},
+     "$.fix_plus.arcs[0].pair_arcs"),
 ])
 def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)

@@ -281,9 +281,27 @@ def full_scan_smith_normal_form(a):
     return IntMatrix(mat, ncols=n), IntMatrix(u, ncols=m), IntMatrix(v, ncols=n)
 
 
+def fig4_viii_systems(k=16):
+    """Every system _solve_viii_data factors while the fig4 ladder is
+    built to k: the largest Smith forms of a stabilization, to 60 x 58
+    at k = 16, whose v the type-VIII lattice search reads."""
+    from realbook import openbook
+    from realbook.catalog import catalog_fig4
+
+    systems = []
+    solve = openbook.solve_integer_affine
+    openbook.solve_integer_affine = lambda a, b: systems.append(a) or solve(a, b)
+    try:
+        catalog_fig4(k)
+    finally:
+        openbook.solve_integer_affine = solve
+    return systems
+
+
 def snf_oracle_matrices(rng):
     from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5
 
+    yield from fig4_viii_systems()
     for trial in range(150):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         if trial % 3 == 0:      # no unit entries: the divisibility sweep runs
@@ -304,7 +322,15 @@ def test_snf_matches_full_scan_pivot_rule():
     rng = random.Random(41)
     for a in snf_oracle_matrices(rng):
         snf = smith_normal_form(a)
-        assert (snf.d, snf.u, snf.v) == full_scan_smith_normal_form(a), a
+        oracle = full_scan_smith_normal_form(a)
+        assert (snf.d, snf.u, snf.v) == oracle, a
+        bare = smith_normal_form(a, transforms=False)
+        assert (bare.d, bare.u, bare.v) == (oracle[0], None, None), a
+
+
+def test_fig4_ladder_reaches_the_largest_viii_systems():
+    shapes = [a.shape for a in fig4_viii_systems()]
+    assert len(shapes) >= 15 and max(shapes) == (60, 58)
 
 
 def test_snf_solve_reuses_one_factorization():

@@ -90,6 +90,22 @@ def test_reality_memo_stays_with_its_book():
     assert check_reality(ob).kind is Reality.CERTIFIED_REAL
 
 
+def test_stabilize_checks_only_the_page_arc_ends(monkeypatch):
+    # the opposite page's arc ends are checked by realbook validate, not
+    # on every stabilized book
+    from realbook import surface
+
+    base = catalog_lens_annulus(3)
+    seen = []
+    check = surface.arc_endpoints_check
+    monkeypatch.setattr(surface, "arc_endpoints_check",
+                        lambda pts, arcs: seen.append(arcs) or check(pts, arcs))
+    ob = stabilize(base, "III", {"boundary": 1})
+    minus = [base.real_structure.fixed_set.arcs, ob.real_structure.fixed_set.arcs]
+    assert ob.fix_plus.arcs not in minus and base.fix_plus.arcs not in minus
+    assert minus[1] in seen and all(arcs in minus for arcs in seen)
+
+
 def test_disk_type_I_gives_annulus_book():
     ob = stabilize(catalog_s3_disk(), "I", {"boundary": 1})
     assert ob.page.genus == 0
