@@ -194,7 +194,7 @@ def build(name: str, *params: int) -> OpenBook:
     """CLI entry: construct a catalog book by name."""
     table = {
         "disk": lambda: catalog_s3_disk(),
-        "hopf": lambda v="conjugation": catalog_hopf(str(v)),
+        "hopf": lambda kind="conjugation": catalog_hopf(str(kind)),
         "fig4": lambda k=1: catalog_fig4(int(k)),
         "fig5": lambda k=1: catalog_fig5(int(k)),
         "fig6": lambda k=1: catalog_fig6(int(k)),
@@ -203,4 +203,11 @@ def build(name: str, *params: int) -> OpenBook:
     }
     if name not in table:
         raise KeyError(f"unknown catalog book {name!r}")
-    return table[name](*params)
+    make = table[name]
+    # every parameter has a default, so only too many can be given
+    takes = make.__code__.co_varnames[:make.__code__.co_argcount]
+    if len(params) > len(takes):
+        allowed = (f"at most {len(takes)} parameter{'s' * (len(takes) > 1)}: {' '.join(takes)}"
+                   if takes else "no parameters")
+        raise ValueError(f"catalog book {name!r} takes {allowed}; got {len(params)}")
+    return make(*params)

@@ -142,22 +142,19 @@ def _closed_surface_basis(ob: OpenBook):
     binding circles (all but the largest id), and the doubled reference
     arcs.  Binding circles pair with nothing in the page interior, so
     their rows carry only the reference-arc incidences.  Row r of the
-    pairing matrix q is a bitset: bit c is entry (r, c).
+    pairing matrix q is a bitset: bit c is entry (r, c).  d_pos and
+    m_pos give the row of each binding circle and reference arc, keyed
+    by boundary id in increasing order.
     """
     page = ob.page
     interior = _interior_basis_indices(ob)
     n_int = len(interior)
-    circles = sorted(c.cid for c in page.circles)
-    d_ids = circles[:-1]
+    d_ids = sorted(c.cid for c in page.circles)[:-1]
     m_ids = sorted(page.ref_arcs)
     bp = page.basepoint
+    d_pos = {cid: 2 * n_int + i for i, cid in enumerate(d_ids)}
+    m_pos = {cid: 2 * n_int + len(d_ids) + i for i, cid in enumerate(m_ids)}
     dim = 2 * n_int + len(d_ids) + len(m_ids)
-
-    def d_pos(cid):
-        return 2 * n_int + d_ids.index(cid)
-
-    def m_pos(cid):
-        return 2 * n_int + len(d_ids) + m_ids.index(cid)
 
     q = [0] * dim
     jm = page.form.rows
@@ -165,19 +162,18 @@ def _closed_surface_basis(ob: OpenBook):
         row = _bits(jm[ia][ib] % 2 for ib in interior)
         q[a] = row
         q[n_int + a] = row << n_int
-    for l in m_ids:
-        ml = m_pos(l)
-        row = page.ref_arcs[l].pairings
+    for l, ml in m_pos.items():
+        row = page.ref_arcs[l]
         for a, ia in enumerate(interior):
             if row[ia] % 2:
                 q[a] ^= 1 << ml
                 q[n_int + a] ^= 1 << ml
                 q[ml] ^= (1 << a) | (1 << (n_int + a))
-    for d in d_ids:
-        for l in m_ids:
+    for d, dp in d_pos.items():
+        for l, ml in m_pos.items():
             if (d == l) != (d == bp):
-                q[d_pos(d)] ^= 1 << m_pos(l)
-                q[m_pos(l)] ^= 1 << d_pos(d)
+                q[dp] ^= 1 << ml
+                q[ml] ^= 1 << dp
     return dim, interior, d_pos, m_pos, q
 
 
@@ -252,8 +248,6 @@ def real_part(ob: OpenBook) -> RealPartData:
 
     dim, interior, d_pos, m_pos, q = _closed_surface_basis(ob)
     n_int = len(interior)
-    m_ids = sorted(page.ref_arcs)
-    d_ids = sorted(c.cid for c in page.circles)[:-1]
 
     # graph on the binding fixed points: one arc of each page per point
     edges: list[tuple[tuple[int, int], tuple[int, int], int, object]] = []
@@ -281,8 +275,8 @@ def real_part(ob: OpenBook) -> RealPartData:
 
     def crossing_vector(side: int, interior_row, arc_crossings) -> int:
         vec = _bits(interior_row[ia] % 2 for ia in interior) << (side * n_int)
-        for l, cross in zip(m_ids, arc_crossings):
-            vec ^= (cross % 2) << m_pos(l)
+        for ml, cross in zip(m_pos.values(), arc_crossings):
+            vec ^= (cross % 2) << ml
         return vec
 
     for start in range(len(edges)):
@@ -301,7 +295,7 @@ def real_part(ob: OpenBook) -> RealPartData:
             e1, e2, side, arc = edges[idx]
             pts.update((e1, e2))
             vec ^= crossing_vector(side, arc.pair_curves,
-                                   [arc.pair_arcs.get(l, 0) for l in m_ids])
+                                   [arc.pair_arcs.get(l, 0) for l in m_pos])
             for pt in (e1, e2):
                 for nxt in adj[pt]:
                     if not seen[nxt]:
@@ -309,8 +303,8 @@ def real_part(ob: OpenBook) -> RealPartData:
         # each binding fixed point on the component is one transversal
         # crossing of that binding circle
         for cid, _pid in pts:
-            if cid in d_ids:
-                vec ^= 1 << d_pos(cid)
+            if cid in d_pos:
+                vec ^= 1 << d_pos[cid]
         components.append(RealComponent(pieces=count, h1_class=solve(vec)))
 
     jt = page.form.transpose()
@@ -318,7 +312,7 @@ def real_part(ob: OpenBook) -> RealPartData:
         for circ in fset.circles:
             vec = crossing_vector(
                 side, jt.apply(circ.h1_class),
-                [-vec_dot(page.ref_arcs[l].pairings, circ.h1_class) for l in m_ids])
+                [-vec_dot(page.ref_arcs[l], circ.h1_class) for l in m_pos])
             components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 
     rp = RealPartData(components=tuple(components))

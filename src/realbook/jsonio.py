@@ -8,6 +8,13 @@ tracked opposite-page fixed set, declared disjointness, and the
 stabilization provenance.  parse(dump(book)) reproduces the book
 structurally.
 
+Schema 2 still stores two values the page determines: `page.genus`
+(SurfaceModel derives it from 2g + b - 1 = rank H1) and each reference
+arc's `current_class`, its transport defect, zero on every page.  The
+writer writes the derived genus and a zero row, and the reader refuses
+a negative genus, one that breaks 2g + b - 1 = basis size, and a
+nonzero `current_class`.
+
 A curve's pairing tables (`pairings`, J times its class, and
 `arc_pairings`, its crossing with each reference arc) are derived data,
 so schema 2 does not store them.  Schema 1 is schema 2 plus these two
@@ -47,7 +54,6 @@ from .surface import (
     FixedSet,
     Involution,
     NamedCurve,
-    RefArc,
     SurfaceModel,
 )
 
@@ -93,9 +99,8 @@ def to_obj(ob: OpenBook) -> dict:
             for c in sorted(page.alphabet.values(), key=lambda x: x.name)
         ],
         "ref_arcs": [
-            {"boundary": cid, "pairings": list(arc.pairings),
-             "current_class": list(arc.current_class)}
-            for cid, arc in sorted(page.ref_arcs.items())
+            {"boundary": cid, "pairings": list(row), "current_class": [0] * page.h1_rank}
+            for cid, row in sorted(page.ref_arcs.items())
         ],
         "disjoint": sorted(sorted(pair) for pair in page.disjoint),
         "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
@@ -261,6 +266,9 @@ def from_obj(obj: dict) -> OpenBook:
             raise SchemaError(f"$.page.boundary[{i}].id repeats boundary {cid}")
     # one reference arc runs from the basepoint, the least id, to each other circle
     targets = set(cids) - {min(cids)}
+    if genus < 0 or 2 * genus + len(circles) - 1 != rank:
+        raise SchemaError(f"$.page.genus is {genus}, but a page with {len(circles)} boundary "
+                          f"circles and {rank} basis classes needs 2g + b - 1 = {rank}, g >= 0")
     form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
     if form.transpose() != -form:
         raise SchemaError("$.page.form must be antisymmetric")
@@ -284,20 +292,20 @@ def from_obj(obj: dict) -> OpenBook:
     for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
         path = f"$.ref_arcs[{i}]"
         cid = _int(_need(a, "boundary", path), f"{path}.boundary")
-        arc = RefArc(
-            target_boundary=cid,
-            current_class=_ints(a.get("current_class", [0] * rank), f"{path}.current_class"),
-            pairings=_ints(_need(a, "pairings", path), f"{path}.pairings"),
-        )
-        if len(arc.current_class) != rank or len(arc.pairings) != rank:
+        current_class = _ints(a.get("current_class", [0] * rank), f"{path}.current_class")
+        row = _ints(_need(a, "pairings", path), f"{path}.pairings")
+        if len(current_class) != rank or len(row) != rank:
             raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
                               f"pairing row of the wrong length for rank {rank}")
+        if any(current_class):
+            raise SchemaError(f"{path}.current_class is {list(current_class)}, but a stored "
+                              f"reference arc's transport defect is zero")
         if cid not in targets:
             raise SchemaError(f"{path}.boundary {cid} is not a boundary circle other "
                               f"than the basepoint {min(cids)}")
         if cid in ref_arcs:
             raise SchemaError(f"{path}.boundary repeats boundary {cid}")
-        ref_arcs[cid] = arc
+        ref_arcs[cid] = row
     if targets - set(ref_arcs):
         raise SchemaError(f"$.ref_arcs has no arc to boundary {min(targets - set(ref_arcs))}")
 
@@ -305,7 +313,7 @@ def from_obj(obj: dict) -> OpenBook:
         frozenset(_names(pair, f"$.disjoint[{i}]"))
         for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))
     )
-    page = SurfaceModel(genus=genus, circles=circles, basis=basis, form=form,
+    page = SurfaceModel(circles=circles, basis=basis, form=form,
                         alphabet=alphabet, ref_arcs=ref_arcs, disjoint=disjoint)
     for path, name, stored in tables:
         for key, want in zip(CURVE_TABLES, page.curve_tables(name)):

@@ -7,9 +7,10 @@ commutation of letters whose curves the surface declares disjoint.
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
 so words act on matrices by rank-one updates, O(n^2) per letter, never
-by dense products.  Reference arcs go through a word together, in one
-pass (transport_arcs): per letter, each arc's crossing with the curve
-is a sparse dot, and an arc that misses the curve costs nothing more.
+by dense products.  Reference arcs, as their pairing rows, go through
+a word together, in one pass (transport_arcs): per letter, each arc's
+crossing with the curve is a sparse dot, and an arc that misses the
+curve costs nothing more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  twist_matrix builds one twist densely; it is kept as
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .intalg import IntMatrix
-from .surface import RefArc, SurfaceModel, combine, entries
+from .surface import SurfaceModel, Vec, combine, entries
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -166,22 +167,24 @@ def _normal_form(model: SurfaceModel, w: Sequence[Letter]) -> TwistWord:
 
 
 def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
-                   arcs: Sequence[RefArc]) -> list[RefArc]:
-    """Push reference arcs through a twist word, all in one pass.
+                   rows: Sequence[Sequence[int]]) -> list[tuple[Vec, Vec]]:
+    """Push reference arcs, given by their pairing rows, through a twist
+    word, all in one pass; (class, row) for each arc.
 
-    Per letter (a, e) and arc gamma with crossing k = <gamma, a>: the
-    class gains e k [a] and the pairing row updates by
+    Every arc's transport defect class starts at zero.  Per letter
+    (a, e) and arc gamma with crossing k = <gamma, a>: the class gains
+    e k [a] and the pairing row updates by
     <tau_a^e(gamma), x> = <gamma, x> + e k <a, x>.  The crossing is a
     sparse dot with a, and an arc that misses the curve (k = 0) is
     left as it is.
     """
     rank = model.h1_rank
-    for arc in arcs:
-        if len(arc.current_class) != rank or len(arc.pairings) != rank:
-            raise ValueError(f"reference arc to boundary {arc.target_boundary} has "
-                             f"class or pairing row of the wrong length for rank {rank}")
-    classes = [list(arc.current_class) for arc in arcs]
-    rows = [list(arc.pairings) for arc in arcs]
+    for i, row in enumerate(rows):
+        if len(row) != rank:
+            raise ValueError(f"reference-arc pairing row {i} has length {len(row)}, "
+                             f"not the rank {rank}")
+    classes = [[0] * rank for _ in rows]
+    rows = [list(row) for row in rows]
     for name, e in w:
         vecs = model.curve_vectors(name)
         a = list(entries(vecs.a))
@@ -193,11 +196,10 @@ def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
                     cls[i] += k * x
                 for i, x in entries(vecs.jta):
                     row[i] += k * x
-    return [RefArc(target_boundary=arc.target_boundary, current_class=tuple(cls),
-                   pairings=tuple(row))
-            for arc, cls, row in zip(arcs, classes, rows)]
+    return [(tuple(cls), tuple(row)) for cls, row in zip(classes, rows)]
 
 
-def transport_arc(model: SurfaceModel, w: Sequence[Letter], arc: RefArc) -> RefArc:
+def transport_arc(model: SurfaceModel, w: Sequence[Letter],
+                  row: Sequence[int]) -> tuple[Vec, Vec]:
     """Push one reference arc through a twist word (see transport_arcs)."""
-    return transport_arcs(model, w, [arc])[0]
+    return transport_arcs(model, w, [row])[0]

@@ -51,7 +51,6 @@ from .surface import (
     HandleExtension,
     Involution,
     NamedCurve,
-    RefArc,
     SurfaceModel,
     combine,
     image_holds,
@@ -96,30 +95,29 @@ class StabType:
     handle_count: int
     boundary_kind: str       # "reflection" | "swap"
     boundary_delta: int
-    genus_delta: int
     core_sign: int           # c~ maps each new curve to core_sign times its mirror
     site_keys: tuple[str, ...]  # the keys of a site that the type reads
     description: str
 
 
 STAB_TYPES: dict[str, StabType] = {
-    "I": StabType("I", 1, "reflection", +1, 0, +1, ("boundary",),
+    "I": StabType("I", 1, "reflection", +1, +1, ("boundary",),
                   "handle at the two real points of one boundary circle"),
-    "II": StabType("II", 1, "reflection", +1, 0, -1, ("boundary", "shadow"),
+    "II": StabType("II", 1, "reflection", +1, -1, ("boundary", "shadow"),
                    "handle at a swapped interval pair on one boundary circle"),
-    "III": StabType("III", 2, "reflection", +2, 0, +1, ("boundary",),
+    "III": StabType("III", 2, "reflection", +2, +1, ("boundary",),
                     "mirror handle pair, both chords in one complementary arc"),
-    "IV": StabType("IV", 2, "reflection", 0, +1, +1, ("boundary", "shadow"),
+    "IV": StabType("IV", 2, "reflection", 0, +1, ("boundary", "shadow"),
                    "mirror handle pair with crossing chords on one circle"),
-    "V": StabType("V", 1, "reflection", -1, +1, +1, ("boundaries",),
+    "V": StabType("V", 1, "reflection", -1, +1, ("boundaries",),
                   "handle at real points on two circles joined by a fixed arc"),
-    "VI": StabType("VI", 2, "reflection", 0, +1, +1, ("boundaries",),
+    "VI": StabType("VI", 2, "reflection", 0, +1, ("boundaries",),
                    "mirror handle pair connecting two reflection circles"),
-    "VII": StabType("VII", 1, "swap", -1, +1, -1, ("boundaries", "cross"),
+    "VII": StabType("VII", 1, "swap", -1, -1, ("boundaries", "cross"),
                     "single handle connecting a swapped circle pair"),
-    "VIII": StabType("VIII", 2, "swap", 0, +1, +1, ("boundaries",),
+    "VIII": StabType("VIII", 2, "swap", 0, +1, ("boundaries",),
                      "handle pair, each connecting both circles of a swapped pair"),
-    "IX": StabType("IX", 2, "swap", +2, 0, +1, ("boundaries",),
+    "IX": StabType("IX", 2, "swap", +2, +1, ("boundaries",),
                    "handle pair, one handle on each circle of a swapped pair"),
 }
 
@@ -147,8 +145,9 @@ class OpenBook:
 
     @property
     def heegaard_genus(self) -> int:
-        """Genus 2g + b - 1 of the splitting surface, two pages glued."""
-        return 2 * self.page.genus + self.page.boundary_count - 1
+        """Genus of the splitting surface, two pages glued: 2g + b - 1,
+        the rank of H1 of the page."""
+        return self.page.h1_rank
 
     @cached_property
     def _reality(self) -> RealityStatus:
@@ -195,19 +194,12 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     """
     model, w = ob.page, ob.monodromy
     c = ob.real_structure.matrix
-    arcs = sorted(model.ref_arcs.items())
-    mirrored = [
-        RefArc(
-            target_boundary=arc.target_boundary,
-            current_class=model.zero_class(),
-            pairings=_mirror_functional(c, arc.pairings),
-        )
-        for _cid, arc in arcs
-    ]
-    moved = transport_arcs(model, w, [arc for _cid, arc in arcs] + mirrored)
-    for (cid, _arc), out, out_mirrored in zip(arcs, moved, moved[len(arcs):]):
-        lhs = vec_scale(-1, f_inv.apply(out.current_class))
-        rhs = c.apply(out_mirrored.current_class)
+    cids = sorted(model.ref_arcs)
+    rows = [model.ref_arcs[cid] for cid in cids]
+    moved = transport_arcs(model, w, rows + [_mirror_functional(c, row) for row in rows])
+    for cid, (cls, _row), (cls_mirrored, _row_mirrored) in zip(cids, moved, moved[len(cids):]):
+        lhs = vec_scale(-1, f_inv.apply(cls))
+        rhs = c.apply(cls_mirrored)
         if tuple(lhs) != tuple(rhs):
             return False, {"boundary": cid, "lhs": tuple(lhs), "rhs": tuple(rhs)}
     return True, None
@@ -362,7 +354,7 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     others = sorted(c.cid for c in model.circles if c.cid != bp)
     moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
     cols.append([0] * rank + [1])
-    cols.extend(list(arc.current_class) + [1] for arc in moved)
+    cols.extend(list(cls) + [1] for cls, _row in moved)
     rel = IntMatrix.from_columns(cols, rank + 1)
     return cokernel(rel)
 
@@ -523,7 +515,7 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
         circles={c.cid: ext(c.pclass) for c in model.circles},
         perm=dict(inv.boundary_perm),
         fixed_points=dict(inv.fixed_points),
-        arcs_rows={cid: ext(a.pairings) for cid, a in model.ref_arcs.items()},
+        arcs_rows={cid: ext(row) for cid, row in model.ref_arcs.items()},
         minus_arcs=[replace(a, pair_curves=ext(a.pair_curves), pair_arcs=dict(a.pair_arcs))
                     for a in inv.fixed_set.arcs],
         minus_circles=[FixCircle(h1_class=ext(c.h1_class)) for c in inv.fixed_set.circles],
@@ -658,17 +650,12 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     circles = tuple(
         BoundaryCircle(cid=cid, pclass=b.circles[cid]) for cid in sorted(b.circles)
     )
-    ref_arcs = {
-        cid: RefArc(target_boundary=cid, current_class=(0,) * rank, pairings=row)
-        for cid, row in b.arcs_rows.items()
-    }
     page = SurfaceModel(
-        genus=model.genus + st.genus_delta,
         circles=circles,
         basis=tuple(b.basis),
         form=form,
         alphabet=alphabet,
-        ref_arcs=ref_arcs,
+        ref_arcs=b.arcs_rows,
         disjoint=frozenset(b.disjoint),
     )
 
@@ -1048,8 +1035,8 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     jm = ob.page.form
     z_rows = [list(r) for r in jm.rows]
     z_rhs = [-pc for pc in x.pair_curves[:old_rank]]
-    for l, arc in sorted(ob.page.ref_arcs.items()):
-        z_rows.append(list(arc.pairings))
+    for l, row in sorted(ob.page.ref_arcs.items()):
+        z_rows.append(list(row))
         z_rhs.append(-x.pair_arcs.get(l, 0))
     sym = (c_old.transpose() @ jm) + jm
     for row in sym.rows:

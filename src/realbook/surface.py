@@ -1,13 +1,15 @@
 """Combinatorial model of a compact oriented page with boundary.
 
 A page is described by declared data: an integral basis of its first
-homology with the intersection form, a named curve alphabet (each curve
-a name and a class), reference arcs from a basepoint boundary to every
-other boundary, and (for a real page) an orientation-reversing
-involution with its fixed-point set.  A curve's crossings with the
-basis and with the reference arcs follow from its class, the form and
-the arc rows; SurfaceModel.curve_vectors and curve_tables derive them,
-and nothing stores them.
+homology with the intersection form, its boundary circles, a named
+curve alphabet (each curve a name and a class), reference arcs from a
+basepoint boundary to every other boundary, each a bare pairing row,
+and (for a real page) an orientation-reversing involution with its
+fixed-point set.  What follows from these is derived, not stored: the
+genus from 2g + b - 1 = rank H1 (SurfaceModel.genus), and a curve's
+crossings with the basis and with the reference arcs from its class,
+the form and the arc rows (SurfaceModel.curve_vectors and
+curve_tables).
 
 Conventions fixed here once and used everywhere else:
 
@@ -99,20 +101,6 @@ class NamedCurve:
 
 
 @record
-class RefArc:
-    """Reference arc from the basepoint boundary to ``target_boundary``.
-
-    ``pairings[j]`` is the crossing number with the j-th basis curve;
-    pairings with arbitrary classes follow by linearity.
-    ``current_class`` accumulates the transport defect under twists.
-    """
-
-    target_boundary: int
-    current_class: Vec
-    pairings: Vec
-
-
-@record
 class BoundaryCircle:
     """Boundary circle with a stable id and its parallel pushoff class."""
 
@@ -169,17 +157,19 @@ class Involution:
 
 @record
 class SurfaceModel:
-    """A page.  Frozen: the per-curve vectors of curve_vectors are cached
-    on the instance, outside the fields, so they take no part in ==,
-    repr or JSON, and a page made with records.replace starts
-    without them."""
+    """A page, stored as its independent data only: the genus follows
+    from 2g + b - 1 = rank H1, and a reference arc is its pairing row
+    (entry j its crossing number with the j-th basis curve), as its
+    transport defect starts at zero (mcg.transport_arcs).  Frozen: the
+    per-curve vectors of curve_vectors are cached on the instance,
+    outside the fields, so they take no part in ==, repr or JSON, and a
+    page made with records.replace starts without them."""
 
-    genus: int
     circles: tuple[BoundaryCircle, ...]
     basis: tuple[str, ...]
     form: IntMatrix                      # intersection form J on the basis
     alphabet: Mapping[str, NamedCurve]
-    ref_arcs: Mapping[int, RefArc]       # keyed by target boundary id
+    ref_arcs: Mapping[int, Vec]          # target boundary id -> pairing row
     disjoint: frozenset[frozenset[str]] = frozenset()
 
     @property
@@ -191,8 +181,13 @@ class SurfaceModel:
         return len(self.basis)
 
     @property
+    def genus(self) -> int:
+        return (self.h1_rank - self.boundary_count + 1) // 2
+
+    @property
     def euler(self) -> int:
-        return 2 - 2 * self.genus - self.boundary_count
+        """2 - 2g - b, which is 1 - rank H1."""
+        return 1 - self.h1_rank
 
     @property
     def basepoint(self) -> int:
@@ -217,9 +212,6 @@ class SurfaceModel:
     def curves_disjoint(self, a: str, b: str) -> bool:
         return a != b and frozenset((a, b)) in self.disjoint
 
-    def zero_class(self) -> Vec:
-        return (0,) * self.h1_rank
-
     @cached_property
     def _curve_vectors(self) -> dict[str, CurveVectors]:
         return {}
@@ -242,7 +234,7 @@ class SurfaceModel:
         pairings = [0] * self.h1_rank
         for i, x in entries(vecs.ja):
             pairings[i] = x
-        rows = [arc.pairings for _cid, arc in sorted(self.ref_arcs.items())]
+        rows = [row for _cid, row in sorted(self.ref_arcs.items())]
         arc_pairings = [0] * len(rows)
         for i, x in entries(vecs.a):
             arc_pairings = [s + row[i] * x for s, row in zip(arc_pairings, rows)]
@@ -304,26 +296,19 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
                              for k in range(rank))
 
     # reference arc pairing rows, one per boundary 2..b, indexed by basis
-    arc_rows: dict[int, Vec] = {}
+    ref_arcs: dict[int, Vec] = {}
     for i in range(2, b + 1):
         row = [0] * rank
-        if b >= 2:
-            d1_idx = 2 * g
-            row[d1_idx] -= 1
-            if i <= b - 1:
-                row[2 * g + (i - 1)] += 1
-            # for i == b the +1 crossing sits on d_b, which is not a basis
-            # vector; linearity over the basis already encodes it
-        arc_rows[i] = _vec(row)
+        row[2 * g] -= 1
+        if i <= b - 1:
+            row[2 * g + i - 1] += 1
+        # for i == b the +1 crossing sits on d_b, which is not a basis
+        # vector; linearity over the basis already encodes it
+        ref_arcs[i] = tuple(row)
 
     alphabet = {name: NamedCurve(name=name, h1_class=cls) for name, cls in classes.items()}
 
     circles = tuple(BoundaryCircle(cid=i, pclass=classes[f"d{i}"]) for i in range(1, b + 1))
-
-    ref_arcs = {
-        i: RefArc(target_boundary=i, current_class=(0,) * rank, pairings=arc_rows[i])
-        for i in range(2, b + 1)
-    }
 
     # every standard pair of curves is disjoint except the dual pairs (a_i, b_i)
     def dual_pair(x: str, y: str) -> bool:
@@ -337,7 +322,6 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
                 disjoint.add(frozenset((x, y)))
 
     return SurfaceModel(
-        genus=g,
         circles=circles,
         basis=tuple(basis),
         form=form,
@@ -718,9 +702,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
     <a, b> = 0.  Word equality commutes the twists of a declared pair on
     the declaration alone, and twists along curves that meet do not
     commute, so a pair that meets algebraically would let a word
-    certificate pass on a book that is not real.  genus: 2g + b - 1
-    equals the rank of H1 of the page, since the genus is stored beside
-    the basis it is derived from.
+    certificate pass on a book that is not real.
     """
     ok, detail = True, ""
     for pair in sorted(sorted(p) for p in model.disjoint):
@@ -733,13 +715,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
         if meet:
             ok, detail = False, f"disjoint pair ({a}, {b}) has <{a}, {b}> = {meet}"
             break
-    out = [CheckResult("disjoint", ok, detail)]
-    want = 2 * model.genus + model.boundary_count - 1
-    ok = want == model.h1_rank
-    out.append(CheckResult("genus", ok, "" if ok else
-                           f"2g + b - 1 = {want} with g = {model.genus}, b = "
-                           f"{model.boundary_count}, but H1 has rank {model.h1_rank}"))
-    return out
+    return [CheckResult("disjoint", ok, detail)]
 
 
 def involution_is_valid(model: SurfaceModel, inv: Involution) -> bool:

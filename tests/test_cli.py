@@ -158,17 +158,21 @@ def test_validate_subcommand(monkeypatch):
     assert all(v is True for v in data["involution"].values())
 
 
-def test_validate_reports_the_page_checks(monkeypatch):
+def test_validate_reports_the_page_checks(monkeypatch, capsys):
     _code, book_json = run_cli(["catalog", "fig4", "3"])
     code, out = run_cli(["validate"], book_json, monkeypatch)
     assert code == 0
-    assert json.loads(out)["page"] == {"disjoint": True, "genus": True}
+    assert json.loads(out)["page"] == {"disjoint": True}
+    # the genus is derived from the page, so a stored genus that
+    # disagrees is refused by the reader, not reported as a check
     obj = json.loads(book_json)
     obj["page"]["genus"] += 1
+    capsys.readouterr()
     code, out = run_cli(["validate"], json.dumps(obj), monkeypatch)
-    assert code == 1
-    assert json.loads(out)["page"]["genus"] == \
-        "2g + b - 1 = 7 with g = 3, b = 2, but H1 has rank 5"
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: $.page.genus is 3, but a page with 2 boundary circles and 5 basis "
+        "classes needs 2g + b - 1 = 5, g >= 0\n")
 
 
 def test_validate_checks_the_opposite_page_arc_ends(monkeypatch):
@@ -217,8 +221,7 @@ def test_validate_refuses_a_declared_disjoint_pair_that_meets(monkeypatch):
     code, out = run_cli(["validate"], meeting_pair_book(), monkeypatch)
     assert code == 1
     data = json.loads(out)
-    assert data["page"] == {"disjoint": "disjoint pair (a1, b1) has <a1, b1> = 1",
-                            "genus": True}
+    assert data["page"] == {"disjoint": "disjoint pair (a1, b1) has <a1, b1> = 1"}
     assert all(v is True for v in data["involution"].values())
 
 
@@ -296,6 +299,27 @@ def test_malformed_fixed_set_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
 
+def planar_book(schema: int, genus: int, circles: int) -> dict:
+    """A book whose page has the given stored genus, the given number of
+    boundary circles and rank 0, each circle a reflection circle, with
+    the empty word."""
+    ids = range(1, circles + 1)
+    return {
+        "schema": schema,
+        "page": {"genus": genus, "basis": [], "form": [],
+                 "boundary": [{"id": i, "pclass": []} for i in ids]},
+        "alphabet": [],
+        "ref_arcs": [{"boundary": i, "pairings": [], "current_class": []} for i in ids[1:]],
+        "disjoint": [],
+        "word": [],
+        "involution": {"matrix": [], "boundary_perm": {str(i): i for i in ids},
+                       "fixed_points": {str(i): [2 * i - 1, 2 * i] for i in ids},
+                       "fixed_set": {"arcs": [], "circles": []}},
+        "fix_plus": None,
+        "provenance": [],
+    }
+
+
 # every subcommand that reads a book, each with arguments it accepts on
 # the valid lens-annulus 3 book
 BOOK_COMMANDS = [
@@ -307,16 +331,19 @@ BOOK_COMMANDS = [
 def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
                             book=("lens-annulus", "3")):
     """Set one field of a valid book, written as schema 2 and as schema 1,
-    to value, or to value(old value) for a callable: every subcommand
-    that reads a book must exit 2 with an error line that starts with
-    the path."""
+    to value, or to value(old value) for a callable (an empty field
+    replaces the whole book by value(book)): every subcommand that reads
+    a book must exit 2 with an error line that starts with the path."""
     _code, book_json = run_cli(["catalog", *book])
     for text in (book_json, as_schema1(book_json)):
         bad = json.loads(text)
-        target = bad
-        for key in field[:-1]:
-            target = target[key]
-        target[field[-1]] = value(target[field[-1]]) if callable(value) else value
+        if field:
+            target = bad
+            for key in field[:-1]:
+                target = target[key]
+            target[field[-1]] = value(target[field[-1]]) if callable(value) else value
+        else:
+            bad = value(bad)
         capsys.readouterr()
         for argv in BOOK_COMMANDS:
             code, out = run_cli(argv, json.dumps(bad), monkeypatch)
@@ -359,6 +386,12 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     (("page", "basis"), [True], "$.page.basis[0]"),
     (("alphabet", 0, "name"), 5, "$.alphabet[0].name"),
     (("word", 0, "curve"), 1, "$.word[0].curve"),
+    # stored values the page determines must agree with it: a moved
+    # transport defect gave H1 Z/2 for Z/3, a wrong genus a wrong
+    # Heegaard genus and Euler characteristic
+    (("ref_arcs", 0, "current_class"), [1], "$.ref_arcs[0].current_class"),
+    (("page", "genus"), 5, "$.page.genus"),
+    ((), lambda book: planar_book(book["schema"], genus=-1, circles=3), "$.page.genus"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
         "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length",
@@ -366,7 +399,8 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
         "class-entry-false", "boundary-perm-true", "c-image-exp-true", "perm-key-repeats-2",
         *[f"{field}-key-{key}" for key in ("space-02", "plus-2", "underscore-0-2", "02")
           for field in ("perm", "fixed-points", "pair-arcs")],
-        "basis-entry-true", "curve-name-number", "word-curve-number"])
+        "basis-entry-true", "curve-name-number", "word-curve-number",
+        "ref-arc-class-moved", "genus-too-large", "genus-negative"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
@@ -458,6 +492,19 @@ def test_bad_catalog_name_is_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["fig4", "1", "2"], "catalog book 'fig4' takes at most 1 parameter: k; got 2"),
+    (["disk", "3"], "catalog book 'disk' takes no parameters; got 1"),
+    (["lens-3punctured", "1", "2", "3", "4"],
+     "catalog book 'lens-3punctured' takes at most 3 parameters: p q r; got 4"),
+    (["hopf", "swap", "x"], "catalog book 'hopf' takes at most 1 parameter: kind; got 2"),
+], ids=["fig4", "disk", "lens-3punctured", "hopf"])
+def test_catalog_with_too_many_parameters_is_exit_2(argv, err, capsys):
+    code, out = run_cli(["catalog", *argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_incompatible_stabilization_is_exit_1(monkeypatch):
     _code, book_json = run_cli(["catalog", "disk"])
     code, _ = run_cli(["stabilize", "--type", "VIII", "--site", '{"boundaries": [1, 1]}'],
@@ -519,6 +566,18 @@ def test_ref_arc_row_of_wrong_length_is_exit_2(argv, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: reference arc to boundary 2")
+
+
+@pytest.mark.parametrize("argv", BOOK_COMMANDS, ids=lambda argv: argv[0])
+def test_ref_arc_class_of_wrong_length_is_exit_2(argv, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
+    bad = json.loads(book_json)
+    bad["ref_arcs"][0]["current_class"] = [0, 0]
+    code, out = run_cli(argv, json.dumps(bad), monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: reference arc to boundary 2 ($.ref_arcs[0]) has a class or pairing row "
+        "of the wrong length for rank 1\n")
 
 
 def _python(args, stdin=None):

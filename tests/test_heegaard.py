@@ -203,14 +203,20 @@ def test_untracked_plus_side_reported():
 
 
 def test_genus_check_fails_on_wrong_page_genus():
-    from realbook.jsonio import dumps, loads
+    from realbook.jsonio import SchemaError, dumps, loads
+    from realbook.records import replace
 
     ob = catalog_fig4(2)
-    assert dict(validate_heegaard(heegaard_data(ob), ob))["genus"]
+    hd = heegaard_data(ob)
+    assert dict(validate_heegaard(hd, ob))["genus"]
+    # the page derives its genus, so only hand-built data can disagree
+    for genus in (hd.genus - 1, hd.genus + 1):
+        assert not dict(validate_heegaard(replace(hd, genus=genus), ob))["genus"]
+    # and a book that stores a wrong page genus does not load
     obj = json.loads(dumps(ob))
     obj["page"]["genus"] += 1
-    bad = loads(json.dumps(obj))
-    assert not dict(validate_heegaard(heegaard_data(bad), bad))["genus"]
+    with pytest.raises(SchemaError, match=r"^\$\.page\.genus is 2, "):
+        loads(json.dumps(obj))
 
 
 def test_not_real_rejected():
