@@ -58,12 +58,13 @@ def _group_obj(g) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "pretty": str(g)}
 
 
+CONTACT_FAMILIES = {"disk": 0, **{f"annulus:{n}": n for n in range(1, 11)}}
+
+
 def _parse_family(tag: str) -> int:
-    if tag == "disk":
-        return 0
-    if tag.startswith("annulus:"):
-        return int(tag.split(":", 1)[1])
-    raise SchemaError(f"unknown contact family {tag!r} (use disk or annulus:N)")
+    if tag not in CONTACT_FAMILIES:
+        raise SchemaError(f"--family must be disk or annulus:N with 1 <= N <= 10, got {tag!r}")
+    return CONTACT_FAMILIES[tag]
 
 
 def cmd_catalog(args) -> int:
@@ -165,6 +166,8 @@ def cmd_contact(args) -> int:
     grid = args.grid
     if grid < 2:
         raise SchemaError(f"--grid must be at least 2, got {grid}")
+    if not 0 < args.eps < 0.25:
+        raise SchemaError(f"--eps must be in (0, 0.25), got {args.eps}")
     if args.find_threshold:
         kstar = k_threshold(family, resolution=grid)
         fs = FormSampler(family=family, k=kstar, resolution=grid)
@@ -179,16 +182,11 @@ def cmd_contact(args) -> int:
         return EXIT_OK
     k = args.K if args.K is not None else 10.0
     report = contact_report(family, k, resolution=grid)
-    pf = build_profiles(max(k, 1.0), args.eps)
-    report["profiles"] = {
-        "grid_min_wronskian": pf.grid_min_w,
-        "extension_mismatch": {
-            case: solid_torus_extension_check(pf, case).max_mismatch
-            for case in ("reflection", "swapped-pair")
-        },
-    }
+    pf = build_profiles(k, args.eps)
+    mismatch = solid_torus_extension_check(FormSampler(family=family, k=k), pf).max_mismatch
+    report["profiles"] = {"grid_min_wronskian": pf.grid_min_w, "extension_mismatch": mismatch}
     _emit_json(report, args.out)
-    ok = report["min_defect"] > 0 and report["reality_defect"] <= 1e-12
+    ok = report["min_defect"] > 0 and mismatch <= 1e-9
     return EXIT_OK if ok else EXIT_CONTRACT
 
 

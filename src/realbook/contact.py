@@ -22,15 +22,18 @@ verifiable on (0, 1]; see the repository notes for why one sign in the
 source construction cannot be taken literally.
 
 In components alpha_K = P ds + Q dtheta + R dt with P = 2 pi n t e^s
-phi'(s), Q = -2 e^s and R = 2K.  No component depends on theta, since
-the twist is a rotation in theta and beta = e^s dtheta is invariant
-under rotations, and t enters only P, linearly.  So the coefficient
-Q dP/dt + R dQ/ds of alpha ^ d(alpha) is a function of s alone, and
-negating alpha on the opposite piece leaves it unchanged.  The defect,
-the threshold search and the large-K split are therefore evaluated on
-the s axis of the grid only; the t axis is kept where an integrand has
-it (P), and theta nowhere.  The grids are numpy.linspace's points,
-a + i*step with the last point exactly the end value.
+phi'(s), Q = -2 e^s and R = 2K on the I_+ piece.  The form on the
+opposite piece is defined as the negative of that expression in
+matching chart labels, so c* alpha = -alpha holds by construction and
+is not checked.  No component depends on theta, since the twist is a
+rotation in theta and beta = e^s dtheta is invariant under rotations,
+and t enters only P, linearly.  So the coefficient Q dP/dt + R dQ/ds
+of alpha ^ d(alpha) is a function of s alone, and negating alpha on
+the opposite piece leaves it unchanged.  The defect, the threshold
+search and the large-K split are therefore evaluated on the s axis of
+the grid only; the t axis is kept where an integrand has it (P), and
+theta nowhere.  The grids are numpy.linspace's points, a + i*step with
+the last point exactly the end value.
 """
 
 from __future__ import annotations
@@ -87,6 +90,11 @@ def _first_min(values: list[float]) -> int:
     return best
 
 
+def _largest(values: list[float]) -> float:
+    """The largest value, or a NaN if there is one."""
+    return values[_first_min([-v for v in values])]
+
+
 @record
 class FormSampler:
     """Grid sampler for alpha_K on both mapping-torus pieces.
@@ -111,23 +119,22 @@ class FormSampler:
         n = self.resolution
         return linspace(-1.0, 0.0, n), linspace(-math.pi, math.pi, n), linspace(0.0, 1.0, n)
 
-    def alpha_components(self, piece: int) -> tuple[list[float], list[float], list[float]]:
-        """(P, Q, R) with alpha = P ds + Q dtheta + R dt on one piece.
+    def alpha_at(self, s: float, t: float) -> tuple[float, float, float]:
+        """(P, Q, R) with alpha = P ds + Q dtheta + R dt on piece +1 at
+        the chart point (s, theta, t), for any theta."""
+        e = math.exp(s)
+        return TAU * self.family * t * e * ramp_d(s), -2.0 * e, 2.0 * self.k
 
-        P is sampled on the s x t grid in row-major order, Q and R on
-        the s grid (neither depends on t).  piece +1 is t in I_+, piece
-        -1 the opposite piece, where the form is the negative of the
-        I_+ expression in matching chart labels (that is exactly
-        anti-invariance).
+    def alpha_components(self, piece: int) -> tuple[list[float], list[float], list[float]]:
+        """alpha_at sampled on the grid of one piece: P on the s x t grid
+        in row-major order, Q and R on the s grid (neither depends on t).
+        Piece -1 is the negative of piece +1 by definition.
         """
         s, _theta, t = self.grid()
-        twist = TAU * self.family
-        p = [twist * tj * e * d for e, d in [(math.exp(si), ramp_d(si)) for si in s]
-             for tj in t]
-        q = [-2.0 * math.exp(si) for si in s]
-        r = [2.0 * self.k] * len(s)
-        if piece < 0:
-            return [-x for x in p], [-x for x in q], [-x for x in r]
+        sign = 1.0 if piece > 0 else -1.0
+        p = [sign * self.alpha_at(si, tj)[0] for si in s for tj in t]
+        q = [sign * self.alpha_at(si, 0.0)[1] for si in s]
+        r = [sign * self.alpha_at(si, 0.0)[2] for si in s]
         return p, q, r
 
     def defect_grid(self, piece: int) -> list[float]:
@@ -151,12 +158,6 @@ class FormSampler:
         """Large-K part of the defect (the term linear in K), per s."""
         return [4.0 * self.k] * self.resolution
 
-    def page_area_min(self) -> float:
-        """min of the page part of d(alpha) against the page orientation;
-        positivity is the page half of the supporting conditions."""
-        s, _theta, _t = self.grid()
-        return min(2.0 * math.exp(si) / math.exp(si) for si in s)
-
 
 def contact_defect(fs: FormSampler) -> tuple[float, tuple]:
     """Minimum defect over both pieces with its lexicographic argmin
@@ -167,29 +168,6 @@ def contact_defect(fs: FormSampler) -> tuple[float, tuple]:
     i = _first_min(defect)
     s, theta, t = fs.grid()
     return defect[i], (1, s[i], theta[0], t[0])
-
-
-def reality_defect(fs: FormSampler, symmetrized: bool = True) -> float:
-    """max |c* alpha + alpha| over the grid, componentwise sup norm.
-
-    The chart action of the ambient involution swaps the two pieces with
-    identity Jacobian in matching labels, so the pullback of the form on
-    one piece is read off the other piece's components.  With
-    symmetrized=False the check runs on the raw primitive (negative
-    control: it is not anti-invariant once the monodromy twists).
-    """
-    if symmetrized:
-        plus = fs.alpha_components(+1)
-        minus = fs.alpha_components(-1)
-        return max(max(abs(a + b) for a, b in zip(xs, ys)) for xs, ys in zip(plus, minus))
-    s, _theta, _t = fs.grid()
-    # beta-hat on I_+ and its pullback (the I_- expression beta - K dt):
-    # P_+ = P of alpha, P_- = 0, Q_+ = -e^s = -Q_-, R_+ = K = -R_-
-    return max(
-        max(abs(p) for p in fs.alpha_components(+1)[0]),
-        max(abs(-math.exp(si) + math.exp(si)) for si in s),
-        abs(fs.k + -fs.k),
-    )
 
 
 def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
@@ -315,51 +293,35 @@ def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
 
 @record
 class ExtensionReport:
-    case: str
     max_mismatch: float
-    checks: tuple[tuple[str, float], ...]
+    checks: tuple[tuple[str, float], ...]    # (coefficient, largest gap)
 
 
-def solid_torus_extension_check(pf: ProfileFunctions, case: str,
+def solid_torus_extension_check(fs: FormSampler, pf: ProfileFunctions,
                                 resolution: int = 40) -> ExtensionReport:
-    """Verify the gluing between the page form and the binding profiles.
+    """Compare the page form with the binding form on the whole gluing
+    region r in [1 - eps, 1].
 
-    reflection: the pullback of alpha_K through the gluing equals
-    +(h1 dvartheta + h2 dphi) on the I_+ half and its negative on the
-    other, with h1, h2 the pinned tails.  swapped-pair: the second
-    torus carries the exact negatives via the equivariant square.
+    The gluing (s, theta, t) = (1 - r - eps, -vartheta, phi) pulls
+    alpha = P ds + Q dtheta + R dt back to -P dr - Q dvartheta + R dphi,
+    which must be h1 dvartheta + h2 dphi: -P = 0, -Q = h1 and R = h2.
+    P is linear in t and vanishes at t = 0, so its value at t = 1
+    bounds it for every t.  Both forms are negated on the opposite
+    half, so the I_+ half decides.  A NaN counts as the largest gap.
     """
-    if case not in ("reflection", "swapped-pair"):
-        raise ContactModelError(f"unknown case {case!r}")
-    eps = pf.eps
-    rr = linspace(max(pf.r1, 1.0 - eps), 1.0, resolution)
-    # page-side coefficients at s = 1 - r - eps where the ramp is flat
-    page_h1 = [2.0 * math.exp(1.0 - r - eps) for r in rr]
-    page_h2 = 2.0 * pf.k
-    h1, _dh1, h2, _dh2 = zip(*pf.samples(rr))
-    checks = [("h1 match", max(abs(a - b) for a, b in zip(page_h1, h1))),
-              ("h2 match", max(abs(page_h2 - b) for b in h2))]
-    if case == "reflection":
-        # opposite half of the book: the form is the exact negative
-        checks.append(("opposite half negation",
-                       max(abs((-a) - (-b)) for a, b in zip(page_h1, h1))))
-    else:
-        # second torus: c-pullback of h1 dvartheta + h2 dphi
-        checks.append(("negated h1 on partner torus", max(abs(-b + b) for b in h1)))
-        checks.append(("negated h2 on partner torus", max(abs(-b + b) for b in h2)))
-    # the binding contact condition near the core, restated
-    rr_head = linspace(1e-6, pf.r0, resolution)
-    checks.append(("head W/r limit",
-                   max(abs(w / r - 2.0) for w, r in zip(pf.wronskians(rr_head), rr_head))
-                   if min(rr_head) < pf.r0 / 10 else 0.0))
-    mism = max(v for _name, v in checks[:2])
-    return ExtensionReport(case=case, max_mismatch=mism, checks=tuple(checks))
+    rr = linspace(1.0 - pf.eps, 1.0, resolution)
+    gaps = []
+    for r, (h1, _dh1, h2, _dh2) in zip(rr, pf.samples(rr)):
+        p, q, big_r = fs.alpha_at(1.0 - r - pf.eps, 1.0)
+        gaps.append((abs(-p), abs(-q - h1), abs(big_r - h2)))
+    checks = tuple((name, _largest(col)) for name, col in zip(("dr", "dvartheta", "dphi"),
+                                                              zip(*gaps)))
+    return ExtensionReport(max_mismatch=_largest([v for _name, v in checks]), checks=checks)
 
 
 def contact_report(family: int, k: float, resolution: int = 50) -> dict:
     """JSON-ready summary for one family at one K.  A non-finite K is
-    malformed input (ValueError): its defects would be NaN or infinite,
-    and a NaN drops out of the max of the reality defect."""
+    malformed input (ValueError): its defects would be NaN or infinite."""
     if not math.isfinite(k):
         raise ValueError(f"K must be finite, got {k}")
     fs = FormSampler(family=family, k=k, resolution=resolution)
@@ -370,6 +332,4 @@ def contact_report(family: int, k: float, resolution: int = 50) -> dict:
         "grid": resolution,
         "min_defect": mindef,
         "argmin": {"piece": argmin[0], "s": argmin[1], "theta": argmin[2], "t": argmin[3]},
-        "reality_defect": reality_defect(fs),
-        "page_area_min": fs.page_area_min(),
     }

@@ -24,8 +24,10 @@ reader also rejects a form that is not antisymmetric and any class,
 pushoff class, crossing vector or reference-arc row whose length is not
 the basis size, a page without boundary circles, a repeated circle id,
 reference arcs that are not one arc to each circle but the basepoint
-(the least id), and a fixed arc's pair_arcs key that names no
-reference-arc target.
+(the least id), a reference-arc row off the boundary crossing pattern
+(surface.crossing_residuals: the arc to circle l crosses the pushoff
+of l +1 times, the basepoint's -1 times and no other), and a fixed
+arc's pair_arcs key that names no reference-arc target.
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
@@ -55,6 +57,7 @@ from .surface import (
     Involution,
     NamedCurve,
     SurfaceModel,
+    crossing_residuals,
 )
 
 SCHEMA_VERSION = 2
@@ -288,7 +291,7 @@ def from_obj(obj: dict) -> OpenBook:
         if img is not None:
             images[name] = _pair(img, f"{path}.c_image")
 
-    ref_arcs = {}
+    ref_arcs, arc_paths = {}, {}
     for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
         path = f"$.ref_arcs[{i}]"
         cid = _int(_need(a, "boundary", path), f"{path}.boundary")
@@ -306,8 +309,15 @@ def from_obj(obj: dict) -> OpenBook:
         if cid in ref_arcs:
             raise SchemaError(f"{path}.boundary repeats boundary {cid}")
         ref_arcs[cid] = row
+        arc_paths[cid] = path
     if targets - set(ref_arcs):
         raise SchemaError(f"$.ref_arcs has no arc to boundary {min(targets - set(ref_arcs))}")
+    for cid, residual in crossing_residuals({c.cid: c.pclass for c in circles}, ref_arcs):
+        if any(residual):
+            raise SchemaError(
+                f"{arc_paths[cid]}.pairings is {list(ref_arcs[cid])}, but an arc from the "
+                f"basepoint {min(cids)} to boundary {cid} crosses the pushoff of {cid} once "
+                f"(+1), of {min(cids)} once (-1) and of no other boundary circle")
 
     disjoint = frozenset(
         frozenset(_names(pair, f"$.disjoint[{i}]"))

@@ -53,6 +53,7 @@ from .surface import (
     NamedCurve,
     SurfaceModel,
     combine,
+    crossing_residuals,
     image_holds,
     involution_is_valid,
     unit,
@@ -530,42 +531,27 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
 
 
 def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
-    """Pin each reference-arc row to the boundary crossing pattern.
-
-    An arc from the basepoint to boundary l crosses the pushoff of l
-    once (+1), the basepoint pushoff once (-1) and no other: this fixes
-    the crossings with the fresh curves that the per-type bookkeeping
-    leaves free.  An index from each coordinate to the circles whose
-    class is nonzero there, with that entry, is built once, so each
-    arc's residuals are summed over the nonzeros of its row, not dotted
-    with every circle.  A zero residual needs a zero correction, which
-    snf_solve would return, so only arcs with a nonzero residual
-    back-substitute.  The crossing matrix is the same for every arc, so
-    its Smith form is factored once, for the first such arc.
+    """Pin each reference-arc row to the boundary crossing pattern
+    (surface.crossing_residuals), which fixes the crossings with the
+    fresh curves that the per-type bookkeeping leaves free.  A zero
+    residual needs a zero correction, which snf_solve would return, so
+    only arcs with a nonzero residual back-substitute.  The crossing
+    matrix is the same for every arc, so its Smith form is factored
+    once, for the first such arc.
     """
-    bp = min(b.circles)
-    cids = sorted(b.circles)
-    by_coord: list[list[tuple[int, int]]] = [[] for _ in range(b.rank)]
-    for k, cid in enumerate(cids):
-        for i, x in enumerate(b.circles[cid]):
-            if x:
-                by_coord[i].append((k, x))
     snf = None
-    for l, row in sorted(b.arcs_rows.items()):
-        rhs = [1 if cid == l else (-1 if cid == bp else 0) for cid in cids]
-        for i, a in enumerate(row):
-            if a:
-                for k, x in by_coord[i]:
-                    rhs[k] -= a * x
+    for l, rhs in crossing_residuals(b.circles, b.arcs_rows):
         if not any(rhs):
             continue
         if snf is None:
             snf = smith_normal_form(IntMatrix._trusted(
-                [[b.circles[cid][t] for t in new_idx] for cid in cids], len(new_idx)))
+                [[b.circles[cid][t] for t in new_idx] for cid in sorted(b.circles)],
+                len(new_idx)))
         sol = snf_solve(snf, rhs)
         if sol is None:
             raise StabilizationError(
                 f"reference arc to boundary {l} has no consistent crossing data")
+        row = b.arcs_rows[l]
         for t, d in zip(new_idx, sol):
             row = _set_coord(row, t, row[t] + d)
         b.arcs_rows[l] = row

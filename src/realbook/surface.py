@@ -91,6 +91,34 @@ def combine(pairs: Iterable[tuple[int, int]], rows: Sequence[Sequence[int]], n: 
     return [0] * n if acc is None else acc
 
 
+def crossing_residuals(pclasses: Mapping[int, Sequence[int]],
+                       rows: Mapping[int, Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
+    """The boundary crossing pattern of reference arcs, arc by arc.
+
+    An arc from the basepoint (the least id) to boundary l crosses the
+    pushoff of l once (+1), the basepoint pushoff once (-1) and no
+    other.  For each (l, pairing row) of rows, in increasing l, yields
+    l and that pattern minus row . pclass, per circle in increasing id:
+    all zero when the row keeps the pattern.  An index from each
+    coordinate to the circles whose class is nonzero there, with that
+    entry, is built once, so each arc's residuals are summed over the
+    nonzeros of its row, not dotted with every circle.
+    """
+    cids = sorted(pclasses)
+    by_coord: dict[int, list[tuple[int, int]]] = {}
+    for k, cid in enumerate(cids):
+        for i, x in enumerate(pclasses[cid]):
+            if x:
+                by_coord.setdefault(i, []).append((k, x))
+    for l, row in sorted(rows.items()):
+        residual = [1 if cid == l else (-1 if cid == cids[0] else 0) for cid in cids]
+        for i, a in enumerate(row):
+            if a:
+                for k, x in by_coord.get(i, ()):
+                    residual[k] -= a * x
+        yield l, residual
+
+
 @record
 class NamedCurve:
     """A named simple closed curve and its class; its crossing tables are

@@ -443,6 +443,23 @@ def test_reference_arcs_are_one_per_non_basepoint_circle(field, value, path,
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys, ("fig4", "2"))
 
 
+# an arc from the basepoint to boundary l crosses l's pushoff +1 times, the
+# basepoint's -1 times and no other: on lens-annulus 3 (row [-1]) the rows
+# [2], [5] and [0] gave H1 Z/6, Z/15 and Z with exit 0; on lens-3punctured
+# 1 1 1 the row [0, -1] of the arc to boundary 3 crosses boundary 2 instead
+# of the basepoint
+@pytest.mark.parametrize("book, index, row", [
+    (("lens-annulus", "3"), 0, [2]),
+    (("lens-annulus", "3"), 0, [5]),
+    (("lens-annulus", "3"), 0, [0]),
+    (("lens-3punctured", "1", "1", "1"), 1, [0, -1]),
+], ids=["lens-row-2", "lens-row-5", "lens-row-0", "crosses-another-circle"])
+def test_reference_arc_off_the_crossing_pattern_is_exit_2(book, index, row,
+                                                          monkeypatch, capsys):
+    assert_mutation_exits_2(("ref_arcs", index, "pairings"), row,
+                            f"$.ref_arcs[{index}].pairings", monkeypatch, capsys, book)
+
+
 def test_wrong_schema_version_rejected():
     from realbook.jsonio import SchemaError, from_obj
 
@@ -547,6 +564,49 @@ def test_contact_grid_below_two_is_exit_2(grid, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --grid must be at least 2")
+
+
+@pytest.mark.parametrize("family", ["annulus:0", "annulus:-1", "annulus:11", "annulus:abc",
+                                    "annulus:", "annulus:1.5", "annulus:01", "Disk", "torus"])
+def test_contact_bad_family_is_exit_2(family, capsys):
+    code, out = run_cli(["contact", "--family", family, "--find-threshold"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(
+        f"error: --family must be disk or annulus:N with 1 <= N <= 10, got {family!r}")
+
+
+@pytest.mark.parametrize("eps", ["0.3", "0.25", "0", "-0.1", "nan"])
+def test_contact_eps_outside_the_gluing_range_is_exit_2(eps, capsys):
+    code, out = run_cli(["contact", "--family", "disk", f"--eps={eps}"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --eps must be in (0, 0.25)")
+
+
+def test_contact_default_glues_exactly():
+    code, out = run_cli(["contact", "--family", "annulus:2", "--K", "10"])
+    assert code == 0
+    assert json.loads(out)["profiles"]["extension_mismatch"] == 0.0
+
+
+# the page form and the binding profiles differ on the gluing region:
+# the twist ramp is not flat on s in [-eps, -0.15), and the profiles'
+# cubics reach into it below r1 = 0.8
+@pytest.mark.parametrize("argv", [["--family", "annulus:2", "--eps", "0.2"],
+                                  ["--family", "disk", "--eps", "0.24"]])
+def test_contact_gluing_mismatch_is_exit_1(argv):
+    code, out = run_cli(["contact", "--K", "10", *argv])
+    assert code == 1
+    assert json.loads(out)["profiles"]["extension_mismatch"] > 1e-9
+
+
+@pytest.mark.parametrize("k", ["0.5", "-5"])
+def test_contact_k_below_one_is_exit_1(k, capsys):
+    # the binding profiles pin h2 = 2K and are built for K >= 1 only
+    code, out = run_cli(["contact", "--family", "disk", f"--K={k}"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error: need K >= 1")
 
 
 @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])

@@ -13,7 +13,6 @@ from realbook.contact import (
     linspace,
     ramp,
     ramp_d,
-    reality_defect,
     solid_torus_extension_check,
 )
 
@@ -76,18 +75,6 @@ def test_k_term_dominates_at_large_k():
         assert k_term_dominates(n, 10 * kstar, resolution=GRID)
 
 
-def test_reality_defect_roundoff():
-    for n in (0, 1, 3):
-        for k in (1.0, 10.0):
-            fs = FormSampler(family=n, k=k, resolution=GRID)
-            assert reality_defect(fs) <= 1e-12
-
-
-def test_unsymmetrized_negative_control():
-    fs = FormSampler(family=1, k=2.0, resolution=GRID)
-    assert reality_defect(fs, symmetrized=False) > 0
-
-
 def test_unsupported_family():
     with pytest.raises(ContactModelError):
         FormSampler(family=11, k=1.0)
@@ -136,23 +123,60 @@ def test_profile_bad_parameters():
 
 
 def test_extension_reflection_matches():
-    pf = build_profiles(10.0, 0.1)
-    rep = solid_torus_extension_check(pf, "reflection")
-    assert rep.max_mismatch <= 1e-9
+    # on eps <= 0.15 the gluing region lies where the twist ramp is flat
+    # (s >= -0.15) and inside the profiles' pinned tail (r >= 0.8)
+    for family in (0, 1, 2, 10):
+        for k in (1.0, 10.0, 100.0):
+            fs = FormSampler(family=family, k=k)
+            for eps in (0.01, 0.1, 0.15):
+                rep = solid_torus_extension_check(fs, build_profiles(k, eps))
+                assert rep.max_mismatch == 0.0, (family, k, eps)
+                assert [name for name, _v in rep.checks] == ["dr", "dvartheta", "dphi"]
 
 
-def test_extension_swapped_pair_negates():
-    pf = build_profiles(10.0, 0.1)
-    rep = solid_torus_extension_check(pf, "swapped-pair")
-    assert rep.max_mismatch <= 1e-9
-    assert all(v <= 1e-9 for name, v in rep.checks if "negated" in name)
+@pytest.mark.parametrize("eps", [0.16, 0.2, 0.24])
+def test_extension_fails_where_the_twist_ramp_is_not_flat(eps):
+    # the dr coefficient -P is largest at r = 1, s = -eps, t = 1:
+    # 2 pi n e^s |phi'(s)| with |phi'| = 6 u (1 - u) / 0.7, u = (s + 0.85) / 0.7
+    u = (0.85 - eps) / 0.7
+    want = 2 * math.pi * 2 * math.exp(-eps) * 6 * u * (1 - u) / 0.7
+    rep = solid_torus_extension_check(FormSampler(family=2, k=10.0), build_profiles(10.0, eps))
+    checks = dict(rep.checks)
+    assert checks["dr"] == pytest.approx(want, rel=1e-12)
+    assert rep.max_mismatch == checks["dr"] > 1.0
+    if eps <= 0.2:
+        assert checks["dvartheta"] == checks["dphi"] == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.21, 0.24])
+def test_extension_fails_where_the_profiles_are_not_pinned(eps):
+    # r = 1 - eps < r1 = 0.8: the profiles' interpolating cubics, not
+    # their pinned tails, meet the page form there
+    pf = build_profiles(10.0, eps)
+    rep = solid_torus_extension_check(FormSampler(family=0, k=10.0), pf)
+    checks = dict(rep.checks)
+    assert checks["dr"] == 0.0
+    h1, _dh1, h2, _dh2 = next(pf.samples((1.0 - eps,)))
+    assert checks["dphi"] >= abs(h2 - 20.0) > 1e-3
+    assert checks["dvartheta"] >= abs(h1 - 2.0) > 0.0
+    assert rep.max_mismatch == max(checks.values()) > 1e-2
+
+
+def test_extension_fails_on_profiles_built_at_another_k():
+    rep = solid_torus_extension_check(FormSampler(family=1, k=0.5), build_profiles(1.0, 0.1))
+    assert dict(rep.checks) == {"dr": 0.0, "dvartheta": 0.0, "dphi": 1.0}
+    assert rep.max_mismatch == 1.0
+
+
+def test_extension_counts_a_nan_as_the_largest_gap():
+    rep = solid_torus_extension_check(FormSampler(family=1, k=math.nan), build_profiles(1.0, 0.1))
+    assert math.isnan(dict(rep.checks)["dphi"]) and math.isnan(rep.max_mismatch)
 
 
 def test_contact_report_shape():
     rep = contact_report(1, 8.0, resolution=12)
     assert rep["family"] == "annulus:1"
-    assert set(rep) >= {"K", "grid", "min_defect", "argmin", "reality_defect"}
-    assert rep["page_area_min"] > 0
+    assert set(rep) == {"family", "K", "grid", "min_defect", "argmin"}
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
@@ -168,6 +192,72 @@ def test_argmin_lexicographic_deterministic():
     # first grid point in (piece, s, theta, t) order
     _val, argmin = contact_defect(fs)
     assert argmin == (1, -1.0, -math.pi, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: alpha ^ d(alpha) by centred differences at 3-D sample points
+
+
+def _oracle_defect(fs: FormSampler, piece: int, point: tuple, h: float = 1e-5) -> float:
+    """The defect at (s, theta, t) from the full coefficient
+    P (R_theta - Q_t) + Q (P_t - R_s) + R (Q_s - P_theta) of
+    alpha ^ d(alpha) on ds dtheta dt, every partial a centred difference
+    of the pointwise form that alpha_components samples, against the
+    volume -(e^s ds dtheta dt)."""
+    def form(x):
+        return [piece * v for v in fs.alpha_at(x[0], x[2])]
+
+    def d(comp, axis):
+        lo, hi = list(point), list(point)
+        lo[axis] -= h
+        hi[axis] += h
+        return (form(hi)[comp] - form(lo)[comp]) / (2 * h)
+
+    p, q, r = form(point)
+    coef = p * (d(2, 1) - d(1, 2)) + q * (d(0, 2) - d(2, 0)) + r * (d(1, 0) - d(0, 1))
+    return -coef / math.exp(point[0])
+
+
+def _oracle_disagreement(family: int, k: float, resolution: int = 10) -> float:
+    fs = FormSampler(family=family, k=k, resolution=resolution)
+    s, theta, t = fs.grid()
+    worst = 0.0
+    for piece in (1, -1):
+        defect = fs.defect_grid(piece)
+        for i, si in enumerate(s):
+            for tj in theta:
+                for tk in t:
+                    want = _oracle_defect(fs, piece, (si, tj, tk))
+                    worst = max(worst, abs(defect[i] - want) / max(1.0, abs(want)))
+    return worst
+
+
+def test_alpha_components_samples_the_pointwise_form():
+    fs = FormSampler(family=3, k=7.0, resolution=6)
+    s, _theta, t = fs.grid()
+    plus, minus = fs.alpha_components(1), fs.alpha_components(-1)
+    assert plus[0] == [fs.alpha_at(si, tj)[0] for si in s for tj in t]
+    assert plus[1] == [fs.alpha_at(si, 0.5)[1] for si in s]
+    assert plus[2] == [fs.alpha_at(si, 0.5)[2] for si in s]
+    assert all(m == [-x for x in p] for p, m in zip(plus, minus))
+
+
+@pytest.mark.parametrize("family", [0, 1, 2, 5, 10])
+def test_defect_grid_matches_finite_difference_oracle(family):
+    for k in (0.5, 10.0, 100.0):
+        assert _oracle_disagreement(family, k) <= 1e-7, k
+
+
+@pytest.mark.parametrize("family", [1, 2, 5, 10])
+def test_oracle_rejects_a_flipped_twist_term(family, monkeypatch):
+    right = FormSampler.defect_grid
+
+    def flipped(self, piece):
+        # the defect is 4K plus the twist term; negate the twist term
+        return [2 * kt - d for d, kt in zip(right(self, piece), self.k_term_grid())]
+
+    monkeypatch.setattr(FormSampler, "defect_grid", flipped)
+    assert _oracle_disagreement(family, 10.0) > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def _instances() -> list:
         intalg.smith_normal_form(page.form), openbook.h1_of_manifold(ob),
         heegaard.heegaard_data(ob), rp, rp.components[0],
         FormSampler(family=1, k=10.0, resolution=5), pf,
-        contact.solid_torus_extension_check(pf, "reflection", resolution=5),
+        contact.solid_torus_extension_check(FormSampler(family=1, k=10.0), pf, resolution=5),
         ENTRIES[0],
     ]
 
