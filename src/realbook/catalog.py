@@ -16,7 +16,6 @@ from .openbook import OpenBook, stabilize
 from .records import record
 from .surface import (
     FixArc,
-    FixCircle,
     FixedSet,
     entries,
     standard_involution,
@@ -53,7 +52,7 @@ def catalog_hopf(variant: str) -> OpenBook:
         return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
     if variant == "swap":
         inv = standard_involution(page, "boundary-swap")
-        plus = FixedSet(circles=(FixCircle(h1_class=(1,)),))
+        plus = FixedSet(circles=((1,),))
         return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
     raise ValueError(f"unknown Hopf variant {variant!r}")
 

@@ -124,8 +124,8 @@ def cmd_invariants(args) -> int:
         "h1": _group_obj(h1_of_manifold(book)),
         "heegaard_genus": book.heegaard_genus,
         "page_genus": page.genus,
-        "binding": book.binding_count,
-        "euler": book.page_euler,
+        "binding": page.boundary_count,
+        "euler": page.euler,
         "reality": check_reality(book).kind.value,
     }, args.out)
     return EXIT_OK
@@ -184,7 +184,7 @@ def cmd_contact(args) -> int:
     report = contact_report(family, k, resolution=grid)
     pf = build_profiles(k, args.eps)
     mismatch = solid_torus_extension_check(FormSampler(family=family, k=k), pf).max_mismatch
-    report["profiles"] = {"grid_min_wronskian": pf.grid_min_w, "extension_mismatch": mismatch}
+    report["profiles"] = {"extension_mismatch": mismatch}
     _emit_json(report, args.out)
     ok = report["min_defect"] > 0 and mismatch <= 1e-9
     return EXIT_OK if ok else EXIT_CONTRACT

@@ -42,7 +42,7 @@ import math
 from typing import Iterable, Iterator
 
 from .errors import ContactModelError
-from .records import record, replace
+from .records import record
 
 TAU = 2.0 * math.pi
 
@@ -229,7 +229,6 @@ class ProfileFunctions:
     r1: float
     mid1: tuple[float, float, float, float]
     mid2: tuple[float, float, float, float]
-    grid_min_w: float = math.nan
 
     def samples(self, rr: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
         """(h1, h1', h2, h2') at each radius of rr, in one pass."""
@@ -286,7 +285,7 @@ def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
         pf = ProfileFunctions(k=k, eps=eps, r0=r0, r1=r1, mid1=mid1, mid2=mid2)
         w = pf.wronskians(rr)
         if all(x > 0.0 for x in w):
-            return replace(pf, grid_min_w=min(w))
+            return pf
     i = _first_min(w)
     raise ContactModelError(f"Wronskian not positive near r = {rr[i]:.4f} (min {w[i]:.3e})")
 

@@ -6,7 +6,11 @@ classes and involution images, reference arcs, the twist word, the
 involution (matrix, boundary permutation, fixed points, fixed set), the
 tracked opposite-page fixed set, declared disjointness, and the
 stabilization provenance.  parse(dump(book)) reproduces the book
-structurally.
+structurally.  The reader builds the page's mappings as it parses
+(boundary id -> pushoff class in file order, curve name -> class), and
+the writer writes the circles in that stored order and the curves by
+name, so `new` gives back a written file's own bytes whatever the
+order of its circle ids.
 
 Schema 2 still stores two values the page determines: `page.genus`
 (SurfaceModel derives it from 2g + b - 1 = rank H1) and each reference
@@ -49,16 +53,7 @@ from .errors import SchemaError
 from .intalg import IntMatrix
 from .mcg import TwistWord
 from .openbook import OpenBook, StabRecord
-from .surface import (
-    BoundaryCircle,
-    FixArc,
-    FixCircle,
-    FixedSet,
-    Involution,
-    NamedCurve,
-    SurfaceModel,
-    crossing_residuals,
-)
+from .surface import FixArc, FixedSet, Involution, SurfaceModel, crossing_residuals
 
 SCHEMA_VERSION = 2
 READABLE_SCHEMAS = (1, 2)
@@ -76,7 +71,7 @@ def _fixed_set_obj(fs: FixedSet) -> dict:
             }
             for arc in fs.arcs
         ],
-        "circles": [{"h1_class": list(c.h1_class)} for c in fs.circles],
+        "circles": [{"h1_class": list(c)} for c in fs.circles],
     }
 
 
@@ -87,19 +82,17 @@ def to_obj(ob: OpenBook) -> dict:
         "schema": SCHEMA_VERSION,
         "page": {
             "genus": page.genus,
-            "boundary": [
-                {"id": c.cid, "pclass": list(c.pclass)} for c in page.circles
-            ],
+            "boundary": [{"id": cid, "pclass": list(p)} for cid, p in page.circles.items()],
             "basis": list(page.basis),
             "form": [list(r) for r in page.form.rows],
         },
         "alphabet": [
             {
-                "name": c.name,
-                "h1_class": list(c.h1_class),
-                "c_image": list(inv.curve_image[c.name]) if c.name in inv.curve_image else None,
+                "name": name,
+                "h1_class": list(cls),
+                "c_image": list(inv.curve_image[name]) if name in inv.curve_image else None,
             }
-            for c in sorted(page.alphabet.values(), key=lambda x: x.name)
+            for name, cls in sorted(page.alphabet.items())
         ],
         "ref_arcs": [
             {"boundary": cid, "pairings": list(row), "current_class": [0] * page.h1_rank}
@@ -236,8 +229,7 @@ def _parse_fixed_set(obj: Any, path: str, rank: int, ref_arcs: dict) -> FixedSet
             pair_arcs=pair_arcs,
         ))
     circles = [
-        FixCircle(h1_class=_vec(_need(c, "h1_class", f"{path}.circles[{i}]"),
-                                f"{path}.circles[{i}].h1_class", rank))
+        _vec(_need(c, "h1_class", f"{path}.circles[{i}]"), f"{path}.circles[{i}].h1_class", rank)
         for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
     ]
     return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
@@ -254,21 +246,19 @@ def from_obj(obj: dict) -> OpenBook:
     basis = tuple(_str(x, f"$.page.basis[{i}]")
                   for i, x in enumerate(_list(_need(pg, "basis", "$.page"), "$.page.basis")))
     rank = len(basis)
-    circles = tuple(
-        BoundaryCircle(cid=_int(_need(c, "id", f"$.page.boundary[{i}]"),
-                                f"$.page.boundary[{i}].id"),
-                       pclass=_vec(_need(c, "pclass", f"$.page.boundary[{i}]"),
-                                   f"$.page.boundary[{i}].pclass", rank))
-        for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary"))
-    )
+    circles = {}
+    for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary")):
+        path = f"$.page.boundary[{i}]"
+        cid = _int(_need(c, "id", path), f"{path}.id")
+        pclass = _vec(_need(c, "pclass", path), f"{path}.pclass", rank)
+        if cid in circles:
+            raise SchemaError(f"{path}.id repeats boundary {cid}")
+        circles[cid] = pclass
     if not circles:
         raise SchemaError("$.page.boundary must list at least one circle, the binding")
-    cids = [c.cid for c in circles]
-    for i, cid in enumerate(cids):
-        if cid in cids[:i]:
-            raise SchemaError(f"$.page.boundary[{i}].id repeats boundary {cid}")
     # one reference arc runs from the basepoint, the least id, to each other circle
-    targets = set(cids) - {min(cids)}
+    bp = min(circles)
+    targets = set(circles) - {bp}
     if genus < 0 or 2 * genus + len(circles) - 1 != rank:
         raise SchemaError(f"$.page.genus is {genus}, but a page with {len(circles)} boundary "
                           f"circles and {rank} basis classes needs 2g + b - 1 = {rank}, g >= 0")
@@ -283,7 +273,7 @@ def from_obj(obj: dict) -> OpenBook:
         path = f"$.alphabet[{i}]"
         name = _str(_need(c, "name", path), f"{path}.name")
         cls = _vec(_need(c, "h1_class", path), f"{path}.h1_class", rank)
-        alphabet[name] = NamedCurve(name=name, h1_class=cls)
+        alphabet[name] = cls
         stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
         if stored:
             tables.append((path, name, stored))
@@ -305,19 +295,19 @@ def from_obj(obj: dict) -> OpenBook:
                               f"reference arc's transport defect is zero")
         if cid not in targets:
             raise SchemaError(f"{path}.boundary {cid} is not a boundary circle other "
-                              f"than the basepoint {min(cids)}")
+                              f"than the basepoint {bp}")
         if cid in ref_arcs:
             raise SchemaError(f"{path}.boundary repeats boundary {cid}")
         ref_arcs[cid] = row
         arc_paths[cid] = path
     if targets - set(ref_arcs):
         raise SchemaError(f"$.ref_arcs has no arc to boundary {min(targets - set(ref_arcs))}")
-    for cid, residual in crossing_residuals({c.cid: c.pclass for c in circles}, ref_arcs):
+    for cid, residual in crossing_residuals(circles, ref_arcs):
         if any(residual):
             raise SchemaError(
                 f"{arc_paths[cid]}.pairings is {list(ref_arcs[cid])}, but an arc from the "
-                f"basepoint {min(cids)} to boundary {cid} crosses the pushoff of {cid} once "
-                f"(+1), of {min(cids)} once (-1) and of no other boundary circle")
+                f"basepoint {bp} to boundary {cid} crosses the pushoff of {cid} once "
+                f"(+1), of {bp} once (-1) and of no other boundary circle")
 
     disjoint = frozenset(
         frozenset(_names(pair, f"$.disjoint[{i}]"))

@@ -66,7 +66,7 @@ def concat(*words: Sequence[Letter]) -> TwistWord:
 
 def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
     """Homology action x -> x + e <x, a> a of the e-th power of a twist."""
-    a = model.curve(curve).h1_class
+    a = model.curve(curve)
     rank = model.h1_rank
     ja = model.form.apply(a)  # <x, a> = x . (J a)
     rows = [

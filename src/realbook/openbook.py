@@ -44,13 +44,10 @@ from .mcg import (
 )
 from .records import record, replace
 from .surface import (
-    BoundaryCircle,
     FixArc,
-    FixCircle,
     FixedSet,
     HandleExtension,
     Involution,
-    NamedCurve,
     SurfaceModel,
     combine,
     crossing_residuals,
@@ -135,14 +132,6 @@ class OpenBook:
     real_structure: Involution
     fix_plus: FixedSet | None = None
     provenance: tuple[StabRecord, ...] = ()
-
-    @property
-    def binding_count(self) -> int:
-        return self.page.boundary_count
-
-    @property
-    def page_euler(self) -> int:
-        return self.page.euler
 
     @property
     def heegaard_genus(self) -> int:
@@ -259,14 +248,13 @@ def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
     So each earlier block certifies on the child exactly when it does on
     the parent.  The new block is checked by _peel_block on the columns
     of the child's C~ Sigma, transvected by Sigma^-1 and compared with
-    its images.  When the premises cannot be read off (the new names
-    are not fresh, or the word does not continue as the parent's, as
-    with an unreduced word read from JSON), nothing is seeded and the
-    memo is peeled fresh when asked for.
+    its images.  The new names are fresh, as _start_builder picks names
+    the parent's page lacks.  When the word does not continue as the
+    parent's (an unreduced word read from JSON), nothing is seeded and
+    the memo is peeled fresh when asked for.
     """
     rec = child.provenance[-1]
-    if (child.monodromy[len(rec.sigma):] != parent.monodromy
-            or any(name in parent.page.alphabet for name, _ in rec.sigma)):
+    if child.monodromy[len(rec.sigma):] != parent.monodromy:
         return
     ok, base = parent._chain_blocks
     if ok:
@@ -352,7 +340,7 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
         col[j] -= 1
         cols.append(col + [0])
     bp = model.basepoint
-    others = sorted(c.cid for c in model.circles if c.cid != bp)
+    others = sorted(cid for cid in model.circles if cid != bp)
     moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
     cols.append([0] * rank + [1])
     cols.extend(list(cls) + [1] for cls, _row in moved)
@@ -425,9 +413,9 @@ class _Builder(SimpleNamespace):
     fixed_points: dict[int, tuple[int, int]]
     arcs_rows: dict[int, tuple[int, ...]]        # cid -> ref-arc pairing row
     minus_arcs: list[FixArc]
-    minus_circles: list[FixCircle]
+    minus_circles: list[tuple[int, ...]]
     plus_arcs: list[FixArc]
-    plus_circles: list[FixCircle]
+    plus_circles: list[tuple[int, ...]]
     images: dict[str, tuple[str, int]]
     disjoint: set[frozenset[str]]
     next_pid: int
@@ -511,19 +499,18 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
         names=names,
         basis=list(model.basis) + names,
         form=_extend_form(model.form, cols or [(0,) * model.h1_rank] * count, mutual),
-        classes={n: ext(c.h1_class) for n, c in model.alphabet.items()}
+        classes={n: ext(c) for n, c in model.alphabet.items()}
         | {n: unit(rank, rank - count + i) for i, n in enumerate(names)},
-        circles={c.cid: ext(c.pclass) for c in model.circles},
+        circles={cid: ext(p) for cid, p in model.circles.items()},
         perm=dict(inv.boundary_perm),
         fixed_points=dict(inv.fixed_points),
         arcs_rows={cid: ext(row) for cid, row in model.ref_arcs.items()},
         minus_arcs=[replace(a, pair_curves=ext(a.pair_curves), pair_arcs=dict(a.pair_arcs))
                     for a in inv.fixed_set.arcs],
-        minus_circles=[FixCircle(h1_class=ext(c.h1_class)) for c in inv.fixed_set.circles],
+        minus_circles=[ext(c) for c in inv.fixed_set.circles],
         plus_arcs=[replace(a, pair_curves=ext(a.pair_curves), pair_arcs=dict(a.pair_arcs))
                    for a in (ob.fix_plus.arcs if ob.fix_plus else ())],
-        plus_circles=[FixCircle(h1_class=ext(c.h1_class)) for c in
-                      (ob.fix_plus.circles if ob.fix_plus else ())],
+        plus_circles=[ext(c) for c in (ob.fix_plus.circles if ob.fix_plus else ())],
         images=dict(inv.curve_image),
         disjoint=set(model.disjoint),
         next_pid=_max_pid(inv),
@@ -615,32 +602,25 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
 
     The output goes through validate_involution as a handle extension
     of the parent (HandleExtension) when the parent's validity memo
-    holds and the new names are fresh: the block's checks stand for the
-    algebraic ones, by the lemma of surface._handle_block_holds, and the
-    structural checks run in full.  A failing block check, or a parent
-    whose memo is false, gets the full report, so a refusal names the
-    same checks and details as a full validation.  An accepted book is
-    valid, so its memo is seeded True.  Its chain memo is seeded from
-    the parent's plus a check of the new block alone
-    (_seed_chain_blocks), so a chain of k moves does not re-peel k
-    blocks per move.
+    holds: the block's checks stand for the algebraic ones, by the lemma
+    of surface._handle_block_holds, and the structural checks run in
+    full.  A failing block check, or a parent whose memo is false, gets
+    the full report, so a refusal names the same checks and details as
+    a full validation.  An accepted book is valid, so its memo is seeded
+    True.  Its chain memo is seeded from the parent's plus a check of
+    the new block alone (_seed_chain_blocks), so a chain of k moves
+    does not re-peel k blocks per move.
     """
     st = STAB_TYPES[tag]
-    model = ob.page
     rank = b.rank
-    form = b.form
     new_idx = list(range(b.a_idx, rank))
     _fix_ref_rows(b, new_idx)
 
-    alphabet = {name: NamedCurve(name=name, h1_class=cls) for name, cls in b.classes.items()}
-    circles = tuple(
-        BoundaryCircle(cid=cid, pclass=b.circles[cid]) for cid in sorted(b.circles)
-    )
     page = SurfaceModel(
-        circles=circles,
+        circles={cid: b.circles[cid] for cid in sorted(b.circles)},
         basis=tuple(b.basis),
-        form=form,
-        alphabet=alphabet,
+        form=b.form,
+        alphabet=b.classes,
         ref_arcs=b.arcs_rows,
         disjoint=frozenset(b.disjoint),
     )
@@ -686,9 +666,8 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         fix_plus=fix_plus,
         provenance=ob.provenance + (rec,),
     )
-    fresh = not any(name in model.alphabet for name in b.names)
-    extends = (HandleExtension(model, ob.real_structure, _core_block(st))
-               if fresh and ob._involution_valid else None)
+    extends = (HandleExtension(ob.page, ob.real_structure, _core_block(st))
+               if ob._involution_valid else None)
     report = validate_involution(page, inv, extends)
     bad = [r for r in report if not r.ok]
     if bad:
@@ -781,8 +760,8 @@ def _attachment_pattern(ob: OpenBook, j: int, k: int) -> Pattern:
     pairing functional of the new curve: P_j . v = -1, P_k . v = +1 and
     P_o . v = 0 for every other circle o, in circle order."""
     page = ob.page
-    return ([(page.circle(j).pclass, -1), (page.circle(k).pclass, 1)]
-            + [(c.pclass, 0) for c in page.circles if c.cid not in (j, k)])
+    return ([(page.circles[j], -1), (page.circles[k], 1)]
+            + [(p, 0) for cid, p in page.circles.items() if cid not in (j, k)])
 
 
 def _solve_pushoff_column(pattern: Pattern, c_old: IntMatrix,
@@ -942,7 +921,7 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
         w = solve_integer(b.form.transpose(), need)
         if w is None:
             raise StabilizationError("joined fixed circle has no consistent class")
-        b.plus_circles.append(FixCircle(h1_class=vec_add(base, w)))
+        b.plus_circles.append(vec_add(base, w))
     else:
         i1, i2 = hits[0], hits[-1]
         a2 = b.plus_arcs.pop(i2)
@@ -1203,10 +1182,8 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
                                    pair_arcs=dict(t.pair_arcs)))
         b.minus_arcs.append(b.strand((e2, (j, n2))))
     else:
-        ci = next(i for i, c in enumerate(b.minus_circles)
-                  if c.h1_class[:old_rank] == target.h1_class)
-        circ = b.minus_circles.pop(ci)
-        row = tuple(b.form.transpose().apply(circ.h1_class))
+        ci = next(i for i, c in enumerate(b.minus_circles) if c[:old_rank] == target)
+        row = tuple(b.form.transpose().apply(b.minus_circles.pop(ci)))
         b.minus_arcs.append(FixArc(ends=((j, n1), (j, n2)),
                                    pair_curves=_set_coord(row, b.a_idx, row[b.a_idx] + 1),
                                    pair_arcs={}))
@@ -1257,7 +1234,7 @@ def enumerate_sites(ob: OpenBook) -> list[tuple[str, dict]]:
     """All (type, site) combinations whose preconditions hold on this book."""
     inv = ob.real_structure
     out: list[tuple[str, dict]] = []
-    refl = [c.cid for c in ob.page.circles if inv.boundary_perm.get(c.cid) == c.cid]
+    refl = [cid for cid in ob.page.circles if inv.boundary_perm.get(cid) == cid]
     swaps = sorted({tuple(sorted((c, inv.boundary_perm[c])))
                     for c in inv.boundary_perm if inv.boundary_perm[c] != c})
     for j in refl:

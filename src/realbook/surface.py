@@ -1,15 +1,16 @@
 """Combinatorial model of a compact oriented page with boundary.
 
-A page is described by declared data: an integral basis of its first
-homology with the intersection form, its boundary circles, a named
-curve alphabet (each curve a name and a class), reference arcs from a
-basepoint boundary to every other boundary, each a bare pairing row,
-and (for a real page) an orientation-reversing involution with its
-fixed-point set.  What follows from these is derived, not stored: the
-genus from 2g + b - 1 = rank H1 (SurfaceModel.genus), and a curve's
-crossings with the basis and with the reference arcs from its class,
-the form and the arc rows (SurfaceModel.curve_vectors and
-curve_tables).
+A page is described by declared data, each piece held once as a bare
+mapping: an integral basis of its first homology with the intersection
+form, its boundary circles (id -> pushoff class), a named curve
+alphabet (name -> class), reference arcs from a basepoint boundary to
+every other boundary (target id -> pairing row), and (for a real page)
+an orientation-reversing involution with its fixed-point set, whose
+fixed circles are bare classes.  What follows from these is derived,
+not stored: the genus from 2g + b - 1 = rank H1 (SurfaceModel.genus),
+and a curve's crossings with the basis and with the reference arcs
+from its class, the form and the arc rows (SurfaceModel.curve_vectors
+and curve_tables).
 
 Conventions fixed here once and used everywhere else:
 
@@ -91,7 +92,7 @@ def combine(pairs: Iterable[tuple[int, int]], rows: Sequence[Sequence[int]], n: 
     return [0] * n if acc is None else acc
 
 
-def crossing_residuals(pclasses: Mapping[int, Sequence[int]],
+def crossing_residuals(circles: Mapping[int, Sequence[int]],
                        rows: Mapping[int, Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
     """The boundary crossing pattern of reference arcs, arc by arc.
 
@@ -104,10 +105,10 @@ def crossing_residuals(pclasses: Mapping[int, Sequence[int]],
     entry, is built once, so each arc's residuals are summed over the
     nonzeros of its row, not dotted with every circle.
     """
-    cids = sorted(pclasses)
+    cids = sorted(circles)
     by_coord: dict[int, list[tuple[int, int]]] = {}
     for k, cid in enumerate(cids):
-        for i, x in enumerate(pclasses[cid]):
+        for i, x in enumerate(circles[cid]):
             if x:
                 by_coord.setdefault(i, []).append((k, x))
     for l, row in sorted(rows.items()):
@@ -117,23 +118,6 @@ def crossing_residuals(pclasses: Mapping[int, Sequence[int]],
                 for k, x in by_coord.get(i, ()):
                     residual[k] -= a * x
         yield l, residual
-
-
-@record
-class NamedCurve:
-    """A named simple closed curve and its class; its crossing tables are
-    derived from the class by SurfaceModel.curve_tables."""
-
-    name: str
-    h1_class: Vec
-
-
-@record
-class BoundaryCircle:
-    """Boundary circle with a stable id and its parallel pushoff class."""
-
-    cid: int
-    pclass: Vec
 
 
 @record
@@ -152,24 +136,12 @@ class FixArc:
 
 
 @record
-class FixCircle:
-    """Fixed circle of an involution; crossing data follows from its class."""
-
-    h1_class: Vec
-
-
-@record
 class FixedSet:
+    """Fixed arcs, and fixed circles as their classes: a circle's
+    crossing data follows from its class."""
+
     arcs: tuple[FixArc, ...] = ()
-    circles: tuple[FixCircle, ...] = ()
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
+    circles: tuple[Vec, ...] = ()
 
 
 @record
@@ -185,18 +157,20 @@ class Involution:
 
 @record
 class SurfaceModel:
-    """A page, stored as its independent data only: the genus follows
-    from 2g + b - 1 = rank H1, and a reference arc is its pairing row
-    (entry j its crossing number with the j-th basis curve), as its
-    transport defect starts at zero (mcg.transport_arcs).  Frozen: the
+    """A page, stored as its independent data only: a boundary circle is
+    its id -> pushoff class entry (in stored order), a curve its name ->
+    class entry, the genus follows from 2g + b - 1 = rank H1, and a
+    reference arc is its pairing row (entry j its crossing number with
+    the j-th basis curve), as its transport defect starts at zero
+    (mcg.transport_arcs).  Frozen: the
     per-curve vectors of curve_vectors are cached on the instance,
     outside the fields, so they take no part in ==, repr or JSON, and a
     page made with records.replace starts without them."""
 
-    circles: tuple[BoundaryCircle, ...]
+    circles: Mapping[int, Vec]           # boundary id -> pushoff class
     basis: tuple[str, ...]
     form: IntMatrix                      # intersection form J on the basis
-    alphabet: Mapping[str, NamedCurve]
+    alphabet: Mapping[str, Vec]          # curve name -> class
     ref_arcs: Mapping[int, Vec]          # target boundary id -> pairing row
     disjoint: frozenset[frozenset[str]] = frozenset()
 
@@ -219,15 +193,9 @@ class SurfaceModel:
 
     @property
     def basepoint(self) -> int:
-        return min(c.cid for c in self.circles)
+        return min(self.circles)
 
-    def circle(self, cid: int) -> BoundaryCircle:
-        for c in self.circles:
-            if c.cid == cid:
-                return c
-        raise KeyError(f"no boundary circle {cid}")
-
-    def curve(self, name: str) -> NamedCurve:
+    def curve(self, name: str) -> Vec:
         try:
             return self.alphabet[name]
         except KeyError:
@@ -249,7 +217,7 @@ class SurfaceModel:
         kept for the life of the page."""
         vecs = self._curve_vectors.get(name)
         if vecs is None:
-            a = self.curve(name).h1_class
+            a = self.curve(name)
             if len(a) != self.h1_rank:
                 raise ValueError(f"class of curve {name!r} has length {len(a)}, not {self.h1_rank}")
             vecs = self._curve_vectors[name] = CurveVectors(a, self.form.rows)
@@ -316,12 +284,12 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
     basis.extend(f"d{j}" for j in range(1, b))
     form = _symplectic_block(g, b - 1)
 
-    classes: dict[str, Vec] = {}
+    alphabet: dict[str, Vec] = {}
     for idx, name in enumerate(basis):
-        classes[name] = unit(rank, idx)
+        alphabet[name] = unit(rank, idx)
     # the last boundary curve is determined by the others
-    classes[f"d{b}"] = tuple(-sum(unit(rank, 2 * g + j)[k] for j in range(b - 1))
-                             for k in range(rank))
+    alphabet[f"d{b}"] = tuple(-sum(unit(rank, 2 * g + j)[k] for j in range(b - 1))
+                              for k in range(rank))
 
     # reference arc pairing rows, one per boundary 2..b, indexed by basis
     ref_arcs: dict[int, Vec] = {}
@@ -334,9 +302,7 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
         # vector; linearity over the basis already encodes it
         ref_arcs[i] = tuple(row)
 
-    alphabet = {name: NamedCurve(name=name, h1_class=cls) for name, cls in classes.items()}
-
-    circles = tuple(BoundaryCircle(cid=i, pclass=classes[f"d{i}"]) for i in range(1, b + 1))
+    circles = {i: alphabet[f"d{i}"] for i in range(1, b + 1)}
 
     # every standard pair of curves is disjoint except the dual pairs (a_i, b_i)
     def dual_pair(x: str, y: str) -> bool:
@@ -431,7 +397,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
             matrix=IntMatrix([[1]]),
             boundary_perm={1: 2, 2: 1},
             fixed_points={},
-            fixed_set=FixedSet(circles=(FixCircle(h1_class=(1,)),)),
+            fixed_set=FixedSet(circles=((1,),)),
             curve_image={"d1": ("d2", -1), "d2": ("d1", -1)},
         )
 
@@ -445,7 +411,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
             perm[i + k] = i
         cols = []
         for i in range(1, b):
-            img = model.curve(f"d{perm[i]}").h1_class
+            img = model.curve(f"d{perm[i]}")
             cols.append(vec_scale(-1, img))
         c = IntMatrix.from_columns(cols, rank) if rank else IntMatrix.identity(0)
         image = {f"d{i}": (f"d{perm[i]}", -1) for i in range(1, b + 1)}
@@ -481,7 +447,8 @@ class HandleExtension:
     With n the old rank, the builder guarantees, and nothing here checks:
       * the new basis is the old one followed by the classes
         e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
-        lacks, and every old curve keeps its class widened by zeros;
+        lacks (openbook._start_builder picks them so), and every old
+        curve keeps its class widened by zeros;
       * the first n rows of the new form start with the old form J;
       * the new matrix is C~ Sigma, Sigma the positive twist along each
         new curve, the mirror e_{n+1} before e_n for a pair;
@@ -534,7 +501,7 @@ def image_holds(model: SurfaceModel, cols: Sequence[Sequence[int]], name: str,
     if name not in model.alphabet or img not in model.alphabet:
         return False
     acc = combine(entries(model.curve_vectors(name).a), cols, model.h1_rank)
-    return model.curve(img).h1_class == tuple(s * t for t in acc)
+    return model.curve(img) == tuple(s * t for t in acc)
 
 
 def validate_involution(model: SurfaceModel, inv: Involution,
@@ -579,10 +546,10 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     ok, detail = True, ""
     total = (0,) * rank
     j_cols = j.transpose().rows
-    for circle in model.circles:
-        total = vec_add(total, circle.pclass)
-        if any(combine(entries(_sparse(circle.pclass)), j_cols, rank)):
-            ok, detail = False, f"boundary class of circle {circle.cid} is not radical"
+    for cid, p in model.circles.items():
+        total = vec_add(total, p)
+        if any(combine(entries(_sparse(p)), j_cols, rank)):
+            ok, detail = False, f"boundary class of circle {cid} is not radical"
     if rank and any(total):
         ok, detail = False, "boundary classes do not sum to zero"
     out.append(CheckResult("boundary_classes", ok, detail))
@@ -596,7 +563,7 @@ def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult
     out: list[CheckResult] = []
     perm = dict(inv.boundary_perm)
     ok = all(perm.get(perm.get(i, None), None) == i for i in perm)
-    ids = {cc.cid for cc in model.circles}
+    ids = set(model.circles)
     ok = ok and set(perm) == ids
     out.append(CheckResult("boundary_perm", ok, "" if ok else f"perm = {perm}"))
 
@@ -697,11 +664,10 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
     # J q = 0, Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of
     # the d, less the old classes of removed circles, is the sum of all
     # classes
-    old_circles = {circle.cid: circle.pclass for circle in old.circles}
+    old_circles = dict(old.circles)
     total = [0] * rank
-    for circle in model.circles:
-        p = circle.pclass
-        q = old_circles.pop(circle.cid, None)
+    for cid, p in model.circles.items():
+        q = old_circles.pop(cid, None)
         if q is None:
             d, jq = p, [0] * rank
         else:

@@ -63,7 +63,7 @@ def test_lens_3punctured_various_exponents():
 
 
 def test_build_dispatch():
-    assert build("disk").binding_count == 1
+    assert build("disk").page.boundary_count == 1
     assert build("fig4", 2).page.genus == 1
     assert build("lens-annulus", 5).monodromy == (("d1", 5),)
     with pytest.raises(KeyError):

@@ -121,7 +121,7 @@ def test_stabilize_subcommand(monkeypatch):
                         book_json, monkeypatch)
     assert code == 0
     stabbed = loads(out)
-    assert stabbed.binding_count == 2
+    assert stabbed.page.boundary_count == 2
 
 
 def test_heegaard_subcommand(monkeypatch):
@@ -433,11 +433,14 @@ def test_fixed_set_vector_of_wrong_length_is_exit_2(book, field, value, path,
     (("ref_arcs", 0, "boundary"), lambda cid: cid - 1, "$.ref_arcs[0].boundary"),
     (("page", "boundary", 1, "id"), lambda cid: cid + 1, "$.ref_arcs[0].boundary"),
     (("page", "boundary", 1, "id"), lambda cid: cid - 1, "$.page.boundary[1].id"),
+    (("page", "boundary"), lambda circles: [circles[1], dict(circles[0], id=circles[1]["id"])],
+     "$.page.boundary[1].id"),
     (("ref_arcs",), lambda arcs: arcs + arcs[:1], "$.ref_arcs[1].boundary"),
     (("ref_arcs",), lambda arcs: [], "$.ref_arcs"),
     (("page", "boundary"), lambda circles: [], "$.page.boundary"),
 ], ids=["ref-arc-to-a-missing-circle", "ref-arc-to-the-basepoint", "circle-id-without-its-arc",
-        "circle-id-repeats", "second-ref-arc-to-one-circle", "no-ref-arcs", "no-circles"])
+        "circle-id-repeats", "circle-id-repeats-out-of-order", "second-ref-arc-to-one-circle",
+        "no-ref-arcs", "no-circles"])
 def test_reference_arcs_are_one_per_non_basepoint_circle(field, value, path,
                                                          monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys, ("fig4", "2"))
@@ -458,6 +461,25 @@ def test_reference_arc_off_the_crossing_pattern_is_exit_2(book, index, row,
                                                           monkeypatch, capsys):
     assert_mutation_exits_2(("ref_arcs", index, "pairings"), row,
                             f"$.ref_arcs[{index}].pairings", monkeypatch, capsys, book)
+
+
+def test_boundary_out_of_order_keeps_its_order_and_its_invariants(monkeypatch):
+    """A page keeps its circles in stored order and the writer writes
+    them so: a book whose boundary lists the ids out of order goes
+    through new byte-identical, and every report on it equals the
+    sorted book's.  Pages compare as mappings, so the two books are
+    equal."""
+    _code, book_json = run_cli(["catalog", "lens-3punctured", "2", "2", "1"])
+    obj = json.loads(book_json)
+    obj["page"]["boundary"].reverse()
+    code, reversed_json = run_cli(["new"], json.dumps(obj), monkeypatch)
+    assert code == 0
+    assert [c["id"] for c in json.loads(reversed_json)["page"]["boundary"]] == [3, 2, 1]
+    assert run_cli(["new"], reversed_json, monkeypatch) == (0, reversed_json)
+    assert loads(reversed_json) == loads(book_json)
+    assert reversed_json != book_json
+    for argv in (["invariants"], ["heegaard"], ["reality"], ["validate"]):
+        assert run_cli(argv, reversed_json, monkeypatch) == run_cli(argv, book_json, monkeypatch)
 
 
 def test_wrong_schema_version_rejected():

@@ -37,7 +37,7 @@ from schema1 import as_schema1
 
 GOLDEN = "bcf96ce5e656d2dd0cb5800199e252706b5d7105bca9cb5e18a3d0b97a70e1b8"
 GOLDEN_SCHEMA1 = "b13d294277f54bb7c68b88410f9c99cb54551fb96718edc3fc568a5a8901cdcf"
-GOLDEN_REAL = "1e98707ef1960f4f366cb0e1f89c26ce4d91446c2c992e78032f5583182b3c9f"
+GOLDEN_REAL = "ae930a1f014d23b03ddd0309fc80ec749d7b54aad3118661189f48883edfd62e"
 
 LADDER_TOP = 10
 

@@ -172,7 +172,7 @@ def reference_transport(model, w, row):
     """transport_arc with <a, x> taken from the dense J^T for every letter."""
     cls = (0,) * model.h1_rank
     for name, exp in w:
-        a = model.curve(name).h1_class
+        a = model.curve(name)
         cross = sum(x * y for x, y in zip(row, a))
         a_row = model.form.transpose().apply(a)
         cls = tuple(x + exp * cross * y for x, y in zip(cls, a))
@@ -292,7 +292,7 @@ def test_curve_vectors_cached_per_page_outside_the_fields():
         return tuple(pairs.get(i, 0) for i in range(m.h1_rank))
 
     for name in m.alphabet:
-        a = m.curve(name).h1_class
+        a = m.curve(name)
         vecs = m.curve_vectors(name)
         assert vecs.a and dense(vecs.a) == a
         assert dense(vecs.ja) == m.form.apply(a)
@@ -315,10 +315,10 @@ def test_curve_vectors_equal_dense_products_on_golden_pages():
     for label, ob in golden_books():
         page = ob.page
         jt = page.form.transpose()
-        for name, curve in page.alphabet.items():
+        for name, cls in page.alphabet.items():
             vecs = page.curve_vectors(name)
-            for sparse, want in ((vecs.ja, page.form.apply(curve.h1_class)),
-                                 (vecs.jta, jt.apply(curve.h1_class))):
+            for sparse, want in ((vecs.ja, page.form.apply(cls)),
+                                 (vecs.jta, jt.apply(cls))):
                 pairs = dict(entries(sparse))
                 assert len(pairs) == len(sparse) // 2 and all(pairs.values()), (label, name)
                 assert tuple(pairs.get(i, 0) for i in range(page.h1_rank)) == want, (label, name)

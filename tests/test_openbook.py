@@ -109,7 +109,7 @@ def test_stabilize_checks_only_the_page_arc_ends(monkeypatch):
 def test_disk_type_I_gives_annulus_book():
     ob = stabilize(catalog_s3_disk(), "I", {"boundary": 1})
     assert ob.page.genus == 0
-    assert ob.binding_count == 2
+    assert ob.page.boundary_count == 2
     assert ob.monodromy == (("s1", 1),)
     assert check_reality(ob).kind is Reality.CERTIFIED_REAL
     assert h1_of_manifold(ob).is_trivial
@@ -120,7 +120,7 @@ def test_type_VIII_genus_up_h1_fixed():
     before = h1_of_manifold(ob)
     after = stabilize(ob, "VIII", {"boundaries": (1, 2)})
     assert after.page.genus == ob.page.genus + 1
-    assert after.binding_count == ob.binding_count
+    assert after.page.boundary_count == ob.page.boundary_count
     assert h1_of_manifold(after) == before
 
 
@@ -132,8 +132,8 @@ def test_new_curves_take_names_the_page_lacks():
     assert h1_of_manifold(after) == h1_of_manifold(ob)
     assert check_reality(after).kind is check_reality(ob).kind
     zeros = (0, 0)
-    for name, curve in ob.page.alphabet.items():
-        assert after.page.alphabet[name].h1_class == curve.h1_class + zeros
+    for name, cls in ob.page.alphabet.items():
+        assert after.page.alphabet[name] == cls + zeros
     assert set(after.page.alphabet) - set(ob.page.alphabet) == {"s3", "s3c"}
 
 
@@ -154,11 +154,11 @@ def test_h1_fig_families_trivial():
 
 def test_binding_count_and_euler():
     disk = catalog_s3_disk()
-    assert (disk.binding_count, disk.page_euler) == (1, 1)
+    assert (disk.page.boundary_count, disk.page.euler) == (1, 1)
     ann = catalog_hopf("conjugation")
-    assert (ann.binding_count, ann.page_euler) == (2, 0)
+    assert (ann.page.boundary_count, ann.page.euler) == (2, 0)
     after = stabilize(disk, "I", {"boundary": 1})
-    assert (after.binding_count, after.page_euler) == (2, 0)
+    assert (after.page.boundary_count, after.page.euler) == (2, 0)
 
 
 # the change of page genus of each type, from its local handle model
@@ -179,10 +179,10 @@ def test_every_type_reachable_and_consistent():
                 continue
             seen.add(tag)
             st = STAB_TYPES[tag]
-            assert out.page_euler == ob.page_euler - st.handle_count
-            assert out.binding_count == ob.binding_count + st.boundary_delta
+            assert out.page.euler == ob.page.euler - st.handle_count
+            assert out.page.boundary_count == ob.page.boundary_count + st.boundary_delta
             assert out.page.genus == ob.page.genus + GENUS_CHANGE[tag]
-            assert 2 * out.page.genus + out.binding_count - 1 == out.page.h1_rank
+            assert 2 * out.page.genus + out.page.boundary_count - 1 == out.page.h1_rank
             assert h1_of_manifold(out) == h0
             assert check_reality(out).kind is not Reality.NOT_REAL
             assert all(r.ok for r in validate_involution(out.page, out.real_structure))
@@ -210,7 +210,7 @@ def test_random_sequences_preserve_everything():
         j = ob.page.form
         assert c @ c == IntMatrix.identity(ob.page.h1_rank)
         assert c.transpose() @ j @ c == -j
-        assert ob.real_structure.fixed_set.arc_count == 1 - c.trace()
+        assert len(ob.real_structure.fixed_set.arcs) == 1 - c.trace()
 
 
 def test_reality_preserved_on_every_stabilization_word_level():
@@ -622,7 +622,7 @@ def _with_entries(form, changes):
 def _circle_coordinate(page, used):
     """The first coordinate that some boundary class of page uses (or
     that none uses)."""
-    return next(i for i in range(page.h1_rank) if any(c.pclass[i] for c in page.circles) == used)
+    return next(i for i in range(page.h1_rank) if any(p[i] for p in page.circles.values()) == used)
 
 
 def _cross_entry(form, parent):
@@ -662,29 +662,29 @@ def _new_image(page, inv, parent):
 
 def _with_circles(page, changes):
     """page with the class of circle cid moved by changes[cid]."""
-    circles = tuple(replace(c, pclass=tuple(x + d for x, d in zip(c.pclass, changes[c.cid])))
-                    if c.cid in changes else c for c in page.circles)
+    circles = {cid: tuple(x + d for x, d in zip(p, changes[cid])) if cid in changes else p
+               for cid, p in page.circles.items()}
     return replace(page, circles=circles)
 
 
-def _is_changed(circle, page, parent):
-    """Whether the class of circle differs from its class on the parent
-    widened by zeros (a new circle has none)."""
+def _is_changed(cid, page, parent):
+    """Whether the class of circle cid differs from its class on the
+    parent widened by zeros (a new circle has none)."""
+    old = parent.page.circles.get(cid)
     widen = (0,) * (page.h1_rank - parent.page.h1_rank)
-    old = {c.cid: c.pclass + widen for c in parent.page.circles}
-    return old.get(circle.cid) != circle.pclass
+    return old is None or old + widen != page.circles[cid]
 
 
 def _changed_circle(page, inv, parent):
     """Move the first coordinate of the first changed circle class."""
-    cid = next(c.cid for c in page.circles if _is_changed(c, page, parent))
+    cid = next(cid for cid in page.circles if _is_changed(cid, page, parent))
     return _with_circles(page, {cid: [1] + [0] * (page.h1_rank - 1)}), inv
 
 
 def _changed_circle_pair(page, inv, parent):
     """Move two changed classes by +-e_i for a non-radical e_i, so the
     classes still sum to zero and only the radical test breaks."""
-    j, k = [c.cid for c in page.circles if _is_changed(c, page, parent)][:2]
+    j, k = [cid for cid in page.circles if _is_changed(cid, page, parent)][:2]
     i = next(i for i in range(page.h1_rank) if any(r[i] for r in page.form.rows))
     e = [int(t == i) for t in range(page.h1_rank)]
     return _with_circles(page, {j: e, k: [-x for x in e]}), inv
@@ -693,7 +693,7 @@ def _changed_circle_pair(page, inv, parent):
 def _unchanged_circle(page, inv, parent):
     """Set the first new coordinate of the first unchanged class."""
     n = parent.page.h1_rank
-    cid = next(c.cid for c in page.circles if not _is_changed(c, page, parent))
+    cid = next(cid for cid in page.circles if not _is_changed(cid, page, parent))
     return _with_circles(page, {cid: [int(t == n) for t in range(page.h1_rank)]}), inv
 
 
@@ -809,7 +809,7 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
 
     ob = catalog_fig5(2)
     inv = ob.real_structure
-    name = next(n for n in sorted(inv.curve_image) if any(ob.page.curve(n).h1_class))
+    name = next(n for n in sorted(inv.curve_image) if any(ob.page.curve(n)))
     report = {r.name: r.ok for r in validate_involution(ob.page, inv)}
     assert report["curve_image"]
     bad = replace(inv, curve_image=flipped(inv.curve_image, name))

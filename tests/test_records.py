@@ -30,8 +30,6 @@ def _instances() -> list:
     pf = contact.build_profiles(10.0, 0.1)
     return [
         ob, page, inv, inv.fixed_set, _book("fig6-2").real_structure.fixed_set.arcs[0],
-        ob.fix_plus.circles[0],
-        page.circles[0], next(iter(page.alphabet.values())),
         ob.provenance[0], openbook.STAB_TYPES["VIII"], openbook.check_reality(ob),
         surface.validate_involution(page, inv)[0],
         surface.HandleExtension(page=page, inv=inv, core=((1,),)),
@@ -65,7 +63,7 @@ def test_every_record_class_is_covered():
     classes = {v for m in MODULES for v in vars(m).values()
                if isinstance(v, type) and v.__module__ == m.__name__ and "_fields" in vars(v)}
     assert classes == {type(x) for x in INSTANCES}
-    assert len(classes) == len(INSTANCES) == 22
+    assert len(classes) == len(INSTANCES) == 19
 
 
 @pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
@@ -98,21 +96,22 @@ def test_equal_records_hash_equal(x):
 
 
 @record
-class BoundaryCircle:
-    """A look-alike of surface.BoundaryCircle: same name, same fields."""
+class CheckResult:
+    """A look-alike of surface.CheckResult: same name, same fields."""
 
-    cid: int
-    pclass: tuple
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 def test_records_of_different_classes_are_never_equal():
     for a, b in combinations(INSTANCES, 2):
         assert a != b and b != a
 
-    circle = INSTANCES[6]
-    look_alike = BoundaryCircle(circle.cid, circle.pclass)
-    assert repr(look_alike) == repr(circle)
-    assert look_alike != circle and circle != look_alike
+    check = next(x for x in INSTANCES if isinstance(x, surface.CheckResult))
+    look_alike = CheckResult(check.name, check.ok, check.detail)
+    assert repr(look_alike) == repr(check)
+    assert look_alike != check and check != look_alike
 
 
 def test_replace_runs_post_init_again():

@@ -2,11 +2,9 @@ import pytest
 
 from realbook.intalg import IntMatrix
 from realbook.surface import (
-    BoundaryCircle,
     FixArc,
     FixedSet,
     Involution,
-    NamedCurve,
     involution_is_valid,
     standard_involution,
     standard_surface,
@@ -25,7 +23,7 @@ def test_disk():
 def test_annulus_core_self_pairing():
     ann = standard_surface(0, 2)
     assert ann.h1_rank == 1
-    core = ann.curve("d1").h1_class
+    core = ann.curve("d1")
     assert ann.pairing(core, core) == 0
 
 
@@ -47,7 +45,7 @@ def test_self_pairing_vanishes_for_all_curves():
         for b in range(1, 5):
             m = standard_surface(g, b)
             for c in m.alphabet.values():
-                assert m.pairing(c.h1_class, c.h1_class) == 0
+                assert m.pairing(c, c) == 0
 
 
 def test_closed_pages_rejected():
@@ -74,7 +72,7 @@ def test_standard_involutions_valid(kind, g, b):
 def test_disk_reflection_lefschetz():
     m = standard_surface(0, 1)
     inv = standard_involution(m, "disk-reflection")
-    assert inv.fixed_set.arc_count == 1
+    assert len(inv.fixed_set.arcs) == 1
     assert 1 - inv.matrix.trace() == 1
 
 
@@ -82,16 +80,16 @@ def test_annulus_reflection_counts():
     m = standard_surface(0, 2)
     inv = standard_involution(m, "annulus-reflection")
     assert inv.matrix == IntMatrix([[-1]])
-    assert inv.fixed_set.arc_count == 2
-    assert inv.fixed_set.circle_count == 0
+    assert len(inv.fixed_set.arcs) == 2
+    assert len(inv.fixed_set.circles) == 0
 
 
 def test_annulus_rotation_counts():
     m = standard_surface(0, 2)
     inv = standard_involution(m, "annulus-rotation")
     assert inv.matrix == IntMatrix([[1]])
-    assert inv.fixed_set.arc_count == 0
-    assert inv.fixed_set.circle_count == 1
+    assert len(inv.fixed_set.arcs) == 0
+    assert inv.fixed_set.circles == ((1,),)
 
 
 def test_incompatible_descriptor_rejected():
@@ -150,7 +148,7 @@ def test_involution_invariants_exact():
         c = inv.matrix
         assert c @ c == IntMatrix.identity(m.h1_rank)
         assert c.transpose() @ m.form @ c == -m.form
-        assert inv.fixed_set.arc_count == 1 - c.trace()
+        assert len(inv.fixed_set.arcs) == 1 - c.trace()
         assert involution_is_valid(m, inv)
 
 
@@ -170,17 +168,17 @@ def dense_checks(model, inv):
         if name not in model.alphabet or img not in model.alphabet:
             ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
             break
-        want = tuple(s * x for x in c.apply(model.curve(name).h1_class)) if rank else ()
-        if model.curve(img).h1_class != want:
+        want = tuple(s * x for x in c.apply(model.curve(name))) if rank else ()
+        if model.curve(img) != want:
             ok, detail = False, f"curve_image({name}) class mismatch"
             break
     out.append(("curve_image", ok, detail))
     ok, detail = True, ""
     total = (0,) * rank
-    for circle in model.circles:
-        total = tuple(a + b for a, b in zip(total, circle.pclass))
-        if rank and any(j.apply(circle.pclass)):
-            ok, detail = False, f"boundary class of circle {circle.cid} is not radical"
+    for cid, p in model.circles.items():
+        total = tuple(a + b for a, b in zip(total, p))
+        if rank and any(j.apply(p)):
+            ok, detail = False, f"boundary class of circle {cid} is not radical"
     if rank and any(total):
         ok, detail = False, "boundary classes do not sum to zero"
     out.append(("boundary_classes", ok, detail))
@@ -210,15 +208,14 @@ def one_entry_changes(ob):
                 yield f"C[{i},{k}]{d:+d}", page, replace(inv, matrix=bumped(inv.matrix.rows, i, k, d))
                 yield f"J[{i},{k}]{d:+d}", replace(page, form=bumped(page.form.rows, i, k, d)), inv
     for name in sorted(inv.curve_image):
-        cls = page.curve(name).h1_class
+        cls = page.curve(name)
         for i in range(n):
-            moved = NamedCurve(name=name, h1_class=cls[:i] + (cls[i] + 1,) + cls[i + 1:])
+            moved = cls[:i] + (cls[i] + 1,) + cls[i + 1:]
             yield f"class {name}[{i}]", replace(page, alphabet={**page.alphabet, name: moved}), inv
-    for c in page.circles:
+    for cid, p in page.circles.items():
         for i in range(n):
-            p = c.pclass[:i] + (c.pclass[i] + 1,) + c.pclass[i + 1:]
-            circles = tuple(BoundaryCircle(x.cid, p if x is c else x.pclass) for x in page.circles)
-            yield f"circle {c.cid}[{i}]", replace(page, circles=circles), inv
+            circles = {**page.circles, cid: p[:i] + (p[i] + 1,) + p[i + 1:]}
+            yield f"circle {cid}[{i}]", replace(page, circles=circles), inv
 
 
 def test_sparse_validation_matches_the_dense_checks():
