@@ -122,7 +122,7 @@ def cmd_invariants(args) -> int:
     page = book.page
     _emit_json({
         "h1": _group_obj(h1_of_manifold(book)),
-        "heegaard_genus": book.heegaard_genus,
+        "heegaard_genus": page.h1_rank,
         "page_genus": page.genus,
         "binding": page.boundary_count,
         "euler": page.euler,

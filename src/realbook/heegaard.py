@@ -53,7 +53,7 @@ def heegaard_data(ob: OpenBook) -> HeegaardData:
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise BookNotReal("book is not real; no real Heegaard decomposition")
-    return HeegaardData(genus=ob.heegaard_genus,
+    return HeegaardData(genus=ob.page.h1_rank,
                         plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
 
 
@@ -315,7 +315,7 @@ def real_part(ob: OpenBook) -> RealPartData:
             components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 
     rp = RealPartData(components=tuple(components))
-    genus = ob.heegaard_genus
+    genus = ob.page.h1_rank
     if rp.count > genus + 1:
         raise RealPartUnavailable(
             f"assembled {rp.count} components on a genus-{genus} surface: "

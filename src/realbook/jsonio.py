@@ -4,7 +4,7 @@ Books are shareable fixtures: the schema covers the page (genus,
 boundary circles with their pushoff classes), the curve alphabet with
 classes and involution images, reference arcs, the twist word, the
 involution (matrix, boundary permutation, fixed points, fixed set), the
-tracked opposite-page fixed set, declared disjointness, and the
+tracked opposite-page fixed set, the disjoint pairs, and the
 stabilization provenance.  parse(dump(book)) reproduces the book
 structurally.  The reader builds the page's mappings as it parses
 (boundary id -> pushoff class in file order, curve name -> class), and
@@ -33,6 +33,16 @@ reference arcs that are not one arc to each circle but the basepoint
 of l +1 times, the basepoint's -1 times and no other), and a fixed
 arc's pair_arcs key that names no reference-arc target.
 
+The `disjoint` list holds every pair, but a page stores only its root's
+(SurfaceModel.births).  The reader derives each curve's birth from
+`provenance` in record order (a record makes the curves its sigma
+names) and keeps as root pairs the declared pairs that name no such
+curve.  It rejects a provenance type that is not in STAB_TYPES, a curve
+that two records make, a declared pair that names a born curve and
+that the rule of STAB_TYPES does not give (`$.disjoint[i]`), and a list
+that lacks a pair the rule gives.  The writer writes the root's pairs
+and the derived ones, so schema 2 is unchanged.
+
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
 `indent` would force its pure-Python one).  The reader takes any JSON
@@ -52,7 +62,8 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .intalg import IntMatrix
 from .mcg import TwistWord
-from .openbook import OpenBook, StabRecord
+from .openbook import STAB_TYPES, OpenBook, StabRecord
+from .records import replace
 from .surface import FixArc, FixedSet, Involution, SurfaceModel, crossing_residuals
 
 SCHEMA_VERSION = 2
@@ -98,7 +109,7 @@ def to_obj(ob: OpenBook) -> dict:
             {"boundary": cid, "pairings": list(row), "current_class": [0] * page.h1_rank}
             for cid, row in sorted(page.ref_arcs.items())
         ],
-        "disjoint": sorted(sorted(pair) for pair in page.disjoint),
+        "disjoint": sorted(sorted(pair) for pair in page.disjoint_pairs()),
         "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
         "involution": {
             "matrix": [list(r) for r in inv.matrix.rows],
@@ -194,10 +205,11 @@ def _pair(x: Any, path: str) -> tuple[str, int]:
 
 
 def _names(x: Any, path: str) -> tuple[str, str]:
-    """A pair of curve names."""
+    """A pair of two distinct curve names: a curve is not disjoint from
+    itself, and the writer could write such a pair only as one name."""
     if not (isinstance(x, list) and len(x) == 2
-            and isinstance(x[0], str) and isinstance(x[1], str)):
-        raise SchemaError(f"{path} must be a pair of curve names")
+            and isinstance(x[0], str) and isinstance(x[1], str) and x[0] != x[1]):
+        raise SchemaError(f"{path} must be a pair of two distinct curve names")
     return (x[0], x[1])
 
 
@@ -309,12 +321,10 @@ def from_obj(obj: dict) -> OpenBook:
                 f"basepoint {bp} to boundary {cid} crosses the pushoff of {cid} once "
                 f"(+1), of {bp} once (-1) and of no other boundary circle")
 
-    disjoint = frozenset(
-        frozenset(_names(pair, f"$.disjoint[{i}]"))
-        for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))
-    )
+    declared = [_names(pair, f"$.disjoint[{i}]")
+                for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))]
     page = SurfaceModel(circles=circles, basis=basis, form=form,
-                        alphabet=alphabet, ref_arcs=ref_arcs, disjoint=disjoint)
+                        alphabet=alphabet, ref_arcs=ref_arcs)
     for path, name, stored in tables:
         for key, want in zip(CURVE_TABLES, page.curve_tables(name)):
             if stored.get(key, want) != want:
@@ -373,8 +383,49 @@ def from_obj(obj: dict) -> OpenBook:
                 raise SchemaError(f"{path} uses unknown curve {name!r}")
         provenance.append(record)
 
+    page = _with_disjointness(page, declared, provenance)
     return OpenBook(page=page, monodromy=word, real_structure=inv,
                     fix_plus=fix_plus, provenance=tuple(provenance))
+
+
+def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
+                       provenance: list[StabRecord]) -> SurfaceModel:
+    """The page with its births, derived from provenance in record order
+    (each record makes the curves its sigma names), and the declared
+    pairs that name no born curve as its root pairs.  A declared pair
+    that names a born curve must be one the rule of STAB_TYPES gives,
+    and every pair the rule gives must be declared."""
+    births: dict[str, tuple] = {}
+    for i, rec in enumerate(provenance):
+        st = STAB_TYPES.get(rec.tag)
+        if st is None:
+            raise SchemaError(f"$.provenance[{i}].type is {rec.tag!r}, not one of "
+                              + ", ".join(STAB_TYPES))
+        birth = (i, st)
+        for name, _ in rec.sigma:
+            if name in births:
+                raise SchemaError(f"$.provenance[{i}].sigma makes curve {name!r}, which "
+                                  f"$.provenance[{births[name][0]}] made before")
+            births[name] = birth
+    born = births.keys()
+    root, made = set(), set()
+    for a, b in declared:
+        if a in born or b in born:
+            made.add((a, b) if a < b else (b, a))
+        else:
+            root.add(frozenset((a, b)))
+    page = replace(page, births=births, disjoint=frozenset(root))
+    rule = {(a, b) if a < b else (b, a) for a, b in page.born_pairs()}
+    if made != rule:
+        for i, (a, b) in enumerate(declared):
+            if (a in born or b in born) and ((a, b) if a < b else (b, a)) not in rule:
+                raise SchemaError(f"$.disjoint[{i}] is {json.dumps([a, b])}, but the provenance "
+                                  f"makes no such disjoint pair")
+        pair = min(rule - made)
+        step, st = max((births[x] for x in pair if x in born), key=lambda birth: birth[0])
+        raise SchemaError(f"$.disjoint lacks {json.dumps(pair)}, a pair that "
+                          f"$.provenance[{step}] (type {st.tag}) makes disjoint")
+    return page
 
 
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

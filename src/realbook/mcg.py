@@ -3,7 +3,9 @@
 Word convention: letters act leftmost first, so a word [l1, l2, ...]
 is the map  T_ln o ... o T_l1  and word matrices multiply accordingly.
 Word equality is free-reduced literal equality, extended only by
-commutation of letters whose curves the surface declares disjoint.
+commutation of letters whose curves the page holds disjoint
+(SurfaceModel.curves_disjoint: the root's declared pairs, and the pairs
+a stabilization's rule gives its new curves).
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
 so words act on matrices by rank-one updates, O(n^2) per letter, never
@@ -138,7 +140,7 @@ def conjugate(images: Mapping[str, tuple[str, int]], w: Sequence[Letter]) -> Twi
 
 
 def words_equal(model: SurfaceModel, w1: Sequence[Letter], w2: Sequence[Letter]) -> bool:
-    """Equality modulo free reduction and declared-disjoint commutation.
+    """Equality modulo free reduction and commutation of disjoint curves.
 
     Sound but incomplete: no braid or lantern relations.  Normal form is
     the lexicographically sorted interleaving reachable by swapping

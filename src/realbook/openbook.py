@@ -89,6 +89,12 @@ class StabRecord:
 
 @record
 class StabType:
+    """One positive real stabilization type.  Its handles are attached in
+    a collar of the binding, so its new curves miss every older curve
+    when disjoint_old holds, and each other when disjoint_mutual holds
+    (type IV's two chords cross); these two flags are the whole rule for
+    the disjoint pairs of a stabilized page (SurfaceModel.births)."""
+
     tag: str
     handle_count: int
     boundary_kind: str       # "reflection" | "swap"
@@ -96,17 +102,22 @@ class StabType:
     core_sign: int           # c~ maps each new curve to core_sign times its mirror
     site_keys: tuple[str, ...]  # the keys of a site that the type reads
     description: str
+    disjoint_old: bool = False
+    disjoint_mutual: bool = False
 
 
 STAB_TYPES: dict[str, StabType] = {
     "I": StabType("I", 1, "reflection", +1, +1, ("boundary",),
                   "handle at the two real points of one boundary circle"),
     "II": StabType("II", 1, "reflection", +1, -1, ("boundary", "shadow"),
-                   "handle at a swapped interval pair on one boundary circle"),
+                   "handle at a swapped interval pair on one boundary circle",
+                   disjoint_old=True, disjoint_mutual=True),
     "III": StabType("III", 2, "reflection", +2, +1, ("boundary",),
-                    "mirror handle pair, both chords in one complementary arc"),
+                    "mirror handle pair, both chords in one complementary arc",
+                    disjoint_old=True, disjoint_mutual=True),
     "IV": StabType("IV", 2, "reflection", 0, +1, ("boundary", "shadow"),
-                   "mirror handle pair with crossing chords on one circle"),
+                   "mirror handle pair with crossing chords on one circle",
+                   disjoint_old=True),
     "V": StabType("V", 1, "reflection", -1, +1, ("boundaries",),
                   "handle at real points on two circles joined by a fixed arc"),
     "VI": StabType("VI", 2, "reflection", 0, +1, ("boundaries",),
@@ -116,7 +127,8 @@ STAB_TYPES: dict[str, StabType] = {
     "VIII": StabType("VIII", 2, "swap", 0, +1, ("boundaries",),
                      "handle pair, each connecting both circles of a swapped pair"),
     "IX": StabType("IX", 2, "swap", +2, +1, ("boundaries",),
-                   "handle pair, one handle on each circle of a swapped pair"),
+                   "handle pair, one handle on each circle of a swapped pair",
+                   disjoint_old=True, disjoint_mutual=True),
 }
 
 
@@ -132,12 +144,6 @@ class OpenBook:
     real_structure: Involution
     fix_plus: FixedSet | None = None
     provenance: tuple[StabRecord, ...] = ()
-
-    @property
-    def heegaard_genus(self) -> int:
-        """Genus of the splitting surface, two pages glued: 2g + b - 1,
-        the rank of H1 of the page."""
-        return self.page.h1_rank
 
     @cached_property
     def _reality(self) -> RealityStatus:
@@ -242,9 +248,12 @@ def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
         checks read those at the nonzeros of old classes, so what it
         writes into the new columns is never read, and the old columns
         keep zero new coordinates;
-      * curve_image and disjoint gain only new names, and the block
-        checks read neither (only the base-word check does, and it stays
-        fresh in _provenance_certificate).
+      * curve_image gains only new names, and the page's disjointness
+        changes only for pairs that name a new curve: the root's pairs
+        are the parent's object, and a new curve's pairs follow from its
+        birth (SurfaceModel.births).  The block checks read neither
+        (only the base-word check does, and it stays fresh in
+        _provenance_certificate).
     So each earlier block certifies on the child exactly when it does on
     the parent.  The new block is checked by _peel_block on the columns
     of the child's C~ Sigma, transvected by Sigma^-1 and compared with
@@ -417,7 +426,6 @@ class _Builder(SimpleNamespace):
     plus_arcs: list[FixArc]
     plus_circles: list[tuple[int, ...]]
     images: dict[str, tuple[str, int]]
-    disjoint: set[frozenset[str]]
     next_pid: int
 
     @property
@@ -465,14 +473,6 @@ class _Builder(SimpleNamespace):
             if j in arc.pair_arcs:
                 arc.pair_arcs[new] = arc.pair_arcs[j]
 
-    def mark_disjoint(self, crossing: bool = False) -> None:
-        """Mark the new curves disjoint from every old curve, and from each
-        other unless their chords cross."""
-        for u in list(self.classes):
-            for n in self.names:
-                if u != n and not (crossing and u in self.names):
-                    self.disjoint.add(frozenset((u, n)))
-
     def strand(self, ends: tuple[tuple[int, int], tuple[int, int]]) -> FixArc:
         """A fixed arc across the handle: it crosses the core once and
         nothing else."""
@@ -512,7 +512,6 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
                    for a in (ob.fix_plus.arcs if ob.fix_plus else ())],
         plus_circles=[ext(c) for c in (ob.fix_plus.circles if ob.fix_plus else ())],
         images=dict(inv.curve_image),
-        disjoint=set(model.disjoint),
         next_pid=_max_pid(inv),
     )
 
@@ -616,13 +615,18 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     new_idx = list(range(b.a_idx, rank))
     _fix_ref_rows(b, new_idx)
 
+    # the new curves are born one step after the parent's last; the
+    # root's pairs are shared, and the rule of st gives the new ones
+    births = ob.page.births
+    birth = (max((step for step, _st in births.values()), default=-1) + 1, st)
     page = SurfaceModel(
         circles={cid: b.circles[cid] for cid in sorted(b.circles)},
         basis=tuple(b.basis),
         form=b.form,
         alphabet=b.classes,
         ref_arcs=b.arcs_rows,
-        disjoint=frozenset(b.disjoint),
+        disjoint=ob.page.disjoint,
+        births=births | dict.fromkeys(b.names, birth),
     )
 
     sigma_names = b.names[::-1]
@@ -1065,7 +1069,6 @@ def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
     b.split_boundary(j, j2)
     # the far strand is the one the new reference arc crosses
     arc1.pair_arcs[j2] = arc1.pair_arcs.get(j2, 0) + 1
-    b.mark_disjoint()
     return _finish(ob, b, "II", site)
 
 
@@ -1083,7 +1086,6 @@ def _stab_III(ob: OpenBook, site: tuple) -> OpenBook:
     b.perm[y_cid] = x_cid
     b.split_boundary(j, x_cid)
     b.split_boundary(j, y_cid)
-    b.mark_disjoint()
     return _finish(ob, b, "III", site)
 
 
@@ -1097,8 +1099,6 @@ def _stab_IV(ob: OpenBook, site: tuple) -> OpenBook:
     for arcs, what in ((b.minus_arcs, "fixed arc"), (b.plus_arcs, "plus-side fixed arc")):
         i = _arc_at(arcs, (j, shadow), what)
         arcs[i] = replace(arcs[i], pair_curves=vec_add(arcs[i].pair_curves, seed))
-    # the two chords cross each other, so the new pair is not disjoint
-    b.mark_disjoint(crossing=True)
     return _finish(ob, b, "IV", site)
 
 
@@ -1222,7 +1222,6 @@ def _stab_IX(ob: OpenBook, site: tuple) -> OpenBook:
     b.perm.update({j: k, k: j, j2: k2, k2: j2})
     b.split_boundary(j, j2)
     b.split_boundary(k, k2)
-    b.mark_disjoint()
     return _finish(ob, b, "IX", site)
 
 

@@ -8,9 +8,10 @@ every other boundary (target id -> pairing row), and (for a real page)
 an orientation-reversing involution with its fixed-point set, whose
 fixed circles are bare classes.  What follows from these is derived,
 not stored: the genus from 2g + b - 1 = rank H1 (SurfaceModel.genus),
-and a curve's crossings with the basis and with the reference arcs
-from its class, the form and the arc rows (SurfaceModel.curve_vectors
-and curve_tables).
+a curve's crossings with the basis and with the reference arcs from its
+class, the form and the arc rows (SurfaceModel.curve_vectors and
+curve_tables), and the disjoint pairs that name a curve a stabilization
+made, from that curve's birth (SurfaceModel.curves_disjoint).
 
 Conventions fixed here once and used everywhere else:
 
@@ -36,12 +37,15 @@ antisymmetric by construction, so CurveVectors derives J a as -J^T a.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, groupby, product
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
 from .records import factory, record
+
+if TYPE_CHECKING:
+    from .openbook import StabType
 
 
 Vec = tuple[int, ...]
@@ -165,14 +169,24 @@ class SurfaceModel:
     (mcg.transport_arcs).  Frozen: the
     per-curve vectors of curve_vectors are cached on the instance,
     outside the fields, so they take no part in ==, repr or JSON, and a
-    page made with records.replace starts without them."""
+    page made with records.replace starts without them.
+
+    Disjointness is stored as the rule the construction obeys, not as
+    pairs.  disjoint holds the root's declared pairs only, among curves
+    no stabilization made; a stabilized page shares its parent's object.
+    births maps each curve a stabilization made to (step, type): its
+    type's flags (openbook.STAB_TYPES) pair it with every curve born
+    before its step (root curves included) and with the curves of its
+    own step.  curves_disjoint answers from these two, and
+    disjoint_pairs lists every pair once."""
 
     circles: Mapping[int, Vec]           # boundary id -> pushoff class
     basis: tuple[str, ...]
     form: IntMatrix                      # intersection form J on the basis
     alphabet: Mapping[str, Vec]          # curve name -> class
     ref_arcs: Mapping[int, Vec]          # target boundary id -> pairing row
-    disjoint: frozenset[frozenset[str]] = frozenset()
+    disjoint: frozenset[frozenset[str]] = frozenset()   # the root's pairs
+    births: Mapping[str, tuple[int, StabType]] = factory(dict)
 
     @property
     def boundary_count(self) -> int:
@@ -206,7 +220,46 @@ class SurfaceModel:
         return vec_dot(x, self.form.apply(y))
 
     def curves_disjoint(self, a: str, b: str) -> bool:
-        return a != b and frozenset((a, b)) in self.disjoint
+        """Whether the page holds curves a and b disjoint: a root pair when
+        neither was born (the only case that builds a frozenset), else the
+        rule of the later-born one's type."""
+        born = self.births
+        ba, bb = born.get(a), born.get(b)
+        if ba is None and bb is None:
+            return a != b and frozenset((a, b)) in self.disjoint
+        if ba is None or bb is not None and bb[0] > ba[0]:
+            a, b, ba, bb = b, a, bb, ba
+        # a was born, at a step no earlier than b's
+        step, st = ba
+        if bb is None:
+            return st.disjoint_old and b in self.alphabet
+        if bb[0] == step:
+            return st.disjoint_mutual and a != b
+        return st.disjoint_old
+
+    def disjoint_pairs(self) -> Iterator[tuple[str, ...]]:
+        """Every pair the page holds disjoint, once each: the root's pairs
+        that name no born curve, then born_pairs."""
+        born = self.births
+        for pair in self.disjoint:
+            if born.keys().isdisjoint(pair):
+                yield tuple(pair)
+        yield from self.born_pairs()
+
+    def born_pairs(self) -> Iterator[tuple[str, str]]:
+        """The pairs the rule gives, step by step: (u, n) for each curve n
+        born at the step and each curve u from before it, when the type's
+        disjoint_old holds, and the step's own pairs when disjoint_mutual
+        does."""
+        born = self.births
+        before = [name for name in self.alphabet if name not in born]
+        for (_step, st), names in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get):
+            names = list(names)
+            if st.disjoint_old:
+                yield from product(before, names)
+            if st.disjoint_mutual:
+                yield from combinations(names, 2)
+            before += names
 
     @cached_property
     def _curve_vectors(self) -> dict[str, CurveVectors]:
@@ -692,14 +745,16 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
     """Check the page's declared data against its form; reports
     failures, never raises.
 
-    disjoint: every declared pair of curves has algebraic intersection
-    <a, b> = 0.  Word equality commutes the twists of a declared pair on
-    the declaration alone, and twists along curves that meet do not
-    commute, so a pair that meets algebraically would let a word
-    certificate pass on a book that is not real.
+    disjoint: every pair the page holds disjoint (disjoint_pairs: the
+    root's declared pairs and the pairs its births give) has algebraic
+    intersection <a, b> = 0.  Word equality commutes the twists of such a
+    pair on the page's word alone, and twists along curves that meet do
+    not commute, so a pair that meets algebraically would let a word
+    certificate pass on a book that is not real.  On a born pair it
+    checks the stored classes against the construction.
     """
     ok, detail = True, ""
-    for pair in sorted(sorted(p) for p in model.disjoint):
+    for pair in sorted(sorted(p) for p in model.disjoint_pairs()):
         a, b = pair if len(pair) == 2 else pair * 2
         if a not in model.alphabet or b not in model.alphabet:
             ok, detail = False, f"disjoint pair ({a}, {b}) names an unknown curve"

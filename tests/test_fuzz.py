@@ -6,13 +6,13 @@ or entry, moves an integer by one, or grows or shrinks a list) and runs
 the result through each book-reading subcommand in process.  Every run
 must end in exit code 0, 1 or 2 without an exception escaping, and every
 exit 2 must print an `error:` line.  The examples are seeded, so a run
-is repeatable.
+is repeatable.  A second fuzz adds or drops one `disjoint` pair: a
+list that no longer equals the root's pairs plus the pairs the book's
+provenance gives (the oracle of tests/test_disjoint.py) must exit 2 in
+every subcommand.
 """
 
-import io
 import json
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -21,9 +21,9 @@ from hypothesis import HealthCheck, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from realbook.catalog import build  # noqa: E402
-from realbook.cli import main  # noqa: E402
 from realbook.jsonio import dumps  # noqa: E402
 from schema1 import as_schema1  # noqa: E402
+from test_disjoint import oracle_pairs, run  # noqa: E402
 
 BOOKS = [("disk",), ("hopf", "conjugation"), ("hopf", "swap"), ("fig4", "2"), ("fig5", "2"),
          ("fig6", "1"), ("lens-annulus", "3"), ("lens-3punctured", "2", "2", "1")]
@@ -81,17 +81,6 @@ def mutated_books(draw):
     return json.dumps(obj)
 
 
-def run(argv, text):
-    out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
 @seed(13)
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -123,3 +112,37 @@ def test_block_validation_keeps_stabilize_outcomes(text):
         mp.setattr(OpenBook, "_involution_valid", property(lambda self: False))
         in_full = [run(argv, text) for argv in STABILIZE]
     assert by_block == in_full
+
+
+@st.composite
+def repaired_lists(draw):
+    """A book with one `disjoint` pair added (two curve names of the
+    book, or one and a name it lacks) or dropped, and whether its list
+    breaks the rule."""
+    obj = json.loads(draw(st.sampled_from(TEXTS)))
+    pairs = obj["disjoint"]
+    if pairs and draw(st.booleans()):
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    else:
+        names = st.sampled_from([c["name"] for c in obj["alphabet"]])
+        pair = [draw(names), draw(names | st.just("zzz"))]
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.permutations(pair)))
+    names = [c["name"] for c in obj["alphabet"]]
+    made = {name for rec in obj["provenance"] for name, _ in rec["sigma"]}
+    derived = {frozenset(p) for p in pairs if made & set(p)}
+    return json.dumps(obj), derived != oracle_pairs(names, obj["provenance"])
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(repaired_lists())
+def test_a_list_that_breaks_the_rule_is_exit_2(case):
+    text, breaks = case
+    for argv in COMMANDS:
+        code, _out, err = run(argv, text)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("error: "), argv
+        if breaks:
+            assert code == 2 and err.startswith("error: $.disjoint"), (argv, err)

@@ -865,3 +865,20 @@ def test_a_sign_flipped_pattern_row_refuses_type_v(monkeypatch):
     for ob, site, _out in accepted:
         with pytest.raises(StabilizationError, match="violates the boundary pattern"):
             stabilize(ob, "V", site)
+
+
+def test_a_boundary_transport_mismatch_is_not_real():
+    """The witness of _arc_identity_holds: fig5(2) with one more twist
+    along s1 and its provenance dropped has C F C = F^-1 on H1, but its
+    reference arc to boundary 2 breaks the boundary-transport identity,
+    so the book is NotReal with that arc as witness, not
+    HomologicallyReal."""
+    from realbook.mcg import concat, invert, word_matrix
+
+    ob = catalog_fig5(2)
+    bad = replace(ob, monodromy=concat(ob.monodromy, word([("s1", 1)])), provenance=())
+    c, f = bad.real_structure.matrix, bad.monodromy_matrix
+    assert c @ f @ c == word_matrix(bad.page, invert(bad.monodromy))
+    status = check_reality(bad)
+    assert status.kind is Reality.NOT_REAL
+    assert status.witness == {"boundary": 2, "lhs": (-2, 0, 0, 0), "rhs": (-1, 0, 0, 0)}

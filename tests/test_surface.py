@@ -261,3 +261,20 @@ def test_page_check_fails_on_a_meeting_pair():
     assert report["disjoint"].detail == "disjoint pair (a1, b1) has <a1, b1> = 1"
     unknown = replace(t, disjoint=frozenset({frozenset(("a1", "z"))}))
     assert validate_page(unknown)[0].detail == "disjoint pair (a1, z) names an unknown curve"
+
+
+def test_a_boundary_perm_that_is_no_involution_fails_both_boundary_checks():
+    """The witness of boundary_perm and boundary_tags: on lens-3punctured
+    2 2 1, sending circle 1 to 2 and 2 to itself is no involution, and
+    circle 1, no longer fixed, still carries its fixed points.  Every
+    other check passes."""
+    from realbook.catalog import catalog_lens_3punctured
+    from realbook.records import replace
+
+    ob = catalog_lens_3punctured(2, 2, 1)
+    inv = replace(ob.real_structure, boundary_perm={1: 2, 2: 2, 3: 3})
+    report = {r.name: (r.ok, r.detail) for r in validate_involution(ob.page, inv)}
+    assert report["boundary_perm"] == (False, "perm = {1: 2, 2: 2, 3: 3}")
+    assert report["boundary_tags"] == (False, "swapped circle 1 carries fixed points")
+    assert [name for name, (ok, _) in report.items() if not ok] == ["boundary_perm",
+                                                                    "boundary_tags"]
