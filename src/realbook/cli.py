@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Books travel as JSON (schema 2, see jsonio) on stdin/stdout or files,
+Books travel as JSON (schema 3, see jsonio) on stdin/stdout or files,
 so subcommands compose in pipelines:
 
     realbook catalog fig4 3 | realbook invariants

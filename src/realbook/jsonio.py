@@ -1,47 +1,48 @@
-"""Versioned JSON schema for open books (written as schema 2).
+"""Versioned JSON schema for open books (written as schema 3).
 
 Books are shareable fixtures: the schema covers the page (genus,
 boundary circles with their pushoff classes), the curve alphabet with
 classes and involution images, reference arcs, the twist word, the
 involution (matrix, boundary permutation, fixed points, fixed set), the
-tracked opposite-page fixed set, the disjoint pairs, and the
-stabilization provenance.  parse(dump(book)) reproduces the book
-structurally.  The reader builds the page's mappings as it parses
-(boundary id -> pushoff class in file order, curve name -> class), and
-the writer writes the circles in that stored order and the curves by
-name, so `new` gives back a written file's own bytes whatever the
-order of its circle ids.
+tracked opposite-page fixed set, the disjoint pairs no provenance
+record gives, and the stabilization provenance.  parse(dump(book))
+reproduces the book structurally.  The reader builds the page's
+mappings as it parses (boundary id -> pushoff class in file order,
+curve name -> class), and the writer writes the circles in that stored
+order and the curves by name, so `new` gives back a written file's own
+bytes whatever the order of its circle ids.
 
-Schema 2 still stores two values the page determines: `page.genus`
-(SurfaceModel derives it from 2g + b - 1 = rank H1) and each reference
-arc's `current_class`, its transport defect, zero on every page.  The
-writer writes the derived genus and a zero row, and the reader refuses
-a negative genus, one that breaks 2g + b - 1 = basis size, and a
-nonzero `current_class`.
+A file holds only what the reader cannot derive, but for `page.genus`
+(SurfaceModel derives it from 2g + b - 1 = rank H1): the writer writes
+the derived genus, and the reader refuses a negative one and one that
+breaks that identity.  Schema 2 is schema 3 plus derived data: each
+reference arc's `current_class`, its transport defect, zero on every
+page, and the disjoint pairs that `provenance` gives.  Schema 1 is
+schema 2 plus a curve's pairing tables, `pairings` (J times its class)
+and `arc_pairings` (its crossing with each reference arc), on every
+curve.  One parser reads all three with no branch on the version: each
+derived field is optional, and one that is present is checked (a zero
+`current_class`, tables equal to SurfaceModel.curve_tables, pairs the
+rule gives).  The reader also rejects a form that is not antisymmetric
+and any class, pushoff class, crossing vector or reference-arc row
+whose length is not the basis size, a page without boundary circles, a
+repeated circle id, reference arcs that are not one arc to each circle
+but the basepoint (the least id), a reference-arc row off the boundary
+crossing pattern (surface.crossing_residuals: the arc to circle l
+crosses the pushoff of l +1 times, the basepoint's -1 times and no
+other), and a fixed arc's pair_arcs key that names no reference-arc
+target.
 
-A curve's pairing tables (`pairings`, J times its class, and
-`arc_pairings`, its crossing with each reference arc) are derived data,
-so schema 2 does not store them.  Schema 1 is schema 2 plus these two
-tables on every curve.  One parser reads both: each table is optional,
-and one that is present must equal SurfaceModel.curve_tables.  The
-reader also rejects a form that is not antisymmetric and any class,
-pushoff class, crossing vector or reference-arc row whose length is not
-the basis size, a page without boundary circles, a repeated circle id,
-reference arcs that are not one arc to each circle but the basepoint
-(the least id), a reference-arc row off the boundary crossing pattern
-(surface.crossing_residuals: the arc to circle l crosses the pushoff
-of l +1 times, the basepoint's -1 times and no other), and a fixed
-arc's pair_arcs key that names no reference-arc target.
-
-The `disjoint` list holds every pair, but a page stores only its root's
-(SurfaceModel.births).  The reader derives each curve's birth from
-`provenance` in record order (a record makes the curves its sigma
-names) and keeps as root pairs the declared pairs that name no such
-curve.  It rejects a provenance type that is not in STAB_TYPES, a curve
-that two records make, a declared pair that names a born curve and
-that the rule of STAB_TYPES does not give (`$.disjoint[i]`), and a list
-that lacks a pair the rule gives.  The writer writes the root's pairs
-and the derived ones, so schema 2 is unchanged.
+A page stores only its root's disjoint pairs and its births
+(SurfaceModel.births).  The reader derives the births from `provenance`
+in record order (a record makes the curves its sigma names) and keeps
+as root pairs the declared pairs that name no such curve.  It rejects a
+provenance type that is not in STAB_TYPES, a curve that two records
+make, and a declared pair that names a born curve and that the rule of
+STAB_TYPES does not give (`$.disjoint[i]`).  The writer writes the
+pairs that name no curve of the written provenance: the root's, plus,
+on a page with births no record gives (records.replace(ob,
+provenance=())), the pairs of those births.
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
@@ -66,8 +67,8 @@ from .openbook import STAB_TYPES, OpenBook, StabRecord
 from .records import replace
 from .surface import FixArc, FixedSet, Involution, SurfaceModel, crossing_residuals
 
-SCHEMA_VERSION = 2
-READABLE_SCHEMAS = (1, 2)
+SCHEMA_VERSION = 3
+READABLE_SCHEMAS = (1, 2, 3)
 CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
 
@@ -89,6 +90,9 @@ def _fixed_set_obj(fs: FixedSet) -> dict:
 def to_obj(ob: OpenBook) -> dict:
     page = ob.page
     inv = ob.real_structure
+    made = {name for rec in ob.provenance for name, _ in rec.sigma}
+    # born_pairs only when some birth is not the written provenance's
+    pairs = page.disjoint_pairs() if page.births.keys() - made else page.disjoint
     return {
         "schema": SCHEMA_VERSION,
         "page": {
@@ -106,10 +110,10 @@ def to_obj(ob: OpenBook) -> dict:
             for name, cls in sorted(page.alphabet.items())
         ],
         "ref_arcs": [
-            {"boundary": cid, "pairings": list(row), "current_class": [0] * page.h1_rank}
+            {"boundary": cid, "pairings": list(row)}
             for cid, row in sorted(page.ref_arcs.items())
         ],
-        "disjoint": sorted(sorted(pair) for pair in page.disjoint_pairs()),
+        "disjoint": sorted(sorted(pair) for pair in pairs if made.isdisjoint(pair)),
         "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
         "involution": {
             "matrix": [list(r) for r in inv.matrix.rows],
@@ -393,8 +397,8 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
     """The page with its births, derived from provenance in record order
     (each record makes the curves its sigma names), and the declared
     pairs that name no born curve as its root pairs.  A declared pair
-    that names a born curve must be one the rule of STAB_TYPES gives,
-    and every pair the rule gives must be declared."""
+    that names a born curve must be one the rule of STAB_TYPES gives;
+    the rule's pairs need not be declared."""
     births: dict[str, tuple] = {}
     for i, rec in enumerate(provenance):
         st = STAB_TYPES.get(rec.tag)
@@ -408,23 +412,12 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
                                   f"$.provenance[{births[name][0]}] made before")
             births[name] = birth
     born = births.keys()
-    root, made = set(), set()
-    for a, b in declared:
-        if a in born or b in born:
-            made.add((a, b) if a < b else (b, a))
-        else:
-            root.add(frozenset((a, b)))
-    page = replace(page, births=births, disjoint=frozenset(root))
-    rule = {(a, b) if a < b else (b, a) for a, b in page.born_pairs()}
-    if made != rule:
-        for i, (a, b) in enumerate(declared):
-            if (a in born or b in born) and ((a, b) if a < b else (b, a)) not in rule:
-                raise SchemaError(f"$.disjoint[{i}] is {json.dumps([a, b])}, but the provenance "
-                                  f"makes no such disjoint pair")
-        pair = min(rule - made)
-        step, st = max((births[x] for x in pair if x in born), key=lambda birth: birth[0])
-        raise SchemaError(f"$.disjoint lacks {json.dumps(pair)}, a pair that "
-                          f"$.provenance[{step}] (type {st.tag}) makes disjoint")
+    page = replace(page, births=births, disjoint=frozenset(
+        frozenset(pair) for pair in declared if born.isdisjoint(pair)))
+    for i, (a, b) in enumerate(declared):
+        if not (born.isdisjoint((a, b)) or page.curves_disjoint(a, b)):
+            raise SchemaError(f"$.disjoint[{i}] is {json.dumps([a, b])}, but the provenance "
+                              f"makes no such disjoint pair")
     return page
 
 

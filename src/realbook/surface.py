@@ -754,8 +754,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
     checks the stored classes against the construction.
     """
     ok, detail = True, ""
-    for pair in sorted(sorted(p) for p in model.disjoint_pairs()):
-        a, b = pair if len(pair) == 2 else pair * 2
+    for a, b in sorted(sorted(p) for p in model.disjoint_pairs()):
         if a not in model.alphabet or b not in model.alphabet:
             ok, detail = False, f"disjoint pair ({a}, {b}) names an unknown curve"
             break

@@ -8,7 +8,7 @@ import pytest
 from realbook.catalog import ENTRIES
 from realbook.cli import main
 from realbook.jsonio import SCHEMA_VERSION, dumps, loads, to_obj
-from schema1 import as_schema1
+from schema1 import as_schema1, as_schema2
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -52,6 +52,26 @@ def test_golden_contact_threshold():
     assert data["min_defect_at_threshold"] > 0
 
 
+def test_a_schema2_file_reads_as_its_book(monkeypatch):
+    """tests/fixtures/fig5-3.schema2.json is `catalog fig5 3` as the
+    schema-2 writer wrote it, with the derived disjoint pairs and zero
+    current_class rows: it loads to the book, is CertifiedReal, and new
+    writes the schema-3 text of the book."""
+    from pathlib import Path
+
+    from realbook.catalog import catalog_fig5
+
+    text = (Path(__file__).parent / "fixtures" / "fig5-3.schema2.json").read_text()
+    obj = json.loads(text)
+    assert obj["schema"] == 2 and "current_class" in obj["ref_arcs"][0]
+    assert loads(text) == catalog_fig5(3)
+    code, report = run_cli(["invariants"], text, monkeypatch)
+    assert code == 0 and json.loads(report)["reality"] == "CertifiedReal"
+    _code, book_json = run_cli(["catalog", "fig5", "3"])
+    assert run_cli(["new"], text, monkeypatch) == (0, book_json)
+    assert len(book_json) < len(text)
+
+
 def test_round_trip_identity_on_catalog():
     for e in ENTRIES:
         ob = e.build()
@@ -68,13 +88,13 @@ def catalog_and_ladders():
 
 
 def test_written_tables_equal_dense_derivation():
-    """dumps writes schema 2, without pairing tables; the tables that a
+    """dumps writes schema 3, without pairing tables; the tables that a
     schema-1 text carries (J @ h1_class and the dot of the class with each
     reference-arc row, in sorted boundary order) equal curve_tables."""
     for ob in catalog_and_ladders():
         text = dumps(ob)
         obj = json.loads(text)
-        assert obj["schema"] == 2
+        assert obj["schema"] == 3
         assert all(set(c) == {"name", "h1_class", "c_image"} for c in obj["alphabet"])
         for curve in json.loads(as_schema1(text))["alphabet"]:
             tables = (tuple(curve["pairings"]), tuple(curve["arc_pairings"]))
@@ -330,12 +350,12 @@ BOOK_COMMANDS = [
 
 def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
                             book=("lens-annulus", "3")):
-    """Set one field of a valid book, written as schema 2 and as schema 1,
+    """Set one field of a valid book, written as schema 3 and as schema 1,
     to value, or to value(old value) for a callable (an empty field
     replaces the whole book by value(book)): every subcommand that reads
     a book must exit 2 with an error line that starts with the path."""
     _code, book_json = run_cli(["catalog", *book])
-    for text in (book_json, as_schema1(book_json)):
+    for text in (book_json, as_schema1(as_schema2(book_json))):
         bad = json.loads(text)
         if field:
             target = bad
@@ -486,7 +506,7 @@ def test_wrong_schema_version_rejected():
     from realbook.jsonio import SchemaError, from_obj
 
     with pytest.raises(SchemaError, match="schema must be one of"):
-        from_obj({"schema": 3})
+        from_obj({"schema": 4})
 
 
 def test_serialization_deterministic():

@@ -3,10 +3,12 @@
 Each handle of a positive real stabilization is attached in a collar of
 the binding, so the new curves of types II, III, IV and IX miss every
 older curve, and those of II, III and IX also miss each other; types I,
-V, VI, VII and VIII add no pair.  The oracle here is the loop the
-builder used to run after each such step, replayed from a written
-book's provenance; the written list must be the root's pairs plus the
-oracle's, and the reader must refuse any other list.
+V, VI, VII and VIII add no pair.  The oracle here (tests/schema1.py
+oracle_pairs) is the loop the builder used to run after each such step,
+replayed from a written book's provenance.  Schema 3 writes only the
+root's pairs, a book read back must answer every pair as the root's
+pairs plus the oracle's, and the reader must refuse a declared pair
+that names a provenance curve and is not the oracle's.
 """
 
 import io
@@ -14,38 +16,25 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5
+import pytest
+
+from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5, catalog_fig6
 from realbook.cli import main
 from realbook.jsonio import dumps, loads
-from realbook.openbook import STAB_TYPES, StabilizationError, enumerate_sites, stabilize
+from realbook.openbook import (
+    STAB_TYPES,
+    StabilizationError,
+    check_reality,
+    enumerate_sites,
+    stabilize,
+)
 from realbook.records import replace
+from schema1 import as_schema2, oracle_pairs
 
-# the types whose new curves miss the older ones; IV's two chords cross
-PAIRING_TYPES = ("II", "III", "IV", "IX")
 BOOK_COMMANDS = [
     ["new"], ["invariants"], ["heegaard"], ["validate"], ["reality"],
     ["stabilize", "--type", "III", "--site", '{"boundary": 1}'],
 ]
-
-
-def oracle_pairs(names, provenance):
-    """The pairs the builder's old mark_disjoint loop made, replayed over
-    the provenance records of a written book: at each step of a pairing
-    type, each new curve (the record's sigma names) with every curve the
-    page then had, and the new curves with each other unless the type
-    is IV.  The root curves are the names no record makes."""
-    made = {name for rec in provenance for name, _ in rec["sigma"]}
-    classes = [name for name in names if name not in made]
-    pairs = set()
-    for rec in provenance:
-        new = [name for name, _ in rec["sigma"]]
-        classes += new
-        if rec["type"] in PAIRING_TYPES:
-            for u in classes:
-                for n in new:
-                    if u != n and not (rec["type"] == "IV" and u in new):
-                        pairs.add(frozenset((u, n)))
-    return pairs
 
 
 def split_pairs(obj):
@@ -81,9 +70,9 @@ def run(argv, text):
 
 def test_written_pairs_are_the_roots_and_the_rules():
     """On every golden book and on walks through all nine types: the
-    written pairs that name a provenance curve are the oracle's, the
-    others are the root catalog book's, and curves_disjoint answers
-    each pair of curves as the written list does."""
+    written list names no provenance curve and is the root catalog
+    book's, and curves_disjoint answers each pair of curves as the
+    written list plus the oracle's pairs do."""
     from test_golden import golden_books
     from test_openbook import typed_walks
 
@@ -92,12 +81,12 @@ def test_written_pairs_are_the_roots_and_the_rules():
     for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
         obj = json.loads(dumps(ob))
         root, derived = split_pairs(obj)
+        assert derived == set(), label
         names = [c["name"] for c in obj["alphabet"]]
-        assert derived == oracle_pairs(names, obj["provenance"]), label
         made = {name for rec in obj["provenance"] for name, _ in rec["sigma"]}
         assert root == roots[frozenset(names) - made], label
         assert ob.page.disjoint == root, label
-        pairs = root | derived
+        pairs = root | oracle_pairs(names, obj["provenance"])
         assert all(ob.page.curves_disjoint(a, b) == (frozenset((a, b)) in pairs)
                    for a in names for b in names), label
         tags.update(rec["type"] for rec in obj["provenance"])
@@ -122,8 +111,9 @@ def test_stabilize_shares_the_roots_pairs():
 def test_a_root_that_uses_an_s_name_keeps_its_pairs():
     """Without its provenance, fig4(2)'s curves s1, s2 and s2c are root
     curves, and a type-IX step names its curves s3 and s3c.  The written
-    list is the root's pairs plus the step's, it reads back to the same
-    bytes, and the book read back answers every pair as the built one."""
+    list is the root's pairs, it reads back to the same bytes, and the
+    book read back answers every pair as the built one and as the
+    root's pairs plus the step's."""
     root = replace(catalog_fig4(2), provenance=())
     after = stabilize(root, "IX", {"boundaries": [1, 2]})
     assert set(after.page.alphabet) - set(root.page.alphabet) == {"s3", "s3c"}
@@ -131,11 +121,30 @@ def test_a_root_that_uses_an_s_name_keeps_its_pairs():
     obj = json.loads(text)
     names = [c["name"] for c in obj["alphabet"]]
     kept, derived = split_pairs(obj)
-    assert kept == split_pairs(json.loads(dumps(root)))[0]
-    assert derived == oracle_pairs(names, obj["provenance"]) and derived
+    assert kept == split_pairs(json.loads(dumps(root)))[0] and derived == set()
+    pairs = kept | oracle_pairs(names, obj["provenance"])
+    assert pairs != kept
     back = loads(text)
     assert dumps(back) == text
     assert all(back.page.curves_disjoint(a, b) == after.page.curves_disjoint(a, b)
+               == (frozenset((a, b)) in pairs) for a in names for b in names)
+
+
+@pytest.mark.parametrize("family, k", [(catalog_fig5, 2), (catalog_fig5, 3),
+                                       (catalog_fig6, 2), (catalog_fig6, 3)])
+def test_a_book_without_its_provenance_keeps_its_born_pairs(family, k):
+    """A book whose provenance is dropped keeps its page's births, so
+    no written record gives their pairs: the writer writes them with
+    the root's, and the book read back (births none, every pair a root
+    pair) gets the same verdict and answers every pair alike."""
+    built = family(k)
+    ob = replace(built, provenance=())
+    assert ob.page.births and any(st.disjoint_old for _, st in ob.page.births.values())
+    back = loads(dumps(ob))
+    assert not back.page.births and dumps(back) == dumps(ob)
+    assert check_reality(back).kind == check_reality(ob).kind == check_reality(built).kind
+    names = list(ob.page.alphabet)
+    assert all(back.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
                for a in names for b in names)
 
 
@@ -154,11 +163,16 @@ def test_a_declared_pair_the_rule_does_not_give_is_exit_2():
     _refused(json.dumps(obj), "$.disjoint[0] is [\"s1\", \"s2\"]")
 
 
-def test_a_missing_rule_pair_is_exit_2():
-    obj = json.loads(dumps(catalog_fig5(2)))
+def test_a_list_lacking_a_rule_pair_loads_to_the_same_book():
+    """The pairs the provenance gives are optional: a schema-2 list with
+    one of them dropped loads to the book, and new writes its bytes."""
+    ob = catalog_fig5(2)
+    obj = json.loads(as_schema2(dumps(ob)))
     gone = obj["disjoint"].pop()
     assert "s2c" in gone
-    _refused(json.dumps(obj), f"$.disjoint lacks {json.dumps(gone)}")
+    text = json.dumps(obj)
+    assert loads(text) == ob
+    assert run(["new"], text) == (0, dumps(ob) + "\n", "")
 
 
 def test_an_unknown_provenance_type_is_exit_2():

@@ -1,21 +1,23 @@
 """Golden digests of the exact outputs.
 
-GOLDEN is one SHA-256 over the JSON text that `dumps` writes (one
-compact top-level field per line), H1 and reality verdict of every
-catalog entry, of the fig4/5/6 ladders up to k = 10 and of seeded
-stabilization walks, including the message of every refused site the
-walks try.  It hashes bytes, so it moves with the layout of the text
-as well as with its JSON value.  GOLDEN_SCHEMA1 is the same digest with
-each book's JSON re-rendered from its value as schema 1 by
-tests/schema1.py (indent 2); it is the GOLDEN of the schema-1 writer, so
-it pins the JSON value itself: a layout-only change of `dumps` leaves it
-alone, and it also pins that the schema-2 text loses nothing.  Every
-book must also load back from both texts.  GOLDEN_REAL is a third
-SHA-256 over the same books: their H1, the Heegaard checks and the real
-part (pieces and mod-2 class of every component, or the refusal).  A
-refactor or speed-up of the exact algebra must leave all three
-unchanged; a deliberate change of output must update them together with
-a note of why the outputs moved.
+GOLDEN_SCHEMA3 is one SHA-256 over the JSON text that `dumps` writes
+(schema 3, one compact top-level field per line), H1 and reality
+verdict of every catalog entry, of the fig4/5/6 ladders up to k = 10
+and of seeded stabilization walks, including the message of every
+refused site the walks try.  It hashes bytes, so it moves with the
+layout of the text as well as with its JSON value.  GOLDEN is the same
+digest with each book's text rendered as schema 2 by tests/schema1.py
+(the zero current_class rows and the pairs the provenance gives put
+back, one field per line), and GOLDEN_SCHEMA1 with that rendered again
+as schema 1 (indent 2).  Both are computed without realbook's writer
+from the schema-3 text, so they pin that the schema-3 text loses
+nothing against the schema-2 and schema-1 writers, whose digests they
+are.  Every book must also load back to itself from all three texts.
+GOLDEN_REAL is a fourth SHA-256 over the same books: their H1, the
+Heegaard checks and the real part (pieces and mod-2 class of every
+component, or the refusal).  A refactor or speed-up of the exact
+algebra must leave all four unchanged; a deliberate change of output
+must update them together with a note of why the outputs moved.
 """
 
 import hashlib
@@ -33,10 +35,11 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
-from schema1 import as_schema1
+from schema1 import as_schema1, as_schema2
 
 GOLDEN = "bcf96ce5e656d2dd0cb5800199e252706b5d7105bca9cb5e18a3d0b97a70e1b8"
 GOLDEN_SCHEMA1 = "b13d294277f54bb7c68b88410f9c99cb54551fb96718edc3fc568a5a8901cdcf"
+GOLDEN_SCHEMA3 = "08ce40bf0ac76ab313f3da1c53a18d8718455609e91f20de12a6d32166ea63b4"
 GOLDEN_REAL = "ae930a1f014d23b03ddd0309fc80ec749d7b54aad3118661189f48883edfd62e"
 
 LADDER_TOP = 10
@@ -44,28 +47,30 @@ LADDER_TOP = 10
 
 class _Digests:
     """The running digests, and the labels of books that do not load back
-    from both their schema-2 and schema-1 texts."""
+    from each of their schema-3, schema-2 and schema-1 texts."""
 
     def __init__(self):
-        self.json2, self.json1, self.real = (hashlib.sha256() for _ in range(3))
+        self.json3, self.json2, self.json1, self.real = (hashlib.sha256() for _ in range(4))
         self.unequal = []
 
     def update(self, line):
-        """Add a line that the two JSON digests share."""
-        self.json2.update(line.encode())
-        self.json1.update(line.encode())
+        """Add a line that the three JSON digests share."""
+        for h in (self.json3, self.json2, self.json1):
+            h.update(line.encode())
 
 
 def _record(d, label, ob):
     status = check_reality(ob)
     h1 = h1_of_manifold(ob)
     text = dumps(ob)
-    old = as_schema1(text)
-    if not loads(old) == loads(text) == ob:
+    text2 = as_schema2(text)
+    text1 = as_schema1(text2)
+    if not loads(text1) == loads(text2) == loads(text) == ob:
         d.unequal.append(label)
     d.update(f"{label}\n")
-    d.json2.update(text.encode())
-    d.json1.update(old.encode())
+    d.json3.update(text.encode())
+    d.json2.update(text2.encode())
+    d.json1.update(text1.encode())
     d.update(f"\nH1 {h1!r}\n")
     d.update(f"reality {status.kind.value} {status.witness!r}\n")
 
@@ -158,7 +163,11 @@ def test_golden_schema1_digest(digests):
     assert digests.json1.hexdigest() == GOLDEN_SCHEMA1
 
 
-def test_golden_books_load_from_both_schemas(digests):
+def test_golden_schema3_digest(digests):
+    assert digests.json3.hexdigest() == GOLDEN_SCHEMA3
+
+
+def test_golden_books_load_from_every_schema(digests):
     assert digests.unequal == []
 
 
@@ -169,4 +178,5 @@ def test_golden_real_part_digest(digests):
 if __name__ == "__main__":
     d = golden_digests()
     print(f"GOLDEN {d.json2.hexdigest()}\nGOLDEN_SCHEMA1 {d.json1.hexdigest()}\n"
-          f"GOLDEN_REAL {d.real.hexdigest()}\nnot loaded back: {d.unequal}")
+          f"GOLDEN_SCHEMA3 {d.json3.hexdigest()}\nGOLDEN_REAL {d.real.hexdigest()}\n"
+          f"not loaded back: {d.unequal}")
