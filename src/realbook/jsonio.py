@@ -40,9 +40,9 @@ as root pairs the declared pairs that name no such curve.  It rejects a
 provenance type that is not in STAB_TYPES, a curve that two records
 make, and a declared pair that names a born curve and that the rule of
 STAB_TYPES does not give (`$.disjoint[i]`).  The writer writes the
-pairs that name no curve of the written provenance: the root's, plus,
-on a page with births no record gives (records.replace(ob,
-provenance=())), the pairs of those births.
+pairs that name no curve of the written provenance, and refuses a book
+whose written records are not its page's last steps (the births of
+records.replace(ob, provenance=()) read back as root curves).
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys (the stdlib C encoder; an
@@ -58,6 +58,7 @@ integers takes only keys written as `str` writes them, so `"02"` and
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Any, Callable
 
 from .errors import SchemaError
@@ -87,12 +88,22 @@ def _fixed_set_obj(fs: FixedSet) -> dict:
     }
 
 
+def _made(ob: OpenBook) -> set[str]:
+    """The curves the written provenance makes, whose records must be the page's
+    last steps: the reader takes every other curve for an older root curve."""
+    born = ob.page.births
+    steps = [(st, set(names)) for (_step, st), names
+             in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get)]
+    mine = [(STAB_TYPES.get(r.tag), {n for n, _ in r.sigma}) for r in ob.provenance if r.sigma]
+    if steps[len(steps) - len(mine):] != mine:
+        raise ValueError("the provenance does not record the page's last stabilizations")
+    return set().union(*(names for _st, names in mine))
+
+
 def to_obj(ob: OpenBook) -> dict:
     page = ob.page
     inv = ob.real_structure
-    made = {name for rec in ob.provenance for name, _ in rec.sigma}
-    # born_pairs only when some birth is not the written provenance's
-    pairs = page.disjoint_pairs() if page.births.keys() - made else page.disjoint
+    made = _made(ob)
     return {
         "schema": SCHEMA_VERSION,
         "page": {
@@ -113,7 +124,7 @@ def to_obj(ob: OpenBook) -> dict:
             {"boundary": cid, "pairings": list(row)}
             for cid, row in sorted(page.ref_arcs.items())
         ],
-        "disjoint": sorted(sorted(pair) for pair in pairs if made.isdisjoint(pair)),
+        "disjoint": sorted(sorted(p) for p in page.disjoint_pairs() if made.isdisjoint(p)),
         "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
         "involution": {
             "matrix": [list(r) for r in inv.matrix.rows],
@@ -363,14 +374,9 @@ def from_obj(obj: dict) -> OpenBook:
     fix_plus = _parse_fixed_set(fp, "$.fix_plus", rank, ref_arcs) if fp is not None else None
 
     provenance = []
-    records = obj.get("provenance", [])
-    if not isinstance(records, list):
-        raise SchemaError("$.provenance must be a list")
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(_list(obj.get("provenance", []), "$.provenance")):
         path = f"$.provenance[{i}]"
-        sigma = _need(rec, "sigma", path)
-        if not isinstance(sigma, list):
-            raise SchemaError(f"{path}.sigma must be a list")
+        sigma = _list(_need(rec, "sigma", path), f"{path}.sigma")
         rec_images = _need(rec, "images", path)
         if not isinstance(rec_images, dict):
             raise SchemaError(f"{path}.images must be an object")
@@ -405,12 +411,11 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
         if st is None:
             raise SchemaError(f"$.provenance[{i}].type is {rec.tag!r}, not one of "
                               + ", ".join(STAB_TYPES))
-        birth = (i, st)
         for name, _ in rec.sigma:
             if name in births:
                 raise SchemaError(f"$.provenance[{i}].sigma makes curve {name!r}, which "
                                   f"$.provenance[{births[name][0]}] made before")
-            births[name] = birth
+            births[name] = (i, st)
     born = births.keys()
     page = replace(page, births=births, disjoint=frozenset(
         frozenset(pair) for pair in declared if born.isdisjoint(pair)))

@@ -148,6 +148,28 @@ def test_a_book_without_its_provenance_keeps_its_born_pairs(family, k):
                for a in names for b in names)
 
 
+def test_a_provenance_kept_only_for_its_last_steps_keeps_every_pair():
+    """The reader takes a curve no written record makes for a root
+    curve, older than every record's.  With the first of two records
+    dropped, that holds: the III curves are written with their pairs and
+    the book read back answers every pair alike.  With the last one
+    dropped, the I curve s2 would read back as older than the III
+    curves, whose rule would then pair it with them, so the writer
+    refuses that book."""
+    ob = stabilize(stabilize(ENTRIES[0].build(), "III", {"boundary": 1}), "I", {"boundary": 1})
+    assert ob.page.births.keys() == {"s1", "s1c", "s2"}
+    assert not ob.page.curves_disjoint("s1", "s2")
+    with pytest.raises(ValueError, match="last stabilizations"):
+        dumps(replace(ob, provenance=ob.provenance[:1]))
+    cut = replace(ob, provenance=ob.provenance[1:])
+    text = dumps(cut)
+    back = loads(text)
+    assert back.page.births.keys() == {"s2"} and dumps(back) == text
+    names = list(ob.page.alphabet)
+    assert all(back.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
+               for a in names for b in names)
+
+
 def _refused(text, path):
     for argv in BOOK_COMMANDS:
         code, _out, err = run(argv, text)
