@@ -17,10 +17,10 @@ _HOME = {
     "SurfaceModel": "surface",
     "check_reality": "openbook",
     "cokernel": "intalg",
-    "enumerate_sites": "openbook",
+    "enumerate_sites": "stabilization",
     "h1_of_manifold": "openbook",
     "smith_normal_form": "intalg",
-    "stabilize": "openbook",
+    "stabilize": "stabilization",
     "standard_involution": "surface",
     "standard_surface": "surface",
     "validate_involution": "surface",

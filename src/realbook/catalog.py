@@ -12,8 +12,9 @@ from typing import Callable
 
 from .intalg import AbelianGroup
 from .mcg import word
-from .openbook import OpenBook, stabilize
+from .openbook import OpenBook
 from .records import record
+from .stabilization import stabilize
 from .surface import (
     FixArc,
     FixedSet,
@@ -189,24 +190,37 @@ ENTRIES: list[CatalogEntry] = [
 ]
 
 
-def build(name: str, *params: int) -> OpenBook:
-    """CLI entry: construct a catalog book by name."""
+def build(name: str, *params: int | str) -> OpenBook:
+    """CLI entry: construct a catalog book by name.
+
+    Every parameter has a default, and each is an integer but hopf's
+    kind.  An unknown name, too many parameters or a parameter that is
+    no integer raises ValueError naming the book (CLI exit 2).
+    """
     table = {
         "disk": lambda: catalog_s3_disk(),
         "hopf": lambda kind="conjugation": catalog_hopf(str(kind)),
-        "fig4": lambda k=1: catalog_fig4(int(k)),
-        "fig5": lambda k=1: catalog_fig5(int(k)),
-        "fig6": lambda k=1: catalog_fig6(int(k)),
-        "lens-annulus": lambda n=1: catalog_lens_annulus(int(n)),
-        "lens-3punctured": lambda p=1, q=1, r=1: catalog_lens_3punctured(int(p), int(q), int(r)),
+        "fig4": lambda k=1: catalog_fig4(k),
+        "fig5": lambda k=1: catalog_fig5(k),
+        "fig6": lambda k=1: catalog_fig6(k),
+        "lens-annulus": lambda n=1: catalog_lens_annulus(n),
+        "lens-3punctured": lambda p=1, q=1, r=1: catalog_lens_3punctured(p, q, r),
     }
     if name not in table:
-        raise KeyError(f"unknown catalog book {name!r}")
+        raise ValueError(f"unknown catalog book {name!r}; known books: {', '.join(sorted(table))}")
     make = table[name]
-    # every parameter has a default, so only too many can be given
     takes = make.__code__.co_varnames[:make.__code__.co_argcount]
     if len(params) > len(takes):
         allowed = (f"at most {len(takes)} parameter{'s' * (len(takes) > 1)}: {' '.join(takes)}"
                    if takes else "no parameters")
         raise ValueError(f"catalog book {name!r} takes {allowed}; got {len(params)}")
-    return make(*params)
+    return make(*(value if key == "kind" else _integer_param(name, key, value)
+                  for key, value in zip(takes, params)))
+
+
+def _integer_param(book: str, key: str, value: int | str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"catalog book {book!r} parameter {key} must be an integer, "
+                         f"got {value!r}") from None

@@ -86,7 +86,7 @@ def cmd_new(args) -> int:
 
 def cmd_stabilize(args) -> int:
     from .jsonio import dumps
-    from .openbook import stabilize
+    from .stabilization import stabilize
 
     book = _read_book(args.infile)
     site = json.loads(args.site) if args.site else {}

@@ -194,14 +194,6 @@ def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
     return hi
 
 
-def k_term_dominates(family: int, k: float, resolution: int = 50) -> bool:
-    """Whether the K-proportional term exceeds the twist remainder
-    everywhere on the grid (the large-K structure of the construction)."""
-    fs = FormSampler(family=family, k=k, resolution=resolution)
-    return all(kt - abs(d - kt) > 0.0
-               for d, kt in zip(fs.defect_grid(+1), fs.k_term_grid()))
-
-
 # ---------------------------------------------------------------------------
 # binding profiles
 

@@ -28,7 +28,6 @@ loop without transforms, since it reads only the diagonal.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -437,24 +436,3 @@ def solve_integer_affine(
     diag = snf.diag
     cols = snf.v.transpose().rows
     return x, [col for j, col in enumerate(cols) if j >= len(diag) or diag[j] == 0]
-
-
-def determinantal_divisors(a: IntMatrix) -> list[int]:
-    """gcd of all k x k minors for k = 1..min shape (0 when all vanish).
-
-    Brute-force over index subsets; this is the independent oracle for
-    the Smith form (d_k = D_k / D_{k-1}), so it must not share code with
-    smith_normal_form.
-    """
-    from itertools import combinations
-
-    m, n = a.shape
-    out = []
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                sub = IntMatrix([[a[i, j] for j in cols] for i in rows])
-                g = gcd(g, sub.det())
-        out.append(abs(g))
-    return out

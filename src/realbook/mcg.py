@@ -15,8 +15,8 @@ crossing with the curve is a sparse dot, and an arc that misses the
 curve costs nothing more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
-words act on it.  twist_matrix builds one twist densely; it is kept as
-the test oracle for the updates.
+words act on it.  The tests check the updates against dense products
+of one-twist matrices (tests/oracles.py).
 
 conjugate writes c o w o c letterwise from a map of curve images,
 c o tau_a o c = tau_{c(a)}^-1; the reality check reads it with the
@@ -64,18 +64,6 @@ def concat(*words: Sequence[Letter]) -> TwistWord:
     for w in words:
         letters.extend(w)
     return free_reduce(tuple(letters))
-
-
-def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
-    """Homology action x -> x + e <x, a> a of the e-th power of a twist."""
-    a = model.curve(curve)
-    rank = model.h1_rank
-    ja = model.form.apply(a)  # <x, a> = x . (J a)
-    rows = [
-        [(1 if i == j else 0) + exponent * a[i] * ja[j] for j in range(rank)]
-        for i in range(rank)
-    ]
-    return IntMatrix(rows, ncols=rank)
 
 
 def word_matrix(model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:

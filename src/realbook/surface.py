@@ -30,7 +30,7 @@ heegaard.validate_heegaard reads for both invariant pages.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
 other ($.page.form must be antisymmetric), and the forms built here
-(_symplectic_block) and by stabilization (openbook._extend_form) are
+(_symplectic_block) and by stabilization (stabilization._extend_form) are
 antisymmetric by construction, so CurveVectors derives J a as -J^T a.
 """
 
@@ -500,7 +500,7 @@ class HandleExtension:
     With n the old rank, the builder guarantees, and nothing here checks:
       * the new basis is the old one followed by the classes
         e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
-        lacks (openbook._start_builder picks them so), and every old
+        lacks (stabilization._start_builder picks them so), and every old
         curve keeps its class widened by zeros;
       * the first n rows of the new form start with the old form J;
       * the new matrix is C~ Sigma, Sigma the positive twist along each

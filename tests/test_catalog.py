@@ -66,7 +66,7 @@ def test_build_dispatch():
     assert build("disk").page.boundary_count == 1
     assert build("fig4", 2).page.genus == 1
     assert build("lens-annulus", 5).monodromy == (("d1", 5),)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog book 'nonsense'; known books: disk, "):
         build("nonsense")
 
 

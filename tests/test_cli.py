@@ -546,9 +546,24 @@ def test_reloaded_books_recompute_identically():
         assert real_part(back).separating_flags() == real_part(ob).separating_flags()
 
 
-def test_bad_catalog_name_is_exit_2():
-    code, _ = run_cli(["catalog", "zzz"])
-    assert code == 2
+def test_bad_catalog_name_is_exit_2(capsys):
+    code, out = run_cli(["catalog", "zzz"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: unknown catalog book 'zzz'; known books: "
+        "disk, fig4, fig5, fig6, hopf, lens-3punctured, lens-annulus\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["fig4", "abc"], "catalog book 'fig4' parameter k must be an integer, got 'abc'"),
+    (["lens-annulus", "2.5"], "catalog book 'lens-annulus' parameter n must be an integer, got '2.5'"),
+    (["lens-3punctured", "1", "x", "2"],
+     "catalog book 'lens-3punctured' parameter q must be an integer, got 'x'"),
+], ids=["fig4", "lens-annulus", "lens-3punctured"])
+def test_catalog_parameter_that_is_no_integer_is_exit_2(argv, err, capsys):
+    code, out = run_cli(["catalog", *argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -740,6 +755,65 @@ def test_invariants_loads_neither_contact_nor_catalog():
     loaded = _loaded_modules(["invariants"], book_json)
     assert "realbook.openbook" in loaded
     assert not loaded & _realbook("contact", "catalog")
+
+
+QUERY_COMMANDS = [["invariants"], ["reality"], ["heegaard"], ["validate"], ["new"]]
+
+
+@pytest.mark.parametrize("argv", QUERY_COMMANDS, ids=lambda argv: argv[0])
+def test_a_query_does_not_load_the_stabilizations(argv):
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    loaded = _loaded_modules(argv, book_json)
+    assert "realbook.openbook" in loaded
+    assert "realbook.stabilization" not in loaded
+
+
+def test_catalog_and_stabilize_load_the_stabilizations():
+    assert "realbook.stabilization" in _loaded_modules(["catalog", "fig4", "2"])
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    loaded = _loaded_modules(["stabilize", "--type", "VIII", "--site", '{"boundaries": [1, 2]}'],
+                             book_json)
+    assert "realbook.stabilization" in loaded
+
+
+def test_openbook_names_the_stabilizations_and_a_wrapper_on_them_sees_the_call():
+    """openbook.stabilize, enumerate_sites and _stab_{T} are the functions
+    of realbook.stabilization.  A recording wrapper bound wherever the
+    original _stab_VIII is bound, as the benchmark's tracer binds its
+    timers, is the function stabilize calls."""
+    import sys
+
+    from realbook import openbook, stabilization
+    from realbook.catalog import catalog_fig4
+
+    assert openbook.stabilize is stabilization.stabilize
+    assert openbook.enumerate_sites is stabilization.enumerate_sites
+    assert openbook._stab_VIII is stabilization._stab_VIII
+    with pytest.raises(AttributeError):
+        openbook.no_such_name
+
+    book = catalog_fig4(2)
+    original, calls, bound = stabilization._stab_VIII, [], []
+
+    def recording(ob, site):
+        calls.append((ob, site))
+        return original(ob, site)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("realbook") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    bound.append((module, attr))
+                    setattr(module, attr, recording)
+    try:
+        out = openbook.stabilize(book, "VIII", {"boundaries": [1, 2]})
+    finally:
+        for module, attr in bound:
+            setattr(module, attr, original)
+    assert {module.__name__ for module, _attr in bound} == {"realbook.openbook",
+                                                            "realbook.stabilization"}
+    assert calls == [(book, (1, 2))]
+    assert out.provenance[-1].tag == "VIII"
 
 
 def test_package_names_resolve_and_errors_keep_their_old_paths():

@@ -8,13 +8,13 @@ from realbook.contact import (
     build_profiles,
     contact_defect,
     contact_report,
-    k_term_dominates,
     k_threshold,
     linspace,
     ramp,
     ramp_d,
     solid_torus_extension_check,
 )
+from oracles import k_term_dominates
 
 GRID = 30  # full 50-point runs live in the acceptance suite
 

@@ -22,13 +22,13 @@ from realbook.heegaard import (
     validate_heegaard,
 )
 from realbook.intalg import IntMatrix
-from realbook.mcg import twist_matrix
 from realbook.openbook import (
     OpenBook,
     StabilizationError,
     enumerate_sites,
     stabilize,
 )
+from oracles import twist_matrix
 
 
 def heegaard_genus(ob):

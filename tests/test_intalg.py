@@ -6,12 +6,12 @@ from realbook.intalg import (
     AbelianGroup,
     IntMatrix,
     cokernel,
-    determinantal_divisors,
     smith_normal_form,
     snf_solve,
     solve_integer,
     solve_integer_affine,
 )
+from oracles import determinantal_divisors
 
 
 def random_matrix(rng, m, n, bound=5):
@@ -285,16 +285,16 @@ def fig4_viii_systems(k=16):
     """Every system _solve_viii_data factors while the fig4 ladder is
     built to k: the largest Smith forms of a stabilization, to 60 x 58
     at k = 16, whose v the type-VIII lattice search reads."""
-    from realbook import openbook
+    from realbook import stabilization
     from realbook.catalog import catalog_fig4
 
     systems = []
-    solve = openbook.solve_integer_affine
-    openbook.solve_integer_affine = lambda a, b: systems.append(a) or solve(a, b)
+    solve = stabilization.solve_integer_affine
+    stabilization.solve_integer_affine = lambda a, b: systems.append(a) or solve(a, b)
     try:
         catalog_fig4(k)
     finally:
-        openbook.solve_integer_affine = solve
+        stabilization.solve_integer_affine = solve
     return systems
 
 

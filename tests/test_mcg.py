@@ -12,7 +12,6 @@ from realbook.mcg import (
     times_word,
     transport_arc,
     transport_arcs,
-    twist_matrix,
     word,
     word_matrix,
     word_times,
@@ -20,6 +19,7 @@ from realbook.mcg import (
 )
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
 from realbook.surface import entries, standard_involution, standard_surface
+from oracles import twist_matrix
 
 
 @pytest.fixture

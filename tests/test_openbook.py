@@ -398,7 +398,7 @@ def viii_oracle_inputs():
     seeded small systems, which also reach the refusals: no solution at
     all, and a solved system whose lattice has no point meeting the
     radical conditions."""
-    from realbook.openbook import _attachment_pattern
+    from realbook.stabilization import _attachment_pattern
 
     for ob in [e.build() for e in ENTRIES] + [catalog_fig4(k) for k in range(1, 9)]:
         for tag, site in enumerate_sites(ob):
@@ -420,7 +420,7 @@ def viii_oracle_inputs():
 
 
 def test_viii_search_matches_eager_search():
-    from realbook.openbook import _solve_viii_data
+    from realbook.stabilization import _solve_viii_data
 
     seen = set()
     for args in viii_oracle_inputs():
@@ -434,7 +434,7 @@ def test_viii_search_matches_eager_search():
 def test_viii_search_solutions_meet_both_radical_conditions():
     """The search tests only v . w = x m; (C^T v) . w = v . w holds on
     every point of its solution lattice, as its docstring proves."""
-    from realbook.openbook import _solve_viii_data
+    from realbook.stabilization import _solve_viii_data
 
     solved = 0
     for args in viii_oracle_inputs():
@@ -530,7 +530,7 @@ def test_lattice_scores_match_the_built_candidates():
     over product(-2..2)), and _lattice_point builds the same point."""
     from itertools import product
 
-    from realbook.openbook import _lattice_point, _lattice_scores
+    from realbook.stabilization import _lattice_point, _lattice_scores
 
     def q(z, n):
         return sum(a * b for a, b in zip(z[:n], z[n:]))
@@ -583,18 +583,18 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
     equals a fresh validation."""
     from test_golden import golden_books
 
-    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
     from realbook.surface import _handle_block_holds
 
     seen = []
-    full_validation = openbook_module.validate_involution
+    full_validation = stabilization_module.validate_involution
 
     def recording(page, inv, extends=None):
         if extends is not None:
             seen.append((page, inv, extends))
         return full_validation(page, inv, extends)
 
-    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
     seeded, tags = 0, set()
     for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
         fresh = all(r.ok for r in validate_involution(ob.page, ob.real_structure))
@@ -730,13 +730,13 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     and, where it can, no other block check, so each block check is
     shown to fail.  The new structure is rebuilt on a corrupted form,
     C~ Sigma with Sigma's twists read from it, as the lemma assumes."""
-    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
     import realbook.surface as surface_module
     from realbook.mcg import times_word
 
     verdicts, reports = [], []
     block_holds = surface_module._handle_block_holds
-    full_validation = openbook_module.validate_involution
+    full_validation = stabilization_module.validate_involution
 
     def spying(*args):
         verdicts.append(block_holds(*args))
@@ -746,8 +746,8 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
         if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
             page = replace(page, form=corrupt(page.form, parent))
             sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
-            c_naive = openbook_module._naive_extension(parent.real_structure.matrix,
-                                                       STAB_TYPES[tag])
+            c_naive = stabilization_module._naive_extension(parent.real_structure.matrix,
+                                                            STAB_TYPES[tag])
             inv = replace(inv, matrix=times_word(c_naive, page, sigma))
         else:
             page, inv = corrupt(page, inv, parent)
@@ -757,7 +757,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     parent = make()
     assert parent._involution_valid
     monkeypatch.setattr(surface_module, "_handle_block_holds", spying)
-    monkeypatch.setattr(openbook_module, "validate_involution", corrupting)
+    monkeypatch.setattr(stabilization_module, "validate_involution", corrupting)
     with pytest.raises(StabilizationError) as seeded:
         stabilize(parent, tag, site)
     assert verdicts == [False]
@@ -775,18 +775,18 @@ def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
     """The lemma needs C~ to map each new curve to +-its mirror with
     C~^2 = I: on a valid handle pair, any other core block fails the
     block check, while the core the type declares passes."""
-    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
     from realbook.surface import _handle_block_holds
 
     seen = []
-    full_validation = openbook_module.validate_involution
+    full_validation = stabilization_module.validate_involution
 
     def recording(page, inv, extends=None):
         seen.append((page, inv, extends))
         return full_validation(page, inv, extends)
 
     parent = catalog_fig4(3)
-    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
     stabilize(parent, "IX", {"boundaries": (1, 2)})
     (page, inv, ext), = seen
     assert ext.core == ((0, 1), (1, 0)) and _handle_block_holds(page, inv, ext)
@@ -799,7 +799,7 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     """An image name -> (img, s) with s negated fails the curve_image
     check of a full validation, the block check of a stabilization and
     the peel of a provenance block: the three callers of image_holds."""
-    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
     from realbook.openbook import _chain_blocks_of
     from realbook.surface import _handle_block_holds
 
@@ -817,13 +817,13 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     assert not report["curve_image"] and all(ok for n, ok in report.items() if n != "curve_image")
 
     seen = []
-    full_validation = openbook_module.validate_involution
+    full_validation = stabilization_module.validate_involution
 
     def recording(page, inv, extends=None):
         seen.append((page, inv, extends))
         return full_validation(page, inv, extends)
 
-    monkeypatch.setattr(openbook_module, "validate_involution", recording)
+    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
     child = stabilize(ob, "III", {"boundary": 1})
     (page, new_inv, ext), = seen
     new = sorted(set(new_inv.curve_image) - set(inv.curve_image))
@@ -844,7 +844,7 @@ def test_a_sign_flipped_pattern_row_refuses_type_v(monkeypatch):
     """Type V accepts the consumed arc only in an orientation that meets
     the attachment pattern; with the sign of P_j . v flipped, neither
     orientation does."""
-    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
 
     sites = [(e.build(), site) for e in ENTRIES
              for tag, site in enumerate_sites(e.build()) if tag == "V"]
@@ -855,13 +855,13 @@ def test_a_sign_flipped_pattern_row_refuses_type_v(monkeypatch):
         except StabilizationError:
             pass
     assert accepted
-    pattern = openbook_module._attachment_pattern
+    pattern = stabilization_module._attachment_pattern
 
     def flipped(ob, j, k):
         (pj, want), *rest = pattern(ob, j, k)
         return [(pj, -want), *rest]
 
-    monkeypatch.setattr(openbook_module, "_attachment_pattern", flipped)
+    monkeypatch.setattr(stabilization_module, "_attachment_pattern", flipped)
     for ob, site, _out in accepted:
         with pytest.raises(StabilizationError, match="violates the boundary pattern"):
             stabilize(ob, "V", site)
