@@ -3,7 +3,9 @@ families over the round 3-sphere, and the lens-space books.
 
 Every constructor returns a fully tracked book (both fixed sets
 populated), certified real, with the expected invariants recorded in
-ENTRIES for the verification suites.
+ENTRIES for the verification suites.  Only the fig4, fig5 and fig6
+ladders stabilize, so only they load realbook.stabilization; a process
+that builds a root book does not compile it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from .intalg import AbelianGroup
 from .mcg import word
 from .openbook import OpenBook
 from .records import record
-from .stabilization import stabilize
 from .surface import (
     FixArc,
     FixedSet,
-    entries,
+    sparse_add,
     standard_involution,
     standard_surface,
 )
@@ -47,13 +48,13 @@ def catalog_hopf(variant: str) -> OpenBook:
         # opposite page: reflection twisted once; the strands reconnect
         # across the core and one of them crosses the reference arc
         plus = FixedSet(arcs=(
-            FixArc(ends=((1, 1), (2, 4)), pair_curves=(1,), pair_arcs={2: 1}),
-            FixArc(ends=((1, 2), (2, 3)), pair_curves=(-1,), pair_arcs={2: 0}),
+            FixArc(ends=((1, 1), (2, 4)), pair_curves=(0, 1), pair_arcs={2: 1}),
+            FixArc(ends=((1, 2), (2, 3)), pair_curves=(0, -1), pair_arcs={2: 0}),
         ))
         return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
     if variant == "swap":
         inv = standard_involution(page, "boundary-swap")
-        plus = FixedSet(circles=((1,),))
+        plus = FixedSet(circles=((0, 1),))
         return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
     raise ValueError(f"unknown Hopf variant {variant!r}")
 
@@ -76,8 +77,8 @@ def catalog_lens_annulus(n: int) -> OpenBook:
     else:
         ends = (((1, 1), (2, 3)), ((1, 2), (2, 4)))
     plus = FixedSet(arcs=(
-        FixArc(ends=ends[0], pair_curves=(1,), pair_arcs={2: (n + 1) // 2}),
-        FixArc(ends=ends[1], pair_curves=(-1,), pair_arcs={2: n // 2}),
+        FixArc(ends=ends[0], pair_curves=(0, 1), pair_arcs={2: (n + 1) // 2}),
+        FixArc(ends=ends[1], pair_curves=(0, -1), pair_arcs={2: n // 2}),
     ))
     return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
 
@@ -97,22 +98,23 @@ def catalog_lens_3punctured(p: int, q: int, r: int) -> OpenBook:
     exps = {1: p, 2: q, 3: r}
     plus_arcs = []
     for arc in inv.fixed_set.arcs:
-        pc = list(arc.pair_curves)
+        pc = arc.pair_curves
         pa = dict(arc.pair_arcs)
         for cid, _pid in arc.ends:
             w = exps[cid]
             name = f"d{cid}"
-            for i, x in entries(page.curve_vectors(name).jta):
-                pc[i] += w * x
+            pc = sparse_add(pc, page.curve_vectors(name).jta, w)
             for tgt, cross in zip(sorted(page.ref_arcs), page.curve_tables(name)[1]):
                 pa[tgt] = pa.get(tgt, 0) - w * cross
-        plus_arcs.append(FixArc(ends=arc.ends, pair_curves=tuple(pc), pair_arcs=pa))
+        plus_arcs.append(FixArc(ends=arc.ends, pair_curves=pc, pair_arcs=pa))
     plus = FixedSet(arcs=tuple(plus_arcs))
     return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
 
 
 def catalog_fig4(k: int) -> OpenBook:
     """Odd-genus splitting family: one type I then k-1 type VIII moves."""
+    from .stabilization import stabilize
+
     if k < 1:
         raise ValueError("need k >= 1")
     ob = stabilize(catalog_s3_disk(), "I", {"boundary": 1})
@@ -124,6 +126,8 @@ def catalog_fig4(k: int) -> OpenBook:
 
 def catalog_fig5(k: int) -> OpenBook:
     """Even-genus splitting family with separating real part: k type III."""
+    from .stabilization import stabilize
+
     if k < 1:
         raise ValueError("need k >= 1")
     ob = catalog_s3_disk()
@@ -135,6 +139,8 @@ def catalog_fig5(k: int) -> OpenBook:
 def catalog_fig6(k: int) -> OpenBook:
     """Even-genus splitting family with nonseparating real part:
     two type II moves, then k-1 type III."""
+    from .stabilization import stabilize
+
     if k < 1:
         raise ValueError("need k >= 1")
     ob = stabilize(catalog_s3_disk(), "II", {"boundary": 1})
@@ -194,12 +200,13 @@ def build(name: str, *params: int | str) -> OpenBook:
     """CLI entry: construct a catalog book by name.
 
     Every parameter has a default, and each is an integer but hopf's
-    kind.  An unknown name, too many parameters or a parameter that is
-    no integer raises ValueError naming the book (CLI exit 2).
+    kind.  An unknown name, too many parameters, a parameter that is no
+    integer, a k or n below 1 or a kind other than HOPF_KINDS raises
+    ValueError naming the book and the parameter (CLI exit 2).
     """
     table = {
         "disk": lambda: catalog_s3_disk(),
-        "hopf": lambda kind="conjugation": catalog_hopf(str(kind)),
+        "hopf": lambda kind="conjugation": catalog_hopf(kind),
         "fig4": lambda k=1: catalog_fig4(k),
         "fig5": lambda k=1: catalog_fig5(k),
         "fig6": lambda k=1: catalog_fig6(k),
@@ -214,13 +221,27 @@ def build(name: str, *params: int | str) -> OpenBook:
         allowed = (f"at most {len(takes)} parameter{'s' * (len(takes) > 1)}: {' '.join(takes)}"
                    if takes else "no parameters")
         raise ValueError(f"catalog book {name!r} takes {allowed}; got {len(params)}")
-    return make(*(value if key == "kind" else _integer_param(name, key, value)
-                  for key, value in zip(takes, params)))
+    return make(*(_param(name, key, value) for key, value in zip(takes, params)))
 
 
-def _integer_param(book: str, key: str, value: int | str) -> int:
+HOPF_KINDS = ("conjugation", "swap")
+
+
+def _param(book: str, key: str, value: int | str) -> int | str:
+    """A parameter of a catalog book, checked: hopf's kind is one of
+    HOPF_KINDS, a ladder's k and a lens space's n are integers of at
+    least 1, and lens-3punctured's exponents any integers."""
+    if key == "kind":
+        if value not in HOPF_KINDS:
+            raise ValueError(f"catalog book {book!r} parameter kind must be "
+                             f"{' or '.join(HOPF_KINDS)}, got {value!r}")
+        return value
     try:
-        return int(value)
+        value = int(value)
     except ValueError:
         raise ValueError(f"catalog book {book!r} parameter {key} must be an integer, "
                          f"got {value!r}") from None
+    if key in ("k", "n") and value < 1:
+        raise ValueError(f"catalog book {book!r} parameter {key} must be at least 1, "
+                         f"got {value}")
+    return value

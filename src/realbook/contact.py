@@ -245,9 +245,6 @@ class ProfileFunctions:
     def wronskians(self, rr: Iterable[float]) -> list[float]:
         return [h1 * dh2 - dh1 * h2 for h1, dh1, h2, dh2 in self.samples(rr)]
 
-    def wronskian(self, r: float) -> float:
-        return self.wronskians((r,))[0]
-
     def h1(self, r: float) -> float:
         return next(self.samples((r,)))[0]
 

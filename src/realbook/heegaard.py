@@ -15,7 +15,14 @@ from .errors import BookNotReal, RealPartUnavailable
 from .intalg import IntMatrix
 from .openbook import OpenBook, Reality, check_reality
 from .records import record
-from .surface import anti_symplectic_check, involution_check, lefschetz_check, vec_dot
+from .surface import (
+    anti_symplectic_check,
+    combine,
+    entries,
+    involution_check,
+    lefschetz_check,
+    sparse_dot,
+)
 
 
 @record
@@ -103,6 +110,11 @@ def _bits(entries) -> int:
     return sum(1 << i for i, x in enumerate(entries) if x)
 
 
+def _odd_bits(v) -> int:
+    """A sparse vector mod 2, as a bitset: bit i is set when x_i is odd."""
+    return sum(1 << i for i, x in entries(v) if x % 2)
+
+
 def _interior_basis_indices(ob: OpenBook) -> list[int]:
     """Basis indices independent of the boundary-class span mod 2.
 
@@ -122,7 +134,7 @@ def _interior_basis_indices(ob: OpenBook) -> list[int]:
         return vec
 
     for p in page.circles.values():
-        v = reduce(_bits(x % 2 for x in p))
+        v = reduce(_odd_bits(p))
         if v:
             span.append(v)
     chosen = []
@@ -162,9 +174,9 @@ def _closed_surface_basis(ob: OpenBook):
         q[a] = row
         q[n_int + a] = row << n_int
     for l, ml in m_pos.items():
-        row = page.ref_arcs[l]
+        row = _odd_bits(page.ref_arcs[l])
         for a, ia in enumerate(interior):
-            if row[ia] % 2:
+            if row >> ia & 1:
                 q[a] ^= 1 << ml
                 q[n_int + a] ^= 1 << ml
                 q[ml] ^= (1 << a) | (1 << (n_int + a))
@@ -272,8 +284,9 @@ def real_part(ob: OpenBook) -> RealPartData:
             raise RealPartUnavailable("crossing data is not consistent on the closed surface")
         return cls
 
-    def crossing_vector(side: int, interior_row, arc_crossings) -> int:
-        vec = _bits(interior_row[ia] % 2 for ia in interior) << (side * n_int)
+    def crossing_vector(side: int, odd: int, arc_crossings) -> int:
+        # odd: the crossings with the page basis mod 2, as a bitset
+        vec = _bits(odd >> ia & 1 for ia in interior) << (side * n_int)
         for ml, cross in zip(m_pos.values(), arc_crossings):
             vec ^= (cross % 2) << ml
         return vec
@@ -293,7 +306,7 @@ def real_part(ob: OpenBook) -> RealPartData:
             count += 1
             e1, e2, side, arc = edges[idx]
             pts.update((e1, e2))
-            vec ^= crossing_vector(side, arc.pair_curves,
+            vec ^= crossing_vector(side, _odd_bits(arc.pair_curves),
                                    [arc.pair_arcs.get(l, 0) for l in m_pos])
             for pt in (e1, e2):
                 for nxt in adj[pt]:
@@ -306,12 +319,13 @@ def real_part(ob: OpenBook) -> RealPartData:
                 vec ^= 1 << d_pos[cid]
         components.append(RealComponent(pieces=count, h1_class=solve(vec)))
 
-    jt = page.form.transpose()
     for side, fset in ((0, minus), (1, plus)):
         for circ in fset.circles:
+            # J^T circ, summed over the nonzeros of circ
+            jt_circ = combine(entries(circ), page.form.rows, page.h1_rank)
             vec = crossing_vector(
-                side, jt.apply(circ),
-                [-vec_dot(page.ref_arcs[l], circ) for l in m_pos])
+                side, _bits(x % 2 for x in jt_circ),
+                [-sparse_dot(page.ref_arcs[l], circ) for l in m_pos])
             components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 
     rp = RealPartData(components=tuple(components))

@@ -71,19 +71,6 @@ class IntMatrix:
         return IntMatrix._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @staticmethod
-    def zeros(m: int, n: int) -> "IntMatrix":
-        return IntMatrix([[0] * n for _ in range(m)], ncols=n)
-
-    @staticmethod
-    def diagonal(entries: Sequence[int], m: int | None = None, n: int | None = None) -> "IntMatrix":
-        m = len(entries) if m is None else m
-        n = len(entries) if n is None else n
-        rows = [[0] * n for _ in range(m)]
-        for i, d in enumerate(entries):
-            rows[i][i] = int(d)
-        return IntMatrix(rows, ncols=n)
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
         return IntMatrix([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
@@ -155,32 +142,6 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def diag(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
@@ -200,27 +161,6 @@ class SmithForm:
     def diag(self) -> tuple[int, ...]:
         return self.d.diag()
 
-    def check(self, a: IntMatrix) -> bool:
-        if self.u @ a @ self.v != self.d:
-            return False
-        if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
-            return False
-        diag = self.diag
-        if any(d < 0 for d in diag):
-            return False
-        for prev, nxt in zip(diag, diag[1:]):
-            if prev == 0:
-                if nxt != 0:
-                    return False
-            elif nxt % prev != 0:
-                return False
-        # off-diagonal entries must vanish
-        for i in range(self.d.nrows):
-            for j in range(self.d.ncols):
-                if i != j and self.d[i, j] != 0:
-                    return False
-        return True
-
 
 @record
 class AbelianGroup:
@@ -239,10 +179,6 @@ class AbelianGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion entries must form a divisibility chain")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]

@@ -10,7 +10,10 @@ reproduces the book structurally.  The reader builds the page's
 mappings as it parses (boundary id -> pushoff class in file order,
 curve name -> class), and the writer writes the circles in that stored
 order and the curves by name, so `new` gives back a written file's own
-bytes whatever the order of its circle ids.
+bytes whatever the order of its circle ids.  A file writes every class
+and row dense, of the basis size; the page stores them sparse
+(surface.Sparse), so the reader converts each row once, after its
+checks, and the writer expands each one.
 
 A file holds only what the reader cannot derive, but for `page.genus`
 (SurfaceModel derives it from 2g + b - 1 = rank H1): the writer writes
@@ -66,7 +69,15 @@ from .intalg import IntMatrix
 from .mcg import TwistWord
 from .openbook import STAB_TYPES, OpenBook, StabRecord
 from .records import replace
-from .surface import FixArc, FixedSet, Involution, SurfaceModel, crossing_residuals
+from .surface import (
+    FixArc,
+    FixedSet,
+    Involution,
+    SurfaceModel,
+    crossing_residuals,
+    dense,
+    sparse,
+)
 
 SCHEMA_VERSION = 3
 READABLE_SCHEMAS = (1, 2, 3)
@@ -74,17 +85,17 @@ CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
 
 
-def _fixed_set_obj(fs: FixedSet) -> dict:
+def _fixed_set_obj(fs: FixedSet, rank: int) -> dict:
     return {
         "arcs": [
             {
                 "ends": [list(fs_end) for fs_end in arc.ends],
-                "pair_curves": list(arc.pair_curves),
+                "pair_curves": dense(arc.pair_curves, rank),
                 "pair_arcs": {str(k): v for k, v in sorted(arc.pair_arcs.items())},
             }
             for arc in fs.arcs
         ],
-        "circles": [{"h1_class": list(c)} for c in fs.circles],
+        "circles": [{"h1_class": dense(c, rank)} for c in fs.circles],
     }
 
 
@@ -102,26 +113,27 @@ def _made(ob: OpenBook) -> set[str]:
 
 def to_obj(ob: OpenBook) -> dict:
     page = ob.page
+    rank = page.h1_rank
     inv = ob.real_structure
     made = _made(ob)
     return {
         "schema": SCHEMA_VERSION,
         "page": {
             "genus": page.genus,
-            "boundary": [{"id": cid, "pclass": list(p)} for cid, p in page.circles.items()],
+            "boundary": [{"id": cid, "pclass": dense(p, rank)} for cid, p in page.circles.items()],
             "basis": list(page.basis),
             "form": [list(r) for r in page.form.rows],
         },
         "alphabet": [
             {
                 "name": name,
-                "h1_class": list(cls),
+                "h1_class": dense(cls, rank),
                 "c_image": list(inv.curve_image[name]) if name in inv.curve_image else None,
             }
             for name, cls in sorted(page.alphabet.items())
         ],
         "ref_arcs": [
-            {"boundary": cid, "pairings": list(row)}
+            {"boundary": cid, "pairings": dense(row, rank)}
             for cid, row in sorted(page.ref_arcs.items())
         ],
         "disjoint": sorted(sorted(p) for p in page.disjoint_pairs() if made.isdisjoint(p)),
@@ -130,9 +142,9 @@ def to_obj(ob: OpenBook) -> dict:
             "matrix": [list(r) for r in inv.matrix.rows],
             "boundary_perm": {str(k): v for k, v in sorted(inv.boundary_perm.items())},
             "fixed_points": {str(k): list(v) for k, v in sorted(inv.fixed_points.items())},
-            "fixed_set": _fixed_set_obj(inv.fixed_set),
+            "fixed_set": _fixed_set_obj(inv.fixed_set, rank),
         },
-        "fix_plus": _fixed_set_obj(ob.fix_plus) if ob.fix_plus is not None else None,
+        "fix_plus": _fixed_set_obj(ob.fix_plus, rank) if ob.fix_plus is not None else None,
         "provenance": [
             {
                 "type": rec.tag,
@@ -151,17 +163,22 @@ def _need(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _ints(x: Any, path: str) -> tuple[int, ...]:
-    """A list of integers; a JSON boolean or float is not one, though
-    Python's bool is an int subclass."""
+def _int_list(x: Any, path: str) -> list[int]:
+    """A list of integers, the list itself; a JSON boolean or float is
+    not one, though Python's bool is an int subclass."""
     if not isinstance(x, list) or not _INT_TYPE.issuperset(map(type, x)):
         raise SchemaError(f"{path} must be a list of integers")
-    return tuple(x)
+    return x
 
 
-def _vec(x: Any, path: str, rank: int) -> tuple[int, ...]:
-    """A list of integers of the basis size."""
-    v = _ints(x, path)
+def _ints(x: Any, path: str) -> tuple[int, ...]:
+    return tuple(_int_list(x, path))
+
+
+def _row(x: Any, path: str, rank: int) -> list[int]:
+    """A list of integers of the basis size, the list itself; a vector
+    the page stores is its sparse form (surface.sparse)."""
+    v = _int_list(x, path)
     if len(v) != rank:
         raise SchemaError(f"{path} has {len(v)} entries, not the basis size {rank}")
     return v
@@ -169,7 +186,7 @@ def _vec(x: Any, path: str, rank: int) -> tuple[int, ...]:
 
 def _square(x: Any, path: str, rank: int) -> IntMatrix:
     """A square integer matrix of the basis size, one list per row."""
-    rows = [_vec(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path))]
+    rows = [_row(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path))]
     if len(rows) != rank:
         raise SchemaError(f"{path} must be square of basis size")
     return IntMatrix._trusted(rows, rank)
@@ -252,11 +269,12 @@ def _parse_fixed_set(obj: Any, path: str, rank: int, ref_arcs: dict) -> FixedSet
                                   f"which has no reference arc")
         arcs.append(FixArc(
             ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
-            pair_curves=_vec(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank),
+            pair_curves=sparse(_row(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank)),
             pair_arcs=pair_arcs,
         ))
     circles = [
-        _vec(_need(c, "h1_class", f"{path}.circles[{i}]"), f"{path}.circles[{i}].h1_class", rank)
+        sparse(_row(_need(c, "h1_class", f"{path}.circles[{i}]"),
+                    f"{path}.circles[{i}].h1_class", rank))
         for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
     ]
     return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
@@ -277,10 +295,10 @@ def from_obj(obj: dict) -> OpenBook:
     for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary")):
         path = f"$.page.boundary[{i}]"
         cid = _int(_need(c, "id", path), f"{path}.id")
-        pclass = _vec(_need(c, "pclass", path), f"{path}.pclass", rank)
+        pclass = _row(_need(c, "pclass", path), f"{path}.pclass", rank)
         if cid in circles:
             raise SchemaError(f"{path}.id repeats boundary {cid}")
-        circles[cid] = pclass
+        circles[cid] = sparse(pclass)
     if not circles:
         raise SchemaError("$.page.boundary must list at least one circle, the binding")
     # one reference arc runs from the basepoint, the least id, to each other circle
@@ -299,8 +317,8 @@ def from_obj(obj: dict) -> OpenBook:
     for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
         path = f"$.alphabet[{i}]"
         name = _str(_need(c, "name", path), f"{path}.name")
-        cls = _vec(_need(c, "h1_class", path), f"{path}.h1_class", rank)
-        alphabet[name] = cls
+        cls = _row(_need(c, "h1_class", path), f"{path}.h1_class", rank)
+        alphabet[name] = sparse(cls)
         stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
         if stored:
             tables.append((path, name, stored))
@@ -313,7 +331,7 @@ def from_obj(obj: dict) -> OpenBook:
         path = f"$.ref_arcs[{i}]"
         cid = _int(_need(a, "boundary", path), f"{path}.boundary")
         current_class = _ints(a.get("current_class", [0] * rank), f"{path}.current_class")
-        row = _ints(_need(a, "pairings", path), f"{path}.pairings")
+        row = _int_list(_need(a, "pairings", path), f"{path}.pairings")
         if len(current_class) != rank or len(row) != rank:
             raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
                               f"pairing row of the wrong length for rank {rank}")
@@ -325,16 +343,16 @@ def from_obj(obj: dict) -> OpenBook:
                               f"than the basepoint {bp}")
         if cid in ref_arcs:
             raise SchemaError(f"{path}.boundary repeats boundary {cid}")
-        ref_arcs[cid] = row
+        ref_arcs[cid] = sparse(row)
         arc_paths[cid] = path
     if targets - set(ref_arcs):
         raise SchemaError(f"$.ref_arcs has no arc to boundary {min(targets - set(ref_arcs))}")
     for cid, residual in crossing_residuals(circles, ref_arcs):
         if any(residual):
             raise SchemaError(
-                f"{arc_paths[cid]}.pairings is {list(ref_arcs[cid])}, but an arc from the "
-                f"basepoint {bp} to boundary {cid} crosses the pushoff of {cid} once "
-                f"(+1), of {bp} once (-1) and of no other boundary circle")
+                f"{arc_paths[cid]}.pairings is {dense(ref_arcs[cid], rank)}, but an arc "
+                f"from the basepoint {bp} to boundary {cid} crosses the pushoff of {cid} "
+                f"once (+1), of {bp} once (-1) and of no other boundary circle")
 
     declared = [_names(pair, f"$.disjoint[{i}]")
                 for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import StabilizationError  # noqa: F401  (re-exported for callers of stabilize)
 from .intalg import IntMatrix, AbelianGroup, cokernel
@@ -29,12 +29,14 @@ from .records import record
 from .surface import (
     FixedSet,
     Involution,
+    Sparse,
     SurfaceModel,
     combine,
+    dense,
+    entries,
     image_holds,
     involution_is_valid,
     unit,
-    vec_scale,
 )
 
 
@@ -149,11 +151,12 @@ class OpenBook:
 # reality
 
 
-def _mirror_functional(c: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v: the pairing
-    row of the mirror c(gamma) of an arc or curve whose row is v (the
-    reference arcs here, the new curve of types VI and VIII)."""
-    return tuple(-x for x in combine(((i, x) for i, x in enumerate(v) if x), c.rows, c.ncols))
+def _mirror_functional(c: IntMatrix, v: Sparse) -> tuple[int, ...]:
+    """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v, dense: the
+    pairing row of the mirror c(gamma) of an arc or curve whose sparse
+    row is v (the reference arcs here, the new curve of types VI and
+    VIII)."""
+    return tuple(-x for x in combine(entries(v), c.rows, c.ncols))
 
 
 def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
@@ -169,9 +172,10 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     c = ob.real_structure.matrix
     cids = sorted(model.ref_arcs)
     rows = [model.ref_arcs[cid] for cid in cids]
-    moved = transport_arcs(model, w, rows + [_mirror_functional(c, row) for row in rows])
+    moved = transport_arcs(model, w, [dense(row, model.h1_rank) for row in rows]
+                           + [_mirror_functional(c, row) for row in rows])
     for cid, (cls, _row), (cls_mirrored, _row_mirrored) in zip(cids, moved, moved[len(cids):]):
-        lhs = vec_scale(-1, f_inv.apply(cls))
+        lhs = tuple(-x for x in f_inv.apply(cls))
         rhs = c.apply(cls_mirrored)
         if tuple(lhs) != tuple(rhs):
             return False, {"boundary": cid, "lhs": tuple(lhs), "rhs": tuple(rhs)}
@@ -327,7 +331,8 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
         cols.append(col + [0])
     bp = model.basepoint
     others = sorted(cid for cid in model.circles if cid != bp)
-    moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
+    moved = transport_arcs(model, ob.monodromy,
+                           [dense(model.ref_arcs[cid], rank) for cid in others])
     cols.append([0] * rank + [1])
     cols.extend(list(cls) + [1] for cls, _row in moved)
     rel = IntMatrix.from_columns(cols, rank + 1)

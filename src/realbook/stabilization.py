@@ -17,7 +17,7 @@ command line's subcommands only stabilize and catalog load this module.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -46,23 +46,24 @@ from .surface import (
     FixedSet,
     HandleExtension,
     Involution,
+    Sparse,
     SurfaceModel,
     crossing_residuals,
+    dense,
+    entries,
+    set_coord,
+    sparse,
+    sparse_add,
+    sparse_scale,
     unit,
     validate_involution,
-    vec_add,
     vec_dot,
-    vec_scale,
 )
 
 
 def _max_pid(inv: Involution) -> int:
     pids = [p for pts in inv.fixed_points.values() for p in pts]
     return max(pids, default=0)
-
-
-def _extend_vec(v: Sequence[int], extra: int) -> tuple[int, ...]:
-    return tuple(v) + (0,) * extra
 
 
 def _extend_form(j: IntMatrix, new_cols: list[tuple[int, ...]], mutual: int) -> IntMatrix:
@@ -105,21 +106,24 @@ class _Builder(SimpleNamespace):
     made with every field below given by keyword.
 
     The new curves are the last len(names) basis classes: the handle
-    core a and, for a handle pair, its mirror ca.
+    core a and, for a handle pair, its mirror ca.  The dicts and lists
+    are the builder's own, but the vectors and fixed arcs in them are
+    the parent's objects until a step changes them: a step replaces an
+    entry, and never mutates a vector, a fixed arc or its pair_arcs.
     """
 
     names: list[str]
     basis: list[str]
     form: IntMatrix
-    classes: dict[str, tuple[int, ...]]
-    circles: dict[int, tuple[int, ...]]          # cid -> pclass
+    classes: dict[str, Sparse]
+    circles: dict[int, Sparse]                   # cid -> pclass
     perm: dict[int, int]
     fixed_points: dict[int, tuple[int, int]]
-    arcs_rows: dict[int, tuple[int, ...]]        # cid -> ref-arc pairing row
+    arcs_rows: dict[int, Sparse]                 # cid -> ref-arc pairing row
     minus_arcs: list[FixArc]
-    minus_circles: list[tuple[int, ...]]
+    minus_circles: list[Sparse]
     plus_arcs: list[FixArc]
-    plus_circles: list[tuple[int, ...]]
+    plus_circles: list[Sparse]
     images: dict[str, tuple[str, int]]
     next_pid: int
 
@@ -131,6 +135,17 @@ class _Builder(SimpleNamespace):
     def a_idx(self) -> int:
         return self.rank - len(self.names)
 
+    def new_class(self, t: int = 0) -> Sparse:
+        """The class of new curve t: e_a for the core, e_{a+1} for its
+        mirror."""
+        return (self.a_idx + t, 1)
+
+    def map_arcs(self, f: Callable[[FixArc], FixArc]) -> None:
+        """Replace every fixed arc of either side by f(arc); f returns
+        the arc itself when it has nothing to change."""
+        self.minus_arcs = [f(a) for a in self.minus_arcs]
+        self.plus_arcs = [f(a) for a in self.plus_arcs]
+
     def fresh_pid(self) -> int:
         self.next_pid += 1
         return self.next_pid
@@ -141,74 +156,86 @@ class _Builder(SimpleNamespace):
     def move_ends(self, to: Callable[[int, int], int]) -> None:
         """Move every fixed-arc end (cid, pid) onto circle to(cid, pid)."""
         def moved(a: FixArc) -> FixArc:
-            return replace(a, ends=tuple((to(c, p), p) for c, p in a.ends))
+            ends = tuple((to(c, p), p) for c, p in a.ends)
+            return a if ends == a.ends else replace(a, ends=ends)
 
-        self.minus_arcs = [moved(a) for a in self.minus_arcs]
-        self.plus_arcs = [moved(a) for a in self.plus_arcs]
+        self.map_arcs(moved)
 
     def merge_boundaries(self, j: int, k: int) -> None:
         """Circle k joins circle j through the handle into one reflection
         circle j: k's reference arc and the crossings with it disappear,
         and fixed-arc ends on k move to j."""
-        self.circles[j] = vec_add(self.circles[j], self.circles.pop(k))
+        self.circles[j] = sparse_add(self.circles[j], self.circles.pop(k))
         del self.perm[k]
         self.perm[j] = j
         self.fixed_points.pop(k, None)
         self.arcs_rows.pop(k, None)
-        for arc in self.minus_arcs + self.plus_arcs:
-            arc.pair_arcs.pop(k, None)
+
+        def dropped(a: FixArc) -> FixArc:
+            if k not in a.pair_arcs:
+                return a
+            return replace(a, pair_arcs={l: x for l, x in a.pair_arcs.items() if l != k})
+
+        self.map_arcs(dropped)
         self.move_ends(lambda c, p: j if c == k else c)
 
     def split_boundary(self, j: int, new: int) -> None:
         """Circle new splits off circle j: its reference arc runs beside
         j's, so it inherits j's row and every fixed piece's crossing with
         j's arc."""
-        self.arcs_rows[new] = self.arcs_rows.get(j, (0,) * self.rank)
-        for arc in self.minus_arcs + self.plus_arcs:
-            if j in arc.pair_arcs:
-                arc.pair_arcs[new] = arc.pair_arcs[j]
+        self.arcs_rows[new] = self.arcs_rows.get(j, ())
+
+        def split(a: FixArc) -> FixArc:
+            if j not in a.pair_arcs:
+                return a
+            return replace(a, pair_arcs={**a.pair_arcs, new: a.pair_arcs[j]})
+
+        self.map_arcs(split)
 
     def strand(self, ends: tuple[tuple[int, int], tuple[int, int]]) -> FixArc:
         """A fixed arc across the handle: it crosses the core once and
         nothing else."""
-        return FixArc(ends=ends, pair_curves=unit(self.rank, self.a_idx), pair_arcs={})
+        return FixArc(ends=ends, pair_curves=self.new_class(), pair_arcs={})
 
 
 def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = None,
                    mutual: int = 0) -> _Builder:
     """Scratch copy of the book with the new curves of a type-tag handle
-    installed: every old vector widened by zero coordinates, the form
-    extended by the new curves' pairing columns cols (zero by default)
-    and mutual = <a, ca>.  The new curves are named s{n} and s{n}c for
-    the least n > len(provenance) for which the page has neither name."""
+    installed: the parent's vectors and fixed arcs as they are (a sparse
+    vector needs no padding for the new coordinates) in the builder's
+    own dicts and lists, the form extended by the new curves' pairing
+    columns cols (zero by default) and mutual = <a, ca>.  The new curves
+    are named s{n} and s{n}c for the least n > len(provenance) for which
+    the page has neither name."""
     count = STAB_TYPES[tag].handle_count
     model = ob.page
     inv = ob.real_structure
+    plus = ob.fix_plus or FixedSet()
     n = len(ob.provenance) + 1
     while f"s{n}" in model.alphabet or f"s{n}c" in model.alphabet:
         n += 1
     names = [f"s{n}", f"s{n}c"][:count]
-    rank = model.h1_rank + count
-    ext = lambda v: _extend_vec(v, count)
     return _Builder(
         names=names,
         basis=list(model.basis) + names,
         form=_extend_form(model.form, cols or [(0,) * model.h1_rank] * count, mutual),
-        classes={n: ext(c) for n, c in model.alphabet.items()}
-        | {n: unit(rank, rank - count + i) for i, n in enumerate(names)},
-        circles={cid: ext(p) for cid, p in model.circles.items()},
+        classes=model.alphabet | {n: (model.h1_rank + i, 1) for i, n in enumerate(names)},
+        circles=dict(model.circles),
         perm=dict(inv.boundary_perm),
         fixed_points=dict(inv.fixed_points),
-        arcs_rows={cid: ext(row) for cid, row in model.ref_arcs.items()},
-        minus_arcs=[replace(a, pair_curves=ext(a.pair_curves), pair_arcs=dict(a.pair_arcs))
-                    for a in inv.fixed_set.arcs],
-        minus_circles=[ext(c) for c in inv.fixed_set.circles],
-        plus_arcs=[replace(a, pair_curves=ext(a.pair_curves), pair_arcs=dict(a.pair_arcs))
-                   for a in (ob.fix_plus.arcs if ob.fix_plus else ())],
-        plus_circles=[ext(c) for c in (ob.fix_plus.circles if ob.fix_plus else ())],
+        arcs_rows=dict(model.ref_arcs),
+        minus_arcs=list(inv.fixed_set.arcs),
+        minus_circles=list(inv.fixed_set.circles),
+        plus_arcs=list(plus.arcs),
+        plus_circles=list(plus.circles),
         images=dict(inv.curve_image),
         next_pid=_max_pid(inv),
     )
+
+
+def _add_at(v: Sparse, idx: Sequence[int], deltas: Sequence[int]) -> Sparse:
+    """v plus deltas[t] at coordinate idx[t], for each t."""
+    return sparse_add(v, tuple(chain.from_iterable(zip(idx, deltas))))
 
 
 def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
@@ -226,16 +253,14 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
             continue
         if snf is None:
             snf = smith_normal_form(IntMatrix._trusted(
-                [[b.circles[cid][t] for t in new_idx] for cid in sorted(b.circles)],
+                [[p.get(t, 0) for t in new_idx]
+                 for p in (dict(entries(b.circles[cid])) for cid in sorted(b.circles))],
                 len(new_idx)))
         sol = snf_solve(snf, rhs)
         if sol is None:
             raise StabilizationError(
                 f"reference arc to boundary {l} has no consistent crossing data")
-        row = b.arcs_rows[l]
-        for t, d in zip(new_idx, sol):
-            row = _set_coord(row, t, row[t] + d)
-        b.arcs_rows[l] = row
+        b.arcs_rows[l] = _add_at(b.arcs_rows[l], new_idx, sol)
 
 
 def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
@@ -251,13 +276,14 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
     new_idx, are pushed through W (times_word) and then c_new (the
     scatter product); M itself is never formed.  The system matrix is
     the same for every arc, so its Smith form is factored once, on the
-    first arc that needs it.
+    first arc that needs it.  An arc that already keeps the law is
+    returned as it is.
     """
     if not arcs:
         return arcs
     rank = page.h1_rank
-    probes = IntMatrix([arc.pair_curves for arc in arcs] + [unit(rank, t) for t in new_idx],
-                       ncols=rank)
+    probes = IntMatrix([dense(arc.pair_curves, rank) for arc in arcs]
+                       + [unit(rank, t) for t in new_idx], ncols=rank)
     if w:
         probes = times_word(probes, page, w)
     pushed = (probes @ c_new).rows
@@ -265,8 +291,9 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
     snf = None
     out = []
     for arc, pc_m in zip(arcs, pushed):
-        pc = arc.pair_curves
-        residual = vec_add(pc_m, pc)
+        residual = list(pc_m)
+        for i, x in entries(arc.pair_curves):
+            residual[i] += x
         if not any(residual):
             out.append(arc)
             continue
@@ -279,9 +306,7 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
         if delta is None:
             raise StabilizationError(
                 "fixed-arc crossing data cannot satisfy the invariance law here")
-        for t, d in zip(new_idx, delta):
-            pc = _set_coord(pc, t, pc[t] + d)
-        out.append(replace(arc, pair_curves=pc))
+        out.append(replace(arc, pair_curves=_add_at(arc.pair_curves, new_idx, delta)))
     return out
 
 
@@ -336,11 +361,11 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
 
     # drop curve images that the twist invalidates (sigma moves the curve);
     # the recorded c~ images survive only for curves sigma fixes
-    sigma_pairings = [page.curve_tables(s)[0] for s in sigma_names]
+    sigma_pairings = [dict(entries(page.curve_vectors(s).ja)) for s in sigma_names]
 
     def moved(name: str) -> bool:
-        cls = b.classes[name]
-        return any(vec_dot(js, cls) != 0 for js in sigma_pairings)
+        cls = list(entries(b.classes[name]))
+        return any(sum([x * js.get(i, 0) for i, x in cls]) for js in sigma_pairings)
 
     images_out: dict[str, tuple[str, int]] = {}
     for name, img in b.images.items():
@@ -455,12 +480,14 @@ Pattern = list[tuple[Sequence[int], int]]
 
 def _attachment_pattern(ob: OpenBook, j: int, k: int) -> Pattern:
     """The boundary pattern of a handle joining circles j and k, as
-    (P, P . v) pairs over the old basis, P a pushoff class and v the
-    pairing functional of the new curve: P_j . v = -1, P_k . v = +1 and
-    P_o . v = 0 for every other circle o, in circle order."""
+    (P, P . v) pairs over the old basis, P a pushoff class (dense, for
+    the Smith systems) and v the pairing functional of the new curve:
+    P_j . v = -1, P_k . v = +1 and P_o . v = 0 for every other circle o,
+    in circle order."""
     page = ob.page
-    return ([(page.circles[j], -1), (page.circles[k], 1)]
-            + [(p, 0) for cid, p in page.circles.items() if cid not in (j, k)])
+    n = page.h1_rank
+    return ([(dense(page.circles[j], n), -1), (dense(page.circles[k], n), 1)]
+            + [(dense(p, n), 0) for cid, p in page.circles.items() if cid not in (j, k)])
 
 
 def _solve_pushoff_column(pattern: Pattern, c_old: IntMatrix,
@@ -598,12 +625,6 @@ def _lattice_point(base: tuple[int, ...], gens: Sequence[tuple[int, ...]],
     return tuple(xx)
 
 
-def _set_coord(v: Sequence[int], idx: int, value: int) -> tuple[int, ...]:
-    out = list(v)
-    out[idx] = value
-    return tuple(out)
-
-
 def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> None:
     """Join the plus-side arcs ending at two retired fixed points through
     the handle core (the naive extension fixes the core pointwise)."""
@@ -614,13 +635,13 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
         arc = b.plus_arcs.pop(hits[0])
         # closed up: core + arc; class is the new curve class corrected so
         # the crossing functional matches the arc data
-        target = _set_coord(arc.pair_curves, b.a_idx, 0)
-        base = unit(b.rank, b.a_idx)
-        need = vec_add(target, vec_scale(-1, b.form.transpose().apply(base)))
-        w = solve_integer(b.form.transpose(), need)
+        target = dense(set_coord(arc.pair_curves, b.a_idx, 0), b.rank)
+        ft = b.form.transpose()
+        need = [t - x for t, x in zip(target, ft.apply(unit(b.rank, b.a_idx)))]
+        w = solve_integer(ft, need)
         if w is None:
             raise StabilizationError("joined fixed circle has no consistent class")
-        b.plus_circles.append(vec_add(base, w))
+        b.plus_circles.append(sparse_add(sparse(w), b.new_class()))
     else:
         i1, i2 = hits[0], hits[-1]
         a2 = b.plus_arcs.pop(i2)
@@ -632,7 +653,7 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
             pair_arcs[cid] = pair_arcs.get(cid, 0) + v
         b.plus_arcs.append(
             FixArc(ends=(other1, other2),
-                   pair_curves=vec_add(a1.pair_curves, a2.pair_curves),
+                   pair_curves=sparse_add(a1.pair_curves, a2.pair_curves),
                    pair_arcs=pair_arcs)
         )
 
@@ -645,8 +666,9 @@ def _consume_arc(b: _Builder, x: FixArc) -> None:
     with the opposite sign."""
     b.minus_arcs = [a for a in b.minus_arcs if a.ends != x.ends]
     _plus_join(b, *x.ends)
-    for cid in list(b.arcs_rows):
-        b.arcs_rows[cid] = _set_coord(b.arcs_rows[cid], b.a_idx, -x.pair_arcs.get(cid, 0))
+    for cid, row in list(b.arcs_rows.items()):
+        if x.pair_arcs.get(cid, 0):
+            b.arcs_rows[cid] = set_coord(row, b.a_idx, -x.pair_arcs[cid])
 
 
 def _arc_at(arcs: list[FixArc], end: tuple[int, int], what: str) -> int:
@@ -698,9 +720,9 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     c_old = ob.real_structure.matrix
     jm = ob.page.form
     z_rows = [list(r) for r in jm.rows]
-    z_rhs = [-pc for pc in x.pair_curves[:old_rank]]
+    z_rhs = [-pc for pc in dense(x.pair_curves, old_rank)]
     for l, row in sorted(ob.page.ref_arcs.items()):
-        z_rows.append(list(row))
+        z_rows.append(dense(row, old_rank))
         z_rhs.append(-x.pair_arcs.get(l, 0))
     sym = (c_old.transpose() @ jm) + jm
     for row in sym.rows:
@@ -713,8 +735,8 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "I", [tuple(jm.apply(z))])
     pj = b.circles[j]
     j2 = b.fresh_cid()
-    b.circles[j] = vec_add(unit(b.rank, b.a_idx), vec_scale(-1, _extend_vec(z, 1)))
-    b.circles[j2] = vec_add(pj, vec_scale(-1, b.circles[j]))
+    b.circles[j] = sparse_add(b.new_class(), sparse(z), -1)
+    b.circles[j2] = sparse_add(pj, b.circles[j], -1)
     b.perm[j] = j2
     b.perm[j2] = j
     del b.fixed_points[j]
@@ -732,13 +754,13 @@ def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
     keep = pts[0] if pts[1] == shadow else pts[1]
 
     b = _start_builder(ob, "II")
-    a = unit(b.rank, b.a_idx)
+    a = b.new_class()
     pj = b.circles[j]
     j2 = b.fresh_cid()
     n1 = b.fresh_pid()
     n2 = b.fresh_pid()
     b.circles[j] = a
-    b.circles[j2] = vec_add(pj, vec_scale(-1, a))
+    b.circles[j2] = sparse_add(pj, a, -1)
     b.perm[j2] = j2
     b.fixed_points[j] = (keep, n1)
     b.fixed_points[j2] = (shadow, n2)
@@ -747,8 +769,8 @@ def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
     y = b.minus_arcs.pop(_arc_at(b.minus_arcs, (j, shadow), "fixed arc"))
     far = y.ends[0] if y.ends[1] == (j, shadow) else y.ends[1]
     arc1 = FixArc(ends=(far, (j2, n2)),
-                  pair_curves=_set_coord(y.pair_curves, b.a_idx, 1),
-                  pair_arcs=dict(y.pair_arcs))
+                  pair_curves=set_coord(y.pair_curves, b.a_idx, 1),
+                  pair_arcs=y.pair_arcs)
     b.minus_arcs.extend([arc1, b.strand(((j2, shadow), (j, n1)))])
 
     # plus side: the chord crosses the strand at the shadowed point, which
@@ -757,13 +779,17 @@ def _stab_II(ob: OpenBook, site: tuple) -> OpenBook:
     z = b.plus_arcs[zi]
     ends = tuple((j2, p) if (c == j and p == shadow) else (c, p) for c, p in z.ends)
     b.plus_arcs[zi] = FixArc(ends=ends,
-                             pair_curves=_set_coord(z.pair_curves, b.a_idx, 1),
-                             pair_arcs=dict(z.pair_arcs))
+                             pair_curves=set_coord(z.pair_curves, b.a_idx, 1),
+                             pair_arcs=z.pair_arcs)
     b.plus_arcs.append(b.strand(((j, n1), (j2, n2))))
 
     b.split_boundary(j, j2)
-    # the far strand is the one the new reference arc crosses
-    arc1.pair_arcs[j2] = arc1.pair_arcs.get(j2, 0) + 1
+    # the far strand (arc1, as split_boundary left it) is the one the new
+    # reference arc crosses
+    i = _arc_at(b.minus_arcs, (j2, n2), "fixed arc")
+    arc1 = b.minus_arcs[i]
+    b.minus_arcs[i] = replace(arc1, pair_arcs={**arc1.pair_arcs,
+                                               j2: arc1.pair_arcs.get(j2, 0) + 1})
     return _finish(ob, b, "II", site)
 
 
@@ -772,11 +798,10 @@ def _stab_III(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "III")
     x_cid = b.fresh_cid()
     y_cid = x_cid + 1
-    b.circles[x_cid] = unit(b.rank, b.a_idx)
-    b.circles[y_cid] = vec_scale(-1, unit(b.rank, b.a_idx + 1))
-    pj = b.circles[j]
-    b.circles[j] = vec_add(pj, vec_add(vec_scale(-1, b.circles[x_cid]),
-                                       vec_scale(-1, b.circles[y_cid])))
+    b.circles[x_cid] = b.new_class(0)
+    b.circles[y_cid] = sparse_scale(-1, b.new_class(1))
+    b.circles[j] = sparse_add(sparse_add(b.circles[j], b.circles[x_cid], -1),
+                              b.circles[y_cid], -1)
     b.perm[x_cid] = y_cid
     b.perm[y_cid] = x_cid
     b.split_boundary(j, x_cid)
@@ -790,10 +815,10 @@ def _stab_IV(ob: OpenBook, site: tuple) -> OpenBook:
     # both chords shadow the same real point: its strands pick up one
     # crossing with each new curve as a seed; the invariance-law pass in
     # _finish settles the exact values
-    seed = vec_add(unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1))
+    seed = sparse_add(b.new_class(0), b.new_class(1))
     for arcs, what in ((b.minus_arcs, "fixed arc"), (b.plus_arcs, "plus-side fixed arc")):
         i = _arc_at(arcs, (j, shadow), what)
-        arcs[i] = replace(arcs[i], pair_curves=vec_add(arcs[i].pair_curves, seed))
+        arcs[i] = replace(arcs[i], pair_curves=sparse_add(arcs[i].pair_curves, seed))
     return _finish(ob, b, "IV", site)
 
 
@@ -807,7 +832,7 @@ def _stab_V(ob: OpenBook, site: tuple) -> OpenBook:
     # forced by the arc's declared crossings up to orientation; the
     # attachment is valid only if one orientation has the
     # boundary-crossing pattern
-    v_a = tuple(-pc for pc in x.pair_curves[:ob.page.h1_rank])
+    v_a = tuple(-pc for pc in dense(x.pair_curves, ob.page.h1_rank))
     pattern = _attachment_pattern(ob, j, k)
     for candidate in (v_a, tuple(-v for v in v_a)):
         if all(vec_dot(p, candidate) == want for p, want in pattern):
@@ -833,15 +858,15 @@ def _stab_VI(ob: OpenBook, site: tuple) -> OpenBook:
     c_old = ob.real_structure.matrix
     # anti-invariant functional keeps the re-formed boundary classes radical
     v_a = _solve_pushoff_column(_attachment_pattern(ob, j, k), c_old, -1)
-    v_ca = _mirror_functional(c_old, v_a)
+    v_ca = _mirror_functional(c_old, sparse(v_a))
 
     b = _start_builder(ob, "VI", [v_a, v_ca])
     # circles re-form: first points gather on j, second points on k
     pj_pts = ob.real_structure.fixed_points[j]
     pk_pts = ob.real_structure.fixed_points[k]
-    diag = vec_add(unit(b.rank, b.a_idx), vec_scale(-1, unit(b.rank, b.a_idx + 1)))
-    b.circles[j] = vec_add(vec_add(b.circles[j], b.circles[k]), diag)
-    b.circles[k] = vec_scale(-1, diag)
+    diag = sparse_add(b.new_class(0), b.new_class(1), -1)
+    b.circles[j] = sparse_add(sparse_add(b.circles[j], b.circles[k]), diag)
+    b.circles[k] = sparse_scale(-1, diag)
     b.fixed_points[j] = (pj_pts[0], pk_pts[0])
     b.fixed_points[k] = (pj_pts[1], pk_pts[1])
     first = {j: pj_pts[0], k: pk_pts[0]}
@@ -856,7 +881,6 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
         raise StabilizationError("type VII needs a fixed piece for the closing chord to cross")
     if not 0 <= cross < len(pieces):
         raise StabilizationError(f"no fixed piece with index {cross}")
-    old_rank = ob.page.h1_rank
     v_a = _solve_pushoff_column(_attachment_pattern(ob, j, k), ob.real_structure.matrix, +1)
 
     b = _start_builder(ob, "VII", [v_a])
@@ -873,14 +897,14 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
         t = b.minus_arcs.pop(ti)
         e1, e2 = t.ends
         b.minus_arcs.append(FixArc(ends=(e1, (j, n1)),
-                                   pair_curves=_set_coord(t.pair_curves, b.a_idx, 1),
-                                   pair_arcs=dict(t.pair_arcs)))
+                                   pair_curves=set_coord(t.pair_curves, b.a_idx, 1),
+                                   pair_arcs=t.pair_arcs))
         b.minus_arcs.append(b.strand((e2, (j, n2))))
     else:
-        ci = next(i for i, c in enumerate(b.minus_circles) if c[:old_rank] == target)
-        row = tuple(b.form.transpose().apply(b.minus_circles.pop(ci)))
+        ci = next(i for i, c in enumerate(b.minus_circles) if c == target)
+        row = b.form.transpose().apply(dense(b.minus_circles.pop(ci), b.rank))
         b.minus_arcs.append(FixArc(ends=((j, n1), (j, n2)),
-                                   pair_curves=_set_coord(row, b.a_idx, row[b.a_idx] + 1),
+                                   pair_curves=sparse_add(sparse(row), b.new_class()),
                                    pair_arcs={}))
 
     # plus side gains the transversal handle strand
@@ -893,27 +917,27 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     c_old = ob.real_structure.matrix
     v_a, w, x_coef, mutual = _solve_viii_data(_attachment_pattern(ob, j, k), c_old,
                                               ob.page.form)
-    v_ca = _mirror_functional(c_old, v_a)
+    v_ca = _mirror_functional(c_old, sparse(v_a))
 
     b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
-    new_j = vec_add(
-        vec_scale(x_coef, vec_add(unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1))), _extend_vec(w, 2))
+    new_j = sparse_add(sparse(w), (b.a_idx, x_coef, b.a_idx + 1, x_coef))
     b.circles[j] = new_j
-    b.circles[k] = vec_scale(-1, _naive_extension(c_old, STAB_TYPES["VIII"]).apply(new_j))
+    c_ext = _naive_extension(c_old, STAB_TYPES["VIII"])
+    b.circles[k] = sparse_scale(-1, sparse(c_ext.apply(dense(new_j, b.rank))))
     return _finish(ob, b, "VIII", site)
 
 
 def _stab_IX(ob: OpenBook, site: tuple) -> OpenBook:
     j, k = site
     b = _start_builder(ob, "IX")
-    a, ca = unit(b.rank, b.a_idx), unit(b.rank, b.a_idx + 1)
+    a, ca = b.new_class(0), b.new_class(1)
     pj, pk = b.circles[j], b.circles[k]
     j2 = b.fresh_cid()
     k2 = j2 + 1
     b.circles[j] = a
-    b.circles[j2] = vec_add(pj, vec_scale(-1, a))
-    b.circles[k] = vec_scale(-1, ca)
-    b.circles[k2] = vec_add(pk, ca)
+    b.circles[j2] = sparse_add(pj, a, -1)
+    b.circles[k] = sparse_scale(-1, ca)
+    b.circles[k2] = sparse_add(pk, ca)
     b.perm.update({j: k, k: j, j2: k2, k2: j2})
     b.split_boundary(j, j2)
     b.split_boundary(k, k2)

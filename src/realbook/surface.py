@@ -13,6 +13,16 @@ class, the form and the arc rows (SurfaceModel.curve_vectors and
 curve_tables), and the disjoint pairs that name a curve a stabilization
 made, from that curve's birth (SurfaceModel.curves_disjoint).
 
+Every vector a page or a fixed set holds (a curve class, a pushoff
+class, a reference-arc row, a fixed arc's pair_curves, a fixed circle's
+class) is stored Sparse: its nonzero entries, flat, in increasing index
+order.  So a class keeps its stored form when the basis grows, and a
+stabilized page shares each vector its handle leaves alone with its
+parent; the book reader converts JSON's dense rows once and the writer
+expands them (jsonio).  The form J and the involution's matrix stay
+IntMatrix, and the kernels that need dense rows (the Smith systems, the
+twist-word probes, arc transport, IntMatrix.apply) expand at the call.
+
 Conventions fixed here once and used everywhere else:
 
 * basis order is a1, b1, ..., ag, bg, d1, ..., d_{b-1} with <ai, bi> = +1;
@@ -22,11 +32,13 @@ Conventions fixed here once and used everywhere else:
   the basepoint-parallel curve d_1 once (-1), and misses everything else.
 
 Shared kernels and checks, each written once here and called by every
-site that needs it: unit (a basis vector), combine (a sparse
-combination of rows), image_holds (a curve image under a matrix given
-by its columns), and involution_check, anti_symplectic_check and
-lefschetz_check, which validate_involution reports and
-heegaard.validate_heegaard reads for both invariant pages.
+site that needs it: sparse and dense (the two forms of a vector),
+sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
+unit (a dense basis vector), combine (a sparse combination of rows),
+image_holds (a curve image under a matrix given by its columns), and
+involution_check, anti_symplectic_check and lefschetz_check, which
+validate_involution reports and heegaard.validate_heegaard reads for
+both invariant pages.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
 other ($.page.form must be antisymmetric), and the forms built here
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, combinations, groupby, product
-from operator import add, mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
@@ -49,35 +61,73 @@ if TYPE_CHECKING:
 
 
 Vec = tuple[int, ...]
-# the nonzero entries of a vector, flat: (i, x_i, j, x_j, ...); one tuple per
-# vector, not one per entry, keeps the per-page curve cache small
+# a vector at rest: its nonzero entries, flat, (i, x_i, j, x_j, ...) with
+# increasing indices.  One tuple per vector, not one per entry, keeps a page
+# small; the form is canonical, so == and hash compare vectors; and a
+# vector keeps its form when the rank grows, so a stabilized page shares
+# every vector its handle leaves alone with its parent.
 Sparse = tuple[int, ...]
 
 
-def _vec(x: Sequence[int]) -> Vec:
-    return tuple(int(v) for v in x)
+_flat = chain.from_iterable
+_value = itemgetter(1)
 
 
-def vec_add(x: Sequence[int], y: Sequence[int]) -> Vec:
-    return tuple(map(add, x, y))
+def sparse(v: Iterable[int]) -> Sparse:
+    """The canonical sparse form of a dense vector: the (i, x_i) pairs of
+    its nonzero entries, filtered and flattened without a Python-level
+    loop, as the book reader converts every row of a file."""
+    return tuple(_flat(filter(_value, enumerate(v))))
 
 
-def vec_scale(c: int, x: Sequence[int]) -> Vec:
-    return tuple(c * a for a in x)
-
-
-def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(map(mul, x, y))
-
-
-def _sparse(v: Sequence[int]) -> Sparse:
-    return tuple(chain.from_iterable((i, x) for i, x in enumerate(v) if x))
+def dense(v: Sparse, n: int) -> list[int]:
+    """The dense vector of length n with the entries of a sparse one, as
+    a fresh list."""
+    out = [0] * n
+    it = iter(v)
+    for i in it:
+        out[i] = next(it)
+    return out
 
 
 def entries(v: Sparse) -> Iterator[tuple[int, int]]:
     """The pairs (i, x_i) of a flat sparse vector."""
     it = iter(v)
     return zip(it, it)
+
+
+def _canonical(acc: Mapping[int, int]) -> Sparse:
+    return tuple(_flat((i, acc[i]) for i in sorted(acc) if acc[i]))
+
+
+def sparse_add(x: Sparse, y: Sparse, c: int = 1) -> Sparse:
+    """x + c y, both sparse."""
+    acc = dict(entries(x))
+    for i, v in entries(y):
+        acc[i] = acc.get(i, 0) + c * v
+    return _canonical(acc)
+
+
+def sparse_scale(c: int, x: Sparse) -> Sparse:
+    """c x, sparse."""
+    return tuple(v * c if k % 2 else v for k, v in enumerate(x)) if c else ()
+
+
+def sparse_dot(x: Sparse, y: Sparse) -> int:
+    """x . y, both sparse."""
+    ys = dict(entries(y))
+    return sum(v * ys.get(i, 0) for i, v in entries(x))
+
+
+def set_coord(v: Sparse, idx: int, value: int) -> Sparse:
+    """v with entry idx set to value."""
+    acc = dict(entries(v))
+    acc[idx] = value
+    return _canonical(acc)
+
+
+def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
 def unit(rank: int, idx: int) -> Vec:
@@ -96,8 +146,8 @@ def combine(pairs: Iterable[tuple[int, int]], rows: Sequence[Sequence[int]], n: 
     return [0] * n if acc is None else acc
 
 
-def crossing_residuals(circles: Mapping[int, Sequence[int]],
-                       rows: Mapping[int, Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
+def crossing_residuals(circles: Mapping[int, Sparse],
+                       rows: Mapping[int, Sparse]) -> Iterator[tuple[int, list[int]]]:
     """The boundary crossing pattern of reference arcs, arc by arc.
 
     An arc from the basepoint (the least id) to boundary l crosses the
@@ -112,15 +162,13 @@ def crossing_residuals(circles: Mapping[int, Sequence[int]],
     cids = sorted(circles)
     by_coord: dict[int, list[tuple[int, int]]] = {}
     for k, cid in enumerate(cids):
-        for i, x in enumerate(circles[cid]):
-            if x:
-                by_coord.setdefault(i, []).append((k, x))
+        for i, x in entries(circles[cid]):
+            by_coord.setdefault(i, []).append((k, x))
     for l, row in sorted(rows.items()):
         residual = [1 if cid == l else (-1 if cid == cids[0] else 0) for cid in cids]
-        for i, a in enumerate(row):
-            if a:
-                for k, x in by_coord.get(i, ()):
-                    residual[k] -= a * x
+        for i, a in entries(row):
+            for k, x in by_coord.get(i, ()):
+                residual[k] -= a * x
         yield l, residual
 
 
@@ -129,23 +177,23 @@ class FixArc:
     """Fixed arc of an involution, with declared crossing data.
 
     ``ends`` are (circle id, fixed point id) pairs.  ``pair_curves`` is
-    the signed crossing vector against the basis curves; ``pair_arcs``
-    maps a boundary id to the signed crossing number with its reference
-    arc.
+    the signed crossing vector against the basis curves, sparse;
+    ``pair_arcs`` maps a boundary id to the signed crossing number with
+    its reference arc.
     """
 
     ends: tuple[tuple[int, int], tuple[int, int]]
-    pair_curves: Vec
+    pair_curves: Sparse
     pair_arcs: Mapping[int, int] = factory(dict)
 
 
 @record
 class FixedSet:
-    """Fixed arcs, and fixed circles as their classes: a circle's
+    """Fixed arcs, and fixed circles as their sparse classes: a circle's
     crossing data follows from its class."""
 
     arcs: tuple[FixArc, ...] = ()
-    circles: tuple[Vec, ...] = ()
+    circles: tuple[Sparse, ...] = ()
 
 
 @record
@@ -166,7 +214,7 @@ class SurfaceModel:
     class entry, the genus follows from 2g + b - 1 = rank H1, and a
     reference arc is its pairing row (entry j its crossing number with
     the j-th basis curve), as its transport defect starts at zero
-    (mcg.transport_arcs).  Frozen: the
+    (mcg.transport_arcs).  Every class and row is Sparse.  Frozen: the
     per-curve vectors of curve_vectors are cached on the instance,
     outside the fields, so they take no part in ==, repr or JSON, and a
     page made with records.replace starts without them.
@@ -180,11 +228,11 @@ class SurfaceModel:
     own step.  curves_disjoint answers from these two, and
     disjoint_pairs lists every pair once."""
 
-    circles: Mapping[int, Vec]           # boundary id -> pushoff class
+    circles: Mapping[int, Sparse]        # boundary id -> pushoff class
     basis: tuple[str, ...]
     form: IntMatrix                      # intersection form J on the basis
-    alphabet: Mapping[str, Vec]          # curve name -> class
-    ref_arcs: Mapping[int, Vec]          # target boundary id -> pairing row
+    alphabet: Mapping[str, Sparse]       # curve name -> class
+    ref_arcs: Mapping[int, Sparse]       # target boundary id -> pairing row
     disjoint: frozenset[frozenset[str]] = frozenset()   # the root's pairs
     births: Mapping[str, tuple[int, StabType]] = factory(dict)
 
@@ -209,15 +257,16 @@ class SurfaceModel:
     def basepoint(self) -> int:
         return min(self.circles)
 
-    def curve(self, name: str) -> Vec:
+    def curve(self, name: str) -> Sparse:
         try:
             return self.alphabet[name]
         except KeyError:
             raise KeyError(f"unknown curve {name!r}") from None
 
-    def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
+    def pairing(self, x: Sparse, y: Sparse) -> int:
         """Intersection pairing <x, y> = x^T J y of two classes."""
-        return vec_dot(x, self.form.apply(y))
+        rows = self.form.rows
+        return sum(a * rows[i][j] * b for i, a in entries(x) for j, b in entries(y))
 
     def curves_disjoint(self, a: str, b: str) -> bool:
         """Whether the page holds curves a and b disjoint: a root pair when
@@ -271,8 +320,9 @@ class SurfaceModel:
         vecs = self._curve_vectors.get(name)
         if vecs is None:
             a = self.curve(name)
-            if len(a) != self.h1_rank:
-                raise ValueError(f"class of curve {name!r} has length {len(a)}, not {self.h1_rank}")
+            if a and a[-2] >= self.h1_rank:
+                raise ValueError(f"class of curve {name!r} has entry {a[-2]}, "
+                                 f"past the rank {self.h1_rank}")
             vecs = self._curve_vectors[name] = CurveVectors(a, self.form.rows)
         return vecs
 
@@ -280,18 +330,13 @@ class SurfaceModel:
         """A curve's crossing tables: J a (<x_j, a> for each basis class)
         and its crossing with each reference arc, in sorted boundary order."""
         vecs = self.curve_vectors(name)
-        pairings = [0] * self.h1_rank
-        for i, x in entries(vecs.ja):
-            pairings[i] = x
-        rows = [row for _cid, row in sorted(self.ref_arcs.items())]
-        arc_pairings = [0] * len(rows)
-        for i, x in entries(vecs.a):
-            arc_pairings = [s + row[i] * x for s, row in zip(arc_pairings, rows)]
-        return tuple(pairings), tuple(arc_pairings)
+        arc_pairings = [sparse_dot(row, vecs.a) for _cid, row in sorted(self.ref_arcs.items())]
+        return tuple(dense(vecs.ja, self.h1_rank)), tuple(arc_pairings)
 
 
 class CurveVectors:
-    """Sparse a, J a and J^T a for the class a of one curve on a page.
+    """Sparse a, J a and J^T a for the class a of one curve on a page;
+    a is the page's stored class itself.
 
     A twist along the curve acts by x -> x + e <x, a> a with
     <x, a> = x . (J a), and moves a pairing row by multiples of
@@ -302,11 +347,11 @@ class CurveVectors:
 
     __slots__ = ("a", "ja", "jta")
 
-    def __init__(self, a: Vec, form: Sequence[Sequence[int]]):
-        self.a = _sparse(a)
-        jta = combine(entries(self.a), form, len(form))
-        self.jta = _sparse(jta)
-        self.ja = _sparse([-x for x in jta])
+    def __init__(self, a: Sparse, form: Sequence[Sequence[int]]):
+        self.a = a
+        jta = combine(entries(a), form, len(form))
+        self.jta = sparse(jta)
+        self.ja = sparse_scale(-1, self.jta)
 
 
 def _symplectic_block(g: int, extra: int) -> IntMatrix:
@@ -337,15 +382,12 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
     basis.extend(f"d{j}" for j in range(1, b))
     form = _symplectic_block(g, b - 1)
 
-    alphabet: dict[str, Vec] = {}
-    for idx, name in enumerate(basis):
-        alphabet[name] = unit(rank, idx)
+    alphabet: dict[str, Sparse] = {name: (idx, 1) for idx, name in enumerate(basis)}
     # the last boundary curve is determined by the others
-    alphabet[f"d{b}"] = tuple(-sum(unit(rank, 2 * g + j)[k] for j in range(b - 1))
-                              for k in range(rank))
+    alphabet[f"d{b}"] = tuple(_flat((2 * g + j, -1) for j in range(b - 1)))
 
     # reference arc pairing rows, one per boundary 2..b, indexed by basis
-    ref_arcs: dict[int, Vec] = {}
+    ref_arcs: dict[int, Sparse] = {}
     for i in range(2, b + 1):
         row = [0] * rank
         row[2 * g] -= 1
@@ -353,7 +395,7 @@ def standard_surface(g: int, b: int) -> SurfaceModel:
             row[2 * g + i - 1] += 1
         # for i == b the +1 crossing sits on d_b, which is not a basis
         # vector; linearity over the basis already encodes it
-        ref_arcs[i] = tuple(row)
+        ref_arcs[i] = sparse(row)
 
     circles = {i: alphabet[f"d{i}"] for i in range(1, b + 1)}
 
@@ -404,7 +446,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
         fixed_points = {i: (2 * i - 1, 2 * i) for i in range(1, b + 1)}
         arcs = []
         if b == 1:
-            arcs.append(FixArc(ends=((1, 1), (1, 2)), pair_curves=(0,) * rank))
+            arcs.append(FixArc(ends=((1, 1), (1, 2)), pair_curves=()))
         else:
             for i in range(1, b + 1):
                 j = i + 1 if i < b else 1
@@ -414,7 +456,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
                 if j <= b - 1:
                     row[2 * g + j - 1] += 1
                 arcs.append(
-                    FixArc(ends=((i, fixed_points[i][1]), (j, fixed_points[j][0])), pair_curves=_vec(row))
+                    FixArc(ends=((i, fixed_points[i][1]), (j, fixed_points[j][0])), pair_curves=sparse(row))
                 )
         image = {f"d{i}": (f"d{i}", -1) for i in range(1, b + 1)}
         return Involution(
@@ -431,8 +473,8 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
         c = IntMatrix([[-1]])
         fixed_points = {1: (1, 2), 2: (3, 4)}
         arcs = (
-            FixArc(ends=((1, 1), (2, 3)), pair_curves=(1,), pair_arcs={2: 0}),
-            FixArc(ends=((1, 2), (2, 4)), pair_curves=(-1,), pair_arcs={2: 0}),
+            FixArc(ends=((1, 1), (2, 3)), pair_curves=(0, 1), pair_arcs={2: 0}),
+            FixArc(ends=((1, 2), (2, 4)), pair_curves=(0, -1), pair_arcs={2: 0}),
         )
         image = {"d1": ("d1", -1), "d2": ("d2", -1)}
         return Involution(
@@ -450,7 +492,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
             matrix=IntMatrix([[1]]),
             boundary_perm={1: 2, 2: 1},
             fixed_points={},
-            fixed_set=FixedSet(circles=((1,),)),
+            fixed_set=FixedSet(circles=((0, 1),)),
             curve_image={"d1": ("d2", -1), "d2": ("d1", -1)},
         )
 
@@ -464,8 +506,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
             perm[i + k] = i
         cols = []
         for i in range(1, b):
-            img = model.curve(f"d{perm[i]}")
-            cols.append(vec_scale(-1, img))
+            cols.append(dense(sparse_scale(-1, model.curve(f"d{perm[i]}")), rank))
         c = IntMatrix.from_columns(cols, rank) if rank else IntMatrix.identity(0)
         image = {f"d{i}": (f"d{perm[i]}", -1) for i in range(1, b + 1)}
         if b == 2:
@@ -501,7 +542,8 @@ class HandleExtension:
       * the new basis is the old one followed by the classes
         e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
         lacks (stabilization._start_builder picks them so), and every old
-        curve keeps its class widened by zeros;
+        curve keeps its class (widened by zeros, which leaves a sparse
+        vector as it is);
       * the first n rows of the new form start with the old form J;
       * the new matrix is C~ Sigma, Sigma the positive twist along each
         new curve, the mirror e_{n+1} before e_n for a pair;
@@ -527,14 +569,14 @@ def anti_symplectic_check(c: IntMatrix, j: IntMatrix, rank: int, involution: boo
     C^T J = -J C (multiply either side by C on the right), which takes
     two products with C as one factor instead of a chain of two; without
     C^2 = I the full product is compared."""
-    def dense() -> IntMatrix:
+    def full() -> IntMatrix:
         return c.transpose() @ j @ c if rank else j
 
     if rank and involution and j.shape == (rank, rank):
         ok = c.transpose() @ j == -(j @ c)
     else:
-        ok = dense() == -j
-    return CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {dense().rows}")
+        ok = full() == -j
+    return CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {full().rows}")
 
 
 def lefschetz_check(arc_count: int, c: IntMatrix, rank: int) -> CheckResult:
@@ -549,12 +591,12 @@ def image_holds(model: SurfaceModel, cols: Sequence[Sequence[int]], name: str,
                 img: str, s: int) -> bool:
     """Whether the matrix with columns cols maps the class of curve name
     to s times the class of curve img: s * sum_i x_i cols[i] over the
-    nonzeros x_i of the cached sparse class of name, O(nnz n), not a
-    dense apply.  A curve the page lacks fails."""
+    nonzeros x_i of the sparse class of name, O(nnz n), not a dense
+    apply.  A curve the page lacks fails."""
     if name not in model.alphabet or img not in model.alphabet:
         return False
-    acc = combine(entries(model.curve_vectors(name).a), cols, model.h1_rank)
-    return model.curve(img) == tuple(s * t for t in acc)
+    acc = combine(entries(model.curve(name)), cols, model.h1_rank)
+    return model.curve(img) == sparse([s * t for t in acc])
 
 
 def validate_involution(model: SurfaceModel, inv: Involution,
@@ -597,13 +639,14 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     out.append(CheckResult("curve_image", ok, detail))
 
     ok, detail = True, ""
-    total = (0,) * rank
+    total: dict[int, int] = {}
     j_cols = j.transpose().rows
     for cid, p in model.circles.items():
-        total = vec_add(total, p)
-        if any(combine(entries(_sparse(p)), j_cols, rank)):
+        for i, x in entries(p):
+            total[i] = total.get(i, 0) + x
+        if any(combine(entries(p), j_cols, rank)):
             ok, detail = False, f"boundary class of circle {cid} is not radical"
-    if rank and any(total):
+    if rank and any(total.values()):
         ok, detail = False, "boundary classes do not sum to zero"
     out.append(CheckResult("boundary_classes", ok, detail))
 
@@ -671,7 +714,8 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
     An image equal to the old one names a curve Sigma fixes, whose class
     and image's class are the old ones widened by zeros, so C~ Sigma
     maps it as C did; only new or changed images are checked.  A circle
-    whose class is its old class q widened by zeros has
+    whose class is its old class q (widened by zeros: the same sparse
+    vector) has
     J' (q, 0) = (J q, Y q) with J q = 0 by the old radical check, so it
     needs X^T q = 0 only; a new or changed circle is checked fresh, with
     J' d = -sum_i d_i row_i(J') as J' is antisymmetric (J by the premise
@@ -712,33 +756,33 @@ def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtensi
         if old_images.get(name) != (img, s) and not image_holds(model, c_cols, name, img, s):
             return False
 
-    # per circle, d is its class less its old class q widened by zeros
-    # (all of it for a new circle), and J' p = (J q, Y q) + J' d, where
-    # J q = 0, Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of
-    # the d, less the old classes of removed circles, is the sum of all
-    # classes
+    # per circle, d is its class less its old class q (all of it for a
+    # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
+    # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
+    # less the old classes of removed circles, is the sum of all classes
     old_circles = dict(old.circles)
-    total = [0] * rank
+    total: dict[int, int] = {}
     for cid, p in model.circles.items():
         q = old_circles.pop(cid, None)
         if q is None:
             d, jq = p, [0] * rank
         else:
-            yq = [-sum([x * q[i] for i, x in nz]) for nz in xnz]
-            if p[:n] == q and not any(p[n:]):
+            yq = [-sum([x[i] * y for i, y in entries(q)]) for x in xs]
+            if p == q:
                 if any(yq):
                     return False
                 continue
-            d = [a - b for a, b in zip(p, q)] + list(p[n:])
+            d = sparse_add(p, q, -1)
             jq = [0] * n + yq
-        dnz = [(i, x) for i, x in enumerate(d) if x]
+        dnz = list(entries(d))
         for i, x in dnz:
-            total[i] += x
+            total[i] = total.get(i, 0) + x
         if combine(dnz, rows, rank) != jq:
             return False
     for q in old_circles.values():
-        total = [t - x for t, x in zip(total, q)] + total[n:]
-    return not any(total)
+        for i, x in entries(q):
+            total[i] = total.get(i, 0) - x
+    return not any(total.values())
 
 
 def validate_page(model: SurfaceModel) -> list[CheckResult]:

@@ -1,7 +1,9 @@
-"""Independent oracles the tests compare realbook's kernels with.
+"""Independent oracles the tests compare realbook's kernels with, and
+the small helpers only the tests use.
 
-Each is written the plain, dense way and shares no code with the kernel
-it checks, so a fault in the kernel cannot hide in the oracle too.
+Each oracle is written the plain, dense way and shares no code with the
+kernel it checks, so a fault in the kernel cannot hide in the oracle
+too.
 """
 
 from __future__ import annotations
@@ -9,14 +11,99 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from realbook.contact import FormSampler
-from realbook.intalg import IntMatrix
+from realbook.contact import FormSampler, ProfileFunctions
+from realbook.intalg import AbelianGroup, IntMatrix, SmithForm
 from realbook.surface import SurfaceModel
+
+
+def expand(stored: tuple[int, ...], n: int) -> list[int]:
+    """A stored vector, its flat nonzero entries (i, x_i, j, x_j, ...),
+    as a dense list of length n."""
+    out = [0] * n
+    for i, x in zip(stored[::2], stored[1::2]):
+        out[i] = x
+    return out
+
+
+def dense_class(model: SurfaceModel, curve: str) -> list[int]:
+    """The class of a curve as a dense list."""
+    return expand(model.curve(curve), model.h1_rank)
+
+
+def zeros(m: int, n: int) -> IntMatrix:
+    return IntMatrix([[0] * n for _ in range(m)], ncols=n)
+
+
+def diagonal(entries: list[int], m: int | None = None, n: int | None = None) -> IntMatrix:
+    """The m x n matrix with entries on its diagonal (square by default)."""
+    m = len(entries) if m is None else m
+    n = len(entries) if n is None else n
+    rows = [[0] * n for _ in range(m)]
+    for i, d in enumerate(entries):
+        rows[i][i] = int(d)
+    return IntMatrix(rows, ncols=n)
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return 1
+    rows = [list(row) for row in a.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1]
+
+
+def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
+    """Whether snf is a Smith form of a: U A V = D with U and V
+    unimodular, and D diagonal, nonnegative, each entry dividing the
+    next (zeros last)."""
+    if snf.u @ a @ snf.v != snf.d:
+        return False
+    if abs(det(snf.u)) != 1 or abs(det(snf.v)) != 1:
+        return False
+    diag = snf.diag
+    if any(d < 0 for d in diag):
+        return False
+    for prev, nxt in zip(diag, diag[1:]):
+        if prev == 0:
+            if nxt != 0:
+                return False
+        elif nxt % prev != 0:
+            return False
+    return all(snf.d[i, j] == 0 for i in range(snf.d.nrows) for j in range(snf.d.ncols)
+               if i != j)
+
+
+def is_trivial(group: AbelianGroup) -> bool:
+    return group.free_rank == 0 and not group.torsion
+
+
+def wronskian(pf: ProfileFunctions, r: float) -> float:
+    """The Wronskian of the profile pair at one radius."""
+    return pf.wronskians((r,))[0]
 
 
 def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
     """Homology action x -> x + e <x, a> a of the e-th power of a twist."""
-    a = model.curve(curve)
+    a = dense_class(model, curve)
     rank = model.h1_rank
     ja = model.form.apply(a)  # <x, a> = x . (J a)
     rows = [
@@ -40,7 +127,7 @@ def determinantal_divisors(a: IntMatrix) -> list[int]:
         for rows in combinations(range(m), k):
             for cols in combinations(range(n), k):
                 sub = IntMatrix([[a[i, j] for j in cols] for i in rows])
-                g = gcd(g, sub.det())
+                g = gcd(g, det(sub))
         out.append(abs(g))
     return out
 

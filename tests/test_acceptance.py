@@ -37,6 +37,7 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
+from oracles import det, is_trivial, wronskian
 
 
 def _verdict(num, title, ok):
@@ -115,14 +116,14 @@ def test_criterion_2_reality_preservation():
 
 
 def test_criterion_3_h1_oracle():
-    ok = h1_of_manifold(catalog_s3_disk()).is_trivial
+    ok = is_trivial(h1_of_manifold(catalog_s3_disk()))
     for n in range(1, 11):
         lens_h1 = AbelianGroup(0, (n,)) if n > 1 else AbelianGroup(0)  # H1 L(n, n-1)
         ok &= h1_of_manifold(catalog_lens_annulus(n)) == lens_h1
     for k in range(1, 5):
-        ok &= h1_of_manifold(catalog_fig4(k)).is_trivial
-        ok &= h1_of_manifold(catalog_fig5(k)).is_trivial
-        ok &= h1_of_manifold(catalog_fig6(k)).is_trivial
+        ok &= is_trivial(h1_of_manifold(catalog_fig4(k)))
+        ok &= is_trivial(h1_of_manifold(catalog_fig5(k)))
+        ok &= is_trivial(h1_of_manifold(catalog_fig6(k)))
     seen = set()
     for e in ENTRIES:
         ob = e.build()
@@ -190,7 +191,7 @@ def test_criterion_6_contact():
         pf = build_profiles(k, 0.1)
         # the certification grid of build_profiles
         ok &= min(pf.wronskians(linspace(pf.r0 / 10.0, 1.0, 10_000))) > 0
-        ok &= abs(pf.wronskian(1e-4) / 1e-4 - 2.0) <= 1e-6
+        ok &= abs(wronskian(pf, 1e-4) / 1e-4 - 2.0) <= 1e-6
         for n in range(0, 6):
             fs = FormSampler(family=n, k=k, resolution=grid)
             ok &= solid_torus_extension_check(fs, pf).max_mismatch <= 1e-9
@@ -224,7 +225,7 @@ def test_criterion_7_smith_normal_form():
                       ncols=cols)
         s = smith_normal_form(a)
         ok &= s.u @ a @ s.v == s.d
-        ok &= abs(s.u.det()) == 1 and abs(s.v.det()) == 1
+        ok &= abs(det(s.u)) == 1 and abs(det(s.v)) == 1
         diag = s.d.diag()
         ok &= all(d >= 0 for d in diag)
         for x, y in zip(diag, diag[1:]):

@@ -226,7 +226,7 @@ def meeting_pair_book() -> str:
         matrix=IntMatrix([[1, 0], [0, -1]]),
         boundary_perm={1: 1},
         fixed_points={1: (1, 2)},
-        fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=(0, 0)),)),
+        fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=()),)),
         curve_image={"a1": ("a1", 1), "b1": ("b1", -1)},
     )
     obj = json.loads(dumps(OpenBook(page=page, monodromy=word([("a1", 1), ("b1", 1)]),
@@ -579,6 +579,20 @@ def test_catalog_with_too_many_parameters_is_exit_2(argv, err, capsys):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["hopf", "nope"], "catalog book 'hopf' parameter kind must be conjugation or swap, "
+                       "got 'nope'"),
+    (["fig4", "0"], "catalog book 'fig4' parameter k must be at least 1, got 0"),
+    (["fig5", "0"], "catalog book 'fig5' parameter k must be at least 1, got 0"),
+    (["fig6", "-2"], "catalog book 'fig6' parameter k must be at least 1, got -2"),
+    (["lens-annulus", "0"], "catalog book 'lens-annulus' parameter n must be at least 1, got 0"),
+], ids=["hopf", "fig4", "fig5", "fig6", "lens-annulus"])
+def test_catalog_parameter_out_of_range_is_exit_2(argv, err, capsys):
+    code, out = run_cli(["catalog", *argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_incompatible_stabilization_is_exit_1(monkeypatch):
     _code, book_json = run_cli(["catalog", "disk"])
     code, _ = run_cli(["stabilize", "--type", "VIII", "--site", '{"boundaries": [1, 1]}'],
@@ -774,6 +788,15 @@ def test_catalog_and_stabilize_load_the_stabilizations():
     loaded = _loaded_modules(["stabilize", "--type", "VIII", "--site", '{"boundaries": [1, 2]}'],
                              book_json)
     assert "realbook.stabilization" in loaded
+
+
+@pytest.mark.parametrize("argv", [["disk"], ["hopf", "swap"], ["lens-annulus", "7"],
+                                  ["lens-3punctured", "2", "2", "1"]],
+                         ids=lambda argv: argv[0])
+def test_a_root_catalog_book_does_not_load_the_stabilizations(argv):
+    loaded = _loaded_modules(["catalog", *argv])
+    assert "realbook.catalog" in loaded
+    assert "realbook.stabilization" not in loaded
 
 
 def test_openbook_names_the_stabilizations_and_a_wrapper_on_them_sees_the_call():

@@ -11,10 +11,14 @@ drops one `disjoint` pair: a list with a pair that names a provenance
 curve and that the book's provenance does not give (the oracle of
 tests/schema1.py) must exit 2 with its `$.disjoint` path in every
 subcommand, and any other list must load, as the pairs the provenance
-gives are optional.
+gives are optional.  A third walks seeded stabilizations of every type
+from the catalog books and checks each step's storage
+(tests/test_sharing.py): canonical sparse vectors, the parent's objects
+shared where the step left them alone, and the parent's text unmoved.
 """
 
 import json
+import random
 
 import pytest
 
@@ -24,8 +28,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from realbook.catalog import build  # noqa: E402
 from realbook.jsonio import dumps  # noqa: E402
+from realbook.openbook import STAB_TYPES, StabilizationError, enumerate_sites  # noqa: E402
 from schema1 import as_schema1, as_schema2, oracle_pairs  # noqa: E402
 from test_disjoint import run  # noqa: E402
+from test_sharing import BASES, stabilized  # noqa: E402
 
 BOOKS = [("disk",), ("hopf", "conjugation"), ("hopf", "swap"), ("fig4", "2"), ("fig5", "2"),
          ("fig6", "1"), ("lens-annulus", "3"), ("lens-3punctured", "2", "2", "1")]
@@ -152,3 +158,25 @@ def test_a_list_that_breaks_the_rule_is_exit_2(case):
             assert code == 2 and err.startswith("error: $.disjoint"), (argv, err)
         if dropped and argv == ["new"]:
             assert code == 0, err
+
+
+@seed(23)
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from(BASES), st.lists(st.sampled_from(list(STAB_TYPES)), min_size=2,
+                                        max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_walks_share_and_never_mutate_the_parent(params, prefer, walk_seed):
+    """Walks of several steps from every base book, each step of the
+    drawn type when the book takes it and of another type otherwise."""
+    rng = random.Random(walk_seed)
+    ob = build(*params)
+    for tag in prefer:
+        sites = enumerate_sites(ob)
+        rng.shuffle(sites)
+        sites.sort(key=lambda ts: ts[0] != tag)
+        for t, site in sites:
+            try:
+                ob = stabilized(ob, t, site)
+            except StabilizationError:
+                continue
+            break
