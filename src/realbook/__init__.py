@@ -21,8 +21,8 @@ _HOME = {
     "h1_of_manifold": "openbook",
     "smith_normal_form": "intalg",
     "stabilize": "stabilization",
-    "standard_involution": "surface",
-    "standard_surface": "surface",
+    "standard_involution": "catalog",
+    "standard_surface": "catalog",
     "validate_involution": "surface",
 }
 

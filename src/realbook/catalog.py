@@ -3,26 +3,193 @@ families over the round 3-sphere, and the lens-space books.
 
 Every constructor returns a fully tracked book (both fixed sets
 populated), certified real, with the expected invariants recorded in
-ENTRIES for the verification suites.  Only the fig4, fig5 and fig6
-ladders stabilize, so only they load realbook.stabilization; a process
-that builds a root book does not compile it.
+ENTRIES for the verification suites.  The root books start from the
+standard pages (standard_surface) and their documented involutions
+(standard_involution), which are built here and nowhere else.  Only the
+fig4, fig5 and fig6 ladders stabilize, so only they load
+realbook.stabilization; a process that builds a root book does not
+compile it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
-from .intalg import AbelianGroup
+from .intalg import AbelianGroup, IntMatrix
 from .mcg import word
 from .openbook import OpenBook
 from .records import record
 from .surface import (
     FixArc,
     FixedSet,
+    Involution,
+    Sparse,
+    SurfaceModel,
+    dense,
+    sparse,
     sparse_add,
-    standard_involution,
-    standard_surface,
+    sparse_scale,
 )
+
+
+def _symplectic_block(g: int, extra: int) -> IntMatrix:
+    n = 2 * g + extra
+    rows = [[0] * n for _ in range(n)]
+    for i in range(g):
+        rows[2 * i][2 * i + 1] = 1
+        rows[2 * i + 1][2 * i] = -1
+    return IntMatrix(rows, ncols=n)
+
+
+def standard_surface(g: int, b: int) -> SurfaceModel:
+    """Standard page of genus g with b boundary circles.
+
+    Basis: symplectic pairs (a_i, b_i) with <a_i, b_i> = +1 followed by
+    the boundary-parallel classes d_1 .. d_{b-1}.  The alphabet holds
+    curves realizing every basis class plus d_b (the negated sum), and a
+    reference arc runs from boundary 1 to each other boundary.
+    """
+    if b < 1:
+        raise ValueError("open book pages need binding: b >= 1")
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    rank = 2 * g + b - 1
+    basis: list[str] = []
+    for i in range(1, g + 1):
+        basis.extend((f"a{i}", f"b{i}"))
+    basis.extend(f"d{j}" for j in range(1, b))
+    form = _symplectic_block(g, b - 1)
+
+    alphabet: dict[str, Sparse] = {name: (idx, 1) for idx, name in enumerate(basis)}
+    # the last boundary curve is determined by the others
+    alphabet[f"d{b}"] = tuple(chain.from_iterable((2 * g + j, -1) for j in range(b - 1)))
+
+    # reference arc pairing rows, one per boundary 2..b, indexed by basis
+    ref_arcs: dict[int, Sparse] = {}
+    for i in range(2, b + 1):
+        row = [0] * rank
+        row[2 * g] -= 1
+        if i <= b - 1:
+            row[2 * g + i - 1] += 1
+        # for i == b the +1 crossing sits on d_b, which is not a basis
+        # vector; linearity over the basis already encodes it
+        ref_arcs[i] = sparse(row)
+
+    circles = {i: alphabet[f"d{i}"] for i in range(1, b + 1)}
+
+    # every standard pair of curves is disjoint except the dual pairs (a_i, b_i)
+    def dual_pair(x: str, y: str) -> bool:
+        return x[0] in "ab" and y[0] in "ab" and x[0] != y[0] and x[1:] == y[1:]
+
+    names = list(alphabet)
+    disjoint = set()
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            if not dual_pair(x, y):
+                disjoint.add(frozenset((x, y)))
+
+    return SurfaceModel(
+        circles=circles,
+        basis=tuple(basis),
+        form=form,
+        alphabet=alphabet,
+        ref_arcs=ref_arcs,
+        disjoint=frozenset(disjoint),
+    )
+
+
+def standard_involution(model: SurfaceModel, kind: str) -> Involution:
+    """Construct one of the documented involutions on a standard page.
+
+    Descriptors cover exactly the real structures used by the worked
+    examples; adding a new conjugacy class means adding a branch here.
+
+      disk-reflection            (0,1)  one fixed diameter
+      annulus-reflection         (0,2)  c(core) = -core, two fixed arcs
+      planar-reflection          (0,b)  reflection fixing every boundary
+      boundary-swap              (0,2k) free involution swapping circles
+                                        i <-> i+k
+    """
+    g, b = model.genus, model.boundary_count
+    rank = model.h1_rank
+
+    if kind in ("disk-reflection", "planar-reflection"):
+        if g != 0:
+            raise ValueError(f"{kind} needs a planar page")
+        if kind == "disk-reflection" and b != 1:
+            raise ValueError("disk-reflection needs b = 1")
+        c = -IntMatrix.identity(rank) if rank else IntMatrix.identity(0)
+        perm = {i: i for i in range(1, b + 1)}
+        fixed_points = {i: (2 * i - 1, 2 * i) for i in range(1, b + 1)}
+        arcs = []
+        if b == 1:
+            arcs.append(FixArc(ends=((1, 1), (1, 2)), pair_curves=()))
+        else:
+            for i in range(1, b + 1):
+                j = i + 1 if i < b else 1
+                row = [0] * rank
+                if i <= b - 1:
+                    row[2 * g + i - 1] -= 1
+                if j <= b - 1:
+                    row[2 * g + j - 1] += 1
+                arcs.append(
+                    FixArc(ends=((i, fixed_points[i][1]), (j, fixed_points[j][0])), pair_curves=sparse(row))
+                )
+        image = {f"d{i}": (f"d{i}", -1) for i in range(1, b + 1)}
+        return Involution(
+            matrix=c,
+            boundary_perm=perm,
+            fixed_points=fixed_points,
+            fixed_set=FixedSet(arcs=tuple(arcs)),
+            curve_image=image,
+        )
+
+    if kind == "annulus-reflection":
+        if (g, b) != (0, 2):
+            raise ValueError("annulus-reflection needs (g, b) = (0, 2)")
+        c = IntMatrix([[-1]])
+        fixed_points = {1: (1, 2), 2: (3, 4)}
+        arcs = (
+            FixArc(ends=((1, 1), (2, 3)), pair_curves=(0, 1), pair_arcs={2: 0}),
+            FixArc(ends=((1, 2), (2, 4)), pair_curves=(0, -1), pair_arcs={2: 0}),
+        )
+        image = {"d1": ("d1", -1), "d2": ("d2", -1)}
+        return Involution(
+            matrix=c,
+            boundary_perm={1: 1, 2: 2},
+            fixed_points=fixed_points,
+            fixed_set=FixedSet(arcs=arcs),
+            curve_image=image,
+        )
+
+    if kind == "boundary-swap":
+        if g != 0 or b % 2 != 0 or b < 2:
+            raise ValueError("boundary-swap needs a planar page with an even number of circles")
+        k = b // 2
+        perm = {}
+        for i in range(1, k + 1):
+            perm[i] = i + k
+            perm[i + k] = i
+        cols = []
+        for i in range(1, b):
+            cols.append(dense(sparse_scale(-1, model.curve(f"d{perm[i]}")), rank))
+        c = IntMatrix.from_columns(cols, rank) if rank else IntMatrix.identity(0)
+        image = {f"d{i}": (f"d{perm[i]}", -1) for i in range(1, b + 1)}
+        if b == 2:
+            # on the annulus every essential circle is isotopic to the core,
+            # so the free involution fixes each curve up to isotopy
+            image = {"d1": ("d1", 1), "d2": ("d2", 1)}
+        return Involution(
+            matrix=c,
+            boundary_perm=perm,
+            fixed_points={},
+            fixed_set=FixedSet(),
+            curve_image=image,
+        )
+
+    raise ValueError(f"unknown involution descriptor {kind!r}")
+
 
 
 def catalog_s3_disk() -> OpenBook:

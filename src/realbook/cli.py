@@ -89,7 +89,10 @@ def cmd_stabilize(args) -> int:
     from .stabilization import stabilize
 
     book = _read_book(args.infile)
-    site = json.loads(args.site) if args.site else {}
+    try:
+        site = json.loads(args.site) if args.site else {}
+    except RecursionError:
+        raise SchemaError("--site JSON is nested too deeply") from None
     out = stabilize(book, args.type, site)
     _emit(dumps(out), args.out)
     return EXIT_OK

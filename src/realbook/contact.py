@@ -170,7 +170,12 @@ def contact_defect(fs: FormSampler) -> tuple[float, tuple]:
     return defect[i], (1, s[i], theta[0], t[0])
 
 
-def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
+# the largest K the threshold search tries before it calls the model
+# inconsistent
+K_CAP = 1e6
+
+
+def k_threshold(family: int, resolution: int = 50) -> float:
     """Smallest grid-certified K with positive defect, to 1% relative."""
     def min_defect(k: float) -> float:
         return min(FormSampler(family=family, k=k, resolution=resolution).defect_grid(+1))
@@ -182,9 +187,9 @@ def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
     while min_defect(hi) <= 0.0:
         lo = hi
         hi *= 2.0
-        if hi > cap:
+        if hi > K_CAP:
             raise ContactModelError(
-                f"no positive defect below K = {cap}: model inconsistency")
+                f"no positive defect below K = {K_CAP}: model inconsistency")
     while hi - lo > 0.01 * hi:
         mid = 0.5 * (lo + hi)
         if min_defect(mid) > 0.0:
@@ -196,6 +201,12 @@ def k_threshold(family: int, resolution: int = 50, cap: float = 1e6) -> float:
 
 # ---------------------------------------------------------------------------
 # binding profiles
+
+# the profiles are pinned exactly on [0, R0] and [R1, 1] and interpolate
+# between; build_profiles certifies their Wronskian on GRID_POINTS radii
+R0 = 0.2
+R1 = 0.8
+GRID_POINTS = 10_000
 
 
 def _hermite_cubic(h: float, va: float, sa: float, vb: float, sb: float):
@@ -209,22 +220,20 @@ def _hermite_cubic(h: float, va: float, sa: float, vb: float, sb: float):
 class ProfileFunctions:
     """Binding profiles h1, h2 on [0, 1] with exactly pinned ends.
 
-    Near r = 0: h1 = 1 and h2 = r^2 exactly.  Near r = 1: h1 =
+    On [0, R0]: h1 = 1 and h2 = r^2 exactly.  On [R1, 1]: h1 =
     2 e^{1-r-eps} and h2 = 2K exactly, matching the page form through
     the gluing.  In between both interpolate by slope-matched cubics,
-    stored as coefficients in u = (r - r0)/(r1 - r0).
+    stored as coefficients in u = (r - R0)/(R1 - R0).
     """
 
     k: float
     eps: float
-    r0: float
-    r1: float
     mid1: tuple[float, float, float, float]
     mid2: tuple[float, float, float, float]
 
     def samples(self, rr: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
         """(h1, h1', h2, h2') at each radius of rr, in one pass."""
-        r0, r1, eps, h = self.r0, self.r1, self.eps, self.r1 - self.r0
+        r0, r1, eps, h = R0, R1, self.eps, R1 - R0
         a0, a1, a2, a3 = self.mid1
         b0, b1, b2, b3 = self.mid2
         h2_tail = 2.0 * self.k
@@ -245,33 +254,27 @@ class ProfileFunctions:
     def wronskians(self, rr: Iterable[float]) -> list[float]:
         return [h1 * dh2 - dh1 * h2 for h1, dh1, h2, dh2 in self.samples(rr)]
 
-    def h1(self, r: float) -> float:
-        return next(self.samples((r,)))[0]
 
-    def h2(self, r: float) -> float:
-        return next(self.samples((r,)))[2]
-
-
-def build_profiles(k: float, eps: float, r0: float = 0.2, r1: float = 0.8,
-                   grid_points: int = 10_000) -> ProfileFunctions:
+def build_profiles(k: float, eps: float) -> ProfileFunctions:
     """Construct and grid-certify the binding profiles.
 
-    Verifies h1 h2' - h1' h2 > 0 on [r0/10, 1] (the pinned head makes
-    W = 2r exactly below that) and reports the violating radius
-    otherwise, after retrying a few interior slope choices.
+    Verifies h1 h2' - h1' h2 > 0 on GRID_POINTS radii over [R0/10, 1]
+    (the pinned head makes W = 2r exactly below that) and reports the
+    violating radius otherwise, after retrying a few interior slope
+    choices.
     """
     if k < 1:
         raise ContactModelError("need K >= 1")
     if not 0 < eps < 0.25:
         raise ContactModelError("need eps in (0, 0.25)")
-    tail1 = 2.0 * math.exp(1.0 - r1 - eps)
-    mid1 = _hermite_cubic(r1 - r0, 1.0, 0.0, tail1, -tail1)
-    rr = linspace(r0 / 10.0, 1.0, grid_points)
-    # candidate interior slopes for h2 at r0 (the tail is flat, but a
+    tail1 = 2.0 * math.exp(1.0 - R1 - eps)
+    mid1 = _hermite_cubic(R1 - R0, 1.0, 0.0, tail1, -tail1)
+    rr = linspace(R0 / 10.0, 1.0, GRID_POINTS)
+    # candidate interior slopes for h2 at R0 (the tail is flat, but a
     # slightly steeper start can rescue marginal Wronskians)
     for s_end in (0.0, k, 4.0 * k):
-        mid2 = _hermite_cubic(r1 - r0, r0 * r0, 2 * r0 + s_end / k, 2.0 * k, 0.0)
-        pf = ProfileFunctions(k=k, eps=eps, r0=r0, r1=r1, mid1=mid1, mid2=mid2)
+        mid2 = _hermite_cubic(R1 - R0, R0 * R0, 2 * R0 + s_end / k, 2.0 * k, 0.0)
+        pf = ProfileFunctions(k=k, eps=eps, mid1=mid1, mid2=mid2)
         w = pf.wronskians(rr)
         if all(x > 0.0 for x in w):
             return pf

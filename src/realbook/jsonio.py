@@ -455,8 +455,12 @@ def dumps(ob: OpenBook) -> str:
 
 
 def loads(text: str) -> OpenBook:
+    """The book a JSON text holds.  Text that is not JSON, or JSON
+    nested past the decoder's recursion limit, is a SchemaError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     return from_obj(obj)

@@ -35,8 +35,8 @@ from .surface import (
     dense,
     entries,
     image_holds,
-    involution_is_valid,
     unit,
+    validate_involution,
 )
 
 
@@ -137,9 +137,10 @@ class OpenBook:
 
     @cached_property
     def _involution_valid(self) -> bool:
-        """Whether every check of validate_involution passes.  A book made
-        by stabilize has it seeded True, as stabilize refuses any other."""
-        return involution_is_valid(self.page, self.real_structure)
+        """Whether every check of validate_involution passes.  stabilize
+        refuses a book without it, and seeds it True on every book it
+        makes, whose new block it has checked."""
+        return all(r.ok for r in validate_involution(self.page, self.real_structure))
 
     @cached_property
     def monodromy_matrix(self) -> IntMatrix:

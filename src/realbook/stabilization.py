@@ -4,10 +4,12 @@ handle bookkeeping they share.
 Stabilization bookkeeping follows local handle models.  The new real
 structure is (extension of c) composed with the stabilizing twist(s);
 its matrix is C~ @ Sigma, its fixed set is the old one pushed through a
-strand-switch analysis near the twisting annuli.  Every output is
-validated (involution axioms, Lefschetz arc count), from the checks of
-the new block when the parent is valid; incompatible sites raise
-instead of producing inconsistent data.
+strand-switch analysis near the twisting annuli.  stabilize takes only
+a book whose involution is valid (it refuses any other at the door),
+so it turns a valid real open book into a valid one, and it validates
+every output from the checks of the new block (HandleExtension, with
+the lemma they rest on); incompatible sites raise instead of producing
+inconsistent data.
 
 The book, the reality check and H1 are in realbook.openbook, which
 re-exports stabilize, enumerate_sites and _stab_{T} lazily; of the
@@ -40,17 +42,19 @@ from .openbook import (
     _seed_chain_blocks,
     check_reality,
 )
-from .records import replace
+from .records import record, replace
 from .surface import (
+    CheckResult,
     FixArc,
     FixedSet,
-    HandleExtension,
     Involution,
     Sparse,
     SurfaceModel,
+    combine,
     crossing_residuals,
     dense,
     entries,
+    image_holds,
     set_coord,
     sparse,
     sparse_add,
@@ -99,6 +103,130 @@ def _naive_extension(c: IntMatrix, st: StabType) -> IntMatrix:
     rows = [r + (0,) * k for r in c.rows]
     rows.extend((0,) * n + r for r in _core_block(st))
     return IntMatrix._trusted(rows, n + k)
+
+
+@record
+class HandleExtension:
+    """The pair (page, inv) that a page and involution extend by a block
+    of k new classes, as _finish builds them, and the block core = L of
+    the naive extension C~ = C (+) L on the new classes (_core_block).
+    surface.validate_involution reads it to check the block only
+    (holds).
+
+    With n the old rank, the builder guarantees, and holds does not
+    check:
+      * the old pair is valid: stabilize refuses any other at the door;
+      * the new basis is the old one followed by the classes
+        e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
+        lacks (_start_builder picks them so), and every old curve keeps
+        its class (widened by zeros, which leaves a sparse vector as it
+        is);
+      * the first n rows of the new form start with the old form J;
+      * the new matrix is C~ Sigma, Sigma the positive twist along each
+        new curve, the mirror e_{n+1} before e_n for a pair;
+      * a curve image equal to the old one names a curve Sigma fixes.
+    Everything else the lemma of holds needs is read off the data and
+    checked there.
+    """
+
+    page: SurfaceModel
+    inv: Involution
+    core: tuple[tuple[int, ...], ...]
+
+    def holds(self, model: SurfaceModel, inv: Involution) -> bool:
+        """Whether the involution, anti_symplectic, curve_image and
+        boundary_classes checks hold on the pair (model, inv) that
+        extends this valid pair, from checks of the block alone.
+
+        Write the new form as J' = [[J, X], [Y, M]] and the new matrix
+        as C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T, M is
+        antisymmetric, L is antidiagonal with L^2 = I (so C~ maps each
+        new curve to +-its mirror, the pair reversed), L^T M L = -M, and
+        the cross block C^T X L = -X: k sparse products.
+
+        Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
+        is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
+        are the cross block and its transpose).  For such a C~ and a
+        curve a, C~ T_a C~ = T_{C~ a}^-1: C~ T_a C~ x = x + <C~ x, a> C~ a
+        and <C~ x, a> = -<x, C~ a> (Farb & Margalit, A Primer on Mapping
+        Class Groups, ch. 3).  As C~ reverses the new curves up to sign
+        and T_{-b} = T_b, C~ Sigma C~ = Sigma^-1, so (C~ Sigma)^2 = I.  A
+        twist along a new curve e preserves J', because row and column e
+        of J' are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
+        Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.  An
+        image equal to the old one names a curve Sigma fixes, whose class
+        and image's class are the old ones widened by zeros, so C~ Sigma
+        maps it as C did; only new or changed images are checked.  A
+        circle whose class is its old class q (widened by zeros: the same
+        sparse vector) has J' (q, 0) = (J q, Y q) with J q = 0 by the old
+        radical check, so it needs X^T q = 0 only; a new or changed
+        circle is checked fresh, with J' d = -sum_i d_i row_i(J') as J'
+        is antisymmetric (J by the premise in surface's docstring,
+        Y = -X^T and M by the checks above), and the sum of all classes
+        is the old sum, zero, moved by the new and changed classes less
+        the old classes of changed and removed circles.
+        """
+        old, core = self.page, self.core
+        n, rank = old.h1_rank, model.h1_rank
+        k = rank - n
+        rows = model.form.rows
+        if (len(core) != k or any(len(r) != k for r in core)
+                or any(len(r) != rank for r in rows[n:])):
+            return False
+        # column t of L is l[t] e_{k-1-t}, the mirror of new class t
+        l = [core[k - 1 - t][t] for t in range(k)]
+        m = [r[n:] for r in rows[n:]]
+        if (any(core[t][u] and t + u != k - 1
+                or m[t][u] != -m[u][t]
+                or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
+                for t in range(k) for u in range(k))
+                or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
+            return False
+        xs = [[r[n + t] for r in rows[:n]] for t in range(k)]
+        xnz = [[(i, x) for i, x in enumerate(col) if x] for col in xs]
+        c_old = self.inv.matrix.rows
+        for t in range(k):
+            minus_x = [-x for x in xs[t]]
+            if list(rows[n + t][:n]) != minus_x:
+                return False
+            # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
+            if [l[t] * a for a in combine(xnz[k - 1 - t], c_old, n)] != minus_x:
+                return False
+
+        old_images = self.inv.curve_image
+        c_cols = inv.matrix.transpose().rows
+        for name, (img, s) in inv.curve_image.items():
+            if (old_images.get(name) != (img, s)
+                    and not image_holds(model, c_cols, name, img, s)):
+                return False
+
+        # per circle, d is its class less its old class q (all of it for a
+        # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
+        # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
+        # less the old classes of removed circles, is the sum of all classes
+        old_circles = dict(old.circles)
+        total: dict[int, int] = {}
+        for cid, p in model.circles.items():
+            q = old_circles.pop(cid, None)
+            if q is None:
+                d, jq = p, [0] * rank
+            else:
+                yq = [-sum([x[i] * y for i, y in entries(q)]) for x in xs]
+                if p == q:
+                    if any(yq):
+                        return False
+                    continue
+                d = sparse_add(p, q, -1)
+                jq = [0] * n + yq
+            dnz = list(entries(d))
+            for i, x in dnz:
+                total[i] = total.get(i, 0) + x
+            if combine(dnz, rows, rank) != jq:
+                return False
+        for q in old_circles.values():
+            for i, x in entries(q):
+                total[i] = total.get(i, 0) - x
+        return not any(total.values())
 
 
 class _Builder(SimpleNamespace):
@@ -319,16 +447,16 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     side pushes only its probe rows through the new structure (the plus
     side first through the new word), so F C is never formed.
 
-    The output goes through validate_involution as a handle extension
-    of the parent (HandleExtension) when the parent's validity memo
-    holds: the block's checks stand for the algebraic ones, by the lemma
-    of surface._handle_block_holds, and the structural checks run in
-    full.  A failing block check, or a parent whose memo is false, gets
-    the full report, so a refusal names the same checks and details as
-    a full validation.  An accepted book is valid, so its memo is seeded
-    True.  Its chain memo is seeded from the parent's plus a check of
-    the new block alone (_seed_chain_blocks), so a chain of k moves
-    does not re-peel k blocks per move.
+    The output goes through validate_involution once, as a handle
+    extension of the parent (HandleExtension), which stabilize has
+    validated at the door: the block's checks stand for the algebraic
+    ones, by the lemma of HandleExtension.holds, and the structural
+    checks run in full.  A failing block check gets the full report, so
+    a refusal names the same checks and details as a full validation.
+    An accepted book is valid, so its memo is seeded True.  Its chain
+    memo is seeded from the parent's plus a check of the new block alone
+    (_seed_chain_blocks), so a chain of k moves does not re-peel k
+    blocks per move.
     """
     st = STAB_TYPES[tag]
     rank = b.rank
@@ -390,16 +518,18 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         fix_plus=fix_plus,
         provenance=ob.provenance + (rec,),
     )
-    extends = (HandleExtension(ob.page, ob.real_structure, _core_block(st))
-               if ob._involution_valid else None)
-    report = validate_involution(page, inv, extends)
-    bad = [r for r in report if not r.ok]
-    if bad:
-        raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
-                                 + "; ".join(f"{r.name}: {r.detail}" for r in bad))
+    report = validate_involution(page, inv,
+                                 HandleExtension(ob.page, ob.real_structure, _core_block(st)))
+    if not all(r.ok for r in report):
+        raise StabilizationError(f"type {tag} at {site}: inconsistent data: {_failures(report)}")
     vars(out)["_involution_valid"] = True
     _seed_chain_blocks(ob, out)
     return out
+
+
+def _failures(report: list[CheckResult]) -> str:
+    """The failing checks of a report, as name: detail; ..."""
+    return "; ".join(f"{r.name}: {r.detail}" for r in report if not r.ok)
 
 
 def _reflection_circle(ob: OpenBook, cid: int) -> None:
@@ -424,7 +554,8 @@ def _parse_site(ob: OpenBook, st: StabType, site: object) -> tuple[int, ...]:
     A malformed site raises ValueError: not an object, a key the type
     does not read, a value that is not an integer, or "boundaries" that
     is not a pair of integers.  A well-formed site on the wrong kind of
-    boundary raises StabilizationError.
+    boundary, or on one reflection circle twice for V or VI, raises
+    StabilizationError.
     """
     if site is None:
         site = {}
@@ -458,8 +589,8 @@ def _parse_site(ob: OpenBook, st: StabType, site: object) -> tuple[int, ...]:
     if st.boundary_kind == "swap":
         _swap_pair(ob, j, k)
     else:
-        if st.tag == "VI" and j == k:
-            raise StabilizationError("type VI needs two distinct boundaries")
+        if j == k:
+            raise StabilizationError(f"type {st.tag} needs two distinct boundaries")
         _reflection_circle(ob, j)
         _reflection_circle(ob, k)
     if "cross" in st.site_keys:
@@ -691,14 +822,22 @@ def stabilize(ob: OpenBook, tag: str, site: Mapping | None = None) -> OpenBook:
       default 0).
     A malformed site (not an object, a key the type does not read, a
     value that is not an integer, "boundaries" not a pair) raises
-    ValueError, so the CLI exits 2.  Incompatible sites and NotReal input
-    raise StabilizationError (CLI exit 1).
+    ValueError, so the CLI exits 2.  Incompatible sites, NotReal input
+    and a book whose involution fails validate_involution raise
+    StabilizationError (CLI exit 1), the last naming each failing check.
+    The parent's validity is read through its memo
+    (OpenBook._involution_valid), which every book stabilize makes has
+    seeded True, so a chain of moves validates its root once.
     """
     st = STAB_TYPES.get(tag)
     if st is None:
         raise StabilizationError(f"unknown stabilization type {tag!r}")
     if check_reality(ob).kind is Reality.NOT_REAL:
         raise StabilizationError("refusing to stabilize a NotReal book")
+    if not ob._involution_valid:
+        raise StabilizationError("refusing to stabilize a book whose involution fails "
+                                 "validation: "
+                                 + _failures(validate_involution(ob.page, ob.real_structure)))
     # looked up by name on every call, so a wrapper set on the module
     # attribute (as the benchmark's tracer does) sees the call
     return globals()[f"_stab_{tag}"](ob, _parse_site(ob, st, site))

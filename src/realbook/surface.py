@@ -41,9 +41,15 @@ validate_involution reports and heegaard.validate_heegaard reads for
 both invariant pages.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
-other ($.page.form must be antisymmetric), and the forms built here
-(_symplectic_block) and by stabilization (stabilization._extend_form) are
-antisymmetric by construction, so CurveVectors derives J a as -J^T a.
+other ($.page.form must be antisymmetric), and the forms built by the
+catalog (catalog._symplectic_block) and by stabilization
+(stabilization._extend_form) are antisymmetric by construction, so
+CurveVectors derives J a as -J^T a.
+
+The standard pages and involutions the worked examples start from are
+built in realbook.catalog, and the check of a stabilization's handle
+block in realbook.stabilization (HandleExtension), so a process that
+only reads a book compiles neither.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .records import factory, record
 
 if TYPE_CHECKING:
     from .openbook import StabType
+    from .stabilization import HandleExtension
 
 
 Vec = tuple[int, ...]
@@ -263,11 +270,6 @@ class SurfaceModel:
         except KeyError:
             raise KeyError(f"unknown curve {name!r}") from None
 
-    def pairing(self, x: Sparse, y: Sparse) -> int:
-        """Intersection pairing <x, y> = x^T J y of two classes."""
-        rows = self.form.rows
-        return sum(a * rows[i][j] * b for i, a in entries(x) for j, b in entries(y))
-
     def curves_disjoint(self, a: str, b: str) -> bool:
         """Whether the page holds curves a and b disjoint: a root pair when
         neither was born (the only case that builds a frozenset), else the
@@ -354,207 +356,11 @@ class CurveVectors:
         self.ja = sparse_scale(-1, self.jta)
 
 
-def _symplectic_block(g: int, extra: int) -> IntMatrix:
-    n = 2 * g + extra
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return IntMatrix(rows, ncols=n)
-
-
-def standard_surface(g: int, b: int) -> SurfaceModel:
-    """Standard page of genus g with b boundary circles.
-
-    Basis: symplectic pairs (a_i, b_i) with <a_i, b_i> = +1 followed by
-    the boundary-parallel classes d_1 .. d_{b-1}.  The alphabet holds
-    curves realizing every basis class plus d_b (the negated sum), and a
-    reference arc runs from boundary 1 to each other boundary.
-    """
-    if b < 1:
-        raise ValueError("open book pages need binding: b >= 1")
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    rank = 2 * g + b - 1
-    basis: list[str] = []
-    for i in range(1, g + 1):
-        basis.extend((f"a{i}", f"b{i}"))
-    basis.extend(f"d{j}" for j in range(1, b))
-    form = _symplectic_block(g, b - 1)
-
-    alphabet: dict[str, Sparse] = {name: (idx, 1) for idx, name in enumerate(basis)}
-    # the last boundary curve is determined by the others
-    alphabet[f"d{b}"] = tuple(_flat((2 * g + j, -1) for j in range(b - 1)))
-
-    # reference arc pairing rows, one per boundary 2..b, indexed by basis
-    ref_arcs: dict[int, Sparse] = {}
-    for i in range(2, b + 1):
-        row = [0] * rank
-        row[2 * g] -= 1
-        if i <= b - 1:
-            row[2 * g + i - 1] += 1
-        # for i == b the +1 crossing sits on d_b, which is not a basis
-        # vector; linearity over the basis already encodes it
-        ref_arcs[i] = sparse(row)
-
-    circles = {i: alphabet[f"d{i}"] for i in range(1, b + 1)}
-
-    # every standard pair of curves is disjoint except the dual pairs (a_i, b_i)
-    def dual_pair(x: str, y: str) -> bool:
-        return x[0] in "ab" and y[0] in "ab" and x[0] != y[0] and x[1:] == y[1:]
-
-    names = list(alphabet)
-    disjoint = set()
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            if not dual_pair(x, y):
-                disjoint.add(frozenset((x, y)))
-
-    return SurfaceModel(
-        circles=circles,
-        basis=tuple(basis),
-        form=form,
-        alphabet=alphabet,
-        ref_arcs=ref_arcs,
-        disjoint=frozenset(disjoint),
-    )
-
-
-def standard_involution(model: SurfaceModel, kind: str) -> Involution:
-    """Construct one of the documented involutions on a standard page.
-
-    Descriptors cover exactly the real structures used by the worked
-    examples; adding a new conjugacy class means adding a branch here.
-
-      disk-reflection            (0,1)  one fixed diameter
-      annulus-reflection         (0,2)  c(core) = -core, two fixed arcs
-      annulus-rotation           (0,2)  c(core) = +core, one fixed circle
-      planar-reflection          (0,b)  reflection fixing every boundary
-      boundary-swap              (0,2k) free involution swapping circles
-                                        i <-> i+k
-    """
-    g, b = model.genus, model.boundary_count
-    rank = model.h1_rank
-
-    if kind in ("disk-reflection", "planar-reflection"):
-        if g != 0:
-            raise ValueError(f"{kind} needs a planar page")
-        if kind == "disk-reflection" and b != 1:
-            raise ValueError("disk-reflection needs b = 1")
-        c = -IntMatrix.identity(rank) if rank else IntMatrix.identity(0)
-        perm = {i: i for i in range(1, b + 1)}
-        fixed_points = {i: (2 * i - 1, 2 * i) for i in range(1, b + 1)}
-        arcs = []
-        if b == 1:
-            arcs.append(FixArc(ends=((1, 1), (1, 2)), pair_curves=()))
-        else:
-            for i in range(1, b + 1):
-                j = i + 1 if i < b else 1
-                row = [0] * rank
-                if i <= b - 1:
-                    row[2 * g + i - 1] -= 1
-                if j <= b - 1:
-                    row[2 * g + j - 1] += 1
-                arcs.append(
-                    FixArc(ends=((i, fixed_points[i][1]), (j, fixed_points[j][0])), pair_curves=sparse(row))
-                )
-        image = {f"d{i}": (f"d{i}", -1) for i in range(1, b + 1)}
-        return Involution(
-            matrix=c,
-            boundary_perm=perm,
-            fixed_points=fixed_points,
-            fixed_set=FixedSet(arcs=tuple(arcs)),
-            curve_image=image,
-        )
-
-    if kind == "annulus-reflection":
-        if (g, b) != (0, 2):
-            raise ValueError("annulus-reflection needs (g, b) = (0, 2)")
-        c = IntMatrix([[-1]])
-        fixed_points = {1: (1, 2), 2: (3, 4)}
-        arcs = (
-            FixArc(ends=((1, 1), (2, 3)), pair_curves=(0, 1), pair_arcs={2: 0}),
-            FixArc(ends=((1, 2), (2, 4)), pair_curves=(0, -1), pair_arcs={2: 0}),
-        )
-        image = {"d1": ("d1", -1), "d2": ("d2", -1)}
-        return Involution(
-            matrix=c,
-            boundary_perm={1: 1, 2: 2},
-            fixed_points=fixed_points,
-            fixed_set=FixedSet(arcs=arcs),
-            curve_image=image,
-        )
-
-    if kind == "annulus-rotation":
-        if (g, b) != (0, 2):
-            raise ValueError("annulus-rotation needs (g, b) = (0, 2)")
-        return Involution(
-            matrix=IntMatrix([[1]]),
-            boundary_perm={1: 2, 2: 1},
-            fixed_points={},
-            fixed_set=FixedSet(circles=((0, 1),)),
-            curve_image={"d1": ("d2", -1), "d2": ("d1", -1)},
-        )
-
-    if kind == "boundary-swap":
-        if g != 0 or b % 2 != 0 or b < 2:
-            raise ValueError("boundary-swap needs a planar page with an even number of circles")
-        k = b // 2
-        perm = {}
-        for i in range(1, k + 1):
-            perm[i] = i + k
-            perm[i + k] = i
-        cols = []
-        for i in range(1, b):
-            cols.append(dense(sparse_scale(-1, model.curve(f"d{perm[i]}")), rank))
-        c = IntMatrix.from_columns(cols, rank) if rank else IntMatrix.identity(0)
-        image = {f"d{i}": (f"d{perm[i]}", -1) for i in range(1, b + 1)}
-        if b == 2:
-            # on the annulus every essential circle is isotopic to the core,
-            # so the free involution fixes each curve up to isotopy
-            image = {"d1": ("d1", 1), "d2": ("d2", 1)}
-        return Involution(
-            matrix=c,
-            boundary_perm=perm,
-            fixed_points={},
-            fixed_set=FixedSet(),
-            curve_image=image,
-        )
-
-    raise ValueError(f"unknown involution descriptor {kind!r}")
-
-
 @record
 class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-@record
-class HandleExtension:
-    """The valid pair (page, inv) that a page and involution extend by a
-    block of k new classes, as stabilization builds them, and the block
-    core = L of the naive extension C~ = C (+) L on the new classes.
-    validate_involution reads it to check the block only.
-
-    With n the old rank, the builder guarantees, and nothing here checks:
-      * the new basis is the old one followed by the classes
-        e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
-        lacks (stabilization._start_builder picks them so), and every old
-        curve keeps its class (widened by zeros, which leaves a sparse
-        vector as it is);
-      * the first n rows of the new form start with the old form J;
-      * the new matrix is C~ Sigma, Sigma the positive twist along each
-        new curve, the mirror e_{n+1} before e_n for a pair;
-      * a curve image equal to the old one names a curve Sigma fixes.
-    Everything else the lemma of _handle_block_holds needs is read off
-    the data and checked there.
-    """
-
-    page: SurfaceModel
-    inv: Involution
-    core: tuple[tuple[int, ...], ...]
 
 
 def involution_check(c: IntMatrix, rank: int) -> CheckResult:
@@ -609,14 +415,14 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     J p = sum_i p_i col_i(J), summed over the nonzeros of p, vanishes.
     A failing check rebuilds its product only to report it.
 
-    With extends, the pair extends a valid pair by a handle block (see
-    HandleExtension).  When the checks of the block hold
-    (_handle_block_holds), the involution, anti_symplectic, curve_image
-    and boundary_classes checks pass by the lemma there and are
-    reported so; the structural checks run in full.  When a block check
-    fails, every check runs in full, so the report is the full one.
+    With extends (stabilization.HandleExtension), the pair extends a
+    valid pair by a handle block.  When the checks of the block hold
+    (extends.holds), the involution, anti_symplectic, curve_image and
+    boundary_classes checks pass by the lemma there and are reported so;
+    the structural checks run in full.  When a block check fails, every
+    check runs in full, so the report is the full one.
     """
-    if extends is not None and _handle_block_holds(model, inv, extends):
+    if extends is not None and extends.holds(model, inv):
         return ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
                 + _structural_checks(model, inv)
                 + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)])
@@ -690,101 +496,6 @@ def arc_endpoints_check(fixed_points: Mapping[int, tuple[int, int]],
     return CheckResult("arc_endpoints", ok, "" if ok else f"used {used} vs declared {declared}")
 
 
-def _handle_block_holds(model: SurfaceModel, inv: Involution, ext: HandleExtension) -> bool:
-    """Whether the involution, anti_symplectic, curve_image and
-    boundary_classes checks hold on a handle extension of a valid pair,
-    from checks of the block alone (premises in HandleExtension).
-
-    Write the new form as J' = [[J, X], [Y, M]] and the new matrix as
-    C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T, M is
-    antisymmetric, L is antidiagonal with L^2 = I (so C~ maps each new
-    curve to +-its mirror, the pair reversed), L^T M L = -M, and the
-    cross block C^T X L = -X: k sparse products.
-
-    Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~ is
-    an involution with C~^T J' C~ = -J' (the off-diagonal blocks are the
-    cross block and its transpose).  For such a C~ and a curve a,
-    C~ T_a C~ = T_{C~ a}^-1: C~ T_a C~ x = x + <C~ x, a> C~ a and
-    <C~ x, a> = -<x, C~ a> (Farb & Margalit, A Primer on Mapping Class
-    Groups, ch. 3).  As C~ reverses the new curves up to sign and
-    T_{-b} = T_b, C~ Sigma C~ = Sigma^-1, so (C~ Sigma)^2 = I.  A twist
-    along a new curve e preserves J', because row and column e of J'
-    are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
-    Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.
-    An image equal to the old one names a curve Sigma fixes, whose class
-    and image's class are the old ones widened by zeros, so C~ Sigma
-    maps it as C did; only new or changed images are checked.  A circle
-    whose class is its old class q (widened by zeros: the same sparse
-    vector) has
-    J' (q, 0) = (J q, Y q) with J q = 0 by the old radical check, so it
-    needs X^T q = 0 only; a new or changed circle is checked fresh, with
-    J' d = -sum_i d_i row_i(J') as J' is antisymmetric (J by the premise
-    of the module docstring, Y = -X^T and M by the checks above), and
-    the sum of all classes is the old sum, zero, moved by the new and
-    changed classes less the old classes of changed and removed
-    circles.
-    """
-    old, core = ext.page, ext.core
-    n, rank = old.h1_rank, model.h1_rank
-    k = rank - n
-    rows = model.form.rows
-    if len(core) != k or any(len(r) != k for r in core) or any(len(r) != rank for r in rows[n:]):
-        return False
-    # column t of L is l[t] e_{k-1-t}, the mirror of new class t
-    l = [core[k - 1 - t][t] for t in range(k)]
-    m = [r[n:] for r in rows[n:]]
-    if (any(core[t][u] and t + u != k - 1
-            or m[t][u] != -m[u][t]
-            or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
-            for t in range(k) for u in range(k))
-            or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
-        return False
-    xs = [[r[n + t] for r in rows[:n]] for t in range(k)]
-    xnz = [[(i, x) for i, x in enumerate(col) if x] for col in xs]
-    c_old = ext.inv.matrix.rows
-    for t in range(k):
-        minus_x = [-x for x in xs[t]]
-        if list(rows[n + t][:n]) != minus_x:
-            return False
-        # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-        if [l[t] * a for a in combine(xnz[k - 1 - t], c_old, n)] != minus_x:
-            return False
-
-    old_images = ext.inv.curve_image
-    c_cols = inv.matrix.transpose().rows
-    for name, (img, s) in inv.curve_image.items():
-        if old_images.get(name) != (img, s) and not image_holds(model, c_cols, name, img, s):
-            return False
-
-    # per circle, d is its class less its old class q (all of it for a
-    # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
-    # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
-    # less the old classes of removed circles, is the sum of all classes
-    old_circles = dict(old.circles)
-    total: dict[int, int] = {}
-    for cid, p in model.circles.items():
-        q = old_circles.pop(cid, None)
-        if q is None:
-            d, jq = p, [0] * rank
-        else:
-            yq = [-sum([x[i] * y for i, y in entries(q)]) for x in xs]
-            if p == q:
-                if any(yq):
-                    return False
-                continue
-            d = sparse_add(p, q, -1)
-            jq = [0] * n + yq
-        dnz = list(entries(d))
-        for i, x in dnz:
-            total[i] = total.get(i, 0) + x
-        if combine(dnz, rows, rank) != jq:
-            return False
-    for q in old_circles.values():
-        for i, x in entries(q):
-            total[i] = total.get(i, 0) - x
-    return not any(total.values())
-
-
 def validate_page(model: SurfaceModel) -> list[CheckResult]:
     """Check the page's declared data against its form; reports
     failures, never raises.
@@ -808,7 +519,3 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
             ok, detail = False, f"disjoint pair ({a}, {b}) has <{a}, {b}> = {meet}"
             break
     return [CheckResult("disjoint", ok, detail)]
-
-
-def involution_is_valid(model: SurfaceModel, inv: Involution) -> bool:
-    return all(r.ok for r in validate_involution(model, inv))

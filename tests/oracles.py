@@ -13,7 +13,7 @@ from math import gcd
 
 from realbook.contact import FormSampler, ProfileFunctions
 from realbook.intalg import AbelianGroup, IntMatrix, SmithForm
-from realbook.surface import SurfaceModel
+from realbook.surface import FixedSet, Involution, Sparse, SurfaceModel, entries
 
 
 def expand(stored: tuple[int, ...], n: int) -> list[int]:
@@ -28,6 +28,25 @@ def expand(stored: tuple[int, ...], n: int) -> list[int]:
 def dense_class(model: SurfaceModel, curve: str) -> list[int]:
     """The class of a curve as a dense list."""
     return expand(model.curve(curve), model.h1_rank)
+
+
+def pairing(model: SurfaceModel, x: Sparse, y: Sparse) -> int:
+    """Intersection pairing <x, y> = x^T J y of two sparse classes."""
+    rows = model.form.rows
+    return sum(a * rows[i][j] * b for i, a in entries(x) for j, b in entries(y))
+
+
+def annulus_rotation() -> Involution:
+    """The rotation of the standard annulus (catalog.standard_surface(0, 2))
+    that swaps its boundary circles and fixes its core, c(core) = +core:
+    no fixed arc, one fixed circle."""
+    return Involution(
+        matrix=IntMatrix([[1]]),
+        boundary_perm={1: 2, 2: 1},
+        fixed_points={},
+        fixed_set=FixedSet(circles=((0, 1),)),
+        curve_image={"d1": ("d2", -1), "d2": ("d1", -1)},
+    )
 
 
 def zeros(m: int, n: int) -> IntMatrix:
@@ -99,6 +118,16 @@ def is_trivial(group: AbelianGroup) -> bool:
 def wronskian(pf: ProfileFunctions, r: float) -> float:
     """The Wronskian of the profile pair at one radius."""
     return pf.wronskians((r,))[0]
+
+
+def h1(pf: ProfileFunctions, r: float) -> float:
+    """The profile h1 at one radius."""
+    return next(pf.samples((r,)))[0]
+
+
+def h2(pf: ProfileFunctions, r: float) -> float:
+    """The profile h2 at one radius."""
+    return next(pf.samples((r,)))[2]
 
 
 def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:

@@ -18,6 +18,8 @@ from realbook.catalog import (
     catalog_s3_disk,
 )
 from realbook.contact import (
+    GRID_POINTS,
+    R0,
     FormSampler,
     build_profiles,
     contact_defect,
@@ -190,7 +192,7 @@ def test_criterion_6_contact():
     for k in (1.0, 10.0, 100.0):
         pf = build_profiles(k, 0.1)
         # the certification grid of build_profiles
-        ok &= min(pf.wronskians(linspace(pf.r0 / 10.0, 1.0, 10_000))) > 0
+        ok &= min(pf.wronskians(linspace(R0 / 10.0, 1.0, GRID_POINTS))) > 0
         ok &= abs(wronskian(pf, 1e-4) / 1e-4 - 2.0) <= 1e-6
         for n in range(0, 6):
             fs = FormSampler(family=n, k=k, resolution=grid)

@@ -219,7 +219,8 @@ def meeting_pair_book() -> str:
     from realbook.intalg import IntMatrix
     from realbook.mcg import word
     from realbook.openbook import OpenBook
-    from realbook.surface import FixArc, FixedSet, Involution, standard_surface
+    from realbook.catalog import standard_surface
+    from realbook.surface import FixArc, FixedSet, Involution
 
     page = standard_surface(1, 1)
     inv = Involution(
@@ -619,6 +620,77 @@ def test_malformed_site_is_exit_2(book, tag, site, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tag", ["V", "VI"])
+def test_a_reflection_pair_site_needs_two_distinct_boundaries(tag, monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "disk"])
+    capsys.readouterr()
+    argv = ["stabilize", "--type", tag, "--site", '{"boundaries": [1, 1]}']
+    code, out = run_cli(argv, book_json, monkeypatch)
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == f"error: type {tag} needs two distinct boundaries\n"
+    proc = _python(["-m", "realbook.cli", *argv], book_json)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+def _one_real_point(circle, *book):
+    """The catalog book with the real points of one reflection circle cut
+    to the first, which validate rejects (boundary_tags, arc_endpoints)."""
+    obj = json.loads(run_cli(["catalog", *book])[1])
+    points = obj["involution"]["fixed_points"]
+    points[str(circle)] = points[str(circle)][:1]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("circle, book, tag, site", [
+    (1, ["disk"], "I", None),
+    (1, ["disk"], "II", None),
+    (2, ["lens-3punctured", "2", "2", "1"], "V", '{"boundaries": [1, 2]}'),
+    (2, ["lens-3punctured", "2", "2", "1"], "VI", '{"boundaries": [1, 2]}'),
+], ids=["disk-I", "disk-II", "lens-3punctured-V", "lens-3punctured-VI"])
+def test_stabilize_refuses_a_book_whose_involution_validate_rejects(circle, book, tag, site,
+                                                                   monkeypatch, capsys):
+    """A reflection circle with one declared real point: validate exits 1
+    naming boundary_tags, and stabilize refuses the book at the door with
+    exit 1 and the failing checks, in process and as a child process."""
+    text = _one_real_point(circle, *book)
+    capsys.readouterr()
+    code, out = run_cli(["validate"], text, monkeypatch)
+    assert code == 1
+    assert json.loads(out)["involution"]["boundary_tags"] == (
+        f"reflection circle {circle} lacks two fixed points")
+    argv = ["stabilize", "--type", tag] + (["--site", site] if site else [])
+    code, out = run_cli(argv, text, monkeypatch)
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: refusing to stabilize a book whose involution fails "
+                          f"validation: boundary_tags: reflection circle {circle} lacks")
+    assert "; arc_endpoints: used " in err
+    proc = _python(["-m", "realbook.cli", *argv], text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (["invariants"], 200_000),
+    (["stabilize", "--type", "I", "--site"], 5000),
+], ids=["book", "site"])
+def test_deeply_nested_json_is_exit_2(argv, depth, monkeypatch, capsys):
+    """JSON nested past the decoder's recursion limit, as the book on
+    stdin or as --site, is malformed input."""
+    nested = "[" * depth + "]" * depth
+    if argv[0] == "stabilize":
+        argv, text = argv + [nested], run_cli(["catalog", "disk"])[1]
+    else:
+        text = nested
+    capsys.readouterr()
+    code, out = run_cli(argv, text, monkeypatch)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("nested too deeply\n")
+    proc = _python(["-m", "realbook.cli", *argv], text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -3,6 +3,9 @@ import math
 import pytest
 
 from realbook.contact import (
+    GRID_POINTS,
+    R0,
+    R1,
     ContactModelError,
     FormSampler,
     build_profiles,
@@ -14,7 +17,7 @@ from realbook.contact import (
     ramp_d,
     solid_torus_extension_check,
 )
-from oracles import k_term_dominates, wronskian
+from oracles import h1, h2, k_term_dominates, wronskian
 
 GRID = 30  # full 50-point runs live in the acceptance suite
 
@@ -86,7 +89,7 @@ def test_unsupported_family():
 def test_profiles_wronskian_positive(k):
     pf = build_profiles(k, 0.1)
     # the certification grid of build_profiles
-    assert min(pf.wronskians(linspace(pf.r0 / 10.0, 1.0, 10_000))) > 0
+    assert min(pf.wronskians(linspace(R0 / 10.0, 1.0, GRID_POINTS))) > 0
     rr = linspace(0.02, 1.0, 2000)
     assert min(wronskian(pf, r) for r in rr) > 0
 
@@ -94,17 +97,17 @@ def test_profiles_wronskian_positive(k):
 def test_profile_head_and_tail_pinned():
     pf = build_profiles(10.0, 0.1)
     for r in (0.0, 0.05, 0.1, 0.2):
-        assert pf.h1(r) == pytest.approx(1.0, rel=1e-5, abs=1e-8)
-        assert pf.h2(r) == pytest.approx(r ** 2, rel=1e-5, abs=1e-8)
+        assert h1(pf, r) == pytest.approx(1.0, rel=1e-5, abs=1e-8)
+        assert h2(pf, r) == pytest.approx(r ** 2, rel=1e-5, abs=1e-8)
     for r in (0.8, 0.9, 1.0):
-        assert pf.h1(r) == pytest.approx(2 * math.exp(1 - r - 0.1), rel=1e-5, abs=1e-8)
-        assert pf.h2(r) == pytest.approx(20.0, rel=1e-5, abs=1e-8)
+        assert h1(pf, r) == pytest.approx(2 * math.exp(1 - r - 0.1), rel=1e-5, abs=1e-8)
+        assert h2(pf, r) == pytest.approx(20.0, rel=1e-5, abs=1e-8)
 
 
 @pytest.mark.parametrize("k", [1.0, 10.0, 100.0])
 def test_profile_cubics_join_pinned_ends_smoothly(k):
     pf = build_profiles(k, 0.1)
-    for r in (pf.r0, pf.r1):
+    for r in (R0, R1):
         below = next(pf.samples((math.nextafter(r, 0.0),)))
         above = next(pf.samples((math.nextafter(r, 1.0),)))
         assert below == pytest.approx(above, rel=1e-9, abs=1e-9), r

@@ -15,6 +15,8 @@ gives are optional.  A third walks seeded stabilizations of every type
 from the catalog books and checks each step's storage
 (tests/test_sharing.py): canonical sparse vectors, the parent's objects
 shared where the step left them alone, and the parent's text unmoved.
+A fourth runs stabilize on the mutated books: it must refuse, with exit
+1, every book whose involution validate rejects.
 """
 
 import json
@@ -108,18 +110,19 @@ STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutated_books())
-def test_block_validation_keeps_stabilize_outcomes(text):
-    """stabilize validates a new book from the checks of its block when
-    the parent's validity memo holds.  With the memo forced false, every
-    book is validated in full, and each stabilize run on a mutated book
-    must end alike: the same exit code, output and error line."""
-    from realbook.openbook import OpenBook
-
-    by_block = [run(argv, text) for argv in STABILIZE]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(OpenBook, "_involution_valid", property(lambda self: False))
-        in_full = [run(argv, text) for argv in STABILIZE]
-    assert by_block == in_full
+def test_stabilize_refuses_what_validate_rejects(text):
+    """stabilize validates its parent at the door.  On a mutated book no
+    stabilize run lets an exception escape, and each exits 1 with an
+    `error:` line whenever a check of validate's involution section
+    fails."""
+    code, out, _err = run(["validate"], text)
+    rejected = code != 2 and not all(v is True for v in json.loads(out)["involution"].values())
+    for argv in STABILIZE:
+        code, _out, err = run(argv, text)
+        assert code in (0, 1, 2), argv
+        assert err.startswith("error: ") if code else not err, argv
+        if rejected:
+            assert code == 1, (argv, err)
 
 
 @st.composite

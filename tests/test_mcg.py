@@ -18,7 +18,8 @@ from realbook.mcg import (
     words_equal,
 )
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
-from realbook.surface import dense, entries, standard_involution, standard_surface
+from realbook.catalog import standard_involution, standard_surface
+from realbook.surface import dense, entries
 from oracles import dense_class, twist_matrix
 
 

@@ -11,6 +11,7 @@ from realbook.catalog import (
     catalog_hopf,
     catalog_lens_annulus,
     catalog_s3_disk,
+    standard_surface,
 )
 from realbook.intalg import AbelianGroup, IntMatrix
 from realbook.jsonio import dumps, loads
@@ -32,11 +33,9 @@ from realbook.surface import (
     entries,
     sparse,
     sparse_add,
-    standard_involution,
-    standard_surface,
     validate_involution,
 )
-from oracles import is_trivial
+from oracles import annulus_rotation, is_trivial
 
 
 def not_real_example() -> OpenBook:
@@ -233,7 +232,7 @@ def test_rotation_annulus_only_homologically_real():
     images land on the other boundary curve, so the word certificate is
     unavailable and the homology level must carry it."""
     page = standard_surface(0, 2)
-    inv = standard_involution(page, "annulus-rotation")
+    inv = annulus_rotation()
     ob = OpenBook(page=page, monodromy=word([("d1", 3)]), real_structure=inv,
                   fix_plus=None)
     assert check_reality(ob).kind is Reality.HOMOLOGICALLY_REAL
@@ -580,22 +579,21 @@ def typed_walks(seed, steps):
 
 
 def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
-    """stabilize validates a child of a valid parent from the checks of
-    its block (HandleExtension) and seeds the child's validity memo.  On
-    every golden book and on walks through all nine types, the report
-    of each block check equals the full report, and each seeded memo
-    equals a fresh validation."""
+    """stabilize validates each child of its valid parent from the checks
+    of its block, always passing the handle extension (HandleExtension),
+    and seeds the child's validity memo.  On every golden book and on
+    walks through all nine types, each block check holds, its report
+    equals the full report, and each seeded memo equals a fresh
+    validation."""
     from test_golden import golden_books
 
     import realbook.stabilization as stabilization_module
-    from realbook.surface import _handle_block_holds
 
     seen = []
     full_validation = stabilization_module.validate_involution
 
     def recording(page, inv, extends=None):
-        if extends is not None:
-            seen.append((page, inv, extends))
+        seen.append((page, inv, extends))
         return full_validation(page, inv, extends)
 
     monkeypatch.setattr(stabilization_module, "validate_involution", recording)
@@ -610,7 +608,7 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
             assert ob._involution_valid == fresh, label
     assert seeded >= 500 and tags == set(STAB_TYPES)
     for page, inv, extends in seen:
-        assert _handle_block_holds(page, inv, extends)
+        assert extends is not None and extends.holds(page, inv)
         assert validate_involution(page, inv, extends) == validate_involution(page, inv)
     assert len(seen) >= seeded
 
@@ -730,17 +728,17 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
                                                              failing, monkeypatch):
     """One item of the block corrupted as the new book is validated: the
     block check fails, and stabilize refuses with the message of a full
-    validation, the one it gives when the parent's memo is false.  Each
-    corruption breaks the full check that one block check stands for
-    and, where it can, no other block check, so each block check is
-    shown to fail.  The new structure is rebuilt on a corrupted form,
-    C~ Sigma with Sigma's twists read from it, as the lemma assumes."""
+    validation of the corrupted book, each failing check as name:
+    detail.  Each corruption breaks the full check that one block check
+    stands for and, where it can, no other block check, so each block
+    check is shown to fail.  The new structure is rebuilt on a corrupted
+    form, C~ Sigma with Sigma's twists read from it, as the lemma
+    assumes."""
     import realbook.stabilization as stabilization_module
-    import realbook.surface as surface_module
     from realbook.mcg import times_word
 
     verdicts, reports = [], []
-    block_holds = surface_module._handle_block_holds
+    block_holds = stabilization_module.HandleExtension.holds
     full_validation = stabilization_module.validate_involution
 
     def spying(*args):
@@ -761,19 +759,16 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
 
     parent = make()
     assert parent._involution_valid
-    monkeypatch.setattr(surface_module, "_handle_block_holds", spying)
+    monkeypatch.setattr(stabilization_module.HandleExtension, "holds", spying)
     monkeypatch.setattr(stabilization_module, "validate_involution", corrupting)
-    with pytest.raises(StabilizationError) as seeded:
+    with pytest.raises(StabilizationError) as refused:
         stabilize(parent, tag, site)
     assert verdicts == [False]
-    assert failing <= {r.name for r in reports[0] if not r.ok}
-
-    unseeded = replace(parent)
-    vars(unseeded)["_involution_valid"] = False
-    with pytest.raises(StabilizationError) as full:
-        stabilize(unseeded, tag, site)
-    assert verdicts == [False]
-    assert str(seeded.value) == str(full.value)
+    bad = [r for r in reports[0] if not r.ok]
+    assert failing <= {r.name for r in bad}
+    at = stabilization_module._parse_site(parent, STAB_TYPES[tag], site)
+    assert str(refused.value) == (f"type {tag} at {at}: inconsistent data: "
+                                  + "; ".join(f"{r.name}: {r.detail}" for r in bad))
 
 
 def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
@@ -781,7 +776,6 @@ def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
     C~^2 = I: on a valid handle pair, any other core block fails the
     block check, while the core the type declares passes."""
     import realbook.stabilization as stabilization_module
-    from realbook.surface import _handle_block_holds
 
     seen = []
     full_validation = stabilization_module.validate_involution
@@ -794,10 +788,10 @@ def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
     monkeypatch.setattr(stabilization_module, "validate_involution", recording)
     stabilize(parent, "IX", {"boundaries": (1, 2)})
     (page, inv, ext), = seen
-    assert ext.core == ((0, 1), (1, 0)) and _handle_block_holds(page, inv, ext)
+    assert ext.core == ((0, 1), (1, 0)) and ext.holds(page, inv)
     for core in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
                  ((0, 1),), ((1,),), ((0, 2), (2, 0))]:
-        assert not _handle_block_holds(page, inv, replace(ext, core=core)), core
+        assert not replace(ext, core=core).holds(page, inv), core
 
 
 def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
@@ -806,7 +800,6 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     the peel of a provenance block: the three callers of image_holds."""
     import realbook.stabilization as stabilization_module
     from realbook.openbook import _chain_blocks_of
-    from realbook.surface import _handle_block_holds
 
     def flipped(images, name):
         img, sign = images[name]
@@ -832,10 +825,10 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     child = stabilize(ob, "III", {"boundary": 1})
     (page, new_inv, ext), = seen
     new = sorted(set(new_inv.curve_image) - set(inv.curve_image))
-    assert new and _handle_block_holds(page, new_inv, ext)
+    assert new and ext.holds(page, new_inv)
     for name in new:
-        assert not _handle_block_holds(
-            page, replace(new_inv, curve_image=flipped(new_inv.curve_image, name)), ext), name
+        assert not ext.holds(
+            page, replace(new_inv, curve_image=flipped(new_inv.curve_image, name))), name
 
     rec = child.provenance[-1]
     assert _chain_blocks_of(child)[0]

@@ -10,13 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from realbook import catalog, contact, heegaard, intalg, openbook, surface
+from realbook import catalog, contact, heegaard, intalg, openbook, stabilization, surface
 from realbook.catalog import ENTRIES
 from realbook.contact import ContactModelError, FormSampler
 from realbook.intalg import AbelianGroup
 from realbook.records import record, replace
 
-MODULES = (catalog, contact, heegaard, intalg, openbook, surface)
+MODULES = (catalog, contact, heegaard, intalg, openbook, stabilization, surface)
 
 
 def _book(name):
@@ -32,7 +32,7 @@ def _instances() -> list:
         ob, page, inv, inv.fixed_set, _book("fig6-2").real_structure.fixed_set.arcs[0],
         ob.provenance[0], openbook.STAB_TYPES["VIII"], openbook.check_reality(ob),
         surface.validate_involution(page, inv)[0],
-        surface.HandleExtension(page=page, inv=inv, core=((1,),)),
+        stabilization.HandleExtension(page=page, inv=inv, core=((1,),)),
         intalg.smith_normal_form(page.form), openbook.h1_of_manifold(ob),
         heegaard.heegaard_data(ob), rp, rp.components[0],
         FormSampler(family=1, k=10.0, resolution=5), pf,
