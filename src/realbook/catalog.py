@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable
 
-from .intalg import AbelianGroup, IntMatrix
+from .intalg import AbelianGroup
 from .mcg import word
 from .openbook import OpenBook
 from .records import record
@@ -24,22 +24,21 @@ from .surface import (
     FixArc,
     FixedSet,
     Involution,
+    Rows,
     Sparse,
     SurfaceModel,
-    dense,
     sparse,
     sparse_add,
     sparse_scale,
+    sparse_transpose,
 )
 
 
-def _symplectic_block(g: int, extra: int) -> IntMatrix:
-    n = 2 * g + extra
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return IntMatrix(rows, ncols=n)
+def _symplectic_block(g: int, extra: int) -> Rows:
+    """The form of the standard basis, as sparse rows: <a_i, b_i> = +1,
+    and the extra boundary classes pair with nothing."""
+    pairs = (((2 * i + 1, 1), (2 * i, -1)) for i in range(g))
+    return tuple(chain.from_iterable(pairs)) + ((),) * extra
 
 
 def standard_surface(g: int, b: int) -> SurfaceModel:
@@ -119,7 +118,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
             raise ValueError(f"{kind} needs a planar page")
         if kind == "disk-reflection" and b != 1:
             raise ValueError("disk-reflection needs b = 1")
-        c = -IntMatrix.identity(rank) if rank else IntMatrix.identity(0)
+        c = tuple((i, -1) for i in range(rank))
         perm = {i: i for i in range(1, b + 1)}
         fixed_points = {i: (2 * i - 1, 2 * i) for i in range(1, b + 1)}
         arcs = []
@@ -148,7 +147,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
     if kind == "annulus-reflection":
         if (g, b) != (0, 2):
             raise ValueError("annulus-reflection needs (g, b) = (0, 2)")
-        c = IntMatrix([[-1]])
+        c = ((0, -1),)
         fixed_points = {1: (1, 2), 2: (3, 4)}
         arcs = (
             FixArc(ends=((1, 1), (2, 3)), pair_curves=(0, 1), pair_arcs={2: 0}),
@@ -171,10 +170,7 @@ def standard_involution(model: SurfaceModel, kind: str) -> Involution:
         for i in range(1, k + 1):
             perm[i] = i + k
             perm[i + k] = i
-        cols = []
-        for i in range(1, b):
-            cols.append(dense(sparse_scale(-1, model.curve(f"d{perm[i]}")), rank))
-        c = IntMatrix.from_columns(cols, rank) if rank else IntMatrix.identity(0)
+        c = sparse_transpose([sparse_scale(-1, model.curve(f"d{perm[i]}")) for i in range(1, b)])
         image = {f"d{i}": (f"d{perm[i]}", -1) for i in range(1, b + 1)}
         if b == 2:
             # on the annulus every essential circle is isotopic to the core,

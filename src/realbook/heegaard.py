@@ -17,10 +17,12 @@ from .openbook import OpenBook, Reality, check_reality
 from .records import record
 from .surface import (
     anti_symplectic_check,
-    combine,
+    dense_matrix,
     entries,
     involution_check,
     lefschetz_check,
+    sparse,
+    sparse_combine,
     sparse_dot,
 )
 
@@ -56,12 +58,13 @@ class RealPartData:
 def heegaard_data(ob: OpenBook) -> HeegaardData:
     """The derived real splitting: its genus and the gluing block data
     F C, the action of f o c on first homology of the page (the other
-    block, C, is the book's own real_structure.matrix)."""
+    block, C, is the book's own real_structure.matrix, whose sparse rows
+    are expanded for the product)."""
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise BookNotReal("book is not real; no real Heegaard decomposition")
     return HeegaardData(genus=ob.page.h1_rank,
-                        plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
+                        plus_matrix=ob.monodromy_matrix @ dense_matrix(ob.real_structure.matrix))
 
 
 def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
@@ -84,12 +87,13 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
     plus_involution, (FC)^2 = I, is computed: it is the one check here
     that reads F, so it sees a monodromy that is not real at the
     homology level whatever the reality certificate said.  The genus is
-    not checked here: heegaard_data sets it to rank H1 of the page.
+    not checked here: heegaard_data sets it to rank H1 of the page.  The
+    checks read sparse rows: C's as stored, F C's converted once.
     """
     page = ob.page
     rank = page.h1_rank
     c = ob.real_structure.matrix
-    fc = hd.plus_matrix
+    fc = tuple(map(sparse, hd.plus_matrix.rows))
     minus = involution_check(c, rank).ok
     out = [("minus_involution", minus), ("plus_involution", involution_check(fc, rank).ok)]
     if rank:
@@ -168,9 +172,10 @@ def _closed_surface_basis(ob: OpenBook):
     dim = 2 * n_int + len(d_ids) + len(m_ids)
 
     q = [0] * dim
-    jm = page.form.rows
+    # the position of each interior class, to read the sparse rows of J
+    pos = {ib: b for b, ib in enumerate(interior)}
     for a, ia in enumerate(interior):
-        row = _bits(jm[ia][ib] % 2 for ib in interior)
+        row = sum(1 << pos[ib] for ib, x in entries(page.form[ia]) if x % 2 and ib in pos)
         q[a] = row
         q[n_int + a] = row << n_int
     for l, ml in m_pos.items():
@@ -321,10 +326,10 @@ def real_part(ob: OpenBook) -> RealPartData:
 
     for side, fset in ((0, minus), (1, plus)):
         for circ in fset.circles:
-            # J^T circ, summed over the nonzeros of circ
-            jt_circ = combine(entries(circ), page.form.rows, page.h1_rank)
+            # J^T circ, summed over the nonzeros of circ and of J's rows
+            jt_circ = sparse_combine(circ, page.form)
             vec = crossing_vector(
-                side, _bits(x % 2 for x in jt_circ),
+                side, _odd_bits(jt_circ),
                 [-sparse_dot(page.ref_arcs[l], circ) for l in m_pos])
             components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 

@@ -11,9 +11,11 @@ mappings as it parses (boundary id -> pushoff class in file order,
 curve name -> class), and the writer writes the circles in that stored
 order and the curves by name, so `new` gives back a written file's own
 bytes whatever the order of its circle ids.  A file writes every class
-and row dense, of the basis size; the page stores them sparse
-(surface.Sparse), so the reader converts each row once, after its
-checks, and the writer expands each one.
+and row dense, of the basis size, the rows of `page.form` and
+`involution.matrix` too; the page and the involution store them sparse
+(surface.Sparse, surface.Rows), so the reader converts each row once,
+in the call that checks it (_row), and the writer expands each one with
+surface.dense.
 
 A file holds only what the reader cannot derive, but for `page.genus`
 (SurfaceModel derives it from 2g + b - 1 = rank H1): the writer writes
@@ -27,14 +29,14 @@ curve.  One parser reads all three with no branch on the version: each
 derived field is optional, and one that is present is checked (a zero
 `current_class`, tables equal to SurfaceModel.curve_tables, pairs the
 rule gives).  The reader also rejects a form that is not antisymmetric
-and any class, pushoff class, crossing vector or reference-arc row
-whose length is not the basis size, a page without boundary circles, a
-repeated circle id, reference arcs that are not one arc to each circle
-but the basepoint (the least id), a reference-arc row off the boundary
-crossing pattern (surface.crossing_residuals: the arc to circle l
-crosses the pushoff of l +1 times, the basepoint's -1 times and no
-other), and a fixed arc's pair_arcs key that names no reference-arc
-target.
+(its sparse rows against those of its transpose) and any class, pushoff
+class, crossing vector or reference-arc row whose length is not the
+basis size, a page without boundary circles, a repeated circle id,
+reference arcs that are not one arc to each circle but the basepoint
+(the least id), a reference-arc row off the boundary crossing pattern
+(surface.crossing_residuals: the arc to circle l crosses the pushoff of
+l +1 times, the basepoint's -1 times and no other), and a fixed arc's
+pair_arcs key that names no reference-arc target.
 
 A page stores only its root's disjoint pairs and its births
 (SurfaceModel.births).  The reader derives the births from `provenance`
@@ -65,7 +67,6 @@ from itertools import groupby
 from typing import Any, Callable
 
 from .errors import SchemaError
-from .intalg import IntMatrix
 from .mcg import TwistWord
 from .openbook import STAB_TYPES, OpenBook, StabRecord
 from .records import replace
@@ -73,10 +74,14 @@ from .surface import (
     FixArc,
     FixedSet,
     Involution,
+    Rows,
+    Sparse,
     SurfaceModel,
     crossing_residuals,
     dense,
     sparse,
+    sparse_scale,
+    sparse_transpose,
 )
 
 SCHEMA_VERSION = 3
@@ -122,7 +127,7 @@ def to_obj(ob: OpenBook) -> dict:
             "genus": page.genus,
             "boundary": [{"id": cid, "pclass": dense(p, rank)} for cid, p in page.circles.items()],
             "basis": list(page.basis),
-            "form": [list(r) for r in page.form.rows],
+            "form": [dense(r, rank) for r in page.form],
         },
         "alphabet": [
             {
@@ -139,7 +144,7 @@ def to_obj(ob: OpenBook) -> dict:
         "disjoint": sorted(sorted(p) for p in page.disjoint_pairs() if made.isdisjoint(p)),
         "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
         "involution": {
-            "matrix": [list(r) for r in inv.matrix.rows],
+            "matrix": [dense(r, rank) for r in inv.matrix],
             "boundary_perm": {str(k): v for k, v in sorted(inv.boundary_perm.items())},
             "fixed_points": {str(k): list(v) for k, v in sorted(inv.fixed_points.items())},
             "fixed_set": _fixed_set_obj(inv.fixed_set, rank),
@@ -175,21 +180,22 @@ def _ints(x: Any, path: str) -> tuple[int, ...]:
     return tuple(_int_list(x, path))
 
 
-def _row(x: Any, path: str, rank: int) -> list[int]:
-    """A list of integers of the basis size, the list itself; a vector
-    the page stores is its sparse form (surface.sparse)."""
+def _row(x: Any, path: str, rank: int) -> Sparse:
+    """A list of integers of the basis size, converted once, as it is
+    checked, to the sparse form the page stores (surface.sparse)."""
     v = _int_list(x, path)
     if len(v) != rank:
         raise SchemaError(f"{path} has {len(v)} entries, not the basis size {rank}")
-    return v
+    return sparse(v)
 
 
-def _square(x: Any, path: str, rank: int) -> IntMatrix:
-    """A square integer matrix of the basis size, one list per row."""
-    rows = [_row(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path))]
+def _square(x: Any, path: str, rank: int) -> Rows:
+    """A square integer matrix of the basis size, one list per row, as
+    its sparse rows."""
+    rows = tuple(_row(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path)))
     if len(rows) != rank:
         raise SchemaError(f"{path} must be square of basis size")
-    return IntMatrix._trusted(rows, rank)
+    return rows
 
 
 def _list(x: Any, path: str) -> list:
@@ -269,12 +275,11 @@ def _parse_fixed_set(obj: Any, path: str, rank: int, ref_arcs: dict) -> FixedSet
                                   f"which has no reference arc")
         arcs.append(FixArc(
             ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
-            pair_curves=sparse(_row(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank)),
+            pair_curves=_row(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank),
             pair_arcs=pair_arcs,
         ))
     circles = [
-        sparse(_row(_need(c, "h1_class", f"{path}.circles[{i}]"),
-                    f"{path}.circles[{i}].h1_class", rank))
+        _row(_need(c, "h1_class", f"{path}.circles[{i}]"), f"{path}.circles[{i}].h1_class", rank)
         for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
     ]
     return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
@@ -298,7 +303,7 @@ def from_obj(obj: dict) -> OpenBook:
         pclass = _row(_need(c, "pclass", path), f"{path}.pclass", rank)
         if cid in circles:
             raise SchemaError(f"{path}.id repeats boundary {cid}")
-        circles[cid] = sparse(pclass)
+        circles[cid] = pclass
     if not circles:
         raise SchemaError("$.page.boundary must list at least one circle, the binding")
     # one reference arc runs from the basepoint, the least id, to each other circle
@@ -308,7 +313,7 @@ def from_obj(obj: dict) -> OpenBook:
         raise SchemaError(f"$.page.genus is {genus}, but a page with {len(circles)} boundary "
                           f"circles and {rank} basis classes needs 2g + b - 1 = {rank}, g >= 0")
     form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
-    if form.transpose() != -form:
+    if sparse_transpose(form) != tuple(sparse_scale(-1, r) for r in form):
         raise SchemaError("$.page.form must be antisymmetric")
 
     alphabet = {}
@@ -317,8 +322,7 @@ def from_obj(obj: dict) -> OpenBook:
     for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
         path = f"$.alphabet[{i}]"
         name = _str(_need(c, "name", path), f"{path}.name")
-        cls = _row(_need(c, "h1_class", path), f"{path}.h1_class", rank)
-        alphabet[name] = sparse(cls)
+        alphabet[name] = _row(_need(c, "h1_class", path), f"{path}.h1_class", rank)
         stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
         if stored:
             tables.append((path, name, stored))

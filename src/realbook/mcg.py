@@ -9,10 +9,12 @@ a stabilization's rule gives its new curves).
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
 so words act on matrices by rank-one updates, O(n^2) per letter, never
-by dense products.  Reference arcs, as their pairing rows, go through
-a word together, in one pass (transport_arcs): per letter, each arc's
-crossing with the curve is a sparse dot, and an arc that misses the
-curve costs nothing more.
+by dense products.  times_word takes and returns sparse rows (the real
+structure, the strand-law probes) and rewrites only the rows a letter
+moves.  Reference arcs, as their pairing rows, go through a word
+together, in one pass (transport_arcs): per letter, each arc's crossing
+with the curve is a sparse dot, and an arc that misses the curve costs
+nothing more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  The tests check the updates against dense products
@@ -29,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .intalg import IntMatrix
-from .surface import SurfaceModel, Vec, combine, entries
+from .surface import Rows, Sparse, SurfaceModel, Vec, entries, sparse_add
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -76,36 +78,48 @@ def word_times(model: SurfaceModel, w: Sequence[Letter], m: IntMatrix) -> IntMat
     if m.nrows != model.h1_rank:
         raise ValueError(f"dimension mismatch: word on rank {model.h1_rank} @ {m.shape}")
     rows = [list(r) for r in m.rows]
-    transvect(model, w, rows, transposed=False)
+    # rows <- (I + e a (Ja)^T) rows for each letter (a, e) of w in turn
+    for name, e in w:
+        vecs = model.curve_vectors(name)
+        a, ja = vecs.a, vecs.ja
+        if not a or not ja:
+            continue
+        # r = (Ja)^T rows, summed from its first term over the nonzeros of Ja
+        r = None
+        for i, x in entries(ja):
+            row = rows[i]
+            r = [x * y for y in row] if r is None else [s + x * y for s, y in zip(r, row)]
+        if not any(r):
+            continue
+        for i, x in entries(a):
+            c = e * x
+            rows[i] = [s + c * y for s, y in zip(rows[i], r)]
     return IntMatrix._trusted(rows, m.ncols)
 
 
-def times_word(m: IntMatrix, model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:
-    """m @ word_matrix(model, w), as the transpose of W^T @ m^T."""
-    if m.ncols != model.h1_rank:
-        raise ValueError(f"dimension mismatch: {m.shape} @ word on rank {model.h1_rank}")
-    cols = [list(c) for c in m.transpose().rows]
-    transvect(model, tuple(w)[::-1], cols, transposed=True)
-    return IntMatrix._trusted(cols, m.nrows).transpose()
+def times_word(rows: Sequence[Sparse], model: SurfaceModel, w: Sequence[Letter]) -> Rows:
+    """m @ word_matrix(model, w) for the matrix m with the given sparse
+    rows, as sparse rows.
 
-
-def transvect(model: SurfaceModel, w: Sequence[Letter], rows: list[list[int]],
-              transposed: bool) -> None:
-    """rows <- (I + e u v^T) rows for each letter (a, e) of w in turn, in
-    place, with u v^T = a (Ja)^T, the twist, or (Ja) a^T, its transpose.
-    With transposed=True and w reversed, rows that are the columns of m
-    become the columns of m @ word_matrix(model, w)."""
-    for name, e in w:
+    m W applies the letters last first, and a twist T_a^e sends a row r
+    to r + e (r . a) (J a)^T, so only the rows with r . a != 0 change: a
+    row that does not is returned as the caller's own object.  A row
+    whose indices all lie below or all above those of a misses it
+    without a dot product.
+    """
+    out = list(rows)
+    for name, e in reversed(tuple(w)):
         vecs = model.curve_vectors(name)
-        u, v = (vecs.ja, vecs.a) if transposed else (vecs.a, vecs.ja)
-        if not u or not v:
+        a, ja = vecs.a, vecs.ja
+        if not ja:
             continue
-        r = combine(entries(v), rows, len(rows[0]))
-        if not any(r):
-            continue
-        for i, x in entries(u):
-            c = e * x
-            rows[i] = [s + c * y for s, y in zip(rows[i], r)]
+        at = dict(entries(a))
+        for i, r in enumerate(out):
+            if r and r[0] <= a[-2] and r[-2] >= a[0]:
+                k = sum([x * at.get(j, 0) for j, x in entries(r)])
+                if k:
+                    out[i] = sparse_add(r, ja, e * k)
+    return tuple(out)
 
 
 def conjugate(images: Mapping[str, tuple[str, int]], w: Sequence[Letter]) -> TwistWord | None:

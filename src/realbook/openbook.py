@@ -21,7 +21,6 @@ from .mcg import (
     conjugate,
     invert,
     transport_arcs,
-    transvect,
     word_matrix,
     words_equal,
 )
@@ -29,12 +28,16 @@ from .records import record
 from .surface import (
     FixedSet,
     Involution,
+    Rows,
     Sparse,
     SurfaceModel,
-    combine,
     dense,
+    dense_matrix,
     entries,
     image_holds,
+    sparse_add,
+    sparse_combine,
+    sparse_transpose,
     unit,
     validate_involution,
 )
@@ -152,12 +155,12 @@ class OpenBook:
 # reality
 
 
-def _mirror_functional(c: IntMatrix, v: Sparse) -> tuple[int, ...]:
-    """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v, dense: the
-    pairing row of the mirror c(gamma) of an arc or curve whose sparse
-    row is v (the reference arcs here, the new curve of types VI and
-    VIII)."""
-    return tuple(-x for x in combine(entries(v), c.rows, c.ncols))
+def _mirror_functional(c: Rows, v: Sparse) -> tuple[int, ...]:
+    """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v and of those
+    sparse rows, dense: the pairing row of the mirror c(gamma) of an arc
+    or curve whose sparse row is v (the reference arcs here, the new
+    curve of types VI and VIII)."""
+    return tuple(-x for x in dense(sparse_combine(v, c), len(c)))
 
 
 def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
@@ -177,27 +180,33 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
                            + [_mirror_functional(c, row) for row in rows])
     for cid, (cls, _row), (cls_mirrored, _row_mirrored) in zip(cids, moved, moved[len(cids):]):
         lhs = tuple(-x for x in f_inv.apply(cls))
-        rhs = c.apply(cls_mirrored)
+        rhs = tuple(sum([x * cls_mirrored[i] for i, x in entries(r)]) for r in c)
         if tuple(lhs) != tuple(rhs):
             return False, {"boundary": cid, "lhs": tuple(lhs), "rhs": tuple(rhs)}
     return True, None
 
 
 def _peel_block(model: SurfaceModel, rec: StabRecord, w: TwistWord,
-                cols: list[list[int]]) -> bool:
+                cols: list[Sparse]) -> bool:
     """Check one provenance block at the front of w, and peel it.
 
     The block's sigma must open w and conjugate letterwise to its own
-    inverse under the recorded c~ images.  cols are the columns of the
-    real structure as it stands with the block applied, C~ Sigma; they
-    are updated in place by the transposed transvections of Sigma^-1,
-    so they become the columns of C~ and no block pays a dense product.
+    inverse under the recorded c~ images.  cols are the sparse columns
+    of the real structure as it stands with the block applied, C~ Sigma;
+    they are updated in place by the transposed transvections of
+    Sigma^-1, col_i += e (J a)_i sum_j a_j col_j per letter (a, e), so
+    they become the columns of C~ and no block pays a dense product.
     The recorded images must agree with C~ (surface.image_holds, sparse
     per image).
     """
     if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
         return False
-    transvect(model, invert(rec.sigma)[::-1], cols, transposed=True)
+    for name, e in invert(rec.sigma)[::-1]:
+        vecs = model.curve_vectors(name)
+        moved = sparse_combine(vecs.a, cols)
+        if moved:
+            for i, x in entries(vecs.ja):
+                cols[i] = sparse_add(cols[i], moved, e * x)
     return all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items())
 
 
@@ -205,7 +214,7 @@ def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
     """Peel every provenance block, newest first (see _peel_block): whether
     all certify, and the base word left; (False, ()) at the first that
     fails."""
-    cols = [list(col) for col in ob.real_structure.matrix.transpose().rows]
+    cols = list(sparse_transpose(ob.real_structure.matrix))
     w = ob.monodromy
     for rec in reversed(ob.provenance):
         if not _peel_block(ob.page, rec, w, cols):
@@ -249,8 +258,8 @@ def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
         return
     ok, base = parent._chain_blocks
     if ok:
-        cols = [list(col) for col in child.real_structure.matrix.transpose().rows]
-        ok = _peel_block(child.page, rec, child.monodromy, cols)
+        ok = _peel_block(child.page, rec, child.monodromy,
+                         list(sparse_transpose(child.real_structure.matrix)))
     vars(child)["_chain_blocks"] = (True, base) if ok else (False, ())
 
 
@@ -294,7 +303,7 @@ def _reality_of(ob: OpenBook) -> RealityStatus:
 
     f = ob.monodromy_matrix
     f_inv = word_matrix(model, invert(w))
-    c = inv.matrix
+    c = dense_matrix(inv.matrix)
     lhs = c @ f @ c
     if lhs != f_inv:
         # the first basis vector e_j they move apart: column j of each

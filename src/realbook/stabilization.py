@@ -48,18 +48,21 @@ from .surface import (
     FixArc,
     FixedSet,
     Involution,
+    Rows,
     Sparse,
     SurfaceModel,
-    combine,
     crossing_residuals,
     dense,
+    dense_matrix,
     entries,
     image_holds,
     set_coord,
     sparse,
     sparse_add,
+    sparse_combine,
+    sparse_dot,
     sparse_scale,
-    unit,
+    sparse_transpose,
     validate_involution,
     vec_dot,
 )
@@ -70,21 +73,26 @@ def _max_pid(inv: Involution) -> int:
     return max(pids, default=0)
 
 
-def _extend_form(j: IntMatrix, new_cols: list[tuple[int, ...]], mutual: int) -> IntMatrix:
+def _extend_form(j: Rows, new_cols: list[tuple[int, ...]], mutual: int) -> Rows:
     """Extend J by one or two classes with pairing functionals new_cols.
 
     new_cols[i][u] = <u, new_i> for old basis u; <new_0, new_1> = mutual.
+    An old row gains the new columns' entries at its end, as their
+    indices follow every old one, and a row that pairs with no new class
+    is the parent's own object.
     """
-    n = j.nrows
-    k = len(new_cols)
-    rows = [list(r) + [new_cols[t][i] for t in range(k)] for i, r in enumerate(j.rows)]
-    for t in range(k):
-        row = [-new_cols[t][i] for i in range(n)] + [0] * k
+    n = len(j)
+    rows = list(j)
+    for t, col in enumerate(new_cols):
+        for u, x in enumerate(col):
+            if x:
+                rows[u] += (n + t, x)
+    for t, col in enumerate(new_cols):
+        row = sparse(-x for x in col)
+        if len(new_cols) == 2 and mutual:
+            row += (n + 1 - t, mutual if t == 0 else -mutual)
         rows.append(row)
-    if k == 2:
-        rows[n][n + 1] = mutual
-        rows[n + 1][n] = -mutual
-    return IntMatrix._trusted(rows, n + k)
+    return tuple(rows)
 
 
 def _core_block(st: StabType) -> tuple[tuple[int, ...], ...]:
@@ -96,13 +104,13 @@ def _core_block(st: StabType) -> tuple[tuple[int, ...], ...]:
                  for t in range(k))
 
 
-def _naive_extension(c: IntMatrix, st: StabType) -> IntMatrix:
+def _naive_extension(c: Rows, st: StabType) -> Rows:
     """C~ = C (+) _core_block(st): the extension acts as C on the old
-    classes and as the core block on the new ones."""
-    n, k = c.nrows, st.handle_count
-    rows = [r + (0,) * k for r in c.rows]
-    rows.extend((0,) * n + r for r in _core_block(st))
-    return IntMatrix._trusted(rows, n + k)
+    classes, whose rows are C's own objects, and as the core block on
+    the new ones."""
+    n = len(c)
+    return tuple(c) + tuple(tuple(chain.from_iterable((n + u, x) for u, x in enumerate(r) if x))
+                            for r in _core_block(st))
 
 
 @record
@@ -121,7 +129,8 @@ class HandleExtension:
         lacks (_start_builder picks them so), and every old curve keeps
         its class (widened by zeros, which leaves a sparse vector as it
         is);
-      * the first n rows of the new form start with the old form J;
+      * the first n rows of the new form start with the old form J, and
+        no row has an index past the new rank;
       * the new matrix is C~ Sigma, Sigma the positive twist along each
         new curve, the mirror e_{n+1} before e_n for a pair;
       * a curve image equal to the old one names a curve Sigma fixes.
@@ -139,10 +148,11 @@ class HandleExtension:
         extends this valid pair, from checks of the block alone.
 
         Write the new form as J' = [[J, X], [Y, M]] and the new matrix
-        as C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T, M is
-        antisymmetric, L is antidiagonal with L^2 = I (so C~ maps each
-        new curve to +-its mirror, the pair reversed), L^T M L = -M, and
-        the cross block C^T X L = -X: k sparse products.
+        as C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T and M is
+        antisymmetric (each new row of J' is minus its column), L is
+        antidiagonal with L^2 = I (so C~ maps each new curve to +-its
+        mirror, the pair reversed), L^T M L = -M, and the cross block
+        C^T X L = -X: k sparse products.
 
         Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
         is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
@@ -169,35 +179,48 @@ class HandleExtension:
         old, core = self.page, self.core
         n, rank = old.h1_rank, model.h1_rank
         k = rank - n
-        rows = model.form.rows
-        if (len(core) != k or any(len(r) != k for r in core)
-                or any(len(r) != rank for r in rows[n:])):
+        rows = model.form
+        if len(core) != k or any(len(r) != k for r in core) or len(rows) != rank:
             return False
+        # cols[t]: column n + t of J', read off the ends of the rows, where
+        # the new indices sit; each new row is minus its column exactly when
+        # Y = -X^T and M is antisymmetric; xs[t]: its part above row n (X)
+        cols: list[list[int]] = [[] for _ in range(k)]
+        for u, r in enumerate(rows):
+            if r and r[-2] >= n:
+                for at in range(len(r) - 2, -1, -2):
+                    if r[at] < n:
+                        break
+                    cols[r[at] - n] += (u, r[at + 1])
+        if any(rows[n + t] != sparse_scale(-1, tuple(col)) for t, col in enumerate(cols)):
+            return False
+        xs = [tuple(chain.from_iterable((u, x) for u, x in entries(col) if u < n))
+              for col in cols]
+        m = [[0] * k for _ in range(k)]
+        for t in range(k):
+            for u, x in entries(rows[n + t]):
+                if u >= n:
+                    m[t][u - n] = x
         # column t of L is l[t] e_{k-1-t}, the mirror of new class t
         l = [core[k - 1 - t][t] for t in range(k)]
-        m = [r[n:] for r in rows[n:]]
         if (any(core[t][u] and t + u != k - 1
-                or m[t][u] != -m[u][t]
                 or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
                 for t in range(k) for u in range(k))
                 or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
             return False
-        xs = [[r[n + t] for r in rows[:n]] for t in range(k)]
-        xnz = [[(i, x) for i, x in enumerate(col) if x] for col in xs]
-        c_old = self.inv.matrix.rows
+        c_old = self.inv.matrix
         for t in range(k):
-            minus_x = [-x for x in xs[t]]
-            if list(rows[n + t][:n]) != minus_x:
-                return False
             # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-            if [l[t] * a for a in combine(xnz[k - 1 - t], c_old, n)] != minus_x:
+            if (sparse_scale(l[t], sparse_combine(xs[k - 1 - t], c_old))
+                    != sparse_scale(-1, xs[t])):
                 return False
 
         old_images = self.inv.curve_image
-        c_cols = inv.matrix.transpose().rows
-        for name, (img, s) in inv.curve_image.items():
-            if (old_images.get(name) != (img, s)
-                    and not image_holds(model, c_cols, name, img, s)):
+        changed = [(name, img, s) for name, (img, s) in inv.curve_image.items()
+                   if old_images.get(name) != (img, s)]
+        if changed:
+            c_cols = sparse_transpose(inv.matrix)
+            if not all(image_holds(model, c_cols, *image) for image in changed):
                 return False
 
         # per circle, d is its class less its old class q (all of it for a
@@ -205,23 +228,23 @@ class HandleExtension:
         # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
         # less the old classes of removed circles, is the sum of all classes
         old_circles = dict(old.circles)
+        x_at = [dict(entries(x)) for x in xs]
         total: dict[int, int] = {}
         for cid, p in model.circles.items():
             q = old_circles.pop(cid, None)
             if q is None:
-                d, jq = p, [0] * rank
+                d, jq = p, ()
             else:
-                yq = [-sum([x[i] * y for i, y in entries(q)]) for x in xs]
+                yq = [-sum([x.get(i, 0) * y for i, y in entries(q)]) for x in x_at]
                 if p == q:
                     if any(yq):
                         return False
                     continue
                 d = sparse_add(p, q, -1)
-                jq = [0] * n + yq
-            dnz = list(entries(d))
-            for i, x in dnz:
+                jq = tuple(chain.from_iterable((n + t, y) for t, y in enumerate(yq) if y))
+            for i, x in entries(d):
                 total[i] = total.get(i, 0) + x
-            if combine(dnz, rows, rank) != jq:
+            if sparse_combine(d, rows) != jq:
                 return False
         for q in old_circles.values():
             for i, x in entries(q):
@@ -242,7 +265,7 @@ class _Builder(SimpleNamespace):
 
     names: list[str]
     basis: list[str]
-    form: IntMatrix
+    form: Rows
     classes: dict[str, Sparse]
     circles: dict[int, Sparse]                   # cid -> pclass
     perm: dict[int, int]
@@ -332,7 +355,8 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
     installed: the parent's vectors and fixed arcs as they are (a sparse
     vector needs no padding for the new coordinates) in the builder's
     own dicts and lists, the form extended by the new curves' pairing
-    columns cols (zero by default) and mutual = <a, ca>.  The new curves
+    columns cols (zero by default) and mutual = <a, ca>, sharing every
+    row of the parent's form that pairs with no new curve.  The new curves
     are named s{n} and s{n}c for the least n > len(provenance) for which
     the page has neither name."""
     count = STAB_TYPES[tag].handle_count
@@ -391,7 +415,7 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
         b.arcs_rows[l] = _add_at(b.arcs_rows[l], new_idx, sol)
 
 
-def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
+def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: Rows,
                     new_idx: list[int], w: TwistWord = ()) -> list[FixArc]:
     """Pin fixed-arc crossing data to the invariance law M^T pc = -pc,
     for M = W c_new with W the matrix of the word w (none: M = c_new).
@@ -400,37 +424,34 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: IntMatrix,
     signed counts, which ties the crossings with the fresh curves to the
     old ones; the per-type local rules leave exactly that freedom.  The
     law reads M only through pc^T M for each arc and the rows new_idx of
-    M, so just those probe rows, the arcs' pc and the unit rows of
-    new_idx, are pushed through W (times_word) and then c_new (the
-    scatter product); M itself is never formed.  The system matrix is
-    the same for every arc, so its Smith form is factored once, on the
-    first arc that needs it.  An arc that already keeps the law is
-    returned as it is.
+    M, so just those sparse probe rows, the arcs' pc and the unit rows
+    of new_idx, are pushed through W (times_word) and then c_new (a
+    sparse combination of its rows); M itself is never formed.  The
+    system matrix is the same for every arc, so its Smith form is
+    factored once, on the first arc that needs it.  An arc that already
+    keeps the law is returned as it is.
     """
     if not arcs:
         return arcs
     rank = page.h1_rank
-    probes = IntMatrix([dense(arc.pair_curves, rank) for arc in arcs]
-                       + [unit(rank, t) for t in new_idx], ncols=rank)
+    probes = [arc.pair_curves for arc in arcs] + [(t, 1) for t in new_idx]
     if w:
         probes = times_word(probes, page, w)
-    pushed = (probes @ c_new).rows
-    new_rows = pushed[len(arcs):]
+    pushed = [sparse_combine(p, c_new) for p in probes]
     snf = None
     out = []
     for arc, pc_m in zip(arcs, pushed):
-        residual = list(pc_m)
-        for i, x in entries(arc.pair_curves):
-            residual[i] += x
-        if not any(residual):
+        residual = sparse_add(pc_m, arc.pair_curves)
+        if not residual:
             out.append(arc)
             continue
         if snf is None:
+            new_rows = [dense(row, rank) for row in pushed[len(arcs):]]
             snf = smith_normal_form(IntMatrix(
                 [[row[i] + (1 if i == t else 0) for row, t in zip(new_rows, new_idx)]
                  for i in range(rank)],
                 ncols=len(new_idx)))
-        delta = snf_solve(snf, [-r for r in residual])
+        delta = snf_solve(snf, [-r for r in dense(residual, rank)])
         if delta is None:
             raise StabilizationError(
                 "fixed-arc crossing data cannot satisfy the invariance law here")
@@ -443,9 +464,11 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
 
     sigma is the positive twist along each new curve (ca before a for a
     handle pair), and the new real structure is C~ Sigma, with C~ the
-    naive extension of the type's core sign.  The strand law of each
-    side pushes only its probe rows through the new structure (the plus
-    side first through the new word), so F C is never formed.
+    naive extension of the type's core sign, on sparse rows: C~ keeps
+    every row of the parent's C, and Sigma rewrites only the rows its
+    twists move (times_word).  The strand law of each side pushes only
+    its probe rows through the new structure (the plus side first
+    through the new word), so F C is never formed.
 
     The output goes through validate_involution once, as a handle
     extension of the parent (HandleExtension), which stabilize has
@@ -621,16 +644,16 @@ def _attachment_pattern(ob: OpenBook, j: int, k: int) -> Pattern:
             + [(dense(p, n), 0) for cid, p in page.circles.items() if cid not in (j, k)])
 
 
-def _solve_pushoff_column(pattern: Pattern, c_old: IntMatrix,
+def _solve_pushoff_column(pattern: Pattern, c_old: Rows,
                           symmetry: int | None) -> tuple[int, ...]:
     """Pairing functional v of the new curve: the attachment pattern,
     and optionally C^T v = symmetry * v.  Everything over the old
-    basis."""
-    n = c_old.nrows
+    basis; C's sparse rows are expanded for the Smith system."""
+    n = len(c_old)
     rows: list[list[int]] = [list(p) for p, _ in pattern]
     rhs = [want for _, want in pattern]
     if symmetry is not None:
-        ct = c_old.transpose()
+        ct = dense_matrix(c_old).transpose()
         for i in range(n):
             row = [ct[i, u] - (symmetry if i == u else 0) for u in range(n)]
             rows.append(row)
@@ -642,7 +665,7 @@ def _solve_pushoff_column(pattern: Pattern, c_old: IntMatrix,
 
 
 def _solve_viii_data(
-    pattern: Pattern, c_old: IntMatrix, form: IntMatrix,
+    pattern: Pattern, c_old: Rows, form: Rows,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """Attachment data (v, w, x, m) for type VIII.
 
@@ -669,9 +692,10 @@ def _solve_viii_data(
     so the scores of a lattice need at most 15 values of q and B, once
     per x (_lattice_scores), and only the first hit is built as a point.
     """
-    n = c_old.nrows
-    ct = c_old.transpose()
-    one_minus_c = IntMatrix.identity(n) - c_old
+    n = len(c_old)
+    c_dense = dense_matrix(c_old)
+    ct = c_dense.transpose()
+    one_minus_c = IntMatrix.identity(n) - c_dense
     rows: list[list[int]] = [list(p) + [0] * n for p, _ in pattern]
     rhs: list[int] = [want for _, want in pattern]
     (pj, _), (pk, _) = pattern[:2]
@@ -690,7 +714,7 @@ def _solve_viii_data(
         for i, cti in enumerate(ct.rows):
             row = [-x_coef * c for c in cti]
             row[i] += x_coef
-            x_rows.append(row + list(form.rows[i]))
+            x_rows.append(row + dense(form[i], n))
         sol = solve_integer_affine(IntMatrix._trusted(rows + x_rows, 2 * n), rhs)
         if sol is None:
             return None
@@ -767,9 +791,9 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
         # closed up: core + arc; class is the new curve class corrected so
         # the crossing functional matches the arc data
         target = dense(set_coord(arc.pair_curves, b.a_idx, 0), b.rank)
-        ft = b.form.transpose()
-        need = [t - x for t, x in zip(target, ft.apply(unit(b.rank, b.a_idx)))]
-        w = solve_integer(ft, need)
+        # J^T e_a is row a of J
+        need = [t - x for t, x in zip(target, dense(b.form[b.a_idx], b.rank))]
+        w = solve_integer(dense_matrix(b.form).transpose(), need)
         if w is None:
             raise StabilizationError("joined fixed circle has no consistent class")
         b.plus_circles.append(sparse_add(sparse(w), b.new_class()))
@@ -856,8 +880,8 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     # column is J z (zero only when the closing arc misses everything,
     # as on the disk)
     old_rank = ob.page.h1_rank
-    c_old = ob.real_structure.matrix
-    jm = ob.page.form
+    c_old = dense_matrix(ob.real_structure.matrix)
+    jm = dense_matrix(ob.page.form)
     z_rows = [list(r) for r in jm.rows]
     z_rhs = [-pc for pc in dense(x.pair_curves, old_rank)]
     for l, row in sorted(ob.page.ref_arcs.items()):
@@ -1041,9 +1065,10 @@ def _stab_VII(ob: OpenBook, site: tuple) -> OpenBook:
         b.minus_arcs.append(b.strand((e2, (j, n2))))
     else:
         ci = next(i for i, c in enumerate(b.minus_circles) if c == target)
-        row = b.form.transpose().apply(dense(b.minus_circles.pop(ci), b.rank))
+        # J^T of the circle's class, combined from the rows of J
+        row = sparse_combine(b.minus_circles.pop(ci), b.form)
         b.minus_arcs.append(FixArc(ends=((j, n1), (j, n2)),
-                                   pair_curves=sparse_add(sparse(row), b.new_class()),
+                                   pair_curves=sparse_add(row, b.new_class()),
                                    pair_arcs={}))
 
     # plus side gains the transversal handle strand
@@ -1062,7 +1087,7 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     new_j = sparse_add(sparse(w), (b.a_idx, x_coef, b.a_idx + 1, x_coef))
     b.circles[j] = new_j
     c_ext = _naive_extension(c_old, STAB_TYPES["VIII"])
-    b.circles[k] = sparse_scale(-1, sparse(c_ext.apply(dense(new_j, b.rank))))
+    b.circles[k] = sparse_scale(-1, sparse([sparse_dot(r, new_j) for r in c_ext]))
     return _finish(ob, b, "VIII", site)
 
 

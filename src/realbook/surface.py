@@ -16,12 +16,15 @@ made, from that curve's birth (SurfaceModel.curves_disjoint).
 Every vector a page or a fixed set holds (a curve class, a pushoff
 class, a reference-arc row, a fixed arc's pair_curves, a fixed circle's
 class) is stored Sparse: its nonzero entries, flat, in increasing index
-order.  So a class keeps its stored form when the basis grows, and a
-stabilized page shares each vector its handle leaves alone with its
-parent; the book reader converts JSON's dense rows once and the writer
-expands them (jsonio).  The form J and the involution's matrix stay
-IntMatrix, and the kernels that need dense rows (the Smith systems, the
-twist-word probes, arc transport, IntMatrix.apply) expand at the call.
+order.  So are the form J and the involution's matrix C, one Sparse row
+per basis class (Rows).  So a vector or a row keeps its stored form when
+the basis grows, and a stabilized page shares each vector and each row
+its handle leaves alone with its parent; the book reader converts each
+of JSON's dense rows once, as it checks it, and the writer expands them
+(jsonio).  The kernels that need dense rows (the Smith systems, the
+products F C and C F C, the word matrices, arc transport) expand them
+at the call, J and C through dense_matrix, and drop them after it;
+nothing dense is kept on a page, an involution or a book.
 
 Conventions fixed here once and used everywhere else:
 
@@ -34,9 +37,11 @@ Conventions fixed here once and used everywhere else:
 Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
 sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
-unit (a dense basis vector), combine (a sparse combination of rows),
-image_holds (a curve image under a matrix given by its columns), and
-involution_check, anti_symplectic_check and lefschetz_check, which
+sparse_combine and sparse_transpose (on sparse rows),
+dense_matrix (sparse rows expanded), unit (a dense basis vector),
+image_holds (a curve image under a matrix given by its sparse
+columns), and involution_check, anti_symplectic_check and
+lefschetz_check on sparse rows, which
 validate_involution reports and heegaard.validate_heegaard reads for
 both invariant pages.
 
@@ -74,6 +79,9 @@ Vec = tuple[int, ...]
 # vector keeps its form when the rank grows, so a stabilized page shares
 # every vector its handle leaves alone with its parent.
 Sparse = tuple[int, ...]
+# a square matrix at rest (the form J, the involution's matrix C): one
+# Sparse row per basis class
+Rows = tuple[Sparse, ...]
 
 
 _flat = chain.from_iterable
@@ -104,7 +112,7 @@ def entries(v: Sparse) -> Iterator[tuple[int, int]]:
 
 
 def _canonical(acc: Mapping[int, int]) -> Sparse:
-    return tuple(_flat((i, acc[i]) for i in sorted(acc) if acc[i]))
+    return tuple(_flat(filter(_value, sorted(acc.items()))))
 
 
 def sparse_add(x: Sparse, y: Sparse, c: int = 1) -> Sparse:
@@ -133,6 +141,37 @@ def set_coord(v: Sparse, idx: int, value: int) -> Sparse:
     return _canonical(acc)
 
 
+def sparse_combine(v: Sparse, rows: Sequence[Sparse]) -> Sparse:
+    """v^T M for the square matrix M with the given sparse rows: the sum
+    of v_i rows[i] over the nonzeros of v, each row read over its own
+    nonzeros.  A v with one nonzero scales its row."""
+    if len(v) == 2:
+        return sparse_scale(v[1], rows[v[0]])
+    acc = [0] * len(rows)
+    for i, x in entries(v):
+        for j, y in entries(rows[i]):
+            acc[j] += x * y
+    return sparse(acc)
+
+
+def sparse_transpose(rows: Sequence[Sparse]) -> Rows:
+    """The sparse rows of the transpose of a square matrix given by its
+    sparse rows, O(nnz)."""
+    cols: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        it = iter(row)
+        for j in it:
+            cols[j].extend((i, next(it)))
+    return tuple(map(tuple, cols))
+
+
+def dense_matrix(rows: Sequence[Sparse]) -> IntMatrix:
+    """The square matrix with the given sparse rows, dense, for a kernel
+    that needs dense rows: built at the call and dropped after it."""
+    n = len(rows)
+    return IntMatrix._trusted([dense(row, n) for row in rows], n)
+
+
 def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
@@ -140,17 +179,6 @@ def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
 def unit(rank: int, idx: int) -> Vec:
     """The basis vector e_idx of length rank."""
     return tuple(1 if i == idx else 0 for i in range(rank))
-
-
-def combine(pairs: Iterable[tuple[int, int]], rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The sum of x * rows[i] over the pairs (i, x), a list of length n.
-    The sum starts from its first term, so only an empty sum builds a
-    list of zeros."""
-    acc = None
-    for i, x in pairs:
-        row = rows[i]
-        acc = [x * y for y in row] if acc is None else [s + x * y for s, y in zip(acc, row)]
-    return [0] * n if acc is None else acc
 
 
 def crossing_residuals(circles: Mapping[int, Sparse],
@@ -207,7 +235,7 @@ class FixedSet:
 class Involution:
     """Orientation-reversing involution of a page, as declared data."""
 
-    matrix: IntMatrix
+    matrix: Rows                                  # C, one sparse row per basis class
     boundary_perm: Mapping[int, int]
     fixed_points: Mapping[int, tuple[int, int]]   # circle id -> its two fixed point ids
     fixed_set: FixedSet
@@ -221,7 +249,8 @@ class SurfaceModel:
     class entry, the genus follows from 2g + b - 1 = rank H1, and a
     reference arc is its pairing row (entry j its crossing number with
     the j-th basis curve), as its transport defect starts at zero
-    (mcg.transport_arcs).  Every class and row is Sparse.  Frozen: the
+    (mcg.transport_arcs).  Every class and row is Sparse, the rows of
+    the form J too.  Frozen: the
     per-curve vectors of curve_vectors are cached on the instance,
     outside the fields, so they take no part in ==, repr or JSON, and a
     page made with records.replace starts without them.
@@ -237,7 +266,7 @@ class SurfaceModel:
 
     circles: Mapping[int, Sparse]        # boundary id -> pushoff class
     basis: tuple[str, ...]
-    form: IntMatrix                      # intersection form J on the basis
+    form: Rows                           # intersection form J, row by row
     alphabet: Mapping[str, Sparse]       # curve name -> class
     ref_arcs: Mapping[int, Sparse]       # target boundary id -> pairing row
     disjoint: frozenset[frozenset[str]] = frozenset()   # the root's pairs
@@ -325,7 +354,7 @@ class SurfaceModel:
             if a and a[-2] >= self.h1_rank:
                 raise ValueError(f"class of curve {name!r} has entry {a[-2]}, "
                                  f"past the rank {self.h1_rank}")
-            vecs = self._curve_vectors[name] = CurveVectors(a, self.form.rows)
+            vecs = self._curve_vectors[name] = CurveVectors(a, self.form)
         return vecs
 
     def curve_tables(self, name: str) -> tuple[Vec, Vec]:
@@ -342,17 +371,16 @@ class CurveVectors:
 
     A twist along the curve acts by x -> x + e <x, a> a with
     <x, a> = x . (J a), and moves a pairing row by multiples of
-    <a, x> = (J^T a) . x.  J^T a combines the rows of J at the nonzeros
-    of a, and J a = -J^T a, as J is antisymmetric (the premise in the
-    module docstring).
+    <a, x> = (J^T a) . x.  J^T a combines the sparse rows of J at the
+    nonzeros of a, and J a = -J^T a, as J is antisymmetric (the premise
+    in the module docstring).
     """
 
     __slots__ = ("a", "ja", "jta")
 
-    def __init__(self, a: Sparse, form: Sequence[Sequence[int]]):
+    def __init__(self, a: Sparse, form: Rows):
         self.a = a
-        jta = combine(entries(a), form, len(form))
-        self.jta = sparse(jta)
+        self.jta = sparse_combine(a, form)
         self.ja = sparse_scale(-1, self.jta)
 
 
@@ -363,46 +391,59 @@ class CheckResult:
     detail: str = ""
 
 
-def involution_check(c: IntMatrix, rank: int) -> CheckResult:
-    """C^2 = I, compared with I row by row without building it."""
-    ok = not rank or (c.shape == (rank, rank) and all(
-        r[i] == 1 and r.count(0) == rank - 1 for i, r in enumerate((c @ c).rows)))
-    return CheckResult("involution", ok, "" if ok else f"C^2 = {(c @ c).rows}")
+def involution_check(c: Rows, rank: int) -> CheckResult:
+    """C^2 = I on sparse rows: row i of C^2 combines the rows of C at
+    the nonzeros of row i, and must be e_i.  A failure expands C only to
+    report C^2."""
+    ok = not rank or (len(c) == rank and all(
+        sparse_combine(r, c) == (i, 1) for i, r in enumerate(c)))
+    if ok:
+        return CheckResult("involution", True)
+    m = dense_matrix(c)
+    return CheckResult("involution", False, f"C^2 = {(m @ m).rows}")
 
 
-def anti_symplectic_check(c: IntMatrix, j: IntMatrix, rank: int, involution: bool) -> CheckResult:
-    """C^T J C = -J.  Given C^2 = I (involution), it holds exactly when
-    C^T J = -J C (multiply either side by C on the right), which takes
-    two products with C as one factor instead of a chain of two; without
-    C^2 = I the full product is compared."""
-    def full() -> IntMatrix:
-        return c.transpose() @ j @ c if rank else j
-
-    if rank and involution and j.shape == (rank, rank):
-        ok = c.transpose() @ j == -(j @ c)
+def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> CheckResult:
+    """C^T J C = -J on sparse rows.  Given C^2 = I (involution), it holds
+    exactly when C^T J = -J C (multiply either side by C on the right),
+    which takes two products with C as one factor instead of a chain of
+    two; without C^2 = I the full product is compared.  Row i of C^T J
+    combines the rows of J at the nonzeros of column i of C.  A failure
+    expands C and J only to report C^T J C."""
+    ctj = [sparse_combine(col, j) for col in sparse_transpose(c)]
+    if rank and involution and len(j) == rank:
+        ok = ctj == [sparse_scale(-1, sparse_combine(r, c)) for r in j]
     else:
-        ok = full() == -j
-    return CheckResult("anti_symplectic", ok, "" if ok else f"C^T J C = {full().rows}")
+        ok = [sparse_combine(r, c) for r in ctj] == [sparse_scale(-1, r) for r in j]
+    if ok:
+        return CheckResult("anti_symplectic", True)
+    cm, jm = dense_matrix(c), dense_matrix(j)
+    full = cm.transpose() @ jm @ cm if rank else jm
+    return CheckResult("anti_symplectic", False, f"C^T J C = {full.rows}")
 
 
-def lefschetz_check(arc_count: int, c: IntMatrix, rank: int) -> CheckResult:
+def lefschetz_check(arc_count: int, c: Rows, rank: int) -> CheckResult:
     """The Lefschetz count of an involution of a page: arc_count fixed
-    arcs, and 1 - tr C of them."""
-    lef = 1 - (c.trace() if rank else 0)
+    arcs, and 1 - tr C of them, the trace read off the sparse rows."""
+    trace = 0
+    for i, r in enumerate(c):
+        at = r[::2]                 # the row's indices
+        if i in at:
+            trace += r[2 * at.index(i) + 1]
+    lef = 1 - (trace if rank else 0)
     ok = arc_count == lef
     return CheckResult("lefschetz", ok, "" if ok else f"{arc_count} arcs vs 1 - tr = {lef}")
 
 
-def image_holds(model: SurfaceModel, cols: Sequence[Sequence[int]], name: str,
+def image_holds(model: SurfaceModel, cols: Sequence[Sparse], name: str,
                 img: str, s: int) -> bool:
-    """Whether the matrix with columns cols maps the class of curve name
-    to s times the class of curve img: s * sum_i x_i cols[i] over the
-    nonzeros x_i of the sparse class of name, O(nnz n), not a dense
+    """Whether the matrix with sparse columns cols maps the class of
+    curve name to s times the class of curve img: s * sum_i x_i cols[i]
+    over the nonzeros x_i of the sparse class of name, not a dense
     apply.  A curve the page lacks fails."""
     if name not in model.alphabet or img not in model.alphabet:
         return False
-    acc = combine(entries(model.curve(name)), cols, model.h1_rank)
-    return model.curve(img) == sparse([s * t for t in acc])
+    return model.curve(img) == sparse_scale(s, sparse_combine(model.curve(name), cols))
 
 
 def validate_involution(model: SurfaceModel, inv: Involution,
@@ -410,10 +451,11 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     """Check every declared invariant; reports failures, never raises.
 
     The checks run over nonzeros: involution_check, anti_symplectic_check
-    and lefschetz_check on the scatter product of IntMatrix, image_holds
-    per curve image, and a boundary class p is radical when
-    J p = sum_i p_i col_i(J), summed over the nonzeros of p, vanishes.
-    A failing check rebuilds its product only to report it.
+    and lefschetz_check on the sparse rows of C and J, image_holds per
+    curve image on the sparse columns of C, and a boundary class
+    p is radical when J p = sum_i p_i col_i(J), combined from the sparse
+    columns of J over the nonzeros of p, vanishes.  A failing check
+    expands its product only to report it.
 
     With extends (stabilization.HandleExtension), the pair extends a
     valid pair by a handle block.  When the checks of the block hold
@@ -434,7 +476,7 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     out += _structural_checks(model, inv)
 
     ok, detail = True, ""
-    c_cols = c.transpose().rows
+    c_cols = sparse_transpose(c)
     for name, (img, s) in inv.curve_image.items():
         if name not in model.alphabet or img not in model.alphabet:
             ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
@@ -446,11 +488,11 @@ def validate_involution(model: SurfaceModel, inv: Involution,
 
     ok, detail = True, ""
     total: dict[int, int] = {}
-    j_cols = j.transpose().rows
+    j_cols = sparse_transpose(j)
     for cid, p in model.circles.items():
         for i, x in entries(p):
             total[i] = total.get(i, 0) + x
-        if any(combine(entries(p), j_cols, rank)):
+        if sparse_combine(p, j_cols):
             ok, detail = False, f"boundary class of circle {cid} is not radical"
     if rank and any(total.values()):
         ok, detail = False, "boundary classes do not sum to zero"

@@ -25,6 +25,18 @@ def expand(stored: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
+def as_matrix(rows: tuple[Sparse, ...]) -> IntMatrix:
+    """A square matrix stored as sparse rows (the form J, the matrix C),
+    dense."""
+    return IntMatrix([expand(row, len(rows)) for row in rows], ncols=len(rows))
+
+
+def as_rows(m: IntMatrix) -> tuple[Sparse, ...]:
+    """The sparse rows a page or an involution stores for a dense
+    matrix."""
+    return tuple(tuple(v for j, x in enumerate(row) if x for v in (j, x)) for row in m.rows)
+
+
 def dense_class(model: SurfaceModel, curve: str) -> list[int]:
     """The class of a curve as a dense list."""
     return expand(model.curve(curve), model.h1_rank)
@@ -32,7 +44,7 @@ def dense_class(model: SurfaceModel, curve: str) -> list[int]:
 
 def pairing(model: SurfaceModel, x: Sparse, y: Sparse) -> int:
     """Intersection pairing <x, y> = x^T J y of two sparse classes."""
-    rows = model.form.rows
+    rows = as_matrix(model.form).rows
     return sum(a * rows[i][j] * b for i, a in entries(x) for j, b in entries(y))
 
 
@@ -41,7 +53,7 @@ def annulus_rotation() -> Involution:
     that swaps its boundary circles and fixes its core, c(core) = +core:
     no fixed arc, one fixed circle."""
     return Involution(
-        matrix=IntMatrix([[1]]),
+        matrix=((0, 1),),
         boundary_perm={1: 2, 2: 1},
         fixed_points={},
         fixed_set=FixedSet(circles=((0, 1),)),
@@ -134,7 +146,7 @@ def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
     """Homology action x -> x + e <x, a> a of the e-th power of a twist."""
     a = dense_class(model, curve)
     rank = model.h1_rank
-    ja = model.form.apply(a)  # <x, a> = x . (J a)
+    ja = as_matrix(model.form).apply(a)  # <x, a> = x . (J a)
     rows = [
         [(1 if i == j else 0) + exponent * a[i] * ja[j] for j in range(rank)]
         for i in range(rank)

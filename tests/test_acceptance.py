@@ -39,7 +39,7 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
-from oracles import det, is_trivial, wronskian
+from oracles import as_matrix, det, is_trivial, wronskian
 
 
 def _verdict(num, title, ok):
@@ -73,8 +73,8 @@ def test_criterion_1_algebraic_invariants():
         books_to_check = [walk[-1]]
         for ob in books_to_check:
             page = ob.page
-            c = ob.real_structure.matrix
-            j = page.form
+            c = as_matrix(ob.real_structure.matrix)
+            j = as_matrix(page.form)
             f = word_matrix(page, ob.monodromy)
             ident = IntMatrix.identity(page.h1_rank)
             ok &= c @ c == ident
@@ -86,7 +86,7 @@ def test_criterion_1_algebraic_invariants():
         if not ok:
             break
     for ob in books:
-        c, j = ob.real_structure.matrix, ob.page.form
+        c, j = as_matrix(ob.real_structure.matrix), as_matrix(ob.page.form)
         f = word_matrix(ob.page, ob.monodromy)
         ok &= c @ c == IntMatrix.identity(ob.page.h1_rank)
         ok &= c.transpose() @ j @ c == -j

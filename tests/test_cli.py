@@ -216,7 +216,6 @@ def test_validate_checks_the_opposite_page_arc_ends(monkeypatch):
 def meeting_pair_book() -> str:
     """A book on the once-punctured torus, word a1 b1, C = diag(1, -1),
     that declares a1 and b1 disjoint although <a1, b1> = 1."""
-    from realbook.intalg import IntMatrix
     from realbook.mcg import word
     from realbook.openbook import OpenBook
     from realbook.catalog import standard_surface
@@ -224,7 +223,7 @@ def meeting_pair_book() -> str:
 
     page = standard_surface(1, 1)
     inv = Involution(
-        matrix=IntMatrix([[1, 0], [0, -1]]),
+        matrix=((0, 1), (1, -1)),      # diag(1, -1), one sparse row per basis class
         boundary_perm={1: 1},
         fixed_points={1: (1, 2)},
         fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=()),)),

@@ -3,7 +3,10 @@
 Each example takes a catalog book, written as schema 3 or rendered as
 schema 2 or schema 1, changes one field of it (replaces the value,
 deletes the key or entry, moves an integer by one, or grows or shrinks
-a list) and runs the result through each book-reading subcommand in
+a list) or changes its real structure within the schema (drops or
+renames a fixed point, moves a boundary_perm entry or a fixed-arc end,
+bumps one entry of involution.matrix or one antisymmetric pair of
+page.form), and runs the result through each book-reading subcommand in
 process.  Every run must end in exit code 0, 1 or 2 without an
 exception escaping, and every exit 2 must print an `error:` line.  The
 examples are seeded, so a run is repeatable.  A second fuzz adds or
@@ -64,9 +67,57 @@ def field_paths(obj, prefix=()):
             yield from field_paths(value, prefix + (key,))
 
 
+def in_schema_mutations(obj):
+    """The changes to the real structure of a book object that keep it
+    inside the schema, each a function of draw, for those the book
+    has data for; most of them give a book the reader takes and
+    validate's involution section rejects."""
+    inv = obj["involution"]
+    circles = [c["id"] for c in obj["page"]["boundary"]]
+    points = sorted({p for pts in inv["fixed_points"].values() for p in pts}) or [1]
+    arcs = [arc for fset in (inv["fixed_set"], obj.get("fix_plus")) if fset
+            for arc in fset["arcs"]]
+    rank = len(obj["page"]["basis"])
+
+    def fixed_point(draw):
+        pts = inv["fixed_points"][draw(st.sampled_from(sorted(inv["fixed_points"])))]
+        i = draw(st.integers(0, len(pts) - 1))
+        if draw(st.booleans()):
+            del pts[i]
+        else:
+            pts[i] = draw(st.sampled_from(points + [max(points) + 1]))
+
+    def boundary_perm(draw):
+        inv["boundary_perm"][draw(st.sampled_from(sorted(inv["boundary_perm"])))] = \
+            draw(st.sampled_from(circles))
+
+    def arc_end(draw):
+        ends = draw(st.sampled_from(arcs))["ends"]
+        ends[draw(st.integers(0, 1))] = [draw(st.sampled_from(circles)),
+                                         draw(st.sampled_from(points))]
+
+    def matrix_entry(draw):
+        row = inv["matrix"][draw(st.integers(0, rank - 1))]
+        row[draw(st.integers(0, rank - 1))] += draw(st.sampled_from([-1, 1]))
+
+    def form_pair(draw):
+        i, k = draw(st.permutations(range(rank)))[:2]
+        d = draw(st.sampled_from([-1, 1]))
+        obj["page"]["form"][i][k] += d
+        obj["page"]["form"][k][i] -= d
+
+    have = [(fixed_point, inv["fixed_points"]), (boundary_perm, inv["boundary_perm"]),
+            (arc_end, arcs), (matrix_entry, rank), (form_pair, rank > 1)]
+    return [mutation for mutation, data in have if data]
+
+
 @st.composite
 def mutated_books(draw):
     obj = json.loads(draw(st.sampled_from(TEXTS)))
+    mutations = in_schema_mutations(obj)
+    if mutations and draw(st.booleans()):
+        draw(st.sampled_from(mutations))(draw)
+        return json.dumps(obj)
     path = draw(st.sampled_from(list(field_paths(obj))))
     parent = obj
     for key in path[:-1]:

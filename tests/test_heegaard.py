@@ -28,7 +28,7 @@ from realbook.openbook import (
     enumerate_sites,
     stabilize,
 )
-from oracles import twist_matrix
+from oracles import as_matrix, as_rows, twist_matrix
 
 
 def heegaard_genus(ob):
@@ -147,7 +147,7 @@ def dense_antisymplectic(ob, c):
     for name, exp in ob.monodromy:
         f = twist_matrix(ob.page, name, exp) @ f
     fc = f @ c
-    j = ob.page.form
+    j = as_matrix(ob.page.form)
     return fc.transpose() @ j @ fc == -j, c.transpose() @ j @ c == -j
 
 
@@ -155,7 +155,7 @@ def plus_block_report(ob):
     """validate_heegaard on the block data F C of the book, which
     heegaard_data would refuse for a book that is not real."""
     hd = HeegaardData(genus=ob.page.h1_rank,
-                      plus_matrix=ob.monodromy_matrix @ ob.real_structure.matrix)
+                      plus_matrix=ob.monodromy_matrix @ as_matrix(ob.real_structure.matrix))
     return dict(validate_heegaard(hd, ob))
 
 
@@ -170,7 +170,7 @@ def test_derived_plus_antisymplectic_matches_dense_oracle_on_golden_books():
         if not ob.page.h1_rank:
             continue
         report = plus_block_report(ob)
-        plus, minus = dense_antisymplectic(ob, ob.real_structure.matrix)
+        plus, minus = dense_antisymplectic(ob, as_matrix(ob.real_structure.matrix))
         assert report["minus_antisymplectic"] == plus == minus, label
         assert "plus_antisymplectic" not in report, label
         checked += 1
@@ -188,11 +188,11 @@ def test_tampered_involution_fails_both_antisymplectic_checks():
     for ob in [catalog_fig4(2), catalog_fig4(3), *islice(walked, 3)]:
         # doubling row i of C gives (DC)^T J (DC) = C^T (DJD) C, D = diag(.., 2, ..),
         # and DJD != J for a basis class i that pairs with something
-        i = next(i for i, row in enumerate(ob.page.form.rows) if any(row))
-        rows = [list(r) for r in ob.real_structure.matrix.rows]
+        i = next(i for i, row in enumerate(as_matrix(ob.page.form).rows) if any(row))
+        rows = [list(r) for r in as_matrix(ob.real_structure.matrix).rows]
         rows[i] = [2 * x for x in rows[i]]
         c = IntMatrix(rows)
-        bad = replace(ob, real_structure=replace(ob.real_structure, matrix=c))
+        bad = replace(ob, real_structure=replace(ob.real_structure, matrix=as_rows(c)))
         report = plus_block_report(bad)
         assert not report["minus_antisymplectic"]
         assert dense_antisymplectic(bad, c) == (False, False)
@@ -322,10 +322,10 @@ def test_minus_checks_are_the_involution_checks_on_golden_books():
 def _with_matrix_row_doubled(ob):
     from realbook.records import replace
 
-    i = next(i for i, row in enumerate(ob.page.form.rows) if any(row))
-    rows = [list(r) for r in ob.real_structure.matrix.rows]
+    i = next(i for i, row in enumerate(as_matrix(ob.page.form).rows) if any(row))
+    rows = [list(r) for r in as_matrix(ob.real_structure.matrix).rows]
     rows[i] = [2 * x for x in rows[i]]
-    return replace(ob, real_structure=replace(ob.real_structure, matrix=IntMatrix(rows)))
+    return replace(ob, real_structure=replace(ob.real_structure, matrix=as_rows(IntMatrix(rows))))
 
 
 def _with_minus_arc_dropped(ob):
@@ -382,8 +382,9 @@ def test_plus_checks_read_the_plus_block():
     from realbook.surface import FixedSet
 
     ob = not_real_example()
-    fc = ob.monodromy_matrix @ ob.real_structure.matrix
-    plus, minus = 1 - fc.trace(), 1 - ob.real_structure.matrix.trace()
+    c = as_matrix(ob.real_structure.matrix)
+    fc = ob.monodromy_matrix @ c
+    plus, minus = 1 - fc.trace(), 1 - c.trace()
     assert plus != minus and plus > 0
     report = plus_block_report(ob)
     assert report["minus_involution"] and not report["plus_involution"]

@@ -11,7 +11,7 @@ from realbook.intalg import (
     solve_integer,
     solve_integer_affine,
 )
-from oracles import det, determinantal_divisors, diagonal, smith_check, zeros
+from oracles import as_matrix, det, determinantal_divisors, diagonal, smith_check, zeros
 
 
 def random_matrix(rng, m, n, bound=5):
@@ -312,7 +312,7 @@ def snf_oracle_matrices(rng):
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         yield IntMatrix(rows, ncols=n)
     for ob in [e.build() for e in ENTRIES] + [catalog_fig4(6), catalog_fig5(4)]:
-        j, c = ob.page.form, ob.real_structure.matrix
+        j, c = as_matrix(ob.page.form), as_matrix(ob.real_structure.matrix)
         yield j
         yield IntMatrix.identity(j.nrows) - c
         yield c.transpose() @ j + j

@@ -20,7 +20,7 @@ from realbook.mcg import (
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
 from realbook.catalog import standard_involution, standard_surface
 from realbook.surface import dense, entries
-from oracles import dense_class, twist_matrix
+from oracles import as_matrix, as_rows, dense_class, expand, twist_matrix
 
 
 def arc_row(model, cid):
@@ -81,7 +81,7 @@ def test_twists_are_symplectic():
     for g, b in [(1, 1), (2, 3), (1, 2)]:
         m = standard_surface(g, b)
         names = list(m.alphabet)
-        j = m.form
+        j = as_matrix(m.form)
         for _ in range(40):
             w = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(6)])
             f = word_matrix(m, w)
@@ -109,7 +109,7 @@ def test_conjugation_matrix_identity():
     m = standard_surface(0, 3)
     inv = standard_involution(m, "planar-reflection")
     names = list(m.alphabet)
-    c = inv.matrix
+    c = as_matrix(inv.matrix)
     for _ in range(30):
         w = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(4)])
         cw = conjugate(inv.curve_image, w)
@@ -181,18 +181,21 @@ def reference_transport(model, w, row):
     for name, exp in w:
         a = dense_class(model, name)
         cross = sum(x * y for x, y in zip(row, a))
-        a_row = model.form.transpose().apply(a)
+        a_row = as_matrix(model.form).transpose().apply(a)
         cls = tuple(x + exp * cross * y for x, y in zip(cls, a))
         row = tuple(x + exp * cross * y for x, y in zip(row, a_row))
     return cls, row
 
 
 def assert_kernels_match(model, w, left, right):
-    """word_matrix, W @ left and right @ W against the dense product."""
+    """word_matrix, W @ left and right @ W against the dense product;
+    times_word takes and returns sparse rows."""
     dense = dense_word_matrix(model, w)
     assert word_matrix(model, w) == dense
     assert word_times(model, w, left) == dense @ left
-    assert times_word(right, model, w) == right @ dense
+    n = model.h1_rank
+    rows = times_word(as_rows(right), model, w)
+    assert IntMatrix([expand(r, n) for r in rows], ncols=n) == right @ dense
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +209,7 @@ def catalog_books():
 
 def test_kernels_match_dense_oracle_on_catalog(catalog_books):
     for name, ob in catalog_books:
-        page, c = ob.page, ob.real_structure.matrix
+        page, c = ob.page, as_matrix(ob.real_structure.matrix)
         words = [ob.monodromy, invert(ob.monodromy)] + [invert(r.sigma) for r in ob.provenance]
         for w in words:
             assert_kernels_match(page, w, c, c)
@@ -299,12 +302,14 @@ def test_curve_vectors_cached_per_page_outside_the_fields():
         assert len(pairs) == len(v) // 2 and all(pairs.values())
         return tuple(pairs.get(i, 0) for i in range(m.h1_rank))
 
+    j = as_matrix(m.form)
+
     for name in m.alphabet:
         a = dense_class(m, name)
         vecs = m.curve_vectors(name)
         assert vecs.a and vecs.a is m.curve(name) and expand(vecs.a) == tuple(a)
-        assert expand(vecs.ja) == m.form.apply(a)
-        assert expand(vecs.jta) == m.form.transpose().apply(a)
+        assert expand(vecs.ja) == j.apply(a)
+        assert expand(vecs.jta) == j.transpose().apply(a)
         assert m.curve_vectors(name) is vecs
     assert repr(m) == text and m == standard_surface(2, 3)
     copy = replace(m, disjoint=frozenset())
@@ -322,11 +327,12 @@ def test_curve_vectors_equal_dense_products_on_golden_pages():
     pages = 0
     for label, ob in golden_books():
         page = ob.page
-        jt = page.form.transpose()
+        j = as_matrix(page.form)
+        jt = j.transpose()
         for name in page.alphabet:
             cls = dense_class(page, name)
             vecs = page.curve_vectors(name)
-            for sparse, want in ((vecs.ja, page.form.apply(cls)),
+            for sparse, want in ((vecs.ja, j.apply(cls)),
                                  (vecs.jta, jt.apply(cls))):
                 pairs = dict(entries(sparse))
                 assert len(pairs) == len(sparse) // 2 and all(pairs.values()), (label, name)

@@ -35,7 +35,7 @@ from realbook.surface import (
     sparse_add,
     validate_involution,
 )
-from oracles import annulus_rotation, is_trivial
+from oracles import annulus_rotation, as_matrix, as_rows, is_trivial
 
 
 def not_real_example() -> OpenBook:
@@ -43,7 +43,7 @@ def not_real_example() -> OpenBook:
     style flip C = antidiag(1,1) fails C F C = F^-1 for a single twist."""
     page = standard_surface(1, 1)
     inv = Involution(
-        matrix=IntMatrix([[0, 1], [1, 0]]),
+        matrix=as_rows(IntMatrix([[0, 1], [1, 0]])),
         boundary_perm={1: 1},
         fixed_points={1: (1, 2)},
         fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=()),)),
@@ -209,8 +209,8 @@ def test_random_sequences_preserve_everything():
                     continue
         assert h1_of_manifold(ob) == h0
         assert check_reality(ob).kind is not Reality.NOT_REAL
-        c = ob.real_structure.matrix
-        j = ob.page.form
+        c = as_matrix(ob.real_structure.matrix)
+        j = as_matrix(ob.page.form)
         assert c @ c == IntMatrix.identity(ob.page.h1_rank)
         assert c.transpose() @ j @ c == -j
         assert len(ob.real_structure.fixed_set.arcs) == 1 - c.trace()
@@ -351,6 +351,7 @@ def eager_viii_search(pattern, c_old, form):
 
     from realbook.intalg import solve_integer_affine
 
+    c_old, form = as_matrix(c_old), as_matrix(form)
     n = c_old.nrows
     (pj, _), (pk, _), *rest = pattern
     others = [p for p, _ in rest]
@@ -418,8 +419,8 @@ def viii_oracle_inputs():
                 form[j][i] = -form[i][j]
         pj = [rng.randint(-2, 2) for _ in range(n)]
         pk = [rng.randint(-2, 2) for _ in range(n)]
-        yield ([(pj, -1), (pk, 1)], IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]),
-               IntMatrix(form, ncols=n))
+        c_old = IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        yield ([(pj, -1), (pk, 1)], as_rows(c_old), as_rows(IntMatrix(form, ncols=n)))
 
 
 def test_viii_search_matches_eager_search():
@@ -445,7 +446,7 @@ def test_viii_search_solutions_meet_both_radical_conditions():
         if got[0] == "refused":
             continue
         v, w, x, m = got
-        c = args[1].rows
+        c = as_matrix(args[1]).rows
         ctv = [sum(c[i][u] * v[i] for i in range(len(v))) for u in range(len(v))]
         assert sum(a * b for a, b in zip(ctv, w)) == sum(a * b for a, b in zip(v, w)) == x * m
         solved += 1
@@ -615,10 +616,10 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
 
 def _with_entries(form, changes):
     """form with each entry (i, j) moved by changes[i, j]."""
-    rows = [list(r) for r in form.rows]
+    rows = [list(r) for r in as_matrix(form).rows]
     for (i, j), d in changes.items():
         rows[i][j] += d
-    return IntMatrix(rows)
+    return as_rows(IntMatrix(rows))
 
 
 def _circle_coordinate(page, used):
@@ -650,7 +651,7 @@ def _cross_pair_against_a_circle(form, parent):
     n = parent.page.h1_rank
     i = _circle_coordinate(parent.page, used=True)
     changes = {(i, n): 1, (n, i): -1}
-    for j, c in enumerate(parent.real_structure.matrix.rows[i]):
+    for j, c in enumerate(as_matrix(parent.real_structure.matrix).rows[i]):
         changes[j, n + 1] = changes.get((j, n + 1), 0) - c
         changes[n + 1, j] = changes.get((n + 1, j), 0) + c
     return _with_entries(form, changes)
@@ -688,7 +689,7 @@ def _changed_circle_pair(page, inv, parent):
     """Move two changed classes by +-e_i for a non-radical e_i, so the
     classes still sum to zero and only the radical test breaks."""
     j, k = [cid for cid in page.circles if _is_changed(cid, page, parent)][:2]
-    i = next(i for i in range(page.h1_rank) if any(r[i] for r in page.form.rows))
+    i = next(i for i in range(page.h1_rank) if any(r[i] for r in as_matrix(page.form).rows))
     e = [int(t == i) for t in range(page.h1_rank)]
     return _with_circles(page, {j: e, k: [-x for x in e]}), inv
 
@@ -875,7 +876,7 @@ def test_a_boundary_transport_mismatch_is_not_real():
 
     ob = catalog_fig5(2)
     bad = replace(ob, monodromy=concat(ob.monodromy, word([("s1", 1)])), provenance=())
-    c, f = bad.real_structure.matrix, bad.monodromy_matrix
+    c, f = as_matrix(bad.real_structure.matrix), bad.monodromy_matrix
     assert c @ f @ c == word_matrix(bad.page, invert(bad.monodromy))
     status = check_reality(bad)
     assert status.kind is Reality.NOT_REAL

@@ -10,7 +10,7 @@ from realbook.surface import (
     sparse,
     validate_page,
 )
-from oracles import annulus_rotation, dense_class, expand, pairing, zeros
+from oracles import annulus_rotation, as_matrix, as_rows, dense_class, expand, pairing, zeros
 
 
 def involution(m, kind):
@@ -35,7 +35,7 @@ def test_annulus_core_self_pairing():
 
 def test_once_punctured_torus_form():
     t = standard_surface(1, 1)
-    assert t.form == IntMatrix([[0, 1], [-1, 0]])
+    assert as_matrix(t.form) == IntMatrix([[0, 1], [-1, 0]])
 
 
 def test_rank_formula():
@@ -79,20 +79,20 @@ def test_disk_reflection_lefschetz():
     m = standard_surface(0, 1)
     inv = standard_involution(m, "disk-reflection")
     assert len(inv.fixed_set.arcs) == 1
-    assert 1 - inv.matrix.trace() == 1
+    assert 1 - as_matrix(inv.matrix).trace() == 1
 
 
 def test_annulus_reflection_counts():
     m = standard_surface(0, 2)
     inv = standard_involution(m, "annulus-reflection")
-    assert inv.matrix == IntMatrix([[-1]])
+    assert as_matrix(inv.matrix) == IntMatrix([[-1]])
     assert len(inv.fixed_set.arcs) == 2
     assert len(inv.fixed_set.circles) == 0
 
 
 def test_annulus_rotation_counts():
     inv = annulus_rotation()
-    assert inv.matrix == IntMatrix([[1]])
+    assert as_matrix(inv.matrix) == IntMatrix([[1]])
     assert len(inv.fixed_set.arcs) == 0
     assert inv.fixed_set.circles == ((0, 1),)
 
@@ -127,7 +127,7 @@ def test_validate_reports_antisymplectic_failure():
     # the identity preserves the form, so it cannot be a real structure
     t = standard_surface(1, 1)
     broken = Involution(
-        matrix=IntMatrix.identity(2),
+        matrix=as_rows(IntMatrix.identity(2)),
         boundary_perm={1: 1},
         fixed_points={1: (1, 2)},
         fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=()),)),
@@ -139,7 +139,7 @@ def test_validate_reports_antisymplectic_failure():
 
 def test_validate_never_raises():
     t = standard_surface(1, 1)
-    junk = Involution(matrix=zeros(2, 2), boundary_perm={},
+    junk = Involution(matrix=as_rows(zeros(2, 2)), boundary_perm={},
                       fixed_points={}, fixed_set=FixedSet(), curve_image={})
     report = validate_involution(t, junk)
     assert any(not r.ok for r in report)
@@ -150,9 +150,9 @@ def test_involution_invariants_exact():
                     ("boundary-swap", 4), ("annulus-reflection", 2)]:
         m = standard_surface(0, b)
         inv = standard_involution(m, kind)
-        c = inv.matrix
+        c, j = as_matrix(inv.matrix), as_matrix(m.form)
         assert c @ c == IntMatrix.identity(m.h1_rank)
-        assert c.transpose() @ m.form @ c == -m.form
+        assert c.transpose() @ j @ c == -j
         assert len(inv.fixed_set.arcs) == 1 - c.trace()
         assert all(r.ok for r in validate_involution(m, inv))
 
@@ -161,7 +161,7 @@ def dense_checks(model, inv):
     """The involution, anti_symplectic, curve_image and boundary_classes
     checks as first written, with dense products: the oracle of the
     sparse validate_involution, as (name, ok, detail)."""
-    c, j, rank = inv.matrix, model.form, model.h1_rank
+    c, j, rank = as_matrix(inv.matrix), as_matrix(model.form), model.h1_rank
     ident = IntMatrix.identity(rank)
     sq = c @ c if rank else ident
     out = [("involution", sq == ident, "" if sq == ident else f"C^2 = {sq.rows}")]
@@ -204,15 +204,16 @@ def one_entry_changes(ob):
     def bumped(rows, i, k, d):
         out = [list(r) for r in rows]
         out[i][k] += d
-        return IntMatrix(out, ncols=len(rows[0]))
+        return as_rows(IntMatrix(out, ncols=len(rows[0])))
 
     page, inv = ob.page, ob.real_structure
     n = page.h1_rank
+    c, j = as_matrix(inv.matrix).rows, as_matrix(page.form).rows
     for i in range(n):
         for k in range(n):
             for d in (1, -1):
-                yield f"C[{i},{k}]{d:+d}", page, replace(inv, matrix=bumped(inv.matrix.rows, i, k, d))
-                yield f"J[{i},{k}]{d:+d}", replace(page, form=bumped(page.form.rows, i, k, d)), inv
+                yield f"C[{i},{k}]{d:+d}", page, replace(inv, matrix=bumped(c, i, k, d))
+                yield f"J[{i},{k}]{d:+d}", replace(page, form=bumped(j, i, k, d)), inv
     for name in sorted(inv.curve_image):
         cls = dense_class(page, name)
         for i in range(n):
