@@ -8,7 +8,9 @@ so subcommands compose in pipelines:
     realbook contact --family annulus:2 --find-threshold
 
 Exit codes: 0 success, 1 contract violation (a check failed or an
-operation refused its input), 2 malformed input.
+operation refused its input), 2 malformed input.  new, reality,
+invariants and heegaard run the involution, page and plus-arc checks
+of validate first (_validated_book), and refuse a book that fails one.
 
 Each process runs one subcommand, so each cmd_* imports what it calls
 and the module itself imports only the exceptions of realbook.errors.
@@ -21,6 +23,7 @@ import json
 import sys
 
 from .errors import (
+    BookInvalid,
     BookNotReal,
     ContactModelError,
     RealPartUnavailable,
@@ -40,6 +43,31 @@ def _read_book(path: str | None):
         return loads(sys.stdin.read())
     with open(path) as fh:
         return loads(fh.read())
+
+
+def _checks(book) -> dict:
+    """The sections of checks validate reports, by name: the involution's
+    (surface.validate_involution), the page's (validate_page), and the
+    plus side's: the opposite page's fixed arcs, when tracked, end on the
+    same binding fixed points as the page's own."""
+    from .surface import arc_endpoints_check, validate_involution, validate_page
+
+    plus = [] if book.fix_plus is None else [
+        arc_endpoints_check(book.real_structure.fixed_points, book.fix_plus.arcs)]
+    return {"involution": validate_involution(book.page, book.real_structure),
+            "page": validate_page(book.page), "plus": plus}
+
+
+def _validated_book(path: str | None):
+    """The book at path, refused (BookInvalid, exit 1) when one of the
+    checks validate reports fails, naming each as name: detail."""
+    from .surface import failures
+
+    book = _read_book(path)
+    failed = failures(r for report in _checks(book).values() for r in report)
+    if failed:
+        raise BookInvalid(f"book fails validation: {failed}")
+    return book
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,7 +107,7 @@ def cmd_catalog(args) -> int:
 def cmd_new(args) -> int:
     from .jsonio import dumps
 
-    book = _read_book(args.infile)
+    book = _validated_book(args.infile)
     _emit(dumps(book), args.out)
     return EXIT_OK
 
@@ -101,7 +129,7 @@ def cmd_stabilize(args) -> int:
 def cmd_reality(args) -> int:
     from .openbook import Reality, check_reality
 
-    book = _read_book(args.infile)
+    book = _validated_book(args.infile)
     status = check_reality(book)
     _emit_json({"status": status.kind.value,
                 "witness": _jsonable(status.witness)}, args.out)
@@ -121,7 +149,7 @@ def _jsonable(x):
 def cmd_invariants(args) -> int:
     from .openbook import check_reality, h1_of_manifold
 
-    book = _read_book(args.infile)
+    book = _validated_book(args.infile)
     page = book.page
     _emit_json({
         "h1": _group_obj(h1_of_manifold(book)),
@@ -137,7 +165,7 @@ def cmd_invariants(args) -> int:
 def cmd_heegaard(args) -> int:
     from .heegaard import heegaard_data, is_maximal, real_part, validate_heegaard
 
-    book = _read_book(args.infile)
+    book = _validated_book(args.infile)
     hd = heegaard_data(book)
     report = {"genus": hd.genus}
     try:
@@ -195,24 +223,16 @@ def cmd_contact(args) -> int:
 
 def cmd_validate(args) -> int:
     from .openbook import Reality, check_reality
-    from .surface import arc_endpoints_check, validate_involution, validate_page
 
     book = _read_book(args.infile)
-    report = validate_involution(book.page, book.real_structure)
-    page = validate_page(book.page)
-    # the opposite page's fixed arcs, when tracked, end on the same
-    # binding fixed points as the page's own
-    plus = [] if book.fix_plus is None else [
-        arc_endpoints_check(book.real_structure.fixed_points, book.fix_plus.arcs)]
+    checks = _checks(book)
     status = check_reality(book)
-    out = {
-        "involution": {r.name: (r.ok if r.ok else r.detail) for r in report},
-        "page": {r.name: (r.ok if r.ok else r.detail) for r in page},
-        "plus": {r.name: (r.ok if r.ok else r.detail) for r in plus},
-        "reality": status.kind.value,
-    }
+    out = {section: {r.name: (r.ok if r.ok else r.detail) for r in report}
+           for section, report in checks.items()}
+    out["reality"] = status.kind.value
     _emit_json(out, args.out)
-    ok = all(r.ok for r in report + page + plus) and status.kind is not Reality.NOT_REAL
+    ok = (all(r.ok for report in checks.values() for r in report)
+          and status.kind is not Reality.NOT_REAL)
     return EXIT_OK if ok else EXIT_CONTRACT
 
 
@@ -276,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (StabilizationError, BookNotReal, RealPartUnavailable, ContactModelError) as e:
+    except (StabilizationError, BookInvalid, BookNotReal, RealPartUnavailable,
+            ContactModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
     except (SchemaError, KeyError, ValueError, OSError) as e:

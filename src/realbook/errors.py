@@ -14,6 +14,11 @@ class StabilizationError(ValueError):
     """Site incompatible with the type or with the real structure."""
 
 
+class BookInvalid(ValueError):
+    """A book fails a check of the validate subcommand, so the query
+    subcommands refuse it before they compute anything (CLI exit 1)."""
+
+
 class BookNotReal(ValueError):
     """The book is NotReal, so it has no real splitting: the input
     breaks the contract of heegaard_data and real_part, as a NotReal

@@ -63,7 +63,6 @@ integers takes only keys written as `str` writes them, so `"02"` and
 from __future__ import annotations
 
 import json
-from itertools import groupby
 from typing import Any, Callable
 
 from .errors import SchemaError
@@ -107,9 +106,7 @@ def _fixed_set_obj(fs: FixedSet, rank: int) -> dict:
 def _made(ob: OpenBook) -> set[str]:
     """The curves the written provenance makes, whose records must be the page's
     last steps: the reader takes every other curve for an older root curve."""
-    born = ob.page.births
-    steps = [(st, set(names)) for (_step, st), names
-             in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get)]
+    steps = [(st, set(names)) for st, names in ob.page.birth_steps()]
     mine = [(STAB_TYPES.get(r.tag), {n for n, _ in r.sigma}) for r in ob.provenance if r.sigma]
     if steps[len(steps) - len(mine):] != mine:
         raise ValueError("the provenance does not record the page's last stabilizations")

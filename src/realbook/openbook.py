@@ -6,6 +6,8 @@ The nine positive real stabilizations live in realbook.stabilization,
 which a process that only reads a book never loads.  stabilize,
 enumerate_sites and _stab_{T} still resolve here (module __getattr__):
 the first lookup loads that module and binds the name in this one.
+It seeds the validity and chain memos of each book it makes; any other
+book computes them here, the chain through mcg.times_word.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .mcg import (
     TwistWord,
     conjugate,
     invert,
+    times_word,
     transport_arcs,
     word_matrix,
     words_equal,
@@ -35,7 +38,6 @@ from .surface import (
     dense_matrix,
     entries,
     image_holds,
-    sparse_add,
     sparse_combine,
     sparse_transpose,
     unit,
@@ -135,7 +137,8 @@ class OpenBook:
     def _chain_blocks(self) -> tuple[bool, TwistWord]:
         """Whether every recorded provenance block certifies, and the base
         word left when they are peeled; (False, ()) when one fails.  A book
-        made by stabilize has it seeded from its parent (_seed_chain_blocks)."""
+        made by stabilize has it seeded from its parent's memo and a peel
+        of the new block alone (stabilization._seed_chain_blocks)."""
         return _chain_blocks_of(self)
 
     @cached_property
@@ -187,80 +190,39 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
 
 
 def _peel_block(model: SurfaceModel, rec: StabRecord, w: TwistWord,
-                cols: list[Sparse]) -> bool:
-    """Check one provenance block at the front of w, and peel it.
+                rows: Rows) -> Rows | None:
+    """Check one provenance block at the front of w, and peel it: the
+    sparse rows of C~, or None when the block fails.
 
     The block's sigma must open w and conjugate letterwise to its own
-    inverse under the recorded c~ images.  cols are the sparse columns
-    of the real structure as it stands with the block applied, C~ Sigma;
-    they are updated in place by the transposed transvections of
-    Sigma^-1, col_i += e (J a)_i sum_j a_j col_j per letter (a, e), so
-    they become the columns of C~ and no block pays a dense product.
-    The recorded images must agree with C~ (surface.image_holds, sparse
-    per image).
+    inverse under the recorded c~ images.  rows are those of the real
+    structure as it stands with the block applied, C~ Sigma; the
+    twists of Sigma^-1 take them to the rows of C~ (mcg.times_word,
+    which rewrites only the rows a letter moves), and the recorded
+    images must agree with C~ (surface.image_holds, sparse per image,
+    on its columns).
     """
     if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
-        return False
-    for name, e in invert(rec.sigma)[::-1]:
-        vecs = model.curve_vectors(name)
-        moved = sparse_combine(vecs.a, cols)
-        if moved:
-            for i, x in entries(vecs.ja):
-                cols[i] = sparse_add(cols[i], moved, e * x)
-    return all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items())
+        return None
+    rows = times_word(rows, model, invert(rec.sigma))
+    cols = sparse_transpose(rows)
+    if all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items()):
+        return rows
+    return None
 
 
 def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
     """Peel every provenance block, newest first (see _peel_block): whether
     all certify, and the base word left; (False, ()) at the first that
     fails."""
-    cols = list(sparse_transpose(ob.real_structure.matrix))
+    rows: Rows | None = ob.real_structure.matrix
     w = ob.monodromy
     for rec in reversed(ob.provenance):
-        if not _peel_block(ob.page, rec, w, cols):
+        rows = _peel_block(ob.page, rec, w, rows)
+        if rows is None:
             return False, ()
         w = w[len(rec.sigma):]
     return True, w
-
-
-def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
-    """Set the chain memo of a book made from parent by one stabilization:
-    the parent's memo and a check of the new block alone.
-
-    Lemma: peeling the child's blocks below the new one repeats the
-    parent's peel.  After the new block is peeled, the columns are those
-    of the naive extension C~, and the word is the parent's.  Then:
-      * C~ acts as C on the old classes, so its old columns are C's
-        widened by zeros;
-      * old curve classes are extended by zeros, and so is J a for an
-        old curve a on the old coordinates;
-      * earlier blocks read only old coordinates: a transvection by an
-        old curve reads the columns at the nonzeros of a, and the image
-        checks read those at the nonzeros of old classes, so what it
-        writes into the new columns is never read, and the old columns
-        keep zero new coordinates;
-      * curve_image gains only new names, and the page's disjointness
-        changes only for pairs that name a new curve: the root's pairs
-        are the parent's object, and a new curve's pairs follow from its
-        birth (SurfaceModel.births).  The block checks read neither
-        (only the base-word check does, and it stays fresh in
-        _provenance_certificate).
-    So each earlier block certifies on the child exactly when it does on
-    the parent.  The new block is checked by _peel_block on the columns
-    of the child's C~ Sigma, transvected by Sigma^-1 and compared with
-    its images.  The new names are fresh, as _start_builder picks names
-    the parent's page lacks.  When the word does not continue as the
-    parent's (an unreduced word read from JSON), nothing is seeded and
-    the memo is peeled fresh when asked for.
-    """
-    rec = child.provenance[-1]
-    if child.monodromy[len(rec.sigma):] != parent.monodromy:
-        return
-    ok, base = parent._chain_blocks
-    if ok:
-        ok = _peel_block(child.page, rec, child.monodromy,
-                         list(sparse_transpose(child.real_structure.matrix)))
-    vars(child)["_chain_blocks"] = (True, base) if ok else (False, ())
 
 
 def _provenance_certificate(ob: OpenBook) -> bool:

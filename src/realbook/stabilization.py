@@ -6,10 +6,11 @@ structure is (extension of c) composed with the stabilizing twist(s);
 its matrix is C~ @ Sigma, its fixed set is the old one pushed through a
 strand-switch analysis near the twisting annuli.  stabilize takes only
 a book whose involution is valid (it refuses any other at the door),
-so it turns a valid real open book into a valid one, and it validates
-every output from the checks of the new block (HandleExtension, with
-the lemma they rest on); incompatible sites raise instead of producing
-inconsistent data.
+so it turns a valid real open book into a valid one.  Each output is
+certified here from its parent by the checks of the new block
+(_block_holds, with the lemma they rest on), and its validity and chain
+memos are seeded (_seed_chain_blocks); incompatible sites raise instead
+of producing inconsistent data.
 
 The book, the reality check and H1 are in realbook.openbook, which
 re-exports stabilize, enumerate_sites and _stab_{T} lazily; of the
@@ -39,12 +40,11 @@ from .openbook import (
     StabRecord,
     StabType,
     _mirror_functional,
-    _seed_chain_blocks,
+    _peel_block,
     check_reality,
 )
-from .records import record, replace
+from .records import replace
 from .surface import (
-    CheckResult,
     FixArc,
     FixedSet,
     Involution,
@@ -55,6 +55,7 @@ from .surface import (
     dense,
     dense_matrix,
     entries,
+    failures,
     image_holds,
     set_coord,
     sparse,
@@ -63,6 +64,7 @@ from .surface import (
     sparse_dot,
     sparse_scale,
     sparse_transpose,
+    structural_checks,
     validate_involution,
     vec_dot,
 )
@@ -113,15 +115,14 @@ def _naive_extension(c: Rows, st: StabType) -> Rows:
                             for r in _core_block(st))
 
 
-@record
-class HandleExtension:
-    """The pair (page, inv) that a page and involution extend by a block
-    of k new classes, as _finish builds them, and the block core = L of
-    the naive extension C~ = C (+) L on the new classes (_core_block).
-    surface.validate_involution reads it to check the block only
-    (holds).
+def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
+                 model: SurfaceModel, inv: Involution) -> bool:
+    """Whether the involution, anti_symplectic, curve_image and
+    boundary_classes checks of validate_involution hold on (model, inv),
+    which _finish builds from the parent's valid pair and k new classes,
+    from checks of the block alone; core is L in C~ = C (+) L (_core_block).
 
-    With n the old rank, the builder guarantees, and holds does not
+    With n the old rank, the builder guarantees, and this does not
     check:
       * the old pair is valid: stabilize refuses any other at the door;
       * the new basis is the old one followed by the classes
@@ -134,122 +135,111 @@ class HandleExtension:
       * the new matrix is C~ Sigma, Sigma the positive twist along each
         new curve, the mirror e_{n+1} before e_n for a pair;
       * a curve image equal to the old one names a curve Sigma fixes.
-    Everything else the lemma of holds needs is read off the data and
-    checked there.
+
+    Write the new form as J' = [[J, X], [Y, M]] and the new matrix
+    as C~ Sigma with C~ = C (+) L.  Checked here, as the rest of what
+    the lemma needs: Y = -X^T and M is
+    antisymmetric (each new row of J' is minus its column), L is
+    antidiagonal with L^2 = I (so C~ maps each new curve to +-its
+    mirror, the pair reversed), L^T M L = -M, and the cross block
+    C^T X L = -X: k sparse products.
+
+    Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
+    is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
+    are the cross block and its transpose).  For such a C~ and a
+    curve a, C~ T_a C~ = T_{C~ a}^-1: C~ T_a C~ x = x + <C~ x, a> C~ a
+    and <C~ x, a> = -<x, C~ a> (Farb & Margalit, A Primer on Mapping
+    Class Groups, ch. 3).  As C~ reverses the new curves up to sign
+    and T_{-b} = T_b, C~ Sigma C~ = Sigma^-1, so (C~ Sigma)^2 = I.  A
+    twist along a new curve e preserves J', because row and column e
+    of J' are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
+    Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.  An
+    image equal to the old one names a curve Sigma fixes, whose class
+    and image's class are the old ones widened by zeros, so C~ Sigma
+    maps it as C did; only new or changed images are checked.  A
+    circle whose class is its old class q (widened by zeros: the same
+    sparse vector) has J' (q, 0) = (J q, Y q) with J q = 0 by the old
+    radical check, so it needs X^T q = 0 only; a new or changed
+    circle is checked fresh, with J' d = -sum_i d_i row_i(J') as J'
+    is antisymmetric (J by the premise in surface's docstring,
+    Y = -X^T and M by the checks above), and the sum of all classes
+    is the old sum, zero, moved by the new and changed classes less
+    the old classes of changed and removed circles.
     """
-
-    page: SurfaceModel
-    inv: Involution
-    core: tuple[tuple[int, ...], ...]
-
-    def holds(self, model: SurfaceModel, inv: Involution) -> bool:
-        """Whether the involution, anti_symplectic, curve_image and
-        boundary_classes checks hold on the pair (model, inv) that
-        extends this valid pair, from checks of the block alone.
-
-        Write the new form as J' = [[J, X], [Y, M]] and the new matrix
-        as C~ Sigma with C~ = C (+) L.  Checked here: Y = -X^T and M is
-        antisymmetric (each new row of J' is minus its column), L is
-        antidiagonal with L^2 = I (so C~ maps each new curve to +-its
-        mirror, the pair reversed), L^T M L = -M, and the cross block
-        C^T X L = -X: k sparse products.
-
-        Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
-        is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
-        are the cross block and its transpose).  For such a C~ and a
-        curve a, C~ T_a C~ = T_{C~ a}^-1: C~ T_a C~ x = x + <C~ x, a> C~ a
-        and <C~ x, a> = -<x, C~ a> (Farb & Margalit, A Primer on Mapping
-        Class Groups, ch. 3).  As C~ reverses the new curves up to sign
-        and T_{-b} = T_b, C~ Sigma C~ = Sigma^-1, so (C~ Sigma)^2 = I.  A
-        twist along a new curve e preserves J', because row and column e
-        of J' are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
-        Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.  An
-        image equal to the old one names a curve Sigma fixes, whose class
-        and image's class are the old ones widened by zeros, so C~ Sigma
-        maps it as C did; only new or changed images are checked.  A
-        circle whose class is its old class q (widened by zeros: the same
-        sparse vector) has J' (q, 0) = (J q, Y q) with J q = 0 by the old
-        radical check, so it needs X^T q = 0 only; a new or changed
-        circle is checked fresh, with J' d = -sum_i d_i row_i(J') as J'
-        is antisymmetric (J by the premise in surface's docstring,
-        Y = -X^T and M by the checks above), and the sum of all classes
-        is the old sum, zero, moved by the new and changed classes less
-        the old classes of changed and removed circles.
-        """
-        old, core = self.page, self.core
-        n, rank = old.h1_rank, model.h1_rank
-        k = rank - n
-        rows = model.form
-        if len(core) != k or any(len(r) != k for r in core) or len(rows) != rank:
+    old = parent.page
+    n, rank = old.h1_rank, model.h1_rank
+    k = rank - n
+    rows = model.form
+    if len(core) != k or any(len(r) != k for r in core) or len(rows) != rank:
+        return False
+    # cols[t]: column n + t of J', read off the ends of the rows, where
+    # the new indices sit; each new row is minus its column exactly when
+    # Y = -X^T and M is antisymmetric; xs[t]: its part above row n (X)
+    cols: list[list[int]] = [[] for _ in range(k)]
+    for u, r in enumerate(rows):
+        if r and r[-2] >= n:
+            for at in range(len(r) - 2, -1, -2):
+                if r[at] < n:
+                    break
+                cols[r[at] - n] += (u, r[at + 1])
+    if any(rows[n + t] != sparse_scale(-1, tuple(col)) for t, col in enumerate(cols)):
+        return False
+    xs = [tuple(chain.from_iterable((u, x) for u, x in entries(col) if u < n))
+          for col in cols]
+    m = [[0] * k for _ in range(k)]
+    for t in range(k):
+        for u, x in entries(rows[n + t]):
+            if u >= n:
+                m[t][u - n] = x
+    # column t of L is l[t] e_{k-1-t}, the mirror of new class t
+    l = [core[k - 1 - t][t] for t in range(k)]
+    if (any(core[t][u] and t + u != k - 1
+            or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
+            for t in range(k) for u in range(k))
+            or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
+        return False
+    c_old = parent.real_structure.matrix
+    for t in range(k):
+        # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
+        if (sparse_scale(l[t], sparse_combine(xs[k - 1 - t], c_old))
+                != sparse_scale(-1, xs[t])):
             return False
-        # cols[t]: column n + t of J', read off the ends of the rows, where
-        # the new indices sit; each new row is minus its column exactly when
-        # Y = -X^T and M is antisymmetric; xs[t]: its part above row n (X)
-        cols: list[list[int]] = [[] for _ in range(k)]
-        for u, r in enumerate(rows):
-            if r and r[-2] >= n:
-                for at in range(len(r) - 2, -1, -2):
-                    if r[at] < n:
-                        break
-                    cols[r[at] - n] += (u, r[at + 1])
-        if any(rows[n + t] != sparse_scale(-1, tuple(col)) for t, col in enumerate(cols)):
-            return False
-        xs = [tuple(chain.from_iterable((u, x) for u, x in entries(col) if u < n))
-              for col in cols]
-        m = [[0] * k for _ in range(k)]
-        for t in range(k):
-            for u, x in entries(rows[n + t]):
-                if u >= n:
-                    m[t][u - n] = x
-        # column t of L is l[t] e_{k-1-t}, the mirror of new class t
-        l = [core[k - 1 - t][t] for t in range(k)]
-        if (any(core[t][u] and t + u != k - 1
-                or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
-                for t in range(k) for u in range(k))
-                or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
-            return False
-        c_old = self.inv.matrix
-        for t in range(k):
-            # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-            if (sparse_scale(l[t], sparse_combine(xs[k - 1 - t], c_old))
-                    != sparse_scale(-1, xs[t])):
-                return False
 
-        old_images = self.inv.curve_image
-        changed = [(name, img, s) for name, (img, s) in inv.curve_image.items()
-                   if old_images.get(name) != (img, s)]
-        if changed:
-            c_cols = sparse_transpose(inv.matrix)
-            if not all(image_holds(model, c_cols, *image) for image in changed):
-                return False
+    old_images = parent.real_structure.curve_image
+    changed = [(name, img, s) for name, (img, s) in inv.curve_image.items()
+               if old_images.get(name) != (img, s)]
+    if changed:
+        c_cols = sparse_transpose(inv.matrix)
+        if not all(image_holds(model, c_cols, *image) for image in changed):
+            return False
 
-        # per circle, d is its class less its old class q (all of it for a
-        # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
-        # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
-        # less the old classes of removed circles, is the sum of all classes
-        old_circles = dict(old.circles)
-        x_at = [dict(entries(x)) for x in xs]
-        total: dict[int, int] = {}
-        for cid, p in model.circles.items():
-            q = old_circles.pop(cid, None)
-            if q is None:
-                d, jq = p, ()
-            else:
-                yq = [-sum([x.get(i, 0) * y for i, y in entries(q)]) for x in x_at]
-                if p == q:
-                    if any(yq):
-                        return False
-                    continue
-                d = sparse_add(p, q, -1)
-                jq = tuple(chain.from_iterable((n + t, y) for t, y in enumerate(yq) if y))
-            for i, x in entries(d):
-                total[i] = total.get(i, 0) + x
-            if sparse_combine(d, rows) != jq:
-                return False
-        for q in old_circles.values():
-            for i, x in entries(q):
-                total[i] = total.get(i, 0) - x
-        return not any(total.values())
+    # per circle, d is its class less its old class q (all of it for a
+    # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
+    # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
+    # less the old classes of removed circles, is the sum of all classes
+    old_circles = dict(old.circles)
+    x_at = [dict(entries(x)) for x in xs]
+    total: dict[int, int] = {}
+    for cid, p in model.circles.items():
+        q = old_circles.pop(cid, None)
+        if q is None:
+            d, jq = p, ()
+        else:
+            yq = [-sum([x.get(i, 0) * y for i, y in entries(q)]) for x in x_at]
+            if p == q:
+                if any(yq):
+                    return False
+                continue
+            d = sparse_add(p, q, -1)
+            jq = tuple(chain.from_iterable((n + t, y) for t, y in enumerate(yq) if y))
+        for i, x in entries(d):
+            total[i] = total.get(i, 0) + x
+        if sparse_combine(d, rows) != jq:
+            return False
+    for q in old_circles.values():
+        for i, x in entries(q):
+            total[i] = total.get(i, 0) - x
+    return not any(total.values())
 
 
 class _Builder(SimpleNamespace):
@@ -470,16 +460,13 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     its probe rows through the new structure (the plus side first
     through the new word), so F C is never formed.
 
-    The output goes through validate_involution once, as a handle
-    extension of the parent (HandleExtension), which stabilize has
-    validated at the door: the block's checks stand for the algebraic
-    ones, by the lemma of HandleExtension.holds, and the structural
-    checks run in full.  A failing block check gets the full report, so
-    a refusal names the same checks and details as a full validation.
-    An accepted book is valid, so its memo is seeded True.  Its chain
-    memo is seeded from the parent's plus a check of the new block alone
-    (_seed_chain_blocks), so a chain of k moves does not re-peel k
-    blocks per move.
+    The parent passed validation at stabilize's door, so the checks of
+    the handle's block (_block_holds) stand for the algebraic checks of
+    validate_involution, by the lemma there; the structural checks run
+    in full.  Only a book that fails one is validated in full, for the
+    refusal's message.  An accepted book is valid, so its memo is seeded
+    True, and its chain memo is seeded from the parent's
+    (_seed_chain_blocks), so a chain of k moves does not re-peel k blocks.
     """
     st = STAB_TYPES[tag]
     rank = b.rank
@@ -541,18 +528,52 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         fix_plus=fix_plus,
         provenance=ob.provenance + (rec,),
     )
-    report = validate_involution(page, inv,
-                                 HandleExtension(ob.page, ob.real_structure, _core_block(st)))
-    if not all(r.ok for r in report):
-        raise StabilizationError(f"type {tag} at {site}: inconsistent data: {_failures(report)}")
+    if not (_block_holds(ob, _core_block(st), page, inv)
+            and all(r.ok for r in structural_checks(page, inv))):
+        raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
+                                 + failures(validate_involution(page, inv)))
     vars(out)["_involution_valid"] = True
     _seed_chain_blocks(ob, out)
     return out
 
 
-def _failures(report: list[CheckResult]) -> str:
-    """The failing checks of a report, as name: detail; ..."""
-    return "; ".join(f"{r.name}: {r.detail}" for r in report if not r.ok)
+def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
+    """Set the chain memo of a book made from parent by one stabilization:
+    the parent's memo and a check of the new block alone.
+
+    Lemma: peeling the child's blocks below the new one repeats the
+    parent's peel.  After the new block is peeled, the rows are those
+    of the naive extension C~, and the word is the parent's.  Then:
+      * C~ acts as C on the old classes: its old rows are C's, and its
+        new rows are zero at the old coordinates;
+      * old curve classes are extended by zeros, and J a for an old
+        curve a is the parent's on the old coordinates;
+      * earlier blocks read only the old columns: a twist along an old
+        curve a reads a row through its dot with a and adds to it a
+        multiple of J a, so the old columns change as in the parent's
+        peel and the new rows stay zero there; what it writes into the
+        new columns is never read, as the image checks read the
+        columns at the nonzeros of old classes;
+      * curve_image gains only new names, and the page's disjointness
+        changes only for pairs that name a new curve: the root's pairs
+        are the parent's object, and a new curve's pairs follow from its
+        birth (SurfaceModel.births).  The block checks read neither
+        (only the base-word check does, and it stays fresh in
+        openbook._provenance_certificate).
+    So each earlier block certifies on the child exactly when it does on
+    the parent.  The new block is checked by openbook._peel_block on the
+    rows of the child's C~ Sigma.  The new names are fresh, as
+    _start_builder picks names the parent's page lacks.  When the word
+    does not continue as the parent's (an unreduced word read from JSON),
+    nothing is seeded and the memo is peeled fresh when asked for.
+    """
+    rec = child.provenance[-1]
+    if child.monodromy[len(rec.sigma):] != parent.monodromy:
+        return
+    ok, base = parent._chain_blocks
+    if ok:
+        ok = _peel_block(child.page, rec, child.monodromy, child.real_structure.matrix) is not None
+    vars(child)["_chain_blocks"] = (True, base) if ok else (False, ())
 
 
 def _reflection_circle(ob: OpenBook, cid: int) -> None:
@@ -861,7 +882,7 @@ def stabilize(ob: OpenBook, tag: str, site: Mapping | None = None) -> OpenBook:
     if not ob._involution_valid:
         raise StabilizationError("refusing to stabilize a book whose involution fails "
                                  "validation: "
-                                 + _failures(validate_involution(ob.page, ob.real_structure)))
+                                 + failures(validate_involution(ob.page, ob.real_structure)))
     # looked up by name on every call, so a wrapper set on the module
     # attribute (as the benchmark's tracer does) sees the call
     return globals()[f"_stab_{tag}"](ob, _parse_site(ob, st, site))

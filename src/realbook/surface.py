@@ -43,7 +43,9 @@ image_holds (a curve image under a matrix given by its sparse
 columns), and involution_check, anti_symplectic_check and
 lefschetz_check on sparse rows, which
 validate_involution reports and heegaard.validate_heegaard reads for
-both invariant pages.
+both invariant pages.  validate_involution is the one validation of a
+page and its involution (a stabilized book also runs structural_checks
+alone), and failures words the failing checks of a report.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
 other ($.page.form must be antisymmetric), and the forms built by the
@@ -52,9 +54,9 @@ catalog (catalog._symplectic_block) and by stabilization
 CurveVectors derives J a as -J^T a.
 
 The standard pages and involutions the worked examples start from are
-built in realbook.catalog, and the check of a stabilization's handle
-block in realbook.stabilization (HandleExtension), so a process that
-only reads a book compiles neither.
+built in realbook.catalog, and a stabilized book is certified from its
+parent in realbook.stabilization, so a process that only reads a book
+compiles neither.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .records import factory, record
 
 if TYPE_CHECKING:
     from .openbook import StabType
-    from .stabilization import HandleExtension
 
 
 Vec = tuple[int, ...]
@@ -326,15 +327,20 @@ class SurfaceModel:
                 yield tuple(pair)
         yield from self.born_pairs()
 
-    def born_pairs(self) -> Iterator[tuple[str, str]]:
-        """The pairs the rule gives, step by step: (u, n) for each curve n
-        born at the step and each curve u from before it, when the type's
-        disjoint_old holds, and the step's own pairs when disjoint_mutual
-        does."""
+    def birth_steps(self) -> list[tuple[StabType, list[str]]]:
+        """The curves each step made, in step order: (type, names) per
+        step, the names in stored order."""
         born = self.births
-        before = [name for name in self.alphabet if name not in born]
-        for (_step, st), names in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get):
-            names = list(names)
+        return [(st, list(names)) for (_step, st), names
+                in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get)]
+
+    def born_pairs(self) -> Iterator[tuple[str, str]]:
+        """The pairs the rule gives, step by step (birth_steps): (u, n) for
+        each curve n born at the step and each curve u from before it,
+        when the type's disjoint_old holds, and the step's own pairs when
+        disjoint_mutual does."""
+        before = [name for name in self.alphabet if name not in self.births]
+        for st, names in self.birth_steps():
             if st.disjoint_old:
                 yield from product(before, names)
             if st.disjoint_mutual:
@@ -389,6 +395,11 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+
+
+def failures(report: Iterable[CheckResult]) -> str:
+    """The failing checks of a report, as name: detail; ..."""
+    return "; ".join(f"{r.name}: {r.detail}" for r in report if not r.ok)
 
 
 def involution_check(c: Rows, rank: int) -> CheckResult:
@@ -446,8 +457,7 @@ def image_holds(model: SurfaceModel, cols: Sequence[Sparse], name: str,
     return model.curve(img) == sparse_scale(s, sparse_combine(model.curve(name), cols))
 
 
-def validate_involution(model: SurfaceModel, inv: Involution,
-                        extends: HandleExtension | None = None) -> list[CheckResult]:
+def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
     """Check every declared invariant; reports failures, never raises.
 
     The checks run over nonzeros: involution_check, anti_symplectic_check
@@ -456,24 +466,13 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     p is radical when J p = sum_i p_i col_i(J), combined from the sparse
     columns of J over the nonzeros of p, vanishes.  A failing check
     expands its product only to report it.
-
-    With extends (stabilization.HandleExtension), the pair extends a
-    valid pair by a handle block.  When the checks of the block hold
-    (extends.holds), the involution, anti_symplectic, curve_image and
-    boundary_classes checks pass by the lemma there and are reported so;
-    the structural checks run in full.  When a block check fails, every
-    check runs in full, so the report is the full one.
     """
-    if extends is not None and extends.holds(model, inv):
-        return ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
-                + _structural_checks(model, inv)
-                + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)])
     c = inv.matrix
     j = model.form
     rank = model.h1_rank
     involution = involution_check(c, rank)
     out = [involution, anti_symplectic_check(c, j, rank, involution.ok)]
-    out += _structural_checks(model, inv)
+    out += structural_checks(model, inv)
 
     ok, detail = True, ""
     c_cols = sparse_transpose(c)
@@ -501,9 +500,10 @@ def validate_involution(model: SurfaceModel, inv: Involution,
     return out
 
 
-def _structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
+def structural_checks(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
     """boundary_perm, boundary_tags, lefschetz and arc_endpoints: the
-    checks that read the boundary and fixed-set data, not the algebra."""
+    checks of validate_involution that read the boundary and fixed-set
+    data, not the algebra."""
     out: list[CheckResult] = []
     perm = dict(inv.boundary_perm)
     ok = all(perm.get(perm.get(i, None), None) == i for i in perm)

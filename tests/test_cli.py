@@ -154,14 +154,22 @@ def test_heegaard_subcommand(monkeypatch):
 
 
 def test_heegaard_refuses_a_not_real_book_as_a_contract_violation(monkeypatch, capsys):
-    # one entry of C changed makes fig4(2) NotReal: reality and validate
-    # exit 1 on it, and heegaard, whose NotReal refusal names no $. path,
-    # must too
-    _code, book_json = run_cli(["catalog", "fig4", "2"])
-    obj = json.loads(book_json)
-    obj["involution"]["matrix"][1][1] += 1
-    text = json.dumps(obj)
-    for argv in (["reality"], ["validate"], ["heegaard"]):
+    # fig5(2) with one more twist along s1 and its provenance dropped is
+    # NotReal on a valid involution (test_openbook's boundary-transport
+    # witness): reality and validate exit 1 on it, and heegaard, whose
+    # NotReal refusal names no $. path, must too
+    from realbook.catalog import catalog_fig5
+    from realbook.mcg import concat, word
+    from realbook.records import replace
+
+    ob = catalog_fig5(2)
+    text = dumps(replace(ob, monodromy=concat(ob.monodromy, word([("s1", 1)])), provenance=()))
+    code, out = run_cli(["validate"], text, monkeypatch)
+    data = json.loads(out)
+    assert code == 1 and data["reality"] == "NotReal"
+    assert all(v is True for section in ("involution", "page", "plus")
+               for v in data[section].values())
+    for argv in (["reality"], ["heegaard"]):
         capsys.readouterr()
         code, _ = run_cli(argv, text, monkeypatch)
         assert code == 1, argv
@@ -243,6 +251,34 @@ def test_validate_refuses_a_declared_disjoint_pair_that_meets(monkeypatch):
     data = json.loads(out)
     assert data["page"] == {"disjoint": "disjoint pair (a1, b1) has <a1, b1> = 1"}
     assert all(v is True for v in data["involution"].values())
+
+
+def bad_perm_book() -> str:
+    """lens-3punctured 2 2 1 with boundary_perm {1: 2, 2: 2, 3: 3}, which
+    is no involution of the boundary."""
+    _code, book_json = run_cli(["catalog", "lens-3punctured", "2", "2", "1"])
+    obj = json.loads(book_json)
+    obj["involution"]["boundary_perm"] = {"1": 2, "2": 2, "3": 3}
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("make, message", [
+    (meeting_pair_book, "disjoint: disjoint pair (a1, b1) has <a1, b1> = 1"),
+    (bad_perm_book, "boundary_perm: perm = {1: 2, 2: 2, 3: 3}; "
+                    "boundary_tags: swapped circle 1 carries fixed points"),
+], ids=["meeting-pair", "bad-boundary-perm"])
+def test_query_subcommands_refuse_a_book_validate_rejects(make, message, monkeypatch, capsys):
+    """new, reality, invariants and heegaard run validate's checks first:
+    on a book that validate rejects each exits 1 with one error line
+    naming every failing check, and writes nothing to stdout."""
+    text = make()
+    code, out = run_cli(["validate"], text, monkeypatch)
+    assert code == 1 and json.loads(out)["reality"] == "CertifiedReal"
+    for argv in (["new"], ["reality"], ["invariants"], ["heegaard"]):
+        capsys.readouterr()
+        code, out = run_cli(argv, text, monkeypatch)
+        assert (code, out) == (1, ""), argv
+        assert capsys.readouterr().err == f"error: book fails validation: {message}\n", argv
 
 
 def test_malformed_json_is_exit_2(monkeypatch):

@@ -8,7 +8,8 @@ renames a fixed point, moves a boundary_perm entry or a fixed-arc end,
 bumps one entry of involution.matrix or one antisymmetric pair of
 page.form), and runs the result through each book-reading subcommand in
 process.  Every run must end in exit code 0, 1 or 2 without an
-exception escaping, and every exit 2 must print an `error:` line.  The
+exception escaping, and every exit 2 must print an `error:` line; the
+query subcommands must exit 1 on every book validate rejects.  The
 examples are seeded, so a run is repeatable.  A second fuzz adds or
 drops one `disjoint` pair: a list with a pair that names a provenance
 curve and that the book's provenance does not give (the oracle of
@@ -49,6 +50,8 @@ COMMANDS = [
     ["stabilize", "--type", "III", "--site", '{"boundary": 1}'],
     ["stabilize", "--type", "VIII", "--site", '{"boundaries": [1, 2]}'],
 ]
+
+QUERIES = [["new"], ["invariants"], ["heegaard"], ["reality"]]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
@@ -147,11 +150,20 @@ def mutated_books(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutated_books())
 def test_mutated_book_ends_in_an_exit_code(text):
+    """Every subcommand ends in 0, 1 or 2, and no query subcommand (new,
+    reality, invariants, heegaard) exits 0 on a book whose validate
+    report fails an involution, page or plus check.  stabilize checks
+    only the involution at its door (the fourth fuzz)."""
+    code, out, _err = run(["validate"], text)
+    rejected = code != 2 and not all(v is True for section in ("involution", "page", "plus")
+                                     for v in json.loads(out)[section].values())
     for argv in COMMANDS:
         code, _out, err = run(argv, text)
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.startswith("error: "), argv
+        if rejected and argv in QUERIES:
+            assert code == 1 and err.startswith("error: book fails validation: "), (argv, err)
 
 
 STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]

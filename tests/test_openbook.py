@@ -509,7 +509,8 @@ def test_new_block_check_can_fail():
     """The seed checks the child's own block: a child whose new record
     has one image changed seeds (False, ()) from a certified parent, as a
     fresh peel finds."""
-    from realbook.openbook import _chain_blocks_of, _seed_chain_blocks
+    from realbook.openbook import _chain_blocks_of
+    from realbook.stabilization import _seed_chain_blocks
 
     parent = catalog_fig4(3)
     assert parent._chain_blocks[0]
@@ -579,25 +580,35 @@ def typed_walks(seed, steps):
                     break
 
 
-def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
-    """stabilize validates each child of its valid parent from the checks
-    of its block, always passing the handle extension (HandleExtension),
-    and seeds the child's validity memo.  On every golden book and on
-    walks through all nine types, each block check holds, its report
-    equals the full report, and each seeded memo equals a fresh
-    validation."""
-    from test_golden import golden_books
-
+def block_checks_recorded(monkeypatch):
+    """The argument tuples (parent, core, page, inv) of every call
+    stabilize makes to its block check (stabilization._block_holds)."""
     import realbook.stabilization as stabilization_module
 
     seen = []
-    full_validation = stabilization_module.validate_involution
+    block_holds = stabilization_module._block_holds
 
-    def recording(page, inv, extends=None):
-        seen.append((page, inv, extends))
-        return full_validation(page, inv, extends)
+    def recording(*args):
+        seen.append(args)
+        return block_holds(*args)
 
-    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
+    monkeypatch.setattr(stabilization_module, "_block_holds", recording)
+    return seen
+
+
+def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
+    """stabilize validates each child of its valid parent from the checks
+    of its block (_block_holds) and the structural checks, and seeds the
+    child's validity memo.  On every golden book and on walks through
+    all nine types, each block check holds, the report it stands for
+    (the algebraic checks passing, the structural ones run) equals the
+    full report, and each seeded memo equals a fresh validation."""
+    from test_golden import golden_books
+
+    from realbook.stabilization import _block_holds
+    from realbook.surface import CheckResult, structural_checks
+
+    seen = block_checks_recorded(monkeypatch)
     seeded, tags = 0, set()
     for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
         fresh = all(r.ok for r in validate_involution(ob.page, ob.real_structure))
@@ -608,9 +619,12 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
         else:
             assert ob._involution_valid == fresh, label
     assert seeded >= 500 and tags == set(STAB_TYPES)
-    for page, inv, extends in seen:
-        assert extends is not None and extends.holds(page, inv)
-        assert validate_involution(page, inv, extends) == validate_involution(page, inv)
+    for parent, core, page, inv in seen:
+        assert _block_holds(parent, core, page, inv)
+        assert ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
+                + structural_checks(page, inv)
+                + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)]
+                ) == validate_involution(page, inv)
     assert len(seen) >= seeded
 
 
@@ -739,14 +753,10 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     from realbook.mcg import times_word
 
     verdicts, reports = [], []
-    block_holds = stabilization_module.HandleExtension.holds
+    block_holds = stabilization_module._block_holds
     full_validation = stabilization_module.validate_involution
 
-    def spying(*args):
-        verdicts.append(block_holds(*args))
-        return verdicts[-1]
-
-    def corrupting(page, inv, extends=None):
+    def corrupting(parent, core, page, inv):
         if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
             page = replace(page, form=corrupt(page.form, parent))
             sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
@@ -756,12 +766,17 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
         else:
             page, inv = corrupt(page, inv, parent)
         reports.append(full_validation(page, inv))
-        return full_validation(page, inv, extends)
+        verdicts.append(block_holds(parent, core, page, inv))
+        return verdicts[-1]
+
+    def validating_the_corrupted_book(page, inv):
+        return reports[-1]
 
     parent = make()
     assert parent._involution_valid
-    monkeypatch.setattr(stabilization_module.HandleExtension, "holds", spying)
-    monkeypatch.setattr(stabilization_module, "validate_involution", corrupting)
+    monkeypatch.setattr(stabilization_module, "_block_holds", corrupting)
+    monkeypatch.setattr(stabilization_module, "validate_involution",
+                        validating_the_corrupted_book)
     with pytest.raises(StabilizationError) as refused:
         stabilize(parent, tag, site)
     assert verdicts == [False]
@@ -776,31 +791,24 @@ def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
     """The lemma needs C~ to map each new curve to +-its mirror with
     C~^2 = I: on a valid handle pair, any other core block fails the
     block check, while the core the type declares passes."""
-    import realbook.stabilization as stabilization_module
+    from realbook.stabilization import _block_holds
 
-    seen = []
-    full_validation = stabilization_module.validate_involution
-
-    def recording(page, inv, extends=None):
-        seen.append((page, inv, extends))
-        return full_validation(page, inv, extends)
-
-    parent = catalog_fig4(3)
-    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
-    stabilize(parent, "IX", {"boundaries": (1, 2)})
-    (page, inv, ext), = seen
-    assert ext.core == ((0, 1), (1, 0)) and ext.holds(page, inv)
+    ob = catalog_fig4(3)
+    seen = block_checks_recorded(monkeypatch)
+    stabilize(ob, "IX", {"boundaries": (1, 2)})
+    (parent, declared, page, inv), = seen
+    assert declared == ((0, 1), (1, 0)) and _block_holds(parent, declared, page, inv)
     for core in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
                  ((0, 1),), ((1,),), ((0, 2), (2, 0))]:
-        assert not replace(ext, core=core).holds(page, inv), core
+        assert not _block_holds(parent, core, page, inv), core
 
 
 def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     """An image name -> (img, s) with s negated fails the curve_image
     check of a full validation, the block check of a stabilization and
     the peel of a provenance block: the three callers of image_holds."""
-    import realbook.stabilization as stabilization_module
     from realbook.openbook import _chain_blocks_of
+    from realbook.stabilization import _block_holds
 
     def flipped(images, name):
         img, sign = images[name]
@@ -815,21 +823,15 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
     report = {r.name: r.ok for r in validate_involution(ob.page, bad)}
     assert not report["curve_image"] and all(ok for n, ok in report.items() if n != "curve_image")
 
-    seen = []
-    full_validation = stabilization_module.validate_involution
-
-    def recording(page, inv, extends=None):
-        seen.append((page, inv, extends))
-        return full_validation(page, inv, extends)
-
-    monkeypatch.setattr(stabilization_module, "validate_involution", recording)
+    seen = block_checks_recorded(monkeypatch)
     child = stabilize(ob, "III", {"boundary": 1})
-    (page, new_inv, ext), = seen
+    (parent, core, page, new_inv), = seen
     new = sorted(set(new_inv.curve_image) - set(inv.curve_image))
-    assert new and ext.holds(page, new_inv)
+    assert new and _block_holds(parent, core, page, new_inv)
     for name in new:
-        assert not ext.holds(
-            page, replace(new_inv, curve_image=flipped(new_inv.curve_image, name))), name
+        assert not _block_holds(
+            parent, core, page,
+            replace(new_inv, curve_image=flipped(new_inv.curve_image, name))), name
 
     rec = child.provenance[-1]
     assert _chain_blocks_of(child)[0]

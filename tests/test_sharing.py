@@ -106,9 +106,13 @@ def stabilized(parent, tag, site):
 
 
 def first_site(tag):
-    """The first base book and site of BASES at which type tag applies."""
+    """The first base book and site of BASES at which type tag applies,
+    skipping a page of rank 0 (the disk), which has no old row of J or C
+    for the child to share."""
     for params in BASES:
         ob = build(*params)
+        if not ob.page.h1_rank:
+            continue
         for t, site in enumerate_sites(ob):
             if t == tag:
                 try:
