@@ -10,7 +10,8 @@ so subcommands compose in pipelines:
 Exit codes: 0 success, 1 contract violation (a check failed or an
 operation refused its input), 2 malformed input.  new, reality,
 invariants and heegaard run the involution, page and plus-arc checks
-of validate first (_validated_book), and refuse a book that fails one.
+of validate first (openbook.validate_book, through _validated_book), and
+refuse a book that fails one; stabilize refuses it at its door.
 
 Each process runs one subcommand, so each cmd_* imports what it calls
 and the module itself imports only the exceptions of realbook.errors.
@@ -45,26 +46,14 @@ def _read_book(path: str | None):
         return loads(fh.read())
 
 
-def _checks(book) -> dict:
-    """The sections of checks validate reports, by name: the involution's
-    (surface.validate_involution), the page's (validate_page), and the
-    plus side's: the opposite page's fixed arcs, when tracked, end on the
-    same binding fixed points as the page's own."""
-    from .surface import arc_endpoints_check, validate_involution, validate_page
-
-    plus = [] if book.fix_plus is None else [
-        arc_endpoints_check(book.real_structure.fixed_points, book.fix_plus.arcs)]
-    return {"involution": validate_involution(book.page, book.real_structure),
-            "page": validate_page(book.page), "plus": plus}
-
-
 def _validated_book(path: str | None):
     """The book at path, refused (BookInvalid, exit 1) when one of the
     checks validate reports fails, naming each as name: detail."""
+    from .openbook import validate_book
     from .surface import failures
 
     book = _read_book(path)
-    failed = failures(r for report in _checks(book).values() for r in report)
+    failed = failures(r for report in validate_book(book).values() for r in report)
     if failed:
         raise BookInvalid(f"book fails validation: {failed}")
     return book
@@ -222,10 +211,10 @@ def cmd_contact(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .openbook import Reality, check_reality
+    from .openbook import Reality, check_reality, validate_book
 
     book = _read_book(args.infile)
-    checks = _checks(book)
+    checks = validate_book(book)
     status = check_reality(book)
     out = {section: {r.name: (r.ok if r.ok else r.detail) for r in report}
            for section, report in checks.items()}

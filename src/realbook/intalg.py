@@ -8,21 +8,21 @@ nonzeros of both factors: a row of the right factor is listed once as
 each row of the result gathers a * x into entry j for every nonzero a
 of the left row.  So it costs one multiply per pair of nonzeros that
 meet, and a row of the right factor that no nonzero reaches is never
-read: the sparse involutions, forms and Smith transforms cost far less
-than n^3, and a product of a few probe rows reads a few rows of the
-right factor.  Twist words never go through it, because mcg applies
-each twist as an O(n^2) rank-one update.  The Smith form uses the
-smallest-entry pivot rule, with no modular or HNF shortcut, and its
-updates touch only nonzeros: a row operation adds the nonzeros of the
-pivot row, listed once per clearing pass, a column operation changes
-one entry of the working matrix and is a sparse axpy on the columns of
-v.  The pivots and the row and column operations are the full-scan
-rule's, in its order, so the form and its transforms are the same
-entry for entry; only the zero updates are skipped.  One
-elimination loop serves every caller: linear systems are solved by
-back-substitution through a form factored with its transforms, which a
-caller may reuse for many right-hand sides, and cokernel runs the same
-loop without transforms, since it reads only the diagonal.
+read: the sparse involutions and forms cost far less than n^3, and a
+product of a few probe rows reads a few rows of the right factor.
+Twist words never go through it, because mcg applies each twist as an
+O(n^2) rank-one update.  The Smith form uses the smallest-entry pivot
+rule, with no modular or HNF shortcut, and its updates touch only
+nonzeros of the working matrix.  Its transforms are not built as
+matrices: the row and column operations are logged as they run
+(Kannan & Bachem, 1979, compute the form with its transforms), and a
+right-hand side is solved by replaying the row log on it, skipping zero
+entries, and the column log backwards on the result.  The pivots and
+the operations are the full-scan rule's, in its order, so the form, its
+transforms and every solution are the same entry for entry.  One
+elimination loop serves every caller: a system is factored once and
+solved for as many right-hand sides as a caller has, and cokernel reads
+only the diagonal of the same form.
 """
 
 from __future__ import annotations
@@ -148,18 +148,54 @@ class IntMatrix:
 
 @record
 class SmithForm:
-    """U @ A @ V = D with U, V unimodular and D in Smith normal form;
-    u and v are None when the form was computed without transforms.
-    The diagonal of D is read once and kept, so a form reused for many
-    right-hand sides does not rebuild it per solve."""
+    """U @ A @ V = D with U, V unimodular and D in Smith normal form.
+    U and V are kept as the logs of the row and column operations that
+    made them, in order: (i, t, q) adds q times row (column) t to row
+    (column) i, (i, t, None) swaps them, and (t, t, -2) negates row t.
+    u and v are built from the logs when first read.  The diagonal of D
+    is read once and kept, so a form reused for many right-hand sides
+    does not rebuild it per solve."""
 
     d: IntMatrix
-    u: IntMatrix | None
-    v: IntMatrix | None
+    row_ops: tuple[tuple[int, int, int | None], ...]
+    col_ops: tuple[tuple[int, int, int | None], ...]
 
     @cached_property
     def diag(self) -> tuple[int, ...]:
         return self.d.diag()
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        m = self.d.nrows
+        return IntMatrix._trusted(zip(*map(self._times_u, IntMatrix.identity(m).rows)), m)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        n = self.d.ncols
+        return IntMatrix._trusted(zip(*map(self._times_v, IntMatrix.identity(n).rows)), n)
+
+    def _times_u(self, b: Sequence[int]) -> list[int]:
+        """U b: the row log replayed on b, in order, skipping additions
+        from a zero entry."""
+        c = list(b)
+        for i, t, q in self.row_ops:
+            if q is None:
+                c[i], c[t] = c[t], c[i]
+            elif c[t]:
+                c[i] += q * c[t]
+        return c
+
+    def _times_v(self, y: Sequence[int]) -> tuple[int, ...]:
+        """V y: the column log replayed backwards on y, as its first
+        operation is V's outermost factor.  Adding q times column t to
+        column i adds q y_i to y_t; an addition from zero is skipped."""
+        y = list(y)
+        for i, t, q in reversed(self.col_ops):
+            if q is None:
+                y[i], y[t] = y[t], y[i]
+            elif y[i]:
+                y[t] += q * y[i]
+        return tuple(y)
 
 
 @record
@@ -185,8 +221,8 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
-    """Smith normal form with unimodular transforms.
+def smith_normal_form(a: IntMatrix) -> SmithForm:
+    """Smith normal form, with its transforms as logs of eliminations.
 
     Pivoting rule: smallest nonzero absolute value in the working
     submatrix, ties broken row-major.  Deterministic, and keeps entry
@@ -198,44 +234,30 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
     column operations are those of the full-scan rule, in its order, so
     d, u and v equal its transforms entry for entry.  Each pass that
     clears column t lists the nonzeros of the pivot row from column t
-    on, and of u's pivot row, once, and adds multiples of them to the
-    rows with an entry in column t.  Once column t is clear below the
-    pivot, and every row above t is zero from column t on (each earlier
-    step ends with its row and column clear but for the pivot), a column
-    operation that clears row t changes only the pivot row of the
-    working matrix: its entry becomes a remainder by the pivot.  v is
-    kept as its list of columns, so that operation is one sparse axpy
-    on v, and a column swap swaps two lists.
-
-    With transforms=False the same eliminations run on the working
-    matrix alone, u and v having empty rows and columns: d is the same,
-    and u and v are None.
+    on, once, and adds multiples of them to the rows with an entry in
+    column t.  Once column t is clear below the pivot, and every row
+    above t is zero from column t on (each earlier step ends with its
+    row and column clear but for the pivot), a column operation that
+    clears row t changes only the pivot row of the working matrix: its
+    entry becomes a remainder by the pivot.  Each operation is logged
+    (SmithForm) and none is applied to a transform, so cokernel, which
+    reads the diagonal only, pays nothing for them.
     """
     m, n = a.shape
     mat = list(map(list, a.rows))
-    if transforms:
-        u = [[0] * m for _ in range(m)]
-        for i, row in enumerate(u):
-            row[i] = 1
-        vcols = [[0] * n for _ in range(n)]
-        for i, col in enumerate(vcols):
-            col[i] = 1
-    else:
-        # every update of an empty row or column is a no-op, so the loop
-        # is the same and only d is computed
-        u = [[] for _ in range(m)]
-        vcols = [[] for _ in range(n)]
+    row_ops: list[tuple[int, int, int | None]] = []
+    col_ops: list[tuple[int, int, int | None]] = []
 
     def swap_rows(i, j):
         mat[i], mat[j] = mat[j], mat[i]
-        u[i], u[j] = u[j], u[i]
+        row_ops.append((i, j, None))
 
     def swap_cols(t, j):
         # rows above t are zero in both columns
         for r in range(t, m):
             row = mat[r]
             row[t], row[j] = row[j], row[t]
-        vcols[t], vcols[j] = vcols[j], vcols[t]
+        col_ops.append((t, j, None))
 
     t = 0
     size = min(m, n)
@@ -270,28 +292,22 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
             below = [i for i in range(t + 1, m) if mat[i][t]]
             if below:
                 pnz = [(j, x) for j, x in enumerate(top[t:], t) if x]
-                unz = [(j, x) for j, x in enumerate(u[t]) if x]
                 for i in below:
                     q = -(mat[i][t] // p)
                     row = mat[i]
                     for j, x in pnz:
                         row[j] += q * x
-                    row = u[i]
-                    for j, x in unz:
-                        row[j] += q * x
+                    row_ops.append((i, t, q))
                 dirty = [i for i in below if mat[i][t]]
                 if dirty:
                     swap_rows(t, min(dirty, key=lambda k: abs(mat[k][t])))
                     continue
             right = [j for j in range(t + 1, n) if top[j]]
             if right:
-                vnz = [(i, y) for i, y in enumerate(vcols[t]) if y]
                 for j in right:
                     q = -(top[j] // p)
                     top[j] += q * p
-                    col = vcols[j]
-                    for i, y in vnz:
-                        col[i] += q * y
+                    col_ops.append((j, t, q))
                 dirty = [j for j in right if top[j]]
                 if dirty:
                     swap_cols(t, min(dirty, key=lambda k: abs(top[k])))
@@ -307,26 +323,21 @@ def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SmithForm:
             for j, x in enumerate(mat[offender][t + 1:], t + 1):
                 if x:
                     top[j] += x
-            row = u[t]
-            for j, x in enumerate(u[offender]):
-                if x:
-                    row[j] += x
+            row_ops.append((t, offender, 1))
         if mat[t][t] < 0:
             # row t is zero but for the pivot
             mat[t][t] = -mat[t][t]
-            u[t] = [-x for x in u[t]]
+            row_ops.append((t, t, -2))
         t += 1
 
-    d = IntMatrix._trusted(mat, n)
-    if not transforms:
-        return SmithForm(d=d, u=None, v=None)
-    return SmithForm(d=d, u=IntMatrix._trusted(u, m), v=IntMatrix._trusted(zip(*vcols), n))
+    return SmithForm(d=IntMatrix._trusted(mat, n), row_ops=tuple(row_ops),
+                     col_ops=tuple(col_ops))
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Z^rows(a) modulo the column span of a, in canonical form.  Only
-    the Smith diagonal is needed, so no transform is built."""
-    diag = smith_normal_form(a, transforms=False).diag
+    the Smith diagonal is read, so no transform is built."""
+    diag = smith_normal_form(a).diag
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianGroup(free_rank=a.nrows - len(nonzero), torsion=torsion)
@@ -334,12 +345,13 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
 
 def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a @ x = b, given the Smith form of a, or
-    None if there is none.  Factor a once to solve for many b."""
-    if snf.u.ncols != len(b):
+    None if there is none: x = V y for D y = U b, with U b and V y
+    replayed from the logs.  Factor a once to solve for many b."""
+    if snf.d.nrows != len(b):
         raise ValueError("rhs length mismatch")
-    c = snf.u.apply(b)
+    c = snf._times_u(b)
     diag = snf.diag
-    y = [0] * snf.v.nrows
+    y = [0] * snf.d.ncols
     for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
         if d != 0:
@@ -348,7 +360,7 @@ def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
             y[i] = ci // d
         elif ci != 0:
             return None
-    return snf.v.apply(y)
+    return snf._times_v(y)
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -361,14 +373,15 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 def solve_integer_affine(
     a: IntMatrix, b: Sequence[int]
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """Particular solution and a kernel basis of a @ x = b, or None."""
+    """Particular solution and a kernel basis of a @ x = b, or None.  The
+    kernel is spanned by the columns of V past the nonzero diagonal,
+    each the column log replayed on a unit vector."""
     if a.nrows != len(b):
         raise ValueError("rhs length mismatch")
     snf = smith_normal_form(a)
     x = snf_solve(snf, b)
     if x is None:
         return None
-    # the kernel is spanned by the columns of v past the nonzero diagonal
-    diag = snf.diag
-    cols = snf.v.transpose().rows
-    return x, [col for j, col in enumerate(cols) if j >= len(diag) or diag[j] == 0]
+    diag, n = snf.diag, a.ncols
+    return x, [snf._times_v([int(i == j) for i in range(n)])
+               for j in range(n) if j >= len(diag) or diag[j] == 0]

@@ -6,7 +6,8 @@ The nine positive real stabilizations live in realbook.stabilization,
 which a process that only reads a book never loads.  stabilize,
 enumerate_sites and _stab_{T} still resolve here (module __getattr__):
 the first lookup loads that module and binds the name in this one.
-It seeds the validity and chain memos of each book it makes; any other
+stabilize reads a book's door memo (OpenBook._door), and seeds the door
+and the chain memo of each book it makes from its new block; any other
 book computes them here, the chain through mcg.times_word.
 """
 
@@ -29,19 +30,23 @@ from .mcg import (
 )
 from .records import record
 from .surface import (
+    CheckResult,
     FixedSet,
     Involution,
     Rows,
     Sparse,
     SurfaceModel,
+    arc_endpoints_check,
     dense,
     dense_matrix,
     entries,
+    failures,
     image_holds,
     sparse_combine,
     sparse_transpose,
     unit,
     validate_involution,
+    validate_page,
 )
 
 
@@ -142,16 +147,35 @@ class OpenBook:
         return _chain_blocks_of(self)
 
     @cached_property
-    def _involution_valid(self) -> bool:
-        """Whether every check of validate_involution passes.  stabilize
-        refuses a book without it, and seeds it True on every book it
-        makes, whose new block it has checked."""
-        return all(r.ok for r in validate_involution(self.page, self.real_structure))
+    def _door(self) -> str | None:
+        """Why stabilize refuses this book, or None: a NotReal verdict,
+        then the failing checks of validate_book, the involution's
+        first.  A book stabilize makes has it seeded None when its new
+        block certifies (stabilization._seed_chain_blocks)."""
+        if check_reality(self).kind is Reality.NOT_REAL:
+            return "refusing to stabilize a NotReal book"
+        checks = validate_book(self)
+        failed = failures(checks["involution"])
+        if failed:
+            return f"refusing to stabilize a book whose involution fails validation: {failed}"
+        failed = failures(checks["page"] + checks["plus"])
+        return f"refusing to stabilize a book that fails validation: {failed}" if failed else None
 
     @cached_property
     def monodromy_matrix(self) -> IntMatrix:
         """F, the action of the monodromy on H1 of the page."""
         return word_matrix(self.page, self.monodromy)
+
+
+def validate_book(ob: OpenBook) -> dict[str, list[CheckResult]]:
+    """The checks of a book by section, as validate reports them: the
+    involution's (validate_involution), the page's (validate_page), and
+    the plus side's: the opposite page's fixed arcs, when tracked, end
+    on the same binding fixed points as the page's own."""
+    plus = [] if ob.fix_plus is None else [
+        arc_endpoints_check(ob.real_structure.fixed_points, ob.fix_plus.arcs)]
+    return {"involution": validate_involution(ob.page, ob.real_structure),
+            "page": validate_page(ob.page), "plus": plus}
 
 
 # ---------------------------------------------------------------------------

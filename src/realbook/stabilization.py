@@ -5,12 +5,12 @@ Stabilization bookkeeping follows local handle models.  The new real
 structure is (extension of c) composed with the stabilizing twist(s);
 its matrix is C~ @ Sigma, its fixed set is the old one pushed through a
 strand-switch analysis near the twisting annuli.  stabilize takes only
-a book whose involution is valid (it refuses any other at the door),
-so it turns a valid real open book into a valid one.  Each output is
-certified here from its parent by the checks of the new block
-(_block_holds, with the lemma they rest on), and its validity and chain
-memos are seeded (_seed_chain_blocks); incompatible sites raise instead
-of producing inconsistent data.
+a book that is not NotReal and passes validate (its door,
+OpenBook._door), so it turns a valid real open book into a valid one.
+Each output is certified here from its parent by the checks of the new
+block (_block_holds, with the lemma they rest on), and its door and
+chain memos are seeded (_seed_chain_blocks); incompatible sites raise
+instead of producing inconsistent data.
 
 The book, the reality check and H1 are in realbook.openbook, which
 re-exports stabilize, enumerate_sites and _stab_{T} lazily; of the
@@ -36,12 +36,10 @@ from .mcg import TwistWord, concat, times_word, word
 from .openbook import (
     STAB_TYPES,
     OpenBook,
-    Reality,
     StabRecord,
     StabType,
     _mirror_functional,
     _peel_block,
-    check_reality,
 )
 from .records import replace
 from .surface import (
@@ -51,6 +49,7 @@ from .surface import (
     Rows,
     Sparse,
     SurfaceModel,
+    arc_endpoints_check,
     crossing_residuals,
     dense,
     dense_matrix,
@@ -66,6 +65,7 @@ from .surface import (
     sparse_transpose,
     structural_checks,
     validate_involution,
+    validate_page,
     vec_dot,
 )
 
@@ -118,13 +118,14 @@ def _naive_extension(c: Rows, st: StabType) -> Rows:
 def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
                  model: SurfaceModel, inv: Involution) -> bool:
     """Whether the involution, anti_symplectic, curve_image and
-    boundary_classes checks of validate_involution hold on (model, inv),
-    which _finish builds from the parent's valid pair and k new classes,
-    from checks of the block alone; core is L in C~ = C (+) L (_core_block).
+    boundary_classes checks of validate_involution, and the disjoint
+    check of validate_page, hold on (model, inv), which _finish builds
+    from the parent's valid book and k new classes, from checks of the
+    block alone; core is L in C~ = C (+) L (_core_block).
 
     With n the old rank, the builder guarantees, and this does not
     check:
-      * the old pair is valid: stabilize refuses any other at the door;
+      * the old book is valid: stabilize refuses any other at the door;
       * the new basis is the old one followed by the classes
         e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
         lacks (_start_builder picks them so), and every old curve keeps
@@ -134,7 +135,9 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
         no row has an index past the new rank;
       * the new matrix is C~ Sigma, Sigma the positive twist along each
         new curve, the mirror e_{n+1} before e_n for a pair;
-      * a curve image equal to the old one names a curve Sigma fixes.
+      * a curve image equal to the old one names a curve Sigma fixes;
+      * the root pairs are the parent's, and the new curves are born at
+        one step of the type made.
 
     Write the new form as J' = [[J, X], [Y, M]] and the new matrix
     as C~ Sigma with C~ = C (+) L.  Checked here, as the rest of what
@@ -164,7 +167,11 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
     is antisymmetric (J by the premise in surface's docstring,
     Y = -X^T and M by the checks above), and the sum of all classes
     is the old sum, zero, moved by the new and changed classes less
-    the old classes of changed and removed circles.
+    the old classes of changed and removed circles.  The parent's
+    disjoint pairs keep <a, b> = 0 in the block J; the step's type adds
+    each older curve u with each new one when disjoint_old, at
+    <u, e_{n+t}> = u . x_t, which X = 0 makes zero, and its two curves
+    when disjoint_mutual, at <a, ca> = M[0][1] (SurfaceModel.births).
     """
     old = parent.page
     n, rank = old.h1_rank, model.h1_rank
@@ -191,6 +198,10 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
         for u, x in entries(rows[n + t]):
             if u >= n:
                 m[t][u - n] = x
+    born = model.births.get(model.basis[n])
+    if (born is None or born[1].disjoint_old and any(xs)
+            or born[1].disjoint_mutual and k == 2 and m[0][1]):
+        return False
     # column t of L is l[t] e_{k-1-t}, the mirror of new class t
     l = [core[k - 1 - t][t] for t in range(k)]
     if (any(core[t][u] and t + u != k - 1
@@ -460,13 +471,13 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     its probe rows through the new structure (the plus side first
     through the new word), so F C is never formed.
 
-    The parent passed validation at stabilize's door, so the checks of
-    the handle's block (_block_holds) stand for the algebraic checks of
-    validate_involution, by the lemma there; the structural checks run
-    in full.  Only a book that fails one is validated in full, for the
-    refusal's message.  An accepted book is valid, so its memo is seeded
-    True, and its chain memo is seeded from the parent's
-    (_seed_chain_blocks), so a chain of k moves does not re-peel k blocks.
+    The parent passed stabilize's door, so the checks of the handle's
+    block (_block_holds) stand for validate_involution's algebraic
+    checks and validate_page, by the lemma there; the structural checks
+    and the plus arcs' ends run in full.  Only a book that fails one is
+    validated in full, for the refusal's message.  The chain and door
+    memos are seeded (_seed_chain_blocks), so a chain of k moves neither
+    re-peels k blocks nor decides its reality again.
     """
     st = STAB_TYPES[tag]
     rank = b.rank
@@ -528,18 +539,20 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         fix_plus=fix_plus,
         provenance=ob.provenance + (rec,),
     )
+    plus = [] if fix_plus is None else [arc_endpoints_check(inv.fixed_points, fix_plus.arcs)]
     if not (_block_holds(ob, _core_block(st), page, inv)
-            and all(r.ok for r in structural_checks(page, inv))):
+            and all(r.ok for r in structural_checks(page, inv) + plus)):
         raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
-                                 + failures(validate_involution(page, inv)))
-    vars(out)["_involution_valid"] = True
+                                 + failures(validate_involution(page, inv)
+                                            + validate_page(page) + plus))
     _seed_chain_blocks(ob, out)
     return out
 
 
 def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
-    """Set the chain memo of a book made from parent by one stabilization:
-    the parent's memo and a check of the new block alone.
+    """Set the chain memo of a book made from parent by one stabilization,
+    from the parent's memo and a check of the new block alone, and open
+    the child's door (OpenBook._door) when that block certifies.
 
     Lemma: peeling the child's blocks below the new one repeats the
     parent's peel.  After the new block is peeled, the rows are those
@@ -566,14 +579,27 @@ def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
     _start_builder picks names the parent's page lacks.  When the word
     does not continue as the parent's (an unreduced word read from JSON),
     nothing is seeded and the memo is peeled fresh when asked for.
+
+    Lemma (the door).  The child passes every check of validate_book,
+    or _finish would have refused it.  The parent is not NotReal, so
+    c f c = f^-1 at the level that decided it, and so c~ f~ c~ = f~^-1
+    for the extensions to the new page (on H1 a new class moves by the
+    transport defect of its arc, which the parent's boundary-transport
+    identity pairs with c).  The new block certifies c~ sigma c~ =
+    sigma^-1, so (c~ sigma)(f~ sigma)(c~ sigma) = (c~ sigma c~)
+    (c~ f~ c~)(c~ sigma c~) sigma = (f~ sigma)^-1: the child is not
+    NotReal either.  Its reality memo stays unseeded, so check_reality
+    on it still decides the verdict and witness in full.
     """
     rec = child.provenance[-1]
     if child.monodromy[len(rec.sigma):] != parent.monodromy:
         return
+    rows = child.real_structure.matrix
+    certified = _peel_block(child.page, rec, child.monodromy, rows) is not None
     ok, base = parent._chain_blocks
-    if ok:
-        ok = _peel_block(child.page, rec, child.monodromy, child.real_structure.matrix) is not None
-    vars(child)["_chain_blocks"] = (True, base) if ok else (False, ())
+    vars(child)["_chain_blocks"] = (True, base) if ok and certified else (False, ())
+    if certified:
+        vars(child)["_door"] = None
 
 
 def _reflection_circle(ob: OpenBook, cid: int) -> None:
@@ -868,21 +894,18 @@ def stabilize(ob: OpenBook, tag: str, site: Mapping | None = None) -> OpenBook:
     A malformed site (not an object, a key the type does not read, a
     value that is not an integer, "boundaries" not a pair) raises
     ValueError, so the CLI exits 2.  Incompatible sites, NotReal input
-    and a book whose involution fails validate_involution raise
-    StabilizationError (CLI exit 1), the last naming each failing check.
-    The parent's validity is read through its memo
-    (OpenBook._involution_valid), which every book stabilize makes has
-    seeded True, so a chain of moves validates its root once.
+    and a book that fails a check of validate (openbook.validate_book)
+    raise StabilizationError (CLI exit 1), the last naming each failing
+    check.  The door is the book's memo (OpenBook._door), which every
+    book stabilize makes has seeded open when its new block certifies,
+    so a chain of moves decides its root's reality and validity once.
     """
     st = STAB_TYPES.get(tag)
     if st is None:
         raise StabilizationError(f"unknown stabilization type {tag!r}")
-    if check_reality(ob).kind is Reality.NOT_REAL:
-        raise StabilizationError("refusing to stabilize a NotReal book")
-    if not ob._involution_valid:
-        raise StabilizationError("refusing to stabilize a book whose involution fails "
-                                 "validation: "
-                                 + failures(validate_involution(ob.page, ob.real_structure)))
+    refusal = ob._door
+    if refusal is not None:
+        raise StabilizationError(refusal)
     # looked up by name on every call, so a wrapper set on the module
     # attribute (as the benchmark's tracer does) sees the call
     return globals()[f"_stab_{tag}"](ob, _parse_site(ob, st, site))

@@ -123,6 +123,98 @@ def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
                if i != j)
 
 
+def full_scan_smith_normal_form(a):
+    """(D, U, V) with U A V = D, as the Smith form was first written, with
+    dense transforms: the pivot scan always covers the whole working
+    block, the divisibility sweep always runs, and each row and column
+    operation is applied to u or v as it runs.  The reference for
+    intalg.smith_normal_form, whose pivots and operations are the same,
+    so its logged transforms must equal these entry for entry."""
+    m, n = a.shape
+    mat = [list(row) for row in a.rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        mat[i], mat[j] = mat[j], mat[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in mat + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in mat + v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = mat[i][j]
+                if x != 0 and (pivot is None or abs(x) < abs(mat[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, m):
+                if mat[i][t] != 0:
+                    add_row(i, t, -(mat[i][t] // mat[t][t]))
+            col_dirty = [i for i in range(t + 1, m) if mat[i][t] != 0]
+            if col_dirty:
+                swap_rows(t, min(col_dirty, key=lambda k: abs(mat[k][t])))
+                continue
+            for j in range(t + 1, n):
+                if mat[t][j] != 0:
+                    add_col(j, t, -(mat[t][j] // mat[t][t]))
+            row_dirty = [j for j in range(t + 1, n) if mat[t][j] != 0]
+            if row_dirty:
+                swap_cols(t, min(row_dirty, key=lambda k: abs(mat[t][k])))
+                continue
+            offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                             if mat[i][j] % mat[t][t] != 0), None)
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if mat[t][t] < 0:
+            mat[t] = [-x for x in mat[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return IntMatrix(mat, ncols=n), IntMatrix(u, ncols=m), IntMatrix(v, ncols=n)
+
+
+def dense_solve(a: IntMatrix, b: list[int]) -> tuple[tuple[int, ...] | None, list]:
+    """One solution of a x = b (None when there is none) and the kernel
+    basis, read off the dense transforms of full_scan_smith_normal_form:
+    x = V y for D y = U b, and the columns of V past the nonzero
+    diagonal."""
+    d, u, v = full_scan_smith_normal_form(a)
+    diag = d.diag()
+    c = u.apply(b)
+    y = [0] * a.ncols
+    x: tuple[int, ...] | None = None
+    for i, ci in enumerate(c):
+        di = diag[i] if i < len(diag) else 0
+        if (ci % di if di else ci) != 0:
+            break
+        if di:
+            y[i] = ci // di
+    else:
+        x = v.apply(y)
+    kernel = [col for j, col in enumerate(v.transpose().rows)
+              if j >= len(diag) or diag[j] == 0]
+    return x, kernel
+
+
 def is_trivial(group: AbelianGroup) -> bool:
     return group.free_rank == 0 and not group.torsion
 

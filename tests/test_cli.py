@@ -707,6 +707,38 @@ def test_stabilize_refuses_a_book_whose_involution_validate_rejects(circle, book
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
+def _plus_arc_on_one_point():
+    """The disk with both ends of its plus-side fixed arc on real point
+    1 of boundary 1, which validate rejects (plus: arc_endpoints)."""
+    obj = json.loads(run_cli(["catalog", "disk"])[1])
+    obj["fix_plus"]["arcs"][0]["ends"] = [[1, 1], [1, 1]]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("make, tag, failed", [
+    (meeting_pair_book, "III", "disjoint: disjoint pair (a1, b1) has <a1, b1> = 1"),
+    (_plus_arc_on_one_point, "I",
+     "arc_endpoints: used [(1, 1), (1, 1)] vs declared [(1, 1), (1, 2)]"),
+], ids=["meeting-pair", "plus-arc-on-one-point"])
+def test_stabilize_refuses_a_book_whose_page_or_plus_side_validate_rejects(make, tag, failed,
+                                                                           monkeypatch, capsys):
+    """A book whose involution is valid but whose page or plus side is
+    not: validate exits 1, and stabilize refuses the book at the door
+    with exit 1 and the failing check, in process and as a child
+    process."""
+    text = make()
+    capsys.readouterr()
+    code, out = run_cli(["validate"], text, monkeypatch)
+    assert code == 1 and all(v is True for v in json.loads(out)["involution"].values())
+    argv = ["stabilize", "--type", tag, "--site", '{"boundary": 1}']
+    code, out = run_cli(argv, text, monkeypatch)
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == f"error: refusing to stabilize a book that fails validation: {failed}\n"
+    proc = _python(["-m", "realbook.cli", *argv], text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv, depth", [
     (["invariants"], 200_000),
     (["stabilize", "--type", "I", "--site"], 5000),

@@ -220,13 +220,18 @@ def test_a_curve_paired_with_itself_is_exit_2():
 
 
 def test_a_root_pair_naming_a_missing_curve_gains_nothing_from_a_birth():
-    """A root pair may name a curve the page lacks (validate reports it).
-    When a stabilization then makes a curve of that name, the pair
-    still names no root curve: the new curve's pairs are its type's
-    alone, and the book is written as one the reader takes back."""
+    """A root pair may name a curve the page lacks (validate reports it,
+    and stabilize refuses the book at its door).  When a page that
+    keeps the pair has a curve of that name made, the pair still names
+    no root curve: the new curve's pairs are its type's alone, and the
+    book is written as one the reader takes back."""
     obj = json.loads(dumps(ENTRIES[0].build()))
     obj["disjoint"].append(["d1", "s1"])
-    after = stabilize(loads(json.dumps(obj)), "I", {"boundary": 1})
+    root = loads(json.dumps(obj))
+    with pytest.raises(StabilizationError, match=r"disjoint pair \(d1, s1\) names an unknown"):
+        stabilize(root, "I", {"boundary": 1})
+    made = stabilize(ENTRIES[0].build(), "I", {"boundary": 1})
+    after = replace(made, page=replace(made.page, disjoint=root.page.disjoint))
     assert "s1" in after.page.alphabet and not after.page.curves_disjoint("d1", "s1")
     text = dumps(after)
     assert json.loads(text)["disjoint"] == [] and dumps(loads(text)) == text

@@ -20,7 +20,7 @@ from the catalog books and checks each step's storage
 (tests/test_sharing.py): canonical sparse vectors, the parent's objects
 shared where the step left them alone, and the parent's text unmoved.
 A fourth runs stabilize on the mutated books: it must refuse, with exit
-1, every book whose involution validate rejects.
+1, every book validate rejects.
 """
 
 import json
@@ -52,6 +52,7 @@ COMMANDS = [
 ]
 
 QUERIES = [["new"], ["invariants"], ["heegaard"], ["reality"]]
+STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
@@ -152,8 +153,8 @@ def mutated_books(draw):
 def test_mutated_book_ends_in_an_exit_code(text):
     """Every subcommand ends in 0, 1 or 2, and no query subcommand (new,
     reality, invariants, heegaard) exits 0 on a book whose validate
-    report fails an involution, page or plus check.  stabilize checks
-    only the involution at its door (the fourth fuzz)."""
+    report fails an involution, page or plus check, and stabilize
+    refuses it at the door."""
     code, out, _err = run(["validate"], text)
     rejected = code != 2 and not all(v is True for section in ("involution", "page", "plus")
                                      for v in json.loads(out)[section].values())
@@ -164,9 +165,8 @@ def test_mutated_book_ends_in_an_exit_code(text):
             assert err.startswith("error: "), argv
         if rejected and argv in QUERIES:
             assert code == 1 and err.startswith("error: book fails validation: "), (argv, err)
-
-
-STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]
+        if rejected and argv in STABILIZE:
+            assert code == 1 and err.startswith("error: refusing to stabilize "), (argv, err)
 
 
 @seed(17)
@@ -174,12 +174,12 @@ STABILIZE = [argv for argv in COMMANDS if argv[0] == "stabilize"]
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutated_books())
 def test_stabilize_refuses_what_validate_rejects(text):
-    """stabilize validates its parent at the door.  On a mutated book no
-    stabilize run lets an exception escape, and each exits 1 with an
-    `error:` line whenever a check of validate's involution section
-    fails."""
-    code, out, _err = run(["validate"], text)
-    rejected = code != 2 and not all(v is True for v in json.loads(out)["involution"].values())
+    """stabilize decides its parent's reality and validity at the door.
+    On a mutated book no stabilize run lets an exception escape, and
+    none exits 0 on a book that validate rejects: each exits 1 with an
+    `error:` line whenever validate exits 1, on a failing check of any
+    section or a NotReal verdict."""
+    rejected = run(["validate"], text)[0] == 1
     for argv in STABILIZE:
         code, _out, err = run(argv, text)
         assert code in (0, 1, 2), argv

@@ -11,7 +11,16 @@ from realbook.intalg import (
     solve_integer,
     solve_integer_affine,
 )
-from oracles import as_matrix, det, determinantal_divisors, diagonal, smith_check, zeros
+from oracles import (
+    as_matrix,
+    dense_solve,
+    det,
+    determinantal_divisors,
+    diagonal,
+    full_scan_smith_normal_form,
+    smith_check,
+    zeros,
+)
 
 
 def random_matrix(rng, m, n, bound=5):
@@ -216,71 +225,6 @@ def test_constructor_normalizes_and_checks_widths():
     assert IntMatrix([[], []], ncols=0).shape == (2, 0)
 
 
-def full_scan_smith_normal_form(a):
-    """The Smith form as first written: the pivot scan always covers the
-    whole working block and the divisibility sweep always runs."""
-    m, n = a.shape
-    mat = [list(row) for row in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in mat + v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in mat + v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = mat[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                if mat[i][t] != 0:
-                    add_row(i, t, -(mat[i][t] // mat[t][t]))
-            col_dirty = [i for i in range(t + 1, m) if mat[i][t] != 0]
-            if col_dirty:
-                swap_rows(t, min(col_dirty, key=lambda k: abs(mat[k][t])))
-                continue
-            for j in range(t + 1, n):
-                if mat[t][j] != 0:
-                    add_col(j, t, -(mat[t][j] // mat[t][t]))
-            row_dirty = [j for j in range(t + 1, n) if mat[t][j] != 0]
-            if row_dirty:
-                swap_cols(t, min(row_dirty, key=lambda k: abs(mat[t][k])))
-                continue
-            offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
-                             if mat[i][j] % mat[t][t] != 0), None)
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if mat[t][t] < 0:
-            mat[t] = [-x for x in mat[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(mat, ncols=n), IntMatrix(u, ncols=m), IntMatrix(v, ncols=n)
-
-
 def fig4_viii_systems(k=16):
     """Every system _solve_viii_data factors while the fig4 ladder is
     built to k: the largest Smith forms of a stabilization, to 60 x 58
@@ -324,8 +268,7 @@ def test_snf_matches_full_scan_pivot_rule():
         snf = smith_normal_form(a)
         oracle = full_scan_smith_normal_form(a)
         assert (snf.d, snf.u, snf.v) == oracle, a
-        bare = smith_normal_form(a, transforms=False)
-        assert (bare.d, bare.u, bare.v) == (oracle[0], None, None), a
+        assert_cokernel_reads_only_d(a, oracle[0])
 
 
 def test_fig4_ladder_reaches_the_largest_viii_systems():
@@ -379,15 +322,30 @@ def cokernel_from_divisors(a):
 
 
 def cokernel_from_transforms(a):
-    """The cokernel read off the Smith form computed with its transforms."""
-    nonzero = [d for d in smith_normal_form(a).d.diag() if d]
+    """The cokernel read off the dense-transform reference's diagonal."""
+    nonzero = [d for d in full_scan_smith_normal_form(a)[0].diag() if d]
     return AbelianGroup(a.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
+def assert_cokernel_reads_only_d(a, d):
+    """cokernel(a) factors one Smith form, whose diagonal matrix is d,
+    and reads only d: neither transform is built from the logs."""
+    from realbook import intalg
+
+    forms = []
+    factor = intalg.smith_normal_form
+    intalg.smith_normal_form = lambda m: forms.append(factor(m)) or forms[-1]
+    try:
+        cokernel(a)
+    finally:
+        intalg.smith_normal_form = factor
+    (form,) = forms
+    assert form.d == d, a
+    assert not {"u", "v"} & vars(form).keys(), a
+
+
 def assert_diagonal_only_agrees(a):
-    bare = smith_normal_form(a, transforms=False)
-    assert bare.u is None and bare.v is None
-    assert bare.d == smith_normal_form(a).d, a
+    assert_cokernel_reads_only_d(a, smith_normal_form(a).d)
     assert cokernel(a) == cokernel_from_transforms(a), a
 
 
@@ -426,3 +384,107 @@ def test_cokernel_diagonal_on_every_h1_relation_matrix(monkeypatch):
     assert len(relations) == len(books)
     for a in relations:
         assert_diagonal_only_agrees(a)
+
+
+# ---------------------------------------------------------------------------
+# solutions and kernels replayed from the logs, against dense transforms
+
+
+ROUND_BASES = [("disk",), ("hopf", "conjugation"), ("hopf", "swap"), ("fig4", 1), ("fig4", 2),
+               ("fig4", 3), ("fig5", 1), ("fig5", 2), ("fig6", 1), ("fig6", 2),
+               ("lens-annulus", 3), ("lens-annulus", 7), ("lens-3punctured", 2, 2, 1)]
+
+
+def stabilize_round(seed, bases):
+    """One round of the stabilize benchmark: the fig4, fig5 and fig6
+    ladders from the disk to k = 16, then four walks of six steps from
+    each of the built bases (ROUND_BASES), walk w's step i trying the
+    sites of the (w + i)-th type first, its sites shuffled by
+    random.Random("<seed>/<base>/<index>")."""
+    from realbook.catalog import build
+    from realbook.openbook import STAB_TYPES, StabilizationError, enumerate_sites, stabilize
+
+    for family in ("fig4", "fig5", "fig6"):
+        build(family, 16)
+    types = list(STAB_TYPES)
+    walks = [(base, i) for base in ROUND_BASES for i in range(4)]
+    for w, (base, i) in enumerate(walks):
+        rng = random.Random(f"{seed}/{'-'.join(map(str, base))}/{i}")
+        ob = bases[base]
+        for step in range(6):
+            prefer = types[(w + step) % len(types)]
+            sites = enumerate_sites(ob)
+            rng.shuffle(sites)
+            sites.sort(key=lambda s: s[0] != prefer)
+            for tag, site in sites:
+                try:
+                    ob = stabilize(ob, tag, site)
+                    break
+                except StabilizationError:
+                    continue
+
+
+def round_systems(monkeypatch, seed):
+    """Every matrix one stabilize round factors, every (matrix, b,
+    solution) it solves, and every (matrix, b, (solution, kernel)) of
+    solve_integer_affine."""
+    from realbook import intalg, stabilization
+    from realbook.catalog import build
+
+    bases = {base: build(*base) for base in ROUND_BASES}
+    factored, solved, affine = [], [], []
+    matrix_of = {}
+    factor, solve, solve_affine = smith_normal_form, snf_solve, solve_integer_affine
+
+    def factoring(a):
+        snf = factor(a)
+        factored.append((a, snf))
+        matrix_of[id(snf)] = a
+        return snf
+
+    def solving(snf, b):
+        x = solve(snf, b)
+        solved.append((matrix_of[id(snf)], list(b), x))
+        return x
+
+    def solving_affine(a, b):
+        found = solve_affine(a, b)
+        affine.append((a, list(b), found))
+        return found
+
+    for module in (intalg, stabilization):
+        monkeypatch.setattr(module, "smith_normal_form", factoring)
+        monkeypatch.setattr(module, "snf_solve", solving)
+    monkeypatch.setattr(stabilization, "solve_integer_affine", solving_affine)
+    stabilize_round(seed, bases)
+    monkeypatch.undo()
+    return factored, solved, affine
+
+
+def test_logged_transforms_solve_as_the_dense_ones_on_a_stabilize_round(monkeypatch):
+    """All 579 systems of a seed-13 round: each form's d, u and v are the
+    dense reference's, and each solution and kernel basis replayed from
+    the logs is the integer vector the dense transforms give."""
+    factored, solved, affine = round_systems(monkeypatch, 13)
+    assert len(factored) == 579
+    assert len(solved) >= len(factored) - len(affine)
+    for a, snf in factored:
+        assert (snf.d, snf.u, snf.v) == full_scan_smith_normal_form(a), a
+    for a, b, x in solved:
+        assert x == dense_solve(a, b)[0], (a, b)
+    for a, b, found in affine:
+        x, kernel = dense_solve(a, b)
+        assert found == (None if x is None else (x, kernel)), (a, b)
+
+
+def test_logged_transforms_solve_as_the_dense_ones_on_random_systems():
+    rng = random.Random(53)
+    for a in snf_oracle_matrices(rng):
+        snf = smith_normal_form(a)
+        for _ in range(3):
+            x = [rng.randint(-3, 3) for _ in range(a.ncols)]
+            for b in (list(a.apply(x)), [rng.randint(-3, 3) for _ in range(a.nrows)]):
+                want, kernel = dense_solve(a, b)
+                assert snf_solve(snf, b) == want, (a, b)
+                found = solve_integer_affine(a, b)
+                assert found == (None if want is None else (want, kernel)), (a, b)

@@ -599,10 +599,11 @@ def block_checks_recorded(monkeypatch):
 def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
     """stabilize validates each child of its valid parent from the checks
     of its block (_block_holds) and the structural checks, and seeds the
-    child's validity memo.  On every golden book and on walks through
+    child's door memo open.  On every golden book and on walks through
     all nine types, each block check holds, the report it stands for
     (the algebraic checks passing, the structural ones run) equals the
-    full report, and each seeded memo equals a fresh validation."""
+    full report, and each seeded door equals the door a memo-free copy
+    decides fresh, reality and every check of validate included."""
     from test_golden import golden_books
 
     from realbook.stabilization import _block_holds
@@ -611,13 +612,13 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
     seen = block_checks_recorded(monkeypatch)
     seeded, tags = 0, set()
     for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
-        fresh = all(r.ok for r in validate_involution(ob.page, ob.real_structure))
-        if "_involution_valid" in vars(ob):
+        fresh = replace(ob)._door
+        if "_door" in vars(ob):
             seeded += 1
             tags.add(ob.provenance[-1].tag)
-            assert vars(ob)["_involution_valid"] == fresh, label
+            assert vars(ob)["_door"] == fresh, label
         else:
-            assert ob._involution_valid == fresh, label
+            assert ob._door == fresh, label
     assert seeded >= 500 and tags == set(STAB_TYPES)
     for parent, core, page, inv in seen:
         assert _block_holds(parent, core, page, inv)
@@ -626,6 +627,50 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
                 + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)]
                 ) == validate_involution(page, inv)
     assert len(seen) >= seeded
+
+
+def test_building_fig5_16_from_the_disk_decides_reality_once(monkeypatch):
+    """Only the disk's door decides a verdict: each book stabilize makes
+    has its door seeded open, so the 16 moves decide nothing again."""
+    import realbook.openbook as openbook_module
+
+    decided = []
+    reality_of = openbook_module._reality_of
+    monkeypatch.setattr(openbook_module, "_reality_of",
+                        lambda ob: decided.append(ob) or reality_of(ob))
+    ob = catalog_fig5(16)
+    assert [d.page.h1_rank for d in decided] == [0]
+    assert vars(ob)["_door"] is None and "_reality" not in vars(ob)
+
+
+def test_seeded_doors_equal_fresh_ones_along_the_k16_ladders(monkeypatch):
+    """Every book of the fig4, fig5 and fig6 ladders to k = 16 has its
+    door seeded open, as a memo-free copy of it decides fresh."""
+    import realbook.stabilization as stabilization_module
+
+    made = []
+    seed = stabilization_module._seed_chain_blocks
+    monkeypatch.setattr(stabilization_module, "_seed_chain_blocks",
+                        lambda parent, child: seed(parent, child) or made.append(child))
+    for build in (catalog_fig4, catalog_fig5, catalog_fig6):
+        build(16)
+    assert len(made) == 16 + 16 + 17
+    for ob in made:
+        assert vars(ob)["_door"] is None and replace(ob)._door is None, ob.provenance[-1]
+
+
+def test_a_block_that_does_not_peel_leaves_the_door_unseeded(monkeypatch):
+    """The door is seeded only on the certificate of the new block: with
+    the peel failing, the child's door and chain are decided fresh, and
+    the door opens on the child's own verdict and validation."""
+    import realbook.stabilization as stabilization_module
+
+    parent = catalog_fig5(2)
+    monkeypatch.setattr(stabilization_module, "_peel_block", lambda *args: None)
+    child = stabilize(parent, "III", {"boundary": 1})
+    assert "_door" not in vars(child) and vars(child)["_chain_blocks"] == (False, ())
+    assert child._door is None
+    assert check_reality(child).kind is Reality.CERTIFIED_REAL
 
 
 def _with_entries(form, changes):
@@ -773,7 +818,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
         return reports[-1]
 
     parent = make()
-    assert parent._involution_valid
+    assert parent._door is None
     monkeypatch.setattr(stabilization_module, "_block_holds", corrupting)
     monkeypatch.setattr(stabilization_module, "validate_involution",
                         validating_the_corrupted_book)
@@ -785,6 +830,41 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     at = stabilization_module._parse_site(parent, STAB_TYPES[tag], site)
     assert str(refused.value) == (f"type {tag} at {at}: inconsistent data: "
                                   + "; ".join(f"{r.name}: {r.detail}" for r in bad))
+
+
+@pytest.mark.parametrize("make, tag, site, flag", [
+    (lambda: catalog_fig4(2), "VIII", {"boundaries": (1, 2)}, "disjoint_old"),
+    (lambda: catalog_fig5(2), "IV", IV_SITE, "disjoint_mutual"),
+], ids=["crossing-old-VIII", "crossing-pair-IV"])
+def test_the_block_check_holds_the_born_pairs_to_the_page_check(make, tag, site, flag,
+                                                                monkeypatch):
+    """A type whose rule claimed a pair its handle crosses: VIII's new
+    curves pair with older ones (X != 0), and IV's chords cross
+    (<a, ca> = 1).  The involution checks all pass, the block check
+    fails on the born pairs, and stabilize refuses the book naming
+    validate_page's disjoint check."""
+    import realbook.stabilization as stabilization_module
+
+    parent = make()
+    monkeypatch.setitem(STAB_TYPES, tag, replace(STAB_TYPES[tag], **{flag: True}))
+    with pytest.raises(StabilizationError) as refused:
+        stabilize(parent, tag, site)
+    at = stabilization_module._parse_site(parent, STAB_TYPES[tag], site)
+    assert str(refused.value).startswith(
+        f"type {tag} at {at}: inconsistent data: disjoint: disjoint pair (")
+
+
+def test_a_child_whose_plus_arcs_miss_its_points_is_refused(monkeypatch):
+    """stabilize checks the ends of each new book's plus arcs: with the
+    join of the plus arcs through the handle core skipped, type I on
+    the disk leaves its plus arc on real points the new book lacks."""
+    import realbook.stabilization as stabilization_module
+
+    monkeypatch.setattr(stabilization_module, "_plus_join", lambda b, *ends: None)
+    with pytest.raises(StabilizationError) as refused:
+        stabilize(catalog_s3_disk(), "I", {"boundary": 1})
+    assert str(refused.value) == ("type I at (1,): inconsistent data: arc_endpoints: "
+                                  "used [(1, 1), (1, 2)] vs declared []")
 
 
 def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):

@@ -6,8 +6,9 @@ the real 3-manifold (M, c): its first homology, the number of
 components of its real part, and a verdict that is not NotReal.  Walks
 of one to four steps from ten catalog roots prefer each of the nine
 types in turn, and every step that stabilize accepts is checked
-against the root.  The book each step makes writes the same bytes
-twice and reads back from them as itself.
+against the root; the door stabilize seeds open on it is the one a
+memo-free copy decides fresh.  The book each step makes writes the
+same bytes twice and reads back from them as itself.
 
 The separating flags are not compared along a walk: a component's
 flag is its mod-2 class on the splitting surface, which a stabilization
@@ -31,6 +32,7 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
+from realbook.records import replace
 
 ROOTS = [("disk",), ("hopf", "conjugation"), ("hopf", "swap"), ("fig4", "1"), ("fig4", "2"),
          ("fig5", "1"), ("fig5", "2"), ("fig6", "1"), ("lens-annulus", "3"),
@@ -66,6 +68,7 @@ def test_walks_keep_h1_and_the_real_part():
             tag, ob = taken
             accepted.add(tag)
             where = (root, walk, i, tag)
+            assert vars(ob)["_door"] is None and replace(ob)._door is None, where
             assert check_reality(ob).kind is not Reality.NOT_REAL, where
             assert h1_of_manifold(ob) == h1, where
             rp = real_part(ob)
