@@ -29,8 +29,13 @@ from .surface import (
 
 @record
 class HeegaardData:
-    genus: int
     plus_matrix: IntMatrix                 # f o c on H1 of the page, F C
+
+    @property
+    def genus(self) -> int:
+        """The genus of the splitting surface, two pages glued along the
+        binding: the rank of H1 of the page, the size of F C."""
+        return self.plus_matrix.nrows
 
 
 @record
@@ -56,15 +61,15 @@ class RealPartData:
 
 
 def heegaard_data(ob: OpenBook) -> HeegaardData:
-    """The derived real splitting: its genus and the gluing block data
-    F C, the action of f o c on first homology of the page (the other
-    block, C, is the book's own real_structure.matrix, whose sparse rows
-    are expanded for the product)."""
+    """The derived real splitting: the gluing block data F C, the
+    action of f o c on first homology of the page, whose size is the
+    splitting's genus (the other block, C, is the book's own
+    real_structure.matrix, whose sparse rows are expanded for the
+    product)."""
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise BookNotReal("book is not real; no real Heegaard decomposition")
-    return HeegaardData(genus=ob.page.h1_rank,
-                        plus_matrix=ob.monodromy_matrix @ dense_matrix(ob.real_structure.matrix))
+    return HeegaardData(ob.monodromy_matrix @ dense_matrix(ob.real_structure.matrix))
 
 
 def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:

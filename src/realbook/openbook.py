@@ -6,9 +6,11 @@ The nine positive real stabilizations live in realbook.stabilization,
 which a process that only reads a book never loads.  stabilize,
 enumerate_sites and _stab_{T} still resolve here (module __getattr__):
 the first lookup loads that module and binds the name in this one.
-stabilize reads a book's door memo (OpenBook._door), and seeds the door
-and the chain memo of each book it makes from its new block; any other
-book computes them here, the chain through mcg.times_word.
+stabilize reads a book's door memo (OpenBook._door), and opens the door
+of each book it makes once that book's new block passes its block check;
+any other book decides its door here.  The stabilization chain of a
+book's provenance is peeled here, through mcg.times_word, when its
+verdict is first asked for.
 """
 
 from __future__ import annotations
@@ -139,19 +141,11 @@ class OpenBook:
         return _reality_of(self)
 
     @cached_property
-    def _chain_blocks(self) -> tuple[bool, TwistWord]:
-        """Whether every recorded provenance block certifies, and the base
-        word left when they are peeled; (False, ()) when one fails.  A book
-        made by stabilize has it seeded from its parent's memo and a peel
-        of the new block alone (stabilization._seed_chain_blocks)."""
-        return _chain_blocks_of(self)
-
-    @cached_property
     def _door(self) -> str | None:
         """Why stabilize refuses this book, or None: a NotReal verdict,
         then the failing checks of validate_book, the involution's
-        first.  A book stabilize makes has it seeded None when its new
-        block certifies (stabilization._seed_chain_blocks)."""
+        first.  A book stabilize makes has it set None by the block check
+        of its new block (stabilization._finish)."""
         if check_reality(self).kind is Reality.NOT_REAL:
             return "refusing to stabilize a NotReal book"
         checks = validate_book(self)
@@ -213,37 +207,27 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     return True, None
 
 
-def _peel_block(model: SurfaceModel, rec: StabRecord, w: TwistWord,
-                rows: Rows) -> Rows | None:
-    """Check one provenance block at the front of w, and peel it: the
-    sparse rows of C~, or None when the block fails.
+def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
+    """Peel every provenance block, newest first: whether all certify,
+    and the base word left; (False, ()) at the first that fails.
 
-    The block's sigma must open w and conjugate letterwise to its own
-    inverse under the recorded c~ images.  rows are those of the real
-    structure as it stands with the block applied, C~ Sigma; the
+    A block's sigma must open the word and conjugate letterwise to its
+    own inverse under the recorded c~ images.  The rows are those of the
+    real structure as it stands with the block applied, C~ Sigma; the
     twists of Sigma^-1 take them to the rows of C~ (mcg.times_word,
     which rewrites only the rows a letter moves), and the recorded
     images must agree with C~ (surface.image_holds, sparse per image,
     on its columns).
     """
-    if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
-        return None
-    rows = times_word(rows, model, invert(rec.sigma))
-    cols = sparse_transpose(rows)
-    if all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items()):
-        return rows
-    return None
-
-
-def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
-    """Peel every provenance block, newest first (see _peel_block): whether
-    all certify, and the base word left; (False, ()) at the first that
-    fails."""
-    rows: Rows | None = ob.real_structure.matrix
+    model = ob.page
+    rows: Rows = ob.real_structure.matrix
     w = ob.monodromy
     for rec in reversed(ob.provenance):
-        rows = _peel_block(ob.page, rec, w, rows)
-        if rows is None:
+        if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
+            return False, ()
+        rows = times_word(rows, model, invert(rec.sigma))
+        cols = sparse_transpose(rows)
+        if not all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items()):
             return False, ()
         w = w[len(rec.sigma):]
     return True, w
@@ -254,12 +238,11 @@ def _provenance_certificate(ob: OpenBook) -> bool:
 
     Each stabilization contributes the displayed identity: its sigma
     block conjugates letterwise to its own inverse under the recorded
-    c~ images (the memo _chain_blocks, seeded from the parent for a
-    stabilized book).  Peeling blocks reduces to the base book, which
-    must certify letterwise with the inherited curve images; that check
-    is made fresh.
+    c~ images (_chain_blocks_of).  Peeling blocks reduces to the base
+    book, which must certify letterwise with the inherited curve images.
+    It runs at most once per book, under the memo of its verdict.
     """
-    ok, w = ob._chain_blocks
+    ok, w = _chain_blocks_of(ob)
     if not ok:
         return False
     cw = conjugate(ob.real_structure.curve_image, w)

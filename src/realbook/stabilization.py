@@ -8,8 +8,8 @@ strand-switch analysis near the twisting annuli.  stabilize takes only
 a book that is not NotReal and passes validate (its door,
 OpenBook._door), so it turns a valid real open book into a valid one.
 Each output is certified here from its parent by the checks of the new
-block (_block_holds, with the lemma they rest on), and its door and
-chain memos are seeded (_seed_chain_blocks); incompatible sites raise
+block (_block_holds, with the lemma they rest on), and those checks open
+its door (_finish, with the door lemma); incompatible sites raise
 instead of producing inconsistent data.
 
 The book, the reality check and H1 are in realbook.openbook, which
@@ -39,7 +39,6 @@ from .openbook import (
     StabRecord,
     StabType,
     _mirror_functional,
-    _peel_block,
 )
 from .records import replace
 from .surface import (
@@ -97,31 +96,21 @@ def _extend_form(j: Rows, new_cols: list[tuple[int, ...]], mutual: int) -> Rows:
     return tuple(rows)
 
 
-def _core_block(st: StabType) -> tuple[tuple[int, ...], ...]:
-    """The block of C~ on the new classes: each new curve goes to
-    core_sign times its mirror (a <-> ca for a handle pair, a to itself
-    for a single handle)."""
-    k = st.handle_count
-    return tuple(tuple(st.core_sign if t + u == k - 1 else 0 for u in range(k))
-                 for t in range(k))
-
-
 def _naive_extension(c: Rows, st: StabType) -> Rows:
-    """C~ = C (+) _core_block(st): the extension acts as C on the old
-    classes, whose rows are C's own objects, and as the core block on
-    the new ones."""
-    n = len(c)
-    return tuple(c) + tuple(tuple(chain.from_iterable((n + u, x) for u, x in enumerate(r) if x))
-                            for r in _core_block(st))
+    """C~ = C (+) L: the extension acts as C on the old classes, whose
+    rows are C's own objects, and as the core block L on the new ones,
+    which maps each new curve to core_sign times its mirror (a <-> ca
+    for a handle pair, a to itself for a single handle)."""
+    n, k = len(c), st.handle_count
+    return tuple(c) + tuple((n + k - 1 - t, st.core_sign) for t in range(k))
 
 
-def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
-                 model: SurfaceModel, inv: Involution) -> bool:
+def _block_holds(parent: OpenBook, st: StabType, model: SurfaceModel, inv: Involution) -> bool:
     """Whether the involution, anti_symplectic, curve_image and
     boundary_classes checks of validate_involution, and the disjoint
     check of validate_page, hold on (model, inv), which _finish builds
-    from the parent's valid book and k new classes, from checks of the
-    block alone; core is L in C~ = C (+) L (_core_block).
+    from the parent's valid book and the k new classes of a type-st
+    handle, from checks of the block alone.
 
     With n the old rank, the builder guarantees, and this does not
     check:
@@ -133,19 +122,21 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
         is);
       * the first n rows of the new form start with the old form J, and
         no row has an index past the new rank;
-      * the new matrix is C~ Sigma, Sigma the positive twist along each
-        new curve, the mirror e_{n+1} before e_n for a pair;
+      * the new matrix is C~ Sigma, with C~ = C (+) L the naive
+        extension (_naive_extension): L is antidiagonal with entries
+        st.core_sign, one of +-1, and k = st.handle_count is 1 or 2, so
+        L^2 = I; Sigma is the positive twist along each new curve, the
+        mirror e_{n+1} before e_n for a pair;
       * a curve image equal to the old one names a curve Sigma fixes;
       * the root pairs are the parent's, and the new curves are born at
         one step of the type made.
 
-    Write the new form as J' = [[J, X], [Y, M]] and the new matrix
-    as C~ Sigma with C~ = C (+) L.  Checked here, as the rest of what
-    the lemma needs: Y = -X^T and M is
-    antisymmetric (each new row of J' is minus its column), L is
-    antidiagonal with L^2 = I (so C~ maps each new curve to +-its
-    mirror, the pair reversed), L^T M L = -M, and the cross block
-    C^T X L = -X: k sparse products.
+    Write the new form as J' = [[J, X], [Y, M]].  Checked here, as the
+    rest of what the lemma needs: Y = -X^T and M is antisymmetric (each
+    new row of J' is minus its column), and the cross block
+    C^T X L = -X: k sparse products.  L^T M L = -M needs no check: its
+    entry (t, u) is M[k-1-t][k-1-u], which is -M[t][u] for an
+    antisymmetric M of size 1 or 2.
 
     Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
     is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
@@ -162,7 +153,8 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
     maps it as C did; only new or changed images are checked.  A
     circle whose class is its old class q (widened by zeros: the same
     sparse vector) has J' (q, 0) = (J q, Y q) with J q = 0 by the old
-    radical check, so it needs X^T q = 0 only; a new or changed
+    radical check, so it needs X^T q = 0 only, which X = 0 gives
+    without forming the product; a new or changed
     circle is checked fresh, with J' d = -sum_i d_i row_i(J') as J'
     is antisymmetric (J by the premise in surface's docstring,
     Y = -X^T and M by the checks above), and the sum of all classes
@@ -177,7 +169,7 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
     n, rank = old.h1_rank, model.h1_rank
     k = rank - n
     rows = model.form
-    if len(core) != k or any(len(r) != k for r in core) or len(rows) != rank:
+    if k != st.handle_count or len(rows) != rank:
         return False
     # cols[t]: column n + t of J', read off the ends of the rows, where
     # the new indices sit; each new row is minus its column exactly when
@@ -193,26 +185,15 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
         return False
     xs = [tuple(chain.from_iterable((u, x) for u, x in entries(col) if u < n))
           for col in cols]
-    m = [[0] * k for _ in range(k)]
-    for t in range(k):
-        for u, x in entries(rows[n + t]):
-            if u >= n:
-                m[t][u - n] = x
     born = model.births.get(model.basis[n])
+    # <a, ca> = M[0][1], the entry of row n at index n + 1
     if (born is None or born[1].disjoint_old and any(xs)
-            or born[1].disjoint_mutual and k == 2 and m[0][1]):
-        return False
-    # column t of L is l[t] e_{k-1-t}, the mirror of new class t
-    l = [core[k - 1 - t][t] for t in range(k)]
-    if (any(core[t][u] and t + u != k - 1
-            or l[t] * l[u] * m[k - 1 - t][k - 1 - u] != -m[t][u]
-            for t in range(k) for u in range(k))
-            or any(l[t] * l[k - 1 - t] != 1 for t in range(k))):
+            or born[1].disjoint_mutual and k == 2 and dict(entries(rows[n])).get(n + 1)):
         return False
     c_old = parent.real_structure.matrix
     for t in range(k):
-        # column t of C^T X L is l[t] C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-        if (sparse_scale(l[t], sparse_combine(xs[k - 1 - t], c_old))
+        # column t of C^T X L is core_sign C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
+        if (sparse_scale(st.core_sign, sparse_combine(xs[k - 1 - t], c_old))
                 != sparse_scale(-1, xs[t])):
             return False
 
@@ -229,7 +210,7 @@ def _block_holds(parent: OpenBook, core: tuple[tuple[int, ...], ...],
     # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
     # less the old classes of removed circles, is the sum of all classes
     old_circles = dict(old.circles)
-    x_at = [dict(entries(x)) for x in xs]
+    x_at = [dict(entries(x)) for x in xs] if any(xs) else []
     total: dict[int, int] = {}
     for cid, p in model.circles.items():
         q = old_circles.pop(cid, None)
@@ -475,9 +456,23 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     block (_block_holds) stand for validate_involution's algebraic
     checks and validate_page, by the lemma there; the structural checks
     and the plus arcs' ends run in full.  Only a book that fails one is
-    validated in full, for the refusal's message.  The chain and door
-    memos are seeded (_seed_chain_blocks), so a chain of k moves neither
-    re-peels k blocks nor decides its reality again.
+    validated in full, for the refusal's message.  A book that passes
+    has its door memo (OpenBook._door) set open, so a chain of k moves
+    decides its reality once, at the first book's door.
+
+    Lemma (the door).  The child passes every check of validate_book,
+    or it would have been refused here.  The parent is not NotReal, so
+    c f c = f^-1 at the level that decided it, and so c~ f~ c~ = f~^-1
+    for the extensions to the new page (on H1 a new class moves by the
+    transport defect of its arc, which the parent's boundary-transport
+    identity pairs with c).  The block check proves C~ Sigma C~ =
+    Sigma^-1 (the lemma of _block_holds, which rests on
+    c T_a c = T_{c(a)}^-1), so (c~ sigma)(f~ sigma)(c~ sigma) =
+    (c~ sigma c~)(c~ f~ c~)(c~ sigma c~) sigma = (f~ sigma)^-1: the
+    child is not NotReal either.  The identity is one of mapping
+    classes, so it holds whatever letters the parent's word spells,
+    reduced or not.  The child's reality memo stays unset, so
+    check_reality on it still decides the verdict and witness in full.
     """
     st = STAB_TYPES[tag]
     rank = b.rank
@@ -540,66 +535,13 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         provenance=ob.provenance + (rec,),
     )
     plus = [] if fix_plus is None else [arc_endpoints_check(inv.fixed_points, fix_plus.arcs)]
-    if not (_block_holds(ob, _core_block(st), page, inv)
+    if not (_block_holds(ob, st, page, inv)
             and all(r.ok for r in structural_checks(page, inv) + plus)):
         raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
                                  + failures(validate_involution(page, inv)
                                             + validate_page(page) + plus))
-    _seed_chain_blocks(ob, out)
+    vars(out)["_door"] = None
     return out
-
-
-def _seed_chain_blocks(parent: OpenBook, child: OpenBook) -> None:
-    """Set the chain memo of a book made from parent by one stabilization,
-    from the parent's memo and a check of the new block alone, and open
-    the child's door (OpenBook._door) when that block certifies.
-
-    Lemma: peeling the child's blocks below the new one repeats the
-    parent's peel.  After the new block is peeled, the rows are those
-    of the naive extension C~, and the word is the parent's.  Then:
-      * C~ acts as C on the old classes: its old rows are C's, and its
-        new rows are zero at the old coordinates;
-      * old curve classes are extended by zeros, and J a for an old
-        curve a is the parent's on the old coordinates;
-      * earlier blocks read only the old columns: a twist along an old
-        curve a reads a row through its dot with a and adds to it a
-        multiple of J a, so the old columns change as in the parent's
-        peel and the new rows stay zero there; what it writes into the
-        new columns is never read, as the image checks read the
-        columns at the nonzeros of old classes;
-      * curve_image gains only new names, and the page's disjointness
-        changes only for pairs that name a new curve: the root's pairs
-        are the parent's object, and a new curve's pairs follow from its
-        birth (SurfaceModel.births).  The block checks read neither
-        (only the base-word check does, and it stays fresh in
-        openbook._provenance_certificate).
-    So each earlier block certifies on the child exactly when it does on
-    the parent.  The new block is checked by openbook._peel_block on the
-    rows of the child's C~ Sigma.  The new names are fresh, as
-    _start_builder picks names the parent's page lacks.  When the word
-    does not continue as the parent's (an unreduced word read from JSON),
-    nothing is seeded and the memo is peeled fresh when asked for.
-
-    Lemma (the door).  The child passes every check of validate_book,
-    or _finish would have refused it.  The parent is not NotReal, so
-    c f c = f^-1 at the level that decided it, and so c~ f~ c~ = f~^-1
-    for the extensions to the new page (on H1 a new class moves by the
-    transport defect of its arc, which the parent's boundary-transport
-    identity pairs with c).  The new block certifies c~ sigma c~ =
-    sigma^-1, so (c~ sigma)(f~ sigma)(c~ sigma) = (c~ sigma c~)
-    (c~ f~ c~)(c~ sigma c~) sigma = (f~ sigma)^-1: the child is not
-    NotReal either.  Its reality memo stays unseeded, so check_reality
-    on it still decides the verdict and witness in full.
-    """
-    rec = child.provenance[-1]
-    if child.monodromy[len(rec.sigma):] != parent.monodromy:
-        return
-    rows = child.real_structure.matrix
-    certified = _peel_block(child.page, rec, child.monodromy, rows) is not None
-    ok, base = parent._chain_blocks
-    vars(child)["_chain_blocks"] = (True, base) if ok and certified else (False, ())
-    if certified:
-        vars(child)["_door"] = None
 
 
 def _reflection_circle(ob: OpenBook, cid: int) -> None:
@@ -896,9 +838,9 @@ def stabilize(ob: OpenBook, tag: str, site: Mapping | None = None) -> OpenBook:
     ValueError, so the CLI exits 2.  Incompatible sites, NotReal input
     and a book that fails a check of validate (openbook.validate_book)
     raise StabilizationError (CLI exit 1), the last naming each failing
-    check.  The door is the book's memo (OpenBook._door), which every
-    book stabilize makes has seeded open when its new block certifies,
-    so a chain of moves decides its root's reality and validity once.
+    check.  The door is the book's memo (OpenBook._door), which the
+    block check opens on every book stabilize makes (_finish), so a
+    chain of moves decides its root's reality and validity once.
     """
     st = STAB_TYPES.get(tag)
     if st is None:

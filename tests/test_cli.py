@@ -636,6 +636,34 @@ def test_incompatible_stabilization_is_exit_1(monkeypatch):
     assert code == 1
 
 
+def test_every_refused_catalog_site_is_exit_1_with_one_error_line(monkeypatch, capsys):
+    """Each enumerated site that stabilize refuses on a catalog book,
+    run through the command line, exits 1 with stabilize's message as
+    one error line and no traceback: four type-V sites on fig6 violate
+    the boundary pattern, and two type-V sites on lens-3punctured break
+    the invariance law."""
+    from realbook.openbook import StabilizationError, enumerate_sites, stabilize
+
+    refused = []
+    for e in ENTRIES:
+        ob = e.build()
+        for tag, site in enumerate_sites(ob):
+            try:
+                stabilize(ob, tag, site)
+            except StabilizationError as err:
+                refused.append((e.name, dumps(ob), tag, site, str(err)))
+    assert sorted((name, tag) for name, _book, tag, _site, _msg in refused) == [
+        ("fig6-1", "V"), ("fig6-1", "V"), ("fig6-2", "V"), ("fig6-2", "V"),
+        ("lens-3punctured-2-2-1", "V"), ("lens-3punctured-2-2-1", "V")]
+    capsys.readouterr()
+    for name, book, tag, site, message in refused:
+        argv = ["stabilize", "--type", tag, "--site", json.dumps(site)]
+        assert "\n" not in message and run_cli(argv, book, monkeypatch) == (1, ""), (name, site)
+        assert capsys.readouterr().err == f"error: {message}\n", (name, site)
+    assert sum("violates the boundary pattern" in r[-1] for r in refused) == 4
+    assert sum("invariance law" in r[-1] for r in refused) == 2
+
+
 @pytest.mark.parametrize("book, tag, site", [
     (["disk"], "I", "[1]"),
     (["disk"], "I", "5"),

@@ -154,8 +154,7 @@ def dense_antisymplectic(ob, c):
 def plus_block_report(ob):
     """validate_heegaard on the block data F C of the book, which
     heegaard_data would refuse for a book that is not real."""
-    hd = HeegaardData(genus=ob.page.h1_rank,
-                      plus_matrix=ob.monodromy_matrix @ as_matrix(ob.real_structure.matrix))
+    hd = HeegaardData(ob.monodromy_matrix @ as_matrix(ob.real_structure.matrix))
     return dict(validate_heegaard(hd, ob))
 
 

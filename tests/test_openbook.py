@@ -93,20 +93,33 @@ def test_reality_memo_stays_with_its_book():
     assert check_reality(ob).kind is Reality.CERTIFIED_REAL
 
 
-def test_stabilize_checks_only_the_page_arc_ends(monkeypatch):
-    # the opposite page's arc ends are checked by realbook validate, not
-    # on every stabilized book
+def test_plus_arcs_are_checked_at_the_door_and_once_per_new_block(monkeypatch):
+    """The opposite page's arc ends are checked once at the door of a
+    memo-free parent (openbook.validate_book) and once for each book
+    stabilize makes (stabilization._finish), and nowhere else; the page's
+    own arcs only by surface's involution checks.  Each module's bound
+    name is patched, as that is the name its code calls."""
+    import realbook.openbook as openbook_module
+    import realbook.stabilization as stabilization_module
     from realbook import surface
 
-    base = catalog_lens_annulus(3)
     seen = []
     check = surface.arc_endpoints_check
-    monkeypatch.setattr(surface, "arc_endpoints_check",
-                        lambda pts, arcs: seen.append(arcs) or check(pts, arcs))
-    ob = stabilize(base, "III", {"boundary": 1})
-    minus = [base.real_structure.fixed_set.arcs, ob.real_structure.fixed_set.arcs]
-    assert ob.fix_plus.arcs not in minus and base.fix_plus.arcs not in minus
-    assert minus[1] in seen and all(arcs in minus for arcs in seen)
+    for module in (surface, openbook_module, stabilization_module):
+        monkeypatch.setattr(module, "arc_endpoints_check",
+                            lambda pts, arcs, at=module.__name__:
+                            seen.append((at, arcs)) or check(pts, arcs))
+    base = replace(catalog_lens_annulus(3))
+    child = stabilize(base, "III", {"boundary": 1})
+    grandchild = stabilize(child, "III", {"boundary": 1})
+    books = [base, child, grandchild]
+    assert [arcs for at, arcs in seen if at != "realbook.surface"] == [
+        ob.fix_plus.arcs for ob in books]
+    assert [at for at, _arcs in seen if at != "realbook.surface"] == [
+        "realbook.openbook", "realbook.stabilization", "realbook.stabilization"]
+    minus = [ob.real_structure.fixed_set.arcs for ob in books]
+    assert all(ob.fix_plus.arcs not in minus for ob in books)
+    assert [arcs for at, arcs in seen if at == "realbook.surface"] == minus
 
 
 def test_disk_type_I_gives_annulus_book():
@@ -453,11 +466,11 @@ def test_viii_search_solutions_meet_both_radical_conditions():
     assert solved
 
 
-def test_seeded_chain_memo_equals_a_fresh_peel():
-    """stabilize seeds each book's chain memo from its parent's and a
-    check of the new block; a fresh peel of every block must agree, on
-    the golden books and on walks from books read back from JSON (whose
-    memo the first step peels fresh)."""
+def test_every_block_of_a_stabilized_book_peels():
+    """Every provenance block of a book stabilize makes certifies when
+    its chain is peeled (_chain_blocks_of), as for a verdict asked of the
+    book with no memo, and the book read back from JSON peels alike: on
+    the golden books and on walks from books read back from JSON."""
     from test_golden import golden_books
 
     from realbook.openbook import _chain_blocks_of
@@ -478,15 +491,13 @@ def test_seeded_chain_memo_equals_a_fresh_peel():
                     yield f"{e.name}/{step}", ob
                     break
 
-    seeded = certified = 0
+    peeled = 0
     for label, ob in books():
-        if "_chain_blocks" in vars(ob):
-            seeded += 1
-            assert vars(ob)["_chain_blocks"] == _chain_blocks_of(ob), label
-            certified += vars(ob)["_chain_blocks"][0]
-        else:
-            assert ob._chain_blocks == _chain_blocks_of(ob), label
-    assert seeded >= 300 and certified == seeded
+        if ob.provenance:
+            peeled += 1
+            chain = _chain_blocks_of(ob)
+            assert chain[0] and _chain_blocks_of(loads(dumps(ob))) == chain, label
+    assert peeled >= 300
 
 
 def newest_block_mutants(ob):
@@ -494,29 +505,32 @@ def newest_block_mutants(ob):
     return [(what, bad) for what, bad in provenance_mutants(ob) if what.startswith(last)]
 
 
-def test_child_of_a_changed_newest_block_seeds_false():
+def test_child_of_a_changed_newest_block_keeps_the_chain_broken():
+    """A parent whose newest block no longer certifies still passes the
+    door, and its child's chain fails at that block too; the child's
+    door is open all the same, as the door lemma of _finish rests on the
+    child's own block and not on the chain, and a fresh door agrees."""
     from realbook.openbook import _chain_blocks_of
 
     mutants = newest_block_mutants(catalog_fig4(4))
     assert len(mutants) >= 4
     for what, bad in mutants:
-        assert bad._chain_blocks == (False, ()), what
+        assert _chain_blocks_of(bad) == (False, ()), what
         child = stabilize(bad, "VIII", {"boundaries": (1, 2)})
-        assert vars(child)["_chain_blocks"] == (False, ()) == _chain_blocks_of(child), what
+        assert _chain_blocks_of(child) == (False, ()), what
+        assert vars(child)["_door"] is None and replace(child)._door is None, what
 
 
 def test_new_block_check_can_fail():
-    """The seed checks the child's own block: a child whose new record
-    has one image changed seeds (False, ()) from a certified parent, as a
-    fresh peel finds."""
+    """The peel checks the child's own block: a child whose new record
+    has one image changed fails the chain from a certified parent."""
     from realbook.openbook import _chain_blocks_of
-    from realbook.stabilization import _seed_chain_blocks
 
     parent = catalog_fig4(3)
-    assert parent._chain_blocks[0]
+    assert _chain_blocks_of(parent)[0]
     for tag, site in [("VIII", {"boundaries": (1, 2)}), ("IX", {"boundaries": (1, 2)})]:
         child = stabilize(parent, tag, site)
-        assert vars(child)["_chain_blocks"][0]
+        assert _chain_blocks_of(child)[0]
         rec = child.provenance[-1]
         names = sorted(child.page.alphabet)
         for name, (img, sign) in sorted(rec.images.items()):
@@ -524,8 +538,6 @@ def test_new_block_check_can_fail():
             for image in ((img, -sign), (other, sign)):
                 bad = replace(child, provenance=child.provenance[:-1]
                               + (replace(rec, images={**rec.images, name: image}),))
-                _seed_chain_blocks(parent, bad)
-                assert vars(bad)["_chain_blocks"] == (False, ()), (tag, name, image)
                 assert _chain_blocks_of(bad) == (False, ()), (tag, name, image)
 
 
@@ -581,7 +593,7 @@ def typed_walks(seed, steps):
 
 
 def block_checks_recorded(monkeypatch):
-    """The argument tuples (parent, core, page, inv) of every call
+    """The argument tuples (parent, st, page, inv) of every call
     stabilize makes to its block check (stabilization._block_holds)."""
     import realbook.stabilization as stabilization_module
 
@@ -598,12 +610,13 @@ def block_checks_recorded(monkeypatch):
 
 def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
     """stabilize validates each child of its valid parent from the checks
-    of its block (_block_holds) and the structural checks, and seeds the
-    child's door memo open.  On every golden book and on walks through
+    of its block (_block_holds) and the structural checks, which open the
+    child's door memo.  On every golden book and on walks through
     all nine types, each block check holds, the report it stands for
     (the algebraic checks passing, the structural ones run) equals the
-    full report, and each seeded door equals the door a memo-free copy
-    decides fresh, reality and every check of validate included."""
+    full report, and each book stabilize made has its door set open, as
+    a memo-free copy decides it fresh, reality and every check of
+    validate included."""
     from test_golden import golden_books
 
     from realbook.stabilization import _block_holds
@@ -613,15 +626,15 @@ def test_seeded_validity_equals_a_fresh_validation(monkeypatch):
     seeded, tags = 0, set()
     for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
         fresh = replace(ob)._door
-        if "_door" in vars(ob):
+        if ob.provenance:
             seeded += 1
             tags.add(ob.provenance[-1].tag)
-            assert vars(ob)["_door"] == fresh, label
+            assert vars(ob)["_door"] is None and fresh is None, label
         else:
             assert ob._door == fresh, label
     assert seeded >= 500 and tags == set(STAB_TYPES)
-    for parent, core, page, inv in seen:
-        assert _block_holds(parent, core, page, inv)
+    for parent, st, page, inv in seen:
+        assert _block_holds(parent, st, page, inv)
         assert ([CheckResult("involution", True), CheckResult("anti_symplectic", True)]
                 + structural_checks(page, inv)
                 + [CheckResult("curve_image", True), CheckResult("boundary_classes", True)]
@@ -649,9 +662,9 @@ def test_seeded_doors_equal_fresh_ones_along_the_k16_ladders(monkeypatch):
     import realbook.stabilization as stabilization_module
 
     made = []
-    seed = stabilization_module._seed_chain_blocks
-    monkeypatch.setattr(stabilization_module, "_seed_chain_blocks",
-                        lambda parent, child: seed(parent, child) or made.append(child))
+    make = stabilization_module.stabilize
+    monkeypatch.setattr(stabilization_module, "stabilize",
+                        lambda *args: made.append(make(*args)) or made[-1])
     for build in (catalog_fig4, catalog_fig5, catalog_fig6):
         build(16)
     assert len(made) == 16 + 16 + 17
@@ -659,18 +672,34 @@ def test_seeded_doors_equal_fresh_ones_along_the_k16_ladders(monkeypatch):
         assert vars(ob)["_door"] is None and replace(ob)._door is None, ob.provenance[-1]
 
 
-def test_a_block_that_does_not_peel_leaves_the_door_unseeded(monkeypatch):
-    """The door is seeded only on the certificate of the new block: with
-    the peel failing, the child's door and chain are decided fresh, and
-    the door opens on the child's own verdict and validation."""
-    import realbook.stabilization as stabilization_module
+def test_children_of_unreduced_words_read_from_json_have_fresh_doors():
+    """The door lemma of _finish is about mapping classes, so it holds
+    for a parent whose word, read from JSON, is not freely reduced: each
+    catalog book with c c^-1 prepended to its word, for a curve c of its
+    page, and every child stabilize makes of it, whose door is set open
+    as a memo-free copy decides it fresh."""
+    import json
 
-    parent = catalog_fig5(2)
-    monkeypatch.setattr(stabilization_module, "_peel_block", lambda *args: None)
-    child = stabilize(parent, "III", {"boundary": 1})
-    assert "_door" not in vars(child) and vars(child)["_chain_blocks"] == (False, ())
-    assert child._door is None
-    assert check_reality(child).kind is Reality.CERTIFIED_REAL
+    children = 0
+    for e in ENTRIES:
+        ob = e.build()
+        if not ob.page.alphabet:
+            continue
+        obj = json.loads(dumps(ob))
+        name = sorted(ob.page.alphabet)[0]
+        obj["word"] = [{"curve": name, "exp": 1}, {"curve": name, "exp": -1}] + obj["word"]
+        parent = loads(json.dumps(obj))
+        assert parent.monodromy[:2] == ((name, 1), (name, -1))
+        for tag, site in enumerate_sites(parent):
+            try:
+                child = stabilize(parent, tag, site)
+            except StabilizationError:
+                continue
+            children += 1
+            assert vars(child)["_door"] is None and replace(child)._door is None, (e.name, tag)
+            # the child's word is reduced, so it does not continue as the parent's
+            assert child.monodromy[len(child.provenance[-1].sigma):] != parent.monodromy
+    assert children >= 100
 
 
 def _with_entries(form, changes):
@@ -801,7 +830,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     block_holds = stabilization_module._block_holds
     full_validation = stabilization_module.validate_involution
 
-    def corrupting(parent, core, page, inv):
+    def corrupting(parent, st, page, inv):
         if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
             page = replace(page, form=corrupt(page.form, parent))
             sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
@@ -811,7 +840,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
         else:
             page, inv = corrupt(page, inv, parent)
         reports.append(full_validation(page, inv))
-        verdicts.append(block_holds(parent, core, page, inv))
+        verdicts.append(block_holds(parent, st, page, inv))
         return verdicts[-1]
 
     def validating_the_corrupted_book(page, inv):
@@ -867,20 +896,22 @@ def test_a_child_whose_plus_arcs_miss_its_points_is_refused(monkeypatch):
                                   "used [(1, 1), (1, 2)] vs declared []")
 
 
-def test_block_check_needs_a_core_that_reverses_the_pair(monkeypatch):
-    """The lemma needs C~ to map each new curve to +-its mirror with
-    C~^2 = I: on a valid handle pair, any other core block fails the
-    block check, while the core the type declares passes."""
+def test_every_type_declares_a_core_that_reverses_its_handles(monkeypatch):
+    """The lemma of _block_holds needs C~ = C (+) L to map each new curve
+    to +-its mirror with L^2 = I, which every type's table entry gives:
+    a core sign of +-1 on one handle or a pair.  The block check reads
+    the handle count off the type, and fails a block of another size."""
     from realbook.stabilization import _block_holds
 
+    for tag, st in STAB_TYPES.items():
+        assert st.core_sign in (1, -1) and st.handle_count in (1, 2), tag
     ob = catalog_fig4(3)
     seen = block_checks_recorded(monkeypatch)
     stabilize(ob, "IX", {"boundaries": (1, 2)})
-    (parent, declared, page, inv), = seen
-    assert declared == ((0, 1), (1, 0)) and _block_holds(parent, declared, page, inv)
-    for core in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
-                 ((0, 1),), ((1,),), ((0, 2), (2, 0))]:
-        assert not _block_holds(parent, core, page, inv), core
+    (parent, st, page, inv), = seen
+    assert _block_holds(parent, st, page, inv)
+    for count in (1, 3):
+        assert not _block_holds(parent, replace(st, handle_count=count), page, inv), count
 
 
 def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
@@ -905,12 +936,12 @@ def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
 
     seen = block_checks_recorded(monkeypatch)
     child = stabilize(ob, "III", {"boundary": 1})
-    (parent, core, page, new_inv), = seen
+    (parent, st, page, new_inv), = seen
     new = sorted(set(new_inv.curve_image) - set(inv.curve_image))
-    assert new and _block_holds(parent, core, page, new_inv)
+    assert new and _block_holds(parent, st, page, new_inv)
     for name in new:
         assert not _block_holds(
-            parent, core, page,
+            parent, st, page,
             replace(new_inv, curve_image=flipped(new_inv.curve_image, name))), name
 
     rec = child.provenance[-1]
