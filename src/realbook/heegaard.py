@@ -12,16 +12,14 @@ detects against an explicit basis.
 from __future__ import annotations
 
 from .errors import BookNotReal, RealPartUnavailable
-from .intalg import IntMatrix
 from .openbook import OpenBook, Reality, check_reality
 from .records import record
 from .surface import (
+    Rows,
     anti_symplectic_check,
-    dense_matrix,
     entries,
     involution_check,
     lefschetz_check,
-    sparse,
     sparse_combine,
     sparse_dot,
 )
@@ -29,13 +27,13 @@ from .surface import (
 
 @record
 class HeegaardData:
-    plus_matrix: IntMatrix                 # f o c on H1 of the page, F C
+    plus_matrix: Rows                      # f o c on H1 of the page, F C, as sparse rows
 
     @property
     def genus(self) -> int:
         """The genus of the splitting surface, two pages glued along the
         binding: the rank of H1 of the page, the size of F C."""
-        return self.plus_matrix.nrows
+        return len(self.plus_matrix)
 
 
 @record
@@ -64,12 +62,13 @@ def heegaard_data(ob: OpenBook) -> HeegaardData:
     """The derived real splitting: the gluing block data F C, the
     action of f o c on first homology of the page, whose size is the
     splitting's genus (the other block, C, is the book's own
-    real_structure.matrix, whose sparse rows are expanded for the
-    product)."""
+    real_structure.matrix).  Row i of F C combines the sparse rows of C
+    at the nonzeros of row i of F."""
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
         raise BookNotReal("book is not real; no real Heegaard decomposition")
-    return HeegaardData(ob.monodromy_matrix @ dense_matrix(ob.real_structure.matrix))
+    c = ob.real_structure.matrix
+    return HeegaardData(tuple(sparse_combine(row, c) for row in ob.monodromy_matrix))
 
 
 def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
@@ -93,12 +92,12 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
     that reads F, so it sees a monodromy that is not real at the
     homology level whatever the reality certificate said.  The genus is
     not checked here: heegaard_data sets it to rank H1 of the page.  The
-    checks read sparse rows: C's as stored, F C's converted once.
+    checks read sparse rows, C's and F C's as stored.
     """
     page = ob.page
     rank = page.h1_rank
     c = ob.real_structure.matrix
-    fc = tuple(map(sparse, hd.plus_matrix.rows))
+    fc = hd.plus_matrix
     minus = involution_check(c, rank).ok
     out = [("minus_involution", minus), ("plus_involution", involution_check(fc, rank).ok)]
     if rank:

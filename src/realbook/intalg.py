@@ -10,10 +10,10 @@ of the left row.  So it costs one multiply per pair of nonzeros that
 meet, and a row of the right factor that no nonzero reaches is never
 read: the sparse involutions and forms cost far less than n^3, and a
 product of a few probe rows reads a few rows of the right factor.
-Twist words never go through it, because mcg applies each twist as an
-O(n^2) rank-one update.  The Smith form uses the smallest-entry pivot
-rule, with no modular or HNF shortcut, and its updates touch only
-nonzeros of the working matrix.  Its transforms are not built as
+Twist words never go through it, because mcg applies each twist as a
+rank-one update of sparse rows.  The Smith form uses the
+smallest-entry pivot rule, with no modular or HNF shortcut, and its
+updates touch only nonzeros of the working matrix.  Its transforms are not built as
 matrices: the row and column operations are logged as they run
 (Kannan & Bachem, 1979, compute the form with its transforms), and a
 right-hand side is solved by replaying the row log on it, skipping zero
@@ -69,10 +69,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
-        return IntMatrix([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
     # -- basics --------------------------------------------------------
 

@@ -36,7 +36,10 @@ reference arcs that are not one arc to each circle but the basepoint
 (the least id), a reference-arc row off the boundary crossing pattern
 (surface.crossing_residuals: the arc to circle l crosses the pushoff of
 l +1 times, the basepoint's -1 times and no other), and a fixed arc's
-pair_arcs key that names no reference-arc target.
+pair_arcs key that names no reference-arc target.  The twist word is
+stored freely reduced (mcg.free_reduce), once its curves are known, so
+a book's verdict does not hang on how its word is spelled: the chain
+peel of openbook needs each block's sigma at the front of the word.
 
 A page stores only its root's disjoint pairs and its births
 (SurfaceModel.births).  The reader derives the births from `provenance`
@@ -66,7 +69,7 @@ import json
 from typing import Any, Callable
 
 from .errors import SchemaError
-from .mcg import TwistWord
+from .mcg import TwistWord, free_reduce
 from .openbook import STAB_TYPES, OpenBook, StabRecord
 from .records import replace
 from .surface import (
@@ -373,6 +376,7 @@ def from_obj(obj: dict) -> OpenBook:
     for name, _ in word:
         if name not in alphabet:
             raise SchemaError(f"$.word uses unknown curve {name!r}")
+    word = free_reduce(word)
 
     iv = _need(obj, "involution", "$")
     matrix = _square(_need(iv, "matrix", "$.involution"), "$.involution.matrix", rank)

@@ -8,13 +8,15 @@ commutation of letters whose curves the page holds disjoint
 a stabilization's rule gives its new curves).
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
-so words act on matrices by rank-one updates, O(n^2) per letter, never
-by dense products.  times_word takes and returns sparse rows (the real
-structure, the strand-law probes) and rewrites only the rows a letter
-moves.  Reference arcs, as their pairing rows, go through a word
-together, in one pass (transport_arcs): per letter, each arc's crossing
-with the curve is a sparse dot, and an arc that misses the curve costs
-nothing more.
+so words act on matrices by rank-one updates of sparse rows, never by
+dense products: word_matrix builds the word's matrix F from the
+identity rows and rewrites per letter only the rows at the nonzeros of
+a, and times_word takes and returns sparse rows (the real structure,
+the strand-law probes) and rewrites only the rows a letter moves.
+Reference arcs, as their pairing rows, go through a word together, in
+one pass (transport_arcs): per letter, each arc's crossing with the
+curve is a sparse dot, and an arc that misses the curve costs nothing
+more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  The tests check the updates against dense products
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .intalg import IntMatrix
-from .surface import Rows, Sparse, SurfaceModel, Vec, entries, sparse_add
+from .surface import Rows, Sparse, SurfaceModel, Vec, entries, sparse_add, sparse_combine
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -68,33 +69,23 @@ def concat(*words: Sequence[Letter]) -> TwistWord:
     return free_reduce(tuple(letters))
 
 
-def word_matrix(model: SurfaceModel, w: Sequence[Letter]) -> IntMatrix:
-    """Matrix of the word on H1 of the page."""
-    return word_times(model, w, IntMatrix.identity(model.h1_rank))
+def word_matrix(model: SurfaceModel, w: Sequence[Letter]) -> Rows:
+    """Matrix of the word on H1 of the page, as sparse rows.
 
-
-def word_times(model: SurfaceModel, w: Sequence[Letter], m: IntMatrix) -> IntMatrix:
-    """word_matrix(model, w) @ m, by rank-one updates of the rows of m."""
-    if m.nrows != model.h1_rank:
-        raise ValueError(f"dimension mismatch: word on rank {model.h1_rank} @ {m.shape}")
-    rows = [list(r) for r in m.rows]
-    # rows <- (I + e a (Ja)^T) rows for each letter (a, e) of w in turn
+    Each letter (a, e) takes W to (I + e a (Ja)^T) W: the row (Ja)^T W
+    combines the rows of W at the nonzeros of J a, and row i gains
+    e a_i times it at each nonzero a_i, so a letter rewrites only the
+    rows at the nonzeros of a.  A letter with J a = 0 (a boundary twist)
+    acts as the identity and costs nothing.
+    """
+    rows = [(i, 1) for i in range(model.h1_rank)]
     for name, e in w:
         vecs = model.curve_vectors(name)
-        a, ja = vecs.a, vecs.ja
-        if not a or not ja:
-            continue
-        # r = (Ja)^T rows, summed from its first term over the nonzeros of Ja
-        r = None
-        for i, x in entries(ja):
-            row = rows[i]
-            r = [x * y for y in row] if r is None else [s + x * y for s, y in zip(r, row)]
-        if not any(r):
-            continue
-        for i, x in entries(a):
-            c = e * x
-            rows[i] = [s + c * y for s, y in zip(rows[i], r)]
-    return IntMatrix._trusted(rows, m.ncols)
+        if vecs.ja:
+            r = sparse_combine(vecs.ja, rows)
+            for i, x in entries(vecs.a):
+                rows[i] = sparse_add(rows[i], r, e * x)
+    return tuple(rows)
 
 
 def times_word(rows: Sequence[Sparse], model: SurfaceModel, w: Sequence[Letter]) -> Rows:

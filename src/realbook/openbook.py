@@ -40,7 +40,6 @@ from .surface import (
     SurfaceModel,
     arc_endpoints_check,
     dense,
-    dense_matrix,
     entries,
     failures,
     image_holds,
@@ -156,8 +155,9 @@ class OpenBook:
         return f"refusing to stabilize a book that fails validation: {failed}" if failed else None
 
     @cached_property
-    def monodromy_matrix(self) -> IntMatrix:
-        """F, the action of the monodromy on H1 of the page."""
+    def monodromy_matrix(self) -> Rows:
+        """F, the action of the monodromy on H1 of the page, as sparse
+        rows."""
         return word_matrix(self.page, self.monodromy)
 
 
@@ -184,9 +184,9 @@ def _mirror_functional(c: Rows, v: Sparse) -> tuple[int, ...]:
     return tuple(-x for x in dense(sparse_combine(v, c), len(c)))
 
 
-def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
+def _arc_identity_holds(ob: OpenBook, f_inv: Rows) -> tuple[bool, object]:
     """Boundary-transport part of f^-1 = c f c on declared data, given
-    F^-1.
+    the sparse rows of F^-1.
 
     For every reference arc gamma:  -F^-1 (f(gamma) - gamma)  must equal
     C applied to the transport defect of c(gamma), whose pairing row is
@@ -200,10 +200,10 @@ def _arc_identity_holds(ob: OpenBook, f_inv: IntMatrix) -> tuple[bool, object]:
     moved = transport_arcs(model, w, [dense(row, model.h1_rank) for row in rows]
                            + [_mirror_functional(c, row) for row in rows])
     for cid, (cls, _row), (cls_mirrored, _row_mirrored) in zip(cids, moved, moved[len(cids):]):
-        lhs = tuple(-x for x in f_inv.apply(cls))
+        lhs = tuple(-sum([x * cls[i] for i, x in entries(r)]) for r in f_inv)
         rhs = tuple(sum([x * cls_mirrored[i] for i, x in entries(r)]) for r in c)
-        if tuple(lhs) != tuple(rhs):
-            return False, {"boundary": cid, "lhs": tuple(lhs), "rhs": tuple(rhs)}
+        if lhs != rhs:
+            return False, {"boundary": cid, "lhs": lhs, "rhs": rhs}
     return True, None
 
 
@@ -270,17 +270,20 @@ def _reality_of(ob: OpenBook) -> RealityStatus:
     if ob.provenance and _provenance_certificate(ob):
         return RealityStatus(Reality.CERTIFIED_REAL, witness="stabilization chain")
 
-    f = ob.monodromy_matrix
+    # C F C against F^-1 row by row: row i of C F C is row i of C
+    # combined over the rows of F, then over the rows of C
+    f, c = ob.monodromy_matrix, inv.matrix
     f_inv = word_matrix(model, invert(w))
-    c = dense_matrix(inv.matrix)
-    lhs = c @ f @ c
-    if lhs != f_inv:
+    cfc = tuple(sparse_combine(sparse_combine(r, f), c) for r in c)
+    if cfc != f_inv:
         # the first basis vector e_j they move apart: column j of each
-        for j, (cfc, f_inverse) in enumerate(zip(lhs.transpose().rows, f_inv.transpose().rows)):
-            if cfc != f_inverse:
+        n = model.h1_rank
+        for j, (x, y) in enumerate(zip(sparse_transpose(cfc), sparse_transpose(f_inv))):
+            if x != y:
                 return RealityStatus(
                     Reality.NOT_REAL,
-                    witness={"vector": unit(model.h1_rank, j), "cfc": cfc, "f_inverse": f_inverse},
+                    witness={"vector": unit(n, j), "cfc": tuple(dense(x, n)),
+                             "f_inverse": tuple(dense(y, n))},
                 )
     ok, wit = _arc_identity_holds(ob, f_inv)
     if not ok:
@@ -297,25 +300,25 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
 
     Generators H1(page) + Z<t>; relations im(F - I) together with
     t + delta_i = 0 per boundary, delta at the basepoint boundary being
-    zero and the others the transported reference-arc classes.  The
-    columns of F are the rows of its transpose, and every reference arc
-    is transported in one pass of the word.
+    zero and the others the transported reference-arc classes, one per
+    column.  Row i of the relation matrix is row i of F - I, then the
+    0 of t's column, then entry i of each transported class; the last
+    row is t's.  Every reference arc is transported in one pass of the
+    word.
     """
     model = ob.page
     rank = model.h1_rank
-    cols: list[list[int]] = []
-    for j, row in enumerate(ob.monodromy_matrix.transpose().rows):
-        col = list(row)
-        col[j] -= 1
-        cols.append(col + [0])
     bp = model.basepoint
     others = sorted(cid for cid in model.circles if cid != bp)
     moved = transport_arcs(model, ob.monodromy,
                            [dense(model.ref_arcs[cid], rank) for cid in others])
-    cols.append([0] * rank + [1])
-    cols.extend(list(cls) + [1] for cls, _row in moved)
-    rel = IntMatrix.from_columns(cols, rank + 1)
-    return cokernel(rel)
+    rel: list[list[int]] = []
+    for i, row in enumerate(ob.monodromy_matrix):
+        r = dense(row, rank)
+        r[i] -= 1
+        rel.append(r + [0] + [cls[i] for cls, _row in moved])
+    rel.append([0] * rank + [1] * (1 + len(moved)))
+    return cokernel(IntMatrix(rel, ncols=rank + 1 + len(moved)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ per basis class (Rows).  So a vector or a row keeps its stored form when
 the basis grows, and a stabilized page shares each vector and each row
 its handle leaves alone with its parent; the book reader converts each
 of JSON's dense rows once, as it checks it, and the writer expands them
-(jsonio).  The kernels that need dense rows (the Smith systems, the
-products F C and C F C, the word matrices, arc transport) expand them
-at the call, J and C through dense_matrix, and drop them after it;
-nothing dense is kept on a page, an involution or a book.
+(jsonio).  The monodromy's matrix F and the products read off it (F C,
+C F C, F^-1) are sparse rows too (mcg.word_matrix, sparse_combine).
+The kernels that need dense rows (the Smith systems, arc transport)
+expand them at the call, J and C through dense_matrix, and drop them
+after it; nothing dense is kept on a page, an involution or a book.
 
 Conventions fixed here once and used everywhere else:
 

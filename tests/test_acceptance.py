@@ -75,7 +75,7 @@ def test_criterion_1_algebraic_invariants():
             page = ob.page
             c = as_matrix(ob.real_structure.matrix)
             j = as_matrix(page.form)
-            f = word_matrix(page, ob.monodromy)
+            f = as_matrix(word_matrix(page, ob.monodromy))
             ident = IntMatrix.identity(page.h1_rank)
             ok &= c @ c == ident
             ok &= c.transpose() @ j @ c == -j
@@ -87,7 +87,7 @@ def test_criterion_1_algebraic_invariants():
             break
     for ob in books:
         c, j = as_matrix(ob.real_structure.matrix), as_matrix(ob.page.form)
-        f = word_matrix(ob.page, ob.monodromy)
+        f = as_matrix(word_matrix(ob.page, ob.monodromy))
         ok &= c @ c == IntMatrix.identity(ob.page.h1_rank)
         ok &= c.transpose() @ j @ c == -j
         ok &= f.transpose() @ j @ f == j

@@ -45,7 +45,7 @@ def test_lens_3punctured_hand_presentation():
     -p d1 + q d2 and -(p+r) d1 - r d2 on two generators."""
     p, q, r = 2, 2, 1
     ob = catalog_lens_3punctured(p, q, r)
-    rel = IntMatrix.from_columns([[-p, q], [-(p + r), -r]], 2)
+    rel = IntMatrix([[-p, -(p + r)], [q, -r]])
     assert h1_of_manifold(ob) == cokernel(rel) == AbelianGroup(0, (8,))
 
 

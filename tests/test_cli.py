@@ -72,6 +72,25 @@ def test_a_schema2_file_reads_as_its_book(monkeypatch):
     assert len(book_json) < len(text)
 
 
+def test_a_word_read_from_json_is_freely_reduced(monkeypatch):
+    """fig4 2 and fig4 3 with d1 d1^-1 prepended to $.word read back as
+    the built books, reduced word and all: CertifiedReal, as the chain
+    peel finds each block's sigma at the front of the word, and new
+    writes the catalog's bytes."""
+    from realbook.catalog import catalog_fig4
+    from realbook.openbook import Reality, check_reality
+
+    for k in (2, 3):
+        _code, book_json = run_cli(["catalog", "fig4", str(k)])
+        obj = json.loads(book_json)
+        obj["word"] = [{"curve": "d1", "exp": 1}, {"curve": "d1", "exp": -1}] + obj["word"]
+        text = json.dumps(obj)
+        ob = loads(text)
+        assert ob == catalog_fig4(k)
+        assert check_reality(ob).kind is Reality.CERTIFIED_REAL
+        assert run_cli(["new"], text, monkeypatch) == (0, book_json)
+
+
 def test_round_trip_identity_on_catalog():
     for e in ENTRIES:
         ob = e.build()

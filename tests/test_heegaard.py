@@ -154,7 +154,7 @@ def dense_antisymplectic(ob, c):
 def plus_block_report(ob):
     """validate_heegaard on the block data F C of the book, which
     heegaard_data would refuse for a book that is not real."""
-    hd = HeegaardData(ob.monodromy_matrix @ as_matrix(ob.real_structure.matrix))
+    hd = HeegaardData(as_rows(as_matrix(ob.monodromy_matrix) @ as_matrix(ob.real_structure.matrix)))
     return dict(validate_heegaard(hd, ob))
 
 
@@ -382,7 +382,7 @@ def test_plus_checks_read_the_plus_block():
 
     ob = not_real_example()
     c = as_matrix(ob.real_structure.matrix)
-    fc = ob.monodromy_matrix @ c
+    fc = as_matrix(ob.monodromy_matrix) @ c
     plus, minus = 1 - fc.trace(), 1 - c.trace()
     assert plus != minus and plus > 0
     report = plus_block_report(ob)

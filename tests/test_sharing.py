@@ -172,9 +172,9 @@ def test_the_ladders_share_most_rows_of_the_form(monkeypatch):
 
 
 def test_no_book_keeps_a_dense_form_or_structure():
-    """After every query a book answers, J and C are still sparse rows:
-    no field or memo of a page, an involution or a book holds an
-    IntMatrix but the book's monodromy matrix F.  The NotReal book
+    """After every query a book answers, J, C and the monodromy matrix F
+    are still sparse rows: no field or memo of a page, an involution, a
+    book or its HeegaardData holds an IntMatrix.  The NotReal book
     reaches the homology-level check C F C = F^-1."""
     from test_openbook import not_real_example
 
@@ -186,9 +186,12 @@ def test_no_book_keeps_a_dense_form_or_structure():
     for ob in (build("fig4", "3"), build("fig5", "3"), build("fig6", "2"), not_real_example()):
         h1_of_manifold(ob)
         validate_involution(ob.page, ob.real_structure), validate_page(ob.page)
+        holders = [ob, ob.page, ob.real_structure]
         if check_reality(ob).kind is not Reality.NOT_REAL:
-            real_part(ob), validate_heegaard(heegaard_data(ob), ob)
-        for holder in (ob, ob.page, ob.real_structure):
+            hd = heegaard_data(ob)
+            real_part(ob), validate_heegaard(hd, ob)
+            holders.append(hd)
+        assert "monodromy_matrix" in vars(ob)
+        for holder in holders:
             for name, value in vars(holder).items():
-                dense = isinstance(value, IntMatrix)
-                assert not dense or (holder, name) == (ob, "monodromy_matrix"), name
+                assert not isinstance(value, IntMatrix), name
