@@ -13,10 +13,10 @@ dense products: word_matrix builds the word's matrix F from the
 identity rows and rewrites per letter only the rows at the nonzeros of
 a, and times_word takes and returns sparse rows (the real structure,
 the strand-law probes) and rewrites only the rows a letter moves.
-Reference arcs, as their pairing rows, go through a word together, in
-one pass (transport_arcs): per letter, each arc's crossing with the
-curve is a sparse dot, and an arc that misses the curve costs nothing
-more.
+Reference arcs, as the page's sparse pairing rows, go through a word
+together, in one pass (transport_arcs), each expanded into a working
+buffer of its own: per letter, each arc's crossing with the curve is a
+sparse dot, and an arc that misses the curve costs nothing more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  The tests check the updates against dense products
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .surface import Rows, Sparse, SurfaceModel, Vec, entries, sparse_add, sparse_combine
+from .surface import Rows, Sparse, SurfaceModel, Vec, dense, entries, sparse_add, sparse_combine
 
 Letter = tuple[str, int]
 TwistWord = tuple[Letter, ...]
@@ -162,24 +162,25 @@ def _normal_form(model: SurfaceModel, w: Sequence[Letter]) -> TwistWord:
 
 
 def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
-                   rows: Sequence[Sequence[int]]) -> list[tuple[Vec, Vec]]:
-    """Push reference arcs, given by their pairing rows, through a twist
-    word, all in one pass; (class, row) for each arc.
+                   rows: Sequence[Sparse]) -> list[tuple[Vec, Vec]]:
+    """Push reference arcs, given by their sparse pairing rows, through
+    a twist word, all in one pass; (class, row) for each arc, dense.
 
     Every arc's transport defect class starts at zero.  Per letter
     (a, e) and arc gamma with crossing k = <gamma, a>: the class gains
     e k [a] and the pairing row updates by
-    <tau_a^e(gamma), x> = <gamma, x> + e k <a, x>.  The crossing is a
-    sparse dot with a, and an arc that misses the curve (k = 0) is
-    left as it is.
+    <tau_a^e(gamma), x> = <gamma, x> + e k <a, x>.  Each row is
+    expanded once into a buffer of its own; the crossing is a sparse dot
+    with a, and an arc that misses the curve (k = 0) is left as it is.
+    A row with an entry at or past the rank raises ValueError.
     """
     rank = model.h1_rank
     for i, row in enumerate(rows):
-        if len(row) != rank:
-            raise ValueError(f"reference-arc pairing row {i} has length {len(row)}, "
-                             f"not the rank {rank}")
+        if row and row[-2] >= rank:
+            raise ValueError(f"reference-arc pairing row {i} has entry {row[-2]}, "
+                             f"past the rank {rank}")
     classes = [[0] * rank for _ in rows]
-    rows = [list(row) for row in rows]
+    rows = [dense(row, rank) for row in rows]
     for name, e in w:
         vecs = model.curve_vectors(name)
         a = list(entries(vecs.a))
@@ -195,6 +196,6 @@ def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
 
 
 def transport_arc(model: SurfaceModel, w: Sequence[Letter],
-                  row: Sequence[int]) -> tuple[Vec, Vec]:
+                  row: Sparse) -> tuple[Vec, Vec]:
     """Push one reference arc through a twist word (see transport_arcs)."""
     return transport_arcs(model, w, [row])[0]

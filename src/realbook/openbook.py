@@ -44,8 +44,8 @@ from .surface import (
     failures,
     image_holds,
     sparse_combine,
+    sparse_scale,
     sparse_transpose,
-    unit,
     validate_involution,
     validate_page,
 )
@@ -176,12 +176,12 @@ def validate_book(ob: OpenBook) -> dict[str, list[CheckResult]]:
 # reality
 
 
-def _mirror_functional(c: Rows, v: Sparse) -> tuple[int, ...]:
+def _mirror_functional(c: Rows, v: Sparse) -> Sparse:
     """-C^T v = -sum_i v_i row_i(C), over the nonzeros of v and of those
-    sparse rows, dense: the pairing row of the mirror c(gamma) of an arc
-    or curve whose sparse row is v (the reference arcs here, the new
-    curve of types VI and VIII)."""
-    return tuple(-x for x in dense(sparse_combine(v, c), len(c)))
+    sparse rows: the pairing row of the mirror c(gamma) of an arc or
+    curve whose sparse row is v (the reference arcs here, the new curve
+    of types VI and VIII)."""
+    return sparse_scale(-1, sparse_combine(v, c))
 
 
 def _arc_identity_holds(ob: OpenBook, f_inv: Rows) -> tuple[bool, object]:
@@ -197,8 +197,7 @@ def _arc_identity_holds(ob: OpenBook, f_inv: Rows) -> tuple[bool, object]:
     c = ob.real_structure.matrix
     cids = sorted(model.ref_arcs)
     rows = [model.ref_arcs[cid] for cid in cids]
-    moved = transport_arcs(model, w, [dense(row, model.h1_rank) for row in rows]
-                           + [_mirror_functional(c, row) for row in rows])
+    moved = transport_arcs(model, w, rows + [_mirror_functional(c, row) for row in rows])
     for cid, (cls, _row), (cls_mirrored, _row_mirrored) in zip(cids, moved, moved[len(cids):]):
         lhs = tuple(-sum([x * cls[i] for i, x in entries(r)]) for r in f_inv)
         rhs = tuple(sum([x * cls_mirrored[i] for i, x in entries(r)]) for r in c)
@@ -282,7 +281,7 @@ def _reality_of(ob: OpenBook) -> RealityStatus:
             if x != y:
                 return RealityStatus(
                     Reality.NOT_REAL,
-                    witness={"vector": unit(n, j), "cfc": tuple(dense(x, n)),
+                    witness={"vector": tuple(dense((j, 1), n)), "cfc": tuple(dense(x, n)),
                              "f_inverse": tuple(dense(y, n))},
                 )
     ok, wit = _arc_identity_holds(ob, f_inv)
@@ -310,8 +309,7 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     rank = model.h1_rank
     bp = model.basepoint
     others = sorted(cid for cid in model.circles if cid != bp)
-    moved = transport_arcs(model, ob.monodromy,
-                           [dense(model.ref_arcs[cid], rank) for cid in others])
+    moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
     rel: list[list[int]] = []
     for i, row in enumerate(ob.monodromy_matrix):
         r = dense(row, rank)

@@ -26,7 +26,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import StabilizationError
 from .intalg import (
-    IntMatrix,
     smith_normal_form,
     snf_solve,
     solve_integer,
@@ -74,22 +73,21 @@ def _max_pid(inv: Involution) -> int:
     return max(pids, default=0)
 
 
-def _extend_form(j: Rows, new_cols: list[tuple[int, ...]], mutual: int) -> Rows:
-    """Extend J by one or two classes with pairing functionals new_cols.
+def _extend_form(j: Rows, new_cols: list[Sparse], mutual: int) -> Rows:
+    """Extend J by one or two classes with sparse pairing functionals new_cols.
 
-    new_cols[i][u] = <u, new_i> for old basis u; <new_0, new_1> = mutual.
-    An old row gains the new columns' entries at its end, as their
-    indices follow every old one, and a row that pairs with no new class
-    is the parent's own object.
+    Entry u of new_cols[i] is <u, new_i> for old basis u; <new_0, new_1>
+    = mutual.  An old row gains the new columns' entries at its end, as
+    their indices follow every old one, and a row that pairs with no new
+    class is the parent's own object.
     """
     n = len(j)
     rows = list(j)
     for t, col in enumerate(new_cols):
-        for u, x in enumerate(col):
-            if x:
-                rows[u] += (n + t, x)
+        for u, x in entries(col):
+            rows[u] += (n + t, x)
     for t, col in enumerate(new_cols):
-        row = sparse(-x for x in col)
+        row = sparse_scale(-1, col)
         if len(new_cols) == 2 and mutual:
             row += (n + 1 - t, mutual if t == 0 else -mutual)
         rows.append(row)
@@ -331,16 +329,16 @@ class _Builder(SimpleNamespace):
         return FixArc(ends=ends, pair_curves=self.new_class(), pair_arcs={})
 
 
-def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = None,
+def _start_builder(ob: OpenBook, tag: str, cols: list[Sparse] | None = None,
                    mutual: int = 0) -> _Builder:
     """Scratch copy of the book with the new curves of a type-tag handle
     installed: the parent's vectors and fixed arcs as they are (a sparse
     vector needs no padding for the new coordinates) in the builder's
-    own dicts and lists, the form extended by the new curves' pairing
-    columns cols (zero by default) and mutual = <a, ca>, sharing every
-    row of the parent's form that pairs with no new curve.  The new curves
-    are named s{n} and s{n}c for the least n > len(provenance) for which
-    the page has neither name."""
+    own dicts and lists, the form extended by the new curves' sparse
+    pairing columns cols (none by default) and mutual = <a, ca>, sharing
+    every row of the parent's form that pairs with no new curve.  The new
+    curves are named s{n} and s{n}c for the least n > len(provenance) for
+    which the page has neither name."""
     count = STAB_TYPES[tag].handle_count
     model = ob.page
     inv = ob.real_structure
@@ -352,7 +350,7 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
     return _Builder(
         names=names,
         basis=list(model.basis) + names,
-        form=_extend_form(model.form, cols or [(0,) * model.h1_rank] * count, mutual),
+        form=_extend_form(model.form, cols or [()] * count, mutual),
         classes=model.alphabet | {n: (model.h1_rank + i, 1) for i, n in enumerate(names)},
         circles=dict(model.circles),
         perm=dict(inv.boundary_perm),
@@ -367,6 +365,11 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[tuple[int, ...]] | None = 
     )
 
 
+def _shifted(v: Sparse, by: int) -> Sparse:
+    """v with every index moved up by `by`."""
+    return tuple(x + by if k % 2 == 0 else x for k, x in enumerate(v))
+
+
 def _add_at(v: Sparse, idx: Sequence[int], deltas: Sequence[int]) -> Sparse:
     """v plus deltas[t] at coordinate idx[t], for each t."""
     return sparse_add(v, tuple(chain.from_iterable(zip(idx, deltas))))
@@ -378,18 +381,19 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
     fresh curves that the per-type bookkeeping leaves free.  A zero
     residual needs a zero correction, which snf_solve would return, so
     only arcs with a nonzero residual back-substitute.  The crossing
-    matrix is the same for every arc, so its Smith form is factored
-    once, for the first such arc.
+    matrix (the circles' classes at new_idx, the last indices) is the
+    same for every arc, so its Smith form is factored once, for the
+    first such arc.
     """
     snf = None
     for l, rhs in crossing_residuals(b.circles, b.arcs_rows):
         if not any(rhs):
             continue
         if snf is None:
-            snf = smith_normal_form(IntMatrix._trusted(
-                [[p.get(t, 0) for t in new_idx]
-                 for p in (dict(entries(b.circles[cid])) for cid in sorted(b.circles))],
-                len(new_idx)))
+            snf = smith_normal_form(dense_matrix(
+                [tuple(chain.from_iterable((i - b.a_idx, x) for i, x in entries(b.circles[cid])
+                                           if i >= b.a_idx))
+                 for cid in sorted(b.circles)], len(new_idx)))
         sol = snf_solve(snf, rhs)
         if sol is None:
             raise StabilizationError(
@@ -428,11 +432,12 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: Rows,
             out.append(arc)
             continue
         if snf is None:
-            new_rows = [dense(row, rank) for row in pushed[len(arcs):]]
-            snf = smith_normal_form(IntMatrix(
-                [[row[i] + (1 if i == t else 0) for row, t in zip(new_rows, new_idx)]
-                 for i in range(rank)],
-                ncols=len(new_idx)))
+            # column t of the system is the pushed unit row of new_idx[t]
+            # plus that unit, transposed as a square matrix padded with
+            # zero rows
+            cols = [sparse_add(p, (t, 1)) for p, t in zip(pushed[len(arcs):], new_idx)]
+            snf = smith_normal_form(dense_matrix(
+                sparse_transpose(cols + [()] * (rank - len(cols))), len(cols)))
         delta = snf_solve(snf, [-r for r in dense(residual, rank)])
         if delta is None:
             raise StabilizationError(
@@ -618,44 +623,34 @@ def _minus_arc_between(ob: OpenBook, j: int, k: int) -> FixArc | None:
     return None
 
 
-Pattern = list[tuple[Sequence[int], int]]
+Pattern = list[tuple[Sparse, int]]
 
 
 def _attachment_pattern(ob: OpenBook, j: int, k: int) -> Pattern:
     """The boundary pattern of a handle joining circles j and k, as
-    (P, P . v) pairs over the old basis, P a pushoff class (dense, for
-    the Smith systems) and v the pairing functional of the new curve:
-    P_j . v = -1, P_k . v = +1 and P_o . v = 0 for every other circle o,
-    in circle order."""
-    page = ob.page
-    n = page.h1_rank
-    return ([(dense(page.circles[j], n), -1), (dense(page.circles[k], n), 1)]
-            + [(dense(p, n), 0) for cid, p in page.circles.items() if cid not in (j, k)])
+    (P, P . v) pairs over the old basis, P the page's sparse pushoff
+    class and v the pairing functional of the new curve: P_j . v = -1,
+    P_k . v = +1 and P_o . v = 0 for every other circle o, in circle
+    order."""
+    circles = ob.page.circles
+    return ([(circles[j], -1), (circles[k], 1)]
+            + [(p, 0) for cid, p in circles.items() if cid not in (j, k)])
 
 
-def _solve_pushoff_column(pattern: Pattern, c_old: Rows,
-                          symmetry: int | None) -> tuple[int, ...]:
-    """Pairing functional v of the new curve: the attachment pattern,
-    and optionally C^T v = symmetry * v.  Everything over the old
-    basis; C's sparse rows are expanded for the Smith system."""
+def _solve_pushoff_column(pattern: Pattern, c_old: Rows, symmetry: int) -> Sparse:
+    """Pairing functional v of the new curve, sparse: the attachment
+    pattern and C^T v = symmetry * v, over the old basis.  Row i of
+    C^T - symmetry I is column i of C less symmetry e_i."""
     n = len(c_old)
-    rows: list[list[int]] = [list(p) for p, _ in pattern]
-    rhs = [want for _, want in pattern]
-    if symmetry is not None:
-        ct = dense_matrix(c_old).transpose()
-        for i in range(n):
-            row = [ct[i, u] - (symmetry if i == u else 0) for u in range(n)]
-            rows.append(row)
-            rhs.append(0)
-    sol = solve_integer(IntMatrix(rows, ncols=n), rhs)
+    rows = [p for p, _ in pattern] + [sparse_add(col, (i, symmetry), -1)
+                                     for i, col in enumerate(sparse_transpose(c_old))]
+    sol = solve_integer(dense_matrix(rows, n), [want for _, want in pattern] + [0] * n)
     if sol is None:
         raise StabilizationError("no consistent pairing data for the attachment site")
-    return tuple(sol)
+    return sparse(sol)
 
 
-def _solve_viii_data(
-    pattern: Pattern, c_old: Rows, form: Rows,
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse, Sparse, int, int]:
     """Attachment data (v, w, x, m) for type VIII.
 
     v is the pairing functional of the new curve, the re-formed boundary
@@ -680,18 +675,16 @@ def _solve_viii_data(
                               + sum c_i^2 q(g_i) + sum_{i<j} c_i c_j B(g_i, g_j),
     so the scores of a lattice need at most 15 values of q and B, once
     per x (_lattice_scores), and only the first hit is built as a point.
+    The rows are sparse over (v, w), the w half shifted by n, until the
+    Smith system expands them.
     """
     n = len(c_old)
-    c_dense = dense_matrix(c_old)
-    ct = c_dense.transpose()
-    one_minus_c = IntMatrix.identity(n) - c_dense
-    rows: list[list[int]] = [list(p) + [0] * n for p, _ in pattern]
-    rhs: list[int] = [want for _, want in pattern]
     (pj, _), (pk, _) = pattern[:2]
-    for i in range(n):
-        rows.append([0] * n + list(one_minus_c.rows[i]))
-        rhs.append(pj[i] + pk[i])
-    rhs.extend([0] * n)
+    # the pattern on v, then (1 - C) w = P_j + P_k
+    rows = [p for p, _ in pattern] + [_shifted(sparse_add((i, 1), r, -1), n)
+                                     for i, r in enumerate(c_old)]
+    rhs = [want for _, want in pattern] + dense(sparse_add(pj, pk), n) + [0] * n
+    ct = sparse_transpose(c_old)
 
     def polar(y: Sequence[int], z: Sequence[int]) -> int:
         return vec_dot(y[:n], z[n:]) + vec_dot(z[:n], y[n:])
@@ -699,12 +692,9 @@ def _solve_viii_data(
     @cache
     def lattice(x_coef: int):
         # row i is x (e_i - C^T e_i) followed by row i of J
-        x_rows = []
-        for i, cti in enumerate(ct.rows):
-            row = [-x_coef * c for c in cti]
-            row[i] += x_coef
-            x_rows.append(row + dense(form[i], n))
-        sol = solve_integer_affine(IntMatrix._trusted(rows + x_rows, 2 * n), rhs)
+        x_rows = [sparse_scale(x_coef, sparse_add((i, 1), cti, -1)) + _shifted(form[i], n)
+                  for i, cti in enumerate(ct)]
+        sol = solve_integer_affine(dense_matrix(rows + x_rows, 2 * n), rhs)
         if sol is None:
             return None
         base, kernel = sol
@@ -725,7 +715,7 @@ def _solve_viii_data(
         target = x_coef * m
         if target in scores:
             xx = _lattice_point(base, gens, scores.index(target))
-            return xx[:n], xx[n:], x_coef, m
+            return sparse(xx[:n]), sparse(xx[n:]), x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 
 
@@ -778,11 +768,10 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
     if len(hits) == 1 or hits[0] == hits[-1]:
         arc = b.plus_arcs.pop(hits[0])
         # closed up: core + arc; class is the new curve class corrected so
-        # the crossing functional matches the arc data
-        target = dense(set_coord(arc.pair_curves, b.a_idx, 0), b.rank)
-        # J^T e_a is row a of J
-        need = [t - x for t, x in zip(target, dense(b.form[b.a_idx], b.rank))]
-        w = solve_integer(dense_matrix(b.form).transpose(), need)
+        # the crossing functional matches the arc data; J^T e_a is row a
+        # of J, and the rows of J^T are the columns of J
+        need = sparse_add(set_coord(arc.pair_curves, b.a_idx, 0), b.form[b.a_idx], -1)
+        w = solve_integer(dense_matrix(sparse_transpose(b.form), b.rank), dense(need, b.rank))
         if w is None:
             raise StabilizationError("joined fixed circle has no consistent class")
         b.plus_circles.append(sparse_add(sparse(w), b.new_class()))
@@ -865,23 +854,21 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     # then e_a - z and P_j - (e_a - z); the new curve's honest pairing
     # column is J z (zero only when the closing arc misses everything,
     # as on the disk)
-    old_rank = ob.page.h1_rank
-    c_old = dense_matrix(ob.real_structure.matrix)
-    jm = dense_matrix(ob.page.form)
-    z_rows = [list(r) for r in jm.rows]
-    z_rhs = [-pc for pc in dense(x.pair_curves, old_rank)]
-    for l, row in sorted(ob.page.ref_arcs.items()):
-        z_rows.append(dense(row, old_rank))
-        z_rhs.append(-x.pair_arcs.get(l, 0))
-    sym = (c_old.transpose() @ jm) + jm
-    for row in sym.rows:
-        z_rows.append(list(row))
-        z_rhs.append(0)
-    z = solve_integer(IntMatrix(z_rows, ncols=old_rank), z_rhs)
+    n = ob.page.h1_rank
+    form = ob.page.form
+    arcs = sorted(ob.page.ref_arcs.items())
+    # row i of C^T J + J: column i of C combined over the rows of J,
+    # plus row i of J
+    sym = [sparse_add(sparse_combine(col, form), r)
+           for col, r in zip(sparse_transpose(ob.real_structure.matrix), form)]
+    z = solve_integer(dense_matrix(list(form) + [row for _l, row in arcs] + sym, n),
+                      [-pc for pc in dense(x.pair_curves, n)]
+                      + [-x.pair_arcs.get(l, 0) for l, _row in arcs] + [0] * n)
     if z is None:
         raise StabilizationError("type I: closing arc has no consistent closed class")
 
-    b = _start_builder(ob, "I", [tuple(jm.apply(z))])
+    jz = sparse(sum([y * z[i] for i, y in entries(r)]) for r in form)
+    b = _start_builder(ob, "I", [jz])
     pj = b.circles[j]
     j2 = b.fresh_cid()
     b.circles[j] = sparse_add(b.new_class(), sparse(z), -1)
@@ -981,10 +968,10 @@ def _stab_V(ob: OpenBook, site: tuple) -> OpenBook:
     # forced by the arc's declared crossings up to orientation; the
     # attachment is valid only if one orientation has the
     # boundary-crossing pattern
-    v_a = tuple(-pc for pc in dense(x.pair_curves, ob.page.h1_rank))
+    v_a = sparse_scale(-1, x.pair_curves)
     pattern = _attachment_pattern(ob, j, k)
-    for candidate in (v_a, tuple(-v for v in v_a)):
-        if all(vec_dot(p, candidate) == want for p, want in pattern):
+    for candidate in (v_a, sparse_scale(-1, v_a)):
+        if all(sparse_dot(p, candidate) == want for p, want in pattern):
             v_a = candidate
             break
     else:
@@ -1007,7 +994,7 @@ def _stab_VI(ob: OpenBook, site: tuple) -> OpenBook:
     c_old = ob.real_structure.matrix
     # anti-invariant functional keeps the re-formed boundary classes radical
     v_a = _solve_pushoff_column(_attachment_pattern(ob, j, k), c_old, -1)
-    v_ca = _mirror_functional(c_old, sparse(v_a))
+    v_ca = _mirror_functional(c_old, v_a)
 
     b = _start_builder(ob, "VI", [v_a, v_ca])
     # circles re-form: first points gather on j, second points on k
@@ -1067,10 +1054,10 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     c_old = ob.real_structure.matrix
     v_a, w, x_coef, mutual = _solve_viii_data(_attachment_pattern(ob, j, k), c_old,
                                               ob.page.form)
-    v_ca = _mirror_functional(c_old, sparse(v_a))
+    v_ca = _mirror_functional(c_old, v_a)
 
     b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
-    new_j = sparse_add(sparse(w), (b.a_idx, x_coef, b.a_idx + 1, x_coef))
+    new_j = sparse_add(w, (b.a_idx, x_coef, b.a_idx + 1, x_coef))
     b.circles[j] = new_j
     c_ext = _naive_extension(c_old, STAB_TYPES["VIII"])
     b.circles[k] = sparse_scale(-1, sparse([sparse_dot(r, new_j) for r in c_ext]))

@@ -23,9 +23,10 @@ its handle leaves alone with its parent; the book reader converts each
 of JSON's dense rows once, as it checks it, and the writer expands them
 (jsonio).  The monodromy's matrix F and the products read off it (F C,
 C F C, F^-1) are sparse rows too (mcg.word_matrix, sparse_combine).
-The kernels that need dense rows (the Smith systems, arc transport)
-expand them at the call, J and C through dense_matrix, and drop them
-after it; nothing dense is kept on a page, an involution or a book.
+Only a Smith system needs dense rows: its input is expanded through
+dense_matrix at the call and dropped after it.  Arc transport expands
+each pairing row into its own buffer (mcg.transport_arcs); nothing
+dense is kept on a page, an involution or a book.
 
 Conventions fixed here once and used everywhere else:
 
@@ -38,11 +39,10 @@ Conventions fixed here once and used everywhere else:
 Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
 sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
-sparse_combine and sparse_transpose (on sparse rows),
-dense_matrix (sparse rows expanded), unit (a dense basis vector),
-image_holds (a curve image under a matrix given by its sparse
-columns), and involution_check, anti_symplectic_check and
-lefschetz_check on sparse rows, which
+sparse_combine and sparse_transpose (on sparse rows), dense_matrix (a
+Smith system's input, expanded), image_holds (a curve image under a
+matrix given by its sparse columns), and involution_check,
+anti_symplectic_check and lefschetz_check on sparse rows, which
 validate_involution reports and heegaard.validate_heegaard reads for
 both invariant pages.  validate_involution is the one validation of a
 page and its involution (a stabilized book also runs structural_checks
@@ -167,20 +167,21 @@ def sparse_transpose(rows: Sequence[Sparse]) -> Rows:
     return tuple(map(tuple, cols))
 
 
-def dense_matrix(rows: Sequence[Sparse]) -> IntMatrix:
-    """The square matrix with the given sparse rows, dense, for a kernel
-    that needs dense rows: built at the call and dropped after it."""
+def dense_matrix(rows: Sequence[Sparse], ncols: int) -> IntMatrix:
+    """The matrix with the given sparse rows, ncols wide, dense: the
+    input of a Smith system, built at the call and dropped after it."""
+    return IntMatrix._trusted([dense(row, ncols) for row in rows], ncols)
+
+
+def _shown(rows: Sequence[Sparse]) -> tuple[Vec, ...]:
+    """A square matrix given by its sparse rows, as the dense rows a
+    failure report shows."""
     n = len(rows)
-    return IntMatrix._trusted([dense(row, n) for row in rows], n)
+    return tuple(tuple(dense(row, n)) for row in rows)
 
 
 def vec_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
-
-
-def unit(rank: int, idx: int) -> Vec:
-    """The basis vector e_idx of length rank."""
-    return tuple(1 if i == idx else 0 for i in range(rank))
 
 
 def crossing_residuals(circles: Mapping[int, Sparse],
@@ -405,14 +406,13 @@ def failures(report: Iterable[CheckResult]) -> str:
 
 def involution_check(c: Rows, rank: int) -> CheckResult:
     """C^2 = I on sparse rows: row i of C^2 combines the rows of C at
-    the nonzeros of row i, and must be e_i.  A failure expands C only to
-    report C^2."""
+    the nonzeros of row i, and must be e_i.  A failure reports C^2,
+    expanded only for its text."""
     ok = not rank or (len(c) == rank and all(
         sparse_combine(r, c) == (i, 1) for i, r in enumerate(c)))
     if ok:
         return CheckResult("involution", True)
-    m = dense_matrix(c)
-    return CheckResult("involution", False, f"C^2 = {(m @ m).rows}")
+    return CheckResult("involution", False, f"C^2 = {_shown([sparse_combine(r, c) for r in c])}")
 
 
 def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> CheckResult:
@@ -421,7 +421,7 @@ def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> Chec
     which takes two products with C as one factor instead of a chain of
     two; without C^2 = I the full product is compared.  Row i of C^T J
     combines the rows of J at the nonzeros of column i of C.  A failure
-    expands C and J only to report C^T J C."""
+    reports C^T J C (J at rank 0), expanded only for its text."""
     ctj = [sparse_combine(col, j) for col in sparse_transpose(c)]
     if rank and involution and len(j) == rank:
         ok = ctj == [sparse_scale(-1, sparse_combine(r, c)) for r in j]
@@ -429,9 +429,8 @@ def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> Chec
         ok = [sparse_combine(r, c) for r in ctj] == [sparse_scale(-1, r) for r in j]
     if ok:
         return CheckResult("anti_symplectic", True)
-    cm, jm = dense_matrix(c), dense_matrix(j)
-    full = cm.transpose() @ jm @ cm if rank else jm
-    return CheckResult("anti_symplectic", False, f"C^T J C = {full.rows}")
+    full = [sparse_combine(r, c) for r in ctj] if rank else j
+    return CheckResult("anti_symplectic", False, f"C^T J C = {_shown(full)}")
 
 
 def lefschetz_check(arc_count: int, c: Rows, rank: int) -> CheckResult:

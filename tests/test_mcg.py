@@ -18,14 +18,14 @@ from realbook.mcg import (
 )
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
 from realbook.catalog import standard_involution, standard_surface
-from realbook.surface import dense, entries
+from realbook.surface import entries, sparse
 from oracles import as_matrix, as_rows, dense_class, expand, twist_matrix
 
 
 def arc_row(model, cid):
-    """The stored (sparse) pairing row of the reference arc to boundary
-    cid, as the dense row transport_arcs takes."""
-    return tuple(dense(model.ref_arcs[cid], model.h1_rank))
+    """The stored sparse pairing row of the reference arc to boundary
+    cid, which transport_arcs takes as it is."""
+    return model.ref_arcs[cid]
 
 
 @pytest.fixture
@@ -118,13 +118,13 @@ def test_conjugation_matrix_identity():
 
 def test_transport_empty_word(annulus):
     row = arc_row(annulus, 2)
-    assert transport_arc(annulus, (), row) == ((0,), row)
+    assert transport_arc(annulus, (), row) == ((0,), tuple(expand(row, 1)))
 
 
 def test_transport_annulus_single_transvection(annulus):
     # a spanning arc crossing the core once picks up n copies of the core
     for n in range(1, 6):
-        cls, _row = transport_arc(annulus, word([("d1", n)]), (1,))
+        cls, _row = transport_arc(annulus, word([("d1", n)]), (0, 1))
         assert cls == (n,)
 
 
@@ -138,7 +138,7 @@ def test_transport_group_action():
         w1 = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(3)])
         w2 = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(3)])
         cls1, row1 = transport_arc(m, w1, arc_row(m, 2))
-        cls2, row2 = transport_arc(m, w2, row1)
+        cls2, row2 = transport_arc(m, w2, sparse(row1))
         assert (tuple(x + y for x, y in zip(cls1, cls2)), row2) == \
             transport_arc(m, concat(w1, w2), arc_row(m, 2))
 
@@ -151,9 +151,9 @@ def test_transport_then_inverse_returns_to_zero():
         w = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(4)])
         row = arc_row(m, 2)
         cls, moved = transport_arc(m, w, row)
-        back_cls, back = transport_arc(m, invert(w), moved)
+        back_cls, back = transport_arc(m, invert(w), sparse(moved))
         assert tuple(x + y for x, y in zip(cls, back_cls)) == (0,) * m.h1_rank
-        assert back == row
+        assert back == tuple(expand(row, m.h1_rank))
 
 
 def test_words_equal_disjoint_commutation():
@@ -175,8 +175,10 @@ def dense_word_matrix(model, w):
 
 
 def reference_transport(model, w, row):
-    """transport_arc with <a, x> taken from the dense J^T for every letter."""
+    """transport_arc with <a, x> taken from the dense J^T for every
+    letter, on the expanded row."""
     cls = (0,) * model.h1_rank
+    row = tuple(expand(row, model.h1_rank))
     for name, exp in w:
         a = dense_class(model, name)
         cross = sum(x * y for x, y in zip(row, a))
@@ -237,8 +239,8 @@ def test_kernels_match_dense_oracle_on_random_words(catalog_books):
 
 
 def random_row(rng, n):
-    """A random pairing row."""
-    return tuple(rng.randint(-2, 2) for _ in range(n))
+    """A random sparse pairing row."""
+    return sparse(rng.randint(-2, 2) for _ in range(n))
 
 
 def assert_transport_matches(model, w, rows):
@@ -281,11 +283,15 @@ def test_transport_arcs_matches_oracle_on_catalog_ladders_and_walks():
 
 
 def test_transport_arcs_rejects_arcs_of_the_wrong_length():
+    """A sparse row with an entry at or past the rank names a class the
+    page does not have."""
     m = standard_surface(1, 2)
     good = arc_row(m, 2)
     w = word([("a1", 1), ("d1", 2)])
-    for bad in (good[:-1], good + (0,)):
-        with pytest.raises(ValueError, match=f"pairing row 1 has length {len(bad)}, not the rank 3"):
+    assert good and good[-2] < 3
+    for past in (3, 7):
+        bad = good + (past, 1)
+        with pytest.raises(ValueError, match=f"pairing row 1 has entry {past}, past the rank 3"):
             transport_arcs(m, w, [good, bad])
 
 

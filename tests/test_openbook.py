@@ -35,7 +35,7 @@ from realbook.surface import (
     sparse_add,
     validate_involution,
 )
-from oracles import annulus_rotation, as_matrix, as_rows, is_trivial
+from oracles import annulus_rotation, as_matrix, as_rows, expand, is_trivial
 
 
 def not_real_example() -> OpenBook:
@@ -359,14 +359,15 @@ def test_incompatible_sites_raise(make, tag, site, message):
 
 def eager_viii_search(pattern, c_old, form):
     """The type-VIII search as first written: one linear system per
-    (m, x), all 626 lattice candidates built before any is scored."""
+    (m, x), all 626 lattice candidates built before any is scored, on
+    the pattern's classes expanded; v and w are returned sparse."""
     from itertools import product
 
     from realbook.intalg import solve_integer_affine
 
     c_old, form = as_matrix(c_old), as_matrix(form)
     n = c_old.nrows
-    (pj, _), (pk, _), *rest = pattern
+    (pj, _), (pk, _), *rest = [(expand(p, n), want) for p, want in pattern]
     others = [p for p, _ in rest]
     ct = c_old.transpose()
     one_minus_c = IntMatrix.identity(n) - c_old
@@ -399,7 +400,7 @@ def eager_viii_search(pattern, c_old, form):
             v, w = tuple(xx[:n]), tuple(xx[n:])
             if (sum(a * b for a, b in zip(v, w)) == x_coef * m
                     and sum(a * b for a, b in zip(ct.apply(v), w)) == x_coef * m):
-                return v, w, x_coef, m
+                return sparse(v), sparse(w), x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 
 
@@ -433,7 +434,8 @@ def viii_oracle_inputs():
         pj = [rng.randint(-2, 2) for _ in range(n)]
         pk = [rng.randint(-2, 2) for _ in range(n)]
         c_old = IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
-        yield ([(pj, -1), (pk, 1)], as_rows(c_old), as_rows(IntMatrix(form, ncols=n)))
+        yield ([(sparse(pj), -1), (sparse(pk), 1)], as_rows(c_old),
+               as_rows(IntMatrix(form, ncols=n)))
 
 
 def test_viii_search_matches_eager_search():
@@ -458,7 +460,8 @@ def test_viii_search_solutions_meet_both_radical_conditions():
         got = viii_outcome(_solve_viii_data, *args)
         if got[0] == "refused":
             continue
-        v, w, x, m = got
+        n = len(args[1])
+        v, w, x, m = expand(got[0], n), expand(got[1], n), got[2], got[3]
         c = as_matrix(args[1]).rows
         ctv = [sum(c[i][u] * v[i] for i in range(len(v))) for u in range(len(v))]
         assert sum(a * b for a, b in zip(ctv, w)) == sum(a * b for a, b in zip(v, w)) == x * m

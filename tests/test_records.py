@@ -32,7 +32,7 @@ def _instances() -> list:
         ob, page, inv, inv.fixed_set, _book("fig6-2").real_structure.fixed_set.arcs[0],
         ob.provenance[0], openbook.STAB_TYPES["VIII"], openbook.check_reality(ob),
         surface.validate_involution(page, inv)[0],
-        intalg.smith_normal_form(surface.dense_matrix(page.form)), openbook.h1_of_manifold(ob),
+        intalg.smith_normal_form(surface.dense_matrix(page.form, page.h1_rank)), openbook.h1_of_manifold(ob),
         heegaard.heegaard_data(ob), rp, rp.components[0],
         FormSampler(family=1, k=10.0, resolution=5), pf,
         contact.solid_torus_extension_check(FormSampler(family=1, k=10.0), pf, resolution=5),
