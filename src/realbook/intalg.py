@@ -21,15 +21,18 @@ entries, and the column log backwards on the result.  The pivots and
 the operations are the full-scan rule's, in its order, so the form, its
 transforms and every solution are the same entry for entry.  One
 elimination loop serves every caller: a system is factored once and
-solved for as many right-hand sides as a caller has, and cokernel reads
-only the diagonal of the same form.
+solved for as many right-hand sides as a caller has.  cokernel takes
+sparse rows and eliminates their unit entries on dict rows before any
+Smith form, the usual way to keep a sparse integer Smith form sparse
+(Dumas, Saunders & Villard, 2001), and reads only the diagonal of the
+form of the core that is left.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .records import record
 
@@ -330,13 +333,78 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                      col_ops=tuple(col_ops))
 
 
-def cokernel(a: IntMatrix) -> AbelianGroup:
-    """Z^rows(a) modulo the column span of a, in canonical form.  Only
-    the Smith diagonal is read, so no transform is built."""
-    diag = smith_normal_form(a).diag
-    nonzero = [d for d in diag if d != 0]
+def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
+    """Z^len(rows) modulo the column span of the matrix with these rows,
+    in canonical form.  Each row is sparse, its nonzero entries flat,
+    (j, a_j, k, a_k, ...), as surface.Sparse stores a vector; a column
+    no row reaches relates nothing, so no width is needed.
+
+    Unit pivots first, on dict rows with an index from each column to
+    the rows that reach it.  Lemma: if a_ij = +-1, the relation of
+    column j solves generator i in terms of the others.  Subtracting
+    a_ij a_il times column j from each other column l clears row i but
+    for a_ij, and changes no span; then e_i is a sum of the other
+    generators modulo the relations, and dropping row i and column j
+    leaves the quotient unchanged: a unit pivot removes one generator
+    and one relation.  Each pivot takes, in its row, the unit whose
+    column reaches the fewest rows, so an update touches few rows.
+    What is left has no unit entry, and only that core, its zero rows
+    and columns dropped, goes to smith_normal_form, whose diagonal is
+    read and no transform built.
+    """
+    mat: dict[int, dict[int, int]] = {}
+    index: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            it = iter(row)
+            mat[i] = entry = dict(zip(it, it))
+            for j in entry:
+                index.setdefault(j, set()).add(i)
+    units = 0
+    todo = list(mat)
+    while todo:
+        i = todo.pop()
+        row = mat.get(i)
+        if row is None:
+            continue
+        pcol = None
+        for j, x in row.items():
+            if (x == 1 or x == -1) and (pcol is None or len(index[j]) < len(index[pcol])):
+                pcol = j
+        if pcol is None:
+            continue
+        units += 1
+        del mat[i]
+        for j in row:
+            index[j].discard(i)
+        p = row.pop(pcol)
+        # column l -= a_ij a_il column j, on the rows column j reaches
+        scaled = [(j, p * x) for j, x in row.items()]
+        for k in index.pop(pcol):
+            other = mat[k]
+            a = other.pop(pcol)
+            for j, q in scaled:
+                if j in other:
+                    x = other[j] - q * a
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                        index[j].discard(k)
+                else:
+                    other[j] = -q * a
+                    index[j].add(k)
+            if other:
+                todo.append(k)
+            else:
+                del mat[k]
+    nonzero: list[int] = []
+    if mat:
+        cols = sorted(j for j, reach in index.items() if reach)
+        core = [[row.get(j, 0) for j in cols] for _i, row in sorted(mat.items())]
+        nonzero = [d for d in smith_normal_form(IntMatrix._trusted(core, len(cols))).diag if d]
     torsion = tuple(d for d in nonzero if d >= 2)
-    return AbelianGroup(free_rank=a.nrows - len(nonzero), torsion=torsion)
+    return AbelianGroup(free_rank=len(rows) - units - len(nonzero), torsion=torsion)
 
 
 def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -368,10 +436,12 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 
 def solve_integer_affine(
     a: IntMatrix, b: Sequence[int]
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]] | None:
     """Particular solution and a kernel basis of a @ x = b, or None.  The
     kernel is spanned by the columns of V past the nonzero diagonal,
-    each the column log replayed on a unit vector."""
+    each the column log replayed on a unit vector.  The basis is a lazy
+    generator, in column order, so a caller that reads a few generators
+    replays the log only for those."""
     if a.nrows != len(b):
         raise ValueError("rhs length mismatch")
     snf = smith_normal_form(a)
@@ -379,5 +449,5 @@ def solve_integer_affine(
     if x is None:
         return None
     diag, n = snf.diag, a.ncols
-    return x, [snf._times_v([int(i == j) for i in range(n)])
-               for j in range(n) if j >= len(diag) or diag[j] == 0]
+    return x, (snf._times_v([int(i == j) for i in range(n)])
+               for j in range(n) if j >= len(diag) or diag[j] == 0)

@@ -14,8 +14,8 @@ bytes whatever the order of its circle ids.  A file writes every class
 and row dense, of the basis size, the rows of `page.form` and
 `involution.matrix` too; the page and the involution store them sparse
 (surface.Sparse, surface.Rows), so the reader converts each row once,
-in the call that checks it (_row), and the writer expands each one with
-surface.dense.
+in the call that checks it (_row), and the writer renders each one's
+text from its nonzeros (_row_writer), with no dense list between.
 
 A file holds only what the reader cannot derive, but for `page.genus`
 (SurfaceModel derives it from 2g + b - 1 = rank H1): the writer writes
@@ -53,14 +53,16 @@ whose written records are not its page's last steps (the births of
 records.replace(ob, provenance=()) read back as root curves).
 
 On disk `dumps` writes one top-level field per line, in sorted key
-order, each value compact with sorted keys (the stdlib C encoder; an
-`indent` would force its pure-Python one).  The reader takes any JSON
-whitespace.  Where the schema has an integer it takes only a JSON
-integer: `true` and `2.0` are SchemaErrors, though Python's bool is an
-int and `2.0 == 2`.  Where it has a string (basis and curve names,
-provenance types) it takes only a JSON string, and an object keyed by
-integers takes only keys written as `str` writes them, so `"02"` and
-`"+2"` are SchemaErrors, not second names for boundary 2.
+order, each value compact with sorted keys, as the stdlib C encoder
+writes them (an `indent` would force its pure-Python one): the writer
+renders the text itself, each small leaf by that encoder and each name
+by its string function, so key order and escaping are the encoder's.
+The reader takes any JSON whitespace.  Where the schema has an integer
+it takes only a JSON integer: `true` and `2.0` are SchemaErrors, though
+Python's bool is an int and `2.0 == 2`.  Where it has a string (basis
+and curve names, provenance types) it takes only a JSON string, and an
+object keyed by integers takes only keys written as `str` writes them,
+so `"02"` and `"+2"` are SchemaErrors, not second names for boundary 2.
 """
 
 from __future__ import annotations
@@ -92,20 +94,6 @@ CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
 
 
-def _fixed_set_obj(fs: FixedSet, rank: int) -> dict:
-    return {
-        "arcs": [
-            {
-                "ends": [list(fs_end) for fs_end in arc.ends],
-                "pair_curves": dense(arc.pair_curves, rank),
-                "pair_arcs": {str(k): v for k, v in sorted(arc.pair_arcs.items())},
-            }
-            for arc in fs.arcs
-        ],
-        "circles": [{"h1_class": dense(c, rank)} for c in fs.circles],
-    }
-
-
 def _made(ob: OpenBook) -> set[str]:
     """The curves the written provenance makes, whose records must be the page's
     last steps: the reader takes every other curve for an older root curve."""
@@ -114,52 +102,6 @@ def _made(ob: OpenBook) -> set[str]:
     if steps[len(steps) - len(mine):] != mine:
         raise ValueError("the provenance does not record the page's last stabilizations")
     return set().union(*(names for _st, names in mine))
-
-
-def to_obj(ob: OpenBook) -> dict:
-    page = ob.page
-    rank = page.h1_rank
-    inv = ob.real_structure
-    made = _made(ob)
-    return {
-        "schema": SCHEMA_VERSION,
-        "page": {
-            "genus": page.genus,
-            "boundary": [{"id": cid, "pclass": dense(p, rank)} for cid, p in page.circles.items()],
-            "basis": list(page.basis),
-            "form": [dense(r, rank) for r in page.form],
-        },
-        "alphabet": [
-            {
-                "name": name,
-                "h1_class": dense(cls, rank),
-                "c_image": list(inv.curve_image[name]) if name in inv.curve_image else None,
-            }
-            for name, cls in sorted(page.alphabet.items())
-        ],
-        "ref_arcs": [
-            {"boundary": cid, "pairings": dense(row, rank)}
-            for cid, row in sorted(page.ref_arcs.items())
-        ],
-        "disjoint": sorted(sorted(p) for p in page.disjoint_pairs() if made.isdisjoint(p)),
-        "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
-        "involution": {
-            "matrix": [dense(r, rank) for r in inv.matrix],
-            "boundary_perm": {str(k): v for k, v in sorted(inv.boundary_perm.items())},
-            "fixed_points": {str(k): list(v) for k, v in sorted(inv.fixed_points.items())},
-            "fixed_set": _fixed_set_obj(inv.fixed_set, rank),
-        },
-        "fix_plus": _fixed_set_obj(ob.fix_plus, rank) if ob.fix_plus is not None else None,
-        "provenance": [
-            {
-                "type": rec.tag,
-                "site": list(rec.site),
-                "sigma": [[n, e] for n, e in rec.sigma],
-                "images": {k: list(v) for k, v in sorted(rec.images.items())},
-            }
-            for rec in ob.provenance
-        ],
-    }
 
 
 def _need(obj: dict, key: str, path: str) -> Any:
@@ -449,14 +391,99 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
     return page
 
 
+# ---------------------------------------------------------------------------
+# the writer
+
+
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the C function that encoder calls for a str
+_string = json.encoder.encode_basestring_ascii
+
+
+def _row_writer(rank: int) -> Callable[[Sparse], str]:
+    """The JSON text of a sparse vector's rank entries, as the C encoder
+    writes a list of ints: a fresh list of "0" cells with str(x) at each
+    nonzero x, so a zero costs no encoding."""
+    zeros = ["0"] * rank
+
+    def row(v: Sparse) -> str:
+        cells = zeros.copy()
+        it = iter(v)
+        for i in it:
+            cells[i] = str(next(it))
+        return "[" + ",".join(cells) + "]"
+
+    return row
+
+
+def _fixed_set_text(fs: FixedSet | None, row: Callable[[Sparse], str]) -> str:
+    if fs is None:
+        return "null"
+    arcs = ",".join(
+        '{"ends":' + _compact(arc.ends)
+        + ',"pair_arcs":' + _compact({str(k): v for k, v in arc.pair_arcs.items()})
+        + ',"pair_curves":' + row(arc.pair_curves) + "}"
+        for arc in fs.arcs)
+    circles = ",".join('{"h1_class":' + row(c) + "}" for c in fs.circles)
+    return '{"arcs":[' + arcs + '],"circles":[' + circles + "]}"
+
+
+def _disjoint_text(page: SurfaceModel, made: set[str]) -> str:
+    """The pairs no written provenance record gives: the root's pairs that
+    name no born curve, and, only when some birth is not in the written
+    provenance, the pairs the rule gives that name no written curve."""
+    born = page.births.keys()
+    pairs = [sorted(pair) for pair in page.disjoint if born.isdisjoint(pair)]
+    if born - made:
+        pairs += [sorted(pair) for pair in page.born_pairs() if made.isdisjoint(pair)]
+    return _compact(sorted(pairs))
 
 
 def dumps(ob: OpenBook) -> str:
     """The book as JSON in the on-disk layout of the module docstring;
-    the line breaks keep book diffs readable."""
-    obj = to_obj(ob)
-    return "{\n" + ",\n".join(f"{_compact(k)}:{_compact(obj[k])}" for k in sorted(obj)) + "\n}"
+    the line breaks keep book diffs readable.  The text is rendered
+    field by field, in sorted key order: each class and row from its
+    nonzeros (_row_writer), each name by the C encoder's string
+    function, each other small leaf (permutations, arc ends, the word,
+    provenance, disjoint pairs) by the C encoder itself."""
+    page, inv = ob.page, ob.real_structure
+    made = _made(ob)
+    row = _row_writer(page.h1_rank)
+
+    def matrix(rows: Rows) -> str:
+        return "[" + ",".join(map(row, rows)) + "]"
+
+    def image(name: str) -> str:
+        img = inv.curve_image.get(name)
+        return "null" if img is None else "[" + _string(img[0]) + "," + str(img[1]) + "]"
+
+    alphabet = ",".join(
+        '{"c_image":' + image(name) + ',"h1_class":' + row(cls) + ',"name":' + _string(name) + "}"
+        for name, cls in sorted(page.alphabet.items()))
+    boundary = ",".join('{"id":' + str(cid) + ',"pclass":' + row(p) + "}"
+                        for cid, p in page.circles.items())
+    ref_arcs = ",".join('{"boundary":' + str(cid) + ',"pairings":' + row(r) + "}"
+                        for cid, r in sorted(page.ref_arcs.items()))
+    fields = (
+        ("alphabet", "[" + alphabet + "]"),
+        ("disjoint", _disjoint_text(page, made)),
+        ("fix_plus", _fixed_set_text(ob.fix_plus, row)),
+        ("involution",
+         '{"boundary_perm":' + _compact({str(k): v for k, v in inv.boundary_perm.items()})
+         + ',"fixed_points":' + _compact({str(k): v for k, v in inv.fixed_points.items()})
+         + ',"fixed_set":' + _fixed_set_text(inv.fixed_set, row)
+         + ',"matrix":' + matrix(inv.matrix) + "}"),
+        ("page",
+         '{"basis":' + _compact(page.basis) + ',"boundary":[' + boundary
+         + '],"form":' + matrix(page.form) + ',"genus":' + str(page.genus) + "}"),
+        ("provenance", _compact([
+            {"type": rec.tag, "site": rec.site, "sigma": rec.sigma, "images": dict(rec.images)}
+            for rec in ob.provenance])),
+        ("ref_arcs", "[" + ref_arcs + "]"),
+        ("schema", str(SCHEMA_VERSION)),
+        ("word", _compact([{"curve": n, "exp": e} for n, e in ob.monodromy])),
+    )
+    return "{\n" + ",\n".join(f'"{key}":{value}' for key, value in fields) + "\n}"
 
 
 def loads(text: str) -> OpenBook:

@@ -15,8 +15,9 @@ a, and times_word takes and returns sparse rows (the real structure,
 the strand-law probes) and rewrites only the rows a letter moves.
 Reference arcs, as the page's sparse pairing rows, go through a word
 together, in one pass (transport_arcs), each expanded into a working
-buffer of its own: per letter, each arc's crossing with the curve is a
-sparse dot, and an arc that misses the curve costs nothing more.
+buffer of its own: per letter, the arcs' crossings with the curve are
+summed over the nonzeros of its class for all arcs at once, and an arc
+that misses the curve costs nothing more.
 The sparse a, J a and J^T a of each curve come from the page's cache
 (SurfaceModel.curve_vectors), so a page computes them once however many
 words act on it.  The tests check the updates against dense products
@@ -170,9 +171,10 @@ def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
     (a, e) and arc gamma with crossing k = <gamma, a>: the class gains
     e k [a] and the pairing row updates by
     <tau_a^e(gamma), x> = <gamma, x> + e k <a, x>.  Each row is
-    expanded once into a buffer of its own; the crossing is a sparse dot
-    with a, and an arc that misses the curve (k = 0) is left as it is.
-    A row with an entry at or past the rank raises ValueError.
+    expanded once into a buffer of its own; the crossings of all arcs
+    with a letter's curve are summed together, one pass over the arcs per
+    nonzero of a, and an arc that misses the curve (k = 0) is left as it
+    is.  A row with an entry at or past the rank raises ValueError.
     """
     rank = model.h1_rank
     for i, row in enumerate(rows):
@@ -184,8 +186,11 @@ def transport_arcs(model: SurfaceModel, w: Sequence[Letter],
     for name, e in w:
         vecs = model.curve_vectors(name)
         a = list(entries(vecs.a))
-        for cls, row in zip(classes, rows):
-            cross = sum([row[i] * x for i, x in a])
+        # every arc's crossing with the curve at once, nonzero by nonzero of a
+        crosses = [0] * len(rows)
+        for i, x in a:
+            crosses = [c + row[i] * x for c, row in zip(crosses, rows)]
+        for cross, cls, row in zip(crosses, classes, rows):
             if cross:
                 k = e * cross
                 for i, x in a:

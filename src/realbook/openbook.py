@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping
 
 from .errors import StabilizationError  # noqa: F401  (re-exported for callers of stabilize)
-from .intalg import IntMatrix, AbelianGroup, cokernel
+from .intalg import AbelianGroup, cokernel
 from .mcg import (
     TwistWord,
     conjugate,
@@ -43,6 +44,8 @@ from .surface import (
     entries,
     failures,
     image_holds,
+    sparse,
+    sparse_add,
     sparse_combine,
     sparse_scale,
     sparse_transpose,
@@ -302,21 +305,22 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     zero and the others the transported reference-arc classes, one per
     column.  Row i of the relation matrix is row i of F - I, then the
     0 of t's column, then entry i of each transported class; the last
-    row is t's.  Every reference arc is transported in one pass of the
-    word.
+    row is t's.  The rows are sparse, and cokernel eliminates their
+    unit entries before any Smith form.  Every reference arc is
+    transported in one pass of the word.
     """
     model = ob.page
     rank = model.h1_rank
     bp = model.basepoint
     others = sorted(cid for cid in model.circles if cid != bp)
-    moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
-    rel: list[list[int]] = []
-    for i, row in enumerate(ob.monodromy_matrix):
-        r = dense(row, rank)
-        r[i] -= 1
-        rel.append(r + [0] + [cls[i] for cls, _row in moved])
-    rel.append([0] * rank + [1] * (1 + len(moved)))
-    return cokernel(IntMatrix(rel, ncols=rank + 1 + len(moved)))
+    moved = [cls for cls, _row in
+             transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])]
+    # entry i of each transported class, for each i
+    classes_at = zip(*moved) if moved else repeat(())
+    rel = [sparse_add(row, (i, 1), -1) + sparse(at_i, rank + 1)
+           for i, (row, at_i) in enumerate(zip(ob.monodromy_matrix, classes_at))]
+    rel.append(sparse([1] * (1 + len(moved)), rank))
+    return cokernel(rel)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ command line's subcommands only stabilize and catalog load this module.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -698,7 +698,7 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
         if sol is None:
             return None
         base, kernel = sol
-        gens = kernel[:4]
+        gens = list(islice(kernel, 4))
         scores = _lattice_scores(
             vec_dot(base[:n], base[n:]),
             [polar(base, g) for g in gens],

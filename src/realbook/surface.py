@@ -20,13 +20,16 @@ order.  So are the form J and the involution's matrix C, one Sparse row
 per basis class (Rows).  So a vector or a row keeps its stored form when
 the basis grows, and a stabilized page shares each vector and each row
 its handle leaves alone with its parent; the book reader converts each
-of JSON's dense rows once, as it checks it, and the writer expands them
-(jsonio).  The monodromy's matrix F and the products read off it (F C,
-C F C, F^-1) are sparse rows too (mcg.word_matrix, sparse_combine).
-Only a Smith system needs dense rows: its input is expanded through
-dense_matrix at the call and dropped after it.  Arc transport expands
-each pairing row into its own buffer (mcg.transport_arcs); nothing
-dense is kept on a page, an involution or a book.
+of JSON's dense rows once, as it checks it, and the writer renders each
+row's text from its nonzeros (jsonio).  The monodromy's matrix F and
+the products read off it (F C, C F C, F^-1) are sparse rows too
+(mcg.word_matrix, sparse_combine).  Only a Smith system needs dense
+rows: its input is expanded through dense_matrix at the call and
+dropped after it, and the relation rows of H1 go to intalg.cokernel
+sparse, which expands only the core its unit pivots leave.  Arc
+transport expands each pairing row into its own buffer
+(mcg.transport_arcs); nothing dense is kept on a page, an involution
+or a book.
 
 Conventions fixed here once and used everywhere else:
 
@@ -90,11 +93,13 @@ _flat = chain.from_iterable
 _value = itemgetter(1)
 
 
-def sparse(v: Iterable[int]) -> Sparse:
+def sparse(v: Iterable[int], start: int = 0) -> Sparse:
     """The canonical sparse form of a dense vector: the (i, x_i) pairs of
     its nonzero entries, filtered and flattened without a Python-level
-    loop, as the book reader converts every row of a file."""
-    return tuple(_flat(filter(_value, enumerate(v))))
+    loop, as the book reader converts every row of a file.  With start,
+    the entries are indexed from start: the vector placed after start
+    zeros."""
+    return tuple(_flat(filter(_value, enumerate(v, start))))
 
 
 def dense(v: Sparse, n: int) -> list[int]:

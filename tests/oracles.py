@@ -8,6 +8,7 @@ too.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from math import gcd
 
@@ -32,8 +33,8 @@ def as_matrix(rows: tuple[Sparse, ...]) -> IntMatrix:
 
 
 def as_rows(m: IntMatrix) -> tuple[Sparse, ...]:
-    """The sparse rows a page or an involution stores for a dense
-    matrix."""
+    """The sparse rows of a dense matrix, as a page or an involution
+    stores them and as cokernel takes them."""
     return tuple(tuple(v for j, x in enumerate(row) if x for v in (j, x)) for row in m.rows)
 
 
@@ -271,3 +272,77 @@ def k_term_dominates(family: int, k: float, resolution: int = 50) -> bool:
     fs = FormSampler(family=family, k=k, resolution=resolution)
     return all(kt - abs(d - kt) > 0.0
                for d, kt in zip(fs.defect_grid(+1), fs.k_term_grid()))
+
+
+def _fixed_set_obj(fs, rank: int) -> dict:
+    return {
+        "arcs": [
+            {
+                "ends": [list(fs_end) for fs_end in arc.ends],
+                "pair_curves": expand(arc.pair_curves, rank),
+                "pair_arcs": {str(k): v for k, v in sorted(arc.pair_arcs.items())},
+            }
+            for arc in fs.arcs
+        ],
+        "circles": [{"h1_class": expand(c, rank)} for c in fs.circles],
+    }
+
+
+def reference_to_obj(ob) -> dict:
+    """The JSON object of a book as the schema-3 writer was first
+    written: every class and row expanded dense, and the disjoint pairs
+    the page holds that name no curve of the written provenance."""
+    page = ob.page
+    rank = page.h1_rank
+    inv = ob.real_structure
+    made = {n for rec in ob.provenance for n, _ in rec.sigma}
+    return {
+        "schema": 3,
+        "page": {
+            "genus": page.genus,
+            "boundary": [{"id": cid, "pclass": expand(p, rank)} for cid, p in page.circles.items()],
+            "basis": list(page.basis),
+            "form": [expand(r, rank) for r in page.form],
+        },
+        "alphabet": [
+            {
+                "name": name,
+                "h1_class": expand(cls, rank),
+                "c_image": list(inv.curve_image[name]) if name in inv.curve_image else None,
+            }
+            for name, cls in sorted(page.alphabet.items())
+        ],
+        "ref_arcs": [
+            {"boundary": cid, "pairings": expand(row, rank)}
+            for cid, row in sorted(page.ref_arcs.items())
+        ],
+        "disjoint": sorted(sorted(p) for p in page.disjoint_pairs() if made.isdisjoint(p)),
+        "word": [{"curve": n, "exp": e} for n, e in ob.monodromy],
+        "involution": {
+            "matrix": [expand(r, rank) for r in inv.matrix],
+            "boundary_perm": {str(k): v for k, v in sorted(inv.boundary_perm.items())},
+            "fixed_points": {str(k): list(v) for k, v in sorted(inv.fixed_points.items())},
+            "fixed_set": _fixed_set_obj(inv.fixed_set, rank),
+        },
+        "fix_plus": _fixed_set_obj(ob.fix_plus, rank) if ob.fix_plus is not None else None,
+        "provenance": [
+            {
+                "type": rec.tag,
+                "site": list(rec.site),
+                "sigma": [[n, e] for n, e in rec.sigma],
+                "images": {k: list(v) for k, v in sorted(rec.images.items())},
+            }
+            for rec in ob.provenance
+        ],
+    }
+
+
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def reference_dumps(ob) -> str:
+    """The book's text as the writer first wrote it: reference_to_obj,
+    one top-level field per line in sorted key order, each value
+    encoded compact with sorted keys by the C encoder."""
+    obj = reference_to_obj(ob)
+    return "{\n" + ",\n".join(f"{_compact(k)}:{_compact(obj[k])}" for k in sorted(obj)) + "\n}"

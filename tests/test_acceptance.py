@@ -39,7 +39,7 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
-from oracles import as_matrix, det, is_trivial, wronskian
+from oracles import as_matrix, as_rows, det, is_trivial, wronskian
 
 
 def _verdict(num, title, ok):
@@ -233,7 +233,7 @@ def test_criterion_7_smith_normal_form():
         for x, y in zip(diag, diag[1:]):
             ok &= (y == 0) if x == 0 else (y % x == 0)
         if trial % 5 == 0:
-            ok &= cokernel(rand_uni(rows) @ a @ rand_uni(cols)) == cokernel(a)
+            ok &= cokernel(as_rows(rand_uni(rows) @ a @ rand_uni(cols))) == cokernel(as_rows(a))
         if not ok:
             break
     _verdict(7, "Smith normal form, exact", ok)

@@ -7,7 +7,7 @@ import pytest
 
 from realbook.catalog import ENTRIES
 from realbook.cli import main
-from realbook.jsonio import SCHEMA_VERSION, dumps, loads, to_obj
+from realbook.jsonio import SCHEMA_VERSION, dumps, loads
 from schema1 import as_schema1, as_schema2
 
 
@@ -128,20 +128,23 @@ def sorted_object(pairs):
 
 
 def test_dumps_writes_one_compact_field_per_line():
-    """dumps writes the JSON of to_obj with one top-level field per line,
-    in sorted key order, every object's keys sorted and no whitespace
-    inside a line; the text reads back to itself, and its schema-1
+    """dumps writes one top-level field per line, in sorted key order,
+    every object's keys sorted and no whitespace inside a line; each line
+    is its key and the compact encoding, by the C encoder, of the value
+    it parses to; the text reads back to itself, and its schema-1
     rendering loads to the same book."""
+    compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     for ob in catalog_and_ladders():
         text = dumps(ob)
-        obj = to_obj(ob)
-        assert json.loads(text, object_pairs_hook=sorted_object) == obj
+        obj = json.loads(text, object_pairs_hook=sorted_object)
         lines = text.split("\n")
         assert (lines[0], lines[-1]) == ("{", "}")
         fields = lines[1:-1]
         assert [line.endswith(",") for line in fields] == [True] * (len(obj) - 1) + [False]
         keys = [next(iter(json.loads("{" + line.rstrip(",") + "}"))) for line in fields]
         assert keys == sorted(obj)
+        assert [line.rstrip(",") for line in fields] == [
+            f"{compact(key)}:{compact(obj[key])}" for key in keys]
         assert not any(c.isspace() for c in "".join(fields))
         assert dumps(loads(text)) == text
         assert loads(as_schema1(text)) == ob

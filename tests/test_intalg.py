@@ -13,10 +13,12 @@ from realbook.intalg import (
 )
 from oracles import (
     as_matrix,
+    as_rows,
     dense_solve,
     det,
     determinantal_divisors,
     diagonal,
+    expand,
     full_scan_smith_normal_form,
     smith_check,
     zeros,
@@ -63,16 +65,16 @@ def test_snf_zero():
 
 def test_cokernel_cyclic():
     for n in range(2, 8):
-        assert cokernel(IntMatrix([[n]])) == AbelianGroup(0, (n,))
+        assert cokernel(as_rows(IntMatrix([[n]]))) == AbelianGroup(0, (n,))
 
 
 def test_cokernel_no_relations():
     empty = IntMatrix([[]], ncols=0)
-    assert cokernel(empty) == AbelianGroup(1)
+    assert cokernel(as_rows(empty)) == AbelianGroup(1)
 
 
 def test_cokernel_rank_one():
-    assert cokernel(IntMatrix([[1, 0], [0, 0]])) == AbelianGroup(1)
+    assert cokernel(as_rows(IntMatrix([[1, 0], [0, 0]]))) == AbelianGroup(1)
 
 
 def test_abelian_group_canonical_form_enforced():
@@ -116,7 +118,7 @@ def test_cokernel_invariant_under_unimodular_action():
         a = random_matrix(rng, m, n)
         u = random_unimodular(rng, m)
         v = random_unimodular(rng, n)
-        assert cokernel(u @ a @ v) == cokernel(a)
+        assert cokernel(as_rows(u @ a @ v)) == cokernel(as_rows(a))
 
 
 def test_solve_integer():
@@ -130,6 +132,8 @@ def test_solve_integer_affine_kernel():
     sol = solve_integer_affine(a, [2])
     assert sol is not None
     x, kernel = sol
+    assert iter(kernel) is kernel       # lazy: a generator is built when read
+    kernel = list(kernel)
     assert sum(x[:2]) == 2
     assert len(kernel) == 2
     for g in kernel:
@@ -268,7 +272,7 @@ def test_snf_matches_full_scan_pivot_rule():
         snf = smith_normal_form(a)
         oracle = full_scan_smith_normal_form(a)
         assert (snf.d, snf.u, snf.v) == oracle, a
-        assert_cokernel_reads_only_d(a, oracle[0])
+        assert_cokernel_factors_only_a_unit_free_core(a)
 
 
 def test_fig4_ladder_reaches_the_largest_viii_systems():
@@ -307,7 +311,7 @@ def test_smith_form_reads_its_diagonal_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the diagonal-only Smith form behind cokernel
+# cokernel: unit pivots on sparse rows, then the Smith form of the core
 
 
 def cokernel_from_divisors(a):
@@ -327,26 +331,32 @@ def cokernel_from_transforms(a):
     return AbelianGroup(a.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
-def assert_cokernel_reads_only_d(a, d):
-    """cokernel(a) factors one Smith form, whose diagonal matrix is d,
-    and reads only d: neither transform is built from the logs."""
+def assert_cokernel_factors_only_a_unit_free_core(a):
+    """cokernel, given the sparse rows of a, factors at most one Smith
+    form, of a core with no unit entry and no zero row or column, and
+    reads only its diagonal, which is the dense reference's for that
+    core: neither transform is built from the logs.  The group is the
+    one the dense reference's diagonal of all of a gives.  Returns the
+    cores factored."""
     from realbook import intalg
 
     forms = []
     factor = intalg.smith_normal_form
-    intalg.smith_normal_form = lambda m: forms.append(factor(m)) or forms[-1]
+    intalg.smith_normal_form = lambda m: forms.append((m, factor(m))) or forms[-1][1]
     try:
-        cokernel(a)
+        group = cokernel(as_rows(a))
     finally:
         intalg.smith_normal_form = factor
-    (form,) = forms
-    assert form.d == d, a
-    assert not {"u", "v"} & vars(form).keys(), a
-
-
-def assert_diagonal_only_agrees(a):
-    assert_cokernel_reads_only_d(a, smith_normal_form(a).d)
-    assert cokernel(a) == cokernel_from_transforms(a), a
+    assert len(forms) <= 1, a
+    for core, form in forms:
+        assert core.nrows and core.ncols, a
+        assert all(any(row) for row in core.rows), a
+        assert all(any(col) for col in zip(*core.rows)), a
+        assert not any(abs(x) == 1 for row in core.rows for x in row), a
+        assert form.d == full_scan_smith_normal_form(core)[0], a
+        assert not {"u", "v"} & vars(form).keys(), a
+    assert group == cokernel_from_transforms(a), a
+    return [core for core, _form in forms]
 
 
 def test_cokernel_diagonal_matches_smith_form_and_minor_oracle():
@@ -363,27 +373,69 @@ def test_cokernel_diagonal_matches_smith_form_and_minor_oracle():
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         small.append(IntMatrix(rows, ncols=n))
     for a in small:
-        assert_diagonal_only_agrees(a)
-        assert cokernel(a) == cokernel_from_divisors(a), a
-    assert cokernel(IntMatrix([], ncols=3)) == AbelianGroup(0)
-    assert cokernel(IntMatrix([[]] * 3, ncols=0)) == AbelianGroup(3)
+        assert_cokernel_factors_only_a_unit_free_core(a)
+        assert cokernel(as_rows(a)) == cokernel_from_divisors(a), a
+    assert cokernel(as_rows(IntMatrix([], ncols=3))) == AbelianGroup(0)
+    assert cokernel(as_rows(IntMatrix([[]] * 3, ncols=0))) == AbelianGroup(3)
     for a in snf_oracle_matrices(rng):
-        assert_diagonal_only_agrees(a)
+        assert_cokernel_factors_only_a_unit_free_core(a)
 
 
 def test_cokernel_diagonal_on_every_h1_relation_matrix(monkeypatch):
+    """h1_of_manifold's sparse relation rows, as cokernel gets them, on
+    every catalog book and golden ladder: the group is the dense Smith
+    diagonal's, the unit-free core cokernel factors is at most 2 x 2 and
+    its diagonal is the minor-gcd oracle's, and a matrix small enough
+    for the oracle gives its group too."""
     from realbook import openbook
     from realbook.catalog import ENTRIES
     from test_golden import ladders
 
     relations = []
-    monkeypatch.setattr(openbook, "cokernel", lambda a: relations.append(a) or cokernel(a))
+    monkeypatch.setattr(openbook, "cokernel", lambda rows: relations.append(rows) or cokernel(rows))
     books = [e.build() for e in ENTRIES] + [ob for _label, ob in ladders()]
     for ob in books:
         openbook.h1_of_manifold(ob)
     assert len(relations) == len(books)
-    for a in relations:
-        assert_diagonal_only_agrees(a)
+    for rows in relations:
+        a = IntMatrix([expand(row, 1 + max(row[-2] for row in rows if row)) for row in rows])
+        assert as_rows(a) == tuple(rows)
+        for core in assert_cokernel_factors_only_a_unit_free_core(a):
+            assert core.nrows <= 2 and core.ncols <= 2, core
+            assert cokernel(as_rows(core)) == cokernel_from_divisors(core), core
+        if min(a.shape) <= 4:
+            assert cokernel(rows) == cokernel_from_divisors(a), a
+
+
+def random_sparse_rows(rng, m, n, units=True):
+    """m random sparse rows over n columns, about a third of the entries
+    nonzero; without units, no entry is +-1.  A row and a column picked
+    at random (or none, one time in m + 1 and n + 1) are left zero."""
+    values = (1, -1, 2, -3, 4) if units else (2, -2, 3, -4, 6)
+    zero_row, zero_col = rng.randrange(m + 1), rng.randrange(n + 1)
+    return [[rng.choice(values) if i != zero_row and j != zero_col and rng.random() < 0.35 else 0
+             for j in range(n)] for i in range(m)]
+
+
+def test_cokernel_on_random_sparse_rows():
+    """Random sparse matrices with zero rows and zero columns, with and
+    without unit entries, and with no rows at all: cokernel, given their
+    sparse rows, gives the dense Smith diagonal's group and the minor-gcd
+    oracle's, and only a unit-free core reaches smith_normal_form."""
+    rng = random.Random(59)
+    assert cokernel([]) == AbelianGroup(0)
+    assert cokernel(as_rows(IntMatrix([], ncols=4))) == AbelianGroup(0)
+    cores = 0
+    for trial in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = IntMatrix(random_sparse_rows(rng, m, n, units=trial % 4 != 0), ncols=n)
+        cores += len(assert_cokernel_factors_only_a_unit_free_core(a))
+        assert cokernel(as_rows(a)) == cokernel_from_divisors(a), a
+    for trial in range(60):
+        m, n = rng.randint(8, 30), rng.randint(8, 40)
+        a = IntMatrix(random_sparse_rows(rng, m, n, units=trial % 3 != 0), ncols=n)
+        cores += len(assert_cokernel_factors_only_a_unit_free_core(a))
+    assert cores
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +501,10 @@ def round_systems(monkeypatch, seed):
 
     def solving_affine(a, b):
         found = solve_affine(a, b)
+        if found is not None:
+            found = (found[0], list(found[1]))
         affine.append((a, list(b), found))
-        return found
+        return found and (found[0], iter(found[1]))
 
     for module in (intalg, stabilization):
         monkeypatch.setattr(module, "smith_normal_form", factoring)
@@ -487,4 +541,5 @@ def test_logged_transforms_solve_as_the_dense_ones_on_random_systems():
                 want, kernel = dense_solve(a, b)
                 assert snf_solve(snf, b) == want, (a, b)
                 found = solve_integer_affine(a, b)
+                found = found and (found[0], list(found[1]))
                 assert found == (None if want is None else (want, kernel)), (a, b)

@@ -389,7 +389,7 @@ def eager_viii_search(pattern, c_old, form):
             continue
         base, kernel = sol
         candidates = [list(base)]
-        gens = kernel[:4]
+        gens = list(kernel)[:4]
         for combo in product(range(-2, 3), repeat=len(gens)):
             xx = list(base)
             for c, g in zip(combo, gens):

@@ -54,30 +54,35 @@ def step(ob, rng, prefer):
     return None
 
 
-def test_walks_keep_h1_and_the_real_part():
-    accepted = set()
+def walk_steps():
+    """Every accepted step of the walks, in order: ((root, walk, step,
+    type), root book, book made)."""
     for walk in range(150):
         rng = random.Random(f"walk/{walk}")
         root = ROOTS[walk % len(ROOTS)]
-        ob = build(*root)
-        h1, count = h1_of_manifold(ob), real_part(ob).count
+        start = ob = build(*root)
         for i in range(rng.randint(1, 4)):
             taken = step(ob, rng, TYPES[(walk + i) % len(TYPES)])
             if taken is None:
                 break
             tag, ob = taken
-            accepted.add(tag)
-            where = (root, walk, i, tag)
-            assert vars(ob)["_door"] is None and replace(ob)._door is None, where
-            assert check_reality(ob).kind is not Reality.NOT_REAL, where
-            assert h1_of_manifold(ob) == h1, where
-            rp = real_part(ob)
-            assert rp.count == count, where
-            text = dumps(ob)
-            assert dumps(ob) == text, where
-            back = loads(text)
-            assert back == ob, where
-            assert real_part(back).separating_flags() == rp.separating_flags(), where
+            yield (root, walk, i, tag), start, ob
+
+
+def test_walks_keep_h1_and_the_real_part():
+    accepted = set()
+    for where, start, ob in walk_steps():
+        accepted.add(where[-1])
+        assert vars(ob)["_door"] is None and replace(ob)._door is None, where
+        assert check_reality(ob).kind is not Reality.NOT_REAL, where
+        assert h1_of_manifold(ob) == h1_of_manifold(start), where
+        rp = real_part(ob)
+        assert rp.count == real_part(start).count, where
+        text = dumps(ob)
+        assert dumps(ob) == text, where
+        back = loads(text)
+        assert back == ob, where
+        assert real_part(back).separating_flags() == rp.separating_flags(), where
     assert accepted == set(TYPES)
 
 
