@@ -113,11 +113,6 @@ def validate_heegaard(hd: HeegaardData, ob: OpenBook) -> list[tuple[str, bool]]:
 # real-part assembly
 
 
-def _bits(entries) -> int:
-    """The GF(2) vector with entries 0/1, as a bitset: bit i is entry i."""
-    return sum(1 << i for i, x in enumerate(entries) if x)
-
-
 def _odd_bits(v) -> int:
     """A sparse vector mod 2, as a bitset: bit i is set when x_i is odd."""
     return sum(1 << i for i, x in entries(v) if x % 2)
@@ -130,28 +125,27 @@ def _interior_basis_indices(ob: OpenBook) -> list[int]:
     either page, so page classes in the boundary span are already
     represented by the binding block; keeping them twice would make the
     closed-surface basis redundant.  Vectors mod 2 are bitsets (bit i is
-    entry i).
+    entry i), kept in an echelon keyed by each row's lowest set bit: a
+    vector is reduced by the row at its lowest bit until that bit is
+    new, where it is added, or until it is 0, in the span.  A unit
+    vector whose bit leads no row is independent at once.
     """
     page = ob.page
-    span: list[int] = []
+    echelon: dict[int, int] = {}        # lowest set bit -> row
 
-    def reduce(vec: int) -> int:
-        for row in span:
-            if vec & row & -row:        # the lowest set bit of row leads it
-                vec ^= row
-        return vec
+    def insert(vec: int) -> bool:
+        while vec:
+            low = vec & -vec
+            row = echelon.get(low)
+            if row is None:
+                echelon[low] = vec
+                return True
+            vec ^= row
+        return False
 
     for p in page.circles.values():
-        v = reduce(_odd_bits(p))
-        if v:
-            span.append(v)
-    chosen = []
-    for idx in range(page.h1_rank):
-        v = reduce(1 << idx)
-        if v:
-            span.append(v)
-            chosen.append(idx)
-    return chosen
+        insert(_odd_bits(p))
+    return [idx for idx in range(page.h1_rank) if insert(1 << idx)]
 
 
 def _closed_surface_basis(ob: OpenBook):
@@ -160,10 +154,14 @@ def _closed_surface_basis(ob: OpenBook):
     Blocks: interior page classes seen on each invariant page, the
     binding circles (all but the largest id), and the doubled reference
     arcs.  Binding circles pair with nothing in the page interior, so
-    their rows carry only the reference-arc incidences.  Row r of the
-    pairing matrix q is a bitset: bit c is entry (r, c).  d_pos and
-    m_pos give the row of each binding circle and reference arc, keyed
-    by boundary id in increasing order.
+    their rows carry only the reference-arc incidences: the basepoint's
+    circle crosses every reference arc, any other circle only the arc
+    to it.  Every row is read off nonzeros: J's rows and the arcs'
+    pairing rows at their odd entries, the binding incidences arc by
+    arc.  Row r of the pairing matrix q is a bitset: bit c is entry
+    (r, c).  pos gives the position of each interior page class in its
+    block, and d_pos and m_pos the row of each binding circle and
+    reference arc, keyed by boundary id in increasing order.
     """
     page = ob.page
     interior = _interior_basis_indices(ob)
@@ -176,73 +174,83 @@ def _closed_surface_basis(ob: OpenBook):
     dim = 2 * n_int + len(d_ids) + len(m_ids)
 
     q = [0] * dim
-    # the position of each interior class, to read the sparse rows of J
     pos = {ib: b for b, ib in enumerate(interior)}
     for a, ia in enumerate(interior):
         row = sum(1 << pos[ib] for ib, x in entries(page.form[ia]) if x % 2 and ib in pos)
         q[a] = row
         q[n_int + a] = row << n_int
     for l, ml in m_pos.items():
-        row = _odd_bits(page.ref_arcs[l])
-        for a, ia in enumerate(interior):
-            if row >> ia & 1:
+        for ia, x in entries(page.ref_arcs[l]):
+            if x % 2 and ia in pos:
+                a = pos[ia]
                 q[a] ^= 1 << ml
                 q[n_int + a] ^= 1 << ml
                 q[ml] ^= (1 << a) | (1 << (n_int + a))
     for d, dp in d_pos.items():
-        for l, ml in m_pos.items():
-            if (d == l) != (d == bp):
-                q[dp] ^= 1 << ml
-                q[ml] ^= 1 << dp
-    return dim, interior, d_pos, m_pos, q
+        # circle d meets arc l when (d == l) != (d == bp); no arc ends at bp
+        for l in (m_ids if d == bp else (d,) if d in m_pos else ()):
+            q[dp] ^= 1 << m_pos[l]
+            q[m_pos[l]] ^= 1 << dp
+    return dim, pos, d_pos, m_pos, q
 
 
 class _GF2Solver:
     """Solves q x = b over GF(2) for many right-hand sides b.
 
-    q is n x n, row r a bitset of its columns.  It is row-reduced once,
-    Gauss-Jordan with the first nonzero row at or below the pivot row
-    as pivot, and the swaps and row additions are recorded; solve
-    replays them on b (a bitset over the rows of q).  Free variables
-    are 0.
+    q is n x n, row r a bitset of its columns.  It is brought once to a
+    row echelon form keyed by each row's lowest set bit: each row of q,
+    the sparsest first, is reduced by the echelon row at its lowest bit
+    until that bit leads no row, and joins the echelon there.  Each echelon row carries, as
+    a bitset over the rows of q, the combination of q's rows it is, so
+    its equation reads (row . x) = parity(combination & b).  A row that
+    reduces to 0 is a dependency: solve returns None when its
+    combination has odd parity against b.  Otherwise it
+    back-substitutes over the pivots in decreasing column order, each
+    pivot's x from the parity (int.bit_count) of its combination
+    against b and of the rest of its row against the x found so far;
+    free variables are 0.
+
+    Lemma: the solution is the one Gauss-Jordan gives.  The leading
+    columns of any row echelon form, columns in increasing order, are
+    the pivot columns of the reduced form: the columns of q outside the
+    span of the columns before them.  Those columns are linearly
+    independent, so at most one solution is 0 off them, and both
+    eliminations return it, whatever order the rows go in.  pivot_cols
+    lists them in increasing order.
     """
 
     def __init__(self, q: list[int], n: int):
-        a = list(q)
         self.n = n
-        self.ops: list[tuple[int, int, int]] = []     # (pivot row, swapped row, rows added to)
-        self.pivot_cols: list[int] = []
-        r = 0
-        for c in range(n):
-            bit = 1 << c
-            p = next((i for i in range(r, n) if a[i] & bit), None)
-            if p is None:
-                continue
-            a[r], a[p] = a[p], a[r]
-            pivot = a[r]
-            added = 0
-            for i in range(n):
-                if i != r and a[i] & bit:
-                    a[i] ^= pivot
-                    added |= 1 << i
-            self.ops.append((r, p, added))
-            self.pivot_cols.append(c)
-            r += 1
+        pivots: dict[int, tuple[int, int]] = {}     # column -> (row, combination)
+        self.dependent: list[int] = []              # combinations of the rows reduced to 0
+        # fewest bits first: the basepoint's binding row, which meets
+        # every arc, goes in last instead of filling the arcs' rows
+        for r in sorted(range(len(q)), key=lambda r: q[r].bit_count()):
+            row, comb = q[r], 1 << r
+            while row:
+                c = (row & -row).bit_length() - 1
+                hit = pivots.get(c)
+                if hit is None:
+                    pivots[c] = (row, comb)
+                    break
+                row ^= hit[0]
+                comb ^= hit[1]
+            else:
+                self.dependent.append(comb)
+        self.pivot_cols = sorted(pivots)
+        # (pivot bit, the row less it, combination), in decreasing column order
+        self._back = [(1 << c, row ^ (1 << c), comb)
+                      for c, (row, comb) in sorted(pivots.items(), reverse=True)]
 
     def solve(self, b: int) -> tuple[int, ...] | None:
         """x with q x = b, or None when the system is inconsistent."""
-        for r, p, added in self.ops:
-            if (b >> r ^ b >> p) & 1:
-                b ^= (1 << r) | (1 << p)
-            if b >> r & 1:
-                b ^= added
-        rank = len(self.pivot_cols)
-        if b >> rank:
+        if any((comb & b).bit_count() & 1 for comb in self.dependent):
             return None
-        x = [0] * self.n
-        for i, c in enumerate(self.pivot_cols):
-            x[c] = b >> i & 1
-        return tuple(x)
+        x = 0
+        for bit, rest, comb in self._back:
+            if ((comb & b).bit_count() + (rest & x).bit_count()) & 1:
+                x |= bit
+        return tuple(x >> c & 1 for c in range(self.n))
 
 
 def real_part(ob: OpenBook) -> RealPartData:
@@ -252,9 +260,12 @@ def real_part(ob: OpenBook) -> RealPartData:
     union is a disjoint set of circles; fixed circles of either page
     pass through unchanged.  Per component the mod-2 class on the
     splitting surface is recovered from its declared crossing data:
-    the pairing matrix of the closed surface is row-reduced once per
-    book, on bitsets, and every component's crossing vector is solved
-    against that one elimination.
+    the pairing matrix of the closed surface is brought to a row
+    echelon form once per book, on bitsets, and every component's
+    crossing vector is solved against it by back-substitution
+    (_GF2Solver, whose lemma makes the class the one Gauss-Jordan
+    gives).  A crossing vector is read off the nonzeros of an arc's
+    pair_curves and pair_arcs, so an arc costs what it crosses.
     """
     status = check_reality(ob)
     if status.kind is Reality.NOT_REAL:
@@ -266,8 +277,8 @@ def real_part(ob: OpenBook) -> RealPartData:
     minus = ob.real_structure.fixed_set
     plus = ob.fix_plus
 
-    dim, interior, d_pos, m_pos, q = _closed_surface_basis(ob)
-    n_int = len(interior)
+    dim, pos, d_pos, m_pos, q = _closed_surface_basis(ob)
+    n_int = len(pos)
 
     # graph on the binding fixed points: one arc of each page per point
     edges: list[tuple[tuple[int, int], tuple[int, int], int, object]] = []
@@ -293,11 +304,17 @@ def real_part(ob: OpenBook) -> RealPartData:
             raise RealPartUnavailable("crossing data is not consistent on the closed surface")
         return cls
 
-    def crossing_vector(side: int, odd: int, arc_crossings) -> int:
-        # odd: the crossings with the page basis mod 2, as a bitset
-        vec = _bits(odd >> ia & 1 for ia in interior) << (side * n_int)
-        for ml, cross in zip(m_pos.values(), arc_crossings):
-            vec ^= (cross % 2) << ml
+    def crossing_vector(side: int, pair_curves, arc_crossings) -> int:
+        # pair_curves: the crossings with the page basis, sparse;
+        # arc_crossings: (boundary id, crossing) with the reference arcs
+        shift = side * n_int
+        vec = 0
+        for i, x in entries(pair_curves):
+            if x % 2 and i in pos:
+                vec ^= 1 << (pos[i] + shift)
+        for l, cross in arc_crossings:
+            if cross % 2 and l in m_pos:
+                vec ^= 1 << m_pos[l]
         return vec
 
     for start in range(len(edges)):
@@ -315,8 +332,7 @@ def real_part(ob: OpenBook) -> RealPartData:
             count += 1
             e1, e2, side, arc = edges[idx]
             pts.update((e1, e2))
-            vec ^= crossing_vector(side, _odd_bits(arc.pair_curves),
-                                   [arc.pair_arcs.get(l, 0) for l in m_pos])
+            vec ^= crossing_vector(side, arc.pair_curves, arc.pair_arcs.items())
             for pt in (e1, e2):
                 for nxt in adj[pt]:
                     if not seen[nxt]:
@@ -331,10 +347,9 @@ def real_part(ob: OpenBook) -> RealPartData:
     for side, fset in ((0, minus), (1, plus)):
         for circ in fset.circles:
             # J^T circ, summed over the nonzeros of circ and of J's rows
-            jt_circ = sparse_combine(circ, page.form)
             vec = crossing_vector(
-                side, _odd_bits(jt_circ),
-                [-sparse_dot(page.ref_arcs[l], circ) for l in m_pos])
+                side, sparse_combine(circ, page.form),
+                ((l, -sparse_dot(page.ref_arcs[l], circ)) for l in m_pos))
             components.append(RealComponent(pieces=1, h1_class=solve(vec)))
 
     rp = RealPartData(components=tuple(components))

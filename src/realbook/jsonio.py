@@ -276,12 +276,14 @@ def from_obj(obj: dict) -> OpenBook:
     for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
         path = f"$.ref_arcs[{i}]"
         cid = _int(_need(a, "boundary", path), f"{path}.boundary")
-        current_class = _ints(a.get("current_class", [0] * rank), f"{path}.current_class")
+        # schema 3 writes no current_class; an older file's must be zero
+        current_class = (_ints(a["current_class"], f"{path}.current_class")
+                         if "current_class" in a else None)
         row = _int_list(_need(a, "pairings", path), f"{path}.pairings")
-        if len(current_class) != rank or len(row) != rank:
+        if len(row) != rank or current_class is not None and len(current_class) != rank:
             raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
                               f"pairing row of the wrong length for rank {rank}")
-        if any(current_class):
+        if current_class and any(current_class):
             raise SchemaError(f"{path}.current_class is {list(current_class)}, but a stored "
                               f"reference arc's transport defect is zero")
         if cid not in targets:

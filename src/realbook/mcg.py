@@ -2,10 +2,14 @@
 
 Word convention: letters act leftmost first, so a word [l1, l2, ...]
 is the map  T_ln o ... o T_l1  and word matrices multiply accordingly.
-Word equality is free-reduced literal equality, extended only by
-commutation of letters whose curves the page holds disjoint
-(SurfaceModel.curves_disjoint: the root's declared pairs, and the pairs
-a stabilization's rule gives its new curves).
+Word equality is equality modulo free reduction and commutation of
+letters whose curves the page holds disjoint (the root's declared pairs,
+and the pairs a stabilization's rule gives its new curves), decided
+completely for these relations: words_equal compares the words' piles
+in the graph group of the curves, one pass over each word, with the
+commutation graph derived from the page's births
+(SurfaceModel.meeting_lists).  It knows no other relation of the
+mapping class group: no braid or lantern relations.
 
 A twist acts on H1 as the rank-one transvection x -> x + e <x, a> a,
 so words act on matrices by rank-one updates of sparse rows, never by
@@ -136,30 +140,44 @@ def conjugate(images: Mapping[str, tuple[str, int]], w: Sequence[Letter]) -> Twi
 def words_equal(model: SurfaceModel, w1: Sequence[Letter], w2: Sequence[Letter]) -> bool:
     """Equality modulo free reduction and commutation of disjoint curves.
 
-    Sound but incomplete: no braid or lantern relations.  Normal form is
-    the lexicographically sorted interleaving reachable by swapping
-    adjacent letters on disjoint curves, re-reducing after every pass.
+    Complete for these relations and sound: the words are compared as
+    elements of the graph group (right-angled Artin group) whose
+    commuting generators are the curves the page holds disjoint, by
+    their piles (Crisp, Godelle & Wiest, The conjugacy problem in
+    subgroups of right-angled Artin groups, J. Topology 2009), one pass
+    over each word.  Equal words can still compare unequal through
+    relations the check does not know: no braid or lantern relations.
+    The commutation graph on the words' curves comes from the page's
+    rule (SurfaceModel.meeting_lists).
     """
-    return _normal_form(model, w1) == _normal_form(model, w2)
+    meets = model.meeting_lists(name for w in (w1, w2) for name, _exp in w)
+    return _piles(w1, meets) == _piles(w2, meets)
 
 
-def _normal_form(model: SurfaceModel, w: Sequence[Letter]) -> TwistWord:
-    cur = list(free_reduce(tuple(w)))
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(cur):
-            (n1, e1), (n2, e2) = cur[i], cur[i + 1]
-            if n1 > n2 and model.curves_disjoint(n1, n2):
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                changed = True
-            i += 1
-        reduced = list(free_reduce(tuple(cur)))
-        if reduced != cur:
-            cur = reduced
-            changed = True
-    return tuple(cur)
+def _piles(w: Sequence[Letter], meets: Mapping[str, Sequence[str]]) -> dict[str, list[int]]:
+    """The piles of a word: one stack per curve, of exponents and 0
+    blockers.  A letter merges with its curve's top exponent when there
+    is one; otherwise it pushes its exponent, and a blocker on the stack
+    of every curve it meets.  A merge that cancels to 0 pops the letter
+    and one blocker from each of those stacks: no letter of a curve it
+    meets came after it, so what lies above its blockers there are
+    blockers too, and any one of them may go.  Two words are equal in
+    the graph group exactly when their piles are."""
+    piles: dict[str, list[int]] = {name: [] for name in meets}
+    for name, exp in w:
+        pile = piles[name]
+        if pile and pile[-1]:
+            exp += pile.pop()
+            if exp:
+                pile.append(exp)
+            else:
+                for other in meets[name]:
+                    piles[other].pop()
+        elif exp:
+            pile.append(exp)
+            for other in meets[name]:
+                piles[other].append(0)
+    return piles
 
 
 def transport_arcs(model: SurfaceModel, w: Sequence[Letter],

@@ -16,8 +16,8 @@ verdict is first asked for.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
-from itertools import repeat
+from bisect import bisect_left
+from functools import cached_property, partial
 from typing import Mapping
 
 from .errors import StabilizationError  # noqa: F401  (re-exported for callers of stabilize)
@@ -45,7 +45,7 @@ from .surface import (
     failures,
     image_holds,
     sparse,
-    sparse_add,
+    sparse_column,
     sparse_combine,
     sparse_scale,
     sparse_transpose,
@@ -219,7 +219,7 @@ def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
     twists of Sigma^-1 take them to the rows of C~ (mcg.times_word,
     which rewrites only the rows a letter moves), and the recorded
     images must agree with C~ (surface.image_holds, sparse per image,
-    on its columns).
+    on the columns of those rows at the nonzeros of each imaged class).
     """
     model = ob.page
     rows: Rows = ob.real_structure.matrix
@@ -228,8 +228,9 @@ def _chain_blocks_of(ob: OpenBook) -> tuple[bool, TwistWord]:
         if w[:len(rec.sigma)] != rec.sigma or conjugate(rec.images, rec.sigma) != invert(rec.sigma):
             return False, ()
         rows = times_word(rows, model, invert(rec.sigma))
-        cols = sparse_transpose(rows)
-        if not all(image_holds(model, cols, name, img, s) for name, (img, s) in rec.images.items()):
+        column = partial(sparse_column, rows)
+        if not all(image_holds(model, column, name, img, s)
+                   for name, (img, s) in rec.images.items()):
             return False, ()
         w = w[len(rec.sigma):]
     return True, w
@@ -254,8 +255,10 @@ def _provenance_certificate(ob: OpenBook) -> bool:
 def check_reality(ob: OpenBook) -> RealityStatus:
     """Tri-state reality of the monodromy against the real structure.
 
-    Word level first (sound, incomplete); the homology level is
-    necessary but not sufficient, so a clean pass there reports
+    Word level first: sound, and complete for free reduction plus
+    commutation of disjoint curves (mcg.words_equal), but blind to every
+    other relation, braid and lantern ones included; the homology level
+    is necessary but not sufficient, so a clean pass there reports
     HomologicallyReal.  NotReal is definitive and carries a witness.
     Computed once per book and memoized on it.
     """
@@ -303,24 +306,37 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     Generators H1(page) + Z<t>; relations im(F - I) together with
     t + delta_i = 0 per boundary, delta at the basepoint boundary being
     zero and the others the transported reference-arc classes, one per
-    column.  Row i of the relation matrix is row i of F - I, then the
-    0 of t's column, then entry i of each transported class; the last
-    row is t's.  The rows are sparse, and cokernel eliminates their
-    unit entries before any Smith form.  Every reference arc is
-    transported in one pass of the word.
+    column.  Row i of the relation matrix is row i of F with 1
+    subtracted at i in place, then the 0 of t's column, then the
+    nonzeros at i of the transported classes, collected for every i in
+    one pass over the classes; the last row is t's.  The rows are
+    sparse, and cokernel eliminates their unit entries before any Smith
+    form.  Every reference arc is transported in one pass of the word.
     """
     model = ob.page
     rank = model.h1_rank
     bp = model.basepoint
     others = sorted(cid for cid in model.circles if cid != bp)
-    moved = [cls for cls, _row in
-             transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])]
-    # entry i of each transported class, for each i
-    classes_at = zip(*moved) if moved else repeat(())
-    rel = [sparse_add(row, (i, 1), -1) + sparse(at_i, rank + 1)
-           for i, (row, at_i) in enumerate(zip(ob.monodromy_matrix, classes_at))]
+    moved = transport_arcs(model, ob.monodromy, [model.ref_arcs[cid] for cid in others])
+    at: list[list[int]] = [[] for _ in range(rank)]
+    for col, (cls, _row) in enumerate(moved, rank + 1):
+        for i, x in entries(sparse(cls)):
+            at[i] += (col, x)
+    rel = [_less_unit(row, i) + tuple(at_i)
+           for i, (row, at_i) in enumerate(zip(ob.monodromy_matrix, at))]
     rel.append(sparse([1] * (1 + len(moved)), rank))
     return cokernel(rel)
+
+
+def _less_unit(row: Sparse, i: int) -> Sparse:
+    """row - e_i, sparse: the entry at i, found by bisection of the
+    row's indices, less 1."""
+    idx = row[::2]
+    k = bisect_left(idx, i)
+    if k < len(idx) and idx[k] == i:
+        x = row[2 * k + 1] - 1
+        return row[:2 * k] + ((i, x) if x else ()) + row[2 * k + 2:]
+    return row[:2 * k] + (i, -1) + row[2 * k:]
 
 
 # ---------------------------------------------------------------------------

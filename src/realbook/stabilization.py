@@ -19,7 +19,7 @@ command line's subcommands only stabilize and catalog load this module.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice, product
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
@@ -57,6 +57,7 @@ from .surface import (
     set_coord,
     sparse,
     sparse_add,
+    sparse_column,
     sparse_combine,
     sparse_dot,
     sparse_scale,
@@ -199,8 +200,8 @@ def _block_holds(parent: OpenBook, st: StabType, model: SurfaceModel, inv: Invol
     changed = [(name, img, s) for name, (img, s) in inv.curve_image.items()
                if old_images.get(name) != (img, s)]
     if changed:
-        c_cols = sparse_transpose(inv.matrix)
-        if not all(image_holds(model, c_cols, *image) for image in changed):
+        column = partial(sparse_column, inv.matrix)
+        if not all(image_holds(model, column, *image) for image in changed):
             return False
 
     # per circle, d is its class less its old class q (all of it for a

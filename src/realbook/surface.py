@@ -11,7 +11,8 @@ not stored: the genus from 2g + b - 1 = rank H1 (SurfaceModel.genus),
 a curve's crossings with the basis and with the reference arcs from its
 class, the form and the arc rows (SurfaceModel.curve_vectors and
 curve_tables), and the disjoint pairs that name a curve a stabilization
-made, from that curve's birth (SurfaceModel.curves_disjoint).
+made, from that curve's birth (SurfaceModel.curves_disjoint and
+meeting_lists).
 
 Every vector a page or a fixed set holds (a curve class, a pushoff
 class, a reference-arc row, a fixed arc's pair_curves, a fixed circle's
@@ -43,8 +44,9 @@ Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
 sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
 sparse_combine and sparse_transpose (on sparse rows), dense_matrix (a
-Smith system's input, expanded), image_holds (a curve image under a
-matrix given by its sparse columns), and involution_check,
+Smith system's input, expanded), sparse_column (one column of sparse
+rows), image_holds (a curve image under a matrix, read off the columns
+at the nonzeros of the curve's class), and involution_check,
 anti_symplectic_check and lefschetz_check on sparse rows, which
 validate_involution reports and heegaard.validate_heegaard reads for
 both invariant pages.  validate_involution is the one validation of a
@@ -65,10 +67,11 @@ compiles neither.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .intalg import IntMatrix
 from .records import factory, record
@@ -269,8 +272,9 @@ class SurfaceModel:
     births maps each curve a stabilization made to (step, type): its
     type's flags (openbook.STAB_TYPES) pair it with every curve born
     before its step (root curves included) and with the curves of its
-    own step.  curves_disjoint answers from these two, and
-    disjoint_pairs lists every pair once."""
+    own step.  curves_disjoint answers from these two,
+    disjoint_pairs lists every pair once, and meeting_lists gives the
+    curves each of a set of curves meets, step by step."""
 
     circles: Mapping[int, Sparse]        # boundary id -> pushoff class
     basis: tuple[str, ...]
@@ -333,6 +337,42 @@ class SurfaceModel:
             if born.keys().isdisjoint(pair):
                 yield tuple(pair)
         yield from self.born_pairs()
+
+    def meeting_lists(self, names: Iterable[str]) -> dict[str, list[str]]:
+        """For each of the given curve names, the others among them that
+        the page does not hold disjoint (curves_disjoint), derived from
+        births step by step, not pair by pair: names no stabilization
+        made pair by the root's declared pairs; a name born at a step
+        meets every name from before the step, unless its type's
+        disjoint_old holds, when it meets only the names the page lacks;
+        and it meets the other names of its step unless disjoint_mutual
+        holds.  On a page whose every step has both flags, the lists
+        cost what the names and their root pairs cost."""
+        born = self.births
+        out: dict[str, list[str]] = {name: [] for name in names}
+
+        def meet(a: str, b: str) -> None:
+            out[a].append(b)
+            out[b].append(a)
+
+        before = [name for name in out if name not in born]
+        for i, a in enumerate(before):
+            for b in before[:i]:
+                if frozenset((a, b)) not in self.disjoint:
+                    meet(a, b)
+        unknown = [name for name in before if name not in self.alphabet]
+        for (_step, st), group in groupby(
+                sorted((name for name in out if name in born), key=lambda n: born[n][0]),
+                key=born.get):
+            group = list(group)
+            for i, a in enumerate(group):
+                for b in (unknown if st.disjoint_old else before):
+                    meet(a, b)
+                if not st.disjoint_mutual:
+                    for b in group[:i]:
+                        meet(a, b)
+            before = before + group
+        return out
 
     def birth_steps(self) -> list[tuple[StabType, list[str]]]:
         """The curves each step made, in step order: (type, names) per
@@ -421,15 +461,22 @@ def involution_check(c: Rows, rank: int) -> CheckResult:
 
 
 def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> CheckResult:
-    """C^T J C = -J on sparse rows.  Given C^2 = I (involution), it holds
-    exactly when C^T J = -J C (multiply either side by C on the right),
-    which takes two products with C as one factor instead of a chain of
-    two; without C^2 = I the full product is compared.  Row i of C^T J
-    combines the rows of J at the nonzeros of column i of C.  A failure
-    reports C^T J C (J at rank 0), expanded only for its text."""
+    """C^T J C = -J on sparse rows, with one product and one transpose
+    where the premise allows.
+
+    Lemma: when C^2 = I and J is antisymmetric, C^T J C = -J exactly
+    when K = C^T J is symmetric.  Multiplying by C on the right, which
+    C^2 = I makes invertible, C^T J C = -J holds exactly when
+    C^T J = -J C, and K^T = J^T C = -J C.  So given C^2 = I
+    (involution) and J = -J^T, checked here, the check compares K with
+    its transpose; otherwise the full product C^T J C is compared
+    with -J.  Row i of K combines the rows of J at the nonzeros of
+    column i of C.  A failure reports C^T J C (J at rank 0), expanded
+    only for its text."""
     ctj = [sparse_combine(col, j) for col in sparse_transpose(c)]
-    if rank and involution and len(j) == rank:
-        ok = ctj == [sparse_scale(-1, sparse_combine(r, c)) for r in j]
+    if (rank and involution and len(j) == rank
+            and sparse_transpose(j) == tuple(sparse_scale(-1, r) for r in j)):
+        ok = sparse_transpose(ctj) == tuple(ctj)
     else:
         ok = [sparse_combine(r, c) for r in ctj] == [sparse_scale(-1, r) for r in j]
     if ok:
@@ -451,15 +498,35 @@ def lefschetz_check(arc_count: int, c: Rows, rank: int) -> CheckResult:
     return CheckResult("lefschetz", ok, "" if ok else f"{arc_count} arcs vs 1 - tr = {lef}")
 
 
-def image_holds(model: SurfaceModel, cols: Sequence[Sparse], name: str,
+def sparse_column(rows: Sequence[Sparse], i: int) -> Sparse:
+    """Column i of the matrix with the given sparse rows: entry i of
+    each row whose indices span i, found by bisection of its indices,
+    with no transpose of the rest."""
+    out: list[int] = []
+    for u, r in enumerate(rows):
+        if r and r[0] <= i <= r[-2]:
+            idx = r[::2]
+            k = bisect_left(idx, i)
+            if idx[k] == i:
+                out += (u, r[2 * k + 1])
+    return tuple(out)
+
+
+def image_holds(model: SurfaceModel, column: Callable[[int], Sparse], name: str,
                 img: str, s: int) -> bool:
-    """Whether the matrix with sparse columns cols maps the class of
-    curve name to s times the class of curve img: s * sum_i x_i cols[i]
-    over the nonzeros x_i of the sparse class of name, not a dense
-    apply.  A curve the page lacks fails."""
+    """Whether a matrix maps the class of curve name to s times the
+    class of curve img: s * sum_i x_i column(i) over the nonzeros x_i of
+    the sparse class of name, so only those columns are read, not a
+    dense apply.  column(i) is column i of the matrix, sparse: read off
+    its rows (sparse_column) where a few images are checked, or off its
+    transpose where every curve's is.  A curve the page lacks fails."""
     if name not in model.alphabet or img not in model.alphabet:
         return False
-    return model.curve(img) == sparse_scale(s, sparse_combine(model.curve(name), cols))
+    acc: dict[int, int] = {}
+    for i, x in entries(model.curve(name)):
+        for j, y in entries(column(i)):
+            acc[j] = acc.get(j, 0) + x * y
+    return model.curve(img) == sparse_scale(s, _canonical(acc))
 
 
 def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
@@ -480,12 +547,12 @@ def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResul
     out += structural_checks(model, inv)
 
     ok, detail = True, ""
-    c_cols = sparse_transpose(c)
+    c_col = sparse_transpose(c).__getitem__
     for name, (img, s) in inv.curve_image.items():
         if name not in model.alphabet or img not in model.alphabet:
             ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
             break
-        if not image_holds(model, c_cols, name, img, s):
+        if not image_holds(model, c_col, name, img, s):
             ok, detail = False, f"curve_image({name}) class mismatch"
             break
     out.append(CheckResult("curve_image", ok, detail))

@@ -9,6 +9,7 @@ too.
 from __future__ import annotations
 
 import json
+from collections import deque
 from itertools import combinations
 from math import gcd
 
@@ -245,6 +246,40 @@ def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
         for i in range(rank)
     ]
     return IntMatrix(rows, ncols=rank)
+
+
+def words_equal_by_moves(commuting, w1, w2) -> bool:
+    """Whether two twist words reach a common word, by breadth-first
+    search over every word each one reaches by three moves: swapping
+    adjacent letters whose curves form a pair in commuting (a set of
+    frozenset pairs), merging adjacent letters on one curve, and
+    dropping a letter with exponent 0.  No move lengthens a word, so
+    each closure is finite.  Every move keeps the element of the graph
+    group, and any two reduced words of one element differ by swaps
+    alone, so the closures meet exactly when the words are equal there.
+    """
+    def moves(w):
+        for i, (name, exp) in enumerate(w):
+            if exp == 0:
+                yield w[:i] + w[i + 1:]
+        for i in range(len(w) - 1):
+            (n1, e1), (n2, e2) = w[i], w[i + 1]
+            if n1 == n2:
+                yield w[:i] + ((n1, e1 + e2),) + w[i + 2:]
+            elif frozenset((n1, n2)) in commuting:
+                yield w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+
+    def closure(w):
+        seen = {w}
+        todo = deque([w])
+        while todo:
+            for nxt in moves(todo.popleft()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    return not closure(tuple(w1)).isdisjoint(closure(tuple(w2)))
 
 
 def determinantal_divisors(a: IntMatrix) -> list[int]:

@@ -68,6 +68,28 @@ def run(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_meeting_lists_agree_with_curves_disjoint():
+    """The lists that word equality reads, derived from births step by
+    step, name for each curve exactly the others that curves_disjoint
+    does not hold disjoint: on every pair of curves of every golden page
+    and of walks through all nine types, with a name the page lacks."""
+    from test_golden import golden_books
+    from test_openbook import typed_walks
+
+    pages, tags = 0, set()
+    for label, ob in list(golden_books()) + list(typed_walks(seed=3, steps=4)):
+        page = ob.page
+        names = list(page.alphabet) + ["not-a-curve"]
+        meets = page.meeting_lists(names)
+        assert list(meets) == names, label
+        for a in names:
+            want = sorted(b for b in names if b != a and not page.curves_disjoint(a, b))
+            assert sorted(meets[a]) == want, (label, a)
+        tags.update(st.tag for _step, st in page.births.values())
+        pages += 1
+    assert pages > 283 and tags == set(STAB_TYPES)
+
+
 def test_written_pairs_are_the_roots_and_the_rules():
     """On every golden book and on walks through all nine types: the
     written list names no provenance curve and is the root catalog

@@ -297,6 +297,43 @@ def test_bitset_gf2_solver_matches_list_solver():
     assert min(seen.values()) > 100, seen
 
 
+def test_real_part_classes_match_the_list_solver_on_golden_books(monkeypatch):
+    """On every golden book, whose opposite-page fixed set is tracked,
+    each component's class is list_gf2_solve on the book's own
+    closed-surface pairing matrix and the component's crossing vector:
+    the echelon is checked on the systems real_part builds, not only on
+    random matrices."""
+    from test_golden import golden_books
+
+    import realbook.heegaard as heegaard_module
+
+    solved = []
+
+    class Recording(_GF2Solver):
+        def __init__(self, q, n):
+            super().__init__(q, n)
+            self.q = q
+
+        def solve(self, b):
+            x = super().solve(b)
+            solved.append((self.q, self.n, b, x))
+            return x
+
+    monkeypatch.setattr(heegaard_module, "_GF2Solver", Recording)
+    books = components = 0
+    for label, ob in golden_books():
+        assert ob.fix_plus is not None, label
+        solved.clear()
+        rp = real_part(ob)
+        assert [c.h1_class for c in rp.components] == [x for *_, x in solved], label
+        for q, n, b, x in solved:
+            dense_q = [[q[r] >> c & 1 for c in range(n)] for r in range(n)]
+            assert x == tuple(list_gf2_solve(dense_q, [b >> r & 1 for r in range(n)])), label
+            components += 1
+        books += 1
+    assert books == 283 and components > books
+
+
 def test_minus_checks_are_the_involution_checks_on_golden_books():
     """minus_involution, minus_antisymplectic and minus_lefschetz give the
     verdicts of the involution, anti_symplectic and lefschetz checks of

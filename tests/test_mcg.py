@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from realbook.records import replace
 
 import pytest
@@ -18,8 +19,8 @@ from realbook.mcg import (
 )
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
 from realbook.catalog import standard_involution, standard_surface
-from realbook.surface import entries, sparse
-from oracles import as_matrix, as_rows, dense_class, expand, twist_matrix
+from realbook.surface import SurfaceModel, entries, sparse
+from oracles import as_matrix, as_rows, dense_class, expand, twist_matrix, words_equal_by_moves
 
 
 def arc_row(model, cid):
@@ -161,6 +162,114 @@ def test_words_equal_disjoint_commutation():
     assert words_equal(m, word([("d1", 1), ("d2", 1)]), word([("d2", 1), ("d1", 1)]))
     t = standard_surface(1, 1)
     assert not words_equal(t, word([("a1", 1), ("b1", 1)]), word([("b1", 1), ("a1", 1)]))
+
+
+def graph_page(names, commuting):
+    """A hand-built page whose only disjoint pairs are the root pairs
+    commuting, for word equality alone: one basis class per curve, a
+    zero form and one boundary circle.  It is no valid page, and
+    words_equal reads nothing of it but the commutation graph."""
+    return SurfaceModel(circles={1: ()}, basis=tuple(names), form=tuple(() for _ in names),
+                        alphabet={name: (i, 1) for i, name in enumerate(names)},
+                        ref_arcs={}, disjoint=frozenset(commuting))
+
+
+def random_letters(rng, names, count):
+    return [(rng.choice(names), rng.choice((-2, -1, 1, 2))) for _ in range(count)]
+
+
+def equal_variant(rng, w, commutes, steps, longest=6):
+    """w after random moves that keep its element in the graph group:
+    a swap of adjacent letters whose curves commute, a split of one
+    letter into two, or a cancelling pair put in, words kept to at most
+    longest letters."""
+    w = list(w)
+    for _ in range(steps):
+        move = rng.randrange(3)
+        if move == 0 and len(w) > 1:
+            i = rng.randrange(len(w) - 1)
+            if commutes(w[i][0], w[i + 1][0]):
+                w[i], w[i + 1] = w[i + 1], w[i]
+        elif move == 1 and w and len(w) < longest:
+            i = rng.randrange(len(w))
+            name, exp = w[i]
+            part = rng.choice([e for e in (-2, -1, 1, 2) if e != exp and abs(exp - e) <= 2])
+            w[i:i + 1] = [(name, part), (name, exp - part)]
+        elif move == 2 and len(w) + 2 <= longest:
+            i = rng.randrange(len(w) + 1)
+            name, exp = rng.choice(sorted({n for n, _e in w} or {"a"})), rng.choice((1, 2))
+            w[i:i] = [(name, exp), (name, -exp)]
+    return w
+
+
+def test_words_equal_agrees_with_the_move_closure():
+    """words_equal decides the graph group's word problem: on small
+    random commutation graphs it agrees with the exhaustive closure of
+    short words (up to 6 letters, exponents +-1 and +-2) under swaps of
+    commuting letters, merges and dropped zero exponents, on pairs
+    built equal by such moves, on near misses and on random pairs."""
+    rng = random.Random(36)
+    seen = {True: 0, False: 0}
+    for trial in range(1500):
+        names = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+        commuting = {frozenset(p) for p in combinations(names, 2) if rng.random() < 0.5}
+        page = graph_page(names, commuting)
+        w1 = random_letters(rng, names, rng.randint(0, 5))
+        kind = trial % 3
+        if kind == 0:
+            w2 = equal_variant(rng, w1, lambda x, y: frozenset((x, y)) in commuting, 6)
+        elif kind == 1 and len(w1) > 1:
+            # one swap of adjacent letters, whether or not they commute
+            w2 = list(w1)
+            i = rng.randrange(len(w1) - 1)
+            w2[i], w2[i + 1] = w2[i + 1], w2[i]
+        else:
+            w2 = random_letters(rng, names, rng.randint(0, 5))
+        want = words_equal_by_moves(commuting, w1, w2)
+        assert words_equal(page, w1, w2) == want, (sorted(map(sorted, commuting)), w1, w2)
+        assert words_equal(page, w2, w1) == want
+        seen[want] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_words_equal_moves_a_commuting_letter_past_a_meeting_pair():
+    """c d a b against b c d a, with b and c commuting with every other
+    curve and a, d meeting: b moves to the front past the pair no
+    adjacent swap in sorted order could pass."""
+    names = ["a", "b", "c", "d"]
+    page = graph_page(names, {frozenset(p) for p in combinations(names, 2)} - {frozenset("ad")})
+    w1 = [("c", 1), ("d", 1), ("a", 1), ("b", 1)]
+    w2 = [("b", 1), ("c", 1), ("d", 1), ("a", 1)]
+    assert words_equal(page, w1, w2)
+    assert not words_equal(page, w1, [("b", 1), ("c", 1), ("a", 1), ("d", 1)])
+
+
+def test_equal_piles_give_equal_word_matrices():
+    """Words that words_equal calls equal act alike on H1: on real pages,
+    whose disjoint pairs have <a, b> = 0, random words against variants
+    built by moves of the graph group, and every certified pair of the
+    reality check on the golden books."""
+    from test_golden import golden_books
+
+    from realbook.openbook import Reality, check_reality
+
+    rng = random.Random(7)
+    for ob in (catalog_fig4(2), catalog_fig5(3), catalog_fig6(2)):
+        page = ob.page
+        names = sorted(page.alphabet)
+        for _ in range(60):
+            w1 = random_letters(rng, names, rng.randint(1, 6))
+            w2 = equal_variant(rng, w1, page.curves_disjoint, 8, longest=10)
+            assert words_equal(page, w1, w2), (w1, w2)
+            assert word_matrix(page, w1) == word_matrix(page, w2), (w1, w2)
+    certified = 0
+    for label, ob in golden_books():
+        cw = conjugate(ob.real_structure.curve_image, ob.monodromy)
+        if cw is not None and words_equal(ob.page, cw, invert(ob.monodromy)):
+            assert check_reality(ob).kind is Reality.CERTIFIED_REAL, label
+            assert word_matrix(ob.page, cw) == word_matrix(ob.page, invert(ob.monodromy)), label
+            certified += 1
+    assert certified >= 60, certified
 
 
 # -- rank-one kernels against dense references ------------------------------

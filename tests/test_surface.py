@@ -286,3 +286,39 @@ def test_a_boundary_perm_that_is_no_involution_fails_both_boundary_checks():
     assert report["boundary_tags"] == (False, "swapped circle 1 carries fixed points")
     assert [name for name, (ok, _) in report.items() if not ok] == ["boundary_perm",
                                                                     "boundary_tags"]
+
+
+def test_anti_symplectic_check_compares_ct_j_with_its_transpose():
+    """Given C^2 = I and an antisymmetric J, C^T J C = -J exactly when
+    C^T J is symmetric, which is what the check compares: a real
+    structure passes, and +-I, which pass the involution check, fail it
+    on a page whose form is not zero, with C^T J C = J in the failure
+    text, as the dense product gives."""
+    from realbook.catalog import catalog_fig4
+    from realbook.surface import anti_symplectic_check
+
+    for ob in (catalog_fig4(2), catalog_fig4(3)):
+        j, c, rank = ob.page.form, ob.real_structure.matrix, ob.page.h1_rank
+        dj = as_matrix(j)
+        assert anti_symplectic_check(c, j, rank, True).ok
+        assert as_matrix(c).transpose() @ dj @ as_matrix(c) == -dj
+        for sign in (1, -1):
+            identity = tuple((i, sign) for i in range(rank))
+            got = anti_symplectic_check(identity, j, rank, True)
+            assert not got.ok and any(dj.rows)
+            assert got.detail == f"C^T J C = {tuple(tuple(row) for row in dj.rows)}"
+
+
+def test_a_column_read_off_sparse_rows_is_the_transposes():
+    """sparse_column, which image_holds reads at the nonzeros of a
+    curve's class, gives each column of C and J as sparse_transpose
+    does, on the golden books."""
+    from itertools import islice
+
+    from test_golden import golden_books
+    from realbook.surface import sparse_column, sparse_transpose
+
+    for label, ob in islice(golden_books(), 0, None, 7):
+        for rows in (ob.real_structure.matrix, ob.page.form):
+            cols = sparse_transpose(rows)
+            assert [sparse_column(rows, i) for i in range(len(rows))] == list(cols), label
