@@ -124,28 +124,26 @@ def _interior_basis_indices(ob: OpenBook) -> list[int]:
     A binding circle is isotopic to its boundary-parallel pushoff on
     either page, so page classes in the boundary span are already
     represented by the binding block; keeping them twice would make the
-    closed-surface basis redundant.  Vectors mod 2 are bitsets (bit i is
-    entry i), kept in an echelon keyed by each row's lowest set bit: a
-    vector is reduced by the row at its lowest bit until that bit is
-    new, where it is added, or until it is 0, in the span.  A unit
-    vector whose bit leads no row is independent at once.
+    closed-surface basis redundant.  Index i is kept, in increasing
+    order, when e_i lies outside the boundary span S plus the indices
+    kept before it, that is outside S + <e_j : j < i>, which holds
+    exactly when no vector of S has its highest set bit at i.  So the
+    pushoff classes mod 2, as bitsets (bit i is entry i), go into an
+    echelon keyed by each row's highest set bit, and the kept indices
+    are those that lead no row.
     """
     page = ob.page
-    echelon: dict[int, int] = {}        # lowest set bit -> row
-
-    def insert(vec: int) -> bool:
-        while vec:
-            low = vec & -vec
-            row = echelon.get(low)
-            if row is None:
-                echelon[low] = vec
-                return True
-            vec ^= row
-        return False
-
+    lead: dict[int, int] = {}           # highest set bit -> row
     for p in page.circles.values():
-        insert(_odd_bits(p))
-    return [idx for idx in range(page.h1_rank) if insert(1 << idx)]
+        vec = _odd_bits(p)
+        while vec:
+            top = vec.bit_length() - 1
+            row = lead.get(top)
+            if row is None:
+                lead[top] = vec
+                break
+            vec ^= row
+    return [i for i in range(page.h1_rank) if i not in lead]
 
 
 def _closed_surface_basis(ob: OpenBook):
@@ -221,26 +219,26 @@ class _GF2Solver:
 
     def __init__(self, q: list[int], n: int):
         self.n = n
-        pivots: dict[int, tuple[int, int]] = {}     # column -> (row, combination)
+        pivots: dict[int, tuple[int, int]] = {}     # pivot bit -> (row, combination)
         self.dependent: list[int] = []              # combinations of the rows reduced to 0
         # fewest bits first: the basepoint's binding row, which meets
         # every arc, goes in last instead of filling the arcs' rows
-        for r in sorted(range(len(q)), key=lambda r: q[r].bit_count()):
+        for r in sorted(range(len(q)), key=[row.bit_count() for row in q].__getitem__):
             row, comb = q[r], 1 << r
             while row:
-                c = (row & -row).bit_length() - 1
-                hit = pivots.get(c)
+                low = row & -row
+                hit = pivots.get(low)
                 if hit is None:
-                    pivots[c] = (row, comb)
+                    pivots[low] = (row, comb)
                     break
                 row ^= hit[0]
                 comb ^= hit[1]
             else:
                 self.dependent.append(comb)
-        self.pivot_cols = sorted(pivots)
+        self.pivot_cols = sorted(low.bit_length() - 1 for low in pivots)
         # (pivot bit, the row less it, combination), in decreasing column order
-        self._back = [(1 << c, row ^ (1 << c), comb)
-                      for c, (row, comb) in sorted(pivots.items(), reverse=True)]
+        self._back = [(low, row ^ low, comb)
+                      for low, (row, comb) in sorted(pivots.items(), reverse=True)]
 
     def solve(self, b: int) -> tuple[int, ...] | None:
         """x with q x = b, or None when the system is inconsistent."""
@@ -250,7 +248,8 @@ class _GF2Solver:
         for bit, rest, comb in self._back:
             if ((comb & b).bit_count() + (rest & x).bit_count()) & 1:
                 x |= bit
-        return tuple(x >> c & 1 for c in range(self.n))
+        # the n bits of x, lowest first: bin gives '0b1' and then them
+        return tuple(map(int, bin(x | 1 << self.n)[:2:-1]))
 
 
 def real_part(ob: OpenBook) -> RealPartData:
