@@ -198,15 +198,15 @@ class _GF2Solver:
     q is n x n, row r a bitset of its columns.  It is brought once to a
     row echelon form keyed by each row's lowest set bit: each row of q,
     the sparsest first, is reduced by the echelon row at its lowest bit
-    until that bit leads no row, and joins the echelon there.  Each echelon row carries, as
-    a bitset over the rows of q, the combination of q's rows it is, so
-    its equation reads (row . x) = parity(combination & b).  A row that
-    reduces to 0 is a dependency: solve returns None when its
-    combination has odd parity against b.  Otherwise it
-    back-substitutes over the pivots in decreasing column order, each
-    pivot's x from the parity (int.bit_count) of its combination
-    against b and of the rest of its row against the x found so far;
-    free variables are 0.
+    until that bit leads no row, and joins the echelon there.  Each
+    echelon row carries, as a bitset over the rows of q, the
+    combination of q's rows it is, so its equation reads
+    (row . x) = parity(combination & b).  A row that reduces to 0 is a
+    dependency: solve returns None when its combination has odd parity
+    against b.  Otherwise it back-substitutes over the pivots in
+    decreasing column order, each pivot's x from the parity
+    (int.bit_count) of its combination against b and of the rest of its
+    row against the x found so far; free variables are 0.
 
     Lemma: the solution is the one Gauss-Jordan gives.  The leading
     columns of any row echelon form, columns in increasing order, are

@@ -81,11 +81,10 @@ from .surface import (
     Rows,
     Sparse,
     SurfaceModel,
+    antisymmetric,
     crossing_residuals,
     dense,
     sparse,
-    sparse_scale,
-    sparse_transpose,
 )
 
 SCHEMA_VERSION = 3
@@ -255,7 +254,7 @@ def from_obj(obj: dict) -> OpenBook:
         raise SchemaError(f"$.page.genus is {genus}, but a page with {len(circles)} boundary "
                           f"circles and {rank} basis classes needs 2g + b - 1 = {rank}, g >= 0")
     form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
-    if sparse_transpose(form) != tuple(sparse_scale(-1, r) for r in form):
+    if not antisymmetric(form):
         raise SchemaError("$.page.form must be antisymmetric")
 
     alphabet = {}

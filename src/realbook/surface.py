@@ -43,7 +43,8 @@ Conventions fixed here once and used everywhere else:
 Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
 sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
-sparse_combine and sparse_transpose (on sparse rows), dense_matrix (a
+sparse_combine, sparse_transpose and antisymmetric (on sparse rows,
+the last the book reader's check of the form), dense_matrix (a
 Smith system's input, expanded), sparse_column (one column of sparse
 rows), image_holds (a curve image under a matrix, read off the columns
 at the nonzeros of the curve's class), and involution_check,
@@ -162,6 +163,12 @@ def sparse_combine(v: Sparse, rows: Sequence[Sparse]) -> Sparse:
         for j, y in entries(rows[i]):
             acc[j] += x * y
     return sparse(acc)
+
+
+def antisymmetric(rows: Sequence[Sparse]) -> bool:
+    """Whether the square matrix with the given sparse rows is minus its
+    transpose, row by row."""
+    return sparse_transpose(rows) == tuple(sparse_scale(-1, r) for r in rows)
 
 
 def sparse_transpose(rows: Sequence[Sparse]) -> Rows:
@@ -341,30 +348,27 @@ class SurfaceModel:
     def meeting_lists(self, names: Iterable[str]) -> dict[str, list[str]]:
         """For each of the given curve names, the others among them that
         the page does not hold disjoint (curves_disjoint), derived from
-        births step by step, not pair by pair: names no stabilization
-        made pair by the root's declared pairs; a name born at a step
-        meets every name from before the step, unless its type's
-        disjoint_old holds, when it meets only the names the page lacks;
-        and it meets the other names of its step unless disjoint_mutual
-        holds.  On a page whose every step has both flags, the lists
-        cost what the names and their root pairs cost."""
-        born = self.births
+        births step by step (birth_steps), not pair by pair: names no
+        stabilization made pair by the root's declared pairs; a name
+        born at a step meets every name from before the step, unless its
+        type's disjoint_old holds, when it meets only the names the page
+        lacks; and it meets the other names of its step unless
+        disjoint_mutual holds.  On a page whose every step has both
+        flags, the lists cost what the names and their root pairs cost."""
         out: dict[str, list[str]] = {name: [] for name in names}
 
         def meet(a: str, b: str) -> None:
             out[a].append(b)
             out[b].append(a)
 
-        before = [name for name in out if name not in born]
+        before = [name for name in out if name not in self.births]
         for i, a in enumerate(before):
             for b in before[:i]:
                 if frozenset((a, b)) not in self.disjoint:
                     meet(a, b)
         unknown = [name for name in before if name not in self.alphabet]
-        for (_step, st), group in groupby(
-                sorted((name for name in out if name in born), key=lambda n: born[n][0]),
-                key=born.get):
-            group = list(group)
+        for st, step_names in self.birth_steps():
+            group = [name for name in step_names if name in out]
             for i, a in enumerate(group):
                 for b in (unknown if st.disjoint_old else before):
                     meet(a, b)
@@ -474,8 +478,7 @@ def anti_symplectic_check(c: Rows, j: Rows, rank: int, involution: bool) -> Chec
     column i of C.  A failure reports C^T J C (J at rank 0), expanded
     only for its text."""
     ctj = [sparse_combine(col, j) for col in sparse_transpose(c)]
-    if (rank and involution and len(j) == rank
-            and sparse_transpose(j) == tuple(sparse_scale(-1, r) for r in j)):
+    if rank and involution and len(j) == rank and antisymmetric(j):
         ok = sparse_transpose(ctj) == tuple(ctj)
     else:
         ok = [sparse_combine(r, c) for r in ctj] == [sparse_scale(-1, r) for r in j]

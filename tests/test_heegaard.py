@@ -16,6 +16,7 @@ from realbook.heegaard import (
     HeegaardData,
     RealPartUnavailable,
     _GF2Solver,
+    _interior_basis_indices,
     heegaard_data,
     is_maximal,
     real_part,
@@ -28,6 +29,7 @@ from realbook.openbook import (
     enumerate_sites,
     stabilize,
 )
+from realbook.surface import entries
 from oracles import as_matrix, as_rows, twist_matrix
 
 
@@ -297,12 +299,44 @@ def test_bitset_gf2_solver_matches_list_solver():
     assert min(seen.values()) > 100, seen
 
 
+def gf2_rank(vectors, width):
+    """The rank mod 2 of bitset vectors, by Gauss-Jordan column by
+    column."""
+    rows, rank = list(vectors), 0
+    for bit in range(width):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k] >> bit & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(len(rows)):
+            if k != rank and rows[k] >> bit & 1:
+                rows[k] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+def greedy_interior_indices(ob):
+    """The basis indices i, in increasing order, whose unit vector
+    raises the rank mod 2 of the pushoff classes and the units kept
+    before it."""
+    rank = ob.page.h1_rank
+    span = [sum(1 << i for i, x in entries(p) if x % 2) for p in ob.page.circles.values()]
+    kept, have = [], gf2_rank(span, rank)
+    for i in range(rank):
+        if gf2_rank(span + [1 << i], rank) > have:
+            span.append(1 << i)
+            kept.append(i)
+            have += 1
+    return kept
+
+
 def test_real_part_classes_match_the_list_solver_on_golden_books(monkeypatch):
     """On every golden book, whose opposite-page fixed set is tracked,
-    each component's class is list_gf2_solve on the book's own
-    closed-surface pairing matrix and the component's crossing vector:
-    the echelon is checked on the systems real_part builds, not only on
-    random matrices."""
+    the interior indices are those of the greedy scan, and each
+    component's class is list_gf2_solve on the book's own closed-surface
+    pairing matrix and the component's crossing vector: the echelons
+    are checked on the systems real_part builds, not only on random
+    matrices."""
     from test_golden import golden_books
 
     import realbook.heegaard as heegaard_module
@@ -323,6 +357,7 @@ def test_real_part_classes_match_the_list_solver_on_golden_books(monkeypatch):
     books = components = 0
     for label, ob in golden_books():
         assert ob.fix_plus is not None, label
+        assert _interior_basis_indices(ob) == greedy_interior_indices(ob), label
         solved.clear()
         rp = real_part(ob)
         assert [c.h1_class for c in rp.components] == [x for *_, x in solved], label
