@@ -2,35 +2,39 @@
 
 Everything here works over Python ints, so entry blow-up during Smith
 reduction is harmless.  Intended scale is small (page ranks up to about
-32, relation matrices up to about 60x60).  The product scatters over the
-nonzeros of both factors: a row of the right factor is listed once as
-(j, x) pairs, when a nonzero of the left factor first reaches it, and
-each row of the result gathers a * x into entry j for every nonzero a
-of the left row.  So it costs one multiply per pair of nonzeros that
-meet, and a row of the right factor that no nonzero reaches is never
-read: the sparse involutions and forms cost far less than n^3, and a
-product of a few probe rows reads a few rows of the right factor.
-Twist words never go through it, because mcg applies each twist as a
-rank-one update of sparse rows.  The Smith form uses the
-smallest-entry pivot rule, with no modular or HNF shortcut, and its
-updates touch only nonzeros of the working matrix.  Its transforms are not built as
-matrices: the row and column operations are logged as they run
-(Kannan & Bachem, 1979, compute the form with its transforms), and a
-right-hand side is solved by replaying the row log on it, skipping zero
-entries, and the column log backwards on the result.  The pivots and
-the operations are the full-scan rule's, in its order, so the form, its
-transforms and every solution are the same entry for entry.  One
-elimination loop serves every caller: a system is factored once and
-solved for as many right-hand sides as a caller has.  cokernel takes
-sparse rows and eliminates their unit entries on dict rows before any
-Smith form, the usual way to keep a sparse integer Smith form sparse
+32, relation matrices up to about 60x60).
+
+An integer system has one entry point, factor(rows, ncols): it takes
+sparse rows (surface.Sparse), expands them itself and factors them
+once, so how a system is stored is this module's decision.  The
+SmithForm it returns solves A x = b (solve, for as many b as a caller
+has) and spans the kernel (kernel, a lazy basis in column order).  The
+Smith form uses the smallest-entry pivot rule, with no modular or HNF
+shortcut, and its updates touch only nonzeros of the working matrix.
+Its transforms are logged as the row and column operations run, not
+built as matrices (Kannan & Bachem, 1979, compute the form with its
+transforms): a right-hand side is solved by replaying the row log on
+it and the column log backwards on the result, and a kernel vector is
+the column log replayed on a unit vector.  The pivots and operations
+are the full-scan rule's, in its order, so the form, its transforms,
+every solution and every kernel vector are the same entry for entry.
+cokernel takes sparse rows and eliminates their unit entries on dict
+rows first, the usual way to keep a sparse integer Smith form sparse
 (Dumas, Saunders & Villard, 2001), and reads only the diagonal of the
 form of the core that is left.
+
+IntMatrix keeps its dense arithmetic as the tests' reference algebra,
+and the benchmark's tracer times its product by name; no realbook path
+forms a dense product, as mcg applies each twist as a rank-one update
+of sparse rows.  The product costs one multiply per pair of nonzeros
+that meet: a row of the right factor is listed once as (j, x) pairs,
+when a nonzero of the left factor first reaches it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -151,9 +155,9 @@ class SmithForm:
     U and V are kept as the logs of the row and column operations that
     made them, in order: (i, t, q) adds q times row (column) t to row
     (column) i, (i, t, None) swaps them, and (t, t, -2) negates row t.
-    u and v are built from the logs when first read.  The diagonal of D
-    is read once and kept, so a form reused for many right-hand sides
-    does not rebuild it per solve."""
+    Neither is built as a matrix: solve and kernel replay the logs on
+    vectors.  The diagonal of D is read once and kept, so a form reused
+    for many right-hand sides does not rebuild it per solve."""
 
     d: IntMatrix
     row_ops: tuple[tuple[int, int, int | None], ...]
@@ -163,26 +167,39 @@ class SmithForm:
     def diag(self) -> tuple[int, ...]:
         return self.d.diag()
 
-    @cached_property
-    def u(self) -> IntMatrix:
-        m = self.d.nrows
-        return IntMatrix._trusted(zip(*map(self._times_u, IntMatrix.identity(m).rows)), m)
-
-    @cached_property
-    def v(self) -> IntMatrix:
-        n = self.d.ncols
-        return IntMatrix._trusted(zip(*map(self._times_v, IntMatrix.identity(n).rows)), n)
-
-    def _times_u(self, b: Sequence[int]) -> list[int]:
-        """U b: the row log replayed on b, in order, skipping additions
-        from a zero entry."""
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """One integer solution x of A x = b, or None if there is none:
+        x = V y for D y = U b, with U b and V y replayed from the logs."""
+        if self.d.nrows != len(b):
+            raise ValueError("rhs length mismatch")
+        # U b: the row log replayed on b, in order, skipping additions
+        # from a zero entry
         c = list(b)
         for i, t, q in self.row_ops:
             if q is None:
                 c[i], c[t] = c[t], c[i]
             elif c[t]:
                 c[i] += q * c[t]
-        return c
+        diag = self.diag
+        y = [0] * self.d.ncols
+        for i, ci in enumerate(c):
+            d = diag[i] if i < len(diag) else 0
+            if d != 0:
+                if ci % d != 0:
+                    return None
+                y[i] = ci // d
+            elif ci != 0:
+                return None
+        return self._times_v(y)
+
+    def kernel(self) -> Iterator[tuple[int, ...]]:
+        """A basis of the kernel of A: the columns of V past the nonzero
+        diagonal, in column order, each the column log replayed on a unit
+        vector.  The basis is a lazy generator, so a caller that reads a
+        few generators replays the log only for those."""
+        diag, n = self.diag, self.d.ncols
+        return (self._times_v([int(i == j) for i in range(n)])
+                for j in range(n) if j >= len(diag) or diag[j] == 0)
 
     def _times_v(self, y: Sequence[int]) -> tuple[int, ...]:
         """V y: the column log replayed backwards on y, as its first
@@ -231,14 +248,14 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     Every update touches only nonzeros, and the pivots and the row and
     column operations are those of the full-scan rule, in its order, so
-    d, u and v equal its transforms entry for entry.  Each pass that
-    clears column t lists the nonzeros of the pivot row from column t
-    on, once, and adds multiples of them to the rows with an entry in
-    column t.  Once column t is clear below the pivot, and every row
-    above t is zero from column t on (each earlier step ends with its
-    row and column clear but for the pivot), a column operation that
-    clears row t changes only the pivot row of the working matrix: its
-    entry becomes a remainder by the pivot.  Each operation is logged
+    d and the transforms the logs give equal its own entry for entry.
+    Each pass that clears column t lists the nonzeros of the pivot row
+    from column t on, once, and adds multiples of them to the rows with
+    an entry in column t.  Once column t is clear below the pivot, and
+    every row above t is zero from column t on (each earlier step ends
+    with its row and column clear but for the pivot), a column operation
+    that clears row t changes only the pivot row of the working matrix:
+    its entry becomes a remainder by the pivot.  Each operation is logged
     (SmithForm) and none is applied to a transform, so cokernel, which
     reads the diagonal only, pays nothing for them.
     """
@@ -333,6 +350,23 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                      col_ops=tuple(col_ops))
 
 
+def factor(rows: Sequence[Sequence[int]], ncols: int) -> SmithForm:
+    """The Smith form of the matrix with the given sparse rows, ncols
+    wide, each row its nonzero entries, flat, (j, a_j, k, a_k, ...).
+    The rows are expanded here, the one place a system is dense, and
+    passed to this module's smith_normal_form as looked up on each call,
+    so a wrapper set on it (as the benchmark's tracer sets one) sees
+    every factorization."""
+    expanded = []
+    for row in rows:
+        out = [0] * ncols
+        it = iter(row)
+        for j in it:
+            out[j] = next(it)
+        expanded.append(out)
+    return smith_normal_form(IntMatrix._trusted(expanded, ncols))
+
+
 def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
     """Z^len(rows) modulo the column span of the matrix with these rows,
     in canonical form.  Each row is sparse, its nonzero entries flat,
@@ -349,8 +383,8 @@ def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
     and one relation.  Each pivot takes, in its row, the unit whose
     column reaches the fewest rows, so an update touches few rows.
     What is left has no unit entry, and only that core, its zero rows
-    and columns dropped, goes to smith_normal_form, whose diagonal is
-    read and no transform built.
+    and columns dropped, goes to factor as sparse rows, and only the
+    diagonal of its form is read.
     """
     mat: dict[int, dict[int, int]] = {}
     index: dict[int, set[int]] = {}
@@ -401,53 +435,9 @@ def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
     nonzero: list[int] = []
     if mat:
         cols = sorted(j for j, reach in index.items() if reach)
-        core = [[row.get(j, 0) for j in cols] for _i, row in sorted(mat.items())]
-        nonzero = [d for d in smith_normal_form(IntMatrix._trusted(core, len(cols))).diag if d]
+        at = {j: k for k, j in enumerate(cols)}
+        core = [tuple(chain.from_iterable(sorted((at[j], x) for j, x in row.items())))
+                for _i, row in sorted(mat.items())]
+        nonzero = [d for d in factor(core, len(cols)).diag if d]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianGroup(free_rank=len(rows) - units - len(nonzero), torsion=torsion)
-
-
-def snf_solve(snf: SmithForm, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of a @ x = b, given the Smith form of a, or
-    None if there is none: x = V y for D y = U b, with U b and V y
-    replayed from the logs.  Factor a once to solve for many b."""
-    if snf.d.nrows != len(b):
-        raise ValueError("rhs length mismatch")
-    c = snf._times_u(b)
-    diag = snf.diag
-    y = [0] * snf.d.ncols
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d != 0:
-            if ci % d != 0:
-                return None
-            y[i] = ci // d
-        elif ci != 0:
-            return None
-    return snf._times_v(y)
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of a @ x = b, or None if there is none."""
-    if a.nrows != len(b):
-        raise ValueError("rhs length mismatch")
-    return snf_solve(smith_normal_form(a), b)
-
-
-def solve_integer_affine(
-    a: IntMatrix, b: Sequence[int]
-) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]] | None:
-    """Particular solution and a kernel basis of a @ x = b, or None.  The
-    kernel is spanned by the columns of V past the nonzero diagonal,
-    each the column log replayed on a unit vector.  The basis is a lazy
-    generator, in column order, so a caller that reads a few generators
-    replays the log only for those."""
-    if a.nrows != len(b):
-        raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(a)
-    x = snf_solve(snf, b)
-    if x is None:
-        return None
-    diag, n = snf.diag, a.ncols
-    return x, (snf._times_v([int(i == j) for i in range(n)])
-               for j in range(n) if j >= len(diag) or diag[j] == 0)

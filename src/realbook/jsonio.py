@@ -47,10 +47,13 @@ in record order (a record makes the curves its sigma names) and keeps
 as root pairs the declared pairs that name no such curve.  It rejects a
 provenance type that is not in STAB_TYPES, a curve that two records
 make, and a declared pair that names a born curve and that the rule of
-STAB_TYPES does not give (`$.disjoint[i]`).  The writer writes the
-pairs that name no curve of the written provenance, and refuses a book
-whose written records are not its page's last steps (the births of
-records.replace(ob, provenance=()) read back as root curves).
+STAB_TYPES does not give (`$.disjoint[i]`).  A book's page holds the
+births its provenance records, derived as the reader derives them
+(openbook.recorded_births): a book whose provenance is trimmed from the
+front has the births no record makes folded into root pairs, so it
+equals its read-back.  The writer writes the root pairs that name no
+born curve, and refuses a book whose records are not its page's last
+steps, whose page keeps births no record makes.
 
 On disk `dumps` writes one top-level field per line, in sorted key
 order, each value compact with sorted keys, as the stdlib C encoder
@@ -72,7 +75,7 @@ from typing import Any, Callable
 
 from .errors import SchemaError
 from .mcg import TwistWord, free_reduce
-from .openbook import STAB_TYPES, OpenBook, StabRecord
+from .openbook import STAB_TYPES, OpenBook, StabRecord, recorded_births
 from .records import replace
 from .surface import (
     FixArc,
@@ -91,16 +94,6 @@ SCHEMA_VERSION = 3
 READABLE_SCHEMAS = (1, 2, 3)
 CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
-
-
-def _made(ob: OpenBook) -> set[str]:
-    """The curves the written provenance makes, whose records must be the page's
-    last steps: the reader takes every other curve for an older root curve."""
-    steps = [(st, set(names)) for st, names in ob.page.birth_steps()]
-    mine = [(STAB_TYPES.get(r.tag), {n for n, _ in r.sigma}) for r in ob.provenance if r.sigma]
-    if steps[len(steps) - len(mine):] != mine:
-        raise ValueError("the provenance does not record the page's last stabilizations")
-    return set().union(*(names for _st, names in mine))
 
 
 def _need(obj: dict, key: str, path: str) -> Any:
@@ -367,21 +360,21 @@ def from_obj(obj: dict) -> OpenBook:
 def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
                        provenance: list[StabRecord]) -> SurfaceModel:
     """The page with its births, derived from provenance in record order
-    (each record makes the curves its sigma names), and the declared
-    pairs that name no born curve as its root pairs.  A declared pair
-    that names a born curve must be one the rule of STAB_TYPES gives;
-    the rule's pairs need not be declared."""
-    births: dict[str, tuple] = {}
+    (openbook.recorded_births: each record makes the curves its sigma
+    names), and the declared pairs that name no born curve as its root
+    pairs.  A declared pair that names a born curve must be one the rule
+    of STAB_TYPES gives; the rule's pairs need not be declared."""
+    maker: dict[str, int] = {}
     for i, rec in enumerate(provenance):
-        st = STAB_TYPES.get(rec.tag)
-        if st is None:
+        if rec.tag not in STAB_TYPES:
             raise SchemaError(f"$.provenance[{i}].type is {rec.tag!r}, not one of "
                               + ", ".join(STAB_TYPES))
         for name, _ in rec.sigma:
-            if name in births:
+            if name in maker:
                 raise SchemaError(f"$.provenance[{i}].sigma makes curve {name!r}, which "
-                                  f"$.provenance[{births[name][0]}] made before")
-            births[name] = (i, st)
+                                  f"$.provenance[{maker[name]}] made before")
+            maker[name] = i
+    births = recorded_births(provenance)
     born = births.keys()
     page = replace(page, births=births, disjoint=frozenset(
         frozenset(pair) for pair in declared if born.isdisjoint(pair)))
@@ -429,15 +422,13 @@ def _fixed_set_text(fs: FixedSet | None, row: Callable[[Sparse], str]) -> str:
     return '{"arcs":[' + arcs + '],"circles":[' + circles + "]}"
 
 
-def _disjoint_text(page: SurfaceModel, made: set[str]) -> str:
-    """The pairs no written provenance record gives: the root's pairs that
-    name no born curve, and, only when some birth is not in the written
-    provenance, the pairs the rule gives that name no written curve."""
+def _disjoint_text(page: SurfaceModel) -> str:
+    """The pairs no written provenance record gives: the root's pairs
+    that name no born curve.  A book's page holds the births its written
+    provenance records (openbook._with_recorded_births), so the rule
+    gives every other pair."""
     born = page.births.keys()
-    pairs = [sorted(pair) for pair in page.disjoint if born.isdisjoint(pair)]
-    if born - made:
-        pairs += [sorted(pair) for pair in page.born_pairs() if made.isdisjoint(pair)]
-    return _compact(sorted(pairs))
+    return _compact(sorted(sorted(pair) for pair in page.disjoint if born.isdisjoint(pair)))
 
 
 def dumps(ob: OpenBook) -> str:
@@ -448,7 +439,8 @@ def dumps(ob: OpenBook) -> str:
     function, each other small leaf (permutations, arc ends, the word,
     provenance, disjoint pairs) by the C encoder itself."""
     page, inv = ob.page, ob.real_structure
-    made = _made(ob)
+    if page.births != recorded_births(ob.provenance):
+        raise ValueError("the provenance does not record the page's last stabilizations")
     row = _row_writer(page.h1_rank)
 
     def matrix(rows: Rows) -> str:
@@ -467,7 +459,7 @@ def dumps(ob: OpenBook) -> str:
                         for cid, r in sorted(page.ref_arcs.items()))
     fields = (
         ("alphabet", "[" + alphabet + "]"),
-        ("disjoint", _disjoint_text(page, made)),
+        ("disjoint", _disjoint_text(page)),
         ("fix_plus", _fixed_set_text(ob.fix_plus, row)),
         ("involution",
          '{"boundary_perm":' + _compact({str(k): v for k, v in inv.boundary_perm.items()})

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from functools import cached_property, partial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import StabilizationError  # noqa: F401  (re-exported for callers of stabilize)
 from .intalg import AbelianGroup, cokernel
@@ -31,7 +31,7 @@ from .mcg import (
     word_matrix,
     words_equal,
 )
-from .records import record
+from .records import record, replace
 from .surface import (
     CheckResult,
     FixedSet,
@@ -64,9 +64,6 @@ class Reality(enum.Enum):
 class RealityStatus:
     kind: Reality
     witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.kind is not Reality.NOT_REAL
 
 
 @record
@@ -125,18 +122,48 @@ STAB_TYPES: dict[str, StabType] = {
 }
 
 
+def recorded_births(provenance: Sequence[StabRecord]) -> dict[str, tuple[int, StabType]]:
+    """The births a provenance records, as the book reader derives them:
+    record i makes the curves its sigma names at step i."""
+    return {name: (i, STAB_TYPES[rec.tag])
+            for i, rec in enumerate(provenance) for name, _ in rec.sigma}
+
+
+def _with_recorded_births(page: SurfaceModel, provenance: Sequence[StabRecord]) -> SurfaceModel:
+    """The page with the births its provenance records: the page itself
+    when it has them; when the records are its last steps, a copy whose
+    pairs that name no recorded curve are root pairs, as the reader
+    reads its text back; else the page itself, which the writer
+    refuses."""
+    births = recorded_births(provenance)
+    if births == page.births:
+        return page
+    steps = [(st, set(names)) for st, names in page.birth_steps()]
+    mine = [(STAB_TYPES[rec.tag], {name for name, _ in rec.sigma})
+            for rec in provenance if rec.sigma]
+    if steps[len(steps) - len(mine):] != mine:
+        return page
+    made = births.keys()
+    return replace(page, births=births, disjoint=frozenset(
+        frozenset(pair) for pair in page.disjoint_pairs() if made.isdisjoint(pair)))
+
+
 @record
 class OpenBook:
     """A real open book.  Frozen: the verdict of check_reality and the
     monodromy matrix are memoized on the instance, outside the fields,
     so they take no part in ==, repr or JSON, and a book made with
-    records.replace starts without them."""
+    records.replace starts without them.  Its page holds the births its
+    provenance records (_with_recorded_births)."""
 
     page: SurfaceModel
     monodromy: TwistWord
     real_structure: Involution
     fix_plus: FixedSet | None = None
     provenance: tuple[StabRecord, ...] = ()
+
+    def __post_init__(self):
+        self.__dict__["page"] = _with_recorded_births(self.page, self.provenance)
 
     @cached_property
     def _reality(self) -> RealityStatus:

@@ -25,12 +25,7 @@ from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from .errors import StabilizationError
-from .intalg import (
-    smith_normal_form,
-    snf_solve,
-    solve_integer,
-    solve_integer_affine,
-)
+from .intalg import factor
 from .mcg import TwistWord, concat, times_word, word
 from .openbook import (
     STAB_TYPES,
@@ -50,7 +45,6 @@ from .surface import (
     arc_endpoints_check,
     crossing_residuals,
     dense,
-    dense_matrix,
     entries,
     failures,
     image_holds,
@@ -380,7 +374,7 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
     """Pin each reference-arc row to the boundary crossing pattern
     (surface.crossing_residuals), which fixes the crossings with the
     fresh curves that the per-type bookkeeping leaves free.  A zero
-    residual needs a zero correction, which snf_solve would return, so
+    residual needs a zero correction, which the solve would return, so
     only arcs with a nonzero residual back-substitute.  The crossing
     matrix (the circles' classes at new_idx, the last indices) is the
     same for every arc, so its Smith form is factored once, for the
@@ -391,11 +385,11 @@ def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
         if not any(rhs):
             continue
         if snf is None:
-            snf = smith_normal_form(dense_matrix(
-                [tuple(chain.from_iterable((i - b.a_idx, x) for i, x in entries(b.circles[cid])
-                                           if i >= b.a_idx))
-                 for cid in sorted(b.circles)], len(new_idx)))
-        sol = snf_solve(snf, rhs)
+            snf = factor([tuple(chain.from_iterable((i - b.a_idx, x)
+                                                    for i, x in entries(b.circles[cid])
+                                                    if i >= b.a_idx))
+                          for cid in sorted(b.circles)], len(new_idx))
+        sol = snf.solve(rhs)
         if sol is None:
             raise StabilizationError(
                 f"reference arc to boundary {l} has no consistent crossing data")
@@ -437,9 +431,8 @@ def _fix_strand_law(arcs: list[FixArc], page: SurfaceModel, c_new: Rows,
             # plus that unit, transposed as a square matrix padded with
             # zero rows
             cols = [sparse_add(p, (t, 1)) for p, t in zip(pushed[len(arcs):], new_idx)]
-            snf = smith_normal_form(dense_matrix(
-                sparse_transpose(cols + [()] * (rank - len(cols))), len(cols)))
-        delta = snf_solve(snf, [-r for r in dense(residual, rank)])
+            snf = factor(sparse_transpose(cols + [()] * (rank - len(cols))), len(cols))
+        delta = snf.solve([-r for r in dense(residual, rank)])
         if delta is None:
             raise StabilizationError(
                 "fixed-arc crossing data cannot satisfy the invariance law here")
@@ -645,7 +638,7 @@ def _solve_pushoff_column(pattern: Pattern, c_old: Rows, symmetry: int) -> Spars
     n = len(c_old)
     rows = [p for p, _ in pattern] + [sparse_add(col, (i, symmetry), -1)
                                      for i, col in enumerate(sparse_transpose(c_old))]
-    sol = solve_integer(dense_matrix(rows, n), [want for _, want in pattern] + [0] * n)
+    sol = factor(rows, n).solve([want for _, want in pattern] + [0] * n)
     if sol is None:
         raise StabilizationError("no consistent pairing data for the attachment site")
     return sparse(sol)
@@ -676,8 +669,8 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
                               + sum c_i^2 q(g_i) + sum_{i<j} c_i c_j B(g_i, g_j),
     so the scores of a lattice need at most 15 values of q and B, once
     per x (_lattice_scores), and only the first hit is built as a point.
-    The rows are sparse over (v, w), the w half shifted by n, until the
-    Smith system expands them.
+    The rows are sparse over (v, w), the w half shifted by n, as factor
+    takes them.
     """
     n = len(c_old)
     (pj, _), (pk, _) = pattern[:2]
@@ -695,11 +688,11 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
         # row i is x (e_i - C^T e_i) followed by row i of J
         x_rows = [sparse_scale(x_coef, sparse_add((i, 1), cti, -1)) + _shifted(form[i], n)
                   for i, cti in enumerate(ct)]
-        sol = solve_integer_affine(dense_matrix(rows + x_rows, 2 * n), rhs)
-        if sol is None:
+        snf = factor(rows + x_rows, 2 * n)
+        base = snf.solve(rhs)
+        if base is None:
             return None
-        base, kernel = sol
-        gens = list(islice(kernel, 4))
+        gens = list(islice(snf.kernel(), 4))
         scores = _lattice_scores(
             vec_dot(base[:n], base[n:]),
             [polar(base, g) for g in gens],
@@ -772,7 +765,7 @@ def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> N
         # the crossing functional matches the arc data; J^T e_a is row a
         # of J, and the rows of J^T are the columns of J
         need = sparse_add(set_coord(arc.pair_curves, b.a_idx, 0), b.form[b.a_idx], -1)
-        w = solve_integer(dense_matrix(sparse_transpose(b.form), b.rank), dense(need, b.rank))
+        w = factor(sparse_transpose(b.form), b.rank).solve(dense(need, b.rank))
         if w is None:
             raise StabilizationError("joined fixed circle has no consistent class")
         b.plus_circles.append(sparse_add(sparse(w), b.new_class()))
@@ -862,9 +855,9 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     # plus row i of J
     sym = [sparse_add(sparse_combine(col, form), r)
            for col, r in zip(sparse_transpose(ob.real_structure.matrix), form)]
-    z = solve_integer(dense_matrix(list(form) + [row for _l, row in arcs] + sym, n),
-                      [-pc for pc in dense(x.pair_curves, n)]
-                      + [-x.pair_arcs.get(l, 0) for l, _row in arcs] + [0] * n)
+    z = factor(list(form) + [row for _l, row in arcs] + sym, n).solve(
+        [-pc for pc in dense(x.pair_curves, n)]
+        + [-x.pair_arcs.get(l, 0) for l, _row in arcs] + [0] * n)
     if z is None:
         raise StabilizationError("type I: closing arc has no consistent closed class")
 

@@ -24,13 +24,12 @@ its handle leaves alone with its parent; the book reader converts each
 of JSON's dense rows once, as it checks it, and the writer renders each
 row's text from its nonzeros (jsonio).  The monodromy's matrix F and
 the products read off it (F C, C F C, F^-1) are sparse rows too
-(mcg.word_matrix, sparse_combine).  Only a Smith system needs dense
-rows: its input is expanded through dense_matrix at the call and
-dropped after it, and the relation rows of H1 go to intalg.cokernel
-sparse, which expands only the core its unit pivots leave.  Arc
-transport expands each pairing row into its own buffer
-(mcg.transport_arcs); nothing dense is kept on a page, an involution
-or a book.
+(mcg.word_matrix, sparse_combine).  A Smith system is handed over as
+sparse rows too: intalg.factor expands them, the one place a system is
+dense, and the relation rows of H1 go to intalg.cokernel, which factors
+only the core its unit pivots leave.  Arc transport expands each
+pairing row into its own buffer (mcg.transport_arcs); nothing dense is
+kept on a page, an involution or a book.
 
 Conventions fixed here once and used everywhere else:
 
@@ -44,15 +43,15 @@ Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
 sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
 sparse_combine, sparse_transpose and antisymmetric (on sparse rows,
-the last the book reader's check of the form), dense_matrix (a
-Smith system's input, expanded), sparse_column (one column of sparse
-rows), image_holds (a curve image under a matrix, read off the columns
-at the nonzeros of the curve's class), and involution_check,
-anti_symplectic_check and lefschetz_check on sparse rows, which
-validate_involution reports and heegaard.validate_heegaard reads for
-both invariant pages.  validate_involution is the one validation of a
-page and its involution (a stabilized book also runs structural_checks
-alone), and failures words the failing checks of a report.
+the last the book reader's check of the form), sparse_column (one
+column of sparse rows), image_holds (a curve image under a matrix,
+read off the columns at the nonzeros of the curve's class), and
+involution_check, anti_symplectic_check and lefschetz_check on sparse
+rows, which validate_involution reports and heegaard.validate_heegaard
+reads for both invariant pages.  validate_involution is the one
+validation of a page and its involution (a stabilized book also runs
+structural_checks alone), and failures words the failing checks of a
+report.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
 other ($.page.form must be antisymmetric), and the forms built by the
@@ -74,7 +73,6 @@ from itertools import chain, combinations, groupby, product
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .intalg import IntMatrix
 from .records import factory, record
 
 if TYPE_CHECKING:
@@ -180,12 +178,6 @@ def sparse_transpose(rows: Sequence[Sparse]) -> Rows:
         for j in it:
             cols[j].extend((i, next(it)))
     return tuple(map(tuple, cols))
-
-
-def dense_matrix(rows: Sequence[Sparse], ncols: int) -> IntMatrix:
-    """The matrix with the given sparse rows, ncols wide, dense: the
-    input of a Smith system, built at the call and dropped after it."""
-    return IntMatrix._trusted([dense(row, ncols) for row in rows], ncols)
 
 
 def _shown(rows: Sequence[Sparse]) -> tuple[Vec, ...]:

@@ -104,13 +104,37 @@ def det(a: IntMatrix) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+def logged_transforms(snf: SmithForm) -> tuple[IntMatrix, IntMatrix]:
+    """U and V of a Smith form, rebuilt from its logs: each logged row
+    operation applied, in order, to the rows of the identity, and each
+    column operation, in order, to its columns.  (i, t, q) adds q times
+    row (column) t to row (column) i, so (t, t, -2) negates it, and
+    (i, t, None) swaps the two."""
+    m, n = snf.d.shape
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, t, q in snf.row_ops:
+        if q is None:
+            u[i], u[t] = u[t], u[i]
+        else:
+            u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+    for i, t, q in snf.col_ops:
+        for row in v:
+            if q is None:
+                row[i], row[t] = row[t], row[i]
+            else:
+                row[i] += q * row[t]
+    return IntMatrix(u, ncols=m), IntMatrix(v, ncols=n)
+
+
 def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
-    """Whether snf is a Smith form of a: U A V = D with U and V
-    unimodular, and D diagonal, nonnegative, each entry dividing the
-    next (zeros last)."""
-    if snf.u @ a @ snf.v != snf.d:
+    """Whether snf is a Smith form of a: U A V = D with U and V, rebuilt
+    from its logs, unimodular, and D diagonal, nonnegative, each entry
+    dividing the next (zeros last)."""
+    u, v = logged_transforms(snf)
+    if u @ a @ v != snf.d:
         return False
-    if abs(det(snf.u)) != 1 or abs(det(snf.v)) != 1:
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
         return False
     diag = snf.diag
     if any(d < 0 for d in diag):

@@ -953,6 +953,17 @@ def test_contact_loads_no_algebra():
                                   "heegaard", "catalog")
 
 
+def test_the_page_model_loads_no_integer_algebra():
+    """A Smith system reaches intalg.factor as sparse rows from its
+    callers, so surface, the page model, loads no realbook.intalg."""
+    proc = _python(["-c", "import json, sys, realbook.surface; "
+                          "print(json.dumps(sorted(sys.modules)))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "realbook.surface" in loaded
+    assert "realbook.intalg" not in loaded
+
+
 def test_invariants_loads_neither_contact_nor_catalog():
     _code, book_json = run_cli(["catalog", "fig4", "2"])
     loaded = _loaded_modules(["invariants"], book_json)

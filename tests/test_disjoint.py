@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from realbook.catalog import ENTRIES, catalog_fig4, catalog_fig5, catalog_fig6
+from realbook.catalog import ENTRIES, build, catalog_fig4, catalog_fig5, catalog_fig6
 from realbook.cli import main
 from realbook.jsonio import dumps, loads
 from realbook.openbook import (
@@ -155,15 +155,16 @@ def test_a_root_that_uses_an_s_name_keeps_its_pairs():
 @pytest.mark.parametrize("family, k", [(catalog_fig5, 2), (catalog_fig5, 3),
                                        (catalog_fig6, 2), (catalog_fig6, 3)])
 def test_a_book_without_its_provenance_keeps_its_born_pairs(family, k):
-    """A book whose provenance is dropped keeps its page's births, so
-    no written record gives their pairs: the writer writes them with
-    the root's, and the book read back (births none, every pair a root
-    pair) gets the same verdict and answers every pair alike."""
+    """A book whose provenance is dropped holds the births it records,
+    none: the page's births are folded into root pairs, so the writer
+    writes them with the root's, and the book equals its read-back,
+    gets the same verdict and answers every pair alike."""
     built = family(k)
+    assert any(st.disjoint_old for _, st in built.page.births.values())
     ob = replace(built, provenance=())
-    assert ob.page.births and any(st.disjoint_old for _, st in ob.page.births.values())
+    assert not ob.page.births and ob.page.disjoint != built.page.disjoint
     back = loads(dumps(ob))
-    assert not back.page.births and dumps(back) == dumps(ob)
+    assert back == ob and dumps(back) == dumps(ob)
     assert check_reality(back).kind == check_reality(ob).kind == check_reality(built).kind
     names = list(ob.page.alphabet)
     assert all(back.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
@@ -186,10 +187,38 @@ def test_a_provenance_kept_only_for_its_last_steps_keeps_every_pair():
     cut = replace(ob, provenance=ob.provenance[1:])
     text = dumps(cut)
     back = loads(text)
-    assert back.page.births.keys() == {"s2"} and dumps(back) == text
+    assert back.page.births.keys() == {"s2"} and dumps(back) == text and back == cut
     names = list(ob.page.alphabet)
     assert all(back.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
                for a in names for b in names)
+
+
+def test_every_provenance_suffix_equals_its_read_back():
+    """Every suffix of the provenance of every ladder book (fig4, fig5
+    and fig6 to k = 8) and every walk book: the births no kept record
+    makes are folded into root pairs and the rest numbered by record,
+    as the reader derives them, so the book equals its read-back and
+    answers every pair as the whole book does.  A book whose page
+    already holds the births its provenance records keeps its page
+    object, as every book stabilize makes does."""
+    from test_walks import walk_steps
+
+    books = [build(family, k) for family in ("fig4", "fig5", "fig6") for k in range(1, 9)]
+    books += [ob for _where, _start, ob in walk_steps()]
+    trimmed = 0
+    for ob in books:
+        assert replace(ob, provenance=ob.provenance).page is ob.page
+        names = list(ob.page.alphabet)
+        for start in range(1, len(ob.provenance) + 1):
+            cut = replace(ob, provenance=ob.provenance[start:])
+            assert len(cut.page.births) == sum(len(r.sigma) for r in cut.provenance)
+            back = loads(dumps(cut))
+            assert back == cut and dumps(back) == dumps(cut), (ob.provenance, start)
+            assert replace(cut).page is cut.page
+            assert all(cut.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
+                       for a in names for b in names)
+            trimmed += 1
+    assert trimmed > len(books)
 
 
 def _refused(text, path):

@@ -5,11 +5,10 @@ import pytest
 from realbook.intalg import (
     AbelianGroup,
     IntMatrix,
+    SmithForm,
     cokernel,
+    factor,
     smith_normal_form,
-    snf_solve,
-    solve_integer,
-    solve_integer_affine,
 )
 from oracles import (
     as_matrix,
@@ -20,6 +19,7 @@ from oracles import (
     diagonal,
     expand,
     full_scan_smith_normal_form,
+    logged_transforms,
     smith_check,
     zeros,
 )
@@ -106,9 +106,9 @@ def test_snf_unimodularity_exact():
     rng = random.Random(1)
     for _ in range(100):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        s = smith_normal_form(a)
-        assert abs(det(s.u)) == 1
-        assert abs(det(s.v)) == 1
+        u, v = logged_transforms(smith_normal_form(a))
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
 
 
 def test_cokernel_invariant_under_unimodular_action():
@@ -123,21 +123,24 @@ def test_cokernel_invariant_under_unimodular_action():
 
 def test_solve_integer():
     a = IntMatrix([[2, 0], [0, 3]])
-    assert a.apply(solve_integer(a, [4, 9])) == (4, 9)
-    assert solve_integer(a, [1, 0]) is None
+    snf = factor(as_rows(a), 2)
+    assert a.apply(snf.solve([4, 9])) == (4, 9)
+    assert snf.solve([1, 0]) is None
 
 
 def test_solve_integer_affine_kernel():
     a = IntMatrix([[1, 1, 0]])
-    sol = solve_integer_affine(a, [2])
-    assert sol is not None
-    x, kernel = sol
+    snf = factor(as_rows(a), 3)
+    x = snf.solve([2])
+    assert x is not None
+    kernel = snf.kernel()
     assert iter(kernel) is kernel       # lazy: a generator is built when read
     kernel = list(kernel)
     assert sum(x[:2]) == 2
     assert len(kernel) == 2
     for g in kernel:
-        assert g[0] + g[1] == 0 or g[2] != 0
+        assert a.apply(g) == (0,)
+    assert kernel == [(-1, 1, 0), (0, 0, 1)]
 
 
 def test_determinant_bareiss():
@@ -231,18 +234,32 @@ def test_constructor_normalizes_and_checks_widths():
 
 def fig4_viii_systems(k=16):
     """Every system _solve_viii_data factors while the fig4 ladder is
-    built to k: the largest Smith forms of a stabilization, to 60 x 58
-    at k = 16, whose v the type-VIII lattice search reads."""
+    built to k, expanded from the sparse rows it hands to factor: the
+    largest Smith forms of a stabilization, to 60 x 58 at k = 16, whose
+    v the type-VIII lattice search reads."""
     from realbook import stabilization
     from realbook.catalog import catalog_fig4
 
-    systems = []
-    solve = stabilization.solve_integer_affine
-    stabilization.solve_integer_affine = lambda a, b: systems.append(a) or solve(a, b)
+    systems, inside = [], []
+    factor_, solve_viii = stabilization.factor, stabilization._solve_viii_data
+
+    def factoring(rows, ncols):
+        if inside:
+            systems.append(IntMatrix([expand(row, ncols) for row in rows], ncols=ncols))
+        return factor_(rows, ncols)
+
+    def solving_viii(*args):
+        inside.append(True)
+        try:
+            return solve_viii(*args)
+        finally:
+            inside.pop()
+
+    stabilization.factor, stabilization._solve_viii_data = factoring, solving_viii
     try:
         catalog_fig4(k)
     finally:
-        stabilization.solve_integer_affine = solve
+        stabilization.factor, stabilization._solve_viii_data = factor_, solve_viii
     return systems
 
 
@@ -271,7 +288,7 @@ def test_snf_matches_full_scan_pivot_rule():
     for a in snf_oracle_matrices(rng):
         snf = smith_normal_form(a)
         oracle = full_scan_smith_normal_form(a)
-        assert (snf.d, snf.u, snf.v) == oracle, a
+        assert (snf.d, *logged_transforms(snf)) == oracle, a
         assert_cokernel_factors_only_a_unit_free_core(a)
 
 
@@ -285,28 +302,29 @@ def test_snf_solve_reuses_one_factorization():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n, bound=3)
-        snf = smith_normal_form(a)
+        snf = factor(as_rows(a), n)
         for _ in range(5):
             x = [rng.randint(-4, 4) for _ in range(n)]
             b = list(a.apply(x))
-            sol = snf_solve(snf, b)
+            sol = snf.solve(b)
             assert sol is not None and a.apply(sol) == tuple(b)
             b[rng.randrange(m)] += rng.randint(1, 3)
-            assert snf_solve(snf, b) == solve_integer(a, b)
+            assert snf.solve(b) == factor(as_rows(a), n).solve(b)
     with pytest.raises(ValueError):
-        snf_solve(smith_normal_form(IntMatrix.identity(2)), [1])
+        factor(as_rows(IntMatrix.identity(2)), 2).solve([1])
 
 
 def test_smith_form_reads_its_diagonal_once(monkeypatch):
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    snf = smith_normal_form(a)
+    snf = factor(as_rows(a), 3)
     reads = []
     diag = IntMatrix.diag
     monkeypatch.setattr(IntMatrix, "diag", lambda m: reads.append(m) or diag(m))
     for b in ([2, -6, 10], [1, 0, 0], [4, 0, -4]):
-        assert snf_solve(snf, b) == solve_integer(a, b)
+        assert snf.solve(b) == factor(as_rows(a), 3).solve(b)
+    assert list(snf.kernel()) == []
     assert snf.diag == (2, 6, 12)
-    # one read for the reused form, one for each form solve_integer factors
+    # one read for the reused form, one for each form factored afresh
     assert [m is snf.d for m in reads] == [True, False, False, False]
 
 
@@ -335,7 +353,7 @@ def assert_cokernel_factors_only_a_unit_free_core(a):
     """cokernel, given the sparse rows of a, factors at most one Smith
     form, of a core with no unit entry and no zero row or column, and
     reads only its diagonal, which is the dense reference's for that
-    core: neither transform is built from the logs.  The group is the
+    core: nothing else is derived from the form.  The group is the
     one the dense reference's diagonal of all of a gives.  Returns the
     cores factored."""
     from realbook import intalg
@@ -354,7 +372,7 @@ def assert_cokernel_factors_only_a_unit_free_core(a):
         assert all(any(col) for col in zip(*core.rows)), a
         assert not any(abs(x) == 1 for row in core.rows for x in row), a
         assert form.d == full_scan_smith_normal_form(core)[0], a
-        assert not {"u", "v"} & vars(form).keys(), a
+        assert vars(form).keys() <= {*SmithForm._fields, "diag"}, a
     assert group == cokernel_from_transforms(a), a
     return [core for core, _form in forms]
 
@@ -477,19 +495,19 @@ def stabilize_round(seed, bases):
 
 
 def round_systems(monkeypatch, seed):
-    """Every matrix one stabilize round factors, every (matrix, b,
-    solution) it solves, and every (matrix, b, (solution, kernel)) of
-    solve_integer_affine."""
-    from realbook import intalg, stabilization
+    """Every matrix one stabilize round factors, with its form, every
+    (matrix, b, solution) a form solves, and every (matrix, kernel
+    basis) a form spans."""
+    from realbook import intalg
     from realbook.catalog import build
 
     bases = {base: build(*base) for base in ROUND_BASES}
-    factored, solved, affine = [], [], []
+    factored, solved, kernels = [], [], []
     matrix_of = {}
-    factor, solve, solve_affine = smith_normal_form, snf_solve, solve_integer_affine
+    factor_, solve, kernel = smith_normal_form, SmithForm.solve, SmithForm.kernel
 
     def factoring(a):
-        snf = factor(a)
+        snf = factor_(a)
         factored.append((a, snf))
         matrix_of[id(snf)] = a
         return snf
@@ -499,47 +517,45 @@ def round_systems(monkeypatch, seed):
         solved.append((matrix_of[id(snf)], list(b), x))
         return x
 
-    def solving_affine(a, b):
-        found = solve_affine(a, b)
-        if found is not None:
-            found = (found[0], list(found[1]))
-        affine.append((a, list(b), found))
-        return found and (found[0], iter(found[1]))
+    def spanning(snf):
+        basis = list(kernel(snf))
+        kernels.append((matrix_of[id(snf)], basis))
+        return iter(basis)
 
-    for module in (intalg, stabilization):
-        monkeypatch.setattr(module, "smith_normal_form", factoring)
-        monkeypatch.setattr(module, "snf_solve", solving)
-    monkeypatch.setattr(stabilization, "solve_integer_affine", solving_affine)
+    monkeypatch.setattr(intalg, "smith_normal_form", factoring)
+    monkeypatch.setattr(SmithForm, "solve", solving)
+    monkeypatch.setattr(SmithForm, "kernel", spanning)
     stabilize_round(seed, bases)
     monkeypatch.undo()
-    return factored, solved, affine
+    return factored, solved, kernels
 
 
 def test_logged_transforms_solve_as_the_dense_ones_on_a_stabilize_round(monkeypatch):
-    """All 579 systems of a seed-13 round: each form's d, u and v are the
-    dense reference's, and each solution and kernel basis replayed from
-    the logs is the integer vector the dense transforms give."""
-    factored, solved, affine = round_systems(monkeypatch, 13)
+    """All 579 systems of a seed-13 round, each handed to factor as
+    sparse rows: each form's d, and its u and v rebuilt from the logs,
+    are the dense reference's; every form is solved; and each solution
+    and kernel basis replayed from the logs is the integer vector the
+    dense transforms give."""
+    factored, solved, kernels = round_systems(monkeypatch, 13)
     assert len(factored) == 579
-    assert len(solved) >= len(factored) - len(affine)
+    assert {id(a) for a, _snf in factored} == {id(a) for a, _b, _x in solved}
+    assert kernels
     for a, snf in factored:
-        assert (snf.d, snf.u, snf.v) == full_scan_smith_normal_form(a), a
+        assert (snf.d, *logged_transforms(snf)) == full_scan_smith_normal_form(a), a
     for a, b, x in solved:
         assert x == dense_solve(a, b)[0], (a, b)
-    for a, b, found in affine:
-        x, kernel = dense_solve(a, b)
-        assert found == (None if x is None else (x, kernel)), (a, b)
+    for a, basis in kernels:
+        assert basis == dense_solve(a, [0] * a.nrows)[1], a
 
 
 def test_logged_transforms_solve_as_the_dense_ones_on_random_systems():
     rng = random.Random(53)
     for a in snf_oracle_matrices(rng):
-        snf = smith_normal_form(a)
+        snf = factor(as_rows(a), a.ncols)
+        assert snf.d == full_scan_smith_normal_form(a)[0], a
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(a.ncols)]
             for b in (list(a.apply(x)), [rng.randint(-3, 3) for _ in range(a.nrows)]):
                 want, kernel = dense_solve(a, b)
-                assert snf_solve(snf, b) == want, (a, b)
-                found = solve_integer_affine(a, b)
-                found = found and (found[0], list(found[1]))
-                assert found == (None if want is None else (want, kernel)), (a, b)
+                assert snf.solve(b) == want, (a, b)
+                assert list(snf.kernel()) == kernel, (a, b)

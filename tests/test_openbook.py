@@ -1,4 +1,6 @@
 import random
+from pathlib import Path
+
 from realbook.records import replace
 
 import pytest
@@ -13,6 +15,7 @@ from realbook.catalog import (
     catalog_s3_disk,
     standard_surface,
 )
+from realbook.heegaard import real_part
 from realbook.intalg import AbelianGroup, IntMatrix
 from realbook.jsonio import dumps, loads
 from realbook.mcg import word
@@ -25,6 +28,7 @@ from realbook.openbook import (
     enumerate_sites,
     h1_of_manifold,
     stabilize,
+    validate_book,
 )
 from realbook.surface import (
     FixArc,
@@ -35,7 +39,7 @@ from realbook.surface import (
     sparse_add,
     validate_involution,
 )
-from oracles import annulus_rotation, as_matrix, as_rows, expand, is_trivial
+from oracles import annulus_rotation, as_matrix, as_rows, dense_solve, expand, is_trivial
 
 
 def not_real_example() -> OpenBook:
@@ -359,11 +363,11 @@ def test_incompatible_sites_raise(make, tag, site, message):
 
 def eager_viii_search(pattern, c_old, form):
     """The type-VIII search as first written: one linear system per
-    (m, x), all 626 lattice candidates built before any is scored, on
-    the pattern's classes expanded; v and w are returned sparse."""
+    (m, x), solved on the dense transforms of the full-scan Smith form
+    (oracles.dense_solve), all 626 lattice candidates built before any
+    is scored, on the pattern's classes expanded; v and w are returned
+    sparse."""
     from itertools import product
-
-    from realbook.intalg import solve_integer_affine
 
     c_old, form = as_matrix(c_old), as_matrix(form)
     n = c_old.nrows
@@ -384,12 +388,11 @@ def eager_viii_search(pattern, c_old, form):
             rows.append([x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
                         + list(form.rows[i]))
             rhs.append(0)
-        sol = solve_integer_affine(IntMatrix(rows, ncols=2 * n), rhs)
-        if sol is None:
+        base, kernel = dense_solve(IntMatrix(rows, ncols=2 * n), rhs)
+        if base is None:
             continue
-        base, kernel = sol
         candidates = [list(base)]
-        gens = list(kernel)[:4]
+        gens = kernel[:4]
         for combo in product(range(-2, 3), repeat=len(gens)):
             xx = list(base)
             for c, g in zip(combo, gens):
@@ -709,39 +712,45 @@ def _with_entries(form, changes):
     return as_rows(IntMatrix(rows))
 
 
-def _circle_coordinate(page, used):
-    """The first coordinate that some boundary class of page uses (or
-    that none uses)."""
+def _free_coordinate(page):
+    """The first coordinate that no boundary class of page uses."""
     coords = {i for p in page.circles.values() for i, _x in entries(p)}
-    return next(i for i in range(page.h1_rank) if (i in coords) == used)
+    return next(i for i in range(page.h1_rank) if i not in coords)
 
 
-def _cross_entry(form, parent):
+def _cross_entry(page, parent):
     """Move the cross-block entry X[i, 0] and its mirror by one, at a
-    coordinate no boundary class uses, so only C^T X L = -X breaks."""
+    coordinate no boundary class of the parent uses: the form stays
+    antisymmetric and C^T X L = -X breaks.  On type IV, whose births
+    rule allows no X != 0, that rule refuses it first."""
     n = parent.page.h1_rank
-    i = _circle_coordinate(parent.page, used=False)
-    return _with_entries(form, {(i, n): 1, (n, i): -1})
+    i = _free_coordinate(parent.page)
+    return _with_entries(page.form, {(i, n): 1, (n, i): -1})
 
 
-def _mirror_entry(form, parent):
+def _mirror_entry(page, parent):
     """Move the entry of the new rows mirroring X[i, 0] alone."""
     n = parent.page.h1_rank
-    i = _circle_coordinate(parent.page, used=False)
-    return _with_entries(form, {(n, i): -1})
+    i = _free_coordinate(parent.page)
+    return _with_entries(page.form, {(n, i): -1})
 
 
-def _cross_pair_against_a_circle(form, parent):
-    """x_0 += e_i and x_1 -= C^T e_i, with mirrors, at a coordinate a
-    boundary class uses: C^T X L = -X still holds for L the swap, and
-    only X^T q = 0 breaks for an unchanged circle q."""
+def _cross_pair_against_a_circle(page, parent):
+    """x_0 += e_i and x_1 -= C^T e_i, with mirrors, at the first
+    coordinate of the first circle in circle order, which the handle
+    leaves alone: C^T X L = -X still holds for L the swap, and X^T q = 0
+    breaks for that unchanged circle q, which the block check reads
+    before any changed one.  On type IV, whose births rule allows no
+    X != 0, that rule refuses it first."""
     n = parent.page.h1_rank
-    i = _circle_coordinate(parent.page, used=True)
+    cid, q = next(iter(page.circles.items()))
+    assert not _is_changed(cid, page, parent)
+    i = q[0]
     changes = {(i, n): 1, (n, i): -1}
     for j, c in enumerate(as_matrix(parent.real_structure.matrix).rows[i]):
         changes[j, n + 1] = changes.get((j, n + 1), 0) - c
         changes[n + 1, j] = changes.get((n + 1, j), 0) + c
-    return _with_entries(form, changes)
+    return _with_entries(page.form, changes)
 
 
 def _new_image(page, inv, parent):
@@ -781,8 +790,10 @@ def _changed_circle_pair(page, inv, parent):
     return _with_circles(page, {j: e, k: [-x for x in e]}), inv
 
 
-def _unchanged_circle(page, inv, parent):
-    """Set the first new coordinate of the first unchanged class."""
+def _moved_unchanged_circle(page, inv, parent):
+    """Set the first new coordinate of the first unchanged class, which
+    the block check then reads as a changed one: on type III that class
+    is still in the radical, and the class sum breaks."""
     n = parent.page.h1_rank
     cid = next(cid for cid in page.circles if not _is_changed(cid, page, parent))
     return _with_circles(page, {cid: [int(t == n) for t in range(page.h1_rank)]}), inv
@@ -799,6 +810,8 @@ IV_SITE = {"boundary": 1, "shadow": 1}
 
 @pytest.mark.parametrize("make, tag, site, corrupt, failing", [
     (_fig5_after_iv, "IV", IV_SITE, _cross_entry, {"anti_symplectic"}),
+    (lambda: catalog_fig4(2), "VIII", {"boundaries": (1, 2)}, _cross_entry,
+     {"anti_symplectic"}),
     (_fig5_after_iv, "IV", IV_SITE, _mirror_entry, {"anti_symplectic"}),
     (_fig5_after_iv, "IV", IV_SITE, _cross_pair_against_a_circle, {"boundary_classes"}),
     (lambda: catalog_fig5(2), "III", {"boundary": 1}, _new_image, {"curve_image"}),
@@ -806,11 +819,12 @@ IV_SITE = {"boundary": 1, "shadow": 1}
     (lambda: catalog_fig5(2), "III", {"boundary": 1}, _changed_circle, {"boundary_classes"}),
     (lambda: catalog_fig4(3), "VIII", {"boundaries": (1, 2)}, _changed_circle_pair,
      {"boundary_classes"}),
-    (lambda: catalog_fig5(2), "III", {"boundary": 1}, _unchanged_circle, {"boundary_classes"}),
-    (lambda: catalog_fig6(2), "VI", {"boundaries": (1, 2)}, _unchanged_circle,
+    (lambda: catalog_fig5(2), "III", {"boundary": 1}, _moved_unchanged_circle,
      {"boundary_classes"}),
-], ids=["cross-entry-IV", "mirror-entry-IV", "cross-pair-IV", "new-image-III",
-        "new-image-IX", "changed-circle-III", "changed-circle-pair-VIII",
+    (lambda: catalog_fig6(2), "VI", {"boundaries": (2, 3)}, _cross_pair_against_a_circle,
+     {"boundary_classes"}),
+], ids=["cross-entry-IV", "cross-entry-VIII", "mirror-entry-IV", "cross-pair-IV",
+        "new-image-III", "new-image-IX", "changed-circle-III", "changed-circle-pair-VIII",
         "unchanged-circle-III", "unchanged-circle-VI"])
 def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, corrupt,
                                                              failing, monkeypatch):
@@ -831,7 +845,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
 
     def corrupting(parent, st, page, inv):
         if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
-            page = replace(page, form=corrupt(page.form, parent))
+            page = replace(page, form=corrupt(page, parent))
             sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
             c_naive = stabilization_module._naive_extension(parent.real_structure.matrix,
                                                             STAB_TYPES[tag])
@@ -993,3 +1007,51 @@ def test_a_boundary_transport_mismatch_is_not_real():
     status = check_reality(bad)
     assert status.kind is Reality.NOT_REAL
     assert status.witness == {"boundary": 2, "lhs": (-2, 0, 0, 0), "rhs": (-1, 0, 0, 0)}
+
+
+def hopf_swap_opposite():
+    """tests/fixtures/hopf-swap-opposite.json: the hopf-swap book with its
+    two pages exchanged, so its fixed circle is on the minus side, where
+    no catalog root and no stabilization puts one."""
+    return loads((Path(__file__).parent / "fixtures" / "hopf-swap-opposite.json").read_text())
+
+
+def test_the_opposite_hopf_swap_book_is_the_swapped_pages():
+    ob = catalog_hopf("swap")
+    inv = ob.real_structure
+    opposite = hopf_swap_opposite()
+    assert opposite == replace(ob, real_structure=replace(inv, fixed_set=ob.fix_plus),
+                               fix_plus=inv.fixed_set)
+    assert opposite.real_structure.fixed_set.circles and not ob.real_structure.fixed_set.circles
+    assert all(r.ok for section in validate_book(opposite).values() for r in section)
+    assert loads(dumps(opposite)) == opposite
+    assert check_reality(opposite).kind is Reality.CERTIFIED_REAL
+
+
+@pytest.mark.parametrize("tag, site", [("VII", {"boundaries": [1, 2], "cross": 0}),
+                                       ("VIII", {"boundaries": [1, 2]}),
+                                       ("IX", {"boundaries": [1, 2]})])
+def test_a_fixed_circle_on_the_minus_side_stabilizes(tag, site):
+    """Types VII, VIII and IX on the opposite hopf-swap book: the child
+    validates, keeps H1 = 0 and one real component, and round-trips.
+    Type VII's closing chord crosses the minus circle, which the strand
+    switch opens into a minus arc at the new fixed points.  The VII and
+    VIII children are HomologicallyReal, not CertifiedReal: the base
+    book's certificate is lost along the chain (ROADMAP item 2), so only
+    "not NotReal" is asserted."""
+    parent = hopf_swap_opposite()
+    child = stabilize(parent, tag, site)
+    assert all(r.ok for section in validate_book(child).values() for r in section)
+    assert is_trivial(h1_of_manifold(child))
+    assert real_part(child).count == 1
+    back = loads(dumps(child))
+    assert back == child and dumps(back) == dumps(child)
+    assert check_reality(child).kind is not Reality.NOT_REAL
+    if tag == "VII":
+        from realbook.stabilization import _parse_site
+
+        j, _k, _cross = _parse_site(parent, STAB_TYPES[tag], site)
+        minus = child.real_structure.fixed_set
+        assert not minus.circles
+        assert [arc.ends for arc in minus.arcs] == [
+            tuple((j, p) for p in child.real_structure.fixed_points[j])]

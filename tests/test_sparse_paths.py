@@ -1,8 +1,7 @@
 """Dense IntMatrix arithmetic runs only inside realbook.intalg.
 
-A stabilization builds each Smith system's input through
-surface.dense_matrix and does every other step on the page's sparse
-rows; arc transport expands each pairing row into its own buffer; the
+A stabilization hands each Smith system to intalg.factor as sparse
+rows and does every other step on the page's sparse rows; arc transport expands each pairing row into its own buffer; the
 query side and the check reports read sparse rows only.  Here each
 dense operation of IntMatrix raises while the fig ladders are built to
 k = 16, the seeded walks of test_walks run, every golden book answers
