@@ -71,6 +71,18 @@ class IntMatrix:
         m.ncols = ncols
         return m
 
+    @staticmethod
+    def _lent(rows: list[list[int]], ncols: int) -> "IntMatrix":
+        """Wrap the rows factor has just expanded, each list kept as it
+        is, not copied: the matrix lives only as smith_normal_form's
+        argument, which copies the rows it reduces and mutates none of
+        these."""
+        m = object.__new__(IntMatrix)
+        m.rows = tuple(rows)
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -257,7 +269,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     that clears row t changes only the pivot row of the working matrix:
     its entry becomes a remainder by the pivot.  Each operation is logged
     (SmithForm) and none is applied to a transform, so cokernel, which
-    reads the diagonal only, pays nothing for them.
+    reads the diagonal only, pays nothing for them.  a itself is left
+    as it is: its rows are copied once, into the working matrix.
     """
     m, n = a.shape
     mat = list(map(list, a.rows))
@@ -353,10 +366,12 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 def factor(rows: Sequence[Sequence[int]], ncols: int) -> SmithForm:
     """The Smith form of the matrix with the given sparse rows, ncols
     wide, each row its nonzero entries, flat, (j, a_j, k, a_k, ...).
-    The rows are expanded here, the one place a system is dense, and
-    passed to this module's smith_normal_form as looked up on each call,
-    so a wrapper set on it (as the benchmark's tracer sets one) sees
-    every factorization."""
+    The rows are expanded here, the one place a system is dense, each
+    once, into the list the matrix wraps (IntMatrix._lent), so the
+    working copy smith_normal_form makes is the only other one; the
+    matrix is passed to this module's smith_normal_form as looked up on
+    each call, so a wrapper set on it (as the benchmark's tracer sets
+    one, reading its shape) sees every factorization."""
     expanded = []
     for row in rows:
         out = [0] * ncols
@@ -364,7 +379,7 @@ def factor(rows: Sequence[Sequence[int]], ncols: int) -> SmithForm:
         for j in it:
             out[j] = next(it)
         expanded.append(out)
-    return smith_normal_form(IntMatrix._trusted(expanded, ncols))
+    return smith_normal_form(IntMatrix._lent(expanded, ncols))
 
 
 def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:

@@ -16,7 +16,9 @@ so words act on matrices by rank-one updates of sparse rows, never by
 dense products: word_matrix builds the word's matrix F from the
 identity rows and rewrites per letter only the rows at the nonzeros of
 a, and times_word takes and returns sparse rows (the real structure,
-the strand-law probes) and rewrites only the rows a letter moves.
+the strand-law probes) and rewrites only the rows a letter moves,
+finding them through the index of a that the curve's vectors keep
+(CurveVectors.at), so a letter builds nothing for a row it misses.
 Reference arcs, as the page's sparse pairing rows, go through a word
 together, in one pass (transport_arcs), each expanded into a working
 buffer of its own: per letter, the arcs' crossings with the curve are
@@ -101,15 +103,18 @@ def times_word(rows: Sequence[Sparse], model: SurfaceModel, w: Sequence[Letter])
     to r + e (r . a) (J a)^T, so only the rows with r . a != 0 change: a
     row that does not is returned as the caller's own object.  A row
     whose indices all lie below or all above those of a misses it
-    without a dot product.
+    without a dot product; any other is dotted through the index of a
+    kept with the curve's vectors (CurveVectors.at), built once per
+    curve and page, not once per letter and call.  The strand law of
+    the plus side pushes its probes through the whole word at every
+    stabilization, so the index is read once per letter of that word.
     """
     out = list(rows)
     for name, e in reversed(tuple(w)):
         vecs = model.curve_vectors(name)
-        a, ja = vecs.a, vecs.ja
+        a, ja, at = vecs.a, vecs.ja, vecs.at
         if not ja:
             continue
-        at = dict(entries(a))
         for i, r in enumerate(out):
             if r and r[0] <= a[-2] and r[-2] >= a[0]:
                 k = sum([x * at.get(j, 0) for j, x in entries(r)])

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache, partial
 from itertools import chain, islice, product
 from types import SimpleNamespace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import StabilizationError
 from .intalg import factor
@@ -55,6 +55,7 @@ from .surface import (
     sparse_combine,
     sparse_dot,
     sparse_scale,
+    sparse_tail,
     sparse_transpose,
     structural_checks,
     validate_involution,
@@ -361,8 +362,12 @@ def _start_builder(ob: OpenBook, tag: str, cols: list[Sparse] | None = None,
 
 
 def _shifted(v: Sparse, by: int) -> Sparse:
-    """v with every index moved up by `by`."""
-    return tuple(x + by if k % 2 == 0 else x for k, x in enumerate(v))
+    """v with every index moved by `by`."""
+    if not v:
+        return v
+    out = list(v)
+    out[::2] = [i + by for i in v[::2]]
+    return tuple(out)
 
 
 def _add_at(v: Sparse, idx: Sequence[int], deltas: Sequence[int]) -> Sparse:
@@ -370,24 +375,75 @@ def _add_at(v: Sparse, idx: Sequence[int], deltas: Sequence[int]) -> Sparse:
     return sparse_add(v, tuple(chain.from_iterable(zip(idx, deltas))))
 
 
-def _fix_ref_rows(b: _Builder, new_idx: list[int]) -> None:
+def _ref_residuals(b: _Builder, old: SurfaceModel) -> Iterator[tuple[int, list[int]]]:
+    """The residuals of surface.crossing_residuals over every circle, for
+    each arc that can have a nonzero one, in increasing l; every arc
+    left out has all residuals zero.
+
+    Lemma.  The parent's residuals are all zero: the book reader
+    refuses any other row, and every row a stabilization makes is
+    pinned by _fix_ref_rows.  When the basepoint is kept, the pattern
+    entry of arc l at circle cid depends only on (l, cid), so an arc
+    whose row r is the parent's object (a new arc has none) has, at a
+    circle whose class moved from q to p, the residual
+    0 - r . (p - q), and -r . p at a new circle, whose fresh id is
+    neither l nor the basepoint; at every other circle it keeps its
+    zero.  So such an arc is read only at the circles whose class
+    changed or is new, and only when its row meets the coordinates
+    below the parent's rank where they changed (the parent's rows lie
+    below it); an arc whose row changed gets its full residual.
+    A moved basepoint changes the pattern everywhere, so every arc gets
+    its full residual then.
+    """
+    circles, rows = b.circles, b.arcs_rows
+    cids = sorted(circles)
+    if cids[0] != old.basepoint:
+        yield from crossing_residuals(circles, rows)
+        return
+    old_circles, old_rows, n = old.circles, old.ref_arcs, old.h1_rank
+    changed = {l: r for l, r in rows.items() if r is not old_rows.get(l)}
+    residuals = dict(crossing_residuals(circles, changed)) if changed else {}
+    # per old coordinate, the circles whose class moved there, with the
+    # move; a parent's row has no entry at the new coordinates
+    by_coord: dict[int, list[tuple[int, int]]] = {}
+    for k, cid in enumerate(cids):
+        p, q = circles[cid], old_circles.get(cid, ())
+        if p is not q:
+            for i, x in entries(sparse_add(p, q, -1)):
+                if i < n:
+                    by_coord.setdefault(i, []).append((k, x))
+    if by_coord:
+        for l, row in rows.items():
+            if l in changed or by_coord.keys().isdisjoint(row[::2]):
+                continue
+            residual = [0] * len(cids)
+            for i, a in entries(row):
+                for k, x in by_coord.get(i, ()):
+                    residual[k] -= a * x
+            if any(residual):
+                residuals[l] = residual
+    for l in sorted(residuals):
+        yield l, residuals[l]
+
+
+def _fix_ref_rows(b: _Builder, new_idx: list[int], old: SurfaceModel) -> None:
     """Pin each reference-arc row to the boundary crossing pattern
     (surface.crossing_residuals), which fixes the crossings with the
     fresh curves that the per-type bookkeeping leaves free.  A zero
     residual needs a zero correction, which the solve would return, so
-    only arcs with a nonzero residual back-substitute.  The crossing
-    matrix (the circles' classes at new_idx, the last indices) is the
-    same for every arc, so its Smith form is factored once, for the
-    first such arc.
+    only arcs with a nonzero residual back-substitute, and only the
+    arcs and circles the handle changed are read (_ref_residuals, on
+    the parent page old).  The crossing matrix (the circles' classes at
+    new_idx, the last indices) is the same for every arc, so its Smith
+    form is factored once, for the first such arc.
     """
     snf = None
-    for l, rhs in crossing_residuals(b.circles, b.arcs_rows):
+    at = b.a_idx
+    for l, rhs in _ref_residuals(b, old):
         if not any(rhs):
             continue
         if snf is None:
-            snf = factor([tuple(chain.from_iterable((i - b.a_idx, x)
-                                                    for i, x in entries(b.circles[cid])
-                                                    if i >= b.a_idx))
+            snf = factor([_shifted(sparse_tail(b.circles[cid], at), -at)
                           for cid in sorted(b.circles)], len(new_idx))
         sol = snf.solve(rhs)
         if sol is None:
@@ -451,6 +507,17 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     its probe rows through the new structure (the plus side first
     through the new word), so F C is never formed.
 
+    The step pays for its handle.  The reference-arc rows are pinned
+    from the residuals of the arcs and circles the handle changed
+    (_ref_residuals), by the lemma that the parent's residuals are all
+    zero: an arc whose row is the parent's keeps a zero residual at
+    every circle whose class is the parent's, unless the basepoint
+    moved.  The new page inherits the parent's curve vectors for every
+    curve whose class it keeps (SurfaceModel.inherit_curve_vectors),
+    so the plus side's word costs only its new letters' vectors, and a
+    curve image is tested against sigma only when the curve's class
+    meets the support of a sigma pairing.
+
     The parent passed stabilize's door, so the checks of the handle's
     block (_block_holds) stand for validate_involution's algebraic
     checks and validate_page, by the lemma there; the structural checks
@@ -476,7 +543,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     st = STAB_TYPES[tag]
     rank = b.rank
     new_idx = list(range(b.a_idx, rank))
-    _fix_ref_rows(b, new_idx)
+    _fix_ref_rows(b, new_idx, ob.page)
 
     # the new curves are born one step after the parent's last; the
     # root's pairs are shared, and the rule of st gives the new ones
@@ -491,6 +558,7 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
         disjoint=ob.page.disjoint,
         births=births | dict.fromkeys(b.names, birth),
     )
+    page.inherit_curve_vectors(ob.page)
 
     sigma_names = b.names[::-1]
     images = {n: (m, st.core_sign) for n, m in zip(b.names, sigma_names)}
@@ -505,10 +573,13 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     # drop curve images that the twist invalidates (sigma moves the curve);
     # the recorded c~ images survive only for curves sigma fixes
     sigma_pairings = [dict(entries(page.curve_vectors(s).ja)) for s in sigma_names]
+    support = set().union(*sigma_pairings)
 
     def moved(name: str) -> bool:
-        cls = list(entries(b.classes[name]))
-        return any(sum([x * js.get(i, 0) for i, x in cls]) for js in sigma_pairings)
+        cls = b.classes[name]
+        if support.isdisjoint(cls[::2]):
+            return False
+        return any(sum([x * js.get(i, 0) for i, x in entries(cls)]) for js in sigma_pairings)
 
     images_out: dict[str, tuple[str, int]] = {}
     for name, img in b.images.items():
@@ -644,6 +715,24 @@ def _solve_pushoff_column(pattern: Pattern, c_old: Rows, symmetry: int) -> Spars
     return sparse(sol)
 
 
+def _unit_minus(i: int, r: Sparse, s: int = 1, by: int = 0) -> Sparse:
+    """s (e_i - r), its indices moved up by `by`, in one pass over r."""
+    out: list[int] = []
+    put = True
+    for j, x in entries(r):
+        if put and j >= i:
+            put = False
+            if j == i:
+                if x != 1:
+                    out += (i + by, s * (1 - x))
+                continue
+            out += (i + by, s)
+        out += (j + by, -s * x)
+    if put:
+        out += (i + by, s)
+    return tuple(out)
+
+
 def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse, Sparse, int, int]:
     """Attachment data (v, w, x, m) for type VIII.
 
@@ -656,27 +745,29 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
     holds on the whole solution lattice: x (v - C^T v) = -J w gives
     (v - C^T v) . w = -w^T J w / x = 0, as J is antisymmetric (x = +-1).
     So only v . w = x m is tested.  (m, x) runs over m in (0, 1, -1),
-    x in (1, -1); the linear system depends on x only and is solved at
-    most once per x.  For each (m, x) the lattice candidates are walked
-    in a fixed order (the particular solution, then combinations of up
-    to four kernel generators with coefficients -2..2) up to the first
-    with v . w = x m.
+    x in (1, -1); the linear system depends on x only and is factored
+    and solved at most once per x.  For each (m, x) the lattice
+    candidates are walked in a fixed order (the particular solution,
+    then combinations of up to four kernel generators with coefficients
+    -2..2) up to the first with v . w = x m.
 
-    Candidates are scored through their coefficients, not built.  With
-    q(z) = v . w for z = (v, w) and its polar form
-    B(y, z) = y_v . z_w + z_v . y_w,
+    The particular point is tried first: when q(base) = x m, base is the
+    first candidate of the walk, and it is returned with no kernel
+    generator read and no score formed.  Otherwise candidates are scored
+    through their coefficients, not built.  With q(z) = v . w for
+    z = (v, w) and its polar form B(y, z) = y_v . z_w + z_v . y_w,
       q(base + sum c_i g_i) = q(base) + sum c_i B(base, g_i)
                               + sum c_i^2 q(g_i) + sum_{i<j} c_i c_j B(g_i, g_j),
     so the scores of a lattice need at most 15 values of q and B, once
     per x (_lattice_scores), and only the first hit is built as a point.
     The rows are sparse over (v, w), the w half shifted by n, as factor
-    takes them.
+    takes them; each row of 1 - C and of x (1 - C^T) is built in one
+    pass.
     """
     n = len(c_old)
     (pj, _), (pk, _) = pattern[:2]
     # the pattern on v, then (1 - C) w = P_j + P_k
-    rows = [p for p, _ in pattern] + [_shifted(sparse_add((i, 1), r, -1), n)
-                                     for i, r in enumerate(c_old)]
+    rows = [p for p, _ in pattern] + [_unit_minus(i, r, by=n) for i, r in enumerate(c_old)]
     rhs = [want for _, want in pattern] + dense(sparse_add(pj, pk), n) + [0] * n
     ct = sparse_transpose(c_old)
 
@@ -686,30 +777,36 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
     @cache
     def lattice(x_coef: int):
         # row i is x (e_i - C^T e_i) followed by row i of J
-        x_rows = [sparse_scale(x_coef, sparse_add((i, 1), cti, -1)) + _shifted(form[i], n)
-                  for i, cti in enumerate(ct)]
-        snf = factor(rows + x_rows, 2 * n)
+        snf = factor(rows + [_unit_minus(i, cti, x_coef) + _shifted(form[i], n)
+                             for i, cti in enumerate(ct)], 2 * n)
         base = snf.solve(rhs)
-        if base is None:
-            return None
+        return None if base is None else (snf, base, vec_dot(base[:n], base[n:]))
+
+    @cache
+    def walk(x_coef: int):
+        snf, base, q0 = lattice(x_coef)
         gens = list(islice(snf.kernel(), 4))
-        scores = _lattice_scores(
-            vec_dot(base[:n], base[n:]),
+        return gens, _lattice_scores(
+            q0,
             [polar(base, g) for g in gens],
             [vec_dot(g[:n], g[n:]) for g in gens],
             [[polar(g, h) if l > i else 0 for l, h in enumerate(gens)]
              for i, g in enumerate(gens)])
-        return base, gens, scores
 
     for m, x_coef in product((0, 1, -1), (1, -1)):
         found = lattice(x_coef)
         if found is None:
             continue
-        base, gens, scores = found
+        _snf, base, q0 = found
         target = x_coef * m
-        if target in scores:
+        if q0 == target:
+            xx = base
+        else:
+            gens, scores = walk(x_coef)
+            if target not in scores:
+                continue
             xx = _lattice_point(base, gens, scores.index(target))
-            return sparse(xx[:n]), sparse(xx[n:]), x_coef, m
+        return sparse(xx[:n]), sparse(xx[n:]), x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 
 
@@ -1053,8 +1150,10 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
     new_j = sparse_add(w, (b.a_idx, x_coef, b.a_idx + 1, x_coef))
     b.circles[j] = new_j
-    c_ext = _naive_extension(c_old, STAB_TYPES["VIII"])
-    b.circles[k] = sparse_scale(-1, sparse([sparse_dot(r, new_j) for r in c_ext]))
+    # -C~ new_j, each row of C~ dotted through one index of new_j
+    at = dict(entries(new_j))
+    b.circles[k] = sparse([-sum([x * at.get(i, 0) for i, x in entries(r)])
+                           for r in _naive_extension(c_old, STAB_TYPES["VIII"])])
     return _finish(ob, b, "VIII", site)
 
 

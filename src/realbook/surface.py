@@ -41,7 +41,8 @@ Conventions fixed here once and used everywhere else:
 
 Shared kernels and checks, each written once here and called by every
 site that needs it: sparse and dense (the two forms of a vector),
-sparse_add, sparse_scale, sparse_dot and set_coord (on sparse vectors),
+sparse_add, sparse_scale, sparse_tail, sparse_dot and set_coord (on
+sparse vectors),
 sparse_combine, sparse_transpose and antisymmetric (on sparse rows,
 the last the book reader's check of the form), sparse_column (one
 column of sparse rows), image_holds (a curve image under a matrix,
@@ -52,6 +53,12 @@ reads for both invariant pages.  validate_involution is the one
 validation of a page and its involution (a stabilized book also runs
 structural_checks alone), and failures words the failing checks of a
 report.
+
+The vector kernels are shaped by their callers: sparse_add
+concatenates supports that lie apart and sums on a dict only where they
+interleave, sparse_scale scales the value slice, and sparse_combine
+sums over the nonzeros its rows reach, so each costs its nonzeros; a
+stabilized page inherits its parent's CurveVectors.
 
 Premise: the form J is antisymmetric.  The book reader refuses any
 other ($.page.form must be antisymmetric), and the forms built by the
@@ -125,16 +132,53 @@ def _canonical(acc: Mapping[int, int]) -> Sparse:
 
 
 def sparse_add(x: Sparse, y: Sparse, c: int = 1) -> Sparse:
-    """x + c y, both sparse."""
-    acc = dict(entries(x))
-    for i, v in entries(y):
-        acc[i] = acc.get(i, 0) + c * v
-    return _canonical(acc)
+    """x + c y, both sparse, y possibly holding zero values (a solve's
+    output does).  y empty or c = 0 gives x itself.  When the indices of
+    y all lie after those of x, or all before, the sum is the
+    concatenation of x and c y, y's zeros dropped; y with one entry
+    inside x's range is placed by bisection; only other interleaved
+    supports are summed on a dict."""
+    if not (y and c):
+        return x
+    if x and y[0] <= x[-2] and y[-2] >= x[0]:
+        if len(y) == 2:
+            i, v = y
+            if not v:
+                return x
+            idx = x[::2]
+            k = bisect_left(idx, i)
+            if k < len(idx) and idx[k] == i:
+                s = x[2 * k + 1] + c * v
+                return x[:2 * k + 1] + (s,) + x[2 * k + 2:] if s else x[:2 * k] + x[2 * k + 2:]
+            return x[:2 * k] + (i, c * v) + x[2 * k:]
+        acc = dict(entries(x))
+        for i, v in entries(y):
+            acc[i] = acc.get(i, 0) + c * v
+        return _canonical(acc)
+    before = x and y[-2] < x[0]
+    if c != 1 or 0 in y[1::2]:
+        y = tuple(_flat((i, c * v) for i, v in entries(y) if v))
+    return y + x if before else x + y
 
 
 def sparse_scale(c: int, x: Sparse) -> Sparse:
-    """c x, sparse."""
-    return tuple(v * c if k % 2 else v for k, v in enumerate(x)) if c else ()
+    """c x, sparse: x itself when c = 1, else its value slice scaled."""
+    if c == 1:
+        return x
+    if not c:
+        return ()
+    out = list(x)
+    out[1::2] = [v * c for v in x[1::2]]
+    return tuple(out)
+
+
+def sparse_tail(v: Sparse, n: int) -> Sparse:
+    """The entries of v at indices n and up: a suffix of v, found from
+    its end, so a v with none costs one comparison."""
+    at = len(v)
+    while at and v[at - 2] >= n:
+        at -= 2
+    return v[at:]
 
 
 def sparse_dot(x: Sparse, y: Sparse) -> int:
@@ -150,17 +194,20 @@ def set_coord(v: Sparse, idx: int, value: int) -> Sparse:
     return _canonical(acc)
 
 
-def sparse_combine(v: Sparse, rows: Sequence[Sparse]) -> Sparse:
+def sparse_combine(v: Sparse, rows: Sequence[Sparse] | Mapping[int, Sparse]) -> Sparse:
     """v^T M for the square matrix M with the given sparse rows: the sum
     of v_i rows[i] over the nonzeros of v, each row read over its own
-    nonzeros.  A v with one nonzero scales its row."""
+    nonzeros, accumulated over the nonzeros the rows reach only.  A v
+    with one nonzero scales its row.  rows may be a mapping that holds
+    the rows at the nonzeros of v only."""
     if len(v) == 2:
         return sparse_scale(v[1], rows[v[0]])
-    acc = [0] * len(rows)
+    acc: dict[int, int] = {}
+    get = acc.get
     for i, x in entries(v):
         for j, y in entries(rows[i]):
-            acc[j] += x * y
-    return sparse(acc)
+            acc[j] = get(j, 0) + x * y
+    return _canonical(acc)
 
 
 def antisymmetric(rows: Sequence[Sparse]) -> bool:
@@ -406,6 +453,30 @@ class SurfaceModel:
             vecs = self._curve_vectors[name] = CurveVectors(a, self.form)
         return vecs
 
+    def inherit_curve_vectors(self, parent: SurfaceModel) -> None:
+        """Seed the cache with the parent's vectors of every curve whose
+        class is still the parent's object (CurveVectors.widened).
+
+        Premise: the page extends the parent by classes at the indices
+        from the parent's rank n on, and each of the first n rows of its
+        form is the parent's row followed by its entries at the new
+        indices, as a stabilization builds it
+        (stabilization._extend_form).  The tails of those rows are read
+        once; a curve whose class meets none of them keeps the parent's
+        vectors object.  The parent's vectors are taken as they are, no
+        reference to the parent page is kept."""
+        n = parent.h1_rank
+        tails = {u: sparse_tail(r, n) for u, r in enumerate(self.form[:n]) if r and r[-2] >= n}
+        alphabet = self.alphabet
+        kept = [(name, vecs) for name, vecs in vars(parent).get("_curve_vectors", {}).items()
+                if alphabet.get(name) is vecs.a]
+        if tails:
+            kept = [(name, vecs if tails.keys().isdisjoint(vecs.a[::2]) else vecs.widened(
+                        sparse_combine(tuple(_flat((i, x) for i, x in entries(vecs.a)
+                                                   if i in tails)), tails)))
+                    for name, vecs in kept]
+        self._curve_vectors.update(kept)
+
     def curve_tables(self, name: str) -> tuple[Vec, Vec]:
         """A curve's crossing tables: J a (<x_j, a> for each basis class)
         and its crossing with each reference arc, in sorted boundary order."""
@@ -415,22 +486,41 @@ class SurfaceModel:
 
 
 class CurveVectors:
-    """Sparse a, J a and J^T a for the class a of one curve on a page;
-    a is the page's stored class itself.
+    """Sparse a, J a and J^T a for the class a of one curve on a page,
+    and at, the index of a (i -> a_i); a is the page's stored class
+    itself.
 
     A twist along the curve acts by x -> x + e <x, a> a with
     <x, a> = x . (J a), and moves a pairing row by multiples of
     <a, x> = (J^T a) . x.  J^T a combines the sparse rows of J at the
     nonzeros of a, and J a = -J^T a, as J is antisymmetric (the premise
     in the module docstring).
+
+    A stabilized page inherits the vectors of the curves its handle
+    leaves alone (SurfaceModel.inherit_curve_vectors): with J' the
+    widened form, J'^T a is J^T a followed by the sum of a_i times the
+    tail of row i of J' at the new indices, which all come after the
+    old ones, so the sparse vectors are concatenations (widened).
     """
 
-    __slots__ = ("a", "ja", "jta")
+    __slots__ = ("a", "at", "ja", "jta")
 
     def __init__(self, a: Sparse, form: Rows):
         self.a = a
+        self.at = dict(entries(a))
         self.jta = sparse_combine(a, form)
         self.ja = sparse_scale(-1, self.jta)
+
+    def widened(self, tail: Sparse) -> CurveVectors:
+        """The vectors of the same class on a page whose J^T a gains
+        tail past the old rank: self when tail is empty."""
+        if not tail:
+            return self
+        out = object.__new__(CurveVectors)
+        out.a, out.at = self.a, self.at
+        out.jta = self.jta + tail
+        out.ja = self.ja + sparse_scale(-1, tail)
+        return out
 
 
 @record

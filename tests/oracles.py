@@ -405,3 +405,46 @@ def reference_dumps(ob) -> str:
     encoded compact with sorted keys by the C encoder."""
     obj = reference_to_obj(ob)
     return "{\n" + ",\n".join(f"{_compact(k)}:{_compact(obj[k])}" for k in sorted(obj)) + "\n}"
+
+
+def full_walk_viii_search(pattern, c_old, form):
+    """Type VIII's attachment data (v, w, x, m) as the search read it
+    before it tried its particular point first: for each (m, x) in
+    product((0, 1, -1), (1, -1)) the system of x (the attachment pattern
+    on v, (1 - C) w = P_j + P_k and x (v - C^T v) + J w = 0), built
+    dense entry by entry, is factored and solved once per x, the first
+    four kernel generators are read, and the whole lattice walk (the
+    particular solution, then base + sum c_i g_i over c in
+    product(-2..2), lexicographic) is built point by point up to the
+    first with v . w = x m."""
+    from itertools import chain, product
+
+    from realbook.errors import StabilizationError
+    from realbook.intalg import factor
+    from realbook.surface import sparse
+
+    n = len(c_old)
+    c = [expand(r, n) for r in c_old]
+    j = [expand(r, n) for r in form]
+    pj, pk = expand(pattern[0][0], n), expand(pattern[1][0], n)
+    rows = [expand(p, n) + [0] * n for p, _want in pattern]
+    rows += [[0] * n + [int(i == u) - c[i][u] for u in range(n)] for i in range(n)]
+    rhs = [want for _p, want in pattern] + [a + b for a, b in zip(pj, pk)] + [0] * n
+    lattices = {}
+    for m, x in product((0, 1, -1), (1, -1)):
+        if x not in lattices:
+            x_rows = [[x * (int(i == u) - c[u][i]) for u in range(n)] + j[i] for i in range(n)]
+            snf = factor([sparse(r) for r in rows + x_rows], 2 * n)
+            base = snf.solve(rhs)
+            gens = [] if base is None else [g for g, _ in zip(snf.kernel(), range(4))]
+            lattices[x] = base, gens
+        base, gens = lattices[x]
+        if base is None:
+            continue
+        for combo in chain([()], product(range(-2, 3), repeat=len(gens))):
+            point = list(base)
+            for k, g in zip(combo, gens):
+                point = [a + k * b for a, b in zip(point, g)]
+            if sum(a * b for a, b in zip(point[:n], point[n:])) == x * m:
+                return sparse(point[:n]), sparse(point[n:]), x, m
+    raise StabilizationError("type VIII: no consistent boundary class at this site")

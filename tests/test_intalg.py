@@ -328,6 +328,31 @@ def test_smith_form_reads_its_diagonal_once(monkeypatch):
     assert [m is snf.d for m in reads] == [True, False, False, False]
 
 
+def test_factor_expands_each_row_once_and_the_form_copies_it(monkeypatch):
+    """factor hands smith_normal_form the lists it expanded, each row
+    built once and wrapped as it is, with the shape the benchmark's
+    tracer reads; the form reduces its own copy, so the rows are as
+    expanded after it is made, and its result is the form of the
+    matrix."""
+    from realbook import intalg
+
+    seen = []
+    form_of = intalg.smith_normal_form
+    monkeypatch.setattr(intalg, "smith_normal_form",
+                        lambda m: seen.append((m, [list(r) for r in m.rows])) or form_of(m))
+    rng = random.Random(53)
+    for _ in range(60):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        a = random_matrix(rng, m, n, bound=3)
+        snf = factor(as_rows(a), n)
+        (system, before), = seen
+        seen.clear()
+        assert system.shape == (m, n)
+        assert all(type(row) is list for row in system.rows)
+        assert [list(r) for r in system.rows] == before == [list(r) for r in a.rows]
+        assert snf == form_of(a), a
+
+
 # ---------------------------------------------------------------------------
 # cokernel: unit pivots on sparse rows, then the Smith form of the core
 

@@ -322,3 +322,82 @@ def test_a_column_read_off_sparse_rows_is_the_transposes():
         for rows in (ob.real_structure.matrix, ob.page.form):
             cols = sparse_transpose(rows)
             assert [sparse_column(rows, i) for i in range(len(rows))] == list(cols), label
+
+
+# ---------------------------------------------------------------------------
+# the vector kernels against their dense oracles, on the shapes their
+# callers hand them: y's support after x's, before it, interleaved with
+# it, or empty, and y holding zero values as a solve's output can
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:        # the property tests below need hypothesis, the rest of the module not
+    st = None
+
+WIDTH = 30
+
+
+def dense_of(v, n=WIDTH):
+    out = [0] * n
+    for i, x in zip(v[::2], v[1::2]):
+        out[i] += x
+    return out
+
+
+def sparse_of(d):
+    return tuple(v for i, x in enumerate(d) if x for v in (i, x))
+
+
+if st is not None:
+    NONZERO = st.integers(-4, 4).filter(bool)
+
+    @st.composite
+    def flat(draw, lo, hi, values):
+        """Increasing indices in [lo, hi) with drawn values, flat."""
+        idx = sorted(draw(st.sets(st.integers(lo, hi - 1), max_size=hi - lo)))
+        return tuple(v for i in idx for v in (i, draw(values)))
+
+    @st.composite
+    def kernel_pair(draw):
+        """A canonical x inside [10, 20) and a y of the drawn shape."""
+        x = draw(flat(10, 20, NONZERO))
+        shape = draw(st.sampled_from(["after", "before", "interleaved", "empty"]))
+        lo, hi = {"after": (20, WIDTH), "before": (0, 10), "interleaved": (10, 20),
+                  "empty": (0, 0)}[shape]
+        y = draw(flat(lo, hi, st.integers(-3, 3))) if hi > lo else ()
+        return x, y
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(kernel_pair(), st.integers(-3, 3))
+    @example(((10, 1, 12, 1), (11, 0)), 1)            # one zero inside x's range
+    @example(((10, 1, 12, 1), (12, -1)), 1)           # one entry that cancels
+    @example(((10, 1), (0, 0, 25, 0)), 2)             # zeros on both sides of x
+    def test_sparse_add_matches_the_dense_sum(xy, c):
+        from realbook.surface import sparse_add
+
+        x, y = xy
+        want = sparse_of([a + c * b for a, b in zip(dense_of(x), dense_of(y))])
+        assert sparse_add(x, y, c) == want
+        assert sparse_add(y and sparse_of(dense_of(y)), x, c) == sparse_of(
+            [a + c * b for a, b in zip(dense_of(y), dense_of(x))])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(flat(0, WIDTH, NONZERO), st.integers(-3, 3))
+    def test_sparse_scale_matches_the_dense_product(x, c):
+        from realbook.surface import sparse_scale
+
+        assert sparse_scale(c, x) == sparse_of([c * a for a in dense_of(x)])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        flat(0, n, NONZERO), st.lists(flat(0, n, NONZERO), min_size=n, max_size=n))))
+    def test_sparse_combine_matches_the_dense_product(v_rows):
+        from realbook.surface import sparse_combine
+
+        v, rows = v_rows
+        n = len(rows)
+        dv, dm = dense_of(v, n), [dense_of(r, n) for r in rows]
+        want = sparse_of([sum(dv[i] * dm[i][j] for i in range(n)) for j in range(n)])
+        assert sparse_combine(v, rows) == want
+        assert sparse_combine(v, dict(enumerate(rows))) == want
