@@ -7,15 +7,16 @@ reduction is harmless.  Intended scale is small (page ranks up to about
 An integer system has one entry point, factor(rows, ncols): it takes
 sparse rows (surface.Sparse), expands them itself and factors them
 once, so how a system is stored is this module's decision.  The
-SmithForm it returns solves A x = b (solve, for as many b as a caller
-has) and spans the kernel (kernel, a lazy basis in column order).  The
-Smith form uses the smallest-entry pivot rule, with no modular or HNF
-shortcut, and its updates touch only nonzeros of the working matrix.
-Its transforms are logged as the row and column operations run, not
-built as matrices (Kannan & Bachem, 1979, compute the form with its
-transforms): a right-hand side is solved by replaying the row log on
-it and the column log backwards on the result, and a kernel vector is
-the column log replayed on a unit vector.  The pivots and operations
+SmithForm it returns keeps D as its diagonal and shape, solves A x = b
+(solve, for as many b as a caller has) and spans the kernel (kernel, a
+lazy basis in column order).  The Smith form uses the smallest-entry
+pivot rule, with no modular or HNF shortcut, and its updates touch only
+nonzeros of the working matrix.  Its transforms are logged as the row
+and column operations run, not built as matrices (Kannan & Bachem,
+1979, compute the form with its transforms): a right-hand side is
+solved by replaying the row log on it and the column log backwards on
+the result, and a kernel vector is the column log replayed on a unit
+vector.  The pivots and operations
 are the full-scan rule's, in its order, so the form, its transforms,
 every solution and every kernel vector are the same entry for entry.
 cokernel takes sparse rows and eliminates their unit entries on dict
@@ -33,7 +34,6 @@ when a nonzero of the left factor first reaches it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
@@ -164,25 +164,23 @@ class IntMatrix:
 @record
 class SmithForm:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
-    U and V are kept as the logs of the row and column operations that
-    made them, in order: (i, t, q) adds q times row (column) t to row
-    (column) i, (i, t, None) swaps them, and (t, t, -2) negates row t.
-    Neither is built as a matrix: solve and kernel replay the logs on
-    vectors.  The diagonal of D is read once and kept, so a form reused
-    for many right-hand sides does not rebuild it per solve."""
+    D is kept as its diagonal and its shape, (rows, columns) of A,
+    which determine it: every other entry is zero.  U and V are kept as
+    the logs of the row and column operations that made them, in order:
+    (i, t, q) adds q times row (column) t to row (column) i, (i, t,
+    None) swaps them, and (t, t, -2) negates row t.  Neither is built
+    as a matrix: solve and kernel replay the logs on vectors."""
 
-    d: IntMatrix
+    diag: tuple[int, ...]
+    shape: tuple[int, int]
     row_ops: tuple[tuple[int, int, int | None], ...]
     col_ops: tuple[tuple[int, int, int | None], ...]
-
-    @cached_property
-    def diag(self) -> tuple[int, ...]:
-        return self.d.diag()
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One integer solution x of A x = b, or None if there is none:
         x = V y for D y = U b, with U b and V y replayed from the logs."""
-        if self.d.nrows != len(b):
+        m, n = self.shape
+        if m != len(b):
             raise ValueError("rhs length mismatch")
         # U b: the row log replayed on b, in order, skipping additions
         # from a zero entry
@@ -193,7 +191,7 @@ class SmithForm:
             elif c[t]:
                 c[i] += q * c[t]
         diag = self.diag
-        y = [0] * self.d.ncols
+        y = [0] * n
         for i, ci in enumerate(c):
             d = diag[i] if i < len(diag) else 0
             if d != 0:
@@ -209,7 +207,7 @@ class SmithForm:
         diagonal, in column order, each the column log replayed on a unit
         vector.  The basis is a lazy generator, so a caller that reads a
         few generators replays the log only for those."""
-        diag, n = self.diag, self.d.ncols
+        diag, n = self.diag, self.shape[1]
         return (self._times_v([int(i == j) for i in range(n)])
                 for j in range(n) if j >= len(diag) or diag[j] == 0)
 
@@ -260,7 +258,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     Every update touches only nonzeros, and the pivots and the row and
     column operations are those of the full-scan rule, in its order, so
-    d and the transforms the logs give equal its own entry for entry.
+    D and the transforms the logs give equal its own entry for entry.
     Each pass that clears column t lists the nonzeros of the pivot row
     from column t on, once, and adds multiples of them to the rows with
     an entry in column t.  Once column t is clear below the pivot, and
@@ -269,8 +267,10 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     that clears row t changes only the pivot row of the working matrix:
     its entry becomes a remainder by the pivot.  Each operation is logged
     (SmithForm) and none is applied to a transform, so cokernel, which
-    reads the diagonal only, pays nothing for them.  a itself is left
-    as it is: its rows are copied once, into the working matrix.
+    reads the diagonal only, pays nothing for them.  The working matrix
+    ends diagonal, so the form keeps its diagonal and shape only.  a
+    itself is left as it is: its rows are copied once, into the working
+    matrix.
     """
     m, n = a.shape
     mat = list(map(list, a.rows))
@@ -359,8 +359,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             row_ops.append((t, t, -2))
         t += 1
 
-    return SmithForm(d=IntMatrix._trusted(mat, n), row_ops=tuple(row_ops),
-                     col_ops=tuple(col_ops))
+    return SmithForm(diag=tuple(mat[i][i] for i in range(size)), shape=(m, n),
+                     row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def factor(rows: Sequence[Sequence[int]], ncols: int) -> SmithForm:

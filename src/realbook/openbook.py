@@ -16,7 +16,6 @@ verdict is first asked for.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from functools import cached_property, partial
 from typing import Mapping, Sequence
 
@@ -45,6 +44,7 @@ from .surface import (
     failures,
     image_holds,
     sparse,
+    sparse_add,
     sparse_column,
     sparse_combine,
     sparse_scale,
@@ -349,21 +349,10 @@ def h1_of_manifold(ob: OpenBook) -> AbelianGroup:
     for col, (cls, _row) in enumerate(moved, rank + 1):
         for i, x in entries(sparse(cls)):
             at[i] += (col, x)
-    rel = [_less_unit(row, i) + tuple(at_i)
+    rel = [sparse_add(row, (i, -1)) + tuple(at_i)
            for i, (row, at_i) in enumerate(zip(ob.monodromy_matrix, at))]
     rel.append(sparse([1] * (1 + len(moved)), rank))
     return cokernel(rel)
-
-
-def _less_unit(row: Sparse, i: int) -> Sparse:
-    """row - e_i, sparse: the entry at i, found by bisection of the
-    row's indices, less 1."""
-    idx = row[::2]
-    k = bisect_left(idx, i)
-    if k < len(idx) and idx[k] == i:
-        x = row[2 * k + 1] - 1
-        return row[:2 * k] + ((i, x) if x else ()) + row[2 * k + 2:]
-    return row[:2 * k] + (i, -1) + row[2 * k:]
 
 
 # ---------------------------------------------------------------------------

@@ -103,34 +103,44 @@ def _block_holds(parent: OpenBook, st: StabType, model: SurfaceModel, inv: Invol
     """Whether the involution, anti_symplectic, curve_image and
     boundary_classes checks of validate_involution, and the disjoint
     check of validate_page, hold on (model, inv), which _finish builds
-    from the parent's valid book and the k new classes of a type-st
-    handle, from checks of the block alone.
+    from the parent's valid book and the k = st.handle_count new classes
+    of a type-st handle, from checks of the block alone.
 
-    With n the old rank, the builder guarantees, and this does not
-    check:
+    Write the new form as J' = [[J, X], [Y, M]], with n the old rank.
+    The builder guarantees, and this does not check:
       * the old book is valid: stabilize refuses any other at the door;
       * the new basis is the old one followed by the classes
         e_n, ..., e_{n+k-1} of the k new curves, whose names the old page
         lacks (_start_builder picks them so), and every old curve keeps
         its class (widened by zeros, which leaves a sparse vector as it
         is);
-      * the first n rows of the new form start with the old form J, and
-        no row has an index past the new rank;
+      * J' has n + k rows, none with an index past them; its first n
+        rows start with J, and each new row is minus its column, so
+        Y = -X^T and M is antisymmetric (_extend_form writes them so);
       * the new matrix is C~ Sigma, with C~ = C (+) L the naive
         extension (_naive_extension): L is antidiagonal with entries
-        st.core_sign, one of +-1, and k = st.handle_count is 1 or 2, so
-        L^2 = I; Sigma is the positive twist along each new curve, the
-        mirror e_{n+1} before e_n for a pair;
-      * a curve image equal to the old one names a curve Sigma fixes;
+        st.core_sign, one of +-1, and k is 1 or 2, so L^2 = I; Sigma is
+        the positive twist along each new curve, the mirror e_{n+1}
+        before e_n for a pair;
+      * each old curve image is the parent's or dropped, and one that
+        is kept names a curve Sigma fixes (_finish);
       * the root pairs are the parent's, and the new curves are born at
-        one step of the type made.
+        one step of type st.
 
-    Write the new form as J' = [[J, X], [Y, M]].  Checked here, as the
-    rest of what the lemma needs: Y = -X^T and M is antisymmetric (each
-    new row of J' is minus its column), and the cross block
-    C^T X L = -X: k sparse products.  L^T M L = -M needs no check: its
-    entry (t, u) is M[k-1-t][k-1-u], which is -M[t][u] for an
-    antisymmetric M of size 1 or 2.
+    The block is read off the new rows: the part of row n + t below n
+    is y_t, row t of Y, and for a pair the rest of row n is
+    M[0][1] = <a, ca>.  Each check is linear in X, so it is made on
+    Y = -X^T.  Checked here, four families:
+      * the cross block C^T X L = -X, that is L Y C = -Y: k sparse
+        products;
+      * the image of each new curve under C~ Sigma (image_holds);
+      * the boundary classes: X^T q = 0 for a circle whose class q is
+        its old one, J' p = 0 for a new or changed circle p, and the
+        sum of all classes is zero;
+      * the born pairs: X = 0 when st.disjoint_old, and <a, ca> = 0
+        when st.disjoint_mutual.
+    L^T M L = -M needs no check: its entry (t, u) is M[k-1-t][k-1-u],
+    which is -M[t][u] for an antisymmetric M of size 1 or 2.
 
     Lemma.  The valid old pair gives C^2 = I and C^T J C = -J, so C~
     is an involution with C~^T J' C~ = -J' (the off-diagonal blocks
@@ -142,85 +152,63 @@ def _block_holds(parent: OpenBook, st: StabType, model: SurfaceModel, inv: Invol
     twist along a new curve e preserves J', because row and column e
     of J' are antisymmetric (Y = -X^T, M) and <e, e> = 0, so
     Sigma^T J' Sigma = J' and (C~ Sigma)^T J' (C~ Sigma) = -J'.  An
-    image equal to the old one names a curve Sigma fixes, whose class
+    old image that is kept names a curve Sigma fixes, whose class
     and image's class are the old ones widened by zeros, so C~ Sigma
-    maps it as C did; only new or changed images are checked.  A
+    maps it as C did; only the new curves' images are checked.  A
     circle whose class is its old class q (widened by zeros: the same
     sparse vector) has J' (q, 0) = (J q, Y q) with J q = 0 by the old
-    radical check, so it needs X^T q = 0 only, which X = 0 gives
-    without forming the product; a new or changed
-    circle is checked fresh, with J' d = -sum_i d_i row_i(J') as J'
-    is antisymmetric (J by the premise in surface's docstring,
-    Y = -X^T and M by the checks above), and the sum of all classes
-    is the old sum, zero, moved by the new and changed classes less
-    the old classes of changed and removed circles.  The parent's
-    disjoint pairs keep <a, b> = 0 in the block J; the step's type adds
-    each older curve u with each new one when disjoint_old, at
-    <u, e_{n+t}> = u . x_t, which X = 0 makes zero, and its two curves
-    when disjoint_mutual, at <a, ca> = M[0][1] (SurfaceModel.births).
+    radical check, so it needs Y q = 0 only, which Y = 0 gives
+    without forming the product; a new or changed circle is checked
+    fresh, with J' d = -sum_i d_i row_i(J') as J' is antisymmetric (J
+    by the premise in surface's docstring, Y and M by the builder),
+    and the sum of all classes is the old sum, zero, moved by the new
+    and changed classes less the old classes of changed and removed
+    circles.  The parent's disjoint pairs keep <a, b> = 0 in the
+    block J; the step's type adds each older curve u with each new one
+    when disjoint_old, at <u, e_{n+t}> = -y_t . u, which Y = 0 makes
+    zero, and its two curves when disjoint_mutual, at <a, ca> =
+    M[0][1] (SurfaceModel.births).
     """
-    old = parent.page
-    n, rank = old.h1_rank, model.h1_rank
-    k = rank - n
-    rows = model.form
-    if k != st.handle_count or len(rows) != rank:
-        return False
-    # cols[t]: column n + t of J', read off the ends of the rows, where
-    # the new indices sit; each new row is minus its column exactly when
-    # Y = -X^T and M is antisymmetric; xs[t]: its part above row n (X)
-    cols: list[list[int]] = [[] for _ in range(k)]
-    for u, r in enumerate(rows):
-        if r and r[-2] >= n:
-            for at in range(len(r) - 2, -1, -2):
-                if r[at] < n:
-                    break
-                cols[r[at] - n] += (u, r[at + 1])
-    if any(rows[n + t] != sparse_scale(-1, tuple(col)) for t, col in enumerate(cols)):
-        return False
-    xs = [tuple(chain.from_iterable((u, x) for u, x in entries(col) if u < n))
-          for col in cols]
-    born = model.births.get(model.basis[n])
-    # <a, ca> = M[0][1], the entry of row n at index n + 1
-    if (born is None or born[1].disjoint_old and any(xs)
-            or born[1].disjoint_mutual and k == 2 and dict(entries(rows[n])).get(n + 1)):
+    n, k = parent.page.h1_rank, st.handle_count
+    new_rows = model.form[n:]
+    tails = [sparse_tail(r, n) for r in new_rows]
+    ys = [r[:len(r) - len(tail)] for r, tail in zip(new_rows, tails)]
+    if st.disjoint_old and any(ys) or st.disjoint_mutual and tails[0]:
         return False
     c_old = parent.real_structure.matrix
     for t in range(k):
-        # column t of C^T X L is core_sign C^T x_{k-1-t}, over the nonzeros of x_{k-1-t}
-        if (sparse_scale(st.core_sign, sparse_combine(xs[k - 1 - t], c_old))
-                != sparse_scale(-1, xs[t])):
+        # row t of L Y C = -Y: core_sign y_{k-1-t} C = -y_t, over the nonzeros of y_{k-1-t}
+        if sparse_combine(ys[k - 1 - t], c_old) != sparse_scale(-st.core_sign, ys[t]):
             return False
 
-    old_images = parent.real_structure.curve_image
-    changed = [(name, img, s) for name, (img, s) in inv.curve_image.items()
-               if old_images.get(name) != (img, s)]
-    if changed:
-        column = partial(sparse_column, inv.matrix)
-        if not all(image_holds(model, column, *image) for image in changed):
-            return False
+    images = inv.curve_image
+    column = partial(sparse_column, inv.matrix)
+    if not all(image_holds(model, column, name, *images[name])
+               for name in model.basis[n:] if name in images):
+        return False
 
     # per circle, d is its class less its old class q (all of it for a
-    # new circle), and J' p = (J q, Y q) + J' d, where J q = 0,
-    # Y q = -X^T q and J' d = -sum_i d_i row_i(J'); the sum of the d,
-    # less the old classes of removed circles, is the sum of all classes
-    old_circles = dict(old.circles)
-    x_at = [dict(entries(x)) for x in xs] if any(xs) else []
+    # new circle), and J' p = (J q, Y q) + J' d, where J q = 0 and
+    # J' d = -sum_i d_i row_i(J'); the sum of the d, less the old
+    # classes of removed circles, is the sum of all classes
+    old_circles = dict(parent.page.circles)
+    y_at = [dict(entries(y)) for y in ys] if any(ys) else []
     total: dict[int, int] = {}
     for cid, p in model.circles.items():
         q = old_circles.pop(cid, None)
         if q is None:
             d, jq = p, ()
         else:
-            yq = [-sum([x.get(i, 0) * y for i, y in entries(q)]) for x in x_at]
+            yq = [sum([y.get(i, 0) * x for i, x in entries(q)]) for y in y_at]
             if p == q:
                 if any(yq):
                     return False
                 continue
             d = sparse_add(p, q, -1)
-            jq = tuple(chain.from_iterable((n + t, y) for t, y in enumerate(yq) if y))
+            jq = tuple(chain.from_iterable((n + t, v) for t, v in enumerate(yq) if v))
         for i, x in entries(d):
             total[i] = total.get(i, 0) + x
-        if sparse_combine(d, rows) != jq:
+        if sparse_combine(d, model.form) != jq:
             return False
     for q in old_circles.values():
         for i, x in entries(q):
@@ -391,15 +379,13 @@ def _ref_residuals(b: _Builder, old: SurfaceModel) -> Iterator[tuple[int, list[i
     zero.  So such an arc is read only at the circles whose class
     changed or is new, and only when its row meets the coordinates
     below the parent's rank where they changed (the parent's rows lie
-    below it); an arc whose row changed gets its full residual.
-    A moved basepoint changes the pattern everywhere, so every arc gets
-    its full residual then.
+    below it); an arc whose row changed gets its full residual.  No
+    step moves the basepoint, the least circle id: merge_boundaries
+    drops the larger id of a sorted pair, and a fresh id is the
+    largest plus one.
     """
     circles, rows = b.circles, b.arcs_rows
     cids = sorted(circles)
-    if cids[0] != old.basepoint:
-        yield from crossing_residuals(circles, rows)
-        return
     old_circles, old_rows, n = old.circles, old.ref_arcs, old.h1_rank
     changed = {l: r for l, r in rows.items() if r is not old_rows.get(l)}
     residuals = dict(crossing_residuals(circles, changed)) if changed else {}
@@ -521,7 +507,10 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     The parent passed stabilize's door, so the checks of the handle's
     block (_block_holds) stand for validate_involution's algebraic
     checks and validate_page, by the lemma there; the structural checks
-    and the plus arcs' ends run in full.  Only a book that fails one is
+    and the plus arcs' ends run in full.  The block check reads the
+    block off the new rows of the form, where _extend_form wrote them,
+    and the images of the new curves only: each old image here is the
+    parent's, kept, or dropped.  Only a book that fails one is
     validated in full, for the refusal's message.  A book that passes
     has its door memo (OpenBook._door) set open, so a chain of k moves
     decides its reality once, at the first book's door.

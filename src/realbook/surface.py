@@ -458,15 +458,22 @@ class SurfaceModel:
         class is still the parent's object (CurveVectors.widened).
 
         Premise: the page extends the parent by classes at the indices
-        from the parent's rank n on, and each of the first n rows of its
+        from the parent's rank n on, each of the first n rows of its
         form is the parent's row followed by its entries at the new
-        indices, as a stabilization builds it
-        (stabilization._extend_form).  The tails of those rows are read
-        once; a curve whose class meets none of them keeps the parent's
-        vectors object.  The parent's vectors are taken as they are, no
-        reference to the parent page is kept."""
+        indices, and each new row is minus its column, as a
+        stabilization builds it (stabilization._extend_form).  So the
+        tail of old row u is read off the new rows, minus their entries
+        at u, without a scan of the old rows; a curve whose class meets
+        no tail keeps the parent's vectors object.  The parent's
+        vectors are taken as they are, no reference to the parent page
+        is kept."""
         n = parent.h1_rank
-        tails = {u: sparse_tail(r, n) for u, r in enumerate(self.form[:n]) if r and r[-2] >= n}
+        tails: dict[int, Sparse] = {}
+        for t, row in enumerate(self.form[n:], n):
+            for u, x in entries(row):
+                if u >= n:
+                    break
+                tails[u] = tails.get(u, ()) + (t, -x)
         alphabet = self.alphabet
         kept = [(name, vecs) for name, vecs in vars(parent).get("_curve_vectors", {}).items()
                 if alphabet.get(name) is vecs.a]

@@ -110,7 +110,7 @@ def logged_transforms(snf: SmithForm) -> tuple[IntMatrix, IntMatrix]:
     column operation, in order, to its columns.  (i, t, q) adds q times
     row (column) t to row (column) i, so (t, t, -2) negates it, and
     (i, t, None) swaps the two."""
-    m, n = snf.d.shape
+    m, n = snf.shape
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, t, q in snf.row_ops:
@@ -129,10 +129,10 @@ def logged_transforms(snf: SmithForm) -> tuple[IntMatrix, IntMatrix]:
 
 def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
     """Whether snf is a Smith form of a: U A V = D with U and V, rebuilt
-    from its logs, unimodular, and D diagonal, nonnegative, each entry
-    dividing the next (zeros last)."""
+    from its logs, unimodular, and D, rebuilt from its diagonal and
+    shape, nonnegative, each entry dividing the next (zeros last)."""
     u, v = logged_transforms(snf)
-    if u @ a @ v != snf.d:
+    if u @ a @ v != diagonal(snf.diag, *snf.shape):
         return False
     if abs(det(u)) != 1 or abs(det(v)) != 1:
         return False
@@ -145,8 +145,7 @@ def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
                 return False
         elif nxt % prev != 0:
             return False
-    return all(snf.d[i, j] == 0 for i in range(snf.d.nrows) for j in range(snf.d.ncols)
-               if i != j)
+    return True
 
 
 def full_scan_smith_normal_form(a):

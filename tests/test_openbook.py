@@ -11,6 +11,7 @@ from realbook.catalog import (
     catalog_fig5,
     catalog_fig6,
     catalog_hopf,
+    catalog_lens_3punctured,
     catalog_lens_annulus,
     catalog_s3_disk,
     standard_surface,
@@ -729,7 +730,10 @@ def _cross_entry(page, parent):
 
 
 def _mirror_entry(page, parent):
-    """Move the entry of the new rows mirroring X[i, 0] alone."""
+    """Move the entry of the new rows mirroring X[i, 0] alone: the block
+    check reads X off the new rows, so it sees X[i, 0] = 1, which the
+    births rule of type IV refuses, while the full check finds the form
+    no longer antisymmetric."""
     n = parent.page.h1_rank
     i = _free_coordinate(parent.page)
     return _with_entries(page.form, {(n, i): -1})
@@ -751,6 +755,38 @@ def _cross_pair_against_a_circle(page, parent):
         changes[j, n + 1] = changes.get((j, n + 1), 0) - c
         changes[n + 1, j] = changes.get((n + 1, j), 0) + c
     return _with_entries(page.form, changes)
+
+
+def _moved_x(page, parent, delta):
+    """Move X's column (the first new column) by delta over the old
+    basis, with the mirror entries of the new row, so the form stays
+    antisymmetric."""
+    n = parent.page.h1_rank
+    changes = {}
+    for u, d in enumerate(delta):
+        changes[u, n], changes[n, u] = d, -d
+    return _with_entries(page.form, changes)
+
+
+def _x_against_the_cross_block(page, parent):
+    """X moved by (0, 0, -1, -1) on type V after IV: C^T X L = -X
+    breaks and no other block check does, and the full check finds the
+    new structure neither an involution nor anti-symplectic."""
+    return _moved_x(page, parent, (0, 0, -1, -1))
+
+
+def _x_against_an_unchanged_circle(page, parent):
+    """X moved by (0, -1, -1) on type V after II: C^T X L = -X still
+    holds, and X^T q = 0 breaks for a circle whose class q the handle
+    left alone, which the full check reports as boundary_classes (and
+    curve_image, as the twist now moves a curve whose image was kept)."""
+    return _moved_x(page, parent, (0, -1, -1))
+
+
+def _lens_after(tag):
+    """lens-3punctured 2 2 1 after one move of type tag at boundary 1,
+    shadow 1."""
+    return stabilize(catalog_lens_3punctured(2, 2, 1), tag, {"boundary": 1, "shadow": 1})
 
 
 def _new_image(page, inv, parent):
@@ -823,9 +859,13 @@ IV_SITE = {"boundary": 1, "shadow": 1}
      {"boundary_classes"}),
     (lambda: catalog_fig6(2), "VI", {"boundaries": (2, 3)}, _cross_pair_against_a_circle,
      {"boundary_classes"}),
+    (lambda: _lens_after("IV"), "V", {"boundaries": (1, 2)}, _x_against_the_cross_block,
+     {"anti_symplectic", "involution"}),
+    (lambda: _lens_after("II"), "V", {"boundaries": (1, 4)}, _x_against_an_unchanged_circle,
+     {"boundary_classes", "curve_image"}),
 ], ids=["cross-entry-IV", "cross-entry-VIII", "mirror-entry-IV", "cross-pair-IV",
         "new-image-III", "new-image-IX", "changed-circle-III", "changed-circle-pair-VIII",
-        "unchanged-circle-III", "unchanged-circle-VI"])
+        "unchanged-circle-III", "unchanged-circle-VI", "cross-block-V", "unchanged-circle-V"])
 def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, corrupt,
                                                              failing, monkeypatch):
     """One item of the block corrupted as the new book is validated: the
@@ -844,7 +884,8 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
     full_validation = stabilization_module.validate_involution
 
     def corrupting(parent, st, page, inv):
-        if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle):
+        if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle,
+                       _x_against_the_cross_block, _x_against_an_unchanged_circle):
             page = replace(page, form=corrupt(page, parent))
             sigma = tuple((name, 1) for name in page.basis[:parent.page.h1_rank - 1:-1])
             c_naive = stabilization_module._naive_extension(parent.real_structure.matrix,
@@ -909,22 +950,12 @@ def test_a_child_whose_plus_arcs_miss_its_points_is_refused(monkeypatch):
                                   "used [(1, 1), (1, 2)] vs declared []")
 
 
-def test_every_type_declares_a_core_that_reverses_its_handles(monkeypatch):
+def test_every_type_declares_a_core_that_reverses_its_handles():
     """The lemma of _block_holds needs C~ = C (+) L to map each new curve
     to +-its mirror with L^2 = I, which every type's table entry gives:
-    a core sign of +-1 on one handle or a pair.  The block check reads
-    the handle count off the type, and fails a block of another size."""
-    from realbook.stabilization import _block_holds
-
+    a core sign of +-1 on one handle or a pair."""
     for tag, st in STAB_TYPES.items():
         assert st.core_sign in (1, -1) and st.handle_count in (1, 2), tag
-    ob = catalog_fig4(3)
-    seen = block_checks_recorded(monkeypatch)
-    stabilize(ob, "IX", {"boundaries": (1, 2)})
-    (parent, st, page, inv), = seen
-    assert _block_holds(parent, st, page, inv)
-    for count in (1, 3):
-        assert not _block_holds(parent, replace(st, handle_count=count), page, inv), count
 
 
 def test_a_sign_flipped_image_fails_in_each_caller_of_image_holds(monkeypatch):
