@@ -68,7 +68,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out)
+    _emit(json.dumps(obj, indent=2, sort_keys=True, default=str), out)
 
 
 def _group_obj(g) -> dict:
@@ -121,18 +121,8 @@ def cmd_reality(args) -> int:
     book = _validated_book(args.infile)
     status = check_reality(book)
     _emit_json({"status": status.kind.value,
-                "witness": _jsonable(status.witness)}, args.out)
+                "witness": status.witness}, args.out)
     return EXIT_OK if status.kind is not Reality.NOT_REAL else EXIT_CONTRACT
-
-
-def _jsonable(x):
-    if x is None or isinstance(x, (str, int, float, bool)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return str(x)
 
 
 def cmd_invariants(args) -> int:
@@ -197,7 +187,7 @@ def cmd_contact(args) -> int:
             "grid": grid,
             "K_threshold": kstar,
             "min_defect_at_threshold": mindef,
-            "argmin": _jsonable(argmin),
+            "argmin": argmin,
         }, args.out)
         return EXIT_OK
     k = args.K if args.K is not None else 10.0

@@ -24,10 +24,10 @@ rows first, the usual way to keep a sparse integer Smith form sparse
 (Dumas, Saunders & Villard, 2001), and reads only the diagonal of the
 form of the core that is left.
 
-IntMatrix keeps its dense arithmetic as the tests' reference algebra,
-and the benchmark's tracer times its product by name; no realbook path
-forms a dense product, as mcg applies each twist as a rank-one update
-of sparse rows.  The product costs one multiply per pair of nonzeros
+IntMatrix is the dense matrix smith_normal_form takes.  No realbook
+path forms a dense product (mcg applies each twist as a rank-one update
+of sparse rows); the product stays as the tests' reference, timed by the
+benchmark's tracer by name.  It costs one multiply per pair of nonzeros
 that meet: a row of the right factor is listed once as (j, x) pairs,
 when a nonzero of the left factor first reaches it.
 """
@@ -35,7 +35,6 @@ when a nonzero of the left factor first reaches it.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .records import record
@@ -60,18 +59,6 @@ class IntMatrix:
             raise ValueError("ncols mismatch")
 
     @staticmethod
-    def _trusted(rows: Iterable[Sequence[int]], ncols: int) -> "IntMatrix":
-        """Wrap rows known to be ints of width ncols already: computed
-        here from the entries of IntMatrix values, or checked so by the
-        book reader.  The normalisation and the width checks of
-        __init__, most of its cost, are skipped."""
-        m = object.__new__(IntMatrix)
-        m.rows = tuple(map(tuple, rows))
-        m.nrows = len(m.rows)
-        m.ncols = ncols
-        return m
-
-    @staticmethod
     def _lent(rows: list[list[int]], ncols: int) -> "IntMatrix":
         """Wrap the rows factor has just expanded, each list kept as it
         is, not copied: the matrix lives only as smith_normal_form's
@@ -83,21 +70,9 @@ class IntMatrix:
         m.ncols = ncols
         return m
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    # -- basics --------------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.shape == other.shape and self.rows == other.rows
@@ -127,38 +102,7 @@ class IntMatrix:
                     for j, x in orow:
                         acc[j] += a * x
             out.append(acc)
-        return IntMatrix._trusted(out, n)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        pairs = zip(self.rows, other.rows)
-        return IntMatrix._trusted((map(add, r1, r2) for r1, r2 in pairs), self.ncols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        pairs = zip(self.rows, other.rows)
-        return IntMatrix._trusted((map(sub, r1, r2) for r1, r2 in pairs), self.ncols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted((map(neg, row) for row in self.rows), self.ncols)
-
-    def transpose(self) -> "IntMatrix":
-        # zip(*rows) sees no columns in a 0 x k matrix; its transpose is k x 0
-        cols = zip(*self.rows) if self.nrows else [()] * self.ncols
-        return IntMatrix._trusted(cols, self.nrows)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.rows)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def diag(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+        return IntMatrix(out, n)
 
 
 @record

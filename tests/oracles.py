@@ -77,6 +77,48 @@ def diagonal(entries: list[int], m: int | None = None, n: int | None = None) -> 
     return IntMatrix(rows, ncols=n)
 
 
+# The dense reference algebra on IntMatrix; realbook itself computes on
+# sparse rows and keeps only the product.
+
+def identity(n: int) -> IntMatrix:
+    return diagonal([1] * n)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    # zip(*rows) sees no columns in a 0 x k matrix; its transpose is k x 0
+    cols = zip(*m.rows) if m.nrows else [()] * m.ncols
+    return IntMatrix(cols, ncols=m.nrows)
+
+
+def apply(m: IntMatrix, vec) -> tuple[int, ...]:
+    """m applied to a column vector."""
+    if len(vec) != m.ncols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in m.rows)
+
+
+def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.shape != b.shape:
+        raise ValueError("shape mismatch")
+    return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], ncols=a.ncols)
+
+
+def neg(m: IntMatrix) -> IntMatrix:
+    return IntMatrix([[-x for x in row] for row in m.rows], ncols=m.ncols)
+
+
+def sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return add(a, neg(b))
+
+
+def diag(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(m.rows[i][i] for i in range(min(m.shape)))
+
+
+def trace(m: IntMatrix) -> int:
+    return sum(diag(m))
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.nrows != a.ncols:
@@ -136,10 +178,10 @@ def smith_check(snf: SmithForm, a: IntMatrix) -> bool:
         return False
     if abs(det(u)) != 1 or abs(det(v)) != 1:
         return False
-    diag = snf.diag
-    if any(d < 0 for d in diag):
+    ds = snf.diag
+    if any(d < 0 for d in ds):
         return False
-    for prev, nxt in zip(diag, diag[1:]):
+    for prev, nxt in zip(ds, ds[1:]):
         if prev == 0:
             if nxt != 0:
                 return False
@@ -223,20 +265,20 @@ def dense_solve(a: IntMatrix, b: list[int]) -> tuple[tuple[int, ...] | None, lis
     x = V y for D y = U b, and the columns of V past the nonzero
     diagonal."""
     d, u, v = full_scan_smith_normal_form(a)
-    diag = d.diag()
-    c = u.apply(b)
+    ds = diag(d)
+    c = apply(u, b)
     y = [0] * a.ncols
     x: tuple[int, ...] | None = None
     for i, ci in enumerate(c):
-        di = diag[i] if i < len(diag) else 0
+        di = ds[i] if i < len(ds) else 0
         if (ci % di if di else ci) != 0:
             break
         if di:
             y[i] = ci // di
     else:
-        x = v.apply(y)
-    kernel = [col for j, col in enumerate(v.transpose().rows)
-              if j >= len(diag) or diag[j] == 0]
+        x = apply(v, y)
+    kernel = [col for j, col in enumerate(transpose(v).rows)
+              if j >= len(ds) or ds[j] == 0]
     return x, kernel
 
 
@@ -263,7 +305,7 @@ def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
     """Homology action x -> x + e <x, a> a of the e-th power of a twist."""
     a = dense_class(model, curve)
     rank = model.h1_rank
-    ja = as_matrix(model.form).apply(a)  # <x, a> = x . (J a)
+    ja = apply(as_matrix(model.form), a)  # <x, a> = x . (J a)
     rows = [
         [(1 if i == j else 0) + exponent * a[i] * ja[j] for j in range(rank)]
         for i in range(rank)
@@ -318,8 +360,8 @@ def determinantal_divisors(a: IntMatrix) -> list[int]:
         g = 0
         for rows in combinations(range(m), k):
             for cols in combinations(range(n), k):
-                sub = IntMatrix([[a[i, j] for j in cols] for i in rows])
-                g = gcd(g, det(sub))
+                minor = IntMatrix([[a.rows[i][j] for j in cols] for i in rows])
+                g = gcd(g, det(minor))
         out.append(abs(g))
     return out
 

@@ -243,6 +243,16 @@ def test_validate_checks_the_opposite_page_arc_ends(monkeypatch):
     assert code == 0 and json.loads(out)["plus"] == {}
 
 
+def test_validate_reports_an_image_on_an_unknown_curve(monkeypatch):
+    _code, book_json = run_cli(["catalog", "lens-annulus", "3"])
+    obj = json.loads(book_json)
+    obj["alphabet"][0]["c_image"] = ["zzz", 1]
+    code, out = run_cli(["validate"], json.dumps(obj), monkeypatch)
+    assert code == 1
+    assert json.loads(out)["involution"]["curve_image"] == (
+        "image map mentions unknown curve 'd1' -> 'zzz'")
+
+
 def meeting_pair_book() -> str:
     """A book on the once-punctured torus, word a1 b1, C = diag(1, -1),
     that declares a1 and b1 disjoint although <a1, b1> = 1."""
@@ -411,10 +421,12 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     """Set one field of a valid book, written as schema 3 and as schema 1,
     to value, or to value(old value) for a callable (an empty field
     replaces the whole book by value(book)): every subcommand that reads
-    a book must exit 2 with an error line that starts with the path."""
+    a book must exit 2 with an error line that starts with the path, or
+    is the whole message given in its place (one with a space)."""
     _code, book_json = run_cli(["catalog", *book])
     for text in (book_json, as_schema1(as_schema2(book_json))):
         bad = json.loads(text)
+        schema = bad["schema"]
         if field:
             target = bad
             for key in field[:-1]:
@@ -425,8 +437,12 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
         capsys.readouterr()
         for argv in BOOK_COMMANDS:
             code, out = run_cli(argv, json.dumps(bad), monkeypatch)
-            assert (code, out) == (2, ""), (bad["schema"], argv)
-            assert capsys.readouterr().err.startswith(f"error: {path} "), (bad["schema"], argv)
+            assert (code, out) == (2, ""), (schema, argv)
+            err = capsys.readouterr().err
+            if " " in path:
+                assert err == f"error: {path}\n", (schema, argv)
+            else:
+                assert err.startswith(f"error: {path} "), (schema, argv)
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -470,6 +486,10 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     (("ref_arcs", 0, "current_class"), [1], "$.ref_arcs[0].current_class"),
     (("page", "genus"), 5, "$.page.genus"),
     ((), lambda book: planar_book(book["schema"], genus=-1, circles=3), "$.page.genus"),
+    ((), lambda book: [], "top level must be an object"),
+    (("word", 0, "curve"), "zzz", "$.word uses unknown curve 'zzz'"),
+    (("page", "form"), lambda form: form + form[:1], "$.page.form must be square of basis size"),
+    (("involution", "matrix"), [], "$.involution.matrix must be square of basis size"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
         "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length",
@@ -478,7 +498,8 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
         *[f"{field}-key-{key}" for key in ("space-02", "plus-2", "underscore-0-2", "02")
           for field in ("perm", "fixed-points", "pair-arcs")],
         "basis-entry-true", "curve-name-number", "word-curve-number",
-        "ref-arc-class-moved", "genus-too-large", "genus-negative"])
+        "ref-arc-class-moved", "genus-too-large", "genus-negative", "top-level-list",
+        "word-curve-unknown", "form-extra-row", "matrix-empty"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 

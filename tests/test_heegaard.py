@@ -30,7 +30,7 @@ from realbook.openbook import (
     stabilize,
 )
 from realbook.surface import entries
-from oracles import as_matrix, as_rows, twist_matrix
+from oracles import as_matrix, as_rows, identity, neg, trace, transpose, twist_matrix
 
 
 def heegaard_genus(ob):
@@ -145,12 +145,12 @@ def test_plus_side_lefschetz_under_stabilization():
 def dense_antisymplectic(ob, c):
     """(F C)^T J (F C) == -J and C^T J C == -J by dense products, with F
     the product of one dense twist matrix per letter."""
-    f = IntMatrix.identity(ob.page.h1_rank)
+    f = identity(ob.page.h1_rank)
     for name, exp in ob.monodromy:
         f = twist_matrix(ob.page, name, exp) @ f
     fc = f @ c
     j = as_matrix(ob.page.form)
-    return fc.transpose() @ j @ fc == -j, c.transpose() @ j @ c == -j
+    return transpose(fc) @ j @ fc == neg(j), transpose(c) @ j @ c == neg(j)
 
 
 def plus_block_report(ob):
@@ -455,7 +455,7 @@ def test_plus_checks_read_the_plus_block():
     ob = not_real_example()
     c = as_matrix(ob.real_structure.matrix)
     fc = as_matrix(ob.monodromy_matrix) @ c
-    plus, minus = 1 - fc.trace(), 1 - c.trace()
+    plus, minus = 1 - trace(fc), 1 - trace(c)
     assert plus != minus and plus > 0
     report = plus_block_report(ob)
     assert report["minus_involution"] and not report["plus_involution"]

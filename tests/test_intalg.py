@@ -11,16 +11,22 @@ from realbook.intalg import (
     smith_normal_form,
 )
 from oracles import (
+    add,
+    apply,
     as_matrix,
     as_rows,
     dense_solve,
     det,
     determinantal_divisors,
+    diag,
     diagonal,
     expand,
     full_scan_smith_normal_form,
+    identity,
     logged_transforms,
     smith_check,
+    sub,
+    transpose,
     zeros,
 )
 
@@ -46,8 +52,8 @@ def random_unimodular(rng, n, ops=8):
 
 
 def test_snf_identity():
-    s = smith_normal_form(IntMatrix.identity(2))
-    assert diagonal(s.diag, *s.shape) == IntMatrix.identity(2)
+    s = smith_normal_form(identity(2))
+    assert diagonal(s.diag, *s.shape) == identity(2)
 
 
 def test_snf_diag_2_3():
@@ -94,13 +100,13 @@ def test_snf_random_against_minor_gcd_oracle():
         s = smith_normal_form(a)
         assert smith_check(s, a)
         dd = determinantal_divisors(a)
-        diag = list(s.diag)
+        ds = list(s.diag)
         prev = 1
         for k, dk in enumerate(dd):
             if dk == 0:
-                assert all(x == 0 for x in diag[k:])
+                assert all(x == 0 for x in ds[k:])
                 break
-            assert diag[k] == dk // prev
+            assert ds[k] == dk // prev
             prev = dk
 
 
@@ -126,7 +132,7 @@ def test_cokernel_invariant_under_unimodular_action():
 def test_solve_integer():
     a = IntMatrix([[2, 0], [0, 3]])
     snf = factor(as_rows(a), 2)
-    assert a.apply(snf.solve([4, 9])) == (4, 9)
+    assert apply(a, snf.solve([4, 9])) == (4, 9)
     assert snf.solve([1, 0]) is None
 
 
@@ -141,7 +147,7 @@ def test_solve_integer_affine_kernel():
     assert sum(x[:2]) == 2
     assert len(kernel) == 2
     for g in kernel:
-        assert a.apply(g) == (0,)
+        assert apply(a, g) == (0,)
     assert kernel == [(-1, 1, 0), (0, 0, 1)]
 
 
@@ -207,13 +213,13 @@ def test_matmul_apply_transpose_match_naive_reference():
         assert p.shape == (a.nrows, b.ncols)
         assert [list(r) for r in p.rows] == naive_matmul(a, b)
         for m in (a, b):
-            t = m.transpose()
+            t = transpose(m)
             assert t.shape == (m.ncols, m.nrows)
             assert all(t.rows[j][i] == m.rows[i][j]
                        for i in range(m.nrows) for j in range(m.ncols))
-            assert t.transpose() == m
+            assert transpose(t) == m
             vec = [rng.randint(-5, 5) * 10 ** rng.choice((0, 25)) for _ in range(m.ncols)]
-            assert m.apply(vec) == tuple(
+            assert apply(m, vec) == tuple(
                 sum(m.rows[i][j] * vec[j] for j in range(m.ncols)) for i in range(m.nrows))
 
 
@@ -281,8 +287,8 @@ def snf_oracle_matrices(rng):
     for ob in [e.build() for e in ENTRIES] + [catalog_fig4(6), catalog_fig5(4)]:
         j, c = as_matrix(ob.page.form), as_matrix(ob.real_structure.matrix)
         yield j
-        yield IntMatrix.identity(j.nrows) - c
-        yield c.transpose() @ j + j
+        yield sub(identity(j.nrows), c)
+        yield add(transpose(c) @ j, j)
 
 
 def test_snf_matches_full_scan_pivot_rule():
@@ -307,29 +313,27 @@ def test_snf_solve_reuses_one_factorization():
         snf = factor(as_rows(a), n)
         for _ in range(5):
             x = [rng.randint(-4, 4) for _ in range(n)]
-            b = list(a.apply(x))
+            b = list(apply(a, x))
             sol = snf.solve(b)
-            assert sol is not None and a.apply(sol) == tuple(b)
+            assert sol is not None and apply(a, sol) == tuple(b)
             b[rng.randrange(m)] += rng.randint(1, 3)
             assert snf.solve(b) == factor(as_rows(a), n).solve(b)
     with pytest.raises(ValueError):
-        factor(as_rows(IntMatrix.identity(2)), 2).solve([1])
+        factor(as_rows(identity(2)), 2).solve([1])
 
 
-def test_smith_form_reads_its_diagonal_once(monkeypatch):
+def test_smith_form_reads_its_diagonal_once():
     """The diagonal of D is read once, off the working matrix as the
     form is made, and kept with D's shape: solving for many right-hand
-    sides, and spanning the kernel, read no matrix's diagonal."""
+    sides, and spanning the kernel, read no matrix's diagonal, and
+    IntMatrix offers none to read."""
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     snf = factor(as_rows(a), 3)
-    reads = []
-    diag = IntMatrix.diag
-    monkeypatch.setattr(IntMatrix, "diag", lambda m: reads.append(m) or diag(m))
+    assert not hasattr(IntMatrix, "diag")
     for b in ([2, -6, 10], [1, 0, 0], [4, 0, -4]):
         assert snf.solve(b) == factor(as_rows(a), 3).solve(b)
     assert list(snf.kernel()) == []
     assert (snf.diag, snf.shape) == ((2, 6, 12), (3, 3))
-    assert reads == []
 
 
 def test_factor_expands_each_row_once_and_the_form_copies_it(monkeypatch):
@@ -363,18 +367,18 @@ def test_factor_expands_each_row_once_and_the_form_copies_it(monkeypatch):
 
 def cokernel_from_divisors(a):
     """The cokernel read off the determinantal divisors: d_k = D_k / D_{k-1}."""
-    diag, prev = [], 1
+    ds, prev = [], 1
     for dk in determinantal_divisors(a):
         if dk == 0:
             break
-        diag.append(dk // prev)
+        ds.append(dk // prev)
         prev = dk
-    return AbelianGroup(a.nrows - len(diag), tuple(d for d in diag if d >= 2))
+    return AbelianGroup(a.nrows - len(ds), tuple(d for d in ds if d >= 2))
 
 
 def cokernel_from_transforms(a):
     """The cokernel read off the dense-transform reference's diagonal."""
-    nonzero = [d for d in full_scan_smith_normal_form(a)[0].diag() if d]
+    nonzero = [d for d in diag(full_scan_smith_normal_form(a)[0]) if d]
     return AbelianGroup(a.nrows - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
@@ -585,7 +589,7 @@ def test_logged_transforms_solve_as_the_dense_ones_on_random_systems():
         assert diagonal(snf.diag, *snf.shape) == full_scan_smith_normal_form(a)[0], a
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(a.ncols)]
-            for b in (list(a.apply(x)), [rng.randint(-3, 3) for _ in range(a.nrows)]):
+            for b in (list(apply(a, x)), [rng.randint(-3, 3) for _ in range(a.nrows)]):
                 want, kernel = dense_solve(a, b)
                 assert snf.solve(b) == want, (a, b)
                 assert list(snf.kernel()) == kernel, (a, b)

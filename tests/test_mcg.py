@@ -20,7 +20,17 @@ from realbook.mcg import (
 from realbook.openbook import StabilizationError, enumerate_sites, stabilize
 from realbook.catalog import standard_involution, standard_surface
 from realbook.surface import SurfaceModel, entries, sparse
-from oracles import as_matrix, as_rows, dense_class, expand, twist_matrix, words_equal_by_moves
+from oracles import (
+    apply,
+    as_matrix,
+    as_rows,
+    dense_class,
+    expand,
+    identity,
+    transpose,
+    twist_matrix,
+    words_equal_by_moves,
+)
 
 
 def arc_row(model, cid):
@@ -40,7 +50,7 @@ def torus():
 
 
 def test_core_twist_trivial_on_annulus(annulus):
-    assert twist_matrix(annulus, "d1", 5) == IntMatrix.identity(1)
+    assert twist_matrix(annulus, "d1", 5) == identity(1)
 
 
 def test_transvection_on_torus(torus):
@@ -48,7 +58,7 @@ def test_transvection_on_torus(torus):
 
 
 def test_zero_exponent(torus):
-    assert twist_matrix(torus, "b1", 0) == IntMatrix.identity(2)
+    assert twist_matrix(torus, "b1", 0) == identity(2)
 
 
 def test_unknown_curve(torus):
@@ -57,7 +67,7 @@ def test_unknown_curve(torus):
 
 
 def test_word_matrix_empty(torus):
-    assert word_matrix(torus, ()) == as_rows(IntMatrix.identity(2))
+    assert word_matrix(torus, ()) == as_rows(identity(2))
 
 
 def test_word_matrix_square(torus):
@@ -85,8 +95,8 @@ def test_twists_are_symplectic():
         for _ in range(40):
             w = word([(rng.choice(names), rng.randint(-2, 2)) for _ in range(6)])
             f = as_matrix(word_matrix(m, w))
-            assert f.transpose() @ j @ f == j
-            assert as_matrix(word_matrix(m, invert(w))) @ f == IntMatrix.identity(m.h1_rank)
+            assert transpose(f) @ j @ f == j
+            assert as_matrix(word_matrix(m, invert(w))) @ f == identity(m.h1_rank)
 
 
 def test_conjugation_annulus(annulus):
@@ -277,7 +287,7 @@ def test_equal_piles_give_equal_word_matrices():
 
 def dense_word_matrix(model, w):
     """The word as a product of dense twist matrices, one per letter."""
-    m = IntMatrix.identity(model.h1_rank)
+    m = identity(model.h1_rank)
     for name, exp in w:
         m = twist_matrix(model, name, exp) @ m
     return m
@@ -291,7 +301,7 @@ def reference_transport(model, w, row):
     for name, exp in w:
         a = dense_class(model, name)
         cross = sum(x * y for x, y in zip(row, a))
-        a_row = as_matrix(model.form).transpose().apply(a)
+        a_row = apply(transpose(as_matrix(model.form)), a)
         cls = tuple(x + exp * cross * y for x, y in zip(cls, a))
         row = tuple(x + exp * cross * y for x, y in zip(row, a_row))
     return cls, row
@@ -419,8 +429,8 @@ def test_curve_vectors_cached_per_page_outside_the_fields():
         a = dense_class(m, name)
         vecs = m.curve_vectors(name)
         assert vecs.a and vecs.a is m.curve(name) and expand(vecs.a) == tuple(a)
-        assert expand(vecs.ja) == j.apply(a)
-        assert expand(vecs.jta) == j.transpose().apply(a)
+        assert expand(vecs.ja) == apply(j, a)
+        assert expand(vecs.jta) == apply(transpose(j), a)
         assert m.curve_vectors(name) is vecs
     assert repr(m) == text and m == standard_surface(2, 3)
     copy = replace(m, disjoint=frozenset())
@@ -439,12 +449,12 @@ def test_curve_vectors_equal_dense_products_on_golden_pages():
     for label, ob in golden_books():
         page = ob.page
         j = as_matrix(page.form)
-        jt = j.transpose()
+        jt = transpose(j)
         for name in page.alphabet:
             cls = dense_class(page, name)
             vecs = page.curve_vectors(name)
-            for sparse, want in ((vecs.ja, j.apply(cls)),
-                                 (vecs.jta, jt.apply(cls))):
+            for sparse, want in ((vecs.ja, apply(j, cls)),
+                                 (vecs.jta, apply(jt, cls))):
                 pairs = dict(entries(sparse))
                 assert len(pairs) == len(sparse) // 2 and all(pairs.values()), (label, name)
                 assert tuple(pairs.get(i, 0) for i in range(page.h1_rank)) == want, (label, name)

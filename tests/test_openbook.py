@@ -40,7 +40,20 @@ from realbook.surface import (
     sparse_add,
     validate_involution,
 )
-from oracles import annulus_rotation, as_matrix, as_rows, dense_solve, expand, is_trivial
+from oracles import (
+    annulus_rotation,
+    apply,
+    as_matrix,
+    as_rows,
+    dense_solve,
+    expand,
+    identity,
+    is_trivial,
+    neg,
+    sub,
+    trace,
+    transpose,
+)
 
 
 def not_real_example() -> OpenBook:
@@ -229,9 +242,9 @@ def test_random_sequences_preserve_everything():
         assert check_reality(ob).kind is not Reality.NOT_REAL
         c = as_matrix(ob.real_structure.matrix)
         j = as_matrix(ob.page.form)
-        assert c @ c == IntMatrix.identity(ob.page.h1_rank)
-        assert c.transpose() @ j @ c == -j
-        assert len(ob.real_structure.fixed_set.arcs) == 1 - c.trace()
+        assert c @ c == identity(ob.page.h1_rank)
+        assert transpose(c) @ j @ c == neg(j)
+        assert len(ob.real_structure.fixed_set.arcs) == 1 - trace(c)
 
 
 def test_reality_preserved_on_every_stabilization_word_level():
@@ -349,6 +362,10 @@ REFUSALS = [
     pytest.param(lambda: stabilize(catalog_hopf("conjugation"), "VI", {"boundaries": (1, 2)}),
                  "V", {"boundaries": (1, 2)},
                  "type V needs a fixed arc joining boundaries 1 and 2", id="V-no-joining-arc"),
+    pytest.param(lambda: replace(catalog_lens_3punctured(2, 2, 1), fix_plus=None), "II",
+                 {"boundary": 1}, "no plus-side fixed arc ends at (1, 2)", id="II-no-plus-arc"),
+    pytest.param(lambda: replace(catalog_lens_3punctured(2, 2, 1), fix_plus=None), "IV",
+                 {"boundary": 1}, "no plus-side fixed arc ends at (1, 2)", id="IV-no-plus-arc"),
     pytest.param(catalog_s3_disk, "X", {}, "unknown stabilization type 'X'", id="unknown-type"),
     pytest.param(not_real_example, "III", {"boundary": 1},
                  "refusing to stabilize a NotReal book", id="not-real"),
@@ -374,8 +391,8 @@ def eager_viii_search(pattern, c_old, form):
     n = c_old.nrows
     (pj, _), (pk, _), *rest = [(expand(p, n), want) for p, want in pattern]
     others = [p for p, _ in rest]
-    ct = c_old.transpose()
-    one_minus_c = IntMatrix.identity(n) - c_old
+    ct = transpose(c_old)
+    one_minus_c = sub(identity(n), c_old)
     for m, x_coef in product((0, 1, -1), (1, -1)):
         rows = [list(pj) + [0] * n, list(pk) + [0] * n]
         rhs = [-1, 1]
@@ -386,7 +403,7 @@ def eager_viii_search(pattern, c_old, form):
             rows.append([0] * n + list(one_minus_c.rows[i]))
             rhs.append(pj[i] + pk[i])
         for i in range(n):
-            rows.append([x_coef * ((1 if u == i else 0) - ct[i, u]) for u in range(n)]
+            rows.append([x_coef * ((1 if u == i else 0) - ct.rows[i][u]) for u in range(n)]
                         + list(form.rows[i]))
             rhs.append(0)
         base, kernel = dense_solve(IntMatrix(rows, ncols=2 * n), rhs)
@@ -403,7 +420,7 @@ def eager_viii_search(pattern, c_old, form):
         for xx in candidates:
             v, w = tuple(xx[:n]), tuple(xx[n:])
             if (sum(a * b for a, b in zip(v, w)) == x_coef * m
-                    and sum(a * b for a, b in zip(ct.apply(v), w)) == x_coef * m):
+                    and sum(a * b for a, b in zip(apply(ct, v), w)) == x_coef * m):
                 return sparse(v), sparse(w), x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 

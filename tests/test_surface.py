@@ -10,7 +10,20 @@ from realbook.surface import (
     sparse,
     validate_page,
 )
-from oracles import annulus_rotation, as_matrix, as_rows, dense_class, expand, pairing, zeros
+from oracles import (
+    annulus_rotation,
+    apply,
+    as_matrix,
+    as_rows,
+    dense_class,
+    expand,
+    identity,
+    neg,
+    pairing,
+    trace,
+    transpose,
+    zeros,
+)
 
 
 def involution(m, kind):
@@ -79,7 +92,7 @@ def test_disk_reflection_lefschetz():
     m = standard_surface(0, 1)
     inv = standard_involution(m, "disk-reflection")
     assert len(inv.fixed_set.arcs) == 1
-    assert 1 - as_matrix(inv.matrix).trace() == 1
+    assert 1 - trace(as_matrix(inv.matrix)) == 1
 
 
 def test_annulus_reflection_counts():
@@ -127,7 +140,7 @@ def test_validate_reports_antisymplectic_failure():
     # the identity preserves the form, so it cannot be a real structure
     t = standard_surface(1, 1)
     broken = Involution(
-        matrix=as_rows(IntMatrix.identity(2)),
+        matrix=as_rows(identity(2)),
         boundary_perm={1: 1},
         fixed_points={1: (1, 2)},
         fixed_set=FixedSet(arcs=(FixArc(ends=((1, 1), (1, 2)), pair_curves=()),)),
@@ -151,9 +164,9 @@ def test_involution_invariants_exact():
         m = standard_surface(0, b)
         inv = standard_involution(m, kind)
         c, j = as_matrix(inv.matrix), as_matrix(m.form)
-        assert c @ c == IntMatrix.identity(m.h1_rank)
-        assert c.transpose() @ j @ c == -j
-        assert len(inv.fixed_set.arcs) == 1 - c.trace()
+        assert c @ c == identity(m.h1_rank)
+        assert transpose(c) @ j @ c == neg(j)
+        assert len(inv.fixed_set.arcs) == 1 - trace(c)
         assert all(r.ok for r in validate_involution(m, inv))
 
 
@@ -162,18 +175,18 @@ def dense_checks(model, inv):
     checks as first written, with dense products: the oracle of the
     sparse validate_involution, as (name, ok, detail)."""
     c, j, rank = as_matrix(inv.matrix), as_matrix(model.form), model.h1_rank
-    ident = IntMatrix.identity(rank)
+    ident = identity(rank)
     sq = c @ c if rank else ident
     out = [("involution", sq == ident, "" if sq == ident else f"C^2 = {sq.rows}")]
-    anti = c.transpose() @ j @ c if rank else j
-    ok = anti == -j
+    anti = transpose(c) @ j @ c if rank else j
+    ok = anti == neg(j)
     out.append(("anti_symplectic", ok, "" if ok else f"C^T J C = {anti.rows}"))
     ok, detail = True, ""
     for name, (img, s) in inv.curve_image.items():
         if name not in model.alphabet or img not in model.alphabet:
             ok, detail = False, f"image map mentions unknown curve {name!r} -> {img!r}"
             break
-        want = tuple(s * x for x in c.apply(dense_class(model, name))) if rank else ()
+        want = tuple(s * x for x in apply(c, dense_class(model, name))) if rank else ()
         if tuple(dense_class(model, img)) != want:
             ok, detail = False, f"curve_image({name}) class mismatch"
             break
@@ -183,7 +196,7 @@ def dense_checks(model, inv):
     for cid, stored in model.circles.items():
         p = expand(stored, rank)
         total = tuple(a + b for a, b in zip(total, p))
-        if rank and any(j.apply(p)):
+        if rank and any(apply(j, p)):
             ok, detail = False, f"boundary class of circle {cid} is not radical"
     if rank and any(total):
         ok, detail = False, "boundary classes do not sum to zero"
@@ -301,10 +314,10 @@ def test_anti_symplectic_check_compares_ct_j_with_its_transpose():
         j, c, rank = ob.page.form, ob.real_structure.matrix, ob.page.h1_rank
         dj = as_matrix(j)
         assert anti_symplectic_check(c, j, rank, True).ok
-        assert as_matrix(c).transpose() @ dj @ as_matrix(c) == -dj
+        assert transpose(as_matrix(c)) @ dj @ as_matrix(c) == neg(dj)
         for sign in (1, -1):
-            identity = tuple((i, sign) for i in range(rank))
-            got = anti_symplectic_check(identity, j, rank, True)
+            scalar = tuple((i, sign) for i in range(rank))
+            got = anti_symplectic_check(scalar, j, rank, True)
             assert not got.ok and any(dj.rows)
             assert got.detail == f"C^T J C = {tuple(tuple(row) for row in dj.rows)}"
 
