@@ -18,10 +18,21 @@ Heegaard checks and the real part (pieces and mod-2 class of every
 component, or the refusal).  A refactor or speed-up of the exact
 algebra must leave all four unchanged; a deliberate change of output
 must update them together with a note of why the outputs moved.
+
+The ledger (golden_ledger.tsv, written by `python tests/test_golden.py
+--ledger`) says which book moved: one tab-separated line per golden
+book, in digest order, with its label, the SHA-256 of its schema-3
+text, its H1, its verdict, the kind of its witness and its real part
+(as GOLDEN_REAL hashes it), and one line per refused site, with the
+walk step that tried it.  tests/ledger_diff.py OLD NEW counts the books
+whose bytes or invariants moved between two ledgers and the walks that
+diverged.
 """
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +46,7 @@ from realbook.openbook import (
     h1_of_manifold,
     stabilize,
 )
+from ledger_diff import first_difference, parse
 from schema1 import as_schema1, as_schema2
 
 GOLDEN = "bcf96ce5e656d2dd0cb5800199e252706b5d7105bca9cb5e18a3d0b97a70e1b8"
@@ -44,19 +56,45 @@ GOLDEN_REAL = "ae930a1f014d23b03ddd0309fc80ec749d7b54aad3118661189f48883edfd62e"
 
 LADDER_TOP = 10
 
+LEDGER = Path(__file__).with_name("golden_ledger.tsv")
+
 
 class _Digests:
-    """The running digests, and the labels of books that do not load back
-    from each of their schema-3, schema-2 and schema-1 texts."""
+    """The running digests, the ledger's lines, and the labels of books
+    that do not load back from each of their schema-3, schema-2 and
+    schema-1 texts."""
 
     def __init__(self):
         self.json3, self.json2, self.json1, self.real = (hashlib.sha256() for _ in range(4))
+        self.ledger = []
         self.unequal = []
 
     def update(self, line):
         """Add a line that the three JSON digests share."""
         for h in (self.json3, self.json2, self.json1):
             h.update(line.encode())
+
+    def refused(self, where, line):
+        """Add the line of a refused site, tried at the walk step where."""
+        self.update(line)
+        self.ledger.append(_ledger_line(where, *line.rstrip("\n").split(" ", 1)))
+
+
+def _ledger_line(*fields):
+    assert not any("\t" in f or "\n" in f for f in fields), fields
+    return "\t".join(fields)
+
+
+def _witness_kind(witness):
+    """None, a word, the stabilization chain, or the keys of a NotReal
+    witness."""
+    if witness is None:
+        return "none"
+    if isinstance(witness, str):
+        return witness
+    if isinstance(witness, tuple):
+        return "word"
+    return "+".join(sorted(witness))
 
 
 def _record(d, label, ob):
@@ -86,6 +124,8 @@ def _record(d, label, ob):
     except (RealPartUnavailable, ValueError) as e:
         rp = f"refused {type(e).__name__} {e}"
     hr.update(f"real part {rp!r}\n".encode())
+    d.ledger.append(_ledger_line(label, hashlib.sha256(text.encode()).hexdigest(), repr(h1),
+                                 status.kind.value, _witness_kind(status.witness), repr(rp)))
 
 
 def _swap_pair(ob):
@@ -123,7 +163,8 @@ def _walks(refused, seed, count, steps):
                 try:
                     nxt = stabilize(ob, tag, site)
                 except StabilizationError as e:
-                    refused(f"refused {tag} {sorted(site.items())!r}: {e}\n")
+                    refused(f"walk {seed}/{n}/{step}",
+                            f"refused {tag} {sorted(site.items())!r}: {e}\n")
                     continue
                 ob = nxt
                 yield f"walk {seed}/{n}/{step} {tag} {sorted(site.items())!r}", ob
@@ -132,10 +173,11 @@ def _walks(refused, seed, count, steps):
                 break
 
 
-def golden_books(refused=lambda line: None):
+def golden_books(refused=lambda where, line: None):
     """Every golden book as (label, book), in digest order: the catalog,
-    the ladders and the seeded walks.  refused(line) is called with the
-    line of each site a walk tries and is refused, before the next book."""
+    the ladders and the seeded walks.  refused(where, line) is called
+    with the walk step and the line of each site a walk tries and is
+    refused, before the next book."""
     for e in ENTRIES:
         yield e.name, e.build()
     yield from ladders()
@@ -145,7 +187,7 @@ def golden_books(refused=lambda line: None):
 def golden_digests():
     """The digests of the current code, from one pass over the books."""
     d = _Digests()
-    for label, ob in golden_books(d.update):
+    for label, ob in golden_books(d.refused):
         _record(d, label, ob)
     return d
 
@@ -175,8 +217,17 @@ def test_golden_real_part_digest(digests):
     assert digests.real.hexdigest() == GOLDEN_REAL
 
 
+def test_golden_ledger_matches_the_file(digests):
+    """A moved book is named, with the fields of it that moved."""
+    moved = first_difference(parse(LEDGER.read_text().splitlines()), parse(digests.ledger))
+    assert moved is None, f"the golden ledger moved: {moved}"
+
+
 if __name__ == "__main__":
     d = golden_digests()
+    if sys.argv[1:] == ["--ledger"]:
+        LEDGER.write_text("".join(line + "\n" for line in d.ledger))
+        print(f"wrote {len(d.ledger)} lines to {LEDGER}")
     print(f"GOLDEN {d.json2.hexdigest()}\nGOLDEN_SCHEMA1 {d.json1.hexdigest()}\n"
           f"GOLDEN_SCHEMA3 {d.json3.hexdigest()}\nGOLDEN_REAL {d.real.hexdigest()}\n"
           f"not loaded back: {d.unequal}")
