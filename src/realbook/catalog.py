@@ -200,25 +200,18 @@ def catalog_hopf(variant: str) -> OpenBook:
     """Positive Hopf band book of the 3-sphere, one twist on the annulus.
 
     variant "conjugation": the involution preserves each binding circle,
-    so the page structure is the reflection across the spanning arcs.
+    so the page structure is the reflection across the spanning arcs;
+    this is catalog_lens_annulus(1), as L(1, 0) = S^3.
     variant "swap": the involution exchanges the binding circles and
     acts freely on this page; the opposite page holds the fixed core.
     """
-    page = standard_surface(0, 2)
-    mono = word([("d1", 1)])
     if variant == "conjugation":
-        inv = standard_involution(page, "annulus-reflection")
-        # opposite page: reflection twisted once; the strands reconnect
-        # across the core and one of them crosses the reference arc
-        plus = FixedSet(arcs=(
-            FixArc(ends=((1, 1), (2, 4)), pair_curves=(0, 1), pair_arcs={2: 1}),
-            FixArc(ends=((1, 2), (2, 3)), pair_curves=(0, -1), pair_arcs={2: 0}),
-        ))
-        return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
+        return catalog_lens_annulus(1)
     if variant == "swap":
+        page = standard_surface(0, 2)
         inv = standard_involution(page, "boundary-swap")
-        plus = FixedSet(circles=((0, 1),))
-        return OpenBook(page=page, monodromy=mono, real_structure=inv, fix_plus=plus)
+        return OpenBook(page=page, monodromy=word([("d1", 1)]), real_structure=inv,
+                        fix_plus=FixedSet(circles=((0, 1),)))
     raise ValueError(f"unknown Hopf variant {variant!r}")
 
 

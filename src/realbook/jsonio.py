@@ -44,14 +44,16 @@ peel of openbook needs each block's sigma at the front of the word.
 A page stores only its root's disjoint pairs and its births
 (SurfaceModel.births).  The reader derives the births from `provenance`
 in record order (a record makes the curves its sigma names) and keeps
-as root pairs the declared pairs that name no such curve.  It rejects a
-provenance type that is not in STAB_TYPES, a curve that two records
-make, and a declared pair that names a born curve and that the rule of
-STAB_TYPES does not give (`$.disjoint[i]`).  A book's page holds the
-births its provenance records, derived as the reader derives them
-(openbook.recorded_births): a book whose provenance is trimmed from the
-front has the births no record makes folded into root pairs, so it
-equals its read-back.  The writer writes the root pairs that name no
+as root pairs the declared pairs that name no such curve
+(SurfaceModel.with_births).  It rejects a provenance type that is not
+in STAB_TYPES, a curve that two records make, and a declared pair that
+names a born curve and whose curves meet by the rule
+(`$.disjoint[i]`): SurfaceModel.meeting_lists is asked once for all
+such pairs, and only when there is one, which schema 3 never writes.
+A book's page holds the births its provenance records, derived as the
+reader derives them (openbook.recorded_births): a book whose
+provenance is trimmed from the front has the births no record makes
+folded into root pairs, so it equals its read-back.  The writer writes the root pairs that name no
 born curve, and refuses a book whose records are not its page's last
 steps, whose page keeps births no record makes.
 
@@ -76,7 +78,6 @@ from typing import Any, Callable
 from .errors import SchemaError
 from .mcg import TwistWord, free_reduce
 from .openbook import STAB_TYPES, OpenBook, StabRecord, recorded_births
-from .records import replace
 from .surface import (
     FixArc,
     FixedSet,
@@ -362,8 +363,9 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
     """The page with its births, derived from provenance in record order
     (openbook.recorded_births: each record makes the curves its sigma
     names), and the declared pairs that name no born curve as its root
-    pairs.  A declared pair that names a born curve must be one the rule
-    of STAB_TYPES gives; the rule's pairs need not be declared."""
+    pairs (SurfaceModel.with_births).  A declared pair that names a born
+    curve must be one the rule gives (SurfaceModel.meeting_lists); the
+    rule's pairs need not be declared."""
     maker: dict[str, int] = {}
     for i, rec in enumerate(provenance):
         if rec.tag not in STAB_TYPES:
@@ -375,13 +377,15 @@ def _with_disjointness(page: SurfaceModel, declared: list[tuple[str, str]],
                                   f"$.provenance[{maker[name]}] made before")
             maker[name] = i
     births = recorded_births(provenance)
-    born = births.keys()
-    page = replace(page, births=births, disjoint=frozenset(
-        frozenset(pair) for pair in declared if born.isdisjoint(pair)))
-    for i, (a, b) in enumerate(declared):
-        if not (born.isdisjoint((a, b)) or page.curves_disjoint(a, b)):
-            raise SchemaError(f"$.disjoint[{i}] is {json.dumps([a, b])}, but the provenance "
-                              f"makes no such disjoint pair")
+    page = page.with_births(births, declared)
+    claimed = [(i, a, b) for i, (a, b) in enumerate(declared)
+               if not births.keys().isdisjoint((a, b))]
+    if claimed:
+        meets = page.meeting_lists(name for _, a, b in claimed for name in (a, b))
+        for i, a, b in claimed:
+            if b in meets[a]:
+                raise SchemaError(f"$.disjoint[{i}] is {json.dumps([a, b])}, but the provenance "
+                                  f"makes no such disjoint pair")
     return page
 
 

@@ -30,7 +30,7 @@ from .mcg import (
     word_matrix,
     words_equal,
 )
-from .records import record, replace
+from .records import record
 from .surface import (
     CheckResult,
     FixedSet,
@@ -143,9 +143,7 @@ def _with_recorded_births(page: SurfaceModel, provenance: Sequence[StabRecord]) 
             for rec in provenance if rec.sigma]
     if steps[len(steps) - len(mine):] != mine:
         return page
-    made = births.keys()
-    return replace(page, births=births, disjoint=frozenset(
-        frozenset(pair) for pair in page.disjoint_pairs() if made.isdisjoint(pair)))
+    return page.with_births(births, page.disjoint_pairs())
 
 
 @record

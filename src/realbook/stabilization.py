@@ -33,6 +33,7 @@ from .openbook import (
     StabRecord,
     StabType,
     _mirror_functional,
+    validate_book,
 )
 from .records import replace
 from .surface import (
@@ -58,8 +59,6 @@ from .surface import (
     sparse_tail,
     sparse_transpose,
     structural_checks,
-    validate_involution,
-    validate_page,
     vec_dot,
 )
 
@@ -511,9 +510,9 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     block off the new rows of the form, where _extend_form wrote them,
     and the images of the new curves only: each old image here is the
     parent's, kept, or dropped.  Only a book that fails one is
-    validated in full, for the refusal's message.  A book that passes
-    has its door memo (OpenBook._door) set open, so a chain of k moves
-    decides its reality once, at the first book's door.
+    validated in full (validate_book), for the refusal's message.  A
+    book that passes has its door memo (OpenBook._door) set open, so a
+    chain of k moves decides its reality once, at the first book's door.
 
     Lemma (the door).  The child passes every check of validate_book,
     or it would have been refused here.  The parent is not NotReal, so
@@ -596,9 +595,8 @@ def _finish(ob: OpenBook, b: _Builder, tag: str, site: tuple) -> OpenBook:
     plus = [] if fix_plus is None else [arc_endpoints_check(inv.fixed_points, fix_plus.arcs)]
     if not (_block_holds(ob, st, page, inv)
             and all(r.ok for r in structural_checks(page, inv) + plus)):
-        raise StabilizationError(f"type {tag} at {site}: inconsistent data: "
-                                 + failures(validate_involution(page, inv)
-                                            + validate_page(page) + plus))
+        raise StabilizationError(f"type {tag} at {site}: inconsistent data: " + failures(
+            chain.from_iterable(validate_book(out).values())))
     vars(out)["_door"] = None
     return out
 

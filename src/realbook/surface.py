@@ -11,8 +11,8 @@ not stored: the genus from 2g + b - 1 = rank H1 (SurfaceModel.genus),
 a curve's crossings with the basis and with the reference arcs from its
 class, the form and the arc rows (SurfaceModel.curve_vectors and
 curve_tables), and the disjoint pairs that name a curve a stabilization
-made, from that curve's birth (SurfaceModel.curves_disjoint and
-meeting_lists).
+made, from that curve's birth (SurfaceModel.meeting_lists, the one
+statement of the rule).
 
 Every vector a page or a fixed set holds (a curve class, a pushoff
 class, a reference-arc row, a fixed arc's pair_curves, a fixed circle's
@@ -76,11 +76,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, combinations, groupby, product
+from itertools import chain, groupby
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .records import factory, record
+from .records import factory, record, replace
 
 if TYPE_CHECKING:
     from .openbook import StabType
@@ -318,9 +318,9 @@ class SurfaceModel:
     births maps each curve a stabilization made to (step, type): its
     type's flags (openbook.STAB_TYPES) pair it with every curve born
     before its step (root curves included) and with the curves of its
-    own step.  curves_disjoint answers from these two,
-    disjoint_pairs lists every pair once, and meeting_lists gives the
-    curves each of a set of curves meets, step by step."""
+    own step.  meeting_lists states the rule, giving the curves each of
+    a set of curves meets, step by step; disjoint_pairs lists every pair
+    it leaves out once, and with_births sets the births."""
 
     circles: Mapping[int, Sparse]        # boundary id -> pushoff class
     basis: tuple[str, ...]
@@ -357,37 +357,32 @@ class SurfaceModel:
         except KeyError:
             raise KeyError(f"unknown curve {name!r}") from None
 
-    def curves_disjoint(self, a: str, b: str) -> bool:
-        """Whether the page holds curves a and b disjoint: a root pair when
-        neither was born (the only case that builds a frozenset), else the
-        rule of the later-born one's type."""
-        born = self.births
-        ba, bb = born.get(a), born.get(b)
-        if ba is None and bb is None:
-            return a != b and frozenset((a, b)) in self.disjoint
-        if ba is None or bb is not None and bb[0] > ba[0]:
-            a, b, ba, bb = b, a, bb, ba
-        # a was born, at a step no earlier than b's
-        step, st = ba
-        if bb is None:
-            return st.disjoint_old and b in self.alphabet
-        if bb[0] == step:
-            return st.disjoint_mutual and a != b
-        return st.disjoint_old
+    def with_births(self, births: Mapping[str, tuple[int, StabType]],
+                    pairs: Iterable[Iterable[str]]) -> SurfaceModel:
+        """The page with these births, and as its root pairs the given
+        pairs that name no born curve."""
+        born = births.keys()
+        return replace(self, births=births, disjoint=frozenset(
+            frozenset(pair) for pair in pairs if born.isdisjoint(pair)))
 
-    def disjoint_pairs(self) -> Iterator[tuple[str, ...]]:
-        """Every pair the page holds disjoint, once each: the root's pairs
-        that name no born curve, then born_pairs."""
-        born = self.births
-        for pair in self.disjoint:
-            if born.keys().isdisjoint(pair):
-                yield tuple(pair)
-        yield from self.born_pairs()
+    def disjoint_pairs(self) -> Iterator[tuple[str, str]]:
+        """Every pair the page holds disjoint, once each: the pairs that
+        meeting_lists does not list, over the alphabet, the born names
+        and the names the root pairs use, so that a pair naming a curve
+        the alphabet lacks still reaches validate_page."""
+        names = list(dict.fromkeys(chain(self.alphabet, self.births, *self.disjoint)))
+        meets = self.meeting_lists(names)
+        for i, a in enumerate(names):
+            met = set(meets[a])
+            for b in names[:i]:
+                if b not in met:
+                    yield b, a
 
     def meeting_lists(self, names: Iterable[str]) -> dict[str, list[str]]:
         """For each of the given curve names, the others among them that
-        the page does not hold disjoint (curves_disjoint), derived from
-        births step by step (birth_steps), not pair by pair: names no
+        the page does not hold disjoint: the rule of the page's
+        disjointness, stated here only.  It is derived from births step
+        by step (birth_steps), not pair by pair: names no
         stabilization made pair by the root's declared pairs; a name
         born at a step meets every name from before the step, unless its
         type's disjoint_old holds, when it meets only the names the page
@@ -423,19 +418,6 @@ class SurfaceModel:
         born = self.births
         return [(st, list(names)) for (_step, st), names
                 in groupby(sorted(born, key=lambda n: born[n][0]), key=born.get)]
-
-    def born_pairs(self) -> Iterator[tuple[str, str]]:
-        """The pairs the rule gives, step by step (birth_steps): (u, n) for
-        each curve n born at the step and each curve u from before it,
-        when the type's disjoint_old holds, and the step's own pairs when
-        disjoint_mutual does."""
-        before = [name for name in self.alphabet if name not in self.births]
-        for st, names in self.birth_steps():
-            if st.disjoint_old:
-                yield from product(before, names)
-            if st.disjoint_mutual:
-                yield from combinations(names, 2)
-            before += names
 
     @cached_property
     def _curve_vectors(self) -> dict[str, CurveVectors]:
@@ -707,7 +689,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
     failures, never raises.
 
     disjoint: every pair the page holds disjoint (disjoint_pairs: the
-    root's declared pairs and the pairs its births give) has algebraic
+    pairs meeting_lists leaves out) has algebraic
     intersection <a, b> = 0.  Word equality commutes the twists of such a
     pair on the page's word alone, and twists along curves that meet do
     not commute, so a pair that meets algebraically would let a word

@@ -7,7 +7,9 @@ checks to pass, one check at a time:
   `return False` becomes `pass`, and the final return becomes
   `return True`;
 - surface.validate_involution, its curve_image and boundary_classes
-  checks: an `ok, detail = False, ...` assignment becomes `pass`.
+  checks, and surface.validate_page, its disjoint check's unknown-curve
+  and nonzero-pairing failures: an `ok, detail = False, ...`
+  assignment becomes `pass`.
 
 Each mutant is written into a fresh copy of src/ in a temporary
 directory, and the target's tests run on that copy with PYTHONPATH
@@ -70,6 +72,8 @@ TARGETS = [
            ["tests/test_openbook.py", "tests/test_handle_locality.py"]),
     Target(Path("realbook", "surface.py"), "validate_involution", failures_dropped,
            ["tests/test_surface.py", "tests/test_cli.py"]),
+    Target(Path("realbook", "surface.py"), "validate_page", failures_dropped,
+           ["tests/test_disjoint.py", "tests/test_cli.py"]),
 ]
 
 

@@ -313,6 +313,26 @@ def twist_matrix(model: SurfaceModel, curve: str, exponent: int) -> IntMatrix:
     return IntMatrix(rows, ncols=rank)
 
 
+def curves_disjoint(page: SurfaceModel, a: str, b: str) -> bool:
+    """Whether the page holds curves a and b disjoint, pair by pair: a
+    root pair when neither was born, else the rule of the later-born
+    one's type (its disjoint_old against an older curve of the
+    alphabet, its disjoint_mutual against a curve of its own step)."""
+    born = page.births
+    ba, bb = born.get(a), born.get(b)
+    if ba is None and bb is None:
+        return a != b and frozenset((a, b)) in page.disjoint
+    if ba is None or bb is not None and bb[0] > ba[0]:
+        a, b, ba, bb = b, a, bb, ba
+    # a was born, at a step no earlier than b's
+    step, st = ba
+    if bb is None:
+        return st.disjoint_old and b in page.alphabet
+    if bb[0] == step:
+        return st.disjoint_mutual and a != b
+    return st.disjoint_old
+
+
 def words_equal_by_moves(commuting, w1, w2) -> bool:
     """Whether two twist words reach a common word, by breadth-first
     search over every word each one reaches by three moves: swapping

@@ -207,6 +207,32 @@ def test_untracked_plus_side_reported():
         real_part(stripped)
 
 
+def test_an_arc_missing_from_the_plus_side_is_reported():
+    """The disk book's plus arc dropped: each binding fixed point then
+    ends one arc only, so the arcs close up into no circle."""
+    from realbook.records import replace
+    from realbook.surface import FixedSet
+
+    ob = replace(catalog_s3_disk(), fix_plus=FixedSet())
+    with pytest.raises(RealPartUnavailable) as refused:
+        real_part(ob)
+    assert str(refused.value) == "fixed point (1, 1) has 1 incident arcs; data incomplete"
+
+
+def test_an_extra_plus_circle_is_reported_against_harnack():
+    """The disk book with one more fixed circle on the plus side, of
+    class zero: two components on the 2-sphere, more than the Harnack
+    bound allows."""
+    from realbook.records import replace
+
+    ob = catalog_s3_disk()
+    extra = replace(ob, fix_plus=replace(ob.fix_plus, circles=ob.fix_plus.circles + ((),)))
+    with pytest.raises(RealPartUnavailable) as refused:
+        real_part(extra)
+    assert str(refused.value) == ("assembled 2 components on a genus-0 surface: "
+                                  "violates the Harnack bound, data inconsistent")
+
+
 def test_genus_check_fails_on_wrong_page_genus():
     from realbook.jsonio import SchemaError, dumps, loads
 

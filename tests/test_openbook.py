@@ -898,7 +898,7 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
 
     verdicts, reports = [], []
     block_holds = stabilization_module._block_holds
-    full_validation = stabilization_module.validate_involution
+    full_validation = stabilization_module.validate_book
 
     def corrupting(parent, st, page, inv):
         if corrupt in (_cross_entry, _mirror_entry, _cross_pair_against_a_circle,
@@ -910,18 +910,17 @@ def test_a_failing_block_check_refuses_with_the_full_message(make, tag, site, co
             inv = replace(inv, matrix=times_word(c_naive, page, sigma))
         else:
             page, inv = corrupt(page, inv, parent)
-        reports.append(full_validation(page, inv))
+        reports.append(validate_involution(page, inv))
         verdicts.append(block_holds(parent, st, page, inv))
         return verdicts[-1]
 
-    def validating_the_corrupted_book(page, inv):
-        return reports[-1]
+    def validating_the_corrupted_book(ob):
+        return {**full_validation(ob), "involution": reports[-1]}
 
     parent = make()
     assert parent._door is None
     monkeypatch.setattr(stabilization_module, "_block_holds", corrupting)
-    monkeypatch.setattr(stabilization_module, "validate_involution",
-                        validating_the_corrupted_book)
+    monkeypatch.setattr(stabilization_module, "validate_book", validating_the_corrupted_book)
     with pytest.raises(StabilizationError) as refused:
         stabilize(parent, tag, site)
     assert verdicts == [False]

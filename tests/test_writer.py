@@ -14,7 +14,7 @@ from realbook.catalog import ENTRIES, build
 from realbook.jsonio import dumps, loads
 from realbook.records import replace
 from realbook.surface import SurfaceModel
-from oracles import reference_dumps
+from oracles import curves_disjoint, reference_dumps
 from test_walks import walk_steps
 
 
@@ -35,7 +35,8 @@ def test_dumps_writes_the_reference_bytes(monkeypatch):
     books = [e.build() for e in ENTRIES] + ladder_books()
     books += [ob for _where, _start, ob in walk_steps()]
     texts = [reference_dumps(ob) for ob in books]
-    monkeypatch.setattr(SurfaceModel, "born_pairs", None)
+    monkeypatch.setattr(SurfaceModel, "disjoint_pairs", None)
+    monkeypatch.setattr(SurfaceModel, "meeting_lists", None)
     assert [dumps(ob) for ob in books] == texts
 
 
@@ -56,7 +57,7 @@ def test_trimmed_provenance_writes_the_reference_bytes_and_keeps_every_pair(k):
         back = loads(text)
         assert back == ob and dumps(back) == text
         names = list(ob.page.alphabet)
-        assert all(back.page.curves_disjoint(a, b) == ob.page.curves_disjoint(a, b)
+        assert all(curves_disjoint(back.page, a, b) == curves_disjoint(ob.page, a, b)
                    for a in names for b in names)
 
 
