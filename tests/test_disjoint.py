@@ -73,7 +73,9 @@ def test_meeting_lists_agree_with_curves_disjoint():
     """The lists that word equality reads, derived from births step by
     step, name for each curve exactly the others that curves_disjoint
     does not hold disjoint: on every pair of curves of every golden page
-    and of walks through all nine types, with a name the page lacks."""
+    and of walks through all nine types, with a name the page lacks.
+    disjoint_pairs, derived from them, lists exactly the pairs that
+    curves_disjoint holds disjoint."""
     from test_golden import golden_books
     from test_openbook import typed_walks
 
@@ -86,6 +88,9 @@ def test_meeting_lists_agree_with_curves_disjoint():
         for a in names:
             want = sorted(b for b in names if b != a and not curves_disjoint(page, a, b))
             assert sorted(meets[a]) == want, (label, a)
+        assert sorted(map(sorted, page.disjoint_pairs())) == sorted(
+            [a, b] for a in page.alphabet for b in page.alphabet
+            if a < b and curves_disjoint(page, a, b)), label
         tags.update(st.tag for _step, st in page.births.values())
         pages += 1
     assert pages > 283 and tags == set(STAB_TYPES)
