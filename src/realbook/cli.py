@@ -8,13 +8,19 @@ so subcommands compose in pipelines:
     realbook contact --family annulus:2 --find-threshold
 
 Exit codes: 0 success, 1 contract violation (a check failed or an
-operation refused its input), 2 malformed input.  new, reality,
-invariants and heegaard run the involution, page and plus-arc checks
-of validate first (openbook.validate_book, through _validated_book), and
-refuse a book that fails one; stabilize refuses it at its door.
+operation refused its input), 2 malformed input.
 
-Each process runs one subcommand, so each cmd_* imports what it calls
-and the module itself imports only the exceptions of realbook.errors.
+COMMANDS has one row per subcommand: name, help, own arguments, book
+reader and handler.  The reader is None (no book), _read_book, or
+_validated_book, which refuses (exit 1) a book that fails one of the
+involution, page and plus-arc checks of validate (openbook.validate_book):
+new, reality, invariants and heegaard read through it; stabilize refuses
+such a book at its door.  A handler is a function of (book, args) that
+returns its output text and exit code; main alone parses the arguments,
+reads the book, writes the text to stdout or --out, and maps exceptions
+to exit codes.  Each process runs one subcommand, so each handler
+imports what it calls and the module itself imports only the
+exceptions of realbook.errors.
 """
 
 from __future__ import annotations
@@ -59,16 +65,8 @@ def _validated_book(path: str | None):
     return book
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True, default=str), out)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
 
 
 def _group_obj(g) -> dict:
@@ -84,67 +82,55 @@ def _parse_family(tag: str) -> int:
     return CONTACT_FAMILIES[tag]
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(_book, args) -> tuple[str, int]:
     from .catalog import build
     from .jsonio import dumps
 
-    book = build(args.name, *args.params)
-    _emit(dumps(book), args.out)
-    return EXIT_OK
+    return dumps(build(args.name, *args.params)), EXIT_OK
 
 
-def cmd_new(args) -> int:
+def cmd_new(book, _args) -> tuple[str, int]:
     from .jsonio import dumps
 
-    book = _validated_book(args.infile)
-    _emit(dumps(book), args.out)
-    return EXIT_OK
+    return dumps(book), EXIT_OK
 
 
-def cmd_stabilize(args) -> int:
+def cmd_stabilize(book, args) -> tuple[str, int]:
     from .jsonio import dumps
     from .stabilization import stabilize
 
-    book = _read_book(args.infile)
     try:
         site = json.loads(args.site) if args.site else {}
     except RecursionError:
         raise SchemaError("--site JSON is nested too deeply") from None
-    out = stabilize(book, args.type, site)
-    _emit(dumps(out), args.out)
-    return EXIT_OK
+    return dumps(stabilize(book, args.type, site)), EXIT_OK
 
 
-def cmd_reality(args) -> int:
+def cmd_reality(book, _args) -> tuple[str, int]:
     from .openbook import Reality, check_reality
 
-    book = _validated_book(args.infile)
     status = check_reality(book)
-    _emit_json({"status": status.kind.value,
-                "witness": status.witness}, args.out)
-    return EXIT_OK if status.kind is not Reality.NOT_REAL else EXIT_CONTRACT
+    return (_json({"status": status.kind.value, "witness": status.witness}),
+            EXIT_OK if status.kind is not Reality.NOT_REAL else EXIT_CONTRACT)
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(book, _args) -> tuple[str, int]:
     from .openbook import check_reality, h1_of_manifold
 
-    book = _validated_book(args.infile)
     page = book.page
-    _emit_json({
+    return _json({
         "h1": _group_obj(h1_of_manifold(book)),
         "heegaard_genus": page.h1_rank,
         "page_genus": page.genus,
         "binding": page.boundary_count,
         "euler": page.euler,
         "reality": check_reality(book).kind.value,
-    }, args.out)
-    return EXIT_OK
+    }), EXIT_OK
 
 
-def cmd_heegaard(args) -> int:
+def cmd_heegaard(book, _args) -> tuple[str, int]:
     from .heegaard import heegaard_data, is_maximal, real_part, validate_heegaard
 
-    book = _validated_book(args.infile)
     hd = heegaard_data(book)
     report = {"genus": hd.genus}
     try:
@@ -158,11 +144,10 @@ def cmd_heegaard(args) -> int:
         report["real_part"] = {"unavailable": str(e)}
     checks = validate_heegaard(hd, book)
     report["checks"] = {name: ok for name, ok in checks}
-    _emit_json(report, args.out)
-    return EXIT_OK if all(ok for _n, ok in checks) else EXIT_CONTRACT
+    return _json(report), EXIT_OK if all(ok for _n, ok in checks) else EXIT_CONTRACT
 
 
-def cmd_contact(args) -> int:
+def cmd_contact(_book, args) -> tuple[str, int]:
     from .contact import (
         FormSampler,
         build_profiles,
@@ -182,99 +167,80 @@ def cmd_contact(args) -> int:
         kstar = k_threshold(family, resolution=grid)
         fs = FormSampler(family=family, k=kstar, resolution=grid)
         mindef, argmin = contact_defect(fs)
-        _emit_json({
+        return _json({
             "family": args.family,
             "grid": grid,
             "K_threshold": kstar,
             "min_defect_at_threshold": mindef,
             "argmin": argmin,
-        }, args.out)
-        return EXIT_OK
+        }), EXIT_OK
     k = args.K if args.K is not None else 10.0
     report = contact_report(family, k, resolution=grid)
     pf = build_profiles(k, args.eps)
     mismatch = solid_torus_extension_check(FormSampler(family=family, k=k), pf).max_mismatch
     report["profiles"] = {"extension_mismatch": mismatch}
-    _emit_json(report, args.out)
     ok = report["min_defect"] > 0 and mismatch <= 1e-9
-    return EXIT_OK if ok else EXIT_CONTRACT
+    return _json(report), EXIT_OK if ok else EXIT_CONTRACT
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(book, _args) -> tuple[str, int]:
     from .openbook import Reality, check_reality, validate_book
 
-    book = _read_book(args.infile)
     checks = validate_book(book)
     status = check_reality(book)
     out = {section: {r.name: (r.ok if r.ok else r.detail) for r in report}
            for section, report in checks.items()}
     out["reality"] = status.kind.value
-    _emit_json(out, args.out)
     ok = (all(r.ok for report in checks.values() for r in report)
           and status.kind is not Reality.NOT_REAL)
-    return EXIT_OK if ok else EXIT_CONTRACT
+    return _json(out), EXIT_OK if ok else EXIT_CONTRACT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="realbook",
-                                 description="calculus for real open books")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_io(p, needs_in=True):
-        if needs_in:
-            p.add_argument("--in", dest="infile", default=None,
-                           help="book JSON file (default: stdin)")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    p = sub.add_parser("catalog", help="construct a worked example book")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*")
-    add_io(p, needs_in=False)
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("new", help="validate and canonicalize a book JSON")
-    add_io(p)
-    p.set_defaults(fn=cmd_new)
-
-    p = sub.add_parser("stabilize", help="apply a positive real stabilization")
-    p.add_argument("--type", required=True, choices=list("I II III IV V VI VII VIII IX".split()))
-    p.add_argument("--site", default=None, help='site JSON, e.g. \'{"boundary": 1}\'')
-    add_io(p)
-    p.set_defaults(fn=cmd_stabilize)
-
-    p = sub.add_parser("reality", help="tri-state reality check")
-    add_io(p)
-    p.set_defaults(fn=cmd_reality)
-
-    p = sub.add_parser("invariants", help="H1, genus, Euler, binding")
-    add_io(p)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("heegaard", help="splitting genus, real part, maximality")
-    add_io(p)
-    p.set_defaults(fn=cmd_heegaard)
-
-    p = sub.add_parser("contact", help="numerical contact certification")
-    p.add_argument("--family", required=True, help="disk or annulus:N")
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--find-threshold", action="store_true")
-    p.add_argument("--grid", type=int, default=50, help="grid resolution (default 50)")
-    p.add_argument("--eps", type=float, default=0.1)
-    add_io(p, needs_in=False)
-    p.set_defaults(fn=cmd_contact)
-
-    p = sub.add_parser("validate", help="check every declared invariant")
-    add_io(p)
-    p.set_defaults(fn=cmd_validate)
-
-    return ap
+# (name, help, own arguments as (flag, add_argument options), book reader, handler);
+# a subcommand with a reader also takes --in, and every one takes --out
+COMMANDS = (
+    ("catalog", "construct a worked example book",
+     (("name", {}), ("params", {"nargs": "*"})), None, cmd_catalog),
+    ("new", "validate and canonicalize a book JSON", (), _validated_book, cmd_new),
+    ("stabilize", "apply a positive real stabilization",
+     (("--type", {"required": True, "choices": "I II III IV V VI VII VIII IX".split()}),
+      ("--site", {"default": None, "help": 'site JSON, e.g. \'{"boundary": 1}\''})),
+     _read_book, cmd_stabilize),
+    ("reality", "tri-state reality check", (), _validated_book, cmd_reality),
+    ("invariants", "H1, genus, Euler, binding", (), _validated_book, cmd_invariants),
+    ("heegaard", "splitting genus, real part, maximality", (), _validated_book, cmd_heegaard),
+    ("contact", "numerical contact certification",
+     (("--family", {"required": True, "help": "disk or annulus:N"}),
+      ("--K", {"type": float, "default": None}),
+      ("--find-threshold", {"action": "store_true"}),
+      ("--grid", {"type": int, "default": 50, "help": "grid resolution (default 50)"}),
+      ("--eps", {"type": float, "default": 0.1})),
+     None, cmd_contact),
+    ("validate", "check every declared invariant", (), _read_book, cmd_validate),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    ap = argparse.ArgumentParser(prog="realbook", description="calculus for real open books")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, arguments, read, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if read is not None:
+            p.add_argument("--in", dest="infile", default=None,
+                           help="book JSON file (default: stdin)")
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.set_defaults(read=read, handler=handler)
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = args.handler(args.read(args.infile) if args.read else None, args)
+        if args.out in (None, "-"):
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        return code
     except (StabilizationError, BookInvalid, BookNotReal, RealPartUnavailable,
             ContactModelError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,8 +5,9 @@ reduction is harmless.  Intended scale is small (page ranks up to about
 32, relation matrices up to about 60x60).
 
 An integer system has one entry point, factor(rows, ncols): it takes
-sparse rows (surface.Sparse), expands them itself and factors them
-once, so how a system is stored is this module's decision.  The
+sparse rows (surface.Sparse), expands each with surface.dense and
+factors them once, so how a system is stored is this module's decision
+and how a sparse row is read is surface's.  The
 SmithForm it returns keeps D as its diagonal and shape, solves A x = b
 (solve, for as many b as a caller has) and spans the kernel (kernel, a
 lazy basis in column order).  The Smith form uses the smallest-entry
@@ -38,6 +39,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .records import record
+from .surface import dense, entries
 
 
 class IntMatrix:
@@ -310,26 +312,20 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 def factor(rows: Sequence[Sequence[int]], ncols: int) -> SmithForm:
     """The Smith form of the matrix with the given sparse rows, ncols
     wide, each row its nonzero entries, flat, (j, a_j, k, a_k, ...).
-    The rows are expanded here, the one place a system is dense, each
-    once, into the list the matrix wraps (IntMatrix._lent), so the
+    The rows are expanded here (surface.dense), the one place a system
+    is dense, each once, into the list the matrix wraps (IntMatrix._lent), so the
     working copy smith_normal_form makes is the only other one; the
     matrix is passed to this module's smith_normal_form as looked up on
     each call, so a wrapper set on it (as the benchmark's tracer sets
     one, reading its shape) sees every factorization."""
-    expanded = []
-    for row in rows:
-        out = [0] * ncols
-        it = iter(row)
-        for j in it:
-            out[j] = next(it)
-        expanded.append(out)
-    return smith_normal_form(IntMatrix._lent(expanded, ncols))
+    return smith_normal_form(IntMatrix._lent([dense(row, ncols) for row in rows], ncols))
 
 
 def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
     """Z^len(rows) modulo the column span of the matrix with these rows,
     in canonical form.  Each row is sparse, its nonzero entries flat,
-    (j, a_j, k, a_k, ...), as surface.Sparse stores a vector; a column
+    (j, a_j, k, a_k, ...), as surface.Sparse stores a vector and
+    surface.entries reads it; a column
     no row reaches relates nothing, so no width is needed.
 
     Unit pivots first, on dict rows with an index from each column to
@@ -349,8 +345,7 @@ def cokernel(rows: Sequence[Sequence[int]]) -> AbelianGroup:
     index: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         if row:
-            it = iter(row)
-            mat[i] = entry = dict(zip(it, it))
+            mat[i] = entry = dict(entries(row))
             for j in entry:
                 index.setdefault(j, set()).add(i)
     units = 0

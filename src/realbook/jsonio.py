@@ -97,10 +97,24 @@ CURVE_TABLES = ("pairings", "arc_pairings")
 _INT_TYPE = frozenset((int,))
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
+def _at(obj: Any, key: str, path: str, parse: Callable[..., Any], arg: Any = None) -> Any:
+    """Field key of the object at path, as parse(value, f"{path}.{key}"[, arg])
+    reads it (no *args: CPython does not specialize a call with them)."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"missing field {path}.{key}")
-    return obj[key]
+    if arg is None:
+        return parse(obj[key], f"{path}.{key}")
+    return parse(obj[key], f"{path}.{key}", arg)
+
+
+def _each(x: Any, path: str, parse: Callable[[Any, str], Any]) -> list:
+    """A list, each entry as parse(entry, f"{path}[{i}]") reads it."""
+    return [parse(v, f"{path}[{i}]") for i, v in enumerate(_list(x, path))]
+
+
+def _any(x: Any, path: str) -> Any:
+    """A value whose own fields are read, each checked as it is read."""
+    return x
 
 
 def _int_list(x: Any, path: str) -> list[int]:
@@ -127,7 +141,7 @@ def _row(x: Any, path: str, rank: int) -> Sparse:
 def _square(x: Any, path: str, rank: int) -> Rows:
     """A square integer matrix of the basis size, one list per row, as
     its sparse rows."""
-    rows = tuple(_row(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path)))
+    rows = tuple([_row(r, f"{path}[{i}]", rank) for i, r in enumerate(_list(x, path))])
     if len(rows) != rank:
         raise SchemaError(f"{path} must be square of basis size")
     return rows
@@ -139,15 +153,19 @@ def _list(x: Any, path: str) -> list:
     return x
 
 
+def _object(x: Any, path: str) -> dict:
+    if not isinstance(x, dict):
+        raise SchemaError(f"{path} must be an object")
+    return x
+
+
 def _int_keyed(x: Any, path: str, value: Callable[[Any, str], Any]) -> dict[int, Any]:
     """A JSON object whose keys are integers written as strings; each
     value is checked and converted by value(v, its path).  A key must be
     the integer's own decimal text (str(int(k)) == k): int() also takes
     " 02", "+2" and "0_2", and two such keys would name one integer."""
-    if not isinstance(x, dict):
-        raise SchemaError(f"{path} must be an object")
     out = {}
-    for k, v in x.items():
+    for k, v in _object(x, path).items():
         try:
             key = int(k)
         except ValueError:
@@ -194,30 +212,30 @@ def _end(x: Any, path: str) -> tuple[int, int]:
     return end
 
 
-def _parse_fixed_set(obj: Any, path: str, rank: int, ref_arcs: dict) -> FixedSet:
-    """A fixed set; each arc's pair_arcs keys must name reference-arc
+def _letter(x: Any, path: str) -> tuple[str, int]:
+    return (_at(x, "curve", path, _str), _at(x, "exp", path, _int))
+
+
+def _fix_arc(a: Any, path: str, page: SurfaceModel) -> FixArc:
+    """A fixed arc on the page; its pair_arcs keys must name reference-arc
     targets, as a crossing with any other boundary would be dropped."""
-    arcs = []
-    for i, a in enumerate(_list(_need(obj, "arcs", path), f"{path}.arcs")):
-        apath = f"{path}.arcs[{i}]"
-        ends = _list(_need(a, "ends", apath), f"{apath}.ends")
-        if len(ends) != 2:
-            raise SchemaError(f"{apath}.ends must have two entries")
-        pair_arcs = _int_keyed(_need(a, "pair_arcs", apath), f"{apath}.pair_arcs", _int)
-        for l in pair_arcs:
-            if l not in ref_arcs:
-                raise SchemaError(f"{apath}.pair_arcs names boundary {l}, "
-                                  f"which has no reference arc")
-        arcs.append(FixArc(
-            ends=tuple(_end(e, f"{apath}.ends[{j}]") for j, e in enumerate(ends)),
-            pair_curves=_row(_need(a, "pair_curves", apath), f"{apath}.pair_curves", rank),
-            pair_arcs=pair_arcs,
-        ))
-    circles = [
-        _row(_need(c, "h1_class", f"{path}.circles[{i}]"), f"{path}.circles[{i}].h1_class", rank)
-        for i, c in enumerate(_list(_need(obj, "circles", path), f"{path}.circles"))
-    ]
-    return FixedSet(arcs=tuple(arcs), circles=tuple(circles))
+    ends = _at(a, "ends", path, _list)
+    if len(ends) != 2:
+        raise SchemaError(f"{path}.ends must have two entries")
+    pair_arcs = _at(a, "pair_arcs", path, _int_keyed, _int)
+    for l in pair_arcs:
+        if l not in page.ref_arcs:
+            raise SchemaError(f"{path}.pair_arcs names boundary {l}, "
+                              f"which has no reference arc")
+    return FixArc(ends=tuple(_each(ends, f"{path}.ends", _end)), pair_arcs=pair_arcs,
+                  pair_curves=_at(a, "pair_curves", path, _row, page.h1_rank))
+
+
+def _parse_fixed_set(obj: Any, path: str, page: SurfaceModel) -> FixedSet:
+    return FixedSet(
+        arcs=tuple(_at(obj, "arcs", path, _each, lambda a, apath: _fix_arc(a, apath, page))),
+        circles=tuple(_at(obj, "circles", path, _each,
+                          lambda c, cpath: _at(c, "h1_class", cpath, _row, page.h1_rank))))
 
 
 def from_obj(obj: dict) -> OpenBook:
@@ -226,16 +244,15 @@ def from_obj(obj: dict) -> OpenBook:
     version = obj.get("schema")
     if type(version) is not int or version not in READABLE_SCHEMAS:
         raise SchemaError(f"$.schema must be one of {READABLE_SCHEMAS}, got {version!r}")
-    pg = _need(obj, "page", "$")
-    genus = _int(_need(pg, "genus", "$.page"), "$.page.genus")
-    basis = tuple(_str(x, f"$.page.basis[{i}]")
-                  for i, x in enumerate(_list(_need(pg, "basis", "$.page"), "$.page.basis")))
+    pg = _at(obj, "page", "$", _any)
+    genus = _at(pg, "genus", "$.page", _int)
+    basis = tuple(_at(pg, "basis", "$.page", _each, _str))
     rank = len(basis)
     circles = {}
-    for i, c in enumerate(_list(_need(pg, "boundary", "$.page"), "$.page.boundary")):
+    for i, c in enumerate(_at(pg, "boundary", "$.page", _list)):
         path = f"$.page.boundary[{i}]"
-        cid = _int(_need(c, "id", path), f"{path}.id")
-        pclass = _row(_need(c, "pclass", path), f"{path}.pclass", rank)
+        cid = _at(c, "id", path, _int)
+        pclass = _at(c, "pclass", path, _row, rank)
         if cid in circles:
             raise SchemaError(f"{path}.id repeats boundary {cid}")
         circles[cid] = pclass
@@ -247,32 +264,31 @@ def from_obj(obj: dict) -> OpenBook:
     if genus < 0 or 2 * genus + len(circles) - 1 != rank:
         raise SchemaError(f"$.page.genus is {genus}, but a page with {len(circles)} boundary "
                           f"circles and {rank} basis classes needs 2g + b - 1 = {rank}, g >= 0")
-    form = _square(_need(pg, "form", "$.page"), "$.page.form", rank)
+    form = _at(pg, "form", "$.page", _square, rank)
     if not antisymmetric(form):
         raise SchemaError("$.page.form must be antisymmetric")
 
     alphabet = {}
     images = {}
     tables = []
-    for i, c in enumerate(_list(_need(obj, "alphabet", "$"), "$.alphabet")):
+    for i, c in enumerate(_at(obj, "alphabet", "$", _list)):
         path = f"$.alphabet[{i}]"
-        name = _str(_need(c, "name", path), f"{path}.name")
-        alphabet[name] = _row(_need(c, "h1_class", path), f"{path}.h1_class", rank)
-        stored = {key: _ints(c[key], f"{path}.{key}") for key in CURVE_TABLES if key in c}
-        if stored:
-            tables.append((path, name, stored))
-        img = c.get("c_image")
-        if img is not None:
-            images[name] = _pair(img, f"{path}.c_image")
+        name = _at(c, "name", path, _str)
+        alphabet[name] = _at(c, "h1_class", path, _row, rank)
+        if not c.keys().isdisjoint(CURVE_TABLES):
+            tables.append((path, name, {key: _ints(c[key], f"{path}.{key}")
+                                        for key in CURVE_TABLES if key in c}))
+        if c.get("c_image") is not None:
+            images[name] = _pair(c["c_image"], f"{path}.c_image")
 
     ref_arcs, arc_paths = {}, {}
-    for i, a in enumerate(_list(_need(obj, "ref_arcs", "$"), "$.ref_arcs")):
+    for i, a in enumerate(_at(obj, "ref_arcs", "$", _list)):
         path = f"$.ref_arcs[{i}]"
-        cid = _int(_need(a, "boundary", path), f"{path}.boundary")
+        cid = _at(a, "boundary", path, _int)
         # schema 3 writes no current_class; an older file's must be zero
         current_class = (_ints(a["current_class"], f"{path}.current_class")
                          if "current_class" in a else None)
-        row = _int_list(_need(a, "pairings", path), f"{path}.pairings")
+        row = _at(a, "pairings", path, _int_list)
         if len(row) != rank or current_class is not None and len(current_class) != rank:
             raise SchemaError(f"reference arc to boundary {cid} ({path}) has a class or "
                               f"pairing row of the wrong length for rank {rank}")
@@ -295,8 +311,7 @@ def from_obj(obj: dict) -> OpenBook:
                 f"from the basepoint {bp} to boundary {cid} crosses the pushoff of {cid} "
                 f"once (+1), of {bp} once (-1) and of no other boundary circle")
 
-    declared = [_names(pair, f"$.disjoint[{i}]")
-                for i, pair in enumerate(_list(_need(obj, "disjoint", "$"), "$.disjoint"))]
+    declared = _at(obj, "disjoint", "$", _each, _names)
     page = SurfaceModel(circles=circles, basis=basis, form=form,
                         alphabet=alphabet, ref_arcs=ref_arcs)
     for path, name, stored in tables:
@@ -305,45 +320,32 @@ def from_obj(obj: dict) -> OpenBook:
                 raise SchemaError(f"{path}.{key} is {list(stored[key])}, "
                                   f"but the class gives {list(want)}")
 
-    word: TwistWord = tuple(
-        (_str(_need(l, "curve", f"$.word[{i}]"), f"$.word[{i}].curve"),
-         _int(_need(l, "exp", f"$.word[{i}]"), f"$.word[{i}].exp"))
-        for i, l in enumerate(_list(_need(obj, "word", "$"), "$.word"))
-    )
+    word: TwistWord = tuple(_at(obj, "word", "$", _each, _letter))
     for name, _ in word:
         if name not in alphabet:
             raise SchemaError(f"$.word uses unknown curve {name!r}")
     word = free_reduce(word)
 
-    iv = _need(obj, "involution", "$")
-    matrix = _square(_need(iv, "matrix", "$.involution"), "$.involution.matrix", rank)
-    perm = _int_keyed(_need(iv, "boundary_perm", "$.involution"),
-                      "$.involution.boundary_perm", _int)
-    fixed_points = _int_keyed(_need(iv, "fixed_points", "$.involution"),
-                              "$.involution.fixed_points", _ints)
+    iv = _at(obj, "involution", "$", _any)
     inv = Involution(
-        matrix=matrix,
-        boundary_perm=perm,
-        fixed_points=fixed_points,
-        fixed_set=_parse_fixed_set(_need(iv, "fixed_set", "$.involution"),
-                                   "$.involution.fixed_set", rank, ref_arcs),
+        matrix=_at(iv, "matrix", "$.involution", _square, rank),
+        boundary_perm=_at(iv, "boundary_perm", "$.involution", _int_keyed, _int),
+        fixed_points=_at(iv, "fixed_points", "$.involution", _int_keyed, _ints),
+        fixed_set=_at(iv, "fixed_set", "$.involution", _parse_fixed_set, page),
         curve_image=images,
     )
-
-    fp = obj.get("fix_plus")
-    fix_plus = _parse_fixed_set(fp, "$.fix_plus", rank, ref_arcs) if fp is not None else None
+    fix_plus = (_at(obj, "fix_plus", "$", _parse_fixed_set, page)
+                if obj.get("fix_plus") is not None else None)
 
     provenance = []
     for i, rec in enumerate(_list(obj.get("provenance", []), "$.provenance")):
         path = f"$.provenance[{i}]"
-        sigma = _list(_need(rec, "sigma", path), f"{path}.sigma")
-        rec_images = _need(rec, "images", path)
-        if not isinstance(rec_images, dict):
-            raise SchemaError(f"{path}.images must be an object")
+        sigma = _at(rec, "sigma", path, _list)
+        rec_images = _at(rec, "images", path, _object)
         record = StabRecord(
-            tag=_str(_need(rec, "type", path), f"{path}.type"),
-            site=_ints(_need(rec, "site", path), f"{path}.site"),
-            sigma=tuple(_pair(l, f"{path}.sigma[{j}]") for j, l in enumerate(sigma)),
+            tag=_at(rec, "type", path, _str),
+            site=_at(rec, "site", path, _ints),
+            sigma=tuple(_each(sigma, f"{path}.sigma", _pair)),
             images={k: _pair(v, f"{path}.images.{k}") for k, v in rec_images.items()},
         )
         named = ([name for name, _ in record.sigma] + list(record.images)

@@ -1,7 +1,7 @@
 """Mutation smoke for checks that a witness must be able to fail.
 
-Each target is a function of src/realbook and a way to force one of its
-checks to pass, one check at a time:
+Each target is one or more functions of a module of src/realbook and a
+way to force one of their checks to pass, one check at a time:
 
 - stabilization._block_holds, the block check of a stabilization: a
   `return False` becomes `pass`, and the final return becomes
@@ -9,7 +9,10 @@ checks to pass, one check at a time:
 - surface.validate_involution, its curve_image and boundary_classes
   checks, and surface.validate_page, its disjoint check's unknown-curve
   and nonzero-pairing failures: an `ok, detail = False, ...`
-  assignment becomes `pass`.
+  assignment becomes `pass`;
+- the book reader, jsonio.from_obj, _fix_arc, _object (a field that
+  must be an object) and _with_disjointness: a `raise SchemaError(...)`
+  becomes `pass`.
 
 Each mutant is written into a fresh copy of src/ in a temporary
 directory, and the target's tests run on that copy with PYTHONPATH
@@ -60,30 +63,41 @@ def failures_dropped(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
             yield node, "pass"
 
 
+def refusals_dropped(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
+    """Each `raise SchemaError(...)` as `pass`."""
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and ast.unparse(node.exc.func) == "SchemaError"):
+            yield node, "pass"
+
+
 class Target(NamedTuple):
     module: Path            # relative to src/
-    function: str
+    functions: tuple[str, ...]
     mutate: Callable[[ast.FunctionDef], Iterator[tuple[ast.stmt, str]]]
     tests: list[str]        # the test files that must kill every mutant
 
 
 TARGETS = [
-    Target(Path("realbook", "stabilization.py"), "_block_holds", forced_returns,
+    Target(Path("realbook", "stabilization.py"), ("_block_holds",), forced_returns,
            ["tests/test_openbook.py", "tests/test_handle_locality.py"]),
-    Target(Path("realbook", "surface.py"), "validate_involution", failures_dropped,
+    Target(Path("realbook", "surface.py"), ("validate_involution",), failures_dropped,
            ["tests/test_surface.py", "tests/test_cli.py"]),
-    Target(Path("realbook", "surface.py"), "validate_page", failures_dropped,
+    Target(Path("realbook", "surface.py"), ("validate_page",), failures_dropped,
            ["tests/test_disjoint.py", "tests/test_cli.py"]),
+    Target(Path("realbook", "jsonio.py"), ("from_obj", "_fix_arc", "_object", "_with_disjointness"),
+           refusals_dropped, ["tests/test_cli.py", "tests/test_fuzz.py"]),
 ]
 
 
 def mutants(target: Target, source: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, line, mutated source) for each check of the target
-    forced to pass, in line order."""
-    func = next(node for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.FunctionDef) and node.name == target.function)
+    """(line number, line, mutated source) for each check of the target's
+    functions forced to pass, in line order."""
+    funcs = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name in target.functions]
     lines = source.splitlines(keepends=True)
-    for node, forced in sorted(target.mutate(func), key=lambda pair: pair[0].lineno):
+    sites = [site for func in funcs for site in target.mutate(func)]
+    for node, forced in sorted(sites, key=lambda pair: pair[0].lineno):
         first, last = lines[node.lineno - 1], lines[node.end_lineno - 1]
         mutated = first[:node.col_offset] + forced + last[node.end_col_offset:]
         yield node.lineno, first.strip(), "".join(
@@ -107,10 +121,11 @@ def run_tests(target: Target, source: str, work: Path) -> tuple[int, str]:
 def run_target(target: Target, work: Path) -> bool:
     """Whether the tests pass unmutated and fail on every mutant."""
     source = (ROOT / "src" / target.module).read_text()
+    names = ", ".join(target.functions)
     code, output = run_tests(target, source, work)
     if code != 0:
         print(output)
-        print(f"the tests of {target.function} fail on the unmutated copy")
+        print(f"the tests of {names} fail on the unmutated copy")
         return False
     survivors = broken = total = 0
     for lineno, line, mutated in mutants(target, source):
@@ -125,7 +140,7 @@ def run_target(target: Target, work: Path) -> bool:
         elif code != 1:
             broken += 1
             print(output)
-    print(f"{total} mutants of {target.function}: {total - survivors - broken} killed, "
+    print(f"{total} mutants of {names}: {total - survivors - broken} killed, "
           f"{survivors} survived, {broken} did not run")
     return total > 0 and not survivors and not broken
 

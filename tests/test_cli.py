@@ -199,6 +199,19 @@ def test_heegaard_refuses_a_not_real_book_as_a_contract_violation(monkeypatch, c
         "error: book is not real; no real Heegaard decomposition\n")
 
 
+def test_heegaard_without_the_opposite_page_fixed_set_reports_no_real_part(monkeypatch):
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    obj = json.loads(book_json)
+    obj["fix_plus"] = None
+    code, out = run_cli(["heegaard"], json.dumps(obj), monkeypatch)
+    report = json.loads(out)
+    assert code == 0
+    assert report["real_part"] == {
+        "unavailable": "opposite-page fixed set is not tracked for this book"}
+    assert "maximal" not in report
+    assert report["genus"] == 3 and all(report["checks"].values())
+
+
 def test_validate_subcommand(monkeypatch):
     _code, book_json = run_cli(["catalog", "lens-3punctured", "2", "2", "1"])
     code, out = run_cli(["validate"], book_json, monkeypatch)
@@ -490,6 +503,8 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
     (("word", 0, "curve"), "zzz", "$.word uses unknown curve 'zzz'"),
     (("page", "form"), lambda form: form + form[:1], "$.page.form must be square of basis size"),
     (("involution", "matrix"), [], "$.involution.matrix must be square of basis size"),
+    (("involution", "fixed_set", "arcs", 0, "ends"), lambda ends: ends + ends[:1],
+     "$.involution.fixed_set.arcs[0].ends must have two entries"),
 ], ids=["genus-list", "boundary-id-object", "ref-arc-boundary-null", "disjoint-number",
         "word-exp-list", "word-number", "pairings-not-j-class", "arc-pairings-not-arc-rows",
         "class-wrong-length", "form-not-antisymmetric", "pclass-wrong-length",
@@ -499,7 +514,7 @@ def assert_mutation_exits_2(field, value, path, monkeypatch, capsys,
           for field in ("perm", "fixed-points", "pair-arcs")],
         "basis-entry-true", "curve-name-number", "word-curve-number",
         "ref-arc-class-moved", "genus-too-large", "genus-negative", "top-level-list",
-        "word-curve-unknown", "form-extra-row", "matrix-empty"])
+        "word-curve-unknown", "form-extra-row", "matrix-empty", "fixed-arc-three-ends"])
 def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys)
 
@@ -507,7 +522,14 @@ def test_malformed_field_type_is_exit_2(field, value, path, monkeypatch, capsys)
 @pytest.mark.parametrize("field, value, path", [
     (("provenance", 0, "type"), 3, "$.provenance[0].type"),
     (("provenance", 0, "site"), [True, 1.5, None], "$.provenance[0].site"),
-], ids=["type-number", "site-not-integers"])
+    (("provenance", 0, "type"), "X",
+     "$.provenance[0].type is 'X', not one of I, II, III, IV, V, VI, VII, VIII, IX"),
+    (("provenance",), lambda records: records + records[-1:],
+     "$.provenance[2].sigma makes curve 's2c', which $.provenance[1] made before"),
+    (("disjoint",), [["s1", "s2"]],
+     '$.disjoint[0] is ["s1", "s2"], but the provenance makes no such disjoint pair'),
+], ids=["type-number", "site-not-integers", "type-unknown", "a-curve-made-twice",
+        "a-pair-the-provenance-does-not-give"])
 def test_malformed_provenance_field_is_exit_2(field, value, path, monkeypatch, capsys):
     assert_mutation_exits_2(field, value, path, monkeypatch, capsys, ("fig4", "2"))
 
@@ -728,6 +750,14 @@ def test_malformed_site_is_exit_2(book, tag, site, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_pair_site_without_boundaries_is_exit_2(monkeypatch, capsys):
+    _code, book_json = run_cli(["catalog", "disk"])
+    capsys.readouterr()
+    code, out = run_cli(["stabilize", "--type", "V", "--site", "{}"], book_json, monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: type V site needs 'boundaries'\n"
+
+
 @pytest.mark.parametrize("tag", ["V", "VI"])
 def test_a_reflection_pair_site_needs_two_distinct_boundaries(tag, monkeypatch, capsys):
     _code, book_json = run_cli(["catalog", "disk"])
@@ -837,6 +867,22 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["schema"] == SCHEMA_VERSION
+
+
+def test_in_flag_reads_the_book_file_not_stdin(tmp_path, monkeypatch):
+    _code, book_json = run_cli(["catalog", "fig4", "2"])
+    book = tmp_path / "book.json"
+    book.write_text(book_json)
+    want = run_cli(["invariants"], book_json, monkeypatch)
+    assert want[0] == 0
+    assert run_cli(["invariants", "--in", str(book)], "{not json", monkeypatch) == want
+
+
+def test_in_flag_on_a_missing_file_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli(["invariants", "--in", str(missing)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

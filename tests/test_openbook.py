@@ -1102,3 +1102,12 @@ def test_a_fixed_circle_on_the_minus_side_stabilizes(tag, site):
         assert not minus.circles
         assert [arc.ends for arc in minus.arcs] == [
             tuple((j, p) for p in child.real_structure.fixed_points[j])]
+
+
+def test_a_site_left_out_takes_the_basepoint():
+    ob = catalog_lens_3punctured(2, 2, 1)
+    bp = ob.page.basepoint
+    out = stabilize(ob, "III")
+    assert out.provenance[-1].site == (bp,)
+    assert dumps(out) == dumps(stabilize(ob, "III", {"boundary": bp}))
+    assert dumps(out) != dumps(stabilize(ob, "III", {"boundary": bp + 1}))
