@@ -88,36 +88,24 @@ class StabType:
     tag: str
     handle_count: int
     boundary_kind: str       # "reflection" | "swap"
-    boundary_delta: int
     core_sign: int           # c~ maps each new curve to core_sign times its mirror
     site_keys: tuple[str, ...]  # the keys of a site that the type reads
-    description: str
     disjoint_old: bool = False
     disjoint_mutual: bool = False
 
 
 STAB_TYPES: dict[str, StabType] = {
-    "I": StabType("I", 1, "reflection", +1, +1, ("boundary",),
-                  "handle at the two real points of one boundary circle"),
-    "II": StabType("II", 1, "reflection", +1, -1, ("boundary", "shadow"),
-                   "handle at a swapped interval pair on one boundary circle",
+    "I": StabType("I", 1, "reflection", +1, ("boundary",)),
+    "II": StabType("II", 1, "reflection", -1, ("boundary", "shadow"),
                    disjoint_old=True, disjoint_mutual=True),
-    "III": StabType("III", 2, "reflection", +2, +1, ("boundary",),
-                    "mirror handle pair, both chords in one complementary arc",
+    "III": StabType("III", 2, "reflection", +1, ("boundary",),
                     disjoint_old=True, disjoint_mutual=True),
-    "IV": StabType("IV", 2, "reflection", 0, +1, ("boundary", "shadow"),
-                   "mirror handle pair with crossing chords on one circle",
-                   disjoint_old=True),
-    "V": StabType("V", 1, "reflection", -1, +1, ("boundaries",),
-                  "handle at real points on two circles joined by a fixed arc"),
-    "VI": StabType("VI", 2, "reflection", 0, +1, ("boundaries",),
-                   "mirror handle pair connecting two reflection circles"),
-    "VII": StabType("VII", 1, "swap", -1, -1, ("boundaries", "cross"),
-                    "single handle connecting a swapped circle pair"),
-    "VIII": StabType("VIII", 2, "swap", 0, +1, ("boundaries",),
-                     "handle pair, each connecting both circles of a swapped pair"),
-    "IX": StabType("IX", 2, "swap", +2, +1, ("boundaries",),
-                   "handle pair, one handle on each circle of a swapped pair",
+    "IV": StabType("IV", 2, "reflection", +1, ("boundary", "shadow"), disjoint_old=True),
+    "V": StabType("V", 1, "reflection", +1, ("boundaries",)),
+    "VI": StabType("VI", 2, "reflection", +1, ("boundaries",)),
+    "VII": StabType("VII", 1, "swap", -1, ("boundaries", "cross")),
+    "VIII": StabType("VIII", 2, "swap", +1, ("boundaries",)),
+    "IX": StabType("IX", 2, "swap", +1, ("boundaries",),
                    disjoint_old=True, disjoint_mutual=True),
 }
 

@@ -792,7 +792,9 @@ def _solve_viii_data(pattern: Pattern, c_old: Rows, form: Rows) -> tuple[Sparse,
             gens, scores = walk(x_coef)
             if target not in scores:
                 continue
-            xx = _lattice_point(base, gens, scores.index(target))
+            # score i >= 1 is base + sum c_j g_j, c the (i - 1)-th coefficients
+            c = next(islice(product(_COEFS, repeat=len(gens)), scores.index(target) - 1, None))
+            xx = [vec_dot((1, *c), col) for col in zip(base, *gens)]
         return sparse(xx[:n]), sparse(xx[n:]), x_coef, m
     raise StabilizationError("type VIII: no consistent boundary class at this site")
 
@@ -816,25 +818,6 @@ def _lattice_scores(q0: int, lin: Sequence[int], quad: Sequence[int],
         pend = [[x + c * cross[i][l] for x in pend[l] for c in _COEFS] if l > i else None
                 for l in range(k)]
     return [q0] + scores
-
-
-def _lattice_point(base: tuple[int, ...], gens: Sequence[tuple[int, ...]],
-                   index: int) -> tuple[int, ...]:
-    """The candidate at position index of the walk: base at 0, then
-    base + sum c_i g_i with (c_1, c_2, ...) read as base-5 digits of
-    index - 1, most significant first, each digit d giving c = d - 2."""
-    if index == 0:
-        return base
-    digits = []
-    index -= 1
-    for _ in gens:
-        index, d = divmod(index, len(_COEFS))
-        digits.append(_COEFS[d])
-    xx = list(base)
-    for c, g in zip(reversed(digits), gens):
-        if c:
-            xx = [a + c * b for a, b in zip(xx, g)]
-    return tuple(xx)
 
 
 def _plus_join(b: _Builder, j_end: tuple[int, int], k_end: tuple[int, int]) -> None:
@@ -945,7 +928,7 @@ def _stab_I(ob: OpenBook, site: tuple) -> OpenBook:
     if z is None:
         raise StabilizationError("type I: closing arc has no consistent closed class")
 
-    jz = sparse(sum([y * z[i] for i, y in entries(r)]) for r in form)
+    jz = sparse_scale(-1, sparse_combine(sparse(z), form))   # J z = -J^T z, J antisymmetric
     b = _start_builder(ob, "I", [jz])
     pj = b.circles[j]
     j2 = b.fresh_cid()
@@ -1137,10 +1120,9 @@ def _stab_VIII(ob: OpenBook, site: tuple) -> OpenBook:
     b = _start_builder(ob, "VIII", [v_a, v_ca], mutual)
     new_j = sparse_add(w, (b.a_idx, x_coef, b.a_idx + 1, x_coef))
     b.circles[j] = new_j
-    # -C~ new_j, each row of C~ dotted through one index of new_j
-    at = dict(entries(new_j))
-    b.circles[k] = sparse([-sum([x * at.get(i, 0) for i, x in entries(r)])
-                           for r in _naive_extension(c_old, STAB_TYPES["VIII"])])
+    # -C~ new_j, the columns of C~ combined over the nonzeros of new_j
+    b.circles[k] = sparse_scale(-1, sparse_combine(
+        new_j, sparse_transpose(_naive_extension(c_old, STAB_TYPES["VIII"]))))
     return _finish(ob, b, "VIII", site)
 
 

@@ -590,17 +590,15 @@ def image_holds(model: SurfaceModel, column: Callable[[int], Sparse], name: str,
                 img: str, s: int) -> bool:
     """Whether a matrix maps the class of curve name to s times the
     class of curve img: s * sum_i x_i column(i) over the nonzeros x_i of
-    the sparse class of name, so only those columns are read, not a
-    dense apply.  column(i) is column i of the matrix, sparse: read off
+    the sparse class of name (sparse_combine over those columns), so
+    only those columns are read, not a dense apply.  column(i) is column
+    i of the matrix, sparse: read off
     its rows (sparse_column) where a few images are checked, or off its
     transpose where every curve's is.  A curve the page lacks fails."""
     if name not in model.alphabet or img not in model.alphabet:
         return False
-    acc: dict[int, int] = {}
-    for i, x in entries(model.curve(name)):
-        for j, y in entries(column(i)):
-            acc[j] = acc.get(j, 0) + x * y
-    return model.curve(img) == sparse_scale(s, _canonical(acc))
+    a = model.curve(name)
+    return model.curve(img) == sparse_scale(s, sparse_combine(a, {i: column(i) for i in a[::2]}))
 
 
 def validate_involution(model: SurfaceModel, inv: Involution) -> list[CheckResult]:
@@ -690,7 +688,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
 
     disjoint: every pair the page holds disjoint (disjoint_pairs: the
     pairs meeting_lists leaves out) has algebraic
-    intersection <a, b> = 0.  Word equality commutes the twists of such a
+    intersection <a, b> = a . J b = 0 (sparse_dot).  Word equality commutes the twists of such a
     pair on the page's word alone, and twists along curves that meet do
     not commute, so a pair that meets algebraically would let a word
     certificate pass on a book that is not real.  On a born pair it
@@ -701,8 +699,7 @@ def validate_page(model: SurfaceModel) -> list[CheckResult]:
         if a not in model.alphabet or b not in model.alphabet:
             ok, detail = False, f"disjoint pair ({a}, {b}) names an unknown curve"
             break
-        jb = dict(entries(model.curve_vectors(b).ja))
-        meet = sum(x * jb.get(i, 0) for i, x in entries(model.curve_vectors(a).a))
+        meet = sparse_dot(model.curve_vectors(a).a, model.curve_vectors(b).ja)
         if meet:
             ok, detail = False, f"disjoint pair ({a}, {b}) has <{a}, {b}> = {meet}"
             break

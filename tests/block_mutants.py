@@ -12,7 +12,11 @@ way to force one of their checks to pass, one check at a time:
   assignment becomes `pass`;
 - the book reader, jsonio.from_obj, _fix_arc, _object (a field that
   must be an object) and _with_disjointness: a `raise SchemaError(...)`
-  becomes `pass`.
+  becomes `pass`;
+- openbook.validate_book, its plus-side check: the call of
+  arc_endpoints_check becomes a passing CheckResult of that name;
+- OpenBook._door, the refusals stabilize opens a book with: each
+  `return` of a refusal becomes `return None`.
 
 Each mutant is written into a fresh copy of src/ in a temporary
 directory, and the target's tests run on that copy with PYTHONPATH
@@ -63,6 +67,22 @@ def failures_dropped(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
             yield node, "pass"
 
 
+def checks_passed(func: ast.FunctionDef) -> Iterator[tuple[ast.expr, str]]:
+    """Each call of a `*_check` function as a passing CheckResult of its name."""
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id.endswith("_check")):
+            yield node, f"CheckResult({node.func.id.removesuffix('_check')!r}, True)"
+
+
+def refusals_cleared(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
+    """Each `return` of a refusal (any value but None) as `return None`."""
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Return) and node.value is not None
+                and not (isinstance(node.value, ast.Constant) and node.value.value is None)):
+            yield node, "return None"
+
+
 def refusals_dropped(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
     """Each `raise SchemaError(...)` as `pass`."""
     for node in ast.walk(func):
@@ -74,7 +94,7 @@ def refusals_dropped(func: ast.FunctionDef) -> Iterator[tuple[ast.stmt, str]]:
 class Target(NamedTuple):
     module: Path            # relative to src/
     functions: tuple[str, ...]
-    mutate: Callable[[ast.FunctionDef], Iterator[tuple[ast.stmt, str]]]
+    mutate: Callable[[ast.FunctionDef], Iterator[tuple[ast.stmt | ast.expr, str]]]
     tests: list[str]        # the test files that must kill every mutant
 
 
@@ -87,6 +107,10 @@ TARGETS = [
            ["tests/test_disjoint.py", "tests/test_cli.py"]),
     Target(Path("realbook", "jsonio.py"), ("from_obj", "_fix_arc", "_object", "_with_disjointness"),
            refusals_dropped, ["tests/test_cli.py", "tests/test_fuzz.py"]),
+    Target(Path("realbook", "openbook.py"), ("validate_book",), checks_passed,
+           ["tests/test_cli.py", "tests/test_openbook.py"]),
+    Target(Path("realbook", "openbook.py"), ("_door",), refusals_cleared,
+           ["tests/test_openbook.py", "tests/test_cli.py"]),
 ]
 
 

@@ -8,8 +8,11 @@ how many books' invariants moved (H1, verdict, witness kind, real
 part), how many refused sites' messages moved, how many books one
 ledger has and the other lacks, and how many seeded walks diverged (took
 another site, or was refused another, at some step), each with the
-first label it names.  Exits 0 when the ledgers are equal, else 1.
-Standard library only.
+first label it names.  A book is keyed by its label, a refused site by
+its walk step and site; a label a ledger repeats (as ledgers written
+before each label was one line did, for fig4-1 to fig6-2) is one key.
+Exits 0 when the ledgers are equal line for line, else 1.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -65,18 +68,11 @@ def _course(ledger) -> dict[str, list[tuple[str, str]]]:
     return out
 
 
-def _keyed(ledger, refusals: bool) -> dict[tuple[str, int], tuple[str, ...]]:
-    """The ledger's books, or its refused sites, by label (a refusal's
-    step and site) and the count of earlier lines with that label: the
-    catalog and the ladders share some labels."""
-    out: dict[tuple[str, int], tuple[str, ...]] = {}
-    seen: dict[str, int] = {}
-    for fields in ledger:
-        if _is_refusal(fields) == refusals:
-            label = fields[0] + (" " + fields[2].split(": ", 1)[0] if refusals else "")
-            seen[label] = seen.get(label, -1) + 1
-            out[label, seen[label]] = fields
-    return out
+def _keyed(ledger, refusals: bool) -> dict[str, tuple[str, ...]]:
+    """The ledger's books by label, or its refused sites by their step
+    and site."""
+    return {fields[0] + (" " + fields[2].split(": ", 1)[0] if refusals else ""): fields
+            for fields in ledger if _is_refusal(fields) == refusals}
 
 
 def summary(old, new) -> list[str]:
@@ -87,10 +83,10 @@ def summary(old, new) -> list[str]:
     counts = {
         "books whose bytes moved": [a[0] for a, b in pairs if a[1] != b[1]],
         "books whose invariants moved": [a[0] for a, b in pairs if a[2:] != b[2:]],
-        "refusals whose message moved": [key[0] for key, a in refusals[0].items()
+        "refusals whose message moved": [key for key, a in refusals[0].items()
                                          if key in refusals[1] and a != refusals[1][key]],
-        "books only in OLD": [key[0] for key in books[0] if key not in books[1]],
-        "books only in NEW": [key[0] for key in books[1] if key not in books[0]],
+        "books only in OLD": [key for key in books[0] if key not in books[1]],
+        "books only in NEW": [key for key in books[1] if key not in books[0]],
         "walks that diverged": [walk for walk in dict.fromkeys([*walks[0], *walks[1]])
                                 if walks[0].get(walk) != walks[1].get(walk)],
     }

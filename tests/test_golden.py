@@ -21,12 +21,14 @@ must update them together with a note of why the outputs moved.
 
 The ledger (golden_ledger.tsv, written by `python tests/test_golden.py
 --ledger`) says which book moved: one tab-separated line per golden
-book, in digest order, with its label, the SHA-256 of its schema-3
+label, in digest order, with its label, the SHA-256 of its schema-3
 text, its H1, its verdict, the kind of its witness and its real part
 (as GOLDEN_REAL hashes it), and one line per refused site, with the
-walk step that tried it.  tests/ledger_diff.py OLD NEW counts the books
-whose bytes or invariants moved between two ledgers and the walks that
-diverged.
+walk step that tried it.  A label the catalog and the ladders share
+(fig4-1 to fig6-2) is one book, hashed at both places of the digests'
+sequence and written once.  tests/ledger_diff.py OLD NEW counts the
+books whose bytes or invariants moved between two ledgers, keyed by
+label, and the walks that diverged.
 """
 
 import hashlib
@@ -98,6 +100,8 @@ def _witness_kind(witness):
 
 
 def _record(d, label, ob):
+    """Check a book, append its ledger line, and return what it adds to
+    the digests, as a function that adds it."""
     status = check_reality(ob)
     h1 = h1_of_manifold(ob)
     text = dumps(ob)
@@ -105,27 +109,26 @@ def _record(d, label, ob):
     text1 = as_schema1(text2)
     if not loads(text1) == loads(text2) == loads(text) == ob:
         d.unequal.append(label)
-    d.update(f"{label}\n")
-    d.json3.update(text.encode())
-    d.json2.update(text2.encode())
-    d.json1.update(text1.encode())
-    d.update(f"\nH1 {h1!r}\n")
-    d.update(f"reality {status.kind.value} {status.witness!r}\n")
-
-    hr = d.real
-    hr.update(f"{label}\nH1 {h1!r}\n".encode())
     try:
         checks = validate_heegaard(heegaard_data(ob), ob)
     except ValueError as e:
         checks = f"refused {e}"
-    hr.update(f"heegaard {checks!r}\n".encode())
     try:
         rp = [(c.pieces, c.h1_class) for c in real_part(ob).components]
     except (RealPartUnavailable, ValueError) as e:
         rp = f"refused {type(e).__name__} {e}"
-    hr.update(f"real part {rp!r}\n".encode())
     d.ledger.append(_ledger_line(label, hashlib.sha256(text.encode()).hexdigest(), repr(h1),
                                  status.kind.value, _witness_kind(status.witness), repr(rp)))
+
+    def add():
+        d.update(f"{label}\n")
+        d.json3.update(text.encode())
+        d.json2.update(text2.encode())
+        d.json1.update(text1.encode())
+        d.update(f"\nH1 {h1!r}\n")
+        d.update(f"reality {status.kind.value} {status.witness!r}\n")
+        d.real.update(f"{label}\nH1 {h1!r}\nheegaard {checks!r}\nreal part {rp!r}\n".encode())
+    return add
 
 
 def _swap_pair(ob):
@@ -133,23 +136,26 @@ def _swap_pair(ob):
     return next((c, perm[c]) for c in sorted(perm) if perm[c] != c)
 
 
-def ladders():
-    """The fig4/5/6 ladders from k = 1 to LADDER_TOP, as (label, book)."""
-    ob = catalog_fig4(1)
-    yield "fig4-1", ob
-    for k in range(2, LADDER_TOP + 1):
-        ob = stabilize(ob, "VIII", {"boundaries": _swap_pair(ob)})
-        yield f"fig4-{k}", ob
-    ob = catalog_fig5(1)
-    yield "fig5-1", ob
-    for k in range(2, LADDER_TOP + 1):
-        ob = stabilize(ob, "III", {"boundary": 1})
-        yield f"fig5-{k}", ob
-    ob = catalog_fig6(1)
-    yield "fig6-1", ob
-    for k in range(2, LADDER_TOP + 1):
-        ob = stabilize(ob, "III", {"boundary": 1})
-        yield f"fig6-{k}", ob
+# each ladder: its name, its root at k = 1, and its step from k to k + 1
+LADDERS = (("fig4", catalog_fig4, lambda ob: stabilize(ob, "VIII", {"boundaries": _swap_pair(ob)})),
+           ("fig5", catalog_fig5, lambda ob: stabilize(ob, "III", {"boundary": 1})),
+           ("fig6", catalog_fig6, lambda ob: stabilize(ob, "III", {"boundary": 1})))
+
+
+def ladders(built=None):
+    """The fig4/5/6 ladders from k = 1 to LADDER_TOP, as (label, book).
+    built maps a label to its book where one is already built (the
+    catalog's fig4-1 to fig6-2), which the ladder then takes as it is
+    and climbs from."""
+    built = built or {}
+    for fig, root, climb in LADDERS:
+        for k in range(1, LADDER_TOP + 1):
+            label = f"{fig}-{k}"
+            if label in built:
+                ob = built[label]
+            else:
+                ob = climb(ob) if k > 1 else root(1)
+            yield label, ob
 
 
 def _walks(refused, seed, count, steps):
@@ -175,20 +181,29 @@ def _walks(refused, seed, count, steps):
 
 def golden_books(refused=lambda where, line: None):
     """Every golden book as (label, book), in digest order: the catalog,
-    the ladders and the seeded walks.  refused(where, line) is called
-    with the walk step and the line of each site a walk tries and is
-    refused, before the next book."""
+    the ladders and the seeded walks.  The ladders take the seven books
+    they share with the catalog (fig4-1 to fig6-2) as the catalog built
+    them, so each label is one book, built once.  refused(where, line)
+    is called with the walk step and the line of each site a walk tries
+    and is refused, before the next book."""
+    built = {}
     for e in ENTRIES:
-        yield e.name, e.build()
-    yield from ladders()
+        built[e.name] = e.build()
+        yield e.name, built[e.name]
+    yield from ladders(built)
     yield from _walks(refused, seed=2024, count=40, steps=6)
 
 
 def golden_digests():
-    """The digests of the current code, from one pass over the books."""
+    """The digests of the current code, from one pass over the books.  A
+    label the ladders share with the catalog is hashed at both places of
+    the sequence, and recorded once: one ledger line per label."""
     d = _Digests()
+    recorded = {}
     for label, ob in golden_books(d.refused):
-        _record(d, label, ob)
+        if label not in recorded:
+            recorded[label] = _record(d, label, ob)
+        recorded[label]()
     return d
 
 

@@ -97,3 +97,28 @@ def test_a_stabilization_may_change_the_separating_flags():
     fig5, fig6 = build("fig5", "2"), build("fig6", "2")
     assert h1_of_manifold(fig5) == h1_of_manifold(fig6)
     assert real_part(fig5).separating_flags() != real_part(fig6).separating_flags()
+
+
+def _outcome(ob, tag, site):
+    """What stabilize makes at a site: the child's text, or the refusal."""
+    try:
+        return dumps(stabilize(ob, tag, site))
+    except StabilizationError as e:
+        return f"refused: {e}"
+
+
+def test_a_read_back_parent_stabilizes_as_the_built_one():
+    """Along the first 20 walks, every book (the root and each step's)
+    and its read-back loads(dumps(book)) give, at every enumerated site,
+    the same child bytes or the same refusal: nothing stabilize reads is
+    lost or changed by the round trip."""
+    tried = 0
+    for (_root, walk, i, _tag), start, ob in walk_steps():
+        if walk >= 20:
+            break
+        for parent in ([start] if i == 0 else []) + [ob]:
+            back = loads(dumps(parent))
+            for tag, site in enumerate_sites(parent):
+                assert _outcome(back, tag, site) == _outcome(parent, tag, site), (walk, i, tag, site)
+                tried += 1
+    assert tried > 100
